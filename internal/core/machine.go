@@ -168,16 +168,17 @@ const streamAddrStride = uint64(1) << 44
 // which of them fetches.
 type streamFE struct {
 	stream trace.Stream
-	// sliceSrc is set when stream is a materialized *trace.Slice; fetch
-	// then reads instructions by reference instead of copying each
-	// record through the Stream interface.
-	sliceSrc *trace.Slice
+	// replay is set when stream is a materialized *trace.Replay; the
+	// front end then reads packed records in place instead of decoding
+	// each into an isa.Inst through the Stream interface.
+	replay *trace.Replay
 	// off is the stream's address-space offset (streamAddrStride × index).
 	off uint64
 
-	pendingInst   isa.Inst // fetched but not yet enqueued (stall overflow)
-	scratchInst   isa.Inst // staging buffer for interface-stream fetches
-	pendingFlags  uint8    // oracle annotations of pendingInst
+	pendingRec    trace.Rec // fetched but not yet enqueued (stall overflow)
+	pendingSeq    uint64
+	scratchRec    trace.Rec // staging buffer for interface-stream fetches
+	pendingFlags  uint8     // oracle annotations of pendingRec
 	havePending   bool
 	fetchBlocked  bool // waiting for a mispredicted branch to resolve
 	fetchResumeAt uint64
@@ -343,7 +344,7 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 	for i := range m.fes {
 		fe := &m.fes[i]
 		*fe = streamFE{stream: streams[i], off: uint64(i) * streamAddrStride}
-		fe.sliceSrc, _ = streams[i].(*trace.Slice)
+		fe.replay, _ = streams[i].(*trace.Replay)
 	}
 	if cap(m.streamStats) < len(streams) {
 		m.streamStats = make([]StreamStats, len(streams))

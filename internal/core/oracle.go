@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
-	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // FrontEndOracle holds precomputed per-instruction front-end annotations
@@ -49,20 +49,22 @@ func (o *FrontEndOracle) Prefix(n int) *FrontEndOracle {
 	return &FrontEndOracle{flags: o.flags[:n]}
 }
 
-// BuildFrontEndOracle walks insts once through a fresh branch predictor
-// and a fresh L1I timing model, recording per-instruction annotations. It
-// replicates the fetch stage's front-end exactly: an L1I lookup happens
-// on every line crossing (and unconditionally for the first instruction),
-// and the predictor trains on every branch in trace order.
-func BuildFrontEndOracle(insts []isa.Inst, bp bpred.Config, l1i cache.Config) *FrontEndOracle {
+// BuildFrontEndOracle walks the materialized trace once through a fresh
+// branch predictor and a fresh L1I timing model, recording
+// per-instruction annotations. It replicates the fetch stage's front-end
+// exactly: an L1I lookup happens on every line crossing (and
+// unconditionally for the first instruction), and the predictor trains on
+// every branch in trace order.
+func BuildFrontEndOracle(v trace.View, bp bpred.Config, l1i cache.Config) *FrontEndOracle {
 	pred := bpred.New(bp)
 	ic := cache.New(l1i)
 	shift := uint(bits.TrailingZeros64(uint64(l1i.LineBytes)))
-	flags := make([]uint8, len(insts))
+	flags := make([]uint8, v.Len())
 	haveLine := false
 	var lastLine uint64
-	for i := range insts {
-		in := &insts[i]
+	replay := v.Replay()
+	for i := range flags {
+		in, _ := replay.NextRec()
 		f := uint8(0)
 		line := in.PC >> shift
 		if !haveLine || line != lastLine {
@@ -75,7 +77,7 @@ func BuildFrontEndOracle(insts []isa.Inst, bp bpred.Config, l1i cache.Config) *F
 			haveLine = true
 		}
 		if in.Class.IsBranch() {
-			if pred.Update(in.PC, in.Taken, in.Target) {
+			if pred.Update(in.PC, in.Taken(), in.Addr) {
 				f |= oracleMispredict
 			}
 		}
@@ -93,10 +95,10 @@ func BuildFrontEndOracle(insts []isa.Inst, bp bpred.Config, l1i cache.Config) *F
 // does not support the oracle (multiple streams, a non-materialized
 // stream, or an annotation count shorter than the trace).
 func (m *Machine) SetFrontEndOracle(o *FrontEndOracle) bool {
-	if o == nil || len(m.fes) != 1 || m.fes[0].sliceSrc == nil {
+	if o == nil || len(m.fes) != 1 || m.fes[0].replay == nil {
 		return false
 	}
-	if m.now != 0 || len(o.flags) < m.fes[0].sliceSrc.Len() {
+	if m.now != 0 || len(o.flags) < m.fes[0].replay.Len() {
 		return false
 	}
 	m.oracle = o

@@ -810,35 +810,24 @@ func (m *Machine) fetch() {
 		return
 	}
 	for fetched := 0; fetched < m.cfg.FetchWidth && !m.fetchQ.Full(); {
-		var in *isa.Inst
+		var in *trace.Rec
+		var seq uint64
 		var oflags uint8
 		if sfe.havePending {
-			in = &sfe.pendingInst
+			in, seq = &sfe.pendingRec, sfe.pendingSeq
 			oflags = sfe.pendingFlags
 			sfe.havePending = false
 		} else {
 			if sfe.streamDone {
 				return
 			}
-			// Materialized traces are read in place; other streams copy
-			// through the interface into a staging buffer.
-			if sfe.sliceSrc != nil {
-				in = sfe.sliceSrc.NextRef()
-				if in == nil {
-					sfe.streamDone = true
-					return
-				}
-			} else {
-				v, err := sfe.stream.Next()
+			var err error
+			if in, seq, err = sfe.next(); in == nil {
 				if err != nil {
-					if !errors.Is(err, trace.ErrEnd) {
-						m.err = err
-					}
-					sfe.streamDone = true
-					return
+					m.err = err
 				}
-				sfe.scratchInst = v
-				in = &sfe.scratchInst
+				sfe.streamDone = true
+				return
 			}
 			if m.oracle != nil {
 				// Shared front-end oracle: the L1I lookup outcome was
@@ -848,9 +837,8 @@ func (m *Machine) fetch() {
 				m.oracleIdx++
 				if oflags&oracleMiss != 0 {
 					lat := m.mem.InstRefill(in.PC)
-					sfe.pendingInst = *in
+					sfe.hold(in, seq)
 					sfe.pendingFlags = oflags
-					sfe.havePending = true
 					sfe.fetchResumeAt = m.now + uint64(lat)
 					return
 				}
@@ -864,41 +852,41 @@ func (m *Machine) fetch() {
 					if lat > m.cfg.Mem.L1I.HitLatency {
 						// Miss: the line arrives later; hold the
 						// instruction and resume then.
-						sfe.pendingInst = *in
-						sfe.havePending = true
+						sfe.hold(in, seq)
 						sfe.fetchResumeAt = m.now + uint64(lat)
 						return
 					}
 				}
 			}
 		}
-		eff := in.EffAddr
+		var eff uint64
 		if in.Class.IsMem() {
-			eff += sfe.off
+			eff = in.Addr + sfe.off
 		}
 		fe, _ := m.fetchQ.PushRef() // never full: guarded by the loop condition
 		*fe = fetchEntry{
-			seq:       in.Seq,
+			seq:       seq,
 			effAddr:   eff,
 			readyAt:   m.now + 1 + uint64(m.cfg.SteerLatency),
-			src:       in.Src,
-			dest:      in.Dest,
+			src:       in.Src(),
+			dest:      in.Dest(),
 			class:     in.Class,
-			numSrcs:   in.NumSrcs,
+			numSrcs:   in.NumSrcs(),
 			writesReg: in.WritesReg(),
 			stream:    sidx,
 		}
 		fetched++
 		sfe.inFlight++
 		if in.Class.IsBranch() {
+			taken := in.Taken()
 			if m.oracle != nil {
 				fe.mispredict = oflags&oracleMispredict != 0
 			} else {
-				tgt := in.Target
-				if in.Taken {
+				tgt := in.Addr
+				if taken {
 					tgt += sfe.off
 				}
-				fe.mispredict = m.pred.Update(in.PC+sfe.off, in.Taken, tgt)
+				fe.mispredict = m.pred.Update(in.PC+sfe.off, taken, tgt)
 			}
 			m.cov.Branches++
 			if fe.mispredict {
@@ -906,9 +894,35 @@ func (m *Machine) fetch() {
 				sfe.fetchBlocked = true
 				return
 			}
-			if in.Taken {
+			if taken {
 				return // fetch group ends at a taken branch
 			}
 		}
 	}
+}
+
+// next pulls the stream's next instruction as a packed record plus its
+// sequence number: in place from a materialized replay, through a staging
+// record otherwise. A nil record means the stream ended; err is then set
+// unless it ended cleanly.
+func (sfe *streamFE) next() (rec *trace.Rec, seq uint64, err error) {
+	if sfe.replay != nil {
+		rec, seq = sfe.replay.NextRec()
+		return rec, seq, nil
+	}
+	v, err := sfe.stream.Next()
+	if err != nil {
+		if errors.Is(err, trace.ErrEnd) {
+			err = nil
+		}
+		return nil, 0, err
+	}
+	sfe.scratchRec = trace.MakeRec(&v)
+	return &sfe.scratchRec, v.Seq, nil
+}
+
+// hold parks a fetched instruction until the stream may fetch again.
+func (sfe *streamFE) hold(rec *trace.Rec, seq uint64) {
+	sfe.pendingRec, sfe.pendingSeq = *rec, seq
+	sfe.havePending = true
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/isa"
@@ -118,30 +117,22 @@ func (m *Machine) FunctionalAdvance(n uint64) (uint64, error) {
 	// front end; it returns false when the stream is exhausted.
 	consumeOne := func(i int) (bool, error) {
 		sfe := &m.fes[i]
-		var in *isa.Inst
+		var in *trace.Rec
 		if sfe.havePending {
-			in = &sfe.pendingInst
+			in = &sfe.pendingRec
 			sfe.havePending = false
 		} else if sfe.streamDone {
 			return false, nil
-		} else if sfe.sliceSrc != nil {
-			in = sfe.sliceSrc.NextRef()
-			if in == nil {
-				sfe.streamDone = true
-				return false, nil
-			}
 		} else {
-			v, err := sfe.stream.Next()
-			if err != nil {
-				if !errors.Is(err, trace.ErrEnd) {
+			var err error
+			if in, _, err = sfe.next(); in == nil {
+				if err != nil {
 					m.err = err
 					return false, err
 				}
 				sfe.streamDone = true
 				return false, nil
 			}
-			sfe.scratchInst = v
-			in = &sfe.scratchInst
 		}
 		// Instruction cache: one lookup per fetch line, mirroring the
 		// detailed front end; the refill latency is ignored.
@@ -152,17 +143,18 @@ func (m *Machine) FunctionalAdvance(n uint64) (uint64, error) {
 			sfe.haveFetchLine = true
 		}
 		if in.Class.IsBranch() {
-			tgt := in.Target
-			if in.Taken {
+			taken := in.Taken()
+			tgt := in.Addr
+			if taken {
 				tgt += sfe.off
 			}
 			m.cov.Branches++
-			if m.pred.Update(in.PC+sfe.off, in.Taken, tgt) {
+			if m.pred.Update(in.PC+sfe.off, taken, tgt) {
 				m.cov.Mispredicts++
 			}
 		}
 		if in.Class.IsMem() {
-			m.cov.DLat += uint64(m.mem.DataAccess(in.EffAddr+sfe.off, in.Class == isa.Store))
+			m.cov.DLat += uint64(m.mem.DataAccess(in.Addr+sfe.off, in.Class == isa.Store))
 		}
 		return true, nil
 	}

@@ -270,13 +270,15 @@ func (w *Worker) fetchTrace(ctx context.Context, ref TraceRef) bool {
 	if err != nil {
 		return false
 	}
-	insts, err := trace.Collect(tr, int(ref.Insts))
-	if err != nil || uint64(len(insts)) < ref.Insts {
-		// A truncated body is not installed as-is: the lease needs the
-		// full prefix, so count this as a regeneration.
+	// The store grows chunk by chunk as the body arrives, so a lying
+	// length costs nothing up front. A truncated body (ErrEnd) is not
+	// installed as-is: the lease needs the full prefix, so count this as a
+	// regeneration.
+	var p trace.Packed
+	if err := p.Extend(tr, int(ref.Insts)); err != nil {
 		return false
 	}
-	return harness.DefaultTraceCache.Install(ref.Program, ref.Seed, insts)
+	return harness.DefaultTraceCache.Install(ref.Program, ref.Seed, &p)
 }
 
 // executeBatch runs the leased jobs and returns their records in lease

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -161,29 +160,31 @@ func StreamBudgets(spec workload.Spec, insts, warmup uint64) []uint64 {
 	return out
 }
 
-// groupStreams materializes the group's shared per-stream instruction
-// slices once. Stream i of every member replays sharedInsts[i] through a
-// private cursor. Falls back to a one-off Collect when the trace cache
-// cannot admit the stream (the generation pass is still paid once for
-// the whole group).
-func groupStreams(spec workload.Spec, insts, warmup uint64) ([][]isa.Inst, error) {
+// groupStreams materializes the group's shared per-stream traces once.
+// Stream i of every member replays shared[i] through a private cursor.
+// Falls back to a one-off private store when the trace cache cannot admit
+// the stream (the generation pass is still paid once for the whole group).
+func groupStreams(spec workload.Spec, insts, warmup uint64) ([]trace.View, error) {
 	budgets := StreamBudgets(spec, insts, warmup)
-	shared := make([][]isa.Inst, len(spec.Streams))
+	shared := make([]trace.View, len(spec.Streams))
 	for i, s := range spec.Streams {
-		budget := budgets[i]
-		stream, err := DefaultTraceCache.Stream(s.Program, s.Seed, budget)
+		v, ok, err := DefaultTraceCache.view(s.Program, s.Seed, budgets[i])
 		if err != nil {
 			return nil, err
 		}
-		if sl, ok := stream.(*trace.Slice); ok {
-			shared[i] = sl.Insts()
-			continue
+		if !ok {
+			gen, err := workload.NewStream(s.Program, s.Seed)
+			if err != nil {
+				return nil, err
+			}
+			var private trace.Packed
+			private.Reserve(int(budgets[i]))
+			if err := private.Extend(gen, int(budgets[i])); err != nil {
+				return nil, err
+			}
+			v = private.View(private.Len())
 		}
-		collected, err := trace.Collect(stream, int(budget))
-		if err != nil {
-			return nil, err
-		}
-		shared[i] = collected
+		shared[i] = v
 	}
 	return shared, nil
 }
@@ -258,7 +259,7 @@ func executeGroup(reqs []Request, idxs []int, results []Run) {
 		results[ri] = Run{Config: req.Config, Workload: spec.Name(), Class: cls}
 		streams := make([]trace.Stream, len(shared))
 		for si := range shared {
-			streams[si] = trace.NewSlice(shared[si])
+			streams[si] = shared[si].Replay()
 		}
 		var m *core.Machine
 		var err error

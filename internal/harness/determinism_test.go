@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -168,7 +169,7 @@ func TestTraceCacheInstall(t *testing.T) {
 	if got := tc.MaterializedLen(prog, 0); got != 0 {
 		t.Fatalf("MaterializedLen before install = %d", got)
 	}
-	if !tc.Install(prog, 0, ref[:2000]) {
+	if !tc.Install(prog, 0, packInsts(t, ref[:2000])) {
 		t.Fatal("install refused within budget")
 	}
 	if got := tc.MaterializedLen(prog, 0); got != 2000 {
@@ -210,7 +211,7 @@ func TestTraceCacheInstall(t *testing.T) {
 	}
 
 	// Re-installing a shorter or overlapping prefix never truncates.
-	if !tc.Install(prog, 0, ref[:1000]) {
+	if !tc.Install(prog, 0, packInsts(t, ref[:1000])) {
 		t.Fatal("overlapping install refused")
 	}
 	if got := tc.MaterializedLen(prog, 0); got != 3000 {
@@ -219,7 +220,18 @@ func TestTraceCacheInstall(t *testing.T) {
 
 	// Over-budget installs are refused, leaving generation to the caller.
 	small := NewTraceCache(100)
-	if small.Install(prog, 0, ref) {
+	if small.Install(prog, 0, packInsts(t, ref)) {
 		t.Fatal("install accepted past the budget")
 	}
+}
+
+// packInsts materializes insts the way a fetched trace arrives: appended
+// to a fresh packed store.
+func packInsts(t *testing.T, insts []isa.Inst) *trace.Packed {
+	t.Helper()
+	var p trace.Packed
+	if err := p.Extend(trace.NewSlice(insts), len(insts)); err != nil {
+		t.Fatal(err)
+	}
+	return &p
 }

@@ -2,25 +2,24 @@ package harness
 
 import (
 	"sync"
-	"unsafe"
 
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // TraceCache materializes each workload stream's deterministic
-// instruction sequence once and replays it as a read-only slice, so a
-// grid that runs the same stream under many configurations generates the
-// trace a single time instead of once per configuration. Entries are
-// keyed per stream — (program, seed) — so two mixes sharing a stream
-// share its trace, and two seeds of one program materialize separately.
-// Program names are canonical by the time they reach the cache
-// (workload.ParseSpec normalizes synthetic specs), so equivalent
-// spellings of one synth workload share a single entry. Entries extend
-// in place: a request for a longer prefix pulls more instructions from
-// the stream's retained generator, and outstanding shorter views stay
-// valid (extension never mutates published elements).
+// instruction sequence once, in the packed form of trace.Packed, and
+// replays it read-only, so a grid that runs the same stream under many
+// configurations generates the trace a single time instead of once per
+// configuration. Entries are keyed per stream — (program, seed) — so two
+// mixes sharing a stream share its trace, and two seeds of one program
+// materialize separately. Program names are canonical by the time they
+// reach the cache (workload.ParseSpec normalizes synthetic specs), so
+// equivalent spellings of one synth workload share a single entry. Entries
+// extend in place: a request for a longer prefix pulls more instructions
+// from the stream's retained generator into a new exactly-sized segment,
+// and outstanding shorter views stay valid (extension never moves or
+// rewrites a published record).
 //
 // The cache is safe for concurrent use and bounded by a total-instruction
 // budget; requests it cannot admit fall back to a private generator, so
@@ -29,8 +28,12 @@ import (
 type TraceCache struct {
 	budget uint64 // total instructions across streams; 0 = unlimited
 
+	// mu guards the fields below and every entry's reserved count. It is
+	// only ever taken last: an entry lock may be held while taking it,
+	// never the other way round.
 	mu      sync.Mutex
-	total   uint64
+	total   uint64 // reserved instructions across entries
+	bytes   uint64 // memory the entries' packed stores hold
 	hits    uint64
 	misses  uint64
 	entries map[streamKey]*traceEntry
@@ -45,15 +48,16 @@ type streamKey struct {
 
 // traceEntry is one stream's materialized prefix plus the generator that
 // extends it. The entry lock serializes extension; readers of published
-// prefixes need no lock. reserved is the longest prefix any request has
-// claimed budget for, tracked under the cache lock (len(insts) itself is
+// views need no lock. reserved is the longest prefix any request has
+// claimed budget for, tracked under the cache lock (the store itself is
 // only touched under the entry lock).
 type traceEntry struct {
 	reserved uint64
 
-	mu    sync.Mutex
-	gen   trace.Stream
-	insts []isa.Inst
+	mu      sync.Mutex
+	gen     trace.Stream // nil until first needed: built under mu, not the cache lock
+	store   trace.Packed
+	dropped bool // materialization failed; the entry has left the cache
 }
 
 // NewTraceCache returns a cache bounded to roughly budget materialized
@@ -62,9 +66,11 @@ func NewTraceCache(budget uint64) *TraceCache {
 	return &TraceCache{budget: budget, entries: make(map[streamKey]*traceEntry)}
 }
 
-// DefaultTraceCache backs Execute. Its budget (64M instructions, a few
-// GB at most in the worst case but ~50 MB for the paper grids) covers the
-// full suite at the paper's default instruction counts.
+// DefaultTraceCache backs Execute. Its budget (64M instructions) covers
+// the full suite at the paper's default instruction counts many times
+// over: the paper grid at 300k+50k instructions holds 9.1M (218 MB at 24
+// bytes a record), and the cache can reach 1.5 GB at most in a long-lived
+// daemon fed ever-new synthetic specs.
 var DefaultTraceCache = NewTraceCache(64 << 20)
 
 // TraceCacheStats is a point-in-time snapshot of the cache's occupancy
@@ -76,16 +82,14 @@ type TraceCacheStats struct {
 	Entries int
 	// Insts is the total reserved instruction budget across entries.
 	Insts uint64
-	// Bytes is the approximate memory the materialized traces occupy.
+	// Bytes is the memory the entries' packed stores hold: what has
+	// actually been allocated for materialized records, slack included.
 	Bytes uint64
 	// Hits counts Stream calls served from an existing entry; Misses
 	// counts calls that materialized a new entry or fell back to a
 	// private generator because the budget was exhausted.
 	Hits, Misses uint64
 }
-
-// instSize approximates one materialized instruction's memory cost.
-var instSize = uint64(unsafe.Sizeof(isa.Inst{}))
 
 // Stats returns a snapshot of the cache counters.
 func (tc *TraceCache) Stats() TraceCacheStats {
@@ -94,7 +98,7 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 	return TraceCacheStats{
 		Entries: len(tc.entries),
 		Insts:   tc.total,
-		Bytes:   tc.total * instSize,
+		Bytes:   tc.bytes,
 		Hits:    tc.hits,
 		Misses:  tc.misses,
 	}
@@ -108,66 +112,110 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 // profile name or a canonical synthetic spec (workload.NewStream
 // resolves both).
 func (tc *TraceCache) Stream(program string, seed, n uint64) (trace.Stream, error) {
-	key := streamKey{program: program, seed: seed}
+	v, ok, err := tc.view(program, seed, n)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return fresh(program, seed, n)
+	}
+	return v.Replay(), nil
+}
+
+// reserve finds or creates the entry for key and claims budget for its
+// first n instructions, counting the call as a hit or a miss when count is
+// set. It returns nil when the budget cannot admit the claim.
+func (tc *TraceCache) reserve(key streamKey, n uint64, count bool) *traceEntry {
 	tc.mu.Lock()
+	defer tc.mu.Unlock()
 	e := tc.entries[key]
-	if e == nil {
-		tc.misses++
-		if tc.budget != 0 && tc.total+n > tc.budget {
-			tc.mu.Unlock()
-			return tc.fresh(program, seed, n)
-		}
-		gen, err := workload.NewStream(program, seed)
-		if err != nil {
-			tc.mu.Unlock()
-			return nil, err
-		}
-		e = &traceEntry{gen: gen, reserved: n}
-		tc.entries[key] = e
-		tc.total += n
-	} else {
-		tc.hits++
-		if n > e.reserved {
-			grow := n - e.reserved
-			if tc.budget != 0 && tc.total+grow > tc.budget {
-				tc.mu.Unlock()
-				return tc.fresh(program, seed, n)
-			}
-			e.reserved = n
-			tc.total += grow
+	if count {
+		if e == nil {
+			tc.misses++
+		} else {
+			tc.hits++
 		}
 	}
-	tc.mu.Unlock()
+	var grow uint64
+	if e == nil {
+		grow = n
+	} else if n > e.reserved {
+		grow = n - e.reserved
+	}
+	if tc.budget != 0 && grow != 0 && tc.total+grow > tc.budget {
+		return nil
+	}
+	if e == nil {
+		e = &traceEntry{}
+		tc.entries[key] = e
+	}
+	e.reserved += grow
+	tc.total += grow
+	return e
+}
 
+// settle runs with e.mu held after the entry's store may have grown from
+// before bytes: it books the growth, or — when materialization failed —
+// takes the entry out of the cache with everything reserved for it, so a
+// bad program name cannot pin budget. Views already handed out stay valid.
+func (tc *TraceCache) settle(key streamKey, e *traceEntry, before uint64, failed bool) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if !failed {
+		tc.bytes += e.store.Bytes() - before
+		return
+	}
+	e.dropped = true
+	delete(tc.entries, key)
+	tc.total -= e.reserved
+	tc.bytes -= before
+}
+
+// view returns the first n instructions of (program, seed) as a view of
+// the shared store, materializing whatever part is missing. ok is false
+// when the budget cannot admit the stream (or its entry was dropped by a
+// concurrent failure); the caller then generates privately.
+func (tc *TraceCache) view(program string, seed, n uint64) (v trace.View, ok bool, err error) {
+	key := streamKey{program: program, seed: seed}
+	e := tc.reserve(key, n, true)
+	if e == nil {
+		return trace.View{}, false, nil
+	}
 	e.mu.Lock()
-	if uint64(len(e.insts)) < n && e.gen == nil {
-		// The entry was seeded by Install (a fetched trace) without a
-		// generator. Create one and fast-forward past the installed
-		// prefix — paid once, only when a request outgrows what was
-		// fetched; generation is deterministic, so the regenerated
-		// suffix continues the installed prefix exactly.
+	defer e.mu.Unlock()
+	if e.dropped {
+		return trace.View{}, false, nil
+	}
+	if uint64(e.store.Len()) < n {
+		before := e.store.Bytes()
+		err := e.extend(program, seed, n)
+		tc.settle(key, e, before, err != nil)
+		if err != nil {
+			return trace.View{}, false, err
+		}
+	}
+	return e.store.View(int(n)), true, nil
+}
+
+// extend materializes the entry up to n instructions, with e.mu held. The
+// generator is built on first need: for a new entry that is now, and for
+// one seeded by Install (a fetched trace) it is when a request outgrows
+// what was fetched — the generator then fast-forwards past the installed
+// prefix, and because generation is deterministic the regenerated suffix
+// continues it exactly.
+func (e *traceEntry) extend(program string, seed, n uint64) error {
+	if e.gen == nil {
 		gen, err := workload.NewStream(program, seed)
 		if err != nil {
-			e.mu.Unlock()
-			return nil, err
+			return err
 		}
-		if _, err := trace.Skip(gen, uint64(len(e.insts))); err != nil {
-			e.mu.Unlock()
-			return nil, err
+		if _, err := trace.Skip(gen, uint64(e.store.Len())); err != nil {
+			return err
 		}
 		e.gen = gen
 	}
-	for uint64(len(e.insts)) < n {
-		in, err := e.gen.Next()
-		if err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
-		e.insts = append(e.insts, in)
-	}
-	s := e.insts[:n:n]
-	e.mu.Unlock()
-	return trace.NewSlice(s), nil
+	e.store.Reserve(int(n))
+	return e.store.Extend(e.gen, int(n))
 }
 
 // MaterializedLen reports how many instructions of (program, seed) are
@@ -182,55 +230,58 @@ func (tc *TraceCache) MaterializedLen(program string, seed uint64) uint64 {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return uint64(len(e.insts))
+	return uint64(e.store.Len())
 }
 
 // Install seeds the cache with an externally materialized prefix of
 // (program, seed) — a trace fetched from a fleet coordinator — so
-// subsequent Stream calls replay it instead of generating. Installing
-// over an existing entry appends only the portion past what is already
-// materialized (published elements are never mutated, so outstanding
-// views stay valid; generation is deterministic, so the overlap is
-// bit-identical by construction). It reports false when the instruction
-// budget cannot admit the trace; the caller falls back to local
-// generation.
-func (tc *TraceCache) Install(program string, seed uint64, insts []isa.Inst) bool {
-	n := uint64(len(insts))
+// subsequent Stream calls replay it instead of generating. A stream the
+// cache does not hold yet adopts p as its store (the caller must not
+// append to p afterwards); installing over an existing entry copies only
+// the portion past what is already materialized (published records are
+// never rewritten, so outstanding views stay valid; generation is
+// deterministic, so the overlap is bit-identical by construction). It
+// reports false when the instruction budget cannot admit the trace; the
+// caller falls back to local generation.
+func (tc *TraceCache) Install(program string, seed uint64, p *trace.Packed) bool {
+	n := uint64(p.Len())
 	if n == 0 {
 		return true
 	}
 	key := streamKey{program: program, seed: seed}
-	tc.mu.Lock()
-	e := tc.entries[key]
+	e := tc.reserve(key, n, false)
 	if e == nil {
-		if tc.budget != 0 && tc.total+n > tc.budget {
-			tc.mu.Unlock()
-			return false
-		}
-		e = &traceEntry{reserved: n}
-		tc.entries[key] = e
-		tc.total += n
-	} else if n > e.reserved {
-		grow := n - e.reserved
-		if tc.budget != 0 && tc.total+grow > tc.budget {
-			tc.mu.Unlock()
-			return false
-		}
-		e.reserved = n
-		tc.total += grow
+		return false
 	}
-	tc.mu.Unlock()
-
 	e.mu.Lock()
-	if uint64(len(e.insts)) < n {
-		e.insts = append(e.insts, insts[len(e.insts):]...)
+	defer e.mu.Unlock()
+	if e.dropped {
+		return false
 	}
-	e.mu.Unlock()
-	return true
+	have := e.store.Len()
+	if uint64(have) >= n {
+		return true
+	}
+	before := e.store.Bytes()
+	var err error
+	if have == 0 {
+		e.store = *p
+	} else {
+		tail := p.View(int(n)).Replay()
+		if _, err = trace.Skip(tail, uint64(have)); err == nil {
+			e.store.Reserve(int(n))
+			err = e.store.Extend(tail, int(n))
+		}
+		// The generator, if any, is now behind the store; extend rebuilds
+		// it past the new length if a request ever outgrows this prefix.
+		e.gen = nil
+	}
+	tc.settle(key, e, before, err != nil)
+	return err == nil
 }
 
 // fresh builds the unshared fallback stream.
-func (tc *TraceCache) fresh(program string, seed, n uint64) (trace.Stream, error) {
+func fresh(program string, seed, n uint64) (trace.Stream, error) {
 	gen, err := workload.NewStream(program, seed)
 	if err != nil {
 		return nil, err

@@ -189,7 +189,7 @@ func (in *Inst) String() string {
 	if in.HasDest {
 		s += " " + in.Dest.String() + " ="
 	}
-	for i := uint8(0); i < in.NumSrcs; i++ {
+	for i := 0; i < int(in.NumSrcs) && i < len(in.Src); i++ { // NumSrcs may be invalid
 		s += " " + in.Src[i].String()
 	}
 	if in.Class.IsMem() {

@@ -321,7 +321,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			val              uint64
 		}{
 			{"ringsimd_trace_cache_entries", "Materialized workload streams resident in the trace cache.", "gauge", uint64(tc.Entries)},
-			{"ringsimd_trace_cache_bytes", "Approximate memory held by materialized traces.", "gauge", tc.Bytes},
+			{"ringsimd_trace_cache_bytes", "Memory allocated for materialized traces: the packed stores' segments, 24 bytes a record.", "gauge", tc.Bytes},
 			{"ringsimd_trace_cache_hits_total", "Stream requests served from an existing trace-cache entry.", "counter", tc.Hits},
 			{"ringsimd_trace_cache_misses_total", "Stream requests that materialized a new entry or fell back to a private generator.", "counter", tc.Misses},
 		}...)

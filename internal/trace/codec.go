@@ -63,22 +63,7 @@ func (tw *Writer) Write(in *isa.Inst) error {
 		return err
 	}
 	var rec [5 + 8 + 8 + 16]byte
-	flags := in.NumSrcs & 3
-	if in.HasDest {
-		flags |= flagHasDest
-	}
-	if in.Taken {
-		flags |= flagTaken
-	}
-	if in.Src[0].Kind == isa.FPReg {
-		flags |= flagSrc0FP
-	}
-	if in.Src[1].Kind == isa.FPReg {
-		flags |= flagSrc1FP
-	}
-	if in.Dest.Kind == isa.FPReg {
-		flags |= flagDestFP
-	}
+	flags := operandFlags(in)
 	payload := in.Class.IsMem() || in.Class.IsBranch()
 	if payload {
 		flags |= flagPayload
@@ -169,7 +154,35 @@ func (tr *Reader) Next() (isa.Inst, error) {
 		tr.err = err
 		return isa.Inst{}, err
 	}
+	// The writer emits the payload exactly for memory and branch classes;
+	// anything else is not a trace this codec wrote, and accepting it
+	// would decode address words that re-encoding drops.
+	if (flags&flagPayload != 0) != (in.Class.IsMem() || in.Class.IsBranch()) {
+		tr.err = fmt.Errorf("trace: inst %d: payload flag does not match class %s", in.Seq, in.Class)
+		return isa.Inst{}, tr.err
+	}
 	return in, nil
+}
+
+// operandFlags encodes everything in the flags byte except flagPayload.
+func operandFlags(in *isa.Inst) uint8 {
+	flags := in.NumSrcs & 3
+	if in.HasDest {
+		flags |= flagHasDest
+	}
+	if in.Taken {
+		flags |= flagTaken
+	}
+	if in.Src[0].Kind == isa.FPReg {
+		flags |= flagSrc0FP
+	}
+	if in.Src[1].Kind == isa.FPReg {
+		flags |= flagSrc1FP
+	}
+	if in.Dest.Kind == isa.FPReg {
+		flags |= flagDestFP
+	}
+	return flags
 }
 
 func kind(fp bool) isa.RegFileKind {

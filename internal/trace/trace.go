@@ -1,7 +1,8 @@
 // Package trace defines how dynamic instruction streams reach the
-// simulator: a pull-based Stream interface, an in-memory implementation, a
-// replayable buffer, and a compact binary encoding for storing traces on
-// disk (used by cmd/tracegen).
+// simulator: a pull-based Stream interface, an in-memory implementation,
+// the packed store materialized traces live in (Packed, read through View
+// and Replay), and a compact binary encoding for storing traces on disk
+// (used by cmd/tracegen) and serving them to fleet workers.
 package trace
 
 import (
@@ -46,26 +47,8 @@ func (s *Slice) Next() (isa.Inst, error) {
 	return in, nil
 }
 
-// NextRef returns a pointer to the next instruction, or nil when the
-// stream is exhausted. The pointee is shared, immutable storage: callers
-// must not modify it. The simulator's fetch stage uses this to avoid
-// copying the full record per instruction.
-func (s *Slice) NextRef() *isa.Inst {
-	if s.pos >= len(s.insts) {
-		return nil
-	}
-	in := &s.insts[s.pos]
-	s.pos++
-	return in
-}
-
 // Reset rewinds the stream to the beginning.
 func (s *Slice) Reset() { s.pos = 0 }
-
-// Insts returns the underlying instruction slice (shared, immutable
-// storage — callers must not modify it). Batch execution uses it to build
-// shared front-end annotations over the materialized trace.
-func (s *Slice) Insts() []isa.Inst { return s.insts }
 
 // Len returns the total number of instructions in the underlying slice.
 func (s *Slice) Len() int { return len(s.insts) }
