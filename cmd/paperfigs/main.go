@@ -1,6 +1,7 @@
 // Command paperfigs regenerates every table and figure of the paper's
-// evaluation section on the simulator (see EXPERIMENTS.md for the
-// paper-vs-measured record).
+// evaluation section on the simulator. The figures' qualitative
+// orderings are pinned by internal/harness/shapes_test.go; a
+// paper-vs-measured record is ROADMAP item 4(d).
 //
 // Usage:
 //

@@ -11,7 +11,7 @@
 //	ringsim-worker -coordinator http://host:8080
 //	               [-fleet-secret S] [-name NODE] [-capacity N]
 //	               [-poll 500ms] [-cache-dir DIR] [-cache-max-bytes N]
-//	               [-mem-entries N] [-batch N]
+//	               [-mem-entries N]
 //
 // With -cache-dir the worker fronts its own content-addressed disk
 // cache: a leased key already present locally is completed without
@@ -50,7 +50,6 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound for -cache-dir; least-recently-used entries are pruned past it (0 = unbounded)")
 	fleetSecret := flag.String("fleet-secret", "", "shared secret matching the coordinator's -fleet-secret")
 	memEntries := flag.Int("mem-entries", 1024, "in-memory LRU in front of -cache-dir (entries)")
-	batch := flag.Int("batch", 0, "max leased runs advanced in lockstep over one shared trace (0 = auto, 1 = disable batching)")
 	showVersion := flag.Bool("version", false, "print the build revision and exit")
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func main() {
 		Secret:       *fleetSecret,
 		Name:         *name,
 		Capacity:     *capacity,
-		Batch:        *batch,
 		Store:        store,
 		PollInterval: *poll,
 		Logf:         log.Printf,
@@ -87,8 +85,8 @@ func main() {
 		log.Fatal("ringsim-worker: ", err)
 	}
 	st := w.Stats()
-	log.Printf("ringsim-worker: draining: leased %d, executed %d, cache hits %d, completed %d, rejected %d, trace fetches %d, trace regens %d",
-		st.Leased, st.Executed, st.CacheHits, st.Completed, st.Rejected, st.TraceFetches, st.TraceRegens)
+	log.Printf("ringsim-worker: draining: leased %d, executed %d, cache hits %d, completed %d, rejected %d, trace fetches %d, trace regens %d, store put errors %d",
+		st.Leased, st.Executed, st.CacheHits, st.Completed, st.Rejected, st.TraceFetches, st.TraceRegens, st.StorePutErrors)
 }
 
 // hostname is the default worker label.

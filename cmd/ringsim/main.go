@@ -87,7 +87,6 @@ func main() {
 	programs := flag.String("programs", "", "run ONE multi-programmed workload mixing these programs (comma list; overrides -progs)")
 	verbose := flag.Bool("v", false, "print extra statistics")
 	asJSON := flag.Bool("json", false, "emit results as JSON (internal/results encoding)")
-	batch := flag.Int("batch", 0, "max configs advanced in lockstep over one shared trace (0 = auto, 1 = disable batching)")
 	fidelity := flag.String("fidelity", "exact", "execution fidelity: exact, sampled, or sampled(interval,window,warm)")
 	showVersion := flag.Bool("version", false, "print the build revision and exit")
 	flag.Parse()
@@ -155,7 +154,7 @@ func main() {
 		}
 	}
 
-	res, err := harness.GridSampledN([]core.Config{cfg}, names, *insts, *warmup, *batch, sampling)
+	res, err := harness.GridSampledN([]core.Config{cfg}, names, *insts, *warmup, sampling)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringsim:", err)
 		os.Exit(1)

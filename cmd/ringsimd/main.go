@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	ringsimd [-addr :8080] [-workers N] [-queue N] [-batch N]
+//	ringsimd [-addr :8080] [-workers N] [-queue N]
 //	         [-cache-dir DIR] [-cache-max-bytes N] [-mem-entries N]
 //	         [-journal-dir DIR] [-twin on|off|auto]
 //	         [-fidelity exact|sampled|sampled(i,w,warm)]
@@ -90,7 +90,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "local simulation worker-pool size (-1 with -fleet = dispatch-only, no local simulations)")
 	queue := flag.Int("queue", 256, "job queue depth (single runs beyond it get 503; sweeps of any size trickle through)")
-	batch := flag.Int("batch", 0, "max runs a worker advances in lockstep over one shared trace (0 = auto, 1 = disable batching)")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory (empty = memory only)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound for -cache-dir; least-recently-used entries are pruned past it (0 = unbounded)")
 	memEntries := flag.Int("mem-entries", 4096, "in-memory LRU cache capacity (entries)")
@@ -130,7 +129,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	opts := server.Options{Workers: *workers, QueueDepth: *queue, Batch: *batch, Store: store, FleetSecret: *fleetSecret, Twin: *twin, Fidelity: *fidelity}
+	opts := server.Options{Workers: *workers, QueueDepth: *queue, Store: store, FleetSecret: *fleetSecret, Twin: *twin, Fidelity: *fidelity}
 	if *fleetMode {
 		opts.Fleet = &fleet.CoordinatorOptions{LeaseTTL: *leaseTTL, HeartbeatEvery: *heartbeat}
 	} else if *workers < 0 {

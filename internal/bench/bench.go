@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
@@ -208,38 +207,6 @@ func Fig14SSANReady(b *testing.B) {
 	b.ReportMetric(conv, "conv-ssa-nready")
 }
 
-// BatchedGrid measures the Figure-6 grid under fixed lockstep batch
-// sizes: the same requests executed with per-group member caps of 1
-// (unbatched baseline), 8, and 32, each reported as its own simulation
-// rate so the amortization of one trace decode across N configurations
-// is visible in the trajectory.
-func BatchedGrid(b *testing.B) {
-	reqs, err := harness.Expand(harness.PaperConfigs(), workload.Names(), Insts, Warmup)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sizes := []int{1, 8, 32}
-	rates := make(map[int]float64, len(sizes))
-	for i := 0; i < b.N; i++ {
-		for _, size := range sizes {
-			start := time.Now()
-			runs := harness.GridRunsN(reqs, size, runtime.GOMAXPROCS(0))
-			elapsed := time.Since(start).Seconds()
-			var committed uint64
-			for _, r := range runs {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-				committed += r.Stats.Committed
-			}
-			rates[size] = float64(committed) / elapsed
-		}
-	}
-	for _, size := range sizes {
-		b.ReportMetric(rates[size], fmt.Sprintf("batch%d-inst/s", size))
-	}
-}
-
 // SampledGrid is the sampled-fidelity acceptance benchmark: the Figure-6
 // grid at a 1M-instruction budget run exact and then with
 // DefaultSampling, reporting both simulation rates, the wall-clock
@@ -262,7 +229,7 @@ func SampledGrid(b *testing.B) {
 		}
 		exactSec := time.Since(start).Seconds()
 		start = time.Now()
-		sampled, err := harness.GridSampledN(cfgs, names, insts, warmup, 0, harness.DefaultSampling)
+		sampled, err := harness.GridSampledN(cfgs, names, insts, warmup, harness.DefaultSampling)
 		if err != nil {
 			b.Fatal(err)
 		}

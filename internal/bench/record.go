@@ -30,7 +30,6 @@ type Spec struct {
 func Specs() []Spec {
 	return []Spec{
 		{Name: "Fig6Speedup", Fn: Fig6Speedup, Headline: true},
-		{Name: "BatchedGrid", Fn: BatchedGrid, Headline: true},
 		{Name: "SampledGrid", Fn: SampledGrid, Headline: true},
 		{Name: "SimulatorThroughput", Fn: SimulatorThroughput, Headline: true},
 		{Name: "Table1AreaModel", Fn: Table1AreaModel},

@@ -306,16 +306,6 @@ func (h *Hierarchy) InstFetch(pc uint64) int {
 	return lat
 }
 
-// InstRefill returns the latency of an instruction fetch already known to
-// miss the L1I, performing the same L2 access as InstFetch's miss path
-// but skipping the L1I lookup itself. Batched execution uses it when a
-// shared front-end oracle has precomputed the L1I hit/miss outcome: the
-// L2 mutation and the returned latency are identical to what InstFetch
-// would have produced on the miss.
-func (h *Hierarchy) InstRefill(pc uint64) int {
-	return h.cfg.L1I.HitLatency + h.fill(pc, false)
-}
-
 // DataAccess returns the latency in cycles for a load (write=false) or
 // store (write=true) to addr, excluding cluster↔cache transit (the core
 // adds ClusterTransit on each side, per the paper's fixed 1-cycle

@@ -178,7 +178,6 @@ type streamFE struct {
 	pendingRec    trace.Rec // fetched but not yet enqueued (stall overflow)
 	pendingSeq    uint64
 	scratchRec    trace.Rec // staging buffer for interface-stream fetches
-	pendingFlags  uint8     // oracle annotations of pendingRec
 	havePending   bool
 	fetchBlocked  bool // waiting for a mispredicted branch to resolve
 	fetchResumeAt uint64
@@ -208,11 +207,6 @@ type Machine struct {
 	fabric    *interconnect.Fabric
 	pred      *bpred.Predictor
 	mem       *cache.Hierarchy
-	// oracle, when set, supplies precomputed front-end annotations for the
-	// single materialized stream (see FrontEndOracle); oracleIdx is the
-	// next annotation to consume.
-	oracle    *FrontEndOracle
-	oracleIdx int
 
 	vals      valueTable
 	renameMap [2][isa.NumArchRegs]valueID
@@ -456,8 +450,6 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 	m.ffInsts = 0
 	m.ffMix = m.ffMix[:0]
 	m.cov = Covariates{}
-	m.oracle = nil
-	m.oracleIdx = 0
 	m.err = nil
 	m.stats = Stats{}
 	m.statsBase = 0
@@ -649,31 +641,6 @@ func (m *Machine) RunCommitted(n uint64) error {
 		}
 	}
 	return nil
-}
-
-// RunWindow advances the machine until its clock reaches stopAt, at least
-// commitTarget instructions have committed (0 = no commit bound), or the
-// machine drains — whichever comes first. It returns true when the
-// machine drained or hit the commit target. Batched lockstep execution
-// uses it to interleave several machines over one shared trace in
-// cache-friendly windows; where a machine stops and resumes has no effect
-// on its simulation, so the results are bit-identical to a single Run.
-func (m *Machine) RunWindow(stopAt, commitTarget uint64) (bool, error) {
-	for !m.Done() {
-		if commitTarget > 0 && m.stats.Committed >= commitTarget {
-			return true, nil
-		}
-		if m.now >= stopAt {
-			return false, nil
-		}
-		if m.fastForward(stopAt) {
-			continue
-		}
-		if err := m.Step(); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
 }
 
 // fastForward detects that the current cycle — and a provable run of

@@ -812,10 +812,8 @@ func (m *Machine) fetch() {
 	for fetched := 0; fetched < m.cfg.FetchWidth && !m.fetchQ.Full(); {
 		var in *trace.Rec
 		var seq uint64
-		var oflags uint8
 		if sfe.havePending {
 			in, seq = &sfe.pendingRec, sfe.pendingSeq
-			oflags = sfe.pendingFlags
 			sfe.havePending = false
 		} else {
 			if sfe.streamDone {
@@ -829,33 +827,18 @@ func (m *Machine) fetch() {
 				sfe.streamDone = true
 				return
 			}
-			if m.oracle != nil {
-				// Shared front-end oracle: the L1I lookup outcome was
-				// precomputed over the materialized trace; only a miss
-				// touches this machine (the L2 refill).
-				oflags = m.oracle.flags[m.oracleIdx]
-				m.oracleIdx++
-				if oflags&oracleMiss != 0 {
-					lat := m.mem.InstRefill(in.PC)
+			line := (in.PC + sfe.off) >> m.lineShift
+			if !sfe.haveFetchLine || line != sfe.lastFetchLine {
+				lat := m.mem.InstFetch(in.PC + sfe.off)
+				m.cov.ILat += uint64(lat)
+				sfe.lastFetchLine = line
+				sfe.haveFetchLine = true
+				if lat > m.cfg.Mem.L1I.HitLatency {
+					// Miss: the line arrives later; hold the
+					// instruction and resume then.
 					sfe.hold(in, seq)
-					sfe.pendingFlags = oflags
 					sfe.fetchResumeAt = m.now + uint64(lat)
 					return
-				}
-			} else {
-				line := (in.PC + sfe.off) >> m.lineShift
-				if !sfe.haveFetchLine || line != sfe.lastFetchLine {
-					lat := m.mem.InstFetch(in.PC + sfe.off)
-					m.cov.ILat += uint64(lat)
-					sfe.lastFetchLine = line
-					sfe.haveFetchLine = true
-					if lat > m.cfg.Mem.L1I.HitLatency {
-						// Miss: the line arrives later; hold the
-						// instruction and resume then.
-						sfe.hold(in, seq)
-						sfe.fetchResumeAt = m.now + uint64(lat)
-						return
-					}
 				}
 			}
 		}
@@ -879,15 +862,11 @@ func (m *Machine) fetch() {
 		sfe.inFlight++
 		if in.Class.IsBranch() {
 			taken := in.Taken()
-			if m.oracle != nil {
-				fe.mispredict = oflags&oracleMispredict != 0
-			} else {
-				tgt := in.Addr
-				if taken {
-					tgt += sfe.off
-				}
-				fe.mispredict = m.pred.Update(in.PC+sfe.off, taken, tgt)
+			tgt := in.Addr
+			if taken {
+				tgt += sfe.off
 			}
+			fe.mispredict = m.pred.Update(in.PC+sfe.off, taken, tgt)
 			m.cov.Branches++
 			if fe.mispredict {
 				m.cov.Mispredicts++

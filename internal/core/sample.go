@@ -110,9 +110,6 @@ func (m *Machine) FunctionalAdvance(n uint64) (uint64, error) {
 	if m.rob.Len() != 0 || m.fetchQ.Len() != 0 {
 		return 0, fmt.Errorf("core: FunctionalAdvance requires a drained pipeline")
 	}
-	if m.oracle != nil {
-		return 0, fmt.Errorf("core: FunctionalAdvance is incompatible with a front-end oracle")
-	}
 	// consumeOne pulls stream i's next instruction through the functional
 	// front end; it returns false when the stream is exhausted.
 	consumeOne := func(i int) (bool, error) {

@@ -346,3 +346,83 @@ func TestAreaScalesWithKnobs(t *testing.T) {
 		t.Error("larger register file is free in the area model")
 	}
 }
+
+// TestEvaluateMatchesEvaluateBatch pins that the per-candidate and the
+// whole-batch entry points are one evaluator: over a cold store each,
+// every candidate gets the same objectives, the same sim/hit accounting
+// and the same error, whether it is scored alone or with the rest.
+func TestEvaluateMatchesEvaluateBatch(t *testing.T) {
+	space := testSpace()
+	var cfgs []core.Config
+	var progs [][]string
+	for i, c := range space.Grid() {
+		cfg, err := space.Config(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+		switch i % 4 {
+		case 0:
+			progs = append(progs, nil) // the evaluator's default suite
+		case 1:
+			progs = append(progs, []string{"mcf", "gcc+swim"})
+		case 2:
+			progs = append(progs, []string{"synth(ilp=8,ws=64K)@3"})
+		default:
+			progs = append(progs, []string{"gcc", "no-such-program"})
+		}
+	}
+
+	objs, stats, errs := testEval(results.NewMemoryLRU(256)).EvaluateBatch(cfgs, progs)
+	single := testEval(results.NewMemoryLRU(256))
+	for i, cfg := range cfgs {
+		obj, st, err := single.Evaluate(cfg, progs[i])
+		if obj != objs[i] || st != stats[i] {
+			t.Errorf("%s %v: Evaluate = %+v %+v, EvaluateBatch = %+v %+v", cfg.Name, progs[i], obj, st, objs[i], stats[i])
+		}
+		if (err == nil) != (errs[i] == nil) || (err != nil && err.Error() != errs[i].Error()) {
+			t.Errorf("%s %v: Evaluate err = %v, EvaluateBatch err = %v", cfg.Name, progs[i], err, errs[i])
+		}
+		if wantErr := i%4 == 3; (err != nil) != wantErr {
+			t.Errorf("%s %v: err = %v, want error %v", cfg.Name, progs[i], err, wantErr)
+		}
+	}
+}
+
+// plainEvaluator hides SimEvaluator's EvaluateBatch, forcing the engine
+// down its concurrent per-candidate path.
+type plainEvaluator struct{ sim *SimEvaluator }
+
+func (p plainEvaluator) Evaluate(cfg core.Config, programs []string) (Objectives, EvalStats, error) {
+	return p.sim.Evaluate(cfg, programs)
+}
+
+// TestExploreIndependentOfConcurrency: the report is a function of the
+// options alone — the same at Concurrency 1 and 4, and the same whether
+// the engine hands the evaluator whole batches or single candidates.
+func TestExploreIndependentOfConcurrency(t *testing.T) {
+	explore := func(ev Evaluator, workers int) *Report {
+		t.Helper()
+		rep, err := Explore(Options{
+			Space:       testSpace(),
+			Strategy:    &RandomStrategy{Samples: 6, Batch: 3},
+			Evaluator:   ev,
+			Concurrency: workers,
+			Seed:        11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want := explore(testEval(results.NewMemoryLRU(256)), 1)
+	if want.Evaluated == 0 || want.SimsRun == 0 {
+		t.Fatalf("reference exploration did no work: %+v", want)
+	}
+	if got := explore(testEval(results.NewMemoryLRU(256)), 4); !reflect.DeepEqual(got, want) {
+		t.Errorf("Concurrency 4 report differs from Concurrency 1\n got %+v\nwant %+v", got, want)
+	}
+	if got := explore(plainEvaluator{testEval(results.NewMemoryLRU(256))}, 4); !reflect.DeepEqual(got, want) {
+		t.Errorf("per-candidate report differs from whole-batch\n got %+v\nwant %+v", got, want)
+	}
+}

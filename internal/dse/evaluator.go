@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"log"
 	"runtime"
 	"sync"
 
@@ -32,7 +33,7 @@ type Evaluator interface {
 
 // FidelityEvaluator is an optional extension of Evaluator: an
 // implementation that can derive a variant of itself running at a given
-// sampling fidelity (harness.ExecuteSampled). The engine uses it to run
+// sampling fidelity (harness.Request.Sampling). The engine uses it to run
 // an exploration's search tier sampled while keeping the original
 // evaluator for the exact confirmation of the final frontier; the two
 // variants share the result store, and sampled results key distinctly
@@ -43,12 +44,12 @@ type FidelityEvaluator interface {
 }
 
 // BatchEvaluator is an optional extension of Evaluator: an implementation
-// that can score a whole batch of candidates in one call, letting
-// candidates sharing a workload execute as lockstep batch groups over one
-// materialized trace (harness.ExecuteBatch). The engine type-asserts for
-// it and falls back to concurrent per-candidate Evaluate calls when the
+// that can score a whole batch of candidates in one call, scheduling
+// candidates that share a workload next to each other over its one
+// materialized trace (harness.GridRuns). The engine type-asserts for it
+// and falls back to concurrent per-candidate Evaluate calls when the
 // evaluator does not implement it (e.g. the ringsimd queue-backed
-// evaluator, which batches server-side instead). All three returned
+// evaluator, whose worker pool is the parallelism). All three returned
 // slices are parallel to cfgs.
 type BatchEvaluator interface {
 	EvaluateBatch(cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error)
@@ -99,60 +100,20 @@ func (e *SimEvaluator) init() {
 }
 
 // Evaluate runs the candidate's workload (or, when programs is nil, the
-// evaluator's default suite) for cfg and reduces it to (mean IPC, area).
+// evaluator's default suite) for cfg and reduces it to (mean IPC, area):
+// EvaluateBatch over a batch of one.
 func (e *SimEvaluator) Evaluate(cfg core.Config, programs []string) (Objectives, EvalStats, error) {
-	e.init()
-	var st EvalStats
-	if programs == nil {
-		programs = e.Programs
-	}
-	if len(programs) == 0 {
-		return Objectives{}, st, fmt.Errorf("dse: evaluator has no programs")
-	}
-	var sumIPC float64
-	for _, prog := range programs {
-		spec, err := workload.ParseSpec(prog)
-		if err != nil {
-			return Objectives{}, st, err
-		}
-		req := harness.Request{Config: cfg, Workload: spec, Insts: e.Insts, Warmup: e.Warmup, Sampling: e.Sampling}
-		key, err := results.NewRequest(req).Key()
-		if err != nil {
-			return Objectives{}, st, err
-		}
-		if res, hit, err := e.Store.Get(key); err == nil && hit {
-			st.CacheHits++
-			stats := res.Stats
-			sumIPC += stats.IPC()
-			continue
-		}
-		run := harness.Execute(req)
-		st.Sims++
-		if run.Err != nil {
-			return Objectives{}, st, fmt.Errorf("dse: %s/%s: %w", cfg.Name, prog, run.Err)
-		}
-		res, err := results.FromRun(req, run)
-		if err != nil {
-			return Objectives{}, st, err
-		}
-		_ = e.Store.Put(key, res)
-		stats := run.Stats
-		sumIPC += stats.IPC()
-	}
-	return Objectives{
-		IPC:  sumIPC / float64(len(programs)),
-		Area: Area(cfg),
-	}, st, nil
+	objs, stats, errs := e.EvaluateBatch([]core.Config{cfg}, [][]string{programs})
+	return objs[0], stats[0], errs[0]
 }
 
 // EvaluateBatch scores a whole candidate batch at once. The (config,
 // program) grid is flattened into cells, cached cells settle from the
-// store, and the misses execute through harness.ExecuteBatch — so all
-// candidates sharing a program advance in lockstep over its one
-// materialized trace instead of decoding it once per candidate. Results
-// are bit-identical to per-candidate Evaluate calls; a candidate whose
-// cells all succeed gets the same (mean IPC, area) reduction, and a
-// failing cell records the candidate's first error.
+// store, and the misses execute across harness.GridRuns' worker pool —
+// candidates sharing a program replay its one materialized trace instead
+// of generating it once per candidate. A candidate whose cells all
+// succeed gets the (mean IPC, area) reduction, and a failing cell records
+// the candidate's first error.
 func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error) {
 	e.init()
 	n := len(cfgs)
@@ -214,7 +175,7 @@ func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([
 		for k, ci := range miss {
 			reqs[k] = cells[ci].req
 		}
-		runs := harness.ExecuteBatch(reqs)
+		runs := harness.GridRuns(reqs, harness.DefaultBatchSize())
 		for k, ci := range miss {
 			c := &cells[ci]
 			stats[c.cand].Sims++
@@ -232,7 +193,10 @@ func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([
 				}
 				continue
 			}
-			_ = e.Store.Put(c.key, res)
+			if err := e.Store.Put(c.key, res); err != nil {
+				// The score stands; only the next exploration's cache hit is lost.
+				log.Printf("dse: store put %s: %v", c.key, err)
+			}
 			c.ipc = run.Stats.IPC()
 			c.done = true
 		}

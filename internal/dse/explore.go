@@ -33,7 +33,7 @@ type Options struct {
 	// the analytical twin (see twin.go). Nil = exact exhaustive path.
 	Twin *TwinOptions
 	// Sampling, when enabled, runs the search tier at sampled fidelity
-	// (harness.ExecuteSampled) and re-scores the resulting frontier
+	// (harness.Request.Sampling) and re-scores the resulting frontier
 	// exactly, so the reported frontier objectives are always exact
 	// numbers. Requires an Evaluator implementing FidelityEvaluator.
 	// Combined with the twin this yields three cost tiers: closed-form
@@ -269,8 +269,8 @@ type outcome struct {
 }
 
 // evaluateBatch scores a batch, preserving order. A BatchEvaluator gets
-// the whole batch in one call (lockstep grouping over shared traces);
-// anything else is scored concurrently per candidate.
+// the whole batch in one call (it schedules the cells itself); anything
+// else is scored concurrently per candidate.
 func evaluateBatch(space *Space, ev Evaluator, batch []Candidate, workers int) []outcome {
 	if be, ok := ev.(BatchEvaluator); ok {
 		return evaluateBatchGrouped(space, be, batch)

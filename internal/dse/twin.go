@@ -225,8 +225,8 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int) (*Repor
 	}
 
 	// Verify with the real simulator through the shared evaluator path
-	// (batched lockstep + result store, identical to the exhaustive
-	// engine), then report prediction error on everything verified.
+	// (result store and all, identical to the exhaustive engine), then
+	// report prediction error on everything verified.
 	batch := make([]Candidate, len(verify))
 	for i, s := range verify {
 		batch[i] = s.cand

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -125,8 +127,14 @@ type Coordinator struct {
 	// outside the lock.
 	poisoned     map[string]*job
 	poisonNotify []*job
-	nextID       int
-	closed       bool
+	// epoch is drawn once per coordinator and is part of every worker id,
+	// so ids are unique across coordinator lifetimes: a worker that
+	// outlives a restart presents an id the new coordinator never issued,
+	// gets ErrUnknownWorker and re-registers, instead of sharing an id the
+	// restarted counter just handed to someone else.
+	epoch  string
+	nextID int
+	closed bool
 
 	requeues        atomic.Uint64
 	remoteCompleted atomic.Uint64
@@ -145,6 +153,9 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		poisoned: make(map[string]*job),
 		stop:     make(chan struct{}),
 	}
+	var epoch [4]byte
+	_, _ = rand.Read(epoch[:]) // never fails: crypto/rand aborts the process instead
+	c.epoch = hex.EncodeToString(epoch[:])
 	c.cond = sync.NewCond(&c.mu)
 	c.sweepers.Add(1)
 	go c.sweep()
@@ -279,51 +290,24 @@ func (c *Coordinator) Enqueue(j results.Job) bool {
 // whole pool dying with it). It returns ok=false once the coordinator is
 // stopped and the pending pool is drained.
 func (c *Coordinator) Next() (results.Job, bool) {
-	jobs, ok := c.NextBatch(1)
-	if !ok {
-		return results.Job{}, false
-	}
-	return jobs[0], true
-}
-
-// NextBatch blocks like Next but claims up to max pending jobs sharing
-// the head job's workload, so a local executor can run them as one
-// batched lockstep group over a single materialized trace. With nothing
-// else sharing the head's workload it degenerates to Next.
-func (c *Coordinator) NextBatch(max int) ([]results.Job, bool) {
-	if max < 1 {
-		max = 1
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.pending) == 0 {
 		if c.closed {
-			return nil, false
+			return results.Job{}, false
 		}
 		c.cond.Wait()
 	}
 	jb := c.pending[0]
 	c.pending = c.pending[1:]
 	delete(c.byKey, jb.j.Key)
-	out := []results.Job{jb.j}
-	wk := workloadKey(jb.j)
-	for i := 0; i < len(c.pending) && len(out) < max; {
-		if workloadKey(c.pending[i].j) != wk {
-			i++
-			continue
-		}
-		nb := c.pending[i]
-		c.pending = append(c.pending[:i], c.pending[i+1:]...)
-		delete(c.byKey, nb.j.Key)
-		out = append(out, nb.j)
-	}
-	return out, true
+	return jb.j, true
 }
 
-// workloadKey identifies jobs that can share one materialized workload in
-// a batched lockstep group: same canonical workload spec (which encodes
-// per-stream budgets and seeds) and same request-level budgets. It is the
-// coordinator's mirror of the harness's grouping rule.
+// workloadKey identifies jobs that replay the same materialized traces:
+// same canonical workload spec (which encodes per-stream budgets and
+// seeds) and same request-level budgets. Lease uses it to hand a worker
+// runs whose traces it fetches once.
 func workloadKey(j results.Job) string {
 	return fmt.Sprintf("%s|%d|%d", j.Request.WorkloadLabel(), j.Request.Insts, j.Request.Warmup)
 }
@@ -339,7 +323,7 @@ func (c *Coordinator) Register(name string, capacity int) (RegisterResponse, err
 		return RegisterResponse{}, errClosed
 	}
 	c.nextID++
-	id := fmt.Sprintf("worker-%04d", c.nextID)
+	id := fmt.Sprintf("worker-%s-%04d", c.epoch, c.nextID)
 	c.workers[id] = &workerState{
 		id: id, name: name, capacity: capacity,
 		lastSeen: c.opts.now(),
@@ -408,11 +392,10 @@ func (c *Coordinator) leaseAndSweep(workerID string, max int) ([]results.Job, er
 	}
 	// Grants are grouped by workload: after the FIFO head, every pending
 	// job sharing its workload joins the same lease (then the next head's
-	// workload, and so on). A worker thus receives runs it can execute as
-	// batched lockstep groups over one materialized trace — and fetches
-	// that trace from the coordinator once — instead of an arbitrary
-	// FIFO slice cutting across workloads. Starvation-free: the head of
-	// the queue is always granted first.
+	// workload, and so on). A worker thus receives runs that replay one
+	// materialized trace — and fetches that trace from the coordinator
+	// once — instead of an arbitrary FIFO slice cutting across workloads.
+	// Starvation-free: the head of the queue is always granted first.
 	var out []results.Job
 	for len(out) < max && len(c.pending) > 0 {
 		jb := c.pending[0]

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -225,10 +226,13 @@ func TestNextDrainsThenStops(t *testing.T) {
 
 func TestWorkersStatusView(t *testing.T) {
 	c, clk := newTestCoordinator(t, time.Minute)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Register(fmt.Sprintf("w%d", i), i+1); err != nil {
+	var ids [3]string
+	for i := range ids {
+		reg, err := c.Register(fmt.Sprintf("w%d", i), i+1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids[i] = reg.WorkerID
 	}
 	clk.advance(5 * time.Second)
 	ws := c.Workers()
@@ -236,7 +240,7 @@ func TestWorkersStatusView(t *testing.T) {
 		t.Fatalf("Workers() = %d entries, want 3", len(ws))
 	}
 	for i, w := range ws {
-		if w.ID != fmt.Sprintf("worker-%04d", i+1) || w.Capacity != i+1 || w.LastSeenMsAgo != 5000 {
+		if w.ID != ids[i] || w.Capacity != i+1 || w.LastSeenMsAgo != 5000 {
 			t.Errorf("worker %d: %+v", i, w)
 		}
 	}
@@ -351,8 +355,8 @@ func testJobFor(t *testing.T, program string, clusters, iw int) results.Job {
 
 // TestLeaseGroupsByWorkload pins lease-time workload grouping: after the
 // FIFO head, every pending job sharing the head's workload joins the
-// grant, so a worker receives runs it can execute as one batched lockstep
-// group over a single materialized trace.
+// grant, so a worker receives runs that replay a single materialized
+// trace, fetched once.
 func TestLeaseGroupsByWorkload(t *testing.T) {
 	c, _ := newTestCoordinator(t, time.Minute)
 	reg, err := c.Register("w1", 4)
@@ -400,25 +404,46 @@ func TestLeaseGroupsByWorkload(t *testing.T) {
 	}
 }
 
-// TestNextBatchGroupsByWorkload pins the local executor's pop: the head
-// plus every pending job sharing its workload, up to max.
-func TestNextBatchGroupsByWorkload(t *testing.T) {
-	c, _ := newTestCoordinator(t, time.Minute)
-	c.Enqueue(testJobFor(t, "gcc", 4, 1))
-	c.Enqueue(testJobFor(t, "swim", 4, 1))
-	c.Enqueue(testJobFor(t, "gcc", 4, 2))
+// TestWorkerIDsUniqueAcrossCoordinators is the restart scenario: a new
+// coordinator (a new process generation) must never hand out an id an
+// earlier one issued, and a worker still holding an earlier id must be
+// told to re-register on every call — not silently share the id with
+// whoever registered first after the restart.
+func TestWorkerIDsUniqueAcrossCoordinators(t *testing.T) {
+	old, _ := newTestCoordinator(t, time.Minute)
+	stale, err := old.Register("survivor", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Stop()
 
-	jobs, ok := c.NextBatch(8)
-	if !ok || len(jobs) != 2 {
-		t.Fatalf("NextBatch = %d jobs, ok=%v; want 2 gcc jobs", len(jobs), ok)
+	restarted, _ := newTestCoordinator(t, time.Minute)
+	fresh, err := restarted.Register("newcomer", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, j := range jobs {
-		if lbl := j.Request.WorkloadLabel(); lbl != "gcc" {
-			t.Errorf("batch member %d is %s, want gcc", i, lbl)
-		}
+	if fresh.WorkerID == stale.WorkerID {
+		t.Fatalf("restarted coordinator reissued %s", stale.WorkerID)
 	}
-	jobs, ok = c.NextBatch(8)
-	if !ok || len(jobs) != 1 || jobs[0].Request.WorkloadLabel() != "swim" {
-		t.Fatalf("second NextBatch = %+v, ok=%v; want the swim job", jobs, ok)
+	restarted.Enqueue(testJob(t, 0))
+	if err := restarted.Heartbeat(stale.WorkerID); !errors.Is(err, ErrUnknownWorker) {
+		t.Errorf("stale heartbeat: err = %v, want ErrUnknownWorker", err)
+	}
+	if jobs, err := restarted.Lease(stale.WorkerID, 1); !errors.Is(err, ErrUnknownWorker) || len(jobs) != 0 {
+		t.Errorf("stale lease: %d jobs, err = %v; want ErrUnknownWorker", len(jobs), err)
+	}
+	if ws := restarted.Workers(); len(ws) != 1 || ws[0].ID != fresh.WorkerID {
+		t.Errorf("registry after stale calls: %+v, want only %s", ws, fresh.WorkerID)
+	}
+	// The survivor's recovery: re-register, get an id of its own.
+	again, err := restarted.Register("survivor", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.WorkerID == fresh.WorkerID || again.WorkerID == stale.WorkerID {
+		t.Errorf("re-registration got %s (fresh %s, stale %s)", again.WorkerID, fresh.WorkerID, stale.WorkerID)
+	}
+	if ws := restarted.Workers(); len(ws) != 2 {
+		t.Errorf("workers after re-registration: %+v, want 2", ws)
 	}
 }

@@ -30,11 +30,6 @@ type WorkerOptions struct {
 	// Capacity is how many simulations run concurrently.
 	// Default: GOMAXPROCS.
 	Capacity int
-	// Batch is the per-group member cap for batched lockstep execution
-	// of a leased batch: jobs sharing a workload advance together over
-	// one materialized trace (see harness.ExecuteBatch). 0 picks
-	// harness.DefaultBatchSize; 1 disables grouping.
-	Batch int
 	// Store optionally fronts the worker with its own result cache
 	// (typically a disk store shared across worker restarts): a leased
 	// key already present is completed without simulating.
@@ -65,6 +60,9 @@ type WorkerStats struct {
 	// TraceRegens counts lease-referenced traces the worker had to
 	// generate locally (fetch failed or the coordinator had none).
 	TraceRegens uint64
+	// StorePutErrors counts finished records the worker's own store
+	// refused; the record still goes back to the coordinator.
+	StorePutErrors uint64
 }
 
 // Worker pulls leased jobs from a coordinator, executes them through
@@ -89,15 +87,13 @@ type Worker struct {
 	rejected     atomic.Uint64
 	traceFetches atomic.Uint64
 	traceRegens  atomic.Uint64
+	putErrors    atomic.Uint64
 }
 
 // NewWorker builds a worker; Run starts it.
 func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Capacity <= 0 {
 		opts.Capacity = runtime.GOMAXPROCS(0)
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = harness.DefaultBatchSize()
 	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 500 * time.Millisecond
@@ -114,13 +110,14 @@ func NewWorker(opts WorkerOptions) *Worker {
 // Stats snapshots the worker's counters.
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
-		Leased:       w.leased.Load(),
-		Executed:     w.executed.Load(),
-		CacheHits:    w.cacheHits.Load(),
-		Completed:    w.completed.Load(),
-		Rejected:     w.rejected.Load(),
-		TraceFetches: w.traceFetches.Load(),
-		TraceRegens:  w.traceRegens.Load(),
+		Leased:         w.leased.Load(),
+		Executed:       w.executed.Load(),
+		CacheHits:      w.cacheHits.Load(),
+		Completed:      w.completed.Load(),
+		Rejected:       w.rejected.Load(),
+		TraceFetches:   w.traceFetches.Load(),
+		TraceRegens:    w.traceRegens.Load(),
+		StorePutErrors: w.putErrors.Load(),
 	}
 }
 
@@ -217,7 +214,7 @@ func (w *Worker) workerID() string {
 // prefetchTraces pulls the lease's referenced trace prefixes from the
 // coordinator into the process-wide trace cache before execution begins:
 // one HTTP fetch per distinct trace replaces one generation pass per
-// trace, and the leased jobs then group over the installed prefix. A
+// trace, and the leased jobs then replay the installed prefix. A
 // trace already materialized locally costs nothing; a failed fetch (older
 // coordinator, network, budget) is counted as a regeneration and the
 // execution path generates it locally with identical results.
@@ -283,9 +280,8 @@ func (w *Worker) fetchTrace(ctx context.Context, ref TraceRef) bool {
 
 // executeBatch runs the leased jobs and returns their records in lease
 // order: first a store pass (a leased key already cached completes
-// without simulating), then the rest as batched lockstep groups — jobs
-// sharing a workload advance together over one materialized trace, with
-// group-level parallelism bounded by the worker's capacity.
+// without simulating), then the rest across harness.GridRunsN's pool,
+// bounded by the worker's capacity.
 func (w *Worker) executeBatch(ctx context.Context, jobs []results.Job) []results.Result {
 	out := make([]results.Result, len(jobs))
 	done := make([]bool, len(jobs))
@@ -306,7 +302,7 @@ func (w *Worker) executeBatch(ctx context.Context, jobs []results.Job) []results
 		for k, i := range todo {
 			reqs[k] = jobs[i].Request.Harness()
 		}
-		runs := harness.GridRunsN(reqs, w.opts.Batch, w.opts.Capacity)
+		runs := harness.GridRunsN(reqs, harness.DefaultBatchSize(), w.opts.Capacity)
 		for k, i := range todo {
 			out[i] = w.settleRun(jobs[i], reqs[k], runs[k])
 			done[i] = true
@@ -336,7 +332,10 @@ func (w *Worker) settleRun(jb results.Job, req harness.Request, run harness.Run)
 			Err: fmt.Sprintf("content key mismatch: leased %s, computed %s (mixed schema versions?)", jb.Key, res.Key)}
 	}
 	if w.opts.Store != nil && !res.Failed() {
-		_ = w.opts.Store.Put(res.Key, res)
+		if err := w.opts.Store.Put(res.Key, res); err != nil {
+			w.putErrors.Add(1)
+			w.opts.Logf("fleet worker %s: store put %s: %v", w.workerID(), res.Key, err)
+		}
 	}
 	return res
 }

@@ -7,12 +7,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestBatchedBitIdentity is the batched-execution contract: running a
-// request as a group member must produce bit-identical statistics to
-// running it alone through Execute — across every paper configuration, a
-// sample of fixed and synthetic workloads, multi-stream mixes, and
-// pooled-machine reuse (the batch runs twice; the second pass recycles
-// machines the first put back).
+// TestBatchedBitIdentity is the grouped-execution contract: running a
+// request as a member of a GridRuns affinity group, on a parallel worker
+// pool, must produce bit-identical statistics to running it alone through
+// Execute — across every paper configuration, a sample of fixed and
+// synthetic workloads, multi-stream mixes, and pooled-machine reuse (the
+// grid runs twice; the second pass recycles machines the first put back).
 func TestBatchedBitIdentity(t *testing.T) {
 	names := workload.Names()
 	wls := []string{
@@ -37,7 +37,7 @@ func TestBatchedBitIdentity(t *testing.T) {
 	}
 
 	for pass := 1; pass <= 2; pass++ {
-		got := ExecuteBatchN(reqs, 16)
+		got := GridRuns(reqs, 16)
 		if len(got) != len(seq) {
 			t.Fatalf("pass %d: %d results, want %d", pass, len(got), len(seq))
 		}

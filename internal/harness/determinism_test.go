@@ -30,7 +30,7 @@ func freshRun(t *testing.T, req Request) core.Stats {
 		t.Fatal(err)
 	}
 	if req.Warmup > 0 {
-		if err := runUntilCommitted(m, req.Warmup); err != nil {
+		if err := m.RunCommitted(req.Warmup); err != nil {
 			t.Fatal(err)
 		}
 		m.ResetStats()

@@ -63,7 +63,7 @@ type Request struct {
 	Warmup uint64
 	// Sampling selects the execution fidelity: the zero value is exact
 	// cycle-accurate simulation of the full budget; an enabled value
-	// runs SMARTS-style interval sampling (see ExecuteSampled).
+	// runs SMARTS-style interval sampling (see driveSampled).
 	Sampling Sampling
 }
 
@@ -74,87 +74,77 @@ type Request struct {
 // (guarded by TestMachineReuseDeterminism).
 var machinePool sync.Pool
 
-// Execute runs one simulation request synchronously. Instruction streams
-// come from the shared trace cache (materialized once per
-// program×seed and replayed across configurations) and the machine from
-// a pool of recycled simulators. Multi-stream workloads run every stream
-// on one machine under ICOUNT fetch arbitration, with per-stream
-// statistics attached to the returned Stats.
+// Execute runs one simulation request synchronously: prepare sets the
+// machine up over the request's streams, and the request's fidelity picks
+// how it is driven — exact (warm up, reset statistics, run to the end) or
+// sampled (see driveSampled). Multi-stream workloads run every stream on
+// one machine under ICOUNT fetch arbitration, with per-stream statistics
+// attached to the returned Stats.
 func Execute(req Request) Run {
-	if req.Sampling.Enabled() {
-		return executeSampled(req)
-	}
-	spec := req.Workload
-	out := Run{Config: req.Config, Workload: spec.Name()}
-	if err := spec.Validate(); err != nil {
-		out.Err = err
-		return out
-	}
-	cls, err := spec.Class()
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Class = cls
-	// Warm-up: the generator produces the stream; skipping instructions
-	// before the measured window warms the predictor and caches less
-	// faithfully than re-running, so we simply include a warm-up segment
-	// in the same machine and subtract nothing — the paper's own skip
-	// happens before its measured window on a warm machine. We instead
-	// run warm-up instructions through the machine and reset statistics.
-	// Each stream is materialized long enough to cover its measured
-	// budget plus an even share of the warm-up. Streams are built before
-	// a machine is taken from the pool, so a materialization failure
-	// never discards a pooled machine.
-	n := len(spec.Streams)
+	out := Run{Config: req.Config, Workload: req.Workload.Name()}
 	var m *core.Machine
-	if n == 1 {
-		s := spec.Streams[0]
-		stream, serr := DefaultTraceCache.Stream(s.Program, s.Seed, req.Warmup+streamBudget(s, req.Insts))
-		if serr != nil {
-			out.Err = serr
-			return out
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.Reset(req.Config, stream)
-		} else {
-			m, err = core.New(req.Config, stream)
-		}
-	} else {
-		streams := make([]trace.Stream, n)
-		for i, s := range spec.Streams {
-			warm := req.Warmup / uint64(n)
-			if uint64(i) < req.Warmup%uint64(n) {
-				warm++
-			}
-			streams[i], err = DefaultTraceCache.Stream(s.Program, s.Seed, warm+streamBudget(s, req.Insts))
-			if err != nil {
-				out.Err = err
-				return out
-			}
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.ResetMulti(req.Config, streams)
-		} else {
-			m, err = core.NewMulti(req.Config, streams)
-		}
-	}
-	if err != nil {
-		out.Err = err
+	m, out.Class, out.Err = prepare(req)
+	if out.Err != nil {
 		return out
 	}
 	defer machinePool.Put(m)
-	if req.Warmup > 0 {
-		if err := runUntilCommitted(m, req.Warmup); err != nil {
-			out.Err = err
-			return out
+	if req.Sampling.Enabled() {
+		out.Stats, out.Sampled, out.Err = driveSampled(m, req)
+	} else {
+		out.Stats, out.Err = driveExact(m, req.Warmup)
+	}
+	return out
+}
+
+// prepare is the one way to set a machine up for a request: validate,
+// resolve the workload class, take each stream's prefix from the shared
+// trace cache (materialized once per program×seed and replayed across
+// configurations and fidelities; StreamBudgets is the length), and reset a
+// pooled machine over them. Streams are built before a machine is taken
+// from the pool, so a materialization failure never discards a pooled
+// machine.
+func prepare(req Request) (*core.Machine, workload.ProgramClass, error) {
+	spec := req.Workload
+	if err := req.Sampling.Validate(); err != nil {
+		return nil, 0, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, 0, err
+	}
+	cls, err := spec.Class()
+	if err != nil {
+		return nil, 0, err
+	}
+	budgets := StreamBudgets(spec, req.Insts, req.Warmup)
+	streams := make([]trace.Stream, len(spec.Streams))
+	for i, s := range spec.Streams {
+		if streams[i], err = DefaultTraceCache.Stream(s.Program, s.Seed, budgets[i]); err != nil {
+			return nil, cls, err
+		}
+	}
+	m, _ := machinePool.Get().(*core.Machine)
+	if m != nil {
+		err = m.ResetMulti(req.Config, streams)
+	} else {
+		m, err = core.NewMulti(req.Config, streams)
+	}
+	if err != nil {
+		return nil, cls, err
+	}
+	return m, cls, nil
+}
+
+// driveExact runs the warm-up instructions through the machine (the paper
+// skips each program's initialization phase), resets statistics, and
+// simulates the rest of the streams cycle-accurately.
+func driveExact(m *core.Machine, warmup uint64) (core.Stats, error) {
+	if warmup > 0 {
+		if err := m.RunCommitted(warmup); err != nil {
+			return core.Stats{}, err
 		}
 		m.ResetStats()
 	}
-	st, err := m.Run(0)
-	out.Stats = st
-	out.Err = err
-	return out
+	return m.Run(0)
 }
 
 // streamBudget resolves one stream's measured instruction budget.
@@ -165,10 +155,24 @@ func streamBudget(s workload.StreamSpec, def uint64) uint64 {
 	return def
 }
 
-// runUntilCommitted runs the machine until it has committed at least n
-// instructions (or drained), fast-forwarding idle stall windows.
-func runUntilCommitted(m *core.Machine, n uint64) error {
-	return m.RunCommitted(n)
+// StreamBudgets returns the instruction prefix each stream of spec must
+// materialize for a request with the given request-level budgets: the
+// measured budget (the stream's own Insts, or the request default) plus
+// an even share of the warm-up window. It is the single definition of
+// per-stream trace length, shared by prepare and the fleet's
+// coordinator-served trace refs, so a worker prefetching a trace gets
+// exactly the prefix its simulations will consume.
+func StreamBudgets(spec workload.Spec, insts, warmup uint64) []uint64 {
+	n := uint64(len(spec.Streams))
+	out := make([]uint64, n)
+	for i, s := range spec.Streams {
+		warm := warmup / n
+		if uint64(i) < warmup%n {
+			warm++
+		}
+		out[i] = warm + streamBudget(s, insts)
+	}
+	return out
 }
 
 // Expand turns a (configuration × workload) grid into the flat request
@@ -187,18 +191,13 @@ func Expand(configs []core.Config, workloads []string, insts, warmup uint64) ([]
 		}
 		specs[i] = spec
 	}
-	return ExpandSpecs(configs, specs, insts, warmup), nil
-}
-
-// ExpandSpecs is Expand over already-parsed workload specs.
-func ExpandSpecs(configs []core.Config, specs []workload.Spec, insts, warmup uint64) []Request {
 	reqs := make([]Request, 0, len(configs)*len(specs))
 	for _, cfg := range configs {
 		for _, spec := range specs {
 			reqs = append(reqs, Request{Config: cfg, Workload: spec, Insts: insts, Warmup: warmup})
 		}
 	}
-	return reqs
+	return reqs, nil
 }
 
 // ExpandSampled is Expand at a selected execution fidelity: every
@@ -220,36 +219,22 @@ func ExpandSampled(configs []core.Config, workloads []string, insts, warmup uint
 }
 
 // Grid runs every (config, workload) pair across a fixed worker pool and
-// returns results keyed by configuration name and workload label.
-// Requests sharing a workload run as one batched lockstep group (see
-// batch.go), so each workload's trace is materialized and front-end
-// annotated once for all configurations; workers pull whole groups, and
-// the pool size is min(GOMAXPROCS, groups). The order of workers is
-// nondeterministic but each simulation is fully deterministic, so the
-// result set is reproducible.
+// returns results keyed by configuration name and workload label. The
+// order of workers is nondeterministic but each simulation is fully
+// deterministic, so the result set is reproducible.
 func Grid(configs []core.Config, workloads []string, insts, warmup uint64) (map[Key]Run, error) {
-	return GridN(configs, workloads, insts, warmup, 0)
+	return GridSampledN(configs, workloads, insts, warmup, Sampling{})
 }
 
-// GridN is Grid with an explicit per-group member cap for the batched
-// lockstep executor: 0 picks DefaultBatchSize, 1 disables grouping
-// entirely (every request simulates its own trace pass).
-func GridN(configs []core.Config, workloads []string, insts, warmup uint64, maxGroup int) (map[Key]Run, error) {
-	return GridSampledN(configs, workloads, insts, warmup, maxGroup, Sampling{})
-}
-
-// GridSampledN is GridN at a selected execution fidelity: the zero
+// GridSampledN is Grid at a selected execution fidelity: the zero
 // Sampling value runs the grid exact, an enabled one runs every cell
-// with interval sampling (see ExecuteSampled).
-func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint64, maxGroup int, sp Sampling) (map[Key]Run, error) {
+// with interval sampling (see driveSampled).
+func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint64, sp Sampling) (map[Key]Run, error) {
 	reqs, err := ExpandSampled(configs, workloads, insts, warmup, sp)
 	if err != nil {
 		return nil, err
 	}
-	if maxGroup <= 0 {
-		maxGroup = DefaultBatchSize()
-	}
-	results := GridRuns(reqs, maxGroup)
+	results := GridRuns(reqs, DefaultBatchSize())
 	out := make(map[Key]Run, len(results))
 	for _, r := range results {
 		if r.Err != nil {
@@ -260,10 +245,12 @@ func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint6
 	return out, nil
 }
 
-// GridRuns executes the requests across a worker pool with batched
-// lockstep grouping at the given per-group cap (1 disables grouping),
-// returning results in request order. It is the parallel core of Grid,
-// exposed so the server's sweep executor and the CLI can share it.
+// GridRuns executes the requests across a worker pool, returning results
+// in request order. Requests sharing a workload are handed to one worker
+// in groups of at most maxGroup (see requestGroups), so the first member
+// materializes the trace and the rest replay it; the pool size is
+// min(GOMAXPROCS, groups). It is the parallel core of Grid, exposed so the
+// fleet worker, the explorer and the CLI can share it.
 func GridRuns(reqs []Request, maxGroup int) []Run {
 	return GridRunsN(reqs, maxGroup, runtime.GOMAXPROCS(0))
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // Sampling configures SMARTS-style interval sampling for one request:
@@ -136,91 +135,24 @@ func SampledStatsSnapshot() SampledStats {
 	}
 }
 
-// ExecuteSampled runs one request with interval sampling: detailed
-// windows alternate with functional fast-forward, and the returned Stats
-// are the window measurements extrapolated to the full instruction
-// budget, with per-metric standard errors in Run.Sampled. A request
-// without explicit sampling parameters uses DefaultSampling. The streams,
-// trace cache, and machine pool are shared with the exact path; only the
-// execution schedule differs.
-func ExecuteSampled(req Request) Run {
-	if !req.Sampling.Enabled() {
-		req.Sampling = DefaultSampling
-	}
-	return executeSampled(req)
-}
-
-func executeSampled(req Request) Run {
+// driveSampled is the sampled drive strategy: detailed windows alternate
+// with functional fast-forward over a prepared machine, and the returned
+// Stats are the window measurements extrapolated to the request's full
+// measured budget, with per-metric standard errors in the SampledInfo.
+func driveSampled(m *core.Machine, req Request) (core.Stats, *SampledInfo, error) {
 	sp := req.Sampling
 	spec := req.Workload
-	out := Run{Config: req.Config, Workload: spec.Name()}
-	if err := sp.Validate(); err != nil {
-		out.Err = err
-		return out
-	}
-	if err := spec.Validate(); err != nil {
-		out.Err = err
-		return out
-	}
-	cls, err := spec.Class()
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Class = cls
-
-	// Materialize the same streams an exact run of this request would,
-	// so the trace-cache entries are shared across fidelities.
-	n := len(spec.Streams)
-	var m *core.Machine
 	var budget uint64 // measured budget: total materialized minus warm-up
-	if n == 1 {
-		s := spec.Streams[0]
-		budget = streamBudget(s, req.Insts)
-		stream, serr := DefaultTraceCache.Stream(s.Program, s.Seed, req.Warmup+budget)
-		if serr != nil {
-			out.Err = serr
-			return out
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.Reset(req.Config, stream)
-		} else {
-			m, err = core.New(req.Config, stream)
-		}
-	} else {
-		streams := make([]trace.Stream, n)
-		for i, s := range spec.Streams {
-			warm := req.Warmup / uint64(n)
-			if uint64(i) < req.Warmup%uint64(n) {
-				warm++
-			}
-			sb := streamBudget(s, req.Insts)
-			budget += sb
-			streams[i], err = DefaultTraceCache.Stream(s.Program, s.Seed, warm+sb)
-			if err != nil {
-				out.Err = err
-				return out
-			}
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.ResetMulti(req.Config, streams)
-		} else {
-			m, err = core.NewMulti(req.Config, streams)
-		}
+	for _, s := range spec.Streams {
+		budget += streamBudget(s, req.Insts)
 	}
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	defer machinePool.Put(m)
 
 	// Warm-up runs functionally: the caches and predictor absorb the
 	// initialization phase at fast-forward speed, and the first window's
 	// detailed warm segment refills the pipeline state.
 	if req.Warmup > 0 {
 		if _, err := m.FunctionalAdvance(req.Warmup); err != nil {
-			out.Err = err
-			return out
+			return core.Stats{}, nil, err
 		}
 	}
 
@@ -259,8 +191,7 @@ func executeSampled(req Request) Run {
 		if target > pos {
 			consumed, err := m.FunctionalAdvance(target - pos)
 			if err != nil {
-				out.Err = err
-				return out
+				return core.Stats{}, nil, err
 			}
 			pos += consumed
 		}
@@ -270,16 +201,14 @@ func executeSampled(req Request) Run {
 		if sp.Warm > 0 {
 			m.ResetStats()
 			if err := m.RunCommitted(sp.Warm); err != nil {
-				out.Err = err
-				return out
+				return core.Stats{}, nil, err
 			}
 			pos += m.Stats().Committed
 		}
 		c0 := m.SampleCov()
 		m.ResetStats()
 		if err := m.RunCommitted(sp.Window); err != nil {
-			out.Err = err
-			return out
+			return core.Stats{}, nil, err
 		}
 		if st := m.Stats(); st.Committed > 0 {
 			windows = append(windows, st)
@@ -300,17 +229,15 @@ func executeSampled(req Request) Run {
 			break
 		}
 		if err := m.DrainPipeline(); err != nil {
-			out.Err = err
-			return out
+			return core.Stats{}, nil, err
 		}
 		// The drain commits the window's in-flight tail; Stats still counts
 		// from the pre-window reset, so this accumulates window+drain.
 		pos += m.Stats().Committed
 	}
 	if len(windows) == 0 {
-		out.Err = fmt.Errorf("harness: sampled run measured no windows (budget %d too small for %s; use exact)",
+		return core.Stats{}, nil, fmt.Errorf("harness: sampled run measured no windows (budget %d too small for %s; use exact)",
 			budget, sp)
-		return out
 	}
 
 	stats, info := extrapolate(windows, budget, len(spec.Streams))
@@ -319,13 +246,11 @@ func executeSampled(req Request) Run {
 	}
 	info.FFInsts = m.FFInsts()
 	info.DetailedInsts = (req.Warmup + budget) - m.FFInsts()
-	out.Stats = stats
-	out.Sampled = info
 
 	sampledRuns.Add(1)
 	sampledFFInsts.Add(info.FFInsts)
 	sampledDetailedInsts.Add(info.DetailedInsts)
-	return out
+	return stats, info, nil
 }
 
 // extrapolate scales the summed window measurements to the full measured

@@ -112,14 +112,25 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 // profile name or a canonical synthetic spec (workload.NewStream
 // resolves both).
 func (tc *TraceCache) Stream(program string, seed, n uint64) (trace.Stream, error) {
-	v, ok, err := tc.view(program, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	key := streamKey{program: program, seed: seed}
+	e := tc.reserve(key, n, true)
+	if e == nil {
 		return fresh(program, seed, n)
 	}
-	return v.Replay(), nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.dropped { // a concurrent materialization failure took the entry out
+		return fresh(program, seed, n)
+	}
+	if uint64(e.store.Len()) < n {
+		before := e.store.Bytes()
+		err := e.extend(program, seed, n)
+		tc.settle(key, e, before, err != nil)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return e.store.View(int(n)).Replay(), nil
 }
 
 // reserve finds or creates the entry for key and claims budget for its
@@ -169,32 +180,6 @@ func (tc *TraceCache) settle(key streamKey, e *traceEntry, before uint64, failed
 	delete(tc.entries, key)
 	tc.total -= e.reserved
 	tc.bytes -= before
-}
-
-// view returns the first n instructions of (program, seed) as a view of
-// the shared store, materializing whatever part is missing. ok is false
-// when the budget cannot admit the stream (or its entry was dropped by a
-// concurrent failure); the caller then generates privately.
-func (tc *TraceCache) view(program string, seed, n uint64) (v trace.View, ok bool, err error) {
-	key := streamKey{program: program, seed: seed}
-	e := tc.reserve(key, n, true)
-	if e == nil {
-		return trace.View{}, false, nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dropped {
-		return trace.View{}, false, nil
-	}
-	if uint64(e.store.Len()) < n {
-		before := e.store.Bytes()
-		err := e.extend(program, seed, n)
-		tc.settle(key, e, before, err != nil)
-		if err != nil {
-			return trace.View{}, false, err
-		}
-	}
-	return e.store.View(int(n)), true, nil
 }
 
 // extend materializes the entry up to n instructions, with e.mu held. The

@@ -28,11 +28,7 @@ func newDurableServer(t *testing.T, dir string, workers int) (*Server, *httptest
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batch: 1 keeps members completing one at a time, so the crash can
-	// land with some members durably done and others genuinely
-	// outstanding — the scenario under test. (Batched lockstep execution
-	// would settle a whole drained batch at once.)
-	srv, err := New(Options{Workers: workers, QueueDepth: 64, Batch: 1, Store: store, Journal: j})
+	srv, err := New(Options{Workers: workers, QueueDepth: 64, Store: store, Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}

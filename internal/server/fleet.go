@@ -108,24 +108,19 @@ func (s *Server) dispatchOne(key string) {
 }
 
 // fleetWorker is the local fallback executor in fleet mode: it pulls
-// jobs from the same pool remote leases draw from — a batch at a time,
-// grouped by shared workload where the coordinator can — and runs them
-// through the batched runMany path.
+// jobs from the same pool remote leases draw from and settles each
+// through runOne, exactly like the plain daemon's worker.
 func (s *Server) fleetWorker() {
 	defer s.wg.Done()
 	for {
-		jobs, ok := s.fleet.NextBatch(s.opts.Batch)
+		job, ok := s.fleet.Next()
 		if !ok {
 			return
 		}
 		if s.killed.Load() {
 			continue
 		}
-		keys := make([]string, len(jobs))
-		for i, j := range jobs {
-			keys[i] = j.Key
-		}
-		s.runMany(keys)
+		s.runOne(job.Key)
 	}
 }
 
@@ -152,7 +147,7 @@ func (s *Server) completeRemote(worker string, res results.Result) {
 		s.metrics.RunsFailed.Add(1)
 	} else {
 		s.metrics.RunsCompleted.Add(1)
-		_ = s.opts.Store.Put(res.Key, res)
+		s.storePut(res.Key, res)
 	}
 	s.mu.Lock()
 	if !st.status.terminal() {

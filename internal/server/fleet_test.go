@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -316,4 +320,92 @@ func TestFleetServesTracesForSharedWorkload(t *testing.T) {
 			t.Errorf("/metrics missing %s", name)
 		}
 	}
+}
+
+// failingPutStore is a store on a failing disk: reads work, every write
+// is refused and nothing is recorded.
+type failingPutStore struct {
+	results.Store
+}
+
+func (failingPutStore) Put(string, results.Result) error {
+	return errors.New("disk full")
+}
+
+// TestStorePutFailureIsCountedNotFatal covers every store write-through
+// site — the local worker (runOne), remote completions (completeRemote)
+// and the fleet worker's own cache — with a store whose Put fails: the
+// sweep still finishes done, each lost write is counted and logged once
+// with its key, and the records are absent from the store.
+func TestStorePutFailureIsCountedNotFatal(t *testing.T) {
+	var logged syncBuffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	check := func(name string, srv *Server, hs *httptest.Server, inner results.Store) {
+		t.Helper()
+		var sv sweepView
+		postJSON(t, hs.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
+		sv = pollSweep(t, hs.URL, sv.ID)
+		if sv.Status != statusDone || sv.Done != 4 || sv.Failed != 0 {
+			t.Fatalf("%s: sweep over a failing store: %+v", name, sv)
+		}
+		if got := srv.Metrics().StorePutErrors; got != 4 {
+			t.Errorf("%s: StorePutErrors = %d, want 4", name, got)
+		}
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), "ringsimd_store_put_errors_total 4\n") {
+			t.Errorf("%s: /metrics does not report 4 store put errors", name)
+		}
+		for _, res := range sv.Results {
+			if _, hit, _ := inner.Get(res.Key); hit {
+				t.Errorf("%s: %s reached the store through a failing Put", name, res.Key)
+			}
+			if n := strings.Count(logged.String(), "ringsimd: store put "+res.Key); n != 1 {
+				t.Errorf("%s: %d log lines for %s, want 1", name, n, res.Key)
+			}
+		}
+		logged.Reset()
+	}
+
+	inner := results.NewMemoryLRU(64)
+	srv, hs := newTestServer(t, failingPutStore{inner})
+	check("local", srv, hs, inner)
+
+	inner = results.NewMemoryLRU(64)
+	srv, hs = newFleetServer(t, failingPutStore{inner}, fleet.CoordinatorOptions{})
+	w, _ := startWorker(t, hs.URL, "failing-disk", failingPutStore{results.NewMemoryLRU(64)})
+	check("fleet", srv, hs, inner)
+	if st := w.Stats(); st.Executed != 4 || st.StorePutErrors != 4 || st.Completed != 4 {
+		t.Errorf("worker over a failing store: %+v (want 4 executed, 4 put errors, 4 completed)", st)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to read while loggers write.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+func (s *syncBuffer) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.b.Reset()
 }

@@ -39,6 +39,9 @@ type Metrics struct {
 	// QueueRejected counts submissions refused because the job queue was
 	// full.
 	QueueRejected atomic.Uint64
+	// StorePutErrors counts finished records the result store refused to
+	// write (a failing disk); the runs themselves still finish.
+	StorePutErrors atomic.Uint64
 	// ExploresSubmitted counts accepted design-space explorations.
 	ExploresSubmitted atomic.Uint64
 	// ExplorePoints counts design points scored by explorations.
@@ -83,6 +86,7 @@ type Snapshot struct {
 	Deduped         uint64 `json:"deduped"`
 	SweepsSubmitted uint64 `json:"sweeps_submitted"`
 	QueueRejected   uint64 `json:"queue_rejected"`
+	StorePutErrors  uint64 `json:"store_put_errors"`
 	QueueLen        int    `json:"queue_len"`
 	Workers         int    `json:"workers"`
 
@@ -139,6 +143,7 @@ func (m *Metrics) snapshot(queueLen, workers int, fs fleet.Stats, js journal.Sta
 		Deduped:         m.Deduped.Load(),
 		SweepsSubmitted: m.SweepsSubmitted.Load(),
 		QueueRejected:   m.QueueRejected.Load(),
+		StorePutErrors:  m.StorePutErrors.Load(),
 		QueueLen:        queueLen,
 		Workers:         workers,
 
@@ -276,6 +281,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ringsimd_deduped_total", "Submissions coalesced onto in-flight runs.", "counter", snap.Deduped},
 		{"ringsimd_sweeps_submitted_total", "Sweep submissions accepted.", "counter", snap.SweepsSubmitted},
 		{"ringsimd_queue_rejected_total", "Submissions refused on a full queue.", "counter", snap.QueueRejected},
+		{"ringsimd_store_put_errors_total", "Finished records the result store failed to write.", "counter", snap.StorePutErrors},
 		{"ringsimd_explores_submitted_total", "Design-space explorations accepted.", "counter", snap.ExploresSubmitted},
 		{"ringsimd_explore_points_total", "Design points scored by explorations.", "counter", snap.ExplorePoints},
 		{"ringsimd_explore_sims_total", "Simulations run on behalf of explorations.", "counter", snap.ExploreSims},
@@ -325,17 +331,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"ringsimd_trace_cache_hits_total", "Stream requests served from an existing trace-cache entry.", "counter", tc.Hits},
 			{"ringsimd_trace_cache_misses_total", "Stream requests that materialized a new entry or fell back to a private generator.", "counter", tc.Misses},
 		}...)
-	// Batched lockstep execution: how much decode work the grouping is
-	// amortizing away.
+	// Affinity groups: how many runs were scheduled next to a group mate
+	// replaying the same trace (fleet workers and the CLI grid; the
+	// daemon's own workers settle queued keys one by one).
 	bs := harness.BatchStatsSnapshot()
 	rows = append(rows,
 		[]struct {
 			name, help, kind string
 			val              uint64
 		}{
-			{"ringsimd_batch_groups_total", "Lockstep batch groups executed (2+ runs sharing one trace).", "counter", bs.Groups},
-			{"ringsimd_batch_runs_total", "Runs executed as members of a lockstep batch group.", "counter", bs.GroupedRuns},
-			{"ringsimd_batch_amortized_decodes_total", "Trace materializations avoided by lockstep grouping.", "counter", bs.AmortizedDecodes},
+			{"ringsimd_batch_groups_total", "Affinity groups executed (2+ runs sharing a workload, scheduled on one grid worker).", "counter", bs.Groups},
+			{"ringsimd_batch_runs_total", "Runs executed as members of an affinity group.", "counter", bs.GroupedRuns},
+			{"ringsimd_batch_amortized_decodes_total", "Stream reads served by a group mate's materialization.", "counter", bs.AmortizedDecodes},
 		}...)
 	// Sampled simulation: how much of the instruction volume ran as cheap
 	// functional fast-forward instead of detailed timing.

@@ -37,9 +37,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,11 +73,6 @@ type Options struct {
 	// are refused with 503 (sweep members block-feed instead).
 	// Default: 256.
 	QueueDepth int
-	// Batch is the per-group member cap for batched lockstep execution:
-	// queued runs sharing a workload advance together over one
-	// materialized trace (see harness.ExecuteBatch). 0 picks
-	// harness.DefaultBatchSize; 1 disables grouping.
-	Batch int
 	// Store caches results by content hash. Default: a 4096-entry
 	// in-memory LRU.
 	Store results.Store
@@ -230,9 +225,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxExplores <= 0 {
 		opts.MaxExplores = 256
 	}
-	if opts.Batch <= 0 {
-		opts.Batch = harness.DefaultBatchSize()
-	}
 	// Fail a misspelled default twin mode or fidelity at startup, not on
 	// the first submission that tries to inherit it.
 	if _, err := dse.ParseTwinMode(opts.Twin); err != nil {
@@ -347,120 +339,16 @@ func (s *Server) Close() {
 }
 
 // worker consumes content keys from the queue and simulates them. After
-// pulling one key it opportunistically drains whatever else is already
-// queued (up to the batch cap) so runs sharing a workload — adjacent in
-// the queue, since sweeps feed workload-major — execute as one batched
-// lockstep group over a single materialized trace. After Terminate it
-// keeps draining so the channel close can proceed, but executes nothing —
-// the abandoned keys are the crash's debris, which journal replay
-// re-queues in the next process.
+// Terminate it keeps draining so the channel close can proceed, but
+// executes nothing — the abandoned keys are the crash's debris, which
+// journal replay re-queues in the next process.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for key := range s.jobs {
-		keys := []string{key}
-	drain:
-		for len(keys) < s.opts.Batch {
-			select {
-			case k, ok := <-s.jobs:
-				if !ok {
-					break drain
-				}
-				keys = append(keys, k)
-			default:
-				break drain
-			}
-		}
 		if s.killed.Load() {
 			continue
 		}
-		s.runMany(keys)
-	}
-}
-
-// runMany resolves a batch of queued runs together: a store pass settles
-// cached keys, then the misses execute as batched lockstep groups (runs
-// sharing a workload over one materialized trace; singletons via the
-// plain path). Each run's settlement — registry, metrics, store
-// write-through, journal — is identical to runOne's.
-func (s *Server) runMany(keys []string) {
-	if len(keys) == 1 {
-		s.runOne(keys[0])
-		return
-	}
-	type pending struct {
-		key string
-		st  *runState
-	}
-	var pends []pending
-	for _, key := range keys {
-		s.mu.Lock()
-		st, ok := s.runs[key]
-		if !ok || st.status.terminal() {
-			s.mu.Unlock()
-			continue
-		}
-		s.mu.Unlock()
-		if res, hit, err := s.opts.Store.Get(key); err == nil && hit {
-			s.mu.Lock()
-			if !st.status.terminal() {
-				s.finishLocked(st, res, true)
-			}
-			s.mu.Unlock()
-			s.metrics.CacheHits.Add(1)
-			s.journalComplete(key)
-			continue
-		}
-		pends = append(pends, pending{key: key, st: st})
-	}
-	if len(pends) == 0 {
-		return
-	}
-
-	now := time.Now()
-	reqs := make([]harness.Request, len(pends))
-	var queueAges []float64
-	s.mu.Lock()
-	for i, p := range pends {
-		reqs[i] = p.st.req
-		p.st.status = statusRunning
-		p.st.startedAt = now
-		if !p.st.queuedAt.IsZero() {
-			queueAges = append(queueAges, now.Sub(p.st.queuedAt).Seconds())
-		}
-	}
-	s.mu.Unlock()
-	for _, age := range queueAges {
-		s.histQueueAge.observe(age)
-	}
-	s.metrics.RunsStarted.Add(uint64(len(pends)))
-
-	began := time.Now()
-	runs := harness.ExecuteBatchN(reqs, s.opts.Batch)
-	// One observation per run at the batch's mean per-run latency, so the
-	// histogram's count still matches runs executed.
-	perRun := time.Since(began).Seconds() / float64(len(pends))
-	for range pends {
-		s.workerLatency.observe(localWorkerLabel, perRun)
-	}
-
-	for i, p := range pends {
-		req := reqs[i]
-		res, convErr := results.FromRun(req, runs[i])
-		if convErr != nil {
-			res = results.Result{Key: p.key, Config: req.Config.Name, Program: req.Workload.Name(), Err: convErr.Error()}
-		}
-		if res.Failed() {
-			s.metrics.RunsFailed.Add(1)
-		} else {
-			s.metrics.RunsCompleted.Add(1)
-			_ = s.opts.Store.Put(p.key, res)
-		}
-		s.mu.Lock()
-		if !p.st.status.terminal() {
-			s.finishLocked(p.st, res, false)
-		}
-		s.mu.Unlock()
-		s.journalComplete(p.key)
+		s.runOne(key)
 	}
 }
 
@@ -483,7 +371,9 @@ func (s *Server) runOne(key string) {
 	// previous process (disk store) or a prior generation of this key.
 	if res, hit, err := s.opts.Store.Get(key); err == nil && hit {
 		s.mu.Lock()
-		s.finishLocked(st, res, true)
+		if !st.status.terminal() {
+			s.finishLocked(st, res, true)
+		}
 		s.mu.Unlock()
 		s.metrics.CacheHits.Add(1)
 		s.journalComplete(key)
@@ -515,13 +405,25 @@ func (s *Server) runOne(key string) {
 		// never has to invalidate poisoned entries. Losing the write only
 		// costs a future re-simulation: the result is still served from
 		// the registry.
-		_ = s.opts.Store.Put(key, res)
+		s.storePut(key, res)
 	}
 
 	s.mu.Lock()
-	s.finishLocked(st, res, false)
+	if !st.status.terminal() {
+		s.finishLocked(st, res, false)
+	}
 	s.mu.Unlock()
 	s.journalComplete(key)
+}
+
+// storePut writes one finished record through to the store. A failure is
+// counted and logged with its key, never fatal: the run is still served
+// from the registry.
+func (s *Server) storePut(key string, res results.Result) {
+	if err := s.opts.Store.Put(key, res); err != nil {
+		s.metrics.StorePutErrors.Add(1)
+		log.Printf("ringsimd: store put %s: %v", key, err)
+	}
 }
 
 // finishLocked marks a run terminal and schedules it for eviction.
@@ -917,18 +819,6 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(pending) > 0 {
-		// Feed workload-major: Expand is config-major, so adjacent queue
-		// entries would otherwise almost never share a workload and the
-		// workers' opportunistic batch drains could not group them into
-		// lockstep batches. Execution order is correctness-irrelevant
-		// (results assemble by key), so reorder freely.
-		label := make(map[string]string, len(keys))
-		for i, req := range reqs {
-			label[keys[i]] = req.Workload.Name()
-		}
-		sort.SliceStable(pending, func(a, b int) bool {
-			return label[pending[a]] < label[pending[b]]
-		})
 		// Under s.mu so Close (which flips closed under the same lock
 		// before waiting on feeders) cannot miss this feeder.
 		s.feederWG.Add(1)
