@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/workload"
 )
 
 // Options configures one exploration.
@@ -105,7 +106,10 @@ func (r *Report) CacheHitRate() float64 {
 // Explore runs the strategy to completion over the space and returns the
 // Pareto frontier. Candidate evaluations within a batch run concurrently;
 // every one flows through the evaluator's result store, so repeated
-// explorations of overlapping spaces re-simulate nothing.
+// explorations of overlapping spaces re-simulate nothing. The exploration
+// holds the traces of the programs its tiers still have work for (see
+// traceHolds), so rounds and tiers share one materialization per stream,
+// and every trace is let go when Explore returns.
 func Explore(opts Options) (*Report, error) {
 	if err := opts.Space.Validate(); err != nil {
 		return nil, err
@@ -128,10 +132,15 @@ func Explore(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	holds := &traceHolds{held: make(map[string]workload.Spec)}
+	if opts.Twin != nil {
+		holds.suite = opts.Twin.Programs
+	}
+	defer holds.narrow(&opts.Space, nil)
 	if twin, err := opts.Twin.Enabled(opts.Strategy, opts.Space.Size()); err != nil {
 		return nil, err
 	} else if twin {
-		return exploreTwin(opts, ev, exact, budget, workers)
+		return exploreTwin(opts, ev, exact, budget, workers, holds)
 	}
 
 	st := &State{
@@ -169,6 +178,7 @@ func Explore(opts Options) (*Report, error) {
 			st.Round++
 			continue
 		}
+		holds.cover(&opts.Space, fresh)
 		outs := evaluateBatch(&opts.Space, ev, fresh, workers)
 		for i, o := range outs {
 			rep.SimsRun += o.stats.Sims
@@ -201,12 +211,78 @@ func Explore(opts Options) (*Report, error) {
 		return rep, fmt.Errorf("dse: no candidate evaluated (%d invalid, %d failed)", rep.Skipped, rep.Failed)
 	}
 	if exact != nil {
-		confirmFrontierExact(&opts.Space, exact, rep, workers)
+		confirmFrontierExact(&opts.Space, exact, rep, workers, holds)
 		if opts.Observer != nil {
 			opts.Observer(rep)
 		}
 	}
 	return rep, nil
+}
+
+// traceHolds is an exploration's hold on the trace cache. A program is
+// held from the first candidate that names it and let go once no later
+// tier has a candidate left for it, so a trace the twin profiled is the
+// one the sampled tier and the exact confirmation replay, and a stream is
+// materialized once per exploration instead of once per tier or round.
+type traceHolds struct {
+	// suite is what a candidate without workload axes runs: the twin
+	// options' Programs, which name the evaluator's suite. An exploration
+	// configured without them holds only workload-axis programs; each
+	// evaluated batch still holds its own traces (harness.GridRuns).
+	suite []string
+	held  map[string]workload.Spec // by program spec string
+}
+
+// programs returns what candidate c runs: its workload-axis scenario, or
+// the suite.
+func (h *traceHolds) programs(space *Space, c Candidate) []string {
+	progs, err := space.Workloads(c)
+	if err != nil {
+		return nil
+	}
+	if progs == nil {
+		return h.suite
+	}
+	return progs
+}
+
+// hold adds the programs not yet held. One that does not parse is left to
+// the tier that runs it, which reports the error.
+func (h *traceHolds) hold(progs []string) {
+	for _, p := range progs {
+		if _, ok := h.held[p]; ok {
+			continue
+		}
+		if spec, err := workload.ParseSpec(p); err == nil {
+			harness.DefaultTraceCache.Hold(spec)
+			h.held[p] = spec
+		}
+	}
+}
+
+// cover holds every program the candidates run.
+func (h *traceHolds) cover(space *Space, cands []Candidate) {
+	for _, c := range cands {
+		h.hold(h.programs(space, c))
+	}
+}
+
+// narrow releases every held program none of the candidates runs: what
+// the tiers still to come no longer need. With no candidates it releases
+// everything.
+func (h *traceHolds) narrow(space *Space, cands []Candidate) {
+	keep := make(map[string]bool)
+	for _, c := range cands {
+		for _, p := range h.programs(space, c) {
+			keep[p] = true
+		}
+	}
+	for p, spec := range h.held {
+		if !keep[p] {
+			harness.DefaultTraceCache.Release(spec)
+			delete(h.held, p)
+		}
+	}
 }
 
 // fidelityTiers resolves the evaluators of a possibly-sampled
@@ -230,8 +306,9 @@ func fidelityTiers(base Evaluator, sp harness.Sampling) (ev, exact Evaluator, er
 // worth exact simulation; the numbers the frontier reports are always
 // exact. Candidates whose exact run fails stay out of the frontier and
 // count as Failed; if every confirmation fails the sampled frontier is
-// kept rather than reporting an empty one.
-func confirmFrontierExact(space *Space, exact Evaluator, rep *Report, workers int) {
+// kept rather than reporting an empty one. The frontier is the last work
+// the exploration has, so its programs are all that stays held.
+func confirmFrontierExact(space *Space, exact Evaluator, rep *Report, workers int, holds *traceHolds) {
 	if len(rep.Frontier) == 0 {
 		return
 	}
@@ -239,6 +316,7 @@ func confirmFrontierExact(space *Space, exact Evaluator, rep *Report, workers in
 	for i, p := range rep.Frontier {
 		cands[i] = p.Candidate
 	}
+	holds.narrow(space, cands)
 	outs := evaluateBatch(space, exact, cands, workers)
 	frontier := &Frontier{}
 	for i, o := range outs {

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/predict"
 	"repro/internal/workload"
@@ -57,7 +60,9 @@ type TwinOptions struct {
 	Epsilon float64
 	// Programs is the default workload suite for candidates without
 	// workload axes; it must match the evaluator's suite or the twin
-	// ranks a different problem than the simulator scores.
+	// ranks a different problem than the simulator scores. Whatever the
+	// mode, these are the programs the exploration holds in the trace
+	// cache across its rounds and tiers.
 	Programs []string
 	// Insts and Warmup are the harness accounting the profiles cover;
 	// they must match the evaluator's.
@@ -120,7 +125,7 @@ type twinScore struct {
 // pin. ev is the verification-tier evaluator; with Options.Sampling
 // enabled it runs sampled and exact is non-nil, adding a third tier
 // that re-scores the frontier exactly (closed-form → sampled → exact).
-func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int) (*Report, error) {
+func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int, holds *traceHolds) (*Report, error) {
 	t := opts.Twin
 	profiles := t.Profiles
 	if profiles == nil {
@@ -140,22 +145,26 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int) (*Repor
 		rep.Fidelity = opts.Sampling.String()
 	}
 
-	// Tier 1: closed-form scores for the whole grid.
-	scores := make([]twinScore, 0, space.Size())
-	for _, c := range space.Grid() {
-		s := twinScore{cand: c}
+	// Tier 1: closed-form scores for the whole grid. Summarizing a trace
+	// costs a thousand times a prediction, so the grid's distinct programs
+	// are profiled first, on every worker, and the scoring pass reads the
+	// finished profiles.
+	grid := space.Grid()
+	scores := make([]twinScore, len(grid))
+	cfgs := make([]core.Config, len(grid))
+	progsOf := make([][]string, len(grid))
+	var distinct []string
+	seen := make(map[string]bool)
+	for i, c := range grid {
+		scores[i].cand = c
 		cfg, err := space.Config(c)
-		if err != nil {
-			s.invalid = true
-			rep.Skipped++
-			scores = append(scores, s)
-			continue
+		var progs []string
+		if err == nil {
+			progs, err = space.Workloads(c)
 		}
-		progs, err := space.Workloads(c)
 		if err != nil {
-			s.invalid = true
+			scores[i].invalid = true
 			rep.Skipped++
-			scores = append(scores, s)
 			continue
 		}
 		if progs == nil {
@@ -164,27 +173,37 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int) (*Repor
 		if len(progs) == 0 {
 			return nil, fmt.Errorf("dse: twin has no programs")
 		}
-		var sum float64
+		cfgs[i], progsOf[i] = cfg, progs
 		for _, prog := range progs {
-			spec, err := workload.ParseSpec(prog)
-			if err != nil {
-				return nil, err
+			if !seen[prog] {
+				seen[prog] = true
+				distinct = append(distinct, prog)
 			}
-			p, err := profiles.ProfileSpec(spec, t.Insts, t.Warmup)
-			if err != nil {
-				return nil, err
+		}
+	}
+	holds.hold(distinct)
+	built := buildProfiles(profiles, distinct, t.Insts, t.Warmup, workers)
+	for i := range scores {
+		s := &scores[i]
+		if s.invalid {
+			continue
+		}
+		var sum float64
+		for _, prog := range progsOf[i] {
+			b := built[prog]
+			if b.err != nil {
+				return nil, b.err // the first failure in grid order, as a serial pass reports it
 			}
-			pred, err := model.PredictIPC(p, &cfg)
+			pred, err := model.PredictIPC(b.profile, &cfgs[i])
 			if err != nil {
 				return nil, err
 			}
 			sum += pred.IPC
 		}
-		s.area = Area(cfg)
-		s.predIPC = sum / float64(len(progs))
-		s.programs = len(progs)
-		rep.TwinPredictions += len(progs)
-		scores = append(scores, s)
+		s.area = Area(cfgs[i])
+		s.predIPC = sum / float64(len(progsOf[i]))
+		s.programs = len(progsOf[i])
+		rep.TwinPredictions += len(progsOf[i])
 	}
 	rep.Proposed = len(scores)
 
@@ -231,6 +250,7 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int) (*Repor
 	for i, s := range verify {
 		batch[i] = s.cand
 	}
+	holds.narrow(space, batch)
 	frontier := &Frontier{}
 	outs := evaluateBatch(space, ev, batch, workers)
 	var mapeSum float64
@@ -270,10 +290,51 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int) (*Repor
 		return rep, fmt.Errorf("dse: no candidate evaluated (%d invalid, %d failed)", rep.Skipped, rep.Failed)
 	}
 	if exact != nil {
-		confirmFrontierExact(space, exact, rep, workers)
+		confirmFrontierExact(space, exact, rep, workers, holds)
 		if opts.Observer != nil {
 			opts.Observer(rep)
 		}
 	}
 	return rep, nil
+}
+
+// builtProfile is one program's workload-level profile, or why it could
+// not be built.
+type builtProfile struct {
+	profile *predict.Profile
+	err     error
+}
+
+// buildProfiles computes every program's profile through the profile
+// cache, workers at a time, and returns them by program.
+func buildProfiles(pc *harness.ProfileCache, progs []string, insts, warmup uint64, workers int) map[string]builtProfile {
+	out := make([]builtProfile, len(progs))
+	if workers > len(progs) {
+		workers = len(progs)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(progs) {
+					return
+				}
+				spec, err := workload.ParseSpec(progs[i])
+				if err == nil {
+					out[i].profile, err = pc.ProfileSpec(spec, insts, warmup)
+				}
+				out[i].err = err
+			}
+		}()
+	}
+	wg.Wait()
+	byProg := make(map[string]builtProfile, len(progs))
+	for i, prog := range progs {
+		byProg[prog] = out[i]
+	}
+	return byProg
 }

@@ -168,8 +168,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		w.leased.Add(uint64(len(jobs)))
-		w.prefetchTraces(ctx, traces)
-		batch := w.executeBatch(ctx, jobs)
+		batch := w.runLease(ctx, jobs, traces)
 		if len(batch) == 0 {
 			continue // canceled mid-batch
 		}
@@ -182,6 +181,20 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.opts.Logf("fleet worker %s: complete: %v", w.workerID(), err)
 		}
 	}
+}
+
+// runLease prefetches a lease's traces and executes its jobs under one
+// hold on every stream the jobs name: a fetched trace is installed into a
+// stream the lease holds, so it is still there when the job that needs it
+// runs, and it is freed when the batch is done.
+func (w *Worker) runLease(ctx context.Context, jobs []results.Job, traces []TraceRef) []results.Result {
+	for _, jb := range jobs {
+		spec := jb.Request.Harness().Workload
+		harness.DefaultTraceCache.Hold(spec)
+		defer harness.DefaultTraceCache.Release(spec)
+	}
+	w.prefetchTraces(ctx, traces)
+	return w.executeBatch(ctx, jobs)
 }
 
 // registerWithRetry registers until it succeeds or ctx ends, reporting

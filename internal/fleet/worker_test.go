@@ -214,7 +214,19 @@ func verifyBatchResults(t *testing.T, fc *fakeCoordinator, reqs []harness.Reques
 func TestWorkerFetchesLeasedTraces(t *testing.T) {
 	jobs, refs, reqs := traceJobs(t, "synth(ilp=4,ws=32K)@770001")
 	fc := &fakeCoordinator{t: t, jobs: jobs, traces: refs, serveTraces: true}
+	before := harness.DefaultTraceCache.Stats()
 	st := runWorkerOnce(t, fc)
+	// The lease holds its streams across prefetch and execution, so the
+	// installed traces are what the jobs replay — nothing is generated —
+	// and they are gone when the batch is done.
+	after := harness.DefaultTraceCache.Stats()
+	if after.Misses != before.Misses || after.Hits != before.Hits+uint64(len(jobs)*len(refs)) {
+		t.Errorf("trace cache misses %d→%d, hits %d→%d: want no generation and %d replays of the fetched traces",
+			before.Misses, after.Misses, before.Hits, after.Hits, len(jobs)*len(refs))
+	}
+	if after.Entries != before.Entries || after.Held != before.Held {
+		t.Errorf("the finished lease left traces behind: %+v, was %+v", after, before)
+	}
 	if st.TraceFetches != uint64(len(refs)) || st.TraceRegens != 0 {
 		t.Errorf("trace counters: fetches=%d regens=%d, want %d/0",
 			st.TraceFetches, st.TraceRegens, len(refs))

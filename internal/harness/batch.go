@@ -83,7 +83,8 @@ func requestGroups(reqs []Request, maxGroup int) [][]int {
 }
 
 // executeGroup runs one group's members back to back through Execute,
-// writing each Run into results at its original request index.
+// writing each Run into results at its original request index and letting
+// go of GridRunsN's hold on the member's traces.
 func executeGroup(reqs []Request, idxs []int, results []Run) {
 	if n := uint64(len(idxs)); n > 1 {
 		batchGroups.Add(1)
@@ -92,5 +93,6 @@ func executeGroup(reqs []Request, idxs []int, results []Run) {
 	}
 	for _, ri := range idxs {
 		results[ri] = Execute(reqs[ri])
+		DefaultTraceCache.Release(reqs[ri].Workload)
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -166,6 +167,7 @@ func TestTraceCacheInstall(t *testing.T) {
 	}
 
 	tc := NewTraceCache(1 << 20)
+	tc.Hold(oneStream(prog, 0)) // installs land only in streams somebody holds
 	if got := tc.MaterializedLen(prog, 0); got != 0 {
 		t.Fatalf("MaterializedLen before install = %d", got)
 	}
@@ -220,8 +222,42 @@ func TestTraceCacheInstall(t *testing.T) {
 
 	// Over-budget installs are refused, leaving generation to the caller.
 	small := NewTraceCache(100)
+	small.Hold(oneStream(prog, 0))
 	if small.Install(prog, 0, packInsts(t, ref)) {
 		t.Fatal("install accepted past the budget")
+	}
+}
+
+// TestTraceCacheRematerializeDeterminism: a stream freed at its last
+// holder's release and asked for again is generated again, and the second
+// materialization is the first one bit for bit — through the cache and
+// through a whole simulation.
+func TestTraceCacheRematerializeDeterminism(t *testing.T) {
+	const prog = "synth-random"
+	ref := reference(t, prog, 11, 4000)
+	tc := NewTraceCache(0)
+	for round := 0; round < 3; round++ {
+		tc.Hold(oneStream(prog, 11))
+		s, err := tc.Stream(prog, 11, 4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectStream(t, fmt.Sprintf("materialization %d", round), s, ref)
+		tc.Release(oneStream(prog, 11))
+	}
+	if st := tc.Stats(); st.Misses != 3 || st.Hits != 0 || st.Dropped != 3 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want 3 misses, 3 drops, nothing resident", st)
+	}
+
+	// Execute holds only for its own duration, so back-to-back lone runs
+	// regenerate the trace each time and must agree exactly.
+	req := Request{Config: core.MustPaperConfig(core.ArchRing, 4, 2, 1), Workload: oneStream(prog, 11), Insts: 4000, Warmup: 500}
+	first, second := Execute(req), Execute(req)
+	if first.Err != nil || second.Err != nil {
+		t.Fatal(first.Err, second.Err)
+	}
+	if !reflect.DeepEqual(first.Stats, second.Stats) {
+		t.Fatal("a regenerated trace simulated differently")
 	}
 }
 

@@ -79,8 +79,13 @@ var machinePool sync.Pool
 // how it is driven — exact (warm up, reset statistics, run to the end) or
 // sampled (see driveSampled). Multi-stream workloads run every stream on
 // one machine under ICOUNT fetch arbitration, with per-stream statistics
-// attached to the returned Stats.
+// attached to the returned Stats. Execute holds the request's traces for
+// its own duration only: a caller with more runs of the same streams to
+// come (GridRuns, an exploration, the server's queue) holds them across
+// the runs, or each run generates its traces again.
 func Execute(req Request) Run {
+	DefaultTraceCache.Hold(req.Workload)
+	defer DefaultTraceCache.Release(req.Workload)
 	out := Run{Config: req.Config, Workload: req.Workload.Name()}
 	var m *core.Machine
 	m, out.Class, out.Err = prepare(req)
@@ -249,8 +254,12 @@ func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint6
 // in request order. Requests sharing a workload are handed to one worker
 // in groups of at most maxGroup (see requestGroups), so the first member
 // materializes the trace and the rest replay it; the pool size is
-// min(GOMAXPROCS, groups). It is the parallel core of Grid, exposed so the
-// fleet worker, the explorer and the CLI can share it.
+// min(GOMAXPROCS, groups). Every stream the list names is held from the
+// start and released run by run, so each is materialized once however the
+// list orders its runs, and freed as soon as the last run naming it is
+// done: resident traces follow the workers, not the length of the list. It
+// is the parallel core of Grid, exposed so the fleet worker, the explorer
+// and the CLI can share it.
 func GridRuns(reqs []Request, maxGroup int) []Run {
 	return GridRunsN(reqs, maxGroup, runtime.GOMAXPROCS(0))
 }
@@ -259,6 +268,9 @@ func GridRuns(reqs []Request, maxGroup int) []Run {
 // bound it to their advertised capacity instead of GOMAXPROCS).
 func GridRunsN(reqs []Request, maxGroup, workers int) []Run {
 	results := make([]Run, len(reqs))
+	for i := range reqs {
+		DefaultTraceCache.Hold(reqs[i].Workload)
+	}
 	groups := requestGroups(reqs, maxGroup)
 	if workers < 1 {
 		workers = 1

@@ -24,8 +24,9 @@ import (
 // analogue of the fleet's TraceRefs.
 //
 // The cache is safe for concurrent use. Profile computation streams from
-// the TraceCache, so an exploration's twin pass also warms the trace the
-// verifying simulations replay.
+// the TraceCache and holds the trace only while it summarizes; an
+// exploration that holds its programs (dse.Explore does) has its twin pass
+// warm the very trace the verifying simulations replay.
 type ProfileCache struct {
 	traces *TraceCache
 
@@ -151,6 +152,9 @@ func (pc *ProfileCache) load(dir, key, program string, seed, n uint64) (*predict
 			return nil, false, err
 		}
 	}
+	spec := workload.Spec{Streams: []workload.StreamSpec{{Program: program, Seed: seed}}}
+	pc.traces.Hold(spec)
+	defer pc.traces.Release(spec)
 	stream, err := pc.traces.Stream(program, seed, n)
 	if err != nil {
 		return nil, false, err

@@ -25,6 +25,11 @@ func reference(t *testing.T, program string, seed uint64, n int) []isa.Inst {
 	return ref
 }
 
+// oneStream is the single-stream workload of (program, seed).
+func oneStream(program string, seed uint64) workload.Spec {
+	return workload.Spec{Streams: []workload.StreamSpec{{Program: program, Seed: seed}}}
+}
+
 // expectStream drains s and compares it with want.
 func expectStream(t *testing.T, what string, s trace.Stream, want []isa.Inst) {
 	t.Helper()
@@ -50,6 +55,7 @@ func TestTraceCacheExtension(t *testing.T) {
 	const prog = "synth(ws=16M,stride=0.3,ilp=4)"
 	ref := reference(t, prog, 9, 6000)
 	tc := NewTraceCache(0)
+	tc.Hold(oneStream(prog, 9))
 
 	early, err := tc.Stream(prog, 9, 1000)
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/results"
@@ -175,8 +174,7 @@ func (s *Server) recoverFromJournal() {
 		if _, ok := s.runs[r.job.Key]; ok {
 			continue
 		}
-		st := &runState{key: r.job.Key, req: r.job.Request.Harness(), status: statusQueued, queuedAt: time.Now()}
-		s.runs[r.job.Key] = st
+		st := s.newRunLocked(r.job.Key, r.job.Request.Harness())
 		if r.hit {
 			s.finishLocked(st, r.res, true)
 			settled++
@@ -240,8 +238,7 @@ func (s *Server) recoverSweep(id string, m results.Manifest) {
 	for _, mb := range members {
 		st, ok := s.runs[mb.job.Key]
 		if !ok {
-			st = &runState{key: mb.job.Key, req: mb.job.Request.Harness(), status: statusQueued, queuedAt: time.Now()}
-			s.runs[mb.job.Key] = st
+			st = s.newRunLocked(mb.job.Key, mb.job.Request.Harness())
 			if mb.hit {
 				s.finishLocked(st, mb.res, true)
 				settled = append(settled, mb.job.Key)
@@ -454,6 +451,7 @@ func (s *Server) Terminate() {
 		s.fleet.Stop()
 	}
 	s.wg.Wait()
+	s.abandonRuns()
 }
 
 // RecoveryInfo summarizes what startup replay reconstructed, for the

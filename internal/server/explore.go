@@ -139,8 +139,7 @@ func snapshotReport(v *exploreView, rep *dse.Report, includePoints bool) {
 // handleSubmitExplore validates and launches one exploration.
 func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 	var er exploreRequest
-	if err := json.NewDecoder(r.Body).Decode(&er); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &er) {
 		return
 	}
 	space, strat, programs, twin, sp, err := s.resolveExplore(&er)

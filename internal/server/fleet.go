@@ -12,7 +12,6 @@ package server
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/results"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // fleetAuth guards one fleet handler with the shared-secret check: with
@@ -160,8 +160,7 @@ func (s *Server) completeRemote(worker string, res results.Result) {
 // handleFleetRegister admits one worker into the fleet.
 func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	var rr fleet.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &rr) {
 		return
 	}
 	resp, err := s.fleet.Register(rr.Name, rr.Capacity)
@@ -175,8 +174,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 // handleFleetLease grants a worker its next batch under the lease TTL.
 func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 	var lr fleet.LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&lr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &lr) {
 		return
 	}
 	jobs, err := s.fleet.Lease(lr.WorkerID, lr.Max)
@@ -273,6 +271,9 @@ func (s *Server) traceRefsFor(jobs []results.Job) []fleet.TraceRef {
 // handleFleetTrace streams one materialized trace prefix in the binary
 // trace encoding. The key must have been granted on a lease from this
 // process; unknown keys are 404, the worker's cue to generate locally.
+// The leased runs already hold the stream (a run holds from queue to
+// settle), so this is normally a replay of a resident trace; the handler's
+// own hold covers a fetch that arrives after they settled.
 func (s *Server) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	s.traceMu.Lock()
@@ -282,6 +283,9 @@ func (s *Server) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errors.New("unknown trace key"))
 		return
 	}
+	spec := workload.Spec{Streams: []workload.StreamSpec{{Program: ref.Program, Seed: ref.Seed}}}
+	harness.DefaultTraceCache.Hold(spec)
+	defer harness.DefaultTraceCache.Release(spec)
 	stream, err := harness.DefaultTraceCache.Stream(ref.Program, ref.Seed, ref.Insts)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
@@ -316,8 +320,7 @@ func (s *Server) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 // counted rejected and dropped, never overwriting run state.
 func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 	var cr fleet.CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&cr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &cr) {
 		return
 	}
 	var resp fleet.CompleteResponse
@@ -335,8 +338,7 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 // handleFleetHeartbeat renews a worker's liveness and leases.
 func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hr fleet.HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&hr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &hr) {
 		return
 	}
 	if err := s.fleet.Heartbeat(hr.WorkerID); err != nil {

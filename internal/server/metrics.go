@@ -317,8 +317,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"ringsimd_profile_cache_disk_hits_total", "Profile requests served from the disk layer.", "counter", pc.DiskHits},
 			{"ringsimd_profile_cache_misses_total", "Profile requests that ran the summarizer.", "counter", pc.Misses},
 		}...)
-	// Trace-cache occupancy and service counters: with synthetic specs
-	// the workload space is unbounded, so trace generation is a
+	// Trace-cache occupancy and service counters. Traces live only while
+	// queued or running work holds them, so entries and bytes follow the
+	// load and return to zero when the daemon is idle; with synthetic
+	// specs the workload space is unbounded, so generation (misses) is a
 	// first-class cost worth watching.
 	tc := harness.DefaultTraceCache.Stats()
 	rows = append(rows,
@@ -327,9 +329,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			val              uint64
 		}{
 			{"ringsimd_trace_cache_entries", "Materialized workload streams resident in the trace cache.", "gauge", uint64(tc.Entries)},
+			{"ringsimd_trace_cache_held", "Workload streams some queued or running work holds, materialized or not.", "gauge", uint64(tc.Held)},
 			{"ringsimd_trace_cache_bytes", "Memory allocated for materialized traces: the packed stores' segments, 24 bytes a record.", "gauge", tc.Bytes},
+			{"ringsimd_trace_cache_peak_bytes", "High-water mark of ringsimd_trace_cache_bytes since the process started.", "gauge", tc.PeakBytes},
 			{"ringsimd_trace_cache_hits_total", "Stream requests served from an existing trace-cache entry.", "counter", tc.Hits},
 			{"ringsimd_trace_cache_misses_total", "Stream requests that materialized a new entry or fell back to a private generator.", "counter", tc.Misses},
+			{"ringsimd_trace_cache_fallbacks_total", "Stream requests the instruction budget turned away to a private generator.", "counter", tc.Fallbacks},
+			{"ringsimd_trace_cache_dropped_total", "Trace-cache entries freed when their last holder released them.", "counter", tc.Dropped},
 		}...)
 	// Affinity groups: how many runs were scheduled next to a group mate
 	// replaying the same trace (fleet workers and the CLI grid; the

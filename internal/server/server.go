@@ -135,6 +135,10 @@ type runState struct {
 	// this server instance.
 	cached bool
 	result results.Result
+	// held marks a run that holds its traces in the trace cache: set when
+	// the run is queued (newRunLocked), cleared by whichever comes first of
+	// finishLocked and abandonRuns.
+	held bool
 	// refs counts unfinished sweeps and waiting explorations referencing
 	// this run; a referenced run is never evicted from the registry.
 	refs int
@@ -336,6 +340,39 @@ func (s *Server) Close() {
 		s.fleet.Stop()
 	}
 	s.wg.Wait()
+	s.abandonRuns()
+}
+
+// abandonRuns lets go of the traces held for runs that will never finish
+// here — out under a remote lease at Close, registered by an exploration
+// that shutdown aborted, or anything queued at Terminate — so a stopped
+// server leaves nothing behind in the process-wide trace cache.
+func (s *Server) abandonRuns() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, st := range s.runs {
+		s.releaseLocked(st)
+	}
+}
+
+// newRunLocked registers a queued run and holds its traces: every member
+// of a sweep holds from submission, so a stream shared across the grid is
+// materialized once however the members interleave, and freed when the
+// last one settles. Callers must hold s.mu.
+func (s *Server) newRunLocked(key string, req harness.Request) *runState {
+	st := &runState{key: key, req: req, status: statusQueued, queuedAt: time.Now(), held: true}
+	harness.DefaultTraceCache.Hold(req.Workload)
+	s.runs[key] = st
+	return st
+}
+
+// releaseLocked lets go of a run's hold on its traces, once. Callers must
+// hold s.mu.
+func (s *Server) releaseLocked(st *runState) {
+	if st.held {
+		st.held = false
+		harness.DefaultTraceCache.Release(st.req.Workload)
+	}
 }
 
 // worker consumes content keys from the queue and simulates them. After
@@ -426,9 +463,12 @@ func (s *Server) storePut(key string, res results.Result) {
 	}
 }
 
-// finishLocked marks a run terminal and schedules it for eviction.
-// Callers must hold s.mu.
+// finishLocked marks a run terminal, lets go of its traces and schedules
+// it for eviction. Every settle path — simulated here, answered from the
+// store, completed remotely, poisoned, replayed — ends here. Callers must
+// hold s.mu.
 func (s *Server) finishLocked(st *runState, res results.Result, fromCache bool) {
+	s.releaseLocked(st)
 	if res.Failed() {
 		st.status = statusFailed
 	} else {
@@ -503,9 +543,7 @@ func (s *Server) registerLocked(req harness.Request, key string) (st *runState, 
 		s.metrics.Deduped.Add(1)
 		return st, false, false
 	}
-	st = &runState{key: key, req: req, status: statusQueued, queuedAt: time.Now()}
-	s.runs[key] = st
-	return st, true, false
+	return s.newRunLocked(key, req), true, false
 }
 
 // prepare validates a request and computes its content key (both outside
@@ -536,6 +574,7 @@ func (s *Server) submit(req harness.Request) (*runState, bool, error) {
 		select {
 		case s.jobs <- key:
 		default:
+			s.releaseLocked(st)
 			delete(s.runs, key)
 			s.metrics.QueueRejected.Add(1)
 			s.mu.Unlock()
@@ -692,8 +731,7 @@ func (sub runSubmission) workloadSpec() (workload.Spec, error) {
 // handleSubmitRun accepts one simulation request.
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var sub runSubmission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &sub) {
 		return
 	}
 	cfg, err := sub.resolve()
@@ -754,8 +792,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // all-or-nothing: it can never leave stray runs behind.
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var sr sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &sr) {
 		return
 	}
 	if len(sr.Configs) == 0 || len(sr.Programs) == 0 {
@@ -939,6 +976,29 @@ func submitStatus(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// maxBodyBytes bounds every request body the API decodes. The largest
+// legitimate bodies — a sweep naming hundreds of full configurations, a
+// fleet completion of a 64-record lease — stay well under a megabyte.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it, and answers a failure itself: 413 for a body over
+// the bound, 400 for one that does not decode. It reports whether v is
+// usable.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
+	} else {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	}
+	return false
 }
 
 // writeJSON renders v as the response body.
