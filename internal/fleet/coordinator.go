@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"container/list"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,12 +84,23 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 // expired) worker id; the worker's recovery is to re-register.
 var ErrUnknownWorker = errors.New("fleet: unknown worker")
 
-// errClosed refuses work after Stop.
-var errClosed = errors.New("fleet: coordinator stopped")
+// ErrPoolFull refuses a job the pending pool has no room for.
+var ErrPoolFull = errors.New("fleet: pending pool full")
+
+// errClosed refuses work after Stop; errOwned refuses a key the pool
+// already holds, pending or leased.
+var (
+	errClosed = errors.New("fleet: coordinator stopped")
+	errOwned  = errors.New("fleet: job already pending or leased")
+)
 
 // job is one distributable run while the coordinator owns it.
 type job struct {
 	j results.Job
+	// workload is computed once, at Enqueue; el is the job's place in the
+	// pending list, nil while it is leased.
+	workload string
+	el       *list.Element
 	// worker and expires are set while leased; a requeued job returns to
 	// pending with both cleared.
 	worker  string
@@ -109,16 +122,24 @@ type workerState struct {
 }
 
 // Coordinator owns the distributable-work pool: pending jobs, outstanding
-// leases, and the worker registry. It is the single consumer-side queue
-// when fleet mode is on — the daemon's local workers block on Next while
-// remote workers pull batches via Lease, so whoever is free first wins
-// the next job.
+// leases, and the worker registry. It is the daemon's only run queue,
+// with or without a fleet: local workers block on Next (the oldest job)
+// while remote workers pull batches via Lease (whole workload groups), so
+// whoever is free first wins the next job.
 type Coordinator struct {
 	opts CoordinatorOptions
+	// bound caps what Enqueue and TryEnqueue let wait in pending; 0 or
+	// less leaves the pool unbounded.
+	bound int
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signaled when pending grows or the pool closes
-	pending []*job     // FIFO; requeued jobs go to the back
+	mu   sync.Mutex
+	cond *sync.Cond // signaled when pending grows or the pool closes
+	room *sync.Cond // signaled when pending shrinks or the pool closes
+	// pending is the pool in arrival order, requeued jobs at the back;
+	// groups indexes the same jobs by workload, each group in arrival
+	// order too.
+	pending *list.List // of *job
+	groups  map[string][]*job
 	byKey   map[string]*job
 	workers map[string]*workerState
 	// poisoned parks jobs that burned their attempt cap; they never
@@ -144,10 +165,15 @@ type Coordinator struct {
 	sweepers sync.WaitGroup
 }
 
-// NewCoordinator starts a coordinator and its requeue sweeper.
-func NewCoordinator(opts CoordinatorOptions) *Coordinator {
+// NewCoordinator starts a coordinator and its requeue sweeper. bound is
+// how many jobs may wait in the pending pool before Enqueue blocks and
+// TryEnqueue refuses; 0 or less means no bound.
+func NewCoordinator(opts CoordinatorOptions, bound int) *Coordinator {
 	c := &Coordinator{
 		opts:     opts.withDefaults(),
+		bound:    bound,
+		pending:  list.New(),
+		groups:   make(map[string][]*job),
 		byKey:    make(map[string]*job),
 		workers:  make(map[string]*workerState),
 		poisoned: make(map[string]*job),
@@ -157,6 +183,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	_, _ = rand.Read(epoch[:]) // never fails: crypto/rand aborts the process instead
 	c.epoch = hex.EncodeToString(epoch[:])
 	c.cond = sync.NewCond(&c.mu)
+	c.room = sync.NewCond(&c.mu)
 	c.sweepers.Add(1)
 	go c.sweep()
 	return c
@@ -195,15 +222,14 @@ func (c *Coordinator) expireLocked() {
 			c.dropWorkerLocked(id)
 		}
 	}
-	requeued := false
-	for _, jb := range c.byKey {
-		if jb.worker != "" && now.After(jb.expires) {
-			c.requeueLocked(jb)
-			requeued = true
+	// Every lease is in its worker's set (a dropped worker's were requeued
+	// above), so expiry costs what is leased, not what is pending.
+	for _, w := range c.workers {
+		for key := range w.leased {
+			if jb, ok := c.byKey[key]; ok && jb.worker == w.id && now.After(jb.expires) {
+				c.requeueLocked(jb)
+			}
 		}
-	}
-	if requeued {
-		c.cond.Broadcast()
 	}
 }
 
@@ -215,15 +241,10 @@ func (c *Coordinator) dropWorkerLocked(id string) {
 		return
 	}
 	delete(c.workers, id)
-	requeued := false
 	for key := range w.leased {
 		if jb, ok := c.byKey[key]; ok && jb.worker == id {
 			c.requeueLocked(jb)
-			requeued = true
 		}
-	}
-	if requeued {
-		c.cond.Broadcast()
 	}
 }
 
@@ -243,8 +264,37 @@ func (c *Coordinator) requeueLocked(jb *job) {
 		c.poisonedTotal.Add(1)
 		return
 	}
-	c.pending = append(c.pending, jb)
+	c.pushLocked(jb)
 	c.requeues.Add(1)
+}
+
+// pushLocked appends a job to the pending pool and its workload's group.
+// Callers must hold c.mu.
+func (c *Coordinator) pushLocked(jb *job) {
+	jb.el = c.pending.PushBack(jb)
+	c.groups[jb.workload] = append(c.groups[jb.workload], jb)
+	c.cond.Signal()
+}
+
+// takeLocked removes a pending job from the pool and its group. Callers
+// must hold c.mu.
+func (c *Coordinator) takeLocked(jb *job) {
+	c.pending.Remove(jb.el)
+	jb.el = nil
+	g := c.groups[jb.workload]
+	if g[0] == jb {
+		g[0] = nil
+		g = g[1:]
+	} else { // only a late completion of a requeued job takes from the middle
+		i := slices.Index(g, jb)
+		g = slices.Delete(g, i, i+1)
+	}
+	if len(g) == 0 {
+		delete(c.groups, jb.workload)
+	} else {
+		c.groups[jb.workload] = g
+	}
+	c.room.Broadcast()
 }
 
 // firePoisonCallbacks drains the poison-notification buffer and invokes
@@ -263,53 +313,94 @@ func (c *Coordinator) firePoisonCallbacks() {
 	}
 }
 
-// Enqueue adds one job to the pending pool. A key already pending or
-// leased is a no-op (the run registry upstream already coalesces on key,
-// so a duplicate here means a requeue raced a late completion).
-func (c *Coordinator) Enqueue(j results.Job) bool {
+// Enqueue adds one job to the pending pool, waiting while the pool is at
+// its bound until a consumer makes room or the coordinator stops. A key
+// already pending or leased is refused (the run registry upstream
+// coalesces on key, so a duplicate here means a requeue raced a late
+// completion).
+func (c *Coordinator) Enqueue(j results.Job) error { return c.enqueue(j, true) }
+
+// TryEnqueue is Enqueue for callers that cannot wait: a pool at its bound
+// refuses the job with ErrPoolFull.
+func (c *Coordinator) TryEnqueue(j results.Job) error { return c.enqueue(j, false) }
+
+func (c *Coordinator) enqueue(j results.Job, wait bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	if _, ok := c.byKey[j.Key]; ok {
-		return false
+	for {
+		if c.closed {
+			return errClosed
+		}
+		if _, ok := c.byKey[j.Key]; ok {
+			return errOwned
+		}
+		if c.bound <= 0 || c.pending.Len() < c.bound {
+			break
+		}
+		if !wait {
+			return ErrPoolFull
+		}
+		c.room.Wait()
 	}
 	// A fresh submission of a previously poisoned key gets a clean slate:
 	// the caller (run registry) decided to try again.
 	delete(c.poisoned, j.Key)
-	jb := &job{j: j}
+	jb := &job{j: j, workload: workloadKey(j)}
 	c.byKey[j.Key] = jb
-	c.pending = append(c.pending, jb)
-	c.cond.Signal()
-	return true
+	c.pushLocked(jb)
+	return nil
 }
 
-// Next blocks until a pending job is available and claims it for local
-// execution (no lease: an in-process worker cannot be lost without the
-// whole pool dying with it). It returns ok=false once the coordinator is
-// stopped and the pending pool is drained.
+// Next blocks until a pending job is available and claims the oldest one
+// for local execution (no lease: an in-process worker cannot be lost
+// without the whole pool dying with it). It returns ok=false once the
+// coordinator is stopped and the pending pool is drained.
 func (c *Coordinator) Next() (results.Job, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.pending) == 0 {
+	for c.pending.Len() == 0 {
 		if c.closed {
 			return results.Job{}, false
 		}
 		c.cond.Wait()
 	}
-	jb := c.pending[0]
-	c.pending = c.pending[1:]
+	jb := c.pending.Front().Value.(*job)
+	c.takeLocked(jb)
 	delete(c.byKey, jb.j.Key)
 	return jb.j, true
 }
 
 // workloadKey identifies jobs that replay the same materialized traces:
 // same canonical workload spec (which encodes per-stream budgets and
-// seeds) and same request-level budgets. Lease uses it to hand a worker
-// runs whose traces it fetches once.
+// seeds) and same request-level budgets. The pool indexes pending jobs by
+// it, so a lease is handed runs whose traces the worker fetches once.
 func workloadKey(j results.Job) string {
 	return fmt.Sprintf("%s|%d|%d", j.Request.WorkloadLabel(), j.Request.Insts, j.Request.Warmup)
+}
+
+// WorkloadMajor reorders jobs so that those sharing a workload are
+// adjacent: workloads in order of first appearance, each one's jobs in
+// their given order. Feeders enqueue in this order, so the local workers,
+// which take the oldest job, run one workload's jobs back to back, and a
+// list longer than the pool still reaches it one workload at a time.
+func WorkloadMajor(jobs []results.Job) []results.Job {
+	index := make(map[string]int)
+	var groups [][]results.Job
+	for _, j := range jobs {
+		wk := workloadKey(j)
+		i, ok := index[wk]
+		if !ok {
+			i = len(groups)
+			index[wk] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], j)
+	}
+	out := make([]results.Job, 0, len(jobs))
+	for _, g := range groups {
+		out = append(out, g...)
+	}
+	return out
 }
 
 // Register adds a worker and assigns its id. Capacity below 1 is clamped.
@@ -390,28 +481,20 @@ func (c *Coordinator) leaseAndSweep(workerID string, max int) ([]results.Job, er
 	if room := 2*w.capacity - len(w.leased); max > room {
 		max = room
 	}
-	// Grants are grouped by workload: after the FIFO head, every pending
-	// job sharing its workload joins the same lease (then the next head's
-	// workload, and so on). A worker thus receives runs that replay one
-	// materialized trace — and fetches that trace from the coordinator
-	// once — instead of an arbitrary FIFO slice cutting across workloads.
-	// Starvation-free: the head of the queue is always granted first.
+	// Grants are grouped by workload: the oldest pending job and its whole
+	// group join the same lease (then the next oldest job's group, and so
+	// on). A worker thus receives runs that replay one materialized trace
+	// — and fetches that trace from the coordinator once — instead of an
+	// arbitrary FIFO slice cutting across workloads. Starvation-free: the
+	// oldest job is always granted first.
 	var out []results.Job
-	for len(out) < max && len(c.pending) > 0 {
-		jb := c.pending[0]
-		c.pending = c.pending[1:]
-		c.grantLocked(jb, w, now)
-		out = append(out, jb.j)
-		wk := workloadKey(jb.j)
-		for i := 0; i < len(c.pending) && len(out) < max; {
-			if workloadKey(c.pending[i].j) != wk {
-				i++
-				continue
-			}
-			nb := c.pending[i]
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.grantLocked(nb, w, now)
-			out = append(out, nb.j)
+	for len(out) < max && c.pending.Len() > 0 {
+		wk := c.pending.Front().Value.(*job).workload
+		for len(out) < max && len(c.groups[wk]) > 0 {
+			jb := c.groups[wk][0]
+			c.takeLocked(jb)
+			c.grantLocked(jb, w, now)
+			out = append(out, jb.j)
 		}
 	}
 	return out, nil
@@ -444,23 +527,18 @@ func (c *Coordinator) Complete(workerID, key string) bool {
 	if w, ok := c.workers[jb.worker]; ok {
 		delete(w.leased, key)
 	}
-	if jb.worker == "" {
-		// Pending (possibly requeued): remove it from the FIFO.
-		for i, p := range c.pending {
-			if p == jb {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				break
-			}
-		}
+	if jb.el != nil { // requeued and pending again
+		c.takeLocked(jb)
 	}
 	delete(c.byKey, key)
 	c.remoteCompleted.Add(1)
 	return true
 }
 
-// Stop refuses new work and wakes local poppers, which drain the pending
-// pool and then exit. Outstanding remote leases are abandoned — the
-// daemon is shutting down, and the runs they name die with its registry.
+// Stop refuses new work — a blocked Enqueue included — and wakes local
+// poppers, which drain the pending pool and then exit. Outstanding remote
+// leases are abandoned — the daemon is shutting down, and the runs they
+// name die with its registry.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	if c.closed {
@@ -469,6 +547,7 @@ func (c *Coordinator) Stop() {
 	}
 	c.closed = true
 	c.cond.Broadcast()
+	c.room.Broadcast()
 	c.mu.Unlock()
 	close(c.stop)
 	c.sweepers.Wait()
@@ -501,8 +580,8 @@ func (c *Coordinator) Stats() Stats {
 	defer c.mu.Unlock()
 	st := Stats{
 		Workers:         len(c.workers),
-		Pending:         len(c.pending),
-		Leased:          len(c.byKey) - len(c.pending),
+		Pending:         c.pending.Len(),
+		Leased:          len(c.byKey) - c.pending.Len(),
 		Requeues:        c.requeues.Load(),
 		RemoteCompleted: c.remoteCompleted.Load(),
 		PoisonedTotal:   c.poisonedTotal.Load(),

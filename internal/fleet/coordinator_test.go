@@ -31,19 +31,30 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// newTestCoordinator wires a coordinator onto a fake clock with a slow
-// real-time sweeper, so tests drive expiry deterministically through
-// Lease calls (which sweep inline).
+// newTestCoordinator wires an unbounded coordinator onto a fake clock with
+// a slow real-time sweeper, so tests drive expiry deterministically
+// through Lease calls (which sweep inline).
 func newTestCoordinator(t *testing.T, ttl time.Duration) (*Coordinator, *fakeClock) {
+	t.Helper()
+	return newBoundedCoordinator(t, ttl, 0)
+}
+
+// newBoundedCoordinator is newTestCoordinator with a pool bound.
+func newBoundedCoordinator(t *testing.T, ttl time.Duration, bound int) (*Coordinator, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	c := NewCoordinator(CoordinatorOptions{
 		LeaseTTL:   ttl,
 		SweepEvery: time.Hour, // expiry driven via Lease, not wall time
 		now:        clk.now,
-	})
+	}, bound)
 	t.Cleanup(c.Stop)
 	return c, clk
+}
+
+// enqueue adds one job without waiting and reports whether the pool took it.
+func enqueue(c *Coordinator, j results.Job) bool {
+	return c.TryEnqueue(j) == nil
 }
 
 // testJob builds a verifiable job for program index i.
@@ -75,12 +86,12 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 	jobs := make([]results.Job, 5)
 	for i := range jobs {
 		jobs[i] = testJob(t, i)
-		if !c.Enqueue(jobs[i]) {
+		if !enqueue(c, jobs[i]) {
 			t.Fatalf("enqueue %d refused", i)
 		}
 	}
 	// Duplicate keys are refused while owned.
-	if c.Enqueue(jobs[0]) {
+	if enqueue(c, jobs[0]) {
 		t.Error("duplicate enqueue accepted")
 	}
 
@@ -116,7 +127,7 @@ func TestExpiredLeaseRequeues(t *testing.T) {
 	c, clk := newTestCoordinator(t, time.Minute)
 	reg, _ := c.Register("dying", 4)
 	j := testJob(t, 0)
-	c.Enqueue(j)
+	enqueue(c, j)
 	got, err := c.Lease(reg.WorkerID, 1)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lease: %v, %d jobs", err, len(got))
@@ -162,7 +173,7 @@ func TestDeadWorkerIsPrunedAndDrained(t *testing.T) {
 	c, clk := newTestCoordinator(t, time.Minute) // worker expiry 2×TTL
 	reg, _ := c.Register("ghost", 2)
 	j := testJob(t, 0)
-	c.Enqueue(j)
+	enqueue(c, j)
 	if got, _ := c.Lease(reg.WorkerID, 1); len(got) != 1 {
 		t.Fatal("lease failed")
 	}
@@ -187,7 +198,7 @@ func TestNextDrainsThenStops(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		j := testJob(t, i)
 		keys[j.Key] = true
-		c.Enqueue(j)
+		enqueue(c, j)
 	}
 	done := make(chan []string)
 	go func() {
@@ -216,7 +227,7 @@ func TestNextDrainsThenStops(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Next did not return after Stop")
 	}
-	if c.Enqueue(testJob(t, 9)) {
+	if enqueue(c, testJob(t, 9)) {
 		t.Error("Enqueue accepted after Stop")
 	}
 	if _, err := c.Register("late", 1); err == nil {
@@ -271,11 +282,11 @@ func TestPoisonedJobParksAfterAttemptCap(t *testing.T) {
 			mu.Unlock()
 		},
 		now: clk.now,
-	})
+	}, 0)
 	t.Cleanup(c.Stop)
 
 	jb := testJob(t, 1)
-	if !c.Enqueue(jb) {
+	if !enqueue(c, jb) {
 		t.Fatal("enqueue refused")
 	}
 	reg, err := c.Register("crashy", 1)
@@ -321,7 +332,7 @@ func TestPoisonedJobParksAfterAttemptCap(t *testing.T) {
 		t.Fatal("completion accepted for a poisoned key")
 	}
 	// A fresh submission clears the parking slot and circulates again.
-	if !c.Enqueue(jb) {
+	if !enqueue(c, jb) {
 		t.Fatal("re-enqueue of a poisoned key refused")
 	}
 	if got := c.Stats().PoisonedParked; got != 0 {
@@ -371,7 +382,7 @@ func TestLeaseGroupsByWorkload(t *testing.T) {
 	}{
 		{"gcc", 4, 1}, {"swim", 4, 1}, {"gcc", 4, 2}, {"swim", 4, 2}, {"gcc", 8, 2},
 	} {
-		if !c.Enqueue(testJobFor(t, v.prog, v.cl, v.iw)) {
+		if !enqueue(c, testJobFor(t, v.prog, v.cl, v.iw)) {
 			t.Fatalf("enqueue %s refused", v.prog)
 		}
 	}
@@ -425,7 +436,7 @@ func TestWorkerIDsUniqueAcrossCoordinators(t *testing.T) {
 	if fresh.WorkerID == stale.WorkerID {
 		t.Fatalf("restarted coordinator reissued %s", stale.WorkerID)
 	}
-	restarted.Enqueue(testJob(t, 0))
+	enqueue(restarted, testJob(t, 0))
 	if err := restarted.Heartbeat(stale.WorkerID); !errors.Is(err, ErrUnknownWorker) {
 		t.Errorf("stale heartbeat: err = %v, want ErrUnknownWorker", err)
 	}
@@ -445,5 +456,249 @@ func TestWorkerIDsUniqueAcrossCoordinators(t *testing.T) {
 	}
 	if ws := restarted.Workers(); len(ws) != 2 {
 		t.Errorf("workers after re-registration: %+v, want 2", ws)
+	}
+}
+
+// poolJob builds the n-th distinct run of one workload: the configuration
+// name sets the content key apart, the instruction budget sets workloads
+// apart.
+func poolJob(t testing.TB, program string, insts uint64, n int) results.Job {
+	t.Helper()
+	cfg := core.MustPaperConfig(core.ArchRing, 4, 2, 1)
+	cfg.Name = fmt.Sprintf("%s-%d", cfg.Name, n)
+	j, err := results.NewJob(results.NewRequest(harness.Request{
+		Config: cfg, Workload: workload.Single(program), Insts: insts, Warmup: 100,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestStarvationBound: a single run enqueued behind a large group of
+// another workload, which keeps arriving after it, starts before every
+// later arrival on a local worker (Next takes the oldest job) and is
+// overtaken by fewer than one lease's worth of them on a remote one (a
+// lease fills up with the oldest job's group, but always starts from the
+// oldest job).
+func TestStarvationBound(t *testing.T) {
+	const before, after, batch = 10, 100, 8
+	fill := func(c *Coordinator) (lone results.Job, later map[string]bool) {
+		n := 0
+		for ; n < before; n++ {
+			enqueue(c, poolJob(t, "gcc", 1000, n))
+		}
+		lone = poolJob(t, "swim", 1000, n)
+		enqueue(c, lone)
+		later = make(map[string]bool, after)
+		for n++; len(later) < after; n++ {
+			j := poolJob(t, "gcc", 1000, n)
+			later[j.Key] = true
+			enqueue(c, j)
+		}
+		return lone, later
+	}
+
+	t.Run("local", func(t *testing.T) {
+		c, _ := newTestCoordinator(t, time.Minute)
+		lone, later := fill(c)
+		for {
+			j, ok := c.Next()
+			if !ok {
+				t.Fatal("the lone run never started")
+			}
+			if j.Key == lone.Key {
+				return
+			}
+			if later[j.Key] {
+				t.Fatal("a later arrival started before the lone run")
+			}
+		}
+	})
+	t.Run("lease", func(t *testing.T) {
+		c, _ := newTestCoordinator(t, time.Minute)
+		lone, later := fill(c)
+		reg, err := c.Register("w", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overtook := 0
+		for {
+			got, err := c.Lease(reg.WorkerID, batch)
+			if err != nil || len(got) == 0 {
+				t.Fatalf("the lone run was never granted: %d jobs, %v", len(got), err)
+			}
+			for _, j := range got {
+				if j.Key == lone.Key {
+					if overtook >= batch {
+						t.Errorf("%d later arrivals were granted before the lone run, bound is one lease (%d) less one", overtook, batch)
+					}
+					return
+				}
+				if later[j.Key] {
+					overtook++
+				}
+				c.Complete(reg.WorkerID, j.Key)
+			}
+		}
+	})
+}
+
+// TestLeaseCostIndependentOfPoolSize: a grant pops its jobs from the
+// workload index, so what a lease allocates does not grow with what is
+// pending (it used to format a workload key per pending job per group).
+func TestLeaseCostIndependentOfPoolSize(t *testing.T) {
+	perLease := func(pending int) float64 {
+		c, _ := newTestCoordinator(t, time.Minute)
+		reg, err := c.Register("w", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < pending; n++ {
+			// 100 runs per workload, the workloads arriving interleaved.
+			if !enqueue(c, poolJob(t, "gcc", uint64(1000+n%(pending/100)), n)) {
+				t.Fatalf("enqueue %d refused", n)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			got, err := c.Lease(reg.WorkerID, 8)
+			if err != nil || len(got) != 8 {
+				t.Fatalf("lease: %d jobs, %v", len(got), err)
+			}
+			for _, j := range got {
+				c.Complete(reg.WorkerID, j.Key)
+			}
+		})
+	}
+	small, large := perLease(500), perLease(5000)
+	t.Logf("allocations per lease of 8: %.0f over 500 pending, %.0f over 5000", small, large)
+	if large > small || large > 16 {
+		t.Errorf("a lease allocates %.0f times over 5000 pending jobs, %.0f over 500: want equal and small", large, small)
+	}
+}
+
+// TestEnqueueIsBounded: a full pool refuses a job outright or, asked to
+// wait, takes it as soon as a consumer makes room; Stop releases a waiter.
+func TestEnqueueIsBounded(t *testing.T) {
+	c, _ := newBoundedCoordinator(t, time.Minute, 2)
+	for n := 0; n < 2; n++ {
+		if err := c.TryEnqueue(poolJob(t, "gcc", 1000, n)); err != nil {
+			t.Fatalf("enqueue %d: %v", n, err)
+		}
+	}
+	if err := c.TryEnqueue(poolJob(t, "gcc", 1000, 2)); !errors.Is(err, ErrPoolFull) {
+		t.Fatalf("third job into a pool of two: %v, want ErrPoolFull", err)
+	}
+	third, fourth := poolJob(t, "gcc", 1000, 2), poolJob(t, "gcc", 1000, 3)
+	waited := make(chan error, 2)
+	go func() { waited <- c.Enqueue(third) }()
+	select {
+	case err := <-waited:
+		t.Fatalf("a waiting enqueue returned on a full pool: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, ok := c.Next(); !ok {
+		t.Fatal("pool ran dry")
+	}
+	if err := <-waited; err != nil {
+		t.Fatalf("enqueue after room was made: %v", err)
+	}
+	go func() { waited <- c.Enqueue(fourth) }()
+	time.Sleep(20 * time.Millisecond)
+	c.Stop()
+	if err := <-waited; err == nil {
+		t.Fatal("a stopped coordinator took a waiting job")
+	}
+}
+
+// TestPoolUnderContention drives the bounded pool from every side at once
+// — waiting feeders, local workers, a leasing remote worker — and requires
+// every job to come out exactly once (run it with -race).
+func TestPoolUnderContention(t *testing.T) {
+	const feeders, perFeeder, bound = 4, 60, 8
+	c, _ := newBoundedCoordinator(t, time.Minute, bound)
+	reg, err := c.Register("remote", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([][]results.Job, feeders)
+	for f := range jobs {
+		for n := 0; n < perFeeder; n++ {
+			jobs[f] = append(jobs[f], poolJob(t, "gcc", uint64(1000+n%5), f*perFeeder+n))
+		}
+	}
+
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	took := func(key string) {
+		mu.Lock()
+		seen[key]++
+		mu.Unlock()
+	}
+	var producers, consumers sync.WaitGroup
+	for f := range jobs {
+		producers.Add(1)
+		go func() {
+			defer producers.Done()
+			for _, j := range WorkloadMajor(jobs[f]) {
+				if err := c.Enqueue(j); err != nil {
+					t.Errorf("enqueue: %v", err)
+				}
+			}
+		}()
+	}
+	for w := 0; w < 3; w++ {
+		consumers.Add(1)
+		go func() {
+			defer consumers.Done()
+			for {
+				j, ok := c.Next()
+				if !ok {
+					return
+				}
+				took(j.Key)
+			}
+		}()
+	}
+	stopLeasing := make(chan struct{})
+	consumers.Add(1)
+	go func() {
+		defer consumers.Done()
+		for {
+			select {
+			case <-stopLeasing:
+				return
+			default:
+			}
+			got, err := c.Lease(reg.WorkerID, 3)
+			if err != nil {
+				return // stopped
+			}
+			for _, j := range got {
+				if c.Complete(reg.WorkerID, j.Key) {
+					took(j.Key)
+				}
+			}
+		}
+	}()
+
+	producers.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Pending+c.Stats().Leased > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool did not drain: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stopLeasing)
+	c.Stop()
+	consumers.Wait()
+	if len(seen) != feeders*perFeeder {
+		t.Errorf("%d distinct jobs came out, want %d", len(seen), feeders*perFeeder)
+	}
+	for key, n := range seen {
+		if n != 1 {
+			t.Errorf("job %s came out %d times", key, n)
+		}
 	}
 }

@@ -56,14 +56,19 @@ type Stats struct {
 // Bus is one unidirectional fully pipelined ring bus. Not safe for
 // concurrent use.
 type Bus struct {
-	n        int
-	hop      int
-	dir      Direction
-	cal      []uint64 // cal[(cycle%window)*n + seg] != 0 => reserved
-	occRow   []uint16 // reserved slots per calendar row (cycle%window)
-	occupied int      // reserved slot-cycles still in the calendar
-	stats    Stats
-	now      uint64
+	n   int
+	hop int
+	dir Direction
+	// dist[src*n+dst] is the hop count from src to dst and seg[src*n+k] the
+	// segment crossed on the k-th hop from src, both tabulated at
+	// construction: every communication asks several times, and the ring
+	// size is not a constant the compiler could divide by cheaply.
+	dist, seg []int8
+	cal       []uint64 // cal[(cycle%window)*n + seg] != 0 => reserved
+	occRow    []uint16 // reserved slots per calendar row (cycle%window)
+	occupied  int      // reserved slot-cycles still in the calendar
+	stats     Stats
+	now       uint64
 }
 
 // NewBus creates a bus over n clusters with the given per-hop latency and
@@ -82,13 +87,26 @@ func NewBus(n, hop int, dir Direction) *Bus {
 	if dir != Forward && dir != Backward {
 		panic("interconnect: bad direction")
 	}
-	return &Bus{
+	b := &Bus{
 		n:      n,
 		hop:    hop,
 		dir:    dir,
+		dist:   make([]int8, n*n),
+		seg:    make([]int8, n*n),
 		cal:    make([]uint64, n*window),
 		occRow: make([]uint16, window),
 	}
+	// FitsWindow keeps n under 128, so both tables fit int8.
+	for src := 0; src < n; src++ {
+		for k := 0; k < n; k++ {
+			// The cluster k hops from src in the bus direction: k is the
+			// distance to it, and hop k (from 0) crosses the link leaving it.
+			at := ((src+int(dir)*k)%n + n) % n
+			b.dist[src*n+at] = int8(k)
+			b.seg[src*n+k] = int8(at)
+		}
+	}
+	return b
 }
 
 // Reset clears the slot calendar, clock and statistics, returning the bus
@@ -114,23 +132,13 @@ func (b *Bus) Dir() Direction { return b.dir }
 func (b *Bus) Stats() Stats { return b.stats }
 
 // Distance returns the number of hops a message from src to dst travels on
-// this bus. src and dst must be distinct clusters in [0, N).
-func (b *Bus) Distance(src, dst int) int {
-	if b.dir == Forward {
-		return ((dst-src)%b.n + b.n) % b.n
-	}
-	return ((src-dst)%b.n + b.n) % b.n
-}
+// this bus. src and dst must be clusters in [0, N).
+func (b *Bus) Distance(src, dst int) int { return int(b.dist[src*b.n+dst]) }
 
-// segment returns the segment index crossed on the k-th hop from src.
-// Segment s is the link between cluster s and its successor in the bus
-// direction.
-func (b *Bus) segment(src, k int) int {
-	if b.dir == Forward {
-		return (src + k) % b.n
-	}
-	return ((src-k)%b.n + b.n) % b.n
-}
+// segment returns the segment index crossed on the k-th hop from src, k in
+// [0, N). Segment s is the link between cluster s and its successor in the
+// bus direction.
+func (b *Bus) segment(src, k int) int { return int(b.seg[src*b.n+k]) }
 
 // Advance moves the bus clock to cycle now, releasing slots that belong to
 // expired cycles so the circular calendar can represent the new horizon.

@@ -29,6 +29,29 @@ func TestDistanceBackward(t *testing.T) {
 	}
 }
 
+// TestTablesMatchModularArithmetic checks the tabulated distance and
+// segment against the ring arithmetic they replace, for every ring size the
+// window admits at one-cycle hops and both directions.
+func TestTablesMatchModularArithmetic(t *testing.T) {
+	for n := 2; FitsWindow(n, 1); n++ {
+		for _, dir := range []Direction{Forward, Backward} {
+			b := NewBus(n, 1, dir)
+			for src := 0; src < n; src++ {
+				for x := 0; x < n; x++ {
+					wantDist := ((int(dir)*(x-src))%n + n) % n
+					if got := b.Distance(src, x); got != wantDist {
+						t.Fatalf("n=%d %s: distance %d->%d = %d, want %d", n, dir, src, x, got, wantDist)
+					}
+					wantSeg := ((src+int(dir)*x)%n + n) % n
+					if got := b.segment(src, x); got != wantSeg {
+						t.Fatalf("n=%d %s: hop %d from %d crosses segment %d, want %d", n, dir, x, src, got, wantSeg)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestInjectArrival(t *testing.T) {
 	b := NewBus(8, 1, Forward)
 	if got := b.Inject(0, 0, 3); got != 3 {

@@ -6,10 +6,10 @@ package server
 // store. This file holds the three pieces that make the service
 // crash-safe:
 //
-//   - startup replay (recoverFromJournal): jobs whose results are
-//     already in the store settle as cache hits, the rest re-queue, and
-//     open manifests re-register their sweeps/explorations under the
-//     original client-visible ids;
+//   - startup replay (recoverFromJournal): live jobs are fed again — the
+//     ones whose results are already in the store settle as cache hits,
+//     the rest re-queue — and open manifests re-register their
+//     sweeps/explorations under the original client-visible ids;
 //   - re-attach fallbacks: GETs for ids the in-memory registries forgot
 //     are answered from manifest + store instead of 404;
 //   - the terminal "lost" state: a run id that is neither registered
@@ -139,8 +139,9 @@ func (s *Server) journalExploreDone(v exploreView) {
 // --- startup replay ---
 
 // recoverFromJournal rebuilds coordinator state from the journal's
-// recovered State: live jobs settle from the store or re-queue, open
-// sweep manifests re-register under their original ids, open
+// recovered State: live jobs re-register and go back through feed — which
+// settles the ones whose results are in the store and re-queues the rest —
+// open sweep manifests re-register under their original ids, open
 // exploration manifests re-drive their searches (every already-evaluated
 // point comes back as a cache hit). Runs during New, before the server
 // accepts traffic.
@@ -148,13 +149,7 @@ func (s *Server) recoverFromJournal() {
 	j := s.opts.Journal
 	state := j.ReplayState()
 
-	// Store lookups happen before taking s.mu: the store may be disk.
-	type recovered struct {
-		job results.Job
-		res results.Result
-		hit bool
-	}
-	recs := make([]recovered, 0, len(state.Jobs))
+	pending := make([]results.Job, 0, len(state.Jobs))
 	for _, jb := range state.Jobs {
 		if err := jb.Verify(); err != nil {
 			// A job whose key no longer matches its request was written
@@ -163,36 +158,14 @@ func (s *Server) recoverFromJournal() {
 			_ = j.Append(journal.Record{Op: journal.OpComplete, Key: jb.Key})
 			continue
 		}
-		res, hit, err := s.opts.Store.Get(jb.Key)
-		recs = append(recs, recovered{job: jb, res: res, hit: hit && err == nil})
+		pending = append(pending, jb)
 	}
-
-	var pending []string
-	settled := 0
 	s.mu.Lock()
-	for _, r := range recs {
-		if _, ok := s.runs[r.job.Key]; ok {
-			continue
-		}
-		st := s.newRunLocked(r.job.Key, r.job.Request.Harness())
-		if r.hit {
-			s.finishLocked(st, r.res, true)
-			settled++
-		} else {
-			pending = append(pending, r.job.Key)
-		}
+	for _, jb := range pending {
+		s.newRunLocked(jb.Key, jb.Request.Harness())
 	}
-	if len(pending) > 0 {
-		s.feederWG.Add(1)
-		go s.feed(pending)
-	}
+	s.feedLocked(pending, true)
 	s.mu.Unlock()
-	for _, r := range recs {
-		if r.hit {
-			s.metrics.CacheHits.Add(1)
-			s.journalComplete(r.job.Key)
-		}
-	}
 
 	for _, id := range state.OpenManifests {
 		m, ok, err := j.GetManifest(id)
@@ -212,58 +185,31 @@ func (s *Server) recoverFromJournal() {
 }
 
 // recoverSweep re-registers an unfinished sweep under its original id.
-// Members missing from the registry (their enqueue record was
-// checkpoint-compacted away after completing, then the result fell out
-// of the store) are re-queued.
+// Members missing from the registry (they completed before the crash, so
+// replay no longer lists them) go back through feed: settled from the
+// store, or re-queued if the result has since fallen out of it. preCached
+// stays nil: nothing was finished before this process started, and a
+// member the recovery feeder has already settled from the store carries
+// the cached mark on its own run state.
 func (s *Server) recoverSweep(id string, m results.Manifest) {
-	type member struct {
-		job results.Job
-		res results.Result
-		hit bool
-	}
-	members := make([]member, 0, len(m.Jobs))
-	for _, jb := range m.Jobs {
-		res, hit, err := s.opts.Store.Get(jb.Key)
-		members = append(members, member{job: jb, res: res, hit: hit && err == nil})
-	}
-
-	var requeued []results.Job
-	var pending, settled []string
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.sweeps[id]; ok {
-		s.mu.Unlock()
 		return
 	}
-	sw := &sweepState{id: id, keys: m.Keys(), preCached: make(map[string]bool)}
-	for _, mb := range members {
-		st, ok := s.runs[mb.job.Key]
+	var pending []results.Job
+	for _, jb := range m.Jobs {
+		st, ok := s.runs[jb.Key]
 		if !ok {
-			st = s.newRunLocked(mb.job.Key, mb.job.Request.Harness())
-			if mb.hit {
-				s.finishLocked(st, mb.res, true)
-				settled = append(settled, mb.job.Key)
-			} else {
-				pending = append(pending, mb.job.Key)
-				requeued = append(requeued, mb.job)
-			}
+			st = s.newRunLocked(jb.Key, jb.Request.Harness())
+			pending = append(pending, jb)
 		}
 		st.refs++
-		if st.status.terminal() && st.cached {
-			sw.preCached[mb.job.Key] = true
-		}
 	}
-	s.sweeps[id] = sw
+	s.sweeps[id] = &sweepState{id: id, keys: m.Keys()}
 	s.sweepOrder = append(s.sweepOrder, id)
 	s.evictSweepsLocked()
-	if len(pending) > 0 {
-		s.feederWG.Add(1)
-		go s.feed(pending)
-	}
-	s.mu.Unlock()
-	s.metrics.CacheHits.Add(uint64(len(settled)))
-	for _, jb := range requeued {
-		s.journalEnqueue(jb.Key, jb.Request)
-	}
+	s.feedLocked(pending, false)
 }
 
 // recoverExplore re-drives an unfinished exploration under its original
@@ -438,20 +384,11 @@ func (s *Server) Terminate() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// killed makes workers drain the queue without executing and mutes
+	// killed makes workers drain the pool without executing and mutes
 	// every journal hook, so the on-disk state freezes as of this
 	// instant — exactly what a real crash leaves behind.
 	s.killed.Store(true)
-	close(s.quit)
-	s.exploreWG.Wait()
-	s.feederWG.Wait()
-	close(s.jobs)
-	if s.fleet != nil {
-		s.dispatchWG.Wait()
-		s.fleet.Stop()
-	}
-	s.wg.Wait()
-	s.abandonRuns()
+	s.shutdown()
 }
 
 // RecoveryInfo summarizes what startup replay reconstructed, for the

@@ -351,7 +351,7 @@ func (s *Server) evictExploresLocked() {
 }
 
 // queueEvaluator scores one candidate by routing its program runs through
-// the server's bounded queue and worker pool, exactly like direct /v1/runs
+// the server's pending pool and workers, exactly like direct /v1/runs
 // submissions: content-key registration coalesces with any in-flight or
 // finished run, the result store answers warm points without simulating,
 // and the area objective comes from the shared layout model.
@@ -363,7 +363,7 @@ type queueEvaluator struct {
 }
 
 // WithSampling implements dse.FidelityEvaluator: the variant routes the
-// same runs through the same queue and store, but at sampled fidelity —
+// same runs through the same pool and store, but at sampled fidelity —
 // the sampled keys never collide with exact ones, so the search tier and
 // the exact confirmation tier coexist in one registry.
 func (e *queueEvaluator) WithSampling(sp harness.Sampling) dse.Evaluator {
@@ -417,23 +417,14 @@ func (e *queueEvaluator) Evaluate(cfg core.Config, programs []string) (dse.Objec
 		st.refs++
 		done := make(chan struct{})
 		st.waiters = append(st.waiters, done)
-		if fresh {
-			// Track the pending queue send like a sweep feeder: Close waits
-			// for it before closing the jobs channel.
-			s.feederWG.Add(1)
-		}
 		s.mu.Unlock()
 
 		if fresh {
-			select {
-			case s.jobs <- key:
-				s.feederWG.Done()
-				s.journalEnqueue(key, results.NewRequest(req))
-			case <-s.quit:
-				s.feederWG.Done()
-				e.unpin(st)
-				return dse.Objectives{}, est, errClosed
-			}
+			// Waits for room in the pool; a stopped pool refuses the job and
+			// the wait below ends on quit.
+			j := results.Job{Key: key, Request: results.NewRequest(req)}
+			s.journalEnqueue(key, j.Request)
+			s.enqueue(j)
 		}
 		select {
 		case <-done:

@@ -1,14 +1,13 @@
 package server
 
-// Fleet coordinator mode: with Options.Fleet set, the bounded job queue
-// no longer feeds the local worker pool directly. A dispatcher goroutine
-// drains it into the fleet coordinator's pending pool, where local
-// workers (blocking pop) and registered remote workers (TTL leases over
-// POST /v1/fleet/lease) compete for work — whoever is free first wins the
-// next job. Remote records return through POST /v1/fleet/complete and
-// land in the same content-addressed store and run registry as local
-// simulations, so sweeps, explorations, and dedup are executor-blind: a
-// fleet-backed daemon answers byte-identically to a single-process one.
+// Fleet coordinator mode: with Options.Fleet set, the pending pool the
+// local workers pop from is also served to registered remote workers (TTL
+// leases over POST /v1/fleet/lease), and the two compete for work —
+// whoever is free first wins the next job. Remote records return through
+// POST /v1/fleet/complete and land in the same content-addressed store and
+// run registry as local simulations, so sweeps, explorations, and dedup
+// are executor-blind: a fleet-backed daemon answers byte-identically to a
+// single-process one.
 
 import (
 	"crypto/subtle"
@@ -68,65 +67,8 @@ func (s *Server) poisonRun(j results.Job, attempts int) {
 	s.journalPoison(j.Key)
 }
 
-// dispatch moves queued content keys into the coordinator's pending pool
-// until the job channel closes. Store hits are settled here, before the
-// work is offered to anyone: a disk-cached run must never ship to a
-// remote worker. Several dispatchers run concurrently (see New).
-func (s *Server) dispatch() {
-	defer s.dispatchWG.Done()
-	for key := range s.jobs {
-		s.dispatchOne(key)
-	}
-}
-
-// dispatchOne resolves one queued key: answered from the store when
-// possible, otherwise enqueued for the worker pool (local and remote).
-func (s *Server) dispatchOne(key string) {
-	if s.killed.Load() {
-		return
-	}
-	s.mu.Lock()
-	st, ok := s.runs[key]
-	if !ok || st.status.terminal() {
-		s.mu.Unlock()
-		return
-	}
-	req := st.req
-	s.mu.Unlock()
-
-	if res, hit, err := s.opts.Store.Get(key); err == nil && hit {
-		s.mu.Lock()
-		if !st.status.terminal() {
-			s.finishLocked(st, res, true)
-		}
-		s.mu.Unlock()
-		s.metrics.CacheHits.Add(1)
-		s.journalComplete(key)
-		return
-	}
-	s.fleet.Enqueue(results.Job{Key: key, Request: results.NewRequest(req)})
-}
-
-// fleetWorker is the local fallback executor in fleet mode: it pulls
-// jobs from the same pool remote leases draw from and settles each
-// through runOne, exactly like the plain daemon's worker.
-func (s *Server) fleetWorker() {
-	defer s.wg.Done()
-	for {
-		job, ok := s.fleet.Next()
-		if !ok {
-			return
-		}
-		if s.killed.Load() {
-			continue
-		}
-		s.runOne(job.Key)
-	}
-}
-
-// completeRemote lands one remotely-executed record: write-through to the
-// store (successes only, like runOne) and finish the registered run.
-// worker labels the completion-latency observation.
+// completeRemote lands one remotely-executed record, like a local one
+// (settleExecuted). worker labels the completion-latency observation.
 func (s *Server) completeRemote(worker string, res results.Result) {
 	s.mu.Lock()
 	st, ok := s.runs[res.Key]
@@ -142,19 +84,7 @@ func (s *Server) completeRemote(worker string, res results.Result) {
 		// a fleet needs.
 		s.workerLatency.observe(worker, time.Since(startedAt).Seconds())
 	}
-
-	if res.Failed() {
-		s.metrics.RunsFailed.Add(1)
-	} else {
-		s.metrics.RunsCompleted.Add(1)
-		s.storePut(res.Key, res)
-	}
-	s.mu.Lock()
-	if !st.status.terminal() {
-		s.finishLocked(st, res, false)
-	}
-	s.mu.Unlock()
-	s.journalComplete(res.Key)
+	s.settleExecuted(res)
 }
 
 // handleFleetRegister admits one worker into the fleet.

@@ -61,16 +61,7 @@ func startWorker(t *testing.T, url, name string, store results.Store) (*fleet.Wo
 // fig6SweepBody names the full Figure-6 grid (ten Table 3 configurations
 // × the whole workload suite) at test scale.
 func fig6SweepBody() map[string]any {
-	configs := make([]map[string]any, 0, 10)
-	for _, c := range harness.PaperConfigs() {
-		configs = append(configs, map[string]any{"config": c})
-	}
-	return map[string]any{
-		"configs":  configs,
-		"programs": workload.Names(),
-		"insts":    testInsts,
-		"warmup":   testWarmup,
-	}
+	return gridBody(len(harness.PaperConfigs()), len(workload.Names()))
 }
 
 // TestFleetSweepBitIdentical is the tentpole acceptance scenario: the

@@ -100,8 +100,8 @@ type Snapshot struct {
 	TwinExplores    uint64  `json:"twin_explores"`
 	TwinMAPE        float64 `json:"twin_mape"`
 
-	// Fleet is the coordinator's pool snapshot; all zeros outside fleet
-	// mode.
+	// Fleet is the pool snapshot. Pending (= QueueLen) moves in every
+	// mode; the worker and lease figures are zero outside fleet mode.
 	Fleet fleet.Stats `json:"fleet"`
 
 	// Journal is the durable control plane's activity; all zeros without
@@ -133,7 +133,7 @@ func (s Snapshot) ExploreCacheHitRatio() float64 {
 }
 
 // Snapshot captures the current counter values.
-func (m *Metrics) snapshot(queueLen, workers int, fs fleet.Stats, js journal.Stats) Snapshot {
+func (m *Metrics) snapshot(workers int, fs fleet.Stats, js journal.Stats) Snapshot {
 	return Snapshot{
 		RunsSubmitted:   m.RunsSubmitted.Load(),
 		RunsStarted:     m.RunsStarted.Load(),
@@ -144,7 +144,7 @@ func (m *Metrics) snapshot(queueLen, workers int, fs fleet.Stats, js journal.Sta
 		SweepsSubmitted: m.SweepsSubmitted.Load(),
 		QueueRejected:   m.QueueRejected.Load(),
 		StorePutErrors:  m.StorePutErrors.Load(),
-		QueueLen:        queueLen,
+		QueueLen:        fs.Pending,
 		Workers:         workers,
 
 		ExploresSubmitted: m.ExploresSubmitted.Load(),
@@ -288,7 +288,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ringsimd_explore_cache_hits_total", "Exploration program runs served without simulating.", "counter", snap.ExploreCacheHits},
 		{"ringsimd_twin_predictions_total", "Closed-form analytical-twin candidate scorings.", "counter", snap.TwinPredictions},
 		{"ringsimd_twin_sims_avoided_total", "Program simulations the twin gate skipped.", "counter", snap.TwinSimsAvoided},
-		{"ringsimd_queue_len", "Jobs currently waiting in the queue.", "gauge", uint64(snap.QueueLen)},
+		{"ringsimd_queue_len", "Jobs waiting in the pending pool for a local or remote worker.", "gauge", uint64(snap.QueueLen)},
 		{"ringsimd_workers", "Size of the simulation worker pool.", "gauge", uint64(snap.Workers)},
 		{"ringsimd_fleet_workers", "Remote fleet workers currently registered.", "gauge", uint64(snap.Fleet.Workers)},
 		{"ringsimd_fleet_capacity", "Summed concurrent-simulation capacity of registered workers.", "gauge", uint64(snap.Fleet.Capacity)},

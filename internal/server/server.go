@@ -1,7 +1,8 @@
 // Package server turns the in-process simulation harness into a
-// simulation-as-a-service: a bounded job queue feeding a worker pool of
-// harness.Execute calls, fronted by a content-addressed result store and
-// a small HTTP API.
+// simulation-as-a-service: a bounded pending pool (a fleet.Coordinator,
+// fleet or no fleet), filled one workload after the other, feeding a
+// worker pool of harness.Execute calls, fronted by a content-addressed
+// result store and a small HTTP API.
 //
 //	POST /v1/runs     submit one simulation        -> {id}
 //	GET  /v1/runs/{id}                             -> status + result
@@ -12,9 +13,9 @@
 //	GET  /healthz     liveness + queue depth
 //	GET  /metrics     Prometheus counters
 //
-// With Options.Fleet set the daemon additionally coordinates a fleet of
-// remote workers (POST /v1/fleet/workers|lease|complete|heartbeat, GET
-// /v1/fleet — see internal/fleet and fleet.go): every queued run, sweep
+// With Options.Fleet set the daemon additionally serves the pool to a
+// fleet of remote workers (POST /v1/fleet/workers|lease|complete|heartbeat,
+// GET /v1/fleet — see internal/fleet and fleet.go): every queued run, sweep
 // member, and exploration evaluation is then offered to local and remote
 // workers alike, whoever is free first.
 //
@@ -23,9 +24,10 @@
 // in-flight duplicate attaches to the running job, and a finished one is
 // answered from the store without simulating. Sweeps expand through
 // harness.Expand, so the grid a sweep names is exactly the grid the CLI
-// tools would run. Sweep members trickle through the bounded queue via a
-// feeder goroutine, so a sweep may be arbitrarily larger than the queue
-// depth; single-run submissions against a full queue fail fast with 503.
+// tools would run. Sweep members trickle into the bounded pool via a
+// feeder goroutine, one workload after the other, so a sweep may be
+// arbitrarily larger than the queue depth; single-run submissions against
+// a full pool fail fast with 503.
 //
 // Memory is bounded: the run and sweep registries evict oldest-terminal
 // entries beyond MaxRuns/MaxSweeps (the content-addressed store still
@@ -62,15 +64,15 @@ type Options struct {
 	// Fleet, when non-nil, enables coordinator mode: the daemon exposes
 	// the /v1/fleet worker protocol and shards all queued work across
 	// registered remote workers, with the local pool as fallback. A fleet
-	// with zero registered workers behaves exactly like a non-fleet
-	// server.
+	// with zero registered workers is a non-fleet server: the same pool,
+	// the same local workers, only the routes differ.
 	Fleet *fleet.CoordinatorOptions
 	// FleetSecret, when non-empty, requires every /v1/fleet/* call to
 	// carry the matching fleet.SecretHeader value; calls without it get
 	// 401. The worker protocol otherwise trusts the network.
 	FleetSecret string
-	// QueueDepth bounds the job queue; direct run submissions beyond it
-	// are refused with 503 (sweep members block-feed instead).
+	// QueueDepth bounds the pending pool; direct run submissions beyond
+	// it are refused with 503 (sweep members block-feed instead).
 	// Default: 256.
 	QueueDepth int
 	// Store caches results by content hash. Default: a 4096-entry
@@ -171,8 +173,7 @@ type sweepState struct {
 type Server struct {
 	opts Options
 	mux  *http.ServeMux
-	jobs chan string   // content keys awaiting a worker
-	quit chan struct{} // closed to stop sweep feeders
+	quit chan struct{} // closed to stop sweep feeders and exploration drivers
 
 	mu           sync.Mutex
 	closed       bool
@@ -191,12 +192,12 @@ type Server struct {
 	histQueueAge  *histogram
 	workerLatency *labeledHistograms
 	wg            sync.WaitGroup // workers
-	feederWG      sync.WaitGroup // sweep feeders and explore enqueuers
+	feederWG      sync.WaitGroup // sweep and recovery feeders
 	exploreWG     sync.WaitGroup // exploration drivers
 
-	// fleet is the remote-worker coordinator; nil outside fleet mode.
-	fleet      *fleet.Coordinator
-	dispatchWG sync.WaitGroup // the jobs→coordinator dispatcher
+	// fleet owns the pending pool every run waits in, and the remote-worker
+	// registry when Options.Fleet asks for one.
+	fleet *fleet.Coordinator
 
 	// traceRefs maps trace content keys handed out on leases to their
 	// references, so GET /v1/fleet/trace/{key} can materialize and serve
@@ -239,7 +240,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:          opts,
-		jobs:          make(chan string, opts.QueueDepth),
 		quit:          make(chan struct{}),
 		runs:          make(map[string]*runState),
 		sweeps:        make(map[string]*sweepState),
@@ -256,12 +256,9 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/explore/{id}", s.handleGetExplore)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	var fo fleet.CoordinatorOptions
 	if opts.Fleet != nil {
-		fo := *opts.Fleet
-		// Poisoned jobs must fail their registered runs, or the
-		// submitting clients would poll a parked key forever.
-		fo.OnPoison = s.poisonRun
-		s.fleet = fleet.NewCoordinator(fo)
+		fo = *opts.Fleet
 		auth := s.fleetAuth
 		s.mux.HandleFunc("POST /v1/fleet/workers", auth(s.handleFleetRegister))
 		s.mux.HandleFunc("POST /v1/fleet/lease", auth(s.handleFleetLease))
@@ -270,25 +267,14 @@ func New(opts Options) (*Server, error) {
 		s.mux.HandleFunc("GET /v1/fleet", auth(s.handleFleetStatus))
 		s.mux.HandleFunc("GET /v1/fleet/trace/{key}", auth(s.handleFleetTrace))
 		s.traceRefs = make(map[string]fleet.TraceRef)
-		// Several dispatchers keep store lookups (disk I/O on a warm
-		// cache-dir) off the critical path; job order is irrelevant —
-		// execution is unordered anyway and views assemble by key.
-		nd := runtime.GOMAXPROCS(0)
-		if nd > 4 {
-			nd = 4
-		}
-		for i := 0; i < nd; i++ {
-			s.dispatchWG.Add(1)
-			go s.dispatch()
-		}
 	}
+	// Poisoned jobs must fail their registered runs, or the submitting
+	// clients would poll a parked key forever.
+	fo.OnPoison = s.poisonRun
+	s.fleet = fleet.NewCoordinator(fo, opts.QueueDepth)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
-		if s.fleet != nil {
-			go s.fleetWorker()
-		} else {
-			go s.worker()
-		}
+		go s.localWorker()
 	}
 	if opts.Journal != nil {
 		s.recoverFromJournal()
@@ -301,19 +287,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics returns a snapshot of the service counters.
 func (s *Server) Metrics() Snapshot {
-	var fs fleet.Stats
-	if s.fleet != nil {
-		fs = s.fleet.Stats()
-	}
 	var js journal.Stats
 	if s.opts.Journal != nil {
 		js = s.opts.Journal.Stats()
 	}
-	return s.metrics.snapshot(len(s.jobs), s.opts.Workers, fs, js)
+	return s.metrics.snapshot(s.opts.Workers, s.fleet.Stats(), js)
 }
 
 // Close stops accepting submissions, stops sweep feeders, drains the
-// queue, and waits for in-flight simulations to finish.
+// pool, and waits for in-flight simulations to finish.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -322,23 +304,20 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// closed now gates new submissions, feeders, and exploration
-	// registrations (all check it under s.mu). Exploration drivers abort
-	// their in-flight waits on quit and register no new queue sends once
-	// closed, so after drivers and feeders drain nothing can send on jobs.
+	s.shutdown()
+}
+
+// shutdown ends a server whose closed flag is up: closed gates new
+// submissions, sweeps and exploration registrations (all check it under
+// s.mu), the stopped pool refuses what feeders and exploration drivers
+// still offer and lets the local workers drain what it holds. Jobs out
+// under a remote lease are abandoned — the registry they would complete
+// into is dying with the process.
+func (s *Server) shutdown() {
 	close(s.quit)
+	s.fleet.Stop()
 	s.exploreWG.Wait()
 	s.feederWG.Wait()
-	close(s.jobs)
-	if s.fleet != nil {
-		// The dispatcher drains the closed channel into the coordinator,
-		// then the coordinator stops: local workers drain the remaining
-		// pending pool and exit. Jobs out under a remote lease at this
-		// point are abandoned — the registry they would complete into is
-		// dying with the process.
-		s.dispatchWG.Wait()
-		s.fleet.Stop()
-	}
 	s.wg.Wait()
 	s.abandonRuns()
 }
@@ -375,25 +354,27 @@ func (s *Server) releaseLocked(st *runState) {
 	}
 }
 
-// worker consumes content keys from the queue and simulates them. After
-// Terminate it keeps draining so the channel close can proceed, but
-// executes nothing — the abandoned keys are the crash's debris, which
-// journal replay re-queues in the next process.
-func (s *Server) worker() {
+// localWorker simulates what it takes from the pool, the same pool remote
+// leases draw from. After Terminate it keeps draining so the shutdown can
+// proceed, but executes nothing — the abandoned keys are the crash's
+// debris, which journal replay re-queues in the next process.
+func (s *Server) localWorker() {
 	defer s.wg.Done()
-	for key := range s.jobs {
-		if s.killed.Load() {
-			continue
+	for {
+		job, ok := s.fleet.Next()
+		if !ok {
+			return
 		}
-		s.runOne(key)
+		if !s.killed.Load() {
+			s.runOne(job.Key)
+		}
 	}
 }
 
-// runOne resolves one queued run: from the store if present, otherwise
-// by simulating and writing through. Store I/O happens outside s.mu —
-// the store is concurrency-safe and a key fully determines its value,
-// and only one job per key generation is ever in flight, so no other
-// goroutine races on this state.
+// runOne simulates one run taken from the pool and settles it. The store
+// was asked on the way in (see enqueue and submit), and only one job per key
+// generation is ever in flight, so nobody else produces this result
+// meanwhile.
 func (s *Server) runOne(key string) {
 	s.mu.Lock()
 	st, ok := s.runs[key]
@@ -402,22 +383,6 @@ func (s *Server) runOne(key string) {
 		return
 	}
 	req := st.req
-	s.mu.Unlock()
-
-	// Check the store before simulating: a run may have been cached by a
-	// previous process (disk store) or a prior generation of this key.
-	if res, hit, err := s.opts.Store.Get(key); err == nil && hit {
-		s.mu.Lock()
-		if !st.status.terminal() {
-			s.finishLocked(st, res, true)
-		}
-		s.mu.Unlock()
-		s.metrics.CacheHits.Add(1)
-		s.journalComplete(key)
-		return
-	}
-
-	s.mu.Lock()
 	st.status = statusRunning
 	st.startedAt = time.Now()
 	queuedAt := st.queuedAt
@@ -433,24 +398,50 @@ func (s *Server) runOne(key string) {
 	if convErr != nil {
 		res = results.Result{Key: key, Config: req.Config.Name, Program: req.Workload.Name(), Err: convErr.Error()}
 	}
+	s.settleExecuted(res)
+}
+
+// settleExecuted lands one executed record, local or remote. Only
+// successful runs are cached; failures are deterministic too, but keeping
+// them out of the store means a fixed simulator never has to invalidate
+// poisoned entries. Losing the write only costs a future re-simulation:
+// the result is still served from the registry.
+func (s *Server) settleExecuted(res results.Result) {
 	if res.Failed() {
 		s.metrics.RunsFailed.Add(1)
 	} else {
 		s.metrics.RunsCompleted.Add(1)
-		// Only successful runs are cached; failures are deterministic
-		// too, but keeping them out of the store means a fixed simulator
-		// never has to invalidate poisoned entries. Losing the write only
-		// costs a future re-simulation: the result is still served from
-		// the registry.
-		s.storePut(key, res)
+		s.storePut(res.Key, res)
 	}
+	s.settle(res.Key, res, false)
+}
 
+// settle finishes the registered run of this key with its result —
+// fromCache tells a store answer from an execution — and journals it. A
+// run already terminal, or gone from the registry, is left as it is.
+func (s *Server) settle(key string, res results.Result, fromCache bool) {
 	s.mu.Lock()
-	if !st.status.terminal() {
-		s.finishLocked(st, res, false)
+	if st, ok := s.runs[key]; ok && !st.status.terminal() {
+		s.finishLocked(st, res, fromCache)
 	}
 	s.mu.Unlock()
 	s.journalComplete(key)
+}
+
+// enqueue hands one registered (and journaled) run to the pool, waiting
+// for room in it, unless the store already answers the run: one cached by
+// a previous process (disk store) or a prior generation of its key is
+// settled here, before the work is offered to anyone, so it never ships to
+// a remote worker.
+func (s *Server) enqueue(j results.Job) {
+	if res, hit, err := s.opts.Store.Get(j.Key); err == nil && hit {
+		s.metrics.CacheHits.Add(1)
+		s.settle(j.Key, res, true)
+		return
+	}
+	// A refusal means the pool has stopped, or still owns the key from an
+	// earlier generation, whose completion settles this run too.
+	_ = s.fleet.Enqueue(j)
 }
 
 // storePut writes one finished record through to the store. A failure is
@@ -556,24 +547,41 @@ func prepare(req harness.Request) (string, error) {
 }
 
 // submit registers one request and enqueues it non-blocking — the
-// direct-run path, where a full queue is a fast 503. Registration and
+// direct-run path, where a full pool is a fast 503. Registration and
 // enqueue share one critical section, so a refused submission leaves no
-// trace and Close can never close the queue mid-submit.
+// trace. A result only the store remembers is looked up first, outside
+// the lock, and settles the run as it registers (see enqueue).
 func (s *Server) submit(req harness.Request) (*runState, bool, error) {
 	key, err := prepare(req)
 	if err != nil {
 		return nil, false, err
 	}
 	s.mu.Lock()
+	_, known := s.runs[key]
+	s.mu.Unlock()
+	var stored results.Result
+	inStore := false
+	if !known {
+		res, hit, err := s.opts.Store.Get(key)
+		stored, inStore = res, hit && err == nil
+	}
+
+	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false, errClosed
 	}
 	st, fresh, hit := s.registerLocked(req, key)
+	if fresh && inStore {
+		s.metrics.CacheHits.Add(1)
+		s.finishLocked(st, stored, true)
+		fresh = false
+	}
+	var wire results.Request
 	if fresh {
-		select {
-		case s.jobs <- key:
-		default:
+		wire = results.NewRequest(req)
+		err := s.fleet.TryEnqueue(results.Job{Key: key, Request: wire})
+		if errors.Is(err, fleet.ErrPoolFull) {
 			s.releaseLocked(st)
 			delete(s.runs, key)
 			s.metrics.QueueRejected.Add(1)
@@ -583,22 +591,38 @@ func (s *Server) submit(req harness.Request) (*runState, bool, error) {
 	}
 	s.mu.Unlock()
 	if fresh {
-		s.journalEnqueue(key, results.NewRequest(req))
+		s.journalEnqueue(key, wire)
 	}
 	return st, hit, nil
 }
 
-// feed pushes sweep-member keys into the job queue, blocking on a full
-// queue so arbitrarily large grids flow through the bounded buffer.
-// Runs on its own goroutine per sweep; stops when the server closes.
-func (s *Server) feed(keys []string) {
+// feedLocked starts a feeder for freshly registered runs; replayed marks
+// runs the journal already lists as enqueued. Callers hold s.mu, so Close
+// (which flips closed under the same lock before waiting on feeders)
+// cannot miss it.
+func (s *Server) feedLocked(jobs []results.Job, replayed bool) {
+	if len(jobs) > 0 {
+		s.feederWG.Add(1)
+		go s.feed(jobs, replayed)
+	}
+}
+
+// feed journals and enqueues registered runs one workload after the
+// other, waiting on a full pool, so arbitrarily large grids flow through
+// the bounded buffer with the runs of one trace adjacent. Runs on its own
+// goroutine per sweep; stops when the server closes.
+func (s *Server) feed(jobs []results.Job, replayed bool) {
 	defer s.feederWG.Done()
-	for _, key := range keys {
+	for _, j := range fleet.WorkloadMajor(jobs) {
 		select {
-		case s.jobs <- key:
 		case <-s.quit:
 			return
+		default:
 		}
+		if !replayed {
+			s.journalEnqueue(j.Key, j.Request)
+		}
+		s.enqueue(j)
 	}
 }
 
@@ -844,23 +868,18 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw := &sweepState{id: id, keys: keys, preCached: make(map[string]bool)}
-	var pending []string // fresh members, fed to the queue in order
+	var pending []results.Job // fresh members, for the feeder
 	for i, req := range reqs {
 		st, fresh, hit := s.registerLocked(req, keys[i])
 		st.refs++
 		if fresh {
-			pending = append(pending, keys[i])
+			pending = append(pending, jobs[i])
 		}
 		if hit {
 			sw.preCached[keys[i]] = true
 		}
 	}
-	if len(pending) > 0 {
-		// Under s.mu so Close (which flips closed under the same lock
-		// before waiting on feeders) cannot miss this feeder.
-		s.feederWG.Add(1)
-		go s.feed(pending)
-	}
+	s.feedLocked(pending, false)
 	s.sweeps[sw.id] = sw
 	s.sweepOrder = append(s.sweepOrder, sw.id)
 	s.evictSweepsLocked()
@@ -869,15 +888,6 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.metrics.SweepsSubmitted.Add(1)
 	s.journalManifestOpen(id, manifest)
-	if fresh := len(pending); fresh > 0 {
-		byKey := make(map[string]results.Job, len(jobs))
-		for _, j := range jobs {
-			byKey[j.Key] = j
-		}
-		for _, key := range pending {
-			s.journalEnqueue(key, byKey[key].Request)
-		}
-	}
 	if materialized {
 		// Every member was already terminal (all cache hits): the sweep
 		// finished at submission.
@@ -962,7 +972,7 @@ func (s *Server) viewSweepLocked(sw *sweepState) sweepView {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
-		"queue_len": len(s.jobs),
+		"queue_len": s.fleet.Stats().Pending,
 		"workers":   s.opts.Workers,
 		"version":   version.Revision(),
 	})

@@ -5,6 +5,10 @@
 # executed the first pass remotely and (2) the second pass was answered
 # entirely from the content-addressed cache.
 #
+# A plain (no -fleet) ringsimd then runs the same grid: one dispatch path
+# means the same Figure 6 table byte for byte, and workload-major feeding
+# means its trace cache never held the whole sweep's streams at once.
+#
 # A third pass proves crash safety: a fresh sweep is submitted, the
 # coordinator is kill -9'd mid-sweep, restarted over the same cache +
 # journal directories, and `ringsim attach` re-attaches by the durable
@@ -113,6 +117,29 @@ done
 echo "fleet-smoke: trace_fetches=$fetched trace_regens=$regen"
 [ "$fetched" -ge 1 ] || { echo "fleet-smoke: FAIL: workers fetched no traces from the coordinator"; exit 1; }
 [ "$regen" -eq 0 ] || { echo "fleet-smoke: FAIL: workers regenerated $regen traces despite the coordinator serving them"; exit 1; }
+
+# ---- Plain pass: the same grid on a daemon with no fleet ----
+PLAIN_ADDR="127.0.0.1:18081"
+echo "fleet-smoke: plain ringsimd on $PLAIN_ADDR, same grid"
+"$TMP/bin/ringsimd" -addr "$PLAIN_ADDR" -cache-dir "$TMP/plain-cache" >"$TMP/plain.log" 2>&1 &
+PLAIN_PID=$!
+PIDS="$PIDS $PLAIN_PID"
+for _ in $(seq 1 50); do
+    if curl -sf "http://$PLAIN_ADDR/healthz" >/dev/null 2>&1; then break; fi
+    sleep 0.2
+done
+"$TMP/bin/client" -addr "http://$PLAIN_ADDR" -insts "$INSTS" -warmup "$WARMUP" >"$TMP/plain-pass.log" 2>&1 \
+    || { echo "fleet-smoke: FAIL: plain client pass"; cat "$TMP/plain-pass.log"; exit 1; }
+tail -n 8 "$TMP/plain-pass.log" >"$TMP/tbl-plain"
+cmp -s "$TMP/tbl1" "$TMP/tbl-plain" \
+    || { echo "fleet-smoke: FAIL: plain daemon printed a different Figure 6 table than the fleet"; diff "$TMP/tbl1" "$TMP/tbl-plain" || true; exit 1; }
+peak="$(curl -sf "http://$PLAIN_ADDR/metrics" | awk '$1 == "ringsimd_trace_cache_peak_bytes" {print $2}')"
+# 26 programs, one (insts + warmup)-record stream each, 24 bytes a record.
+sweep_bytes=$((26 * (INSTS + WARMUP) * 24))
+echo "fleet-smoke: plain daemon trace_cache_peak_bytes=$peak of $sweep_bytes in the sweep's streams"
+[ "${peak:-0}" -gt 0 ] && [ "$peak" -lt "$sweep_bytes" ] \
+    || { echo "fleet-smoke: FAIL: the plain daemon held the whole sweep's traces at once"; exit 1; }
+kill "$PLAIN_PID" 2>/dev/null || true
 
 # ---- Pass 3: kill -9 the coordinator mid-sweep, restart, re-attach ----
 # Distinct instruction count → every member is cold; the sweep cannot be
