@@ -10,9 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out. Each
-// reports the quantity the choice controls as custom metrics so a sweep
-// is one `go test -bench Ablate` away.
+// Ablation benchmarks, one per design choice the machine model exposes as
+// a core.Config field. Each reports the quantity the choice controls as
+// custom metrics so a sweep is one `go test -bench Ablate .` away.
 
 // ablationProgs is a small communication-sensitive mix.
 var ablationProgs = []string{"swim", "mgrid", "gzip", "mcf"}

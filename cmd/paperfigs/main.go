@@ -17,6 +17,21 @@ import (
 	"repro/internal/harness"
 )
 
+// figures maps each -fig value to the rendering it selects.
+var figures = map[string]func(*harness.Results) string{
+	"6":        (*harness.Results).Fig6,
+	"7":        (*harness.Results).Fig7,
+	"8":        (*harness.Results).Fig8,
+	"9":        (*harness.Results).Fig9,
+	"10":       (*harness.Results).Fig10,
+	"11":       (*harness.Results).Fig11,
+	"12":       (*harness.Results).Fig12,
+	"13":       (*harness.Results).Fig13,
+	"14":       (*harness.Results).Fig14,
+	"ssa-drop": (*harness.Results).SSADrop,
+	"all":      (*harness.Results).All,
+}
+
 func main() {
 	insts := flag.Uint64("insts", 300_000, "measured instructions per program")
 	warmup := flag.Uint64("warmup", 50_000, "warm-up instructions per program (not measured)")
@@ -33,6 +48,14 @@ func main() {
 		return
 	}
 
+	// Checked before simulating: the grid below takes minutes at the
+	// default budget.
+	render, ok := figures[*fig]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "paperfigs: unknown figure %q\n", *fig)
+		os.Exit(2)
+	}
+
 	start := time.Now()
 	res, err := harness.RunAll(*insts, *warmup)
 	if err != nil {
@@ -40,32 +63,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "simulated full grid in %v\n", time.Since(start).Round(time.Millisecond))
-
-	switch *fig {
-	case "6":
-		fmt.Print(res.Fig6())
-	case "7":
-		fmt.Print(res.Fig7())
-	case "8":
-		fmt.Print(res.Fig8())
-	case "9":
-		fmt.Print(res.Fig9())
-	case "10":
-		fmt.Print(res.Fig10())
-	case "11":
-		fmt.Print(res.Fig11())
-	case "12":
-		fmt.Print(res.Fig12())
-	case "13":
-		fmt.Print(res.Fig13())
-	case "14":
-		fmt.Print(res.Fig14())
-	case "ssa-drop":
-		fmt.Print(res.SSADrop())
-	case "all":
-		fmt.Print(res.All())
-	default:
-		fmt.Fprintf(os.Stderr, "paperfigs: unknown figure %q\n", *fig)
-		os.Exit(2)
-	}
+	fmt.Print(render(res))
 }

@@ -178,3 +178,14 @@ func TestHybridSelectorPicksBetterComponent(t *testing.T) {
 		t.Fatalf("%d mispredictions after warm-up; selector not working", mis)
 	}
 }
+
+// BenchmarkPredictor measures branch predictor train+predict throughput.
+func BenchmarkPredictor(b *testing.B) {
+	p := New(DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pc := uint64(0x1000 + (i%64)*4)
+		p.Update(pc, i%3 != 0, pc+16)
+	}
+}

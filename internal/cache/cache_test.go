@@ -195,3 +195,13 @@ func TestResidencyBounded(t *testing.T) {
 		t.Fatalf("%d lines resident in a 2-way set", resident)
 	}
 }
+
+// BenchmarkCacheAccess measures the data-cache timing-model throughput.
+func BenchmarkCacheAccess(b *testing.B) {
+	h := NewHierarchy(DefaultHierarchy())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.DataAccess(uint64(i*64)&0xFFFFF, i%4 == 0)
+	}
+}

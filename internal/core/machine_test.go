@@ -386,3 +386,22 @@ func TestTable2Defaults(t *testing.T) {
 		t.Fatal("Table 2 front/back end sizes wrong")
 	}
 }
+
+// BenchmarkMachineReset measures the cost of recycling a pooled machine
+// for a new run (the per-request overhead the sync.Pool path pays instead
+// of full construction).
+func BenchmarkMachineReset(b *testing.B) {
+	cfg := MustPaperConfig(ArchRing, 8, 2, 1)
+	empty := trace.NewSlice(nil)
+	m, err := New(cfg, empty)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Reset(cfg, empty); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package harness_test
 // Single-stream back-compat: the multi-programmed refactor must leave
 // every historical single-program request untouched. The golden file was
 // captured from the pre-refactor tree (all PaperConfigs × all programs at
-// the bench instruction budgets): this test replays the same grid through
+// 30k + 6k instructions): this test replays the same grid through
 // the refactored WorkloadSpec path and requires byte-identical result
 // keys (so every existing disk cache still hits) and bit-identical
 // core.Stats.
@@ -14,11 +14,17 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/results"
 	"repro/internal/workload"
+)
+
+// The budget testdata/golden_single_stream.json was recorded at; any
+// other value changes every content key and statistic in it.
+const (
+	goldenInsts  = 30_000
+	goldenWarmup = 6_000
 )
 
 type goldenEntry struct {
@@ -69,8 +75,8 @@ func TestSingleStreamBackCompat(t *testing.T) {
 		jobs = append(jobs, job{e: e, req: harness.Request{
 			Config:   cfg,
 			Workload: workload.Spec{Streams: []workload.StreamSpec{{Program: e.Program}}},
-			Insts:    bench.Insts,
-			Warmup:   bench.Warmup,
+			Insts:    goldenInsts,
+			Warmup:   goldenWarmup,
 		}})
 	}
 	for _, j := range jobs {

@@ -236,16 +236,10 @@ func TestSSAAndHop2Configs(t *testing.T) {
 	}
 }
 
-// TestFiguresRender runs a reduced grid end to end and checks every
-// figure renders with the expected rows.
+// TestFiguresRender checks every figure renders with the expected rows
+// (over the grid shapes_test.go shares).
 func TestFiguresRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure grid in -short mode")
-	}
-	res, err := RunAll(8000, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperShapes(t)
 	checks := []struct {
 		name string
 		out  string
@@ -272,4 +266,26 @@ func TestFiguresRender(t *testing.T) {
 	if all := res.All(); len(all) < 1000 {
 		t.Error("All() output suspiciously short")
 	}
+}
+
+// BenchmarkSimulatorThroughput measures simulation speed in simulated
+// instructions per wall-clock second on the production path — shared
+// materialized trace, pooled machine — for the headline configuration.
+func BenchmarkSimulatorThroughput(b *testing.B) {
+	req := Request{
+		Config:   core.MustPaperConfig(core.ArchRing, 8, 2, 1),
+		Workload: workload.Single("swim"),
+		Insts:    50_000,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := uint64(0)
+	for i := 0; i < b.N; i++ {
+		run := Execute(req)
+		if run.Err != nil {
+			b.Fatal(run.Err)
+		}
+		total += run.Stats.Committed
+	}
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "simulated-inst/s")
 }

@@ -307,3 +307,18 @@ func TestDeepRingFourCycleHops(t *testing.T) {
 		t.Fatal("path not released after message passed")
 	}
 }
+
+// BenchmarkBusReservation measures the inner-loop cost of the slot
+// calendar (steady state must not allocate).
+func BenchmarkBusReservation(b *testing.B) {
+	bus := NewBus(8, 1, Forward)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := uint64(i)
+		bus.Advance(now)
+		if bus.CanInject(now, i%8, (i+3)%8) {
+			bus.Inject(now, i%8, (i+3)%8)
+		}
+	}
+}

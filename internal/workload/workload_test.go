@@ -381,3 +381,22 @@ func TestPerProfileCharacter(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkWorkloadGenerator measures trace generation speed.
+func BenchmarkWorkloadGenerator(b *testing.B) {
+	prof, err := ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := NewGenerator(prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

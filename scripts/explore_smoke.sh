@@ -11,8 +11,9 @@
 #
 # Exits non-zero on any assertion failure. Used by the CI explore-smoke
 # job; instruction budgets are reduced there, so this checks gating
-# mechanics and determinism — the calibration-scale accuracy numbers
-# live in the TwinExplore benchmark (BENCH_6.json).
+# mechanics and determinism — the accuracy numbers (dse.twin_mape_pct,
+# dse.frontier_recall) are measured by the explore_funnel workload of
+# `go run ./benchmark`.
 set -eu
 cd "$(dirname "$0")/.."
 
