@@ -319,6 +319,14 @@ func (m *Machine) Reset(cfg Config, stream trace.Stream) error {
 	return m.ResetMulti(cfg, m.oneStream[:])
 }
 
+// DropStreams forgets the machine's instruction streams, so an idle
+// machine kept for reuse does not keep its last run's traces reachable.
+// The machine must be Reset before it runs again.
+func (m *Machine) DropStreams() {
+	clear(m.fes[:cap(m.fes)])
+	m.oneStream[0] = nil
+}
+
 // ResetMulti is Reset over one machine and N concurrent streams.
 func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 	if len(streams) == 0 {

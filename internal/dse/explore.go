@@ -107,9 +107,10 @@ func (r *Report) CacheHitRate() float64 {
 // Pareto frontier. Candidate evaluations within a batch run concurrently;
 // every one flows through the evaluator's result store, so repeated
 // explorations of overlapping spaces re-simulate nothing. The exploration
-// holds the traces of the programs its tiers still have work for (see
-// traceHolds), so rounds and tiers share one materialization per stream,
-// and every trace is let go when Explore returns.
+// holds the traces of the programs its rounds and tiers still have work
+// for (see traceHolds), so they share one materialization per stream —
+// except a twin funnel over a batch evaluator, whose resident traces
+// follow its GridRuns workers. Every trace is let go when Explore returns.
 func Explore(opts Options) (*Report, error) {
 	if err := opts.Space.Validate(); err != nil {
 		return nil, err
@@ -132,14 +133,13 @@ func Explore(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	holds := &traceHolds{held: make(map[string]workload.Spec)}
-	if opts.Twin != nil {
-		holds.suite = opts.Twin.Programs
-	}
-	defer holds.narrow(&opts.Space, nil)
-	if twin, err := opts.Twin.Enabled(opts.Strategy, opts.Space.Size()); err != nil {
+	twin, err := opts.Twin.Enabled(opts.Strategy, opts.Space.Size())
+	if err != nil {
 		return nil, err
-	} else if twin {
+	}
+	holds := newTraceHolds(opts, twin)
+	defer holds.narrow(&opts.Space, nil)
+	if twin {
 		return exploreTwin(opts, ev, exact, budget, workers, holds)
 	}
 
@@ -220,10 +220,15 @@ func Explore(opts Options) (*Report, error) {
 }
 
 // traceHolds is an exploration's hold on the trace cache. A program is
-// held from the first candidate that names it and let go once no later
-// tier has a candidate left for it, so a trace the twin profiled is the
-// one the sampled tier and the exact confirmation replay, and a stream is
-// materialized once per exploration instead of once per tier or round.
+// held from the first simulated candidate that names it and let go once
+// no later round or tier has a candidate left for it, so a stream is
+// materialized once per exploration instead of once per candidate
+// (ringsimd's queue evaluator) or per round (a climb or random search).
+// The twin funnel over a batch evaluator needs none of this: each of its
+// simulated tiers is one GridRuns call, which holds every stream for
+// exactly its runs and groups them program by program, so it has no
+// traceHolds (nil) and its resident traces follow the workers instead of
+// the suite.
 type traceHolds struct {
 	// suite is what a candidate without workload axes runs: the twin
 	// options' Programs, which name the evaluator's suite. An exploration
@@ -231,6 +236,20 @@ type traceHolds struct {
 	// evaluated batch still holds its own traces (harness.GridRuns).
 	suite []string
 	held  map[string]workload.Spec // by program spec string
+}
+
+// newTraceHolds returns the exploration's holds: nil for a twin funnel
+// whose evaluator scores batches (the fidelity variants of an evaluator
+// are the same implementation, so its sampled and exact tiers agree).
+func newTraceHolds(opts Options, twin bool) *traceHolds {
+	if _, ok := opts.Evaluator.(BatchEvaluator); ok && twin {
+		return nil
+	}
+	h := &traceHolds{held: make(map[string]workload.Spec)}
+	if opts.Twin != nil {
+		h.suite = opts.Twin.Programs
+	}
+	return h
 }
 
 // programs returns what candidate c runs: its workload-axis scenario, or
@@ -247,8 +266,12 @@ func (h *traceHolds) programs(space *Space, c Candidate) []string {
 }
 
 // hold adds the programs not yet held. One that does not parse is left to
-// the tier that runs it, which reports the error.
+// the tier that runs it, which reports the error. hold, cover and narrow
+// do nothing on a nil traceHolds.
 func (h *traceHolds) hold(progs []string) {
+	if h == nil {
+		return
+	}
 	for _, p := range progs {
 		if _, ok := h.held[p]; ok {
 			continue
@@ -262,6 +285,9 @@ func (h *traceHolds) hold(progs []string) {
 
 // cover holds every program the candidates run.
 func (h *traceHolds) cover(space *Space, cands []Candidate) {
+	if h == nil {
+		return
+	}
 	for _, c := range cands {
 		h.hold(h.programs(space, c))
 	}
@@ -271,6 +297,9 @@ func (h *traceHolds) cover(space *Space, cands []Candidate) {
 // the tiers still to come no longer need. With no candidates it releases
 // everything.
 func (h *traceHolds) narrow(space *Space, cands []Candidate) {
+	if h == nil {
+		return
+	}
 	keep := make(map[string]bool)
 	for _, c := range cands {
 		for _, p := range h.programs(space, c) {

@@ -62,7 +62,7 @@ type TwinOptions struct {
 	// workload axes; it must match the evaluator's suite or the twin
 	// ranks a different problem than the simulator scores. Whatever the
 	// mode, these are the programs the exploration holds in the trace
-	// cache across its rounds and tiers.
+	// cache across its rounds and tiers (see traceHolds).
 	Programs []string
 	// Insts and Warmup are the harness accounting the profiles cover;
 	// they must match the evaluator's.
@@ -181,7 +181,6 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int, holds *
 			}
 		}
 	}
-	holds.hold(distinct)
 	built := buildProfiles(profiles, distinct, t.Insts, t.Warmup, workers)
 	for i := range scores {
 		s := &scores[i]
@@ -250,7 +249,7 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int, holds *
 	for i, s := range verify {
 		batch[i] = s.cand
 	}
-	holds.narrow(space, batch)
+	holds.cover(space, batch)
 	frontier := &Frontier{}
 	outs := evaluateBatch(space, ev, batch, workers)
 	var mapeSum float64

@@ -52,7 +52,7 @@ func runTwinPair(t *testing.T, progs []string, insts, warmup uint64) (exact, twi
 		Programs: progs,
 		Insts:    insts,
 		Warmup:   warmup,
-		Profiles: harness.NewProfileCache(nil, ""),
+		Profiles: harness.NewProfileCache(""),
 	}))
 	if err != nil {
 		t.Fatal(err)

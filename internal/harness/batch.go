@@ -61,23 +61,33 @@ type groupKey struct {
 }
 
 // requestGroups partitions request indices into groups of at most
-// maxGroup members sharing a groupKey, preserving first-appearance order
-// of groups and request order within each group.
+// maxGroup members sharing a groupKey, in first-appearance order of keys
+// and request order within each key. A key with more than maxGroup
+// requests gets consecutive groups, so the workers finish one workload
+// before they start on the next and its trace can be freed.
 func requestGroups(reqs []Request, maxGroup int) [][]int {
 	if maxGroup < 1 {
 		maxGroup = 1
 	}
-	var groups [][]int
-	open := make(map[groupKey]int) // key -> index into groups of the open group
+	var byKey [][]int
+	index := make(map[groupKey]int) // key -> index into byKey
 	for i := range reqs {
 		k := groupKey{name: reqs[i].Workload.Name(), insts: reqs[i].Insts, warmup: reqs[i].Warmup, sampling: reqs[i].Sampling}
-		gi, ok := open[k]
-		if !ok || len(groups[gi]) >= maxGroup {
-			open[k] = len(groups)
-			groups = append(groups, []int{i})
-			continue
+		ki, ok := index[k]
+		if !ok {
+			ki = len(byKey)
+			index[k] = ki
+			byKey = append(byKey, nil)
 		}
-		groups[gi] = append(groups[gi], i)
+		byKey[ki] = append(byKey[ki], i)
+	}
+	var groups [][]int
+	for _, members := range byKey {
+		for len(members) > maxGroup {
+			groups = append(groups, members[:maxGroup:maxGroup])
+			members = members[maxGroup:]
+		}
+		groups = append(groups, members)
 	}
 	return groups
 }

@@ -62,7 +62,8 @@ func TestBatchedBitIdentity(t *testing.T) {
 
 // TestRequestGroups pins the grouping rules: requests sharing (canonical
 // workload, insts, warmup) group together up to the cap, in first-
-// appearance order; differing budgets split groups.
+// appearance order of keys; an overflow group follows its key's first
+// group; differing budgets split groups.
 func TestRequestGroups(t *testing.T) {
 	mk := func(w string, insts, warmup uint64) Request {
 		spec, err := workload.ParseSpec(w)
@@ -77,10 +78,10 @@ func TestRequestGroups(t *testing.T) {
 		mk("gcc", 100, 10),  // 2: group A
 		mk("gcc", 200, 10),  // 3: group C (different insts)
 		mk("gcc", 100, 10),  // 4: group A (hits cap 3 below with 0,2)
-		mk("gcc", 100, 10),  // 5: overflow -> new group D
+		mk("gcc", 100, 10),  // 5: overflow -> new group D, right after A
 	}
 	got := requestGroups(reqs, 3)
-	want := [][]int{{0, 2, 4}, {1}, {3}, {5}}
+	want := [][]int{{0, 2, 4}, {5}, {1}, {3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("groups = %v, want %v", got, want)
 	}

@@ -71,7 +71,9 @@ type Request struct {
 // machine reuses its predecessor's queue, calendar, cache and predictor
 // slabs, so the steady-state grid and service paths stop paying
 // per-request construction. Reset is observationally identical to New
-// (guarded by TestMachineReuseDeterminism).
+// (guarded by TestMachineReuseDeterminism). Machines enter the pool
+// without their streams, so a pooled machine never keeps a released
+// trace alive.
 var machinePool sync.Pool
 
 // Execute runs one simulation request synchronously: prepare sets the
@@ -92,7 +94,10 @@ func Execute(req Request) Run {
 	if out.Err != nil {
 		return out
 	}
-	defer machinePool.Put(m)
+	defer func() {
+		m.DropStreams()
+		machinePool.Put(m)
+	}()
 	if req.Sampling.Enabled() {
 		out.Stats, out.Sampled, out.Err = driveSampled(m, req)
 	} else {

@@ -15,21 +15,20 @@ import (
 // ProfileCache memoizes analytical-twin trace summaries (predict.Profile)
 // the way TraceCache memoizes materialized traces: one profile per
 // (canonical program, seed, instruction count), computed once and shared
-// by every exploration that scores the same workload. Profiles are three
-// orders of magnitude smaller than the traces they summarize, so the
-// memory layer is unbounded; with a directory attached each profile is
-// also persisted content-addressed (predict.Key → JSON), which makes the
-// cache durable across restarts and shareable fleet-wide through the same
-// shared cache directory that backs the result store — the profile
-// analogue of the fleet's TraceRefs.
+// by every exploration that scores the same workload. A cached profile is
+// a detached predict.Profile of about 1.3 KB, three orders of magnitude
+// smaller than the trace it summarizes and nothing of the summarizer that
+// built it, so the memory layer is unbounded; with a directory attached
+// each profile is also persisted content-addressed (predict.Key → JSON),
+// which makes the cache durable across restarts and shareable fleet-wide
+// through the same shared cache directory that backs the result store —
+// the profile analogue of the fleet's TraceRefs.
 //
-// The cache is safe for concurrent use. Profile computation streams from
-// the TraceCache and holds the trace only while it summarizes; an
-// exploration that holds its programs (dse.Explore does) has its twin pass
-// warm the very trace the verifying simulations replay.
+// The cache is safe for concurrent use. A profile reads its stream once,
+// from a private generator, so profiling never touches the TraceCache:
+// it neither materializes a trace the simulations may never ask for nor
+// keeps one resident.
 type ProfileCache struct {
-	traces *TraceCache
-
 	mu       sync.Mutex
 	dir      string
 	entries  map[string]*predict.Profile
@@ -39,14 +38,9 @@ type ProfileCache struct {
 	diskHits uint64
 }
 
-// NewProfileCache returns a cache computing profiles from tc's streams
-// (nil = DefaultTraceCache), persisting to dir when non-empty.
-func NewProfileCache(tc *TraceCache, dir string) *ProfileCache {
-	if tc == nil {
-		tc = DefaultTraceCache
-	}
+// NewProfileCache returns a cache persisting to dir when non-empty.
+func NewProfileCache(dir string) *ProfileCache {
 	return &ProfileCache{
-		traces:   tc,
 		dir:      dir,
 		entries:  make(map[string]*predict.Profile),
 		inFlight: make(map[string]*sync.WaitGroup),
@@ -55,7 +49,7 @@ func NewProfileCache(tc *TraceCache, dir string) *ProfileCache {
 
 // DefaultProfileCache backs the twin evaluator, memory-only until a
 // directory is attached at process startup.
-var DefaultProfileCache = NewProfileCache(nil, "")
+var DefaultProfileCache = NewProfileCache("")
 
 // SetDir attaches (or detaches, with "") the content-addressed disk
 // layer. Call at startup before concurrent use; profiles computed earlier
@@ -137,8 +131,8 @@ func (pc *ProfileCache) Profile(program string, seed, n uint64) (*predict.Profil
 	}
 }
 
-// load fetches the profile from disk or computes it from the trace cache,
-// persisting fresh computations when a directory is attached.
+// load fetches the profile from disk or computes it from a private
+// generator stream, persisting fresh computations when a directory is attached.
 func (pc *ProfileCache) load(dir, key, program string, seed, n uint64) (*predict.Profile, bool, error) {
 	path := ""
 	if dir != "" {
@@ -152,10 +146,7 @@ func (pc *ProfileCache) load(dir, key, program string, seed, n uint64) (*predict
 			return nil, false, err
 		}
 	}
-	spec := workload.Spec{Streams: []workload.StreamSpec{{Program: program, Seed: seed}}}
-	pc.traces.Hold(spec)
-	defer pc.traces.Release(spec)
-	stream, err := pc.traces.Stream(program, seed, n)
+	stream, err := fresh(program, seed, n)
 	if err != nil {
 		return nil, false, err
 	}

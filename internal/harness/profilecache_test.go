@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // score the same workload while the machine pool is busy simulating —
 // must compute exactly once and hand every caller the identical profile.
 func TestProfileCacheDeterminismUnderPooling(t *testing.T) {
-	pc := NewProfileCache(nil, "")
+	pc := NewProfileCache("")
 	const callers = 8
 	var wg sync.WaitGroup
 	encoded := make([]string, callers)
@@ -37,9 +38,8 @@ func TestProfileCacheDeterminismUnderPooling(t *testing.T) {
 			encoded[i] = string(b)
 		}(i)
 	}
-	// Keep the simulator busy on the same workload concurrently: profile
-	// computation streams from the shared trace cache, and pooling must
-	// not perturb the summary.
+	// Keep the simulator busy on the same workload concurrently: pooling
+	// must not perturb the summary.
 	cfg := core.MustPaperConfig(core.ArchRing, 4, 2, 1)
 	spec, err := workload.ParseSpec("gcc")
 	if err != nil {
@@ -70,7 +70,7 @@ func TestProfileCacheDeterminismUnderPooling(t *testing.T) {
 
 	// A fresh cache recomputing from scratch must agree byte-for-byte:
 	// the profile is content, not an artifact of arrival order.
-	fresh := NewProfileCache(nil, "")
+	fresh := NewProfileCache("")
 	p, err := fresh.Profile("gcc", 1, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestProfileCacheDeterminismUnderPooling(t *testing.T) {
 // process sharing the directory) loads them without recomputing.
 func TestProfileCacheDiskLayer(t *testing.T) {
 	dir := t.TempDir()
-	a := NewProfileCache(nil, filepath.Join(dir, "profiles"))
+	a := NewProfileCache(filepath.Join(dir, "profiles"))
 	if err := a.SetDir(filepath.Join(dir, "profiles")); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestProfileCacheDiskLayer(t *testing.T) {
 		t.Error("persisted profile differs from the computed one")
 	}
 
-	b := NewProfileCache(nil, filepath.Join(dir, "profiles"))
+	b := NewProfileCache(filepath.Join(dir, "profiles"))
 	q, err := b.Profile("swim", 2, 8_000)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestProfileCacheDiskLayer(t *testing.T) {
 	if err := os.WriteFile(onDisk, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := NewProfileCache(nil, filepath.Join(dir, "profiles"))
+	c := NewProfileCache(filepath.Join(dir, "profiles"))
 	r, err := c.Profile("swim", 2, 8_000)
 	if err != nil {
 		t.Fatal(err)
@@ -148,11 +148,43 @@ func TestProfileCacheDiskLayer(t *testing.T) {
 	}
 }
 
+// liveHeap collects garbage and returns the bytes still allocated.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestCachedProfileRetainsOnlyItself: a cached profile keeps nothing but
+// itself alive — not its summarizer's line map, Fenwick tree and
+// predictor (4–5 MB for mcf at 275k instructions when Finish returned a
+// pointer into the summarizer), and not a trace materialized just to be
+// read once: profiling leaves the trace cache untouched.
+func TestCachedProfileRetainsOnlyItself(t *testing.T) {
+	prev := DefaultTraceCache
+	tc := NewTraceCache(0)
+	DefaultTraceCache = tc
+	t.Cleanup(func() { DefaultTraceCache = prev })
+	pc := NewProfileCache("")
+	before := liveHeap()
+	if _, err := pc.Profile("mcf", 0, 275_000); err != nil {
+		t.Fatal(err)
+	}
+	if retained := liveHeap() - before; retained > 1<<20 {
+		t.Errorf("a cached profile retains %d bytes, want under 1 MB", retained)
+	}
+	runtime.KeepAlive(pc)
+	if st := tc.Stats(); st.Hits != 0 || st.Misses != 0 || st.PeakBytes != 0 {
+		t.Errorf("profiling touched the trace cache: %+v", st)
+	}
+}
+
 // TestProfileSpecMatchesHarnessAccounting: the profile window must equal
 // what Execute simulates — warm-up share plus measured budget per stream
 // — or the twin scores a different trace than the simulator runs.
 func TestProfileSpecMatchesHarnessAccounting(t *testing.T) {
-	pc := NewProfileCache(nil, "")
+	pc := NewProfileCache("")
 	spec, err := workload.ParseSpec("gcc")
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -217,6 +219,43 @@ func TestTraceCacheConcurrentLifetimes(t *testing.T) {
 	if st := tc.Stats(); st.Dropped == 0 || st.Dropped != st.Misses {
 		t.Fatalf("stats = %+v, want every materialized entry dropped again", st)
 	}
+}
+
+// TestPooledMachineDropsItsTrace: a machine Execute hands back to the pool
+// keeps nothing of its run's streams, so a trace its last holder released
+// is garbage at the next collection instead of staying reachable through
+// the pool (whose victim cache outlives one collection).
+func TestPooledMachineDropsItsTrace(t *testing.T) {
+	useFreshDefaultTraceCache(t)
+	spec := oneStream("gcc", 0)
+	req := Request{Config: core.MustPaperConfig(core.ArchRing, 4, 2, 1), Workload: spec, Insts: 5_000, Warmup: 1_000}
+	DefaultTraceCache.Hold(spec)
+	if run := Execute(req); run.Err != nil {
+		t.Fatal(run.Err)
+	}
+	records := weakRecords(t, "gcc", 6_000)
+	DefaultTraceCache.Release(spec)
+	expectEmpty(t, "after the release", DefaultTraceCache)
+	runtime.GC()
+	if records.Value() != nil {
+		t.Fatal("a released trace survived a collection: the pooled machine still references its streams")
+	}
+}
+
+// weakRecords returns a weak pointer to the records of the resident trace
+// of prog: it goes nil once nothing references the trace's store.
+func weakRecords(t *testing.T, prog string, n uint64) weak.Pointer[trace.Rec] {
+	t.Helper()
+	s, err := DefaultTraceCache.Stream(prog, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := s.(*trace.Replay)
+	if !ok {
+		t.Fatalf("%s is not resident: got a %T", prog, s)
+	}
+	rec, _ := r.NextRec()
+	return weak.Make(rec)
 }
 
 // mixShapeRequests is the benchmark's unique_mixes shape at a test-sized

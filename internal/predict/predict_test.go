@@ -1,11 +1,13 @@
 package predict
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	_ "repro/internal/synth" // register synthetic specs with workload
 	"repro/internal/workload"
 )
@@ -13,7 +15,7 @@ import (
 // summarize profiles the first n instructions of a fixed workload; the
 // workload generators are deterministic, so equal calls must produce
 // byte-identical profiles.
-func summarize(t *testing.T, program string, seed, n uint64) *Profile {
+func summarize(t testing.TB, program string, seed, n uint64) *Profile {
 	t.Helper()
 	stream, err := workload.NewStream(program, seed)
 	if err != nil {
@@ -102,6 +104,41 @@ func TestProfileSanity(t *testing.T) {
 	if float64(mcf.AddrChain)/float64(mcf.MemRefs) <= float64(swim.AddrChain)/float64(swim.MemRefs) {
 		t.Errorf("addr-chain fraction: mcf %d/%d not above swim %d/%d",
 			mcf.AddrChain, mcf.MemRefs, swim.AddrChain, swim.MemRefs)
+	}
+}
+
+// TestLines64MatchesBruteForce: Lines64, derived at Finish from the
+// 32-byte lines the summarizer tracks for stack distances, equals a direct
+// count of distinct 64-byte lines over random address streams — dense and
+// sparse ones, and ones that only ever touch the odd (or the even) half of
+// each 64-byte line.
+func TestLines64MatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	line := func() uint64 { return uint64(rng.Intn(1<<10)) << 6 }
+	for _, shape := range []struct {
+		name string
+		addr func() uint64
+	}{
+		{"dense", func() uint64 { return uint64(rng.Intn(1 << 12)) }},
+		{"sparse", func() uint64 { return rng.Uint64() }},
+		{"odd halves only", func() uint64 { return line() | 32 | uint64(rng.Intn(32)) }},
+		{"even halves only", func() uint64 { return line() | uint64(rng.Intn(32)) }},
+	} {
+		for trial := 0; trial < 25; trial++ {
+			s := NewSummarizer("lines", 0)
+			want := make(map[uint64]bool)
+			for i, n := 0, rng.Intn(4000); i < n; i++ {
+				in := isa.Inst{Class: isa.Load, EffAddr: shape.addr()}
+				if rng.Intn(3) == 0 {
+					in.Class = isa.Store
+				}
+				want[in.EffAddr>>6] = true
+				s.Observe(&in)
+			}
+			if got := s.Finish().Lines64; got != uint64(len(want)) {
+				t.Fatalf("%s, trial %d: Lines64 = %d, brute force counts %d", shape.name, trial, got, len(want))
+			}
+		}
 	}
 }
 

@@ -254,7 +254,6 @@ type Summarizer struct {
 	refIdx   uint64            // memory reference index
 	lastRef  map[uint64]uint64 // 32B line -> last reference index (1-based)
 	fenwick  []uint64          // marks at last-access indices, for stack distances
-	seen64   map[uint64]struct{}
 	haveAddr bool
 
 	steer []steerState
@@ -301,7 +300,6 @@ func NewSummarizer(program string, seed uint64) *Summarizer {
 	s := &Summarizer{
 		pred:    bpred.New(bpred.DefaultConfig()),
 		lastRef: make(map[uint64]uint64),
-		seen64:  make(map[uint64]struct{}),
 	}
 	s.p.Schema = SchemaV1
 	s.p.Program = program
@@ -387,10 +385,6 @@ func (s *Summarizer) Observe(in *isa.Inst) {
 		}
 		s.fenwickAdd(s.refIdx, 1)
 		s.lastRef[line] = s.refIdx
-		if _, ok := s.seen64[in.EffAddr>>6]; !ok {
-			s.seen64[in.EffAddr>>6] = struct{}{}
-			p.Lines64++
-		}
 		if !s.haveAddr {
 			p.AddrLo, p.AddrHi = in.EffAddr, in.EffAddr
 			s.haveAddr = true
@@ -481,22 +475,39 @@ func (st *steerState) observe(in *isa.Inst, srcs []isa.Reg) {
 // fwd is the forward ring distance from cluster a to cluster b.
 func fwd(a, b, n int) int { return ((b-a)%n + n) % n }
 
-// Finish seals the summary and returns the profile. The Summarizer must
-// not be used afterwards.
+// Finish seals the summary and returns the profile. The profile does not
+// reference the Summarizer, so keeping it does not keep the summarizer's
+// line map, Fenwick tree and predictor alive. The Summarizer must not be
+// used afterwards.
 func (s *Summarizer) Finish() *Profile {
-	if s.critPath == 0 {
-		s.critPath = 1
-	}
-	s.p.CritPath = s.critPath
+	p := s.p
+	p.CritPath = max(s.critPath, 1)
+	p.Lines64 = lines64(s.lastRef)
 	for _, st := range s.steer {
 		sp := SteerProfile{Clusters: st.clusters, Comms: st.comms, Hops: st.hops}
 		if st.ring {
-			s.p.Ring = append(s.p.Ring, sp)
+			p.Ring = append(p.Ring, sp)
 		} else {
-			s.p.Conv = append(s.p.Conv, sp)
+			p.Conv = append(p.Conv, sp)
 		}
 	}
-	return &s.p
+	return &p
+}
+
+// lines64 counts the distinct 64-byte lines among the touched 32-byte
+// lines: a 64-byte line was touched iff one of its halves was, so each is
+// counted once, at its even half or — when only the odd half was touched —
+// at the odd one.
+func lines64(lines32 map[uint64]uint64) uint64 {
+	var n uint64
+	for l := range lines32 {
+		if l&1 == 0 {
+			n++
+		} else if _, even := lines32[l^1]; !even {
+			n++
+		}
+	}
+	return n
 }
 
 // logBucket buckets v >= 1 by floor(log2), saturating at max-1.

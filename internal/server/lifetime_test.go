@@ -147,6 +147,34 @@ func TestTerminateAndReplayStrandNoHolds(t *testing.T) {
 	expectNoTraces(t, "after refused submissions")
 }
 
+// TestQueueExplorationMaterializesOncePerTier: a queue-backed exploration
+// hands the pool one candidate per worker at a time, so it keeps its own
+// holds on its programs (dse's traceHolds). Over the eight candidates of
+// the sampled search tier and the exact confirmation of its frontier,
+// each program is then materialized at most once per tier, not once per
+// round of candidates, and nothing is resident or held once the
+// exploration is done.
+func TestQueueExplorationMaterializesOncePerTier(t *testing.T) {
+	useFreshTraceCache(t)
+	_, hs := newTestServer(t, results.NewMemoryLRU(256))
+	body := exploreBody()
+	body["insts"], body["warmup"] = 12_000, 2_000 // room for the sampled windows
+	body["fidelity"] = "sampled(3000,500,200)"
+	var ev exploreView
+	postJSON(t, hs.URL+"/v1/explore", body, http.StatusAccepted, &ev)
+	if ev = pollExplore(t, hs.URL, ev.ID); ev.Status != statusDone || ev.SampledSims == 0 || ev.ExactConfirms == 0 {
+		t.Fatalf("a tier did not run: %+v", ev)
+	}
+	st := expectNoTraces(t, "after the exploration")
+	const programs, tiers = 2, 2 // gcc and swim; sampled and exact
+	if st.Misses == 0 || st.Misses > programs*tiers {
+		t.Errorf("trace cache misses = %d, want 1..%d: each program at most once per tier", st.Misses, programs*tiers)
+	}
+	if st.Hits+st.Misses != uint64(ev.SimsRun) {
+		t.Errorf("trace cache hits+misses = %d, want %d: one Stream call per simulation", st.Hits+st.Misses, ev.SimsRun)
+	}
+}
+
 // TestOversizedBodiesAre413: every endpoint that decodes a request body
 // stops reading at maxBodyBytes and answers 413, whatever the body would
 // have said; a body just under the bound is still read to the end and
