@@ -85,8 +85,8 @@ func main() {
 		log.Fatal("ringsim-worker: ", err)
 	}
 	st := w.Stats()
-	log.Printf("ringsim-worker: draining: leased %d, executed %d, cache hits %d, completed %d, rejected %d, trace fetches %d, trace regens %d, store put errors %d",
-		st.Leased, st.Executed, st.CacheHits, st.Completed, st.Rejected, st.TraceFetches, st.TraceRegens, st.StorePutErrors)
+	log.Printf("ringsim-worker: draining: leased %d, executed %d, cache hits %d, completed %d, rejected %d, store put errors %d",
+		st.Leased, st.Executed, st.CacheHits, st.Completed, st.Rejected, st.StorePutErrors)
 }
 
 // hostname is the default worker label.

@@ -373,7 +373,7 @@ func (c *Coordinator) Next() (results.Job, bool) {
 // workloadKey identifies jobs that replay the same materialized traces:
 // same canonical workload spec (which encodes per-stream budgets and
 // seeds) and same request-level budgets. The pool indexes pending jobs by
-// it, so a lease is handed runs whose traces the worker fetches once.
+// it, so a lease is handed runs whose traces the worker generates once.
 func workloadKey(j results.Job) string {
 	return fmt.Sprintf("%s|%d|%d", j.Request.WorkloadLabel(), j.Request.Insts, j.Request.Warmup)
 }
@@ -484,9 +484,9 @@ func (c *Coordinator) leaseAndSweep(workerID string, max int) ([]results.Job, er
 	// Grants are grouped by workload: the oldest pending job and its whole
 	// group join the same lease (then the next oldest job's group, and so
 	// on). A worker thus receives runs that replay one materialized trace
-	// — and fetches that trace from the coordinator once — instead of an
-	// arbitrary FIFO slice cutting across workloads. Starvation-free: the
-	// oldest job is always granted first.
+	// — which it generates once — instead of an arbitrary FIFO slice
+	// cutting across workloads. Starvation-free: the oldest job is always
+	// granted first.
 	var out []results.Job
 	for len(out) < max && c.pending.Len() > 0 {
 		wk := c.pending.Front().Value.(*job).workload

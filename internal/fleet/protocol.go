@@ -9,7 +9,10 @@
 //	POST /v1/fleet/complete   return results.Result batch -> {accepted, rejected}
 //	POST /v1/fleet/heartbeat  renew liveness + leases     -> {}
 //	GET  /v1/fleet            topology snapshot for operators
-//	GET  /v1/fleet/trace/{key}  materialized trace prefix (binary trace encoding)
+//
+// A worker generates the traces it replays itself, through the same
+// trace cache as every other consumer: nothing but jobs and records
+// crosses the wire.
 //
 // Leases are the failure-recovery mechanism: a worker that stops
 // heartbeating lets its leases expire, and the coordinator requeues them
@@ -20,13 +23,7 @@
 // deterministic simulation.
 package fleet
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-
-	"repro/internal/results"
-)
+import "repro/internal/results"
 
 // SecretHeader carries the fleet shared secret on every worker→
 // coordinator call. A coordinator started with a secret rejects fleet
@@ -62,36 +59,10 @@ type LeaseRequest struct {
 
 // LeaseResponse carries the leased batch. Jobs ride the verified
 // results.JobBatch encoding: every job's key is checked against its
-// request hash on both ends of the wire. Traces lists the materialized
-// trace prefixes the batch's simulations will replay; a worker prefetches
-// each it does not already hold from GET /v1/fleet/trace/{key} instead of
-// regenerating it. The field is advisory and absent from older
-// coordinators — a worker that gets none (or whose fetches fail) falls
-// back to local generation with identical results.
+// request hash on both ends of the wire.
 type LeaseResponse struct {
 	results.JobBatch
-	LeaseTTLMillis int64      `json:"lease_ttl_ms"`
-	Traces         []TraceRef `json:"traces,omitempty"`
-}
-
-// TraceRef names one materialized workload stream: the canonical program
-// (a fixed profile name or a normalized synthetic spec), the seed
-// override (0 = the program's default), and the instruction prefix
-// length the leased jobs need (measured budget plus warmup share, per
-// harness.StreamBudgets).
-type TraceRef struct {
-	Program string `json:"program"`
-	Seed    uint64 `json:"seed,omitempty"`
-	Insts   uint64 `json:"insts"`
-}
-
-// Key returns the trace prefix's content address, used as the fetch path
-// element of GET /v1/fleet/trace/{key}. Like run keys it is derived from
-// the canonical identity, so coordinator and worker agree on it without
-// coordination.
-func (t TraceRef) Key() string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("trace|%s|%d|%d", t.Program, t.Seed, t.Insts)))
-	return hex.EncodeToString(sum[:])
+	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
 }
 
 // CompleteRequest returns finished records to the coordinator.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/results"
-	"repro/internal/trace"
 )
 
 // WorkerOptions configures a fleet worker.
@@ -54,12 +53,6 @@ type WorkerStats struct {
 	Completed uint64
 	// Rejected counts records the coordinator refused (late duplicates).
 	Rejected uint64
-	// TraceFetches counts materialized traces fetched from the
-	// coordinator instead of regenerated locally.
-	TraceFetches uint64
-	// TraceRegens counts lease-referenced traces the worker had to
-	// generate locally (fetch failed or the coordinator had none).
-	TraceRegens uint64
 	// StorePutErrors counts finished records the worker's own store
 	// refused; the record still goes back to the coordinator.
 	StorePutErrors uint64
@@ -80,14 +73,12 @@ type Worker struct {
 	ttl time.Duration
 	hb  time.Duration
 
-	leased       atomic.Uint64
-	executed     atomic.Uint64
-	cacheHits    atomic.Uint64
-	completed    atomic.Uint64
-	rejected     atomic.Uint64
-	traceFetches atomic.Uint64
-	traceRegens  atomic.Uint64
-	putErrors    atomic.Uint64
+	leased    atomic.Uint64
+	executed  atomic.Uint64
+	cacheHits atomic.Uint64
+	completed atomic.Uint64
+	rejected  atomic.Uint64
+	putErrors atomic.Uint64
 }
 
 // NewWorker builds a worker; Run starts it.
@@ -115,8 +106,6 @@ func (w *Worker) Stats() WorkerStats {
 		CacheHits:      w.cacheHits.Load(),
 		Completed:      w.completed.Load(),
 		Rejected:       w.rejected.Load(),
-		TraceFetches:   w.traceFetches.Load(),
-		TraceRegens:    w.traceRegens.Load(),
 		StorePutErrors: w.putErrors.Load(),
 	}
 }
@@ -143,7 +132,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
-		jobs, traces, err := w.lease(ctx)
+		jobs, err := w.lease(ctx)
 		switch {
 		case err == ErrUnknownWorker:
 			w.opts.Logf("fleet worker %s: registration lost, re-registering", w.workerID())
@@ -168,7 +157,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		w.leased.Add(uint64(len(jobs)))
-		batch := w.runLease(ctx, jobs, traces)
+		batch := w.executeBatch(ctx, jobs)
 		if len(batch) == 0 {
 			continue // canceled mid-batch
 		}
@@ -181,20 +170,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.opts.Logf("fleet worker %s: complete: %v", w.workerID(), err)
 		}
 	}
-}
-
-// runLease prefetches a lease's traces and executes its jobs under one
-// hold on every stream the jobs name: a fetched trace is installed into a
-// stream the lease holds, so it is still there when the job that needs it
-// runs, and it is freed when the batch is done.
-func (w *Worker) runLease(ctx context.Context, jobs []results.Job, traces []TraceRef) []results.Result {
-	for _, jb := range jobs {
-		spec := jb.Request.Harness().Workload
-		harness.DefaultTraceCache.Hold(spec)
-		defer harness.DefaultTraceCache.Release(spec)
-	}
-	w.prefetchTraces(ctx, traces)
-	return w.executeBatch(ctx, jobs)
 }
 
 // registerWithRetry registers until it succeeds or ctx ends, reporting
@@ -224,77 +199,13 @@ func (w *Worker) workerID() string {
 	return w.id
 }
 
-// prefetchTraces pulls the lease's referenced trace prefixes from the
-// coordinator into the process-wide trace cache before execution begins:
-// one HTTP fetch per distinct trace replaces one generation pass per
-// trace, and the leased jobs then replay the installed prefix. A
-// trace already materialized locally costs nothing; a failed fetch (older
-// coordinator, network, budget) is counted as a regeneration and the
-// execution path generates it locally with identical results.
-func (w *Worker) prefetchTraces(ctx context.Context, refs []TraceRef) {
-	if len(refs) == 0 {
-		return
-	}
-	var fetched, regen int
-	for _, ref := range refs {
-		if ctx.Err() != nil {
-			return
-		}
-		if harness.DefaultTraceCache.MaterializedLen(ref.Program, ref.Seed) >= ref.Insts {
-			continue
-		}
-		if w.fetchTrace(ctx, ref) {
-			w.traceFetches.Add(1)
-			fetched++
-		} else {
-			w.traceRegens.Add(1)
-			regen++
-		}
-	}
-	if fetched > 0 || regen > 0 {
-		w.opts.Logf("fleet worker %s: trace prefetch: fetched=%d regenerated=%d",
-			w.workerID(), fetched, regen)
-	}
-}
-
-// fetchTrace retrieves one materialized trace prefix and installs it in
-// the trace cache, reporting success.
-func (w *Worker) fetchTrace(ctx context.Context, ref TraceRef) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.opts.Coordinator+"/v1/fleet/trace/"+ref.Key(), nil)
-	if err != nil {
-		return false
-	}
-	if w.opts.Secret != "" {
-		req.Header.Set(SecretHeader, w.opts.Secret)
-	}
-	resp, err := w.opts.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	tr, err := trace.NewReader(resp.Body)
-	if err != nil {
-		return false
-	}
-	// The store grows chunk by chunk as the body arrives, so a lying
-	// length costs nothing up front. A truncated body (ErrEnd) is not
-	// installed as-is: the lease needs the full prefix, so count this as a
-	// regeneration.
-	var p trace.Packed
-	if err := p.Extend(tr, int(ref.Insts)); err != nil {
-		return false
-	}
-	return harness.DefaultTraceCache.Install(ref.Program, ref.Seed, &p)
-}
-
 // executeBatch runs the leased jobs and returns their records in lease
 // order: first a store pass (a leased key already cached completes
 // without simulating), then the rest across harness.GridRunsN's pool,
-// bounded by the worker's capacity.
+// bounded by the worker's capacity. GridRunsN holds every stream the
+// batch names from the start and releases each with the last run naming
+// it, so a trace is generated once per lease however many of its jobs
+// replay it, and nothing stays resident after the batch.
 func (w *Worker) executeBatch(ctx context.Context, jobs []results.Job) []results.Result {
 	out := make([]results.Result, len(jobs))
 	done := make([]bool, len(jobs))
@@ -397,30 +308,29 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// lease pulls the next batch and its trace references. The JobBatch is
-// verified after decode: any job whose key does not hash from its
-// request is rejected.
-func (w *Worker) lease(ctx context.Context) ([]results.Job, []TraceRef, error) {
+// lease pulls the next batch. The JobBatch is verified after decode: any
+// job whose key does not hash from its request is rejected.
+func (w *Worker) lease(ctx context.Context) ([]results.Job, error) {
 	body, err := json.Marshal(LeaseRequest{WorkerID: w.workerID(), Max: 2 * w.opts.Capacity})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	resp, err := w.do(ctx, "/v1/fleet/lease", body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if err := checkStatus(resp); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var lr LeaseResponse
 	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		return nil, nil, fmt.Errorf("fleet: decode lease: %w", err)
+		return nil, fmt.Errorf("fleet: decode lease: %w", err)
 	}
 	if err := lr.JobBatch.Verify(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return lr.Jobs, lr.Traces, nil
+	return lr.Jobs, nil
 }
 
 // complete returns a batch of records.

@@ -13,20 +13,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/results"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // fakeCoordinator speaks just enough of the fleet protocol to drive one
-// worker: it hands out a fixed job batch (with trace references) on the
-// first lease and collects the completions. serveTraces selects whether
-// GET /v1/fleet/trace/{key} answers with the materialized trace or 404s,
-// so tests cover both the fetch path and the regeneration fallback.
+// worker: it hands out a fixed job batch on the first lease and collects
+// the completions.
 type fakeCoordinator struct {
-	t           *testing.T
-	jobs        []results.Job
-	traces      []TraceRef
-	serveTraces bool
+	t    *testing.T
+	jobs []results.Job
 
 	mu        sync.Mutex
 	leased    bool
@@ -50,7 +45,6 @@ func (f *fakeCoordinator) handler() http.Handler {
 		resp := LeaseResponse{LeaseTTLMillis: 60_000}
 		if first {
 			resp.JobBatch = results.JobBatch{Jobs: f.jobs}
-			resp.Traces = f.traces
 		}
 		writeOK(w, resp)
 	})
@@ -71,40 +65,6 @@ func (f *fakeCoordinator) handler() http.Handler {
 		f.mu.Unlock()
 		writeOK(w, CompleteResponse{Accepted: len(cr.Results)})
 	})
-	mux.HandleFunc("GET /v1/fleet/trace/{key}", func(w http.ResponseWriter, r *http.Request) {
-		if !f.serveTraces {
-			http.Error(w, `{"error":"unknown trace key"}`, http.StatusNotFound)
-			return
-		}
-		key := r.PathValue("key")
-		for _, ref := range f.traces {
-			if ref.Key() != key {
-				continue
-			}
-			gen, err := workload.NewStream(ref.Program, ref.Seed)
-			if err != nil {
-				f.t.Errorf("trace stream: %v", err)
-				return
-			}
-			insts, err := trace.Collect(trace.NewLimit(gen, ref.Insts), int(ref.Insts))
-			if err != nil {
-				f.t.Errorf("trace collect: %v", err)
-				return
-			}
-			tw, err := trace.NewWriter(w)
-			if err != nil {
-				return
-			}
-			for i := range insts {
-				if err := tw.Write(&insts[i]); err != nil {
-					return
-				}
-			}
-			_ = tw.Flush()
-			return
-		}
-		http.Error(w, `{"error":"unknown trace key"}`, http.StatusNotFound)
-	})
 	return mux
 }
 
@@ -113,25 +73,20 @@ func writeOK(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// traceJobs builds a two-config batch over one shared synthetic workload
-// (seed chosen per test so the process-wide trace cache starts cold) plus
-// the trace references a real coordinator would attach to the lease.
-func traceJobs(t *testing.T, spec string) ([]results.Job, []TraceRef, []harness.Request) {
+// leaseJobs builds one lease: the ten paper configurations over a
+// single-stream workload, plus one two-stream mix under the first
+// configuration that shares that stream.
+func leaseJobs(t *testing.T, single, mix string) ([]results.Job, []harness.Request) {
 	t.Helper()
-	ws, err := workload.ParseSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const insts, warmup = 2000, 400
 	var jobs []results.Job
 	var reqs []harness.Request
-	for _, clusters := range []int{4, 8} {
-		req := harness.Request{
-			Config:   core.MustPaperConfig(core.ArchRing, clusters, 2, 1),
-			Workload: ws,
-			Insts:    insts,
-			Warmup:   warmup,
+	add := func(cfg core.Config, spec string) {
+		ws, err := workload.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		req := harness.Request{Config: cfg, Workload: ws, Insts: insts, Warmup: warmup}
 		j, err := results.NewJob(results.NewRequest(req))
 		if err != nil {
 			t.Fatal(err)
@@ -139,12 +94,12 @@ func traceJobs(t *testing.T, spec string) ([]results.Job, []TraceRef, []harness.
 		jobs = append(jobs, j)
 		reqs = append(reqs, req)
 	}
-	budgets := harness.StreamBudgets(ws, insts, warmup)
-	var refs []TraceRef
-	for i, st := range ws.Streams {
-		refs = append(refs, TraceRef{Program: st.Program, Seed: st.Seed, Insts: budgets[i]})
+	configs := harness.PaperConfigs()
+	for _, cfg := range configs {
+		add(cfg, single)
 	}
-	return jobs, refs, reqs
+	add(configs[0], mix)
+	return jobs, reqs
 }
 
 // runWorkerOnce drives a worker against the fake coordinator until every
@@ -207,69 +162,35 @@ func verifyBatchResults(t *testing.T, fc *fakeCoordinator, reqs []harness.Reques
 	}
 }
 
-// TestWorkerFetchesLeasedTraces is the coordinator-served trace path: a
-// lease carrying trace references makes the worker fetch each trace once
-// instead of generating it, and the simulated records stay bit-identical
-// to local execution.
-func TestWorkerFetchesLeasedTraces(t *testing.T) {
-	jobs, refs, reqs := traceJobs(t, "synth(ilp=4,ws=32K)@770001")
-	fc := &fakeCoordinator{t: t, jobs: jobs, traces: refs, serveTraces: true}
-	before := harness.DefaultTraceCache.Stats()
+// TestWorkerLeaseGeneratesEachStreamOnce: a worker generates the traces
+// its lease replays, each distinct stream once however many jobs (and
+// workloads) name it, frees them all when the batch is done, and its
+// records are bit-identical to local execution.
+func TestWorkerLeaseGeneratesEachStreamOnce(t *testing.T) {
+	prev := harness.DefaultTraceCache
+	harness.DefaultTraceCache = harness.NewTraceCache(64 << 20)
+	t.Cleanup(func() { harness.DefaultTraceCache = prev })
+
+	const single = "synth(ilp=4,ws=32K)@770001"
+	jobs, reqs := leaseJobs(t, single, single+"+synth(ilp=2,ws=64K)@770002")
+	fc := &fakeCoordinator{t: t, jobs: jobs}
 	st := runWorkerOnce(t, fc)
-	// The lease holds its streams across prefetch and execution, so the
-	// installed traces are what the jobs replay — nothing is generated —
-	// and they are gone when the batch is done.
-	after := harness.DefaultTraceCache.Stats()
-	if after.Misses != before.Misses || after.Hits != before.Hits+uint64(len(jobs)*len(refs)) {
-		t.Errorf("trace cache misses %d→%d, hits %d→%d: want no generation and %d replays of the fetched traces",
-			before.Misses, after.Misses, before.Hits, after.Hits, len(jobs)*len(refs))
-	}
-	if after.Entries != before.Entries || after.Held != before.Held {
-		t.Errorf("the finished lease left traces behind: %+v, was %+v", after, before)
-	}
-	if st.TraceFetches != uint64(len(refs)) || st.TraceRegens != 0 {
-		t.Errorf("trace counters: fetches=%d regens=%d, want %d/0",
-			st.TraceFetches, st.TraceRegens, len(refs))
-	}
 	if st.Executed != uint64(len(jobs)) {
 		t.Errorf("executed %d jobs, want %d", st.Executed, len(jobs))
 	}
-	verifyBatchResults(t, fc, reqs)
-}
 
-// TestWorkerRegeneratesWhenTraceMissing is the fallback contract: when
-// the coordinator cannot serve a referenced trace (404), the worker
-// counts a regeneration and the jobs still complete with identical
-// results via local generation.
-func TestWorkerRegeneratesWhenTraceMissing(t *testing.T) {
-	jobs, refs, reqs := traceJobs(t, "synth(ilp=4,ws=32K)@770002")
-	fc := &fakeCoordinator{t: t, jobs: jobs, traces: refs, serveTraces: false}
-	st := runWorkerOnce(t, fc)
-	if st.TraceFetches != 0 || st.TraceRegens != uint64(len(refs)) {
-		t.Errorf("trace counters: fetches=%d regens=%d, want 0/%d",
-			st.TraceFetches, st.TraceRegens, len(refs))
+	const distinct = 2
+	calls := 0
+	for _, r := range reqs {
+		calls += len(r.Workload.Streams)
+	}
+	tc := harness.DefaultTraceCache.Stats()
+	if tc.Misses != distinct || tc.Hits != uint64(calls-distinct) {
+		t.Errorf("trace cache misses %d, hits %d: want %d generations and %d replays",
+			tc.Misses, tc.Hits, distinct, calls-distinct)
+	}
+	if tc.Entries != 0 || tc.Held != 0 || tc.Bytes != 0 || tc.Insts != 0 {
+		t.Errorf("the finished lease left traces behind: %+v", tc)
 	}
 	verifyBatchResults(t, fc, reqs)
-}
-
-// TestTraceRefKeyStability pins the trace content-address derivation:
-// coordinator and worker must agree on it without coordination, so a
-// change here is a wire break.
-func TestTraceRefKeyStability(t *testing.T) {
-	a := TraceRef{Program: "gcc", Seed: 0, Insts: 1000}
-	if a.Key() != (TraceRef{Program: "gcc", Insts: 1000}).Key() {
-		t.Error("identical refs disagree on key")
-	}
-	for _, other := range []TraceRef{
-		{Program: "swim", Seed: 0, Insts: 1000},
-		{Program: "gcc", Seed: 1, Insts: 1000},
-		{Program: "gcc", Seed: 0, Insts: 2000},
-	} {
-		if other.Key() == a.Key() {
-			t.Errorf("ref %+v collides with %+v", other, a)
-		}
-	}
-	if len(a.Key()) != 64 {
-		t.Errorf("key length %d, want 64 hex chars", len(a.Key()))
-	}
 }

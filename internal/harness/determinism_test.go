@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -150,84 +149,6 @@ func TestTraceCacheBudgetFallback(t *testing.T) {
 	}
 }
 
-// TestTraceCacheInstall covers the coordinator-served trace path: an
-// externally materialized prefix installed into the cache must (1) be
-// visible through MaterializedLen, (2) replay bit-identically to a fresh
-// generator, and (3) extend lazily — a request past the installed prefix
-// spins up a generator that continues it exactly.
-func TestTraceCacheInstall(t *testing.T) {
-	const prog = "gcc"
-	gen, err := workload.NewStream(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := trace.Collect(trace.NewLimit(gen, 3000), 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tc := NewTraceCache(1 << 20)
-	tc.Hold(oneStream(prog, 0)) // installs land only in streams somebody holds
-	if got := tc.MaterializedLen(prog, 0); got != 0 {
-		t.Fatalf("MaterializedLen before install = %d", got)
-	}
-	if !tc.Install(prog, 0, packInsts(t, ref[:2000])) {
-		t.Fatal("install refused within budget")
-	}
-	if got := tc.MaterializedLen(prog, 0); got != 2000 {
-		t.Fatalf("MaterializedLen after install = %d, want 2000", got)
-	}
-
-	// Replay inside the installed prefix: no generation needed.
-	s, err := tc.Stream(prog, 0, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1500; i++ {
-		got, err := s.Next()
-		if err != nil {
-			t.Fatalf("installed stream ended early at %d: %v", i, err)
-		}
-		if got != ref[i] {
-			t.Fatalf("inst %d: installed replay diverges from generator", i)
-		}
-	}
-
-	// A request past the installed prefix lazily regenerates the suffix,
-	// which must continue the prefix exactly.
-	s, err = tc.Stream(prog, 0, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		got, err := s.Next()
-		if err != nil {
-			t.Fatalf("extended stream ended early at %d: %v", i, err)
-		}
-		if got != ref[i] {
-			t.Fatalf("inst %d: lazy extension diverges from generator", i)
-		}
-	}
-	if got := tc.MaterializedLen(prog, 0); got != 3000 {
-		t.Fatalf("MaterializedLen after extension = %d, want 3000", got)
-	}
-
-	// Re-installing a shorter or overlapping prefix never truncates.
-	if !tc.Install(prog, 0, packInsts(t, ref[:1000])) {
-		t.Fatal("overlapping install refused")
-	}
-	if got := tc.MaterializedLen(prog, 0); got != 3000 {
-		t.Fatalf("MaterializedLen shrank to %d after overlapping install", got)
-	}
-
-	// Over-budget installs are refused, leaving generation to the caller.
-	small := NewTraceCache(100)
-	small.Hold(oneStream(prog, 0))
-	if small.Install(prog, 0, packInsts(t, ref)) {
-		t.Fatal("install accepted past the budget")
-	}
-}
-
 // TestTraceCacheRematerializeDeterminism: a stream freed at its last
 // holder's release and asked for again is generated again, and the second
 // materialization is the first one bit for bit — through the cache and
@@ -259,15 +180,4 @@ func TestTraceCacheRematerializeDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(first.Stats, second.Stats) {
 		t.Fatal("a regenerated trace simulated differently")
 	}
-}
-
-// packInsts materializes insts the way a fetched trace arrives: appended
-// to a fresh packed store.
-func packInsts(t *testing.T, insts []isa.Inst) *trace.Packed {
-	t.Helper()
-	var p trace.Packed
-	if err := p.Extend(trace.NewSlice(insts), len(insts)); err != nil {
-		t.Fatal(err)
-	}
-	return &p
 }

@@ -169,9 +169,9 @@ func streamBudget(s workload.StreamSpec, def uint64) uint64 {
 // materialize for a request with the given request-level budgets: the
 // measured budget (the stream's own Insts, or the request default) plus
 // an even share of the warm-up window. It is the single definition of
-// per-stream trace length, shared by prepare and the fleet's
-// coordinator-served trace refs, so a worker prefetching a trace gets
-// exactly the prefix its simulations will consume.
+// per-stream trace length: prepare asks the trace cache for exactly this
+// prefix, so anything that sizes a stream agrees with what the
+// simulations read.
 func StreamBudgets(spec workload.Spec, insts, warmup uint64) []uint64 {
 	n := uint64(len(spec.Streams))
 	out := make([]uint64, n)

@@ -21,8 +21,7 @@ import (
 // built it, so the memory layer is unbounded; with a directory attached
 // each profile is also persisted content-addressed (predict.Key → JSON),
 // which makes the cache durable across restarts and shareable fleet-wide
-// through the same shared cache directory that backs the result store —
-// the profile analogue of the fleet's TraceRefs.
+// through the same shared cache directory that backs the result store.
 //
 // The cache is safe for concurrent use. A profile reads its stream once,
 // from a private generator, so profiling never touches the TraceCache:

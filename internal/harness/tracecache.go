@@ -28,7 +28,12 @@ import (
 // materializes the stream again, bit-identically. Memory therefore follows
 // what is in flight, not what a long-lived process has ever seen. A stream
 // nobody holds is unmanaged: Stream still shares it through an entry that
-// stays until some holder's last Release, and Install declines it.
+// stays until some holder's last Release.
+//
+// Every trace is generated in the process that replays it: a fleet worker
+// materializes its leased streams through this cache like any other
+// consumer, and a dispatch-only coordinator, which simulates nothing,
+// materializes nothing.
 //
 // The cache is safe for concurrent use and bounded by a total-instruction
 // budget over the resident entries; requests it cannot admit fall back to
@@ -192,7 +197,7 @@ func (tc *TraceCache) removeLocked(key streamKey, e *traceEntry) {
 // queued behind them, will ask for it again.
 func (tc *TraceCache) Stream(program string, seed, n uint64) (trace.Stream, error) {
 	key := streamKey{program: program, seed: seed}
-	e := tc.reserve(key, n, true)
+	e := tc.reserve(key, n)
 	if e == nil {
 		return fresh(program, seed, n)
 	}
@@ -211,34 +216,25 @@ func (tc *TraceCache) Stream(program string, seed, n uint64) (trace.Stream, erro
 	return e.store.View(int(n)).Replay(), nil
 }
 
-// reserve finds or creates the entry for key and claims budget for its
-// first n instructions. A Stream call (stream set) is counted as a hit or
-// a miss; an Install is not, and is only admitted for a stream somebody
-// holds — nothing would ever free it otherwise. It returns nil when the
-// claim is not admitted.
-func (tc *TraceCache) reserve(key streamKey, n uint64, stream bool) *traceEntry {
+// reserve finds or creates the entry for key, counts the call as a hit or
+// a miss, and claims budget for the first n instructions. It returns nil
+// when the budget cannot admit the claim.
+func (tc *TraceCache) reserve(key streamKey, n uint64) *traceEntry {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	e := tc.entries[key]
-	if stream {
-		if e == nil {
-			tc.misses++
-		} else {
-			tc.hits++
-		}
-	} else if tc.holds[key] == 0 {
-		return nil
-	}
 	var grow uint64
 	if e == nil {
+		tc.misses++
 		grow = n
-	} else if n > e.reserved {
-		grow = n - e.reserved
+	} else {
+		tc.hits++
+		if n > e.reserved {
+			grow = n - e.reserved
+		}
 	}
 	if tc.budget != 0 && grow != 0 && tc.total+grow > tc.budget {
-		if stream {
-			tc.fallbacks++
-		}
+		tc.fallbacks++
 		return nil
 	}
 	if e == nil {
@@ -276,87 +272,18 @@ func (tc *TraceCache) settle(key streamKey, e *traceEntry, failed bool) {
 	}
 }
 
-// extend materializes the entry up to n instructions, with e.mu held. The
-// generator is built on first need: for a new entry that is now, and for
-// one seeded by Install (a fetched trace) it is when a request outgrows
-// what was fetched — the generator then fast-forwards past the installed
-// prefix, and because generation is deterministic the regenerated suffix
-// continues it exactly.
+// extend materializes the entry up to n instructions, with e.mu held,
+// building the generator on first need.
 func (e *traceEntry) extend(program string, seed, n uint64) error {
 	if e.gen == nil {
 		gen, err := workload.NewStream(program, seed)
 		if err != nil {
 			return err
 		}
-		if _, err := trace.Skip(gen, uint64(e.store.Len())); err != nil {
-			return err
-		}
 		e.gen = gen
 	}
 	e.store.Reserve(int(n))
 	return e.store.Extend(e.gen, int(n))
-}
-
-// MaterializedLen reports how many instructions of (program, seed) are
-// currently materialized. Fleet workers use it to skip fetching traces
-// they already hold.
-func (tc *TraceCache) MaterializedLen(program string, seed uint64) uint64 {
-	tc.mu.Lock()
-	e := tc.entries[streamKey{program: program, seed: seed}]
-	tc.mu.Unlock()
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return uint64(e.store.Len())
-}
-
-// Install seeds the cache with an externally materialized prefix of
-// (program, seed) — a trace fetched from a fleet coordinator — so
-// subsequent Stream calls replay it instead of generating. A stream the
-// cache does not hold yet adopts p as its store (the caller must not
-// append to p afterwards); installing over an existing entry copies only
-// the portion past what is already materialized (published records are
-// never rewritten, so outstanding views stay valid; generation is
-// deterministic, so the overlap is bit-identical by construction). It
-// reports false when nobody holds the stream (an installed trace no
-// Release would ever free) or the instruction budget cannot admit it; the
-// caller falls back to local generation.
-func (tc *TraceCache) Install(program string, seed uint64, p *trace.Packed) bool {
-	n := uint64(p.Len())
-	if n == 0 {
-		return true
-	}
-	key := streamKey{program: program, seed: seed}
-	e := tc.reserve(key, n, false)
-	if e == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.failed {
-		return false
-	}
-	have := e.store.Len()
-	if uint64(have) >= n {
-		return true
-	}
-	var err error
-	if have == 0 {
-		e.store = *p
-	} else {
-		tail := p.View(int(n)).Replay()
-		if _, err = trace.Skip(tail, uint64(have)); err == nil {
-			e.store.Reserve(int(n))
-			err = e.store.Extend(tail, int(n))
-		}
-		// The generator, if any, is now behind the store; extend rebuilds
-		// it past the new length if a request ever outgrows this prefix.
-		e.gen = nil
-	}
-	tc.settle(key, e, err != nil)
-	return err == nil
 }
 
 // fresh builds the unshared fallback stream.

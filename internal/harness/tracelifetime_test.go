@@ -76,36 +76,6 @@ func TestTraceCacheDropsAtLastRelease(t *testing.T) {
 	expectEmpty(t, "after every release", tc)
 }
 
-// TestTraceCacheInstallNeedsAHolder: a fetched trace installed under a
-// hold is there when the run asks for it — no generation — and goes with
-// the hold; installed into a stream nobody holds it is declined and
-// nothing is left behind.
-func TestTraceCacheInstallNeedsAHolder(t *testing.T) {
-	const prog = "gcc"
-	ref := reference(t, prog, 0, 2000)
-	tc := NewTraceCache(0)
-
-	if tc.Install(prog, 0, packInsts(t, ref)) {
-		t.Fatal("install accepted for a stream nobody holds")
-	}
-	expectEmpty(t, "after the declined install", tc)
-
-	tc.Hold(oneStream(prog, 0))
-	if !tc.Install(prog, 0, packInsts(t, ref)) {
-		t.Fatal("install under a hold refused")
-	}
-	s, err := tc.Stream(prog, 0, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectStream(t, "installed trace", s, ref)
-	if st := tc.Stats(); st.Misses != 0 || st.Hits != 1 {
-		t.Fatalf("the installed trace was not what the run replayed: %+v", st)
-	}
-	tc.Release(oneStream(prog, 0))
-	expectEmpty(t, "after releasing the installed stream", tc)
-}
-
 // TestTraceCacheFailedStreamUnderHold: a held stream that cannot be
 // materialized leaves no entry, its holders release without incident, and
 // a failing run lets go of everything it held.

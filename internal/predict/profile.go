@@ -170,8 +170,8 @@ type Profile struct {
 }
 
 // Key returns the profile cache content key for a (program, seed, insts)
-// triple: a SHA-256 over the identifying tuple, in the same spirit as the
-// fleet's trace refs — equal workloads share profiles fleet-wide.
+// triple: a SHA-256 over the identifying tuple, in the same spirit as run
+// keys — equal workloads share profiles fleet-wide.
 func Key(program string, seed, insts uint64) string {
 	h := sha256.Sum256(fmt.Appendf(nil, "%s|%s|%d|%d", SchemaV1, program, seed, insts))
 	return hex.EncodeToString(h[:])

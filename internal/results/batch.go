@@ -1,10 +1,6 @@
 package results
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Job is one unit of distributable work: a pending run's wire-form
 // request paired with its content key. The key is redundant with the
@@ -57,55 +53,8 @@ func (b JobBatch) Verify() error {
 	return nil
 }
 
-// Encode renders the batch as JSON after verifying every member.
-func (b JobBatch) Encode() ([]byte, error) {
-	if err := b.Verify(); err != nil {
-		return nil, fmt.Errorf("results: encode: %w", err)
-	}
-	return json.Marshal(b)
-}
-
-// DecodeJobBatch parses and verifies a lease payload: every job's key
-// must match its request's recomputed content hash.
-func DecodeJobBatch(r io.Reader) (JobBatch, error) {
-	var b JobBatch
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return JobBatch{}, fmt.Errorf("results: decode job batch: %w", err)
-	}
-	if err := b.Verify(); err != nil {
-		return JobBatch{}, fmt.Errorf("results: decode: %w", err)
-	}
-	return b, nil
-}
-
 // ResultBatch is the completion payload: the records a worker returns to
 // its coordinator in one round trip.
 type ResultBatch struct {
 	Results []Result `json:"results"`
-}
-
-// Encode renders the batch as JSON, refusing records without a key (a
-// keyless record could never be matched to its lease).
-func (b ResultBatch) Encode() ([]byte, error) {
-	for i, r := range b.Results {
-		if r.Key == "" {
-			return nil, fmt.Errorf("results: encode result batch [%d]: missing key", i)
-		}
-	}
-	return json.Marshal(b)
-}
-
-// DecodeResultBatch parses a completion payload, rejecting keyless
-// records.
-func DecodeResultBatch(r io.Reader) (ResultBatch, error) {
-	var b ResultBatch
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return ResultBatch{}, fmt.Errorf("results: decode result batch: %w", err)
-	}
-	for i, res := range b.Results {
-		if res.Key == "" {
-			return ResultBatch{}, fmt.Errorf("results: decode result batch [%d]: missing key", i)
-		}
-	}
-	return b, nil
 }

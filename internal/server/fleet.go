@@ -17,10 +17,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/harness"
 	"repro/internal/results"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // fleetAuth guards one fleet handler with the shared-secret check: with
@@ -142,105 +139,7 @@ func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fleet.LeaseResponse{
 		JobBatch:       batch,
 		LeaseTTLMillis: s.fleet.LeaseTTL().Milliseconds(),
-		Traces:         s.traceRefsFor(jobs),
 	})
-}
-
-// traceRefsMax bounds the trace-ref registry. The map is rebuilt from
-// lease traffic, so clearing it wholesale when full only costs a worker-
-// side regeneration for refs granted before the clear — never
-// correctness.
-const traceRefsMax = 8192
-
-// traceRefsFor derives the materialized-trace references a leased batch
-// will replay — one per distinct (program, seed) stream, sized to the
-// longest prefix any job in the batch needs — and registers them so
-// GET /v1/fleet/trace/{key} can serve them. Refs are computed from the
-// job requests themselves, so journal-replayed jobs regain their refs
-// without any persisted registry.
-func (s *Server) traceRefsFor(jobs []results.Job) []fleet.TraceRef {
-	type streamID struct {
-		program string
-		seed    uint64
-	}
-	longest := make(map[streamID]uint64)
-	var order []streamID
-	for _, j := range jobs {
-		req := j.Request.Harness()
-		budgets := harness.StreamBudgets(req.Workload, req.Insts, req.Warmup)
-		for i, st := range req.Workload.Streams {
-			id := streamID{program: st.Program, seed: st.Seed}
-			if _, ok := longest[id]; !ok {
-				order = append(order, id)
-			}
-			if budgets[i] > longest[id] {
-				longest[id] = budgets[i]
-			}
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	refs := make([]fleet.TraceRef, 0, len(order))
-	for _, id := range order {
-		refs = append(refs, fleet.TraceRef{Program: id.program, Seed: id.seed, Insts: longest[id]})
-	}
-	s.traceMu.Lock()
-	if len(s.traceRefs)+len(refs) > traceRefsMax {
-		s.traceRefs = make(map[string]fleet.TraceRef)
-	}
-	for _, ref := range refs {
-		if prev, ok := s.traceRefs[ref.Key()]; !ok || ref.Insts > prev.Insts {
-			s.traceRefs[ref.Key()] = ref
-		}
-	}
-	s.traceMu.Unlock()
-	return refs
-}
-
-// handleFleetTrace streams one materialized trace prefix in the binary
-// trace encoding. The key must have been granted on a lease from this
-// process; unknown keys are 404, the worker's cue to generate locally.
-// The leased runs already hold the stream (a run holds from queue to
-// settle), so this is normally a replay of a resident trace; the handler's
-// own hold covers a fetch that arrives after they settled.
-func (s *Server) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	s.traceMu.Lock()
-	ref, ok := s.traceRefs[key]
-	s.traceMu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("unknown trace key"))
-		return
-	}
-	spec := workload.Spec{Streams: []workload.StreamSpec{{Program: ref.Program, Seed: ref.Seed}}}
-	harness.DefaultTraceCache.Hold(spec)
-	defer harness.DefaultTraceCache.Release(spec)
-	stream, err := harness.DefaultTraceCache.Stream(ref.Program, ref.Seed, ref.Insts)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	tw, err := trace.NewWriter(w)
-	if err != nil {
-		return
-	}
-	for {
-		in, err := stream.Next()
-		if errors.Is(err, trace.ErrEnd) {
-			break
-		}
-		if err != nil {
-			// Headers are gone; the truncated body fails the worker's
-			// length check and it falls back to local generation.
-			return
-		}
-		if err := tw.Write(&in); err != nil {
-			return
-		}
-	}
-	_ = tw.Flush()
 }
 
 // handleFleetComplete accepts a batch of finished records. Each is

@@ -198,13 +198,6 @@ type Server struct {
 	// fleet owns the pending pool every run waits in, and the remote-worker
 	// registry when Options.Fleet asks for one.
 	fleet *fleet.Coordinator
-
-	// traceRefs maps trace content keys handed out on leases to their
-	// references, so GET /v1/fleet/trace/{key} can materialize and serve
-	// them. Bounded; a dropped entry only costs a worker-side
-	// regeneration.
-	traceMu   sync.Mutex
-	traceRefs map[string]fleet.TraceRef
 }
 
 // New starts the worker pool and returns a ready server.
@@ -265,8 +258,6 @@ func New(opts Options) (*Server, error) {
 		s.mux.HandleFunc("POST /v1/fleet/complete", auth(s.handleFleetComplete))
 		s.mux.HandleFunc("POST /v1/fleet/heartbeat", auth(s.handleFleetHeartbeat))
 		s.mux.HandleFunc("GET /v1/fleet", auth(s.handleFleetStatus))
-		s.mux.HandleFunc("GET /v1/fleet/trace/{key}", auth(s.handleFleetTrace))
-		s.traceRefs = make(map[string]fleet.TraceRef)
 	}
 	// Poisoned jobs must fail their registered runs, or the submitting
 	// clients would poll a parked key forever.

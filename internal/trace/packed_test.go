@@ -217,10 +217,10 @@ func FuzzPackedRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzTraceReader: the binary decoder — fed by the fleet trace endpoint
-// and trace files — never panics, yields only valid instructions, fails
-// for good once it has failed, and whatever it decodes re-encodes to a
-// stream that decodes identically and packs or is refused cleanly.
+// FuzzTraceReader: the binary decoder — fed by trace files — never
+// panics, yields only valid instructions, fails for good once it has
+// failed, and whatever it decodes re-encodes to a stream that decodes
+// identically and packs or is refused cleanly.
 func FuzzTraceReader(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	var valid bytes.Buffer

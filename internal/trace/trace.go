@@ -2,7 +2,7 @@
 // simulator: a pull-based Stream interface, an in-memory implementation,
 // the packed store materialized traces live in (Packed, read through View
 // and Replay), and a compact binary encoding for storing traces on disk
-// (used by cmd/tracegen) and serving them to fleet workers.
+// (used by cmd/tracegen).
 package trace
 
 import (
@@ -75,21 +75,6 @@ func (l *Limit) Next() (isa.Inst, error) {
 	}
 	l.left--
 	return in, nil
-}
-
-// Skip discards the first n instructions of inner (the paper skips each
-// program's initialization phase before measuring). It returns the number
-// actually discarded, which is less than n only if the stream ended.
-func Skip(inner Stream, n uint64) (uint64, error) {
-	for i := uint64(0); i < n; i++ {
-		if _, err := inner.Next(); err != nil {
-			if errors.Is(err, ErrEnd) {
-				return i, nil
-			}
-			return i, err
-		}
-	}
-	return n, nil
 }
 
 // Collect drains up to max instructions from s into a fresh slice.

@@ -76,26 +76,6 @@ func TestLimitLongerThanStream(t *testing.T) {
 	}
 }
 
-func TestSkip(t *testing.T) {
-	s := NewSlice(mkInsts(10))
-	n, err := Skip(s, 4)
-	if err != nil || n != 4 {
-		t.Fatalf("skip: %d, %v", n, err)
-	}
-	in, _ := s.Next()
-	if in.Seq != 4 {
-		t.Fatalf("after skip, next seq = %d", in.Seq)
-	}
-}
-
-func TestSkipPastEnd(t *testing.T) {
-	s := NewSlice(mkInsts(3))
-	n, err := Skip(s, 10)
-	if err != nil || n != 3 {
-		t.Fatalf("skip past end: %d, %v", n, err)
-	}
-}
-
 func TestCollectMax(t *testing.T) {
 	got, err := Collect(NewSlice(mkInsts(10)), 5)
 	if err != nil || len(got) != 5 {
@@ -132,17 +112,6 @@ func TestLimitPropagatesStreamError(t *testing.T) {
 		if _, err := l.Next(); !errors.Is(err, wantErr) {
 			t.Fatalf("pull %d after error: got %v, want %v", i, err, wantErr)
 		}
-	}
-}
-
-func TestSkipPropagatesStreamError(t *testing.T) {
-	wantErr := errors.New("corrupt record")
-	n, err := Skip(&errStream{inner: NewSlice(mkInsts(3)), err: wantErr}, 10)
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("skip over errored stream: got %v, want %v", err, wantErr)
-	}
-	if n != 3 {
-		t.Fatalf("skip consumed %d before the error, want 3", n)
 	}
 }
 

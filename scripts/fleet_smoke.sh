@@ -2,14 +2,19 @@
 # Fleet end-to-end smoke: start a dispatch-only ringsimd coordinator and
 # two ringsim-worker processes on localhost, drive the Figure 6 grid
 # through examples/client twice, and assert (1) the fleet actually
-# executed the first pass remotely and (2) the second pass was answered
-# entirely from the content-addressed cache.
+# executed the first pass remotely, (2) the coordinator materialized no
+# trace doing so (the workers generate what they replay) and (3) the
+# second pass was answered entirely from the content-addressed cache.
 #
 # A plain (no -fleet) ringsimd then runs the same grid: one dispatch path
 # means the same Figure 6 table byte for byte, and workload-major feeding
 # means its trace cache never held the whole sweep's streams at once.
 #
-# A third pass proves crash safety: a fresh sweep is submitted, the
+# A worker-kill pass submits a fresh sweep, kill -9s one worker while it
+# holds leases, starts a replacement, and asserts every member still
+# finishes with its leases requeued.
+#
+# A last pass proves crash safety: a fresh sweep is submitted, the
 # coordinator is kill -9'd mid-sweep, restarted over the same cache +
 # journal directories, and `ringsim attach` re-attaches by the durable
 # sweep id and drives it to completion — with the journal replay counter
@@ -53,11 +58,15 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 
-for i in 1 2; do
-    "$TMP/bin/ringsim-worker" -coordinator "$BASE" -name "smoke-$i" \
-        -poll 50ms >"$TMP/worker-$i.log" 2>&1 &
-    PIDS="$PIDS $!"
-done
+start_worker() {
+    "$TMP/bin/ringsim-worker" -coordinator "$BASE" -name "smoke-$1" \
+        -poll 50ms >"$TMP/worker-$1.log" 2>&1 &
+    WORKER_PID=$!
+    PIDS="$PIDS $WORKER_PID"
+}
+start_worker 1
+WORKER1_PID=$WORKER_PID
+start_worker 2
 workers=0
 for _ in $(seq 1 50); do
     workers="$(curl -sf "$BASE/v1/fleet" | sed -n 's/.*"workers": \([0-9][0-9]*\).*/\1/p' | head -1)"
@@ -71,15 +80,24 @@ echo "fleet-smoke: first pass (cold cache)"
 "$TMP/bin/client" -addr "$BASE" -insts "$INSTS" -warmup "$WARMUP" >"$TMP/pass1.log" 2>&1 \
     || { echo "fleet-smoke: FAIL: first client pass"; cat "$TMP/pass1.log"; exit 1; }
 
-echo "fleet-smoke: second pass (warm cache)"
-"$TMP/bin/client" -addr "$BASE" -insts "$INSTS" -warmup "$WARMUP" >"$TMP/pass2.log" 2>&1 \
-    || { echo "fleet-smoke: FAIL: second client pass"; cat "$TMP/pass2.log"; exit 1; }
-
 metrics="$(curl -sf "$BASE/metrics")"
 metric() {
     printf '%s\n' "$metrics" | awk -v name="$1" '$1 == name {print $2}'
 }
 
+# The workers generate every trace they replay: a dispatch-only
+# coordinator simulates nothing, so it must never have materialized one.
+misses="$(metric ringsimd_trace_cache_misses_total)"
+peak="$(metric ringsimd_trace_cache_peak_bytes)"
+echo "fleet-smoke: coordinator trace_cache_misses=$misses trace_cache_peak_bytes=$peak after pass 1"
+[ "${misses:-x}" = 0 ] && [ "${peak:-x}" = 0 ] \
+    || { echo "fleet-smoke: FAIL: the dispatch-only coordinator materialized traces"; exit 1; }
+
+echo "fleet-smoke: second pass (warm cache)"
+"$TMP/bin/client" -addr "$BASE" -insts "$INSTS" -warmup "$WARMUP" >"$TMP/pass2.log" 2>&1 \
+    || { echo "fleet-smoke: FAIL: second client pass"; cat "$TMP/pass2.log"; exit 1; }
+
+metrics="$(curl -sf "$BASE/metrics")"
 remote="$(metric ringsimd_fleet_remote_runs_total)"
 hits="$(metric ringsimd_cache_hits_total)"
 started="$(metric ringsimd_runs_started_total)"
@@ -99,24 +117,6 @@ tail -n 8 "$TMP/pass1.log" >"$TMP/tbl1"
 tail -n 8 "$TMP/pass2.log" >"$TMP/tbl2"
 cmp -s "$TMP/tbl1" "$TMP/tbl2" \
     || { echo "fleet-smoke: FAIL: cached pass printed a different Figure 6 table"; diff "$TMP/tbl1" "$TMP/tbl2" || true; exit 1; }
-
-# The workers satisfied the shared-workload sweep with coordinator-served
-# traces: every lease-referenced trace was fetched, none regenerated.
-# (Checked before the crash pass — a kill -9 mid-fetch legitimately fails
-# fetches over to regeneration.)
-fetched=0
-regen=0
-for f in "$TMP"/worker-*.log; do
-    for n in $(sed -n 's/.*trace prefetch: fetched=\([0-9][0-9]*\).*/\1/p' "$f"); do
-        fetched=$((fetched + n))
-    done
-    for n in $(sed -n 's/.*regenerated=\([0-9][0-9]*\).*/\1/p' "$f"); do
-        regen=$((regen + n))
-    done
-done
-echo "fleet-smoke: trace_fetches=$fetched trace_regens=$regen"
-[ "$fetched" -ge 1 ] || { echo "fleet-smoke: FAIL: workers fetched no traces from the coordinator"; exit 1; }
-[ "$regen" -eq 0 ] || { echo "fleet-smoke: FAIL: workers regenerated $regen traces despite the coordinator serving them"; exit 1; }
 
 # ---- Plain pass: the same grid on a daemon with no fleet ----
 PLAIN_ADDR="127.0.0.1:18081"
@@ -141,11 +141,54 @@ echo "fleet-smoke: plain daemon trace_cache_peak_bytes=$peak of $sweep_bytes in 
     || { echo "fleet-smoke: FAIL: the plain daemon held the whole sweep's traces at once"; exit 1; }
 kill "$PLAIN_PID" 2>/dev/null || true
 
-# ---- Pass 3: kill -9 the coordinator mid-sweep, restart, re-attach ----
+# ---- Worker-kill pass: kill -9 one worker mid-sweep, start a replacement ----
+# Distinct instruction count → every member is cold.
+INSTSK=$((INSTS + 2222))
+echo "fleet-smoke: worker-kill pass (insts=$INSTSK)"
+metrics="$(curl -sf "$BASE/metrics")"
+remote_before="$(metric ringsimd_fleet_remote_runs_total)"
+requeues_before="$(metric ringsimd_fleet_requeues_total)"
+"$TMP/bin/client" -addr "$BASE" -insts "$INSTSK" -warmup "$WARMUP" \
+    >"$TMP/passk.log" 2>&1 &
+CLIENTK_PID=$!
+
+# leases_of NAME prints the leases the named worker holds right now.
+leases_of() {
+    curl -sf "$BASE/v1/fleet" | awk -v want="\"$1\"," '
+        $1 == "\"name\":" { name = $2 }
+        $1 == "\"leases\":" && name == want { sub(/,/, "", $2); print $2 }'
+}
+# Wait until the fleet has done part of the sweep and worker 1 holds
+# leases, so its death strands work that must be requeued.
+donek=0
+for _ in $(seq 1 300); do
+    m="$(curl -sf "$BASE/metrics")" || break
+    donek="$(printf '%s\n' "$m" | awk -v n=ringsimd_fleet_remote_runs_total '$1 == n {print $2}')"
+    [ "${donek:-0}" -ge "$((remote_before + 20))" ] && [ "$(leases_of smoke-1)" -ge 1 ] 2>/dev/null && break
+    sleep 0.1
+done
+echo "fleet-smoke: kill -9 worker smoke-1 (pid $WORKER1_PID) with $((${donek:-0} - remote_before)) of 260 members done"
+kill -9 "$WORKER1_PID"
+start_worker 3
+wait "$CLIENTK_PID" \
+    || { echo "fleet-smoke: FAIL: worker-kill pass did not finish"; cat "$TMP/passk.log"; exit 1; }
+SWEEPK_ID="$(sed -n 's/^submitted \(sweep-[0-9a-f]*\).*/\1/p' "$TMP/passk.log" | head -1)"
+view="$(curl -sf "$BASE/v1/sweeps/$SWEEPK_ID")"
+donek="$(printf '%s\n' "$view" | sed -n 's/^  "done": \([0-9][0-9]*\),*$/\1/p')"
+failedk="$(printf '%s\n' "$view" | sed -n 's/^  "failed": \([0-9][0-9]*\),*$/\1/p')"
+metrics="$(curl -sf "$BASE/metrics")"
+requeues=$(($(metric ringsimd_fleet_requeues_total) - requeues_before))
+echo "fleet-smoke: worker-kill sweep $SWEEPK_ID: $donek/260 done, $failedk failed, $requeues leases requeued"
+[ "$donek" = 260 ] && [ "$failedk" = 0 ] \
+    || { echo "fleet-smoke: FAIL: worker-kill sweep incomplete"; exit 1; }
+[ "$requeues" -ge 1 ] \
+    || { echo "fleet-smoke: FAIL: the killed worker's leases were never requeued"; exit 1; }
+
+# ---- Last pass: kill -9 the coordinator mid-sweep, restart, re-attach ----
 # Distinct instruction count → every member is cold; the sweep cannot be
 # answered from the pass-1/2 cache.
 INSTS3=$((INSTS + 1111))
-echo "fleet-smoke: third pass (crash + restart, insts=$INSTS3)"
+echo "fleet-smoke: coordinator crash pass (insts=$INSTS3)"
 remote_before="$(metric ringsimd_fleet_remote_runs_total)"
 "$TMP/bin/client" -addr "$BASE" -insts "$INSTS3" -warmup "$WARMUP" \
     >"$TMP/pass3.log" 2>&1 || true &
@@ -158,7 +201,7 @@ for _ in $(seq 1 100); do
     [ -n "$SWEEP_ID" ] && break
     sleep 0.1
 done
-[ -n "$SWEEP_ID" ] || { echo "fleet-smoke: FAIL: third pass never got a sweep id"; cat "$TMP/pass3.log"; exit 1; }
+[ -n "$SWEEP_ID" ] || { echo "fleet-smoke: FAIL: crash pass never got a sweep id"; cat "$TMP/pass3.log"; exit 1; }
 
 # Wait until the fleet has genuinely executed part of the sweep, then
 # pull the plug — no graceful drain, no cleanup.
