@@ -46,7 +46,7 @@ type FidelityEvaluator interface {
 // BatchEvaluator is an optional extension of Evaluator: an implementation
 // that can score a whole batch of candidates in one call, scheduling
 // candidates that share a workload next to each other over its one
-// materialized trace (harness.GridRuns). The engine type-asserts for it
+// materialized trace (harness.GridRunsN). The engine type-asserts for it
 // and falls back to concurrent per-candidate Evaluate calls when the
 // evaluator does not implement it (e.g. the ringsimd queue-backed
 // evaluator, whose worker pool is the parallelism). All three returned
@@ -109,7 +109,7 @@ func (e *SimEvaluator) Evaluate(cfg core.Config, programs []string) (Objectives,
 
 // EvaluateBatch scores a whole candidate batch at once. The (config,
 // program) grid is flattened into cells, cached cells settle from the
-// store, and the misses execute across harness.GridRuns' worker pool —
+// store, and the misses execute across harness.GridRunsN's worker pool —
 // candidates sharing a program replay its one materialized trace instead
 // of generating it once per candidate. A candidate whose cells all
 // succeed gets the (mean IPC, area) reduction, and a failing cell records
@@ -175,7 +175,7 @@ func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([
 		for k, ci := range miss {
 			reqs[k] = cells[ci].req
 		}
-		runs := harness.GridRuns(reqs, harness.DefaultBatchSize())
+		runs := harness.GridRunsN(reqs, runtime.GOMAXPROCS(0))
 		for k, ci := range miss {
 			c := &cells[ci]
 			stats[c.cand].Sims++

@@ -110,7 +110,7 @@ func (r *Report) CacheHitRate() float64 {
 // holds the traces of the programs its rounds and tiers still have work
 // for (see traceHolds), so they share one materialization per stream —
 // except a twin funnel over a batch evaluator, whose resident traces
-// follow its GridRuns workers. Every trace is let go when Explore returns.
+// follow its GridRunsN workers. Every trace is let go when Explore returns.
 func Explore(opts Options) (*Report, error) {
 	if err := opts.Space.Validate(); err != nil {
 		return nil, err
@@ -225,15 +225,15 @@ func Explore(opts Options) (*Report, error) {
 // materialized once per exploration instead of once per candidate
 // (ringsimd's queue evaluator) or per round (a climb or random search).
 // The twin funnel over a batch evaluator needs none of this: each of its
-// simulated tiers is one GridRuns call, which holds every stream for
-// exactly its runs and groups them program by program, so it has no
+// simulated tiers is one GridRunsN call, which holds every stream for
+// exactly its runs and feeds them program by program, so it has no
 // traceHolds (nil) and its resident traces follow the workers instead of
 // the suite.
 type traceHolds struct {
 	// suite is what a candidate without workload axes runs: the twin
 	// options' Programs, which name the evaluator's suite. An exploration
 	// configured without them holds only workload-axis programs; each
-	// evaluated batch still holds its own traces (harness.GridRuns).
+	// evaluated batch still holds its own traces (harness.GridRunsN).
 	suite []string
 	held  map[string]workload.Spec // by program spec string
 }

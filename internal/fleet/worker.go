@@ -226,7 +226,7 @@ func (w *Worker) executeBatch(ctx context.Context, jobs []results.Job) []results
 		for k, i := range todo {
 			reqs[k] = jobs[i].Request.Harness()
 		}
-		runs := harness.GridRunsN(reqs, harness.DefaultBatchSize(), w.opts.Capacity)
+		runs := harness.GridRunsN(reqs, w.opts.Capacity)
 		for k, i := range todo {
 			out[i] = w.settleRun(jobs[i], reqs[k], runs[k])
 			done[i] = true

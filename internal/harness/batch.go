@@ -1,32 +1,33 @@
 package harness
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Grouping is scheduling affinity, nothing more: requests that share a
-// workload (the common shape of a sweep — every configuration visits
-// every workload) are handed to one GridRuns worker back to back, so the
-// first member's TraceCache.Stream call materializes each stream and the
-// rest replay it, instead of several workers racing to the same entry
-// lock. Members run one at a time through Execute.
+// GridRunsN's workers share one pool of unstarted requests, ordered
+// workload-major: requests that share a workload (the common shape of a
+// sweep — every configuration visits every workload) sit next to each
+// other, and every worker takes the oldest request left. The workers
+// therefore converge on one workload at a time: the first Stream call for
+// each of its streams materializes it, the workers' other runs replay it,
+// and its last run's Release frees it before the pool is far into the
+// next workload.
 
-// BatchStats counts affinity-group activity process-wide (exported by the
+// BatchStats counts shared-workload activity process-wide (exported by the
 // ringsimd /metrics endpoint).
 type BatchStats struct {
-	// Groups counts executed multi-member groups.
+	// Groups counts workloads that more than one request of a GridRunsN
+	// call named.
 	Groups uint64
-	// GroupedRuns counts runs executed as members of a group.
+	// GroupedRuns counts the requests naming such a workload.
 	GroupedRuns uint64
-	// AmortizedDecodes counts stream reads served by a group mate's
-	// materialization: (members−1) × streams per group.
+	// AmortizedDecodes counts the stream reads such requests can serve
+	// from a materialization another run of the same workload made:
+	// (members−1) × streams per workload.
 	AmortizedDecodes uint64
 }
 
 var batchGroups, batchRuns, batchAmortized atomic.Uint64
 
-// BatchStatsSnapshot returns the process-wide affinity-group counters.
+// BatchStatsSnapshot returns the process-wide shared-workload counters.
 func BatchStatsSnapshot() BatchStats {
 	return BatchStats{
 		Groups:           batchGroups.Load(),
@@ -35,20 +36,9 @@ func BatchStatsSnapshot() BatchStats {
 	}
 }
 
-// DefaultBatchSize is the automatic per-group member cap: enough to
-// swallow a whole configuration sweep of one workload (the paper grid is
-// 10 configurations), scaled up with available parallelism since each
-// concurrent worker processes its own group.
-func DefaultBatchSize() int {
-	n := 8 * runtime.GOMAXPROCS(0)
-	if n < 16 {
-		n = 16
-	}
-	if n > 64 {
-		n = 64
-	}
-	return n
-}
+// DefaultBatchSize stays for the benchmark program, which passes it to
+// GridRuns. GridRuns ignores it: there is no group size to choose.
+func DefaultBatchSize() int { return 0 }
 
 // groupKey identifies requests that can share one materialized workload:
 // same canonical spec (which encodes per-stream budgets and seeds),
@@ -60,15 +50,18 @@ type groupKey struct {
 	sampling Sampling
 }
 
-// requestGroups partitions request indices into groups of at most
-// maxGroup members sharing a groupKey, in first-appearance order of keys
-// and request order within each key. A key with more than maxGroup
-// requests gets consecutive groups, so the workers finish one workload
-// before they start on the next and its trace can be freed.
-func requestGroups(reqs []Request, maxGroup int) [][]int {
-	if maxGroup < 1 {
-		maxGroup = 1
-	}
+// gridPool is GridRunsN's queue of unstarted requests: request indices
+// grouped by groupKey, keys in first-appearance order and requests in
+// list order within each key. It reads nothing but the requests it was
+// built from, and take is safe for concurrent use.
+type gridPool struct {
+	order []int
+	// shared is what the keys with more than one member amount to.
+	shared BatchStats
+	next   atomic.Int64
+}
+
+func newGridPool(reqs []Request) *gridPool {
 	var byKey [][]int
 	index := make(map[groupKey]int) // key -> index into byKey
 	for i := range reqs {
@@ -81,28 +74,30 @@ func requestGroups(reqs []Request, maxGroup int) [][]int {
 		}
 		byKey[ki] = append(byKey[ki], i)
 	}
-	var groups [][]int
+	p := &gridPool{order: make([]int, 0, len(reqs))}
 	for _, members := range byKey {
-		for len(members) > maxGroup {
-			groups = append(groups, members[:maxGroup:maxGroup])
-			members = members[maxGroup:]
+		p.order = append(p.order, members...)
+		if n := uint64(len(members)); n > 1 {
+			p.shared.Groups++
+			p.shared.GroupedRuns += n
+			p.shared.AmortizedDecodes += (n - 1) * uint64(len(reqs[members[0]].Workload.Streams))
 		}
-		groups = append(groups, members)
 	}
-	return groups
+	return p
 }
 
-// executeGroup runs one group's members back to back through Execute,
-// writing each Run into results at its original request index and letting
-// go of GridRunsN's hold on the member's traces.
-func executeGroup(reqs []Request, idxs []int, results []Run) {
-	if n := uint64(len(idxs)); n > 1 {
-		batchGroups.Add(1)
-		batchRuns.Add(n)
-		batchAmortized.Add((n - 1) * uint64(len(reqs[idxs[0]].Workload.Streams)))
+// take returns the oldest unstarted request, or false when none is left.
+func (p *gridPool) take() (int, bool) {
+	i := int(p.next.Add(1)) - 1
+	if i >= len(p.order) {
+		return 0, false
 	}
-	for _, ri := range idxs {
-		results[ri] = Execute(reqs[ri])
-		DefaultTraceCache.Release(reqs[ri].Workload)
-	}
+	return p.order[i], true
+}
+
+// count adds the pool's shared workloads to the process-wide counters.
+func (p *gridPool) count() {
+	batchGroups.Add(p.shared.Groups)
+	batchRuns.Add(p.shared.GroupedRuns)
+	batchAmortized.Add(p.shared.AmortizedDecodes)
 }

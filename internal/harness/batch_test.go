@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -60,32 +61,87 @@ func TestBatchedBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRequestGroups pins the grouping rules: requests sharing (canonical
-// workload, insts, warmup) group together up to the cap, in first-
-// appearance order of keys; an overflow group follows its key's first
-// group; differing budgets split groups.
-func TestRequestGroups(t *testing.T) {
-	mk := func(w string, insts, warmup uint64) Request {
+// TestGridPoolOrder pins the order GridRunsN's workers take requests in:
+// workload-major, keys in first-appearance order and requests in list
+// order within a key, where a key is (canonical workload, insts, warmup,
+// fidelity) — so differing budgets or fidelity split a workload, and two
+// spellings of one spec do not. It also pins what the pool counts as
+// shared.
+func TestGridPoolOrder(t *testing.T) {
+	mk := func(w string, insts, warmup uint64, sp Sampling) Request {
 		spec, err := workload.ParseSpec(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Request{Workload: spec, Insts: insts, Warmup: warmup}
+		return Request{Workload: spec, Insts: insts, Warmup: warmup, Sampling: sp}
 	}
-	reqs := []Request{
-		mk("gcc", 100, 10),  // 0: group A
-		mk("swim", 100, 10), // 1: group B
-		mk("gcc", 100, 10),  // 2: group A
-		mk("gcc", 200, 10),  // 3: group C (different insts)
-		mk("gcc", 100, 10),  // 4: group A (hits cap 3 below with 0,2)
-		mk("gcc", 100, 10),  // 5: overflow -> new group D, right after A
+	exact := func(w string) Request { return mk(w, 100, 10, Sampling{}) }
+	cases := []struct {
+		name   string
+		reqs   []Request
+		want   []int
+		shared BatchStats
+	}{
+		{"empty", nil, []int{}, BatchStats{}},
+		{"all distinct", []Request{exact("gcc"), exact("swim"), exact("mcf")}, []int{0, 1, 2}, BatchStats{}},
+		{"first appearance", []Request{exact("gcc"), exact("swim"), exact("gcc"), exact("mcf"), exact("swim")},
+			[]int{0, 2, 1, 4, 3}, BatchStats{Groups: 2, GroupedRuns: 4, AmortizedDecodes: 2}},
+		{"config-major grid", []Request{exact("gcc"), exact("swim+mcf"), exact("art"), exact("gcc"), exact("swim+mcf"), exact("art")},
+			[]int{0, 3, 1, 4, 2, 5}, BatchStats{Groups: 3, GroupedRuns: 6, AmortizedDecodes: 4}},
+		{"budgets split keys", []Request{mk("gcc", 100, 10, Sampling{}), mk("gcc", 200, 10, Sampling{}), mk("gcc", 100, 20, Sampling{}), mk("gcc", 100, 10, Sampling{})},
+			[]int{0, 3, 1, 2}, BatchStats{Groups: 1, GroupedRuns: 2, AmortizedDecodes: 1}},
+		{"fidelity splits keys", []Request{exact("gcc"), mk("gcc", 100, 10, DefaultSampling), exact("gcc"), mk("gcc", 100, 10, DefaultSampling)},
+			[]int{0, 2, 1, 3}, BatchStats{Groups: 2, GroupedRuns: 4, AmortizedDecodes: 2}},
+		{"one spec, two spellings", []Request{exact("synth(ilp=8,ws=64K)"), exact("gcc"), exact("synth(ws=64K,ilp=8)")},
+			[]int{0, 2, 1}, BatchStats{Groups: 1, GroupedRuns: 2, AmortizedDecodes: 1}},
 	}
-	got := requestGroups(reqs, 3)
-	want := [][]int{{0, 2, 4}, {5}, {1}, {3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("groups = %v, want %v", got, want)
+	for _, c := range cases {
+		p := newGridPool(c.reqs)
+		got := []int{}
+		for {
+			i, ok := p.take()
+			if !ok {
+				break
+			}
+			got = append(got, i)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: order %v, want %v", c.name, got, c.want)
+		}
+		if _, ok := p.take(); ok {
+			t.Errorf("%s: a drained pool handed out another request", c.name)
+		}
+		if p.shared != c.shared {
+			t.Errorf("%s: shared %+v, want %+v", c.name, p.shared, c.shared)
+		}
 	}
-	if g := requestGroups(reqs, 1); len(g) != len(reqs) {
-		t.Fatalf("cap 1 should yield singleton groups, got %v", g)
+}
+
+// TestBatchStatsCountSharedWorkloads: a GridRunsN call adds its workloads
+// with more than one request to the process-wide counters — keys, their
+// runs and the stream reads a materialization can serve twice — and a
+// workload named once adds nothing.
+func TestBatchStatsCountSharedWorkloads(t *testing.T) {
+	cfgs := []core.Config{core.MustPaperConfig(core.ArchRing, 4, 2, 1), core.MustPaperConfig(core.ArchConv, 4, 2, 1)}
+	reqs, err := Expand(cfgs, []string{"gcc", "swim+synth-random@3"}, 500, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs = append(reqs, Request{Config: cfgs[0], Workload: workload.Single("gcc"), Insts: 600, Warmup: 100})
+	before := BatchStatsSnapshot()
+	for _, r := range GridRunsN(reqs, 2) {
+		if r.Err != nil {
+			t.Fatalf("%s/%s: %v", r.Config.Name, r.Workload, r.Err)
+		}
+	}
+	after := BatchStatsSnapshot()
+	got := BatchStats{
+		Groups:           after.Groups - before.Groups,
+		GroupedRuns:      after.GroupedRuns - before.GroupedRuns,
+		AmortizedDecodes: after.AmortizedDecodes - before.AmortizedDecodes,
+	}
+	// gcc: 2 runs × 1 stream; the mix: 2 runs × 2 streams; gcc at 600: alone.
+	if want := (BatchStats{Groups: 2, GroupedRuns: 4, AmortizedDecodes: 1 + 2}); got != want {
+		t.Fatalf("one grid added %+v to the batch counters, want %+v", got, want)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -244,7 +243,7 @@ func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint6
 	if err != nil {
 		return nil, err
 	}
-	results := GridRuns(reqs, DefaultBatchSize())
+	results := GridRunsN(reqs, runtime.GOMAXPROCS(0))
 	out := make(map[Key]Run, len(results))
 	for _, r := range results {
 		if r.Err != nil {
@@ -255,46 +254,43 @@ func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint6
 	return out, nil
 }
 
-// GridRuns executes the requests across a worker pool, returning results
-// in request order. Requests sharing a workload are handed to one worker
-// in groups of at most maxGroup (see requestGroups), so the first member
-// materializes the trace and the rest replay it; the pool size is
-// min(GOMAXPROCS, groups). Every stream the list names is held from the
-// start and released run by run, so each is materialized once however the
-// list orders its runs, and freed as soon as the last run naming it is
-// done: resident traces follow the workers, not the length of the list. It
-// is the parallel core of Grid, exposed so the fleet worker, the explorer
-// and the CLI can share it.
-func GridRuns(reqs []Request, maxGroup int) []Run {
-	return GridRunsN(reqs, maxGroup, runtime.GOMAXPROCS(0))
+// GridRuns is GridRunsN on GOMAXPROCS workers. Its second argument is
+// ignored; it stays for the benchmark program, which still passes it.
+func GridRuns(reqs []Request, _ int) []Run {
+	return GridRunsN(reqs, runtime.GOMAXPROCS(0))
 }
 
-// GridRunsN is GridRuns with an explicit worker-pool size (fleet workers
-// bound it to their advertised capacity instead of GOMAXPROCS).
-func GridRunsN(reqs []Request, maxGroup, workers int) []Run {
+// GridRunsN executes the requests on a pool of workers (at least one, at
+// most one per request), returning results in request order. Every worker
+// takes the oldest unstarted request from one workload-major pool (see
+// gridPool), so the workers share one workload's trace — the first run to
+// reach each stream materializes it and the rest replay it — and move to
+// the next workload together. Every stream the list names is held from
+// the start and released run by run, so each is materialized once however
+// the list orders its runs, and freed as soon as the last run naming it is
+// done: resident traces follow the workers, not the length of the list. It
+// is the parallel core of Grid, shared by the fleet worker (which bounds
+// workers to its advertised capacity), the explorer and the CLI.
+func GridRunsN(reqs []Request, workers int) []Run {
 	results := make([]Run, len(reqs))
 	for i := range reqs {
 		DefaultTraceCache.Hold(reqs[i].Workload)
 	}
-	groups := requestGroups(reqs, maxGroup)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
+	pool := newGridPool(reqs)
+	pool.count()
+	workers = min(max(workers, 1), len(reqs))
 	var wg sync.WaitGroup
-	var next atomic.Int64
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
+				ri, ok := pool.take()
+				if !ok {
 					return
 				}
-				executeGroup(reqs, groups[gi], results)
+				results[ri] = Execute(reqs[ri])
+				DefaultTraceCache.Release(reqs[ri].Workload)
 			}
 		}()
 	}

@@ -271,11 +271,18 @@ func TestFiguresRender(t *testing.T) {
 // BenchmarkSimulatorThroughput measures simulation speed in simulated
 // instructions per wall-clock second on the production path — shared
 // materialized trace, pooled machine — for the headline configuration.
+// The workload is held for the loop's duration and materialized before the
+// timer starts, as a grid that replays it across configurations would.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	req := Request{
 		Config:   core.MustPaperConfig(core.ArchRing, 8, 2, 1),
 		Workload: workload.Single("swim"),
 		Insts:    50_000,
+	}
+	DefaultTraceCache.Hold(req.Workload)
+	defer DefaultTraceCache.Release(req.Workload)
+	if run := Execute(req); run.Err != nil {
+		b.Fatal(run.Err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

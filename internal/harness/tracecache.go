@@ -16,9 +16,10 @@ import (
 // by the time they reach the cache (workload.ParseSpec normalizes synthetic
 // specs), so equivalent spellings of one synth workload share a single
 // entry. Entries extend in place: a request for a longer prefix pulls more
-// instructions from the stream's retained generator into a new
-// exactly-sized segment, and outstanding shorter views stay valid
-// (extension never moves or rewrites a published record).
+// instructions from the stream's retained generator into new segments,
+// allocated chunk by chunk as the records arrive and cut to the requested
+// length, and outstanding shorter views stay valid (extension never moves
+// or rewrites a published record).
 //
 // A trace lives only while unfinished work names it. A consumer Holds the
 // streams of the work it has accepted — a request list, an exploration's
@@ -95,7 +96,8 @@ func NewTraceCache(budget uint64) *TraceCache {
 // DefaultTraceCache backs Execute. Its budget (64M instructions, 1.5 GB at
 // 24 bytes a record) is a safety cap on what can be held at once, not an
 // expected size: the paper grid at 300k+50k instructions names 9.1M
-// (218 MB) in total and holds one workload per grid worker at a time.
+// (218 MB) in total, and its workers share one workload at a time (two
+// while they cross from one to the next).
 var DefaultTraceCache = NewTraceCache(64 << 20)
 
 // TraceCacheStats is a point-in-time snapshot of the cache's occupancy

@@ -99,7 +99,7 @@ func TestTraceCacheFailedStreamUnderHold(t *testing.T) {
 	useFreshDefaultTraceCache(t)
 	cfg := core.MustPaperConfig(core.ArchRing, 4, 2, 1)
 	mix := workload.Spec{Streams: []workload.StreamSpec{{Program: "gcc"}, {Program: "no-such-program"}}}
-	runs := GridRunsN([]Request{{Config: cfg, Workload: mix, Insts: 1000}, {Config: cfg, Workload: bad, Insts: 1000}}, 4, 2)
+	runs := GridRunsN([]Request{{Config: cfg, Workload: mix, Insts: 1000}, {Config: cfg, Workload: bad, Insts: 1000}}, 2)
 	if runs[0].Err == nil || runs[1].Err == nil {
 		t.Fatal("runs over an unknown program succeeded")
 	}
@@ -284,7 +284,7 @@ func TestGridTraceMemoryFollowsWorkers(t *testing.T) {
 		widest = max(widest, bytes)
 	}
 
-	runs := GridRunsN(reqs, DefaultBatchSize(), workers)
+	runs := GridRunsN(reqs, workers)
 	for _, r := range runs {
 		if r.Err != nil {
 			t.Fatalf("%s/%s: %v", r.Config.Name, r.Workload, r.Err)

@@ -337,18 +337,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"ringsimd_trace_cache_fallbacks_total", "Stream requests the instruction budget turned away to a private generator.", "counter", tc.Fallbacks},
 			{"ringsimd_trace_cache_dropped_total", "Trace-cache entries freed when their last holder released them.", "counter", tc.Dropped},
 		}...)
-	// Affinity groups: how many runs were scheduled next to a group mate
-	// replaying the same trace (fleet workers and the CLI grid; the
-	// daemon's own workers settle queued keys one by one).
+	// Shared workloads: how many runs of a grid call were fed to the
+	// workers next to another run replaying the same trace (fleet workers
+	// and the CLI grid; the daemon's own workers settle queued keys one by
+	// one).
 	bs := harness.BatchStatsSnapshot()
 	rows = append(rows,
 		[]struct {
 			name, help, kind string
 			val              uint64
 		}{
-			{"ringsimd_batch_groups_total", "Affinity groups executed (2+ runs sharing a workload, scheduled on one grid worker).", "counter", bs.Groups},
-			{"ringsimd_batch_runs_total", "Runs executed as members of an affinity group.", "counter", bs.GroupedRuns},
-			{"ringsimd_batch_amortized_decodes_total", "Stream reads served by a group mate's materialization.", "counter", bs.AmortizedDecodes},
+			{"ringsimd_batch_groups_total", "Workloads named by 2+ runs of one grid call, fed to its workers back to back.", "counter", bs.Groups},
+			{"ringsimd_batch_runs_total", "Runs of such shared workloads.", "counter", bs.GroupedRuns},
+			{"ringsimd_batch_amortized_decodes_total", "Stream reads a shared workload's materialization can serve to its other runs.", "counter", bs.AmortizedDecodes},
 		}...)
 	// Sampled simulation: how much of the instruction volume ran as cheap
 	// functional fast-forward instead of detailed timing.

@@ -93,26 +93,26 @@ func (r *Rec) WritesReg() bool { return r.flags&flagHasDest != 0 && r.dest != is
 // Taken is the branch outcome.
 func (r *Rec) Taken() bool { return r.flags&flagTaken != 0 }
 
-// chunkRecs sizes the segments Append allocates when no capacity was
-// reserved: 96 KiB, so a store filled from a source of unknown length
-// wastes at most that much.
+// chunkRecs is the largest segment a store allocates: 96 KiB. A store
+// filled from a source of unknown length wastes at most that much, and a
+// freed store leaves pages the next one can reuse.
 const chunkRecs = 4096
 
 // Packed is an append-only store of packed records for one instruction
-// stream. It grows by adding segments — one exactly-sized segment per
-// Reserve, chunkRecs-sized ones when Append runs out of room — and never
+// stream. It grows by segments of at most chunkRecs records, each
+// allocated when the first record that lands in it arrives, and never
 // moves a record once written, so a View taken earlier stays valid while
-// the store is extended. Appending and taking views need external
+// the store is extended. Reserve allocates nothing: it only cuts the
+// segment that reaches the reserved length, so a store filled to that
+// length holds no slack. Appending and taking views need external
 // serialization; reading through a View needs none.
 type Packed struct {
 	base uint64  // Seq of record 0
 	n    int     // records written
 	room int     // records the segments can hold
+	want int     // the length Reserve asked for
 	segs [][]Rec // each at full length; records past n are unwritten
-	// tail is the unwritten remainder of segs[next-1]; segments from next
-	// on are untouched.
-	tail []Rec
-	next int
+	tail []Rec   // the unwritten remainder of the last segment
 }
 
 // Len returns the number of records written.
@@ -121,13 +121,11 @@ func (p *Packed) Len() int { return p.n }
 // Bytes returns the memory the store's segments occupy, slack included.
 func (p *Packed) Bytes() uint64 { return uint64(p.room) * uint64(RecBytes) }
 
-// Reserve makes room for n records in total with one exactly-sized
-// allocation.
+// Reserve declares that the store is being filled to n records in total,
+// so the segment that reaches n is cut there instead of running a chunk
+// long. It allocates nothing: memory follows the records as they arrive.
 func (p *Packed) Reserve(n int) {
-	if n > p.room {
-		p.segs = append(p.segs, make([]Rec, n-p.room))
-		p.room = n
-	}
+	p.want = max(p.want, n)
 }
 
 // Append adds one instruction. It rejects an instruction whose Seq does not
@@ -152,21 +150,21 @@ func (p *Packed) Append(in *isa.Inst) error {
 
 func (p *Packed) put(rec Rec) {
 	if len(p.tail) == 0 {
-		if p.n == p.room {
-			p.segs = append(p.segs, make([]Rec, chunkRecs))
-			p.room += chunkRecs
+		size := chunkRecs
+		if left := p.want - p.room; left > 0 {
+			size = min(size, left)
 		}
-		p.tail = p.segs[p.next]
-		p.next++
+		p.tail = make([]Rec, size)
+		p.segs = append(p.segs, p.tail)
+		p.room += size
 	}
 	p.tail[0] = rec
 	p.tail = p.tail[1:]
 	p.n++
 }
 
-// Extend appends instructions from s until the store holds n records,
-// chunk by chunk unless the room was reserved. A stream that ends first is
-// reported as ErrEnd, with what it supplied kept.
+// Extend appends instructions from s until the store holds n records. A
+// stream that ends first is reported as ErrEnd, with what it supplied kept.
 func (p *Packed) Extend(s Stream, n int) error {
 	for p.n < n {
 		in, err := s.Next()

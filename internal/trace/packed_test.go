@@ -72,8 +72,8 @@ func TestPackedAppendRejects(t *testing.T) {
 }
 
 // TestPackedExtension: a view taken before the store grows replays the
-// same records afterwards and still ends where it did — through an
-// exactly-sized Reserve segment and through Append's chunks — and the
+// same records afterwards and still ends where it did — through segments
+// cut to a reserved length and through Append's whole chunks — and the
 // store never holds more than one chunk of slack.
 func TestPackedExtension(t *testing.T) {
 	insts := mkInsts(4*chunkRecs + 100)
@@ -136,6 +136,65 @@ func TestPackedExtension(t *testing.T) {
 	}
 	if p.View(len(insts)+50).Len() != len(insts) {
 		t.Fatal("a view past the end is not cut to the store")
+	}
+}
+
+// TestPackedReserveAllocatesAsItFills is the allocation contract: Reserve
+// allocates nothing, the store never runs more than one chunk ahead of the
+// records written, every segment is at most a chunk and the last is cut to
+// the reserved length, a view taken mid-fill is unchanged by the rest of
+// the fill, and a store nobody reserved grows by whole chunks.
+func TestPackedReserveAllocatesAsItFills(t *testing.T) {
+	const n = 2*chunkRecs + 1000
+	insts := mkInsts(n)
+	var p Packed
+	if avg := testing.AllocsPerRun(10, func() { p.Reserve(n) }); avg != 0 {
+		t.Fatalf("Reserve made %.1f allocations, want 0", avg)
+	}
+	if p.Bytes() != 0 {
+		t.Fatalf("a reserved, empty store holds %d bytes", p.Bytes())
+	}
+	var mid View
+	for k := 0; k < n; k++ {
+		if err := p.Append(&insts[k]); err != nil {
+			t.Fatal(err)
+		}
+		if limit := uint64(RecBytes * min(n, k+1+chunkRecs)); p.Bytes() > limit {
+			t.Fatalf("after %d of %d records the store holds %d bytes, want <= %d", k+1, n, p.Bytes(), limit)
+		}
+		if k+1 == chunkRecs+17 {
+			mid = p.View(k + 1)
+		}
+	}
+	sum := 0
+	for i, seg := range p.segs {
+		if len(seg) > chunkRecs {
+			t.Errorf("segment %d holds %d records, want <= %d", i, len(seg), chunkRecs)
+		}
+		sum += len(seg)
+	}
+	if last := p.segs[len(p.segs)-1]; sum != n || len(last) != n%chunkRecs {
+		t.Errorf("segments sum to %d records with the last at %d, want %d and %d", sum, len(last), n, n%chunkRecs)
+	}
+	if p.Bytes() != uint64(n*RecBytes) {
+		t.Errorf("filled store holds %d bytes, want exactly %d", p.Bytes(), n*RecBytes)
+	}
+	got, err := Collect(mid.Replay(), 0)
+	if err != nil || len(got) != chunkRecs+17 {
+		t.Fatalf("mid-fill view: %d records, %v", len(got), err)
+	}
+	for i := range got {
+		if got[i] != insts[i] {
+			t.Fatalf("mid-fill view record %d changed: got %+v want %+v", i, got[i], insts[i])
+		}
+	}
+
+	var q Packed
+	if err := q.Extend(NewSlice(insts), chunkRecs+1); err != nil {
+		t.Fatal(err)
+	}
+	if len(q.segs) != 2 || len(q.segs[1]) != chunkRecs || q.Bytes() != 2*chunkRecs*uint64(RecBytes) {
+		t.Fatalf("unreserved store: %d segments, %d bytes, want 2 whole chunks", len(q.segs), q.Bytes())
 	}
 }
 
