@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -141,26 +142,25 @@ func main() {
 		default:
 			names = workload.SplitList(*progs)
 		}
-		// Canonicalize each spec string: Grid keys results by the parsed
-		// spec's Name(), so a non-canonical spelling (e.g. "gcc:0") must
-		// be normalized here or its table lookup would silently miss.
-		for i, n := range names {
-			spec, err := workload.ParseSpec(n)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ringsim:", err)
-				os.Exit(2)
-			}
-			names[i] = spec.Name()
-		}
 	}
 
-	res, err := harness.GridSampledN([]core.Config{cfg}, names, *insts, *warmup, sampling)
+	reqs, err := harness.ExpandSampled([]core.Config{cfg}, names, *insts, *warmup, sampling)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringsim:", err)
-		os.Exit(1)
+		os.Exit(2)
+	}
+	recs := make([]results.Result, len(reqs))
+	for i, o := range results.Run(nil, reqs, runtime.GOMAXPROCS(0)) {
+		if o.Failed() {
+			fmt.Fprintf(os.Stderr, "ringsim: %s/%s: %s\n", o.Config, o.Program, o.Err)
+			os.Exit(1)
+		}
+		recs[i] = o.Result
 	}
 	if *asJSON {
-		if err := emitJSON(cfg, names, *insts, *warmup, sampling, res); err != nil {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(recs); err != nil {
 			fmt.Fprintln(os.Stderr, "ringsim:", err)
 			os.Exit(1)
 		}
@@ -172,11 +172,10 @@ func main() {
 	}
 	fmt.Printf("%-10s %7s %8s %7s %7s %8s %8s\n",
 		"workload", "IPC", "comms/i", "dist", "wait", "NREADY", "mispred")
-	for _, p := range names {
-		r := res[harness.Key{Config: cfg.Name, Workload: p}]
+	for _, r := range recs {
 		st := r.Stats
 		fmt.Printf("%-10s %7.3f %8.3f %7.2f %7.2f %8.2f %7.1f%%",
-			p, st.IPC(), st.CommsPerInst(), st.AvgCommDistance(),
+			r.Program, st.IPC(), st.CommsPerInst(), st.AvgCommDistance(),
 			st.AvgCommWait(), st.AvgNReady(), 100*st.MispredictRate())
 		if r.Sampled != nil {
 			fmt.Printf("  ±%.3f", r.Sampled.IPCCI)
@@ -197,25 +196,4 @@ func main() {
 			fmt.Println()
 		}
 	}
-}
-
-// emitJSON renders the run set as internal/results records, in program
-// order, on stdout.
-func emitJSON(cfg core.Config, names []string, insts, warmup uint64, sampling harness.Sampling, res map[harness.Key]harness.Run) error {
-	reqs, err := harness.ExpandSampled([]core.Config{cfg}, names, insts, warmup, sampling)
-	if err != nil {
-		return err
-	}
-	out := make([]results.Result, 0, len(reqs))
-	for _, req := range reqs {
-		run := res[harness.Key{Config: req.Config.Name, Workload: req.Workload.Name()}]
-		rec, err := results.FromRun(req, run)
-		if err != nil {
-			return err
-		}
-		out = append(out, rec)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

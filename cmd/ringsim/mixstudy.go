@@ -4,17 +4,18 @@ package main
 // synthetic workload mixes. It samples N members of a synth distribution
 // family per stream count, runs every mix on the ring and the
 // conventional machine, and reports STP / ANTT / fairness against
-// single-stream baselines. Every run — mixes and baselines alike — flows
-// through the content-addressed result store: baselines are shared by
-// every mix containing the stream (overlapping seed windows make that
-// sharing visible within one study), and re-running the whole study
-// over a warm -cache-dir simulates nothing.
+// single-stream baselines. Every run — mixes and baselines alike — goes
+// through the content-addressed result store as one results.Run batch:
+// baselines are shared by every mix containing the stream (overlapping
+// seed windows make that sharing visible within one study), and
+// re-running the whole study over a warm -cache-dir simulates nothing.
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 
 	"repro/internal/core"
@@ -100,28 +101,14 @@ func mixstudyMain(args []string) {
 		configs = append(configs, cfg)
 	}
 
+	// Every row is one mix request followed by its k baseline requests;
+	// the whole study settles as one batch.
 	rep := mixReport{Family: *family, Insts: *insts, Warmup: *warmup}
-	cached := func(req harness.Request) (results.Result, error) {
-		res, hit, err := results.RunCached(store, req)
-		if err != nil {
-			return res, err
-		}
-		if res.Failed() {
-			return res, fmt.Errorf("%s/%s: %s", req.Config.Name, req.Workload.Name(), res.Err)
-		}
-		if hit {
-			rep.CacheHits++
-		} else {
-			rep.Simulated++
-		}
-		return res, nil
-	}
-
+	var reqs []harness.Request
 	for _, k := range streamCounts {
 		for i := 0; i < *mixes; i++ {
 			// Overlapping seed windows: mix i shares k-1 streams with mix
-			// i+1, so their single-stream baselines are store hits, not
-			// re-simulations.
+			// i+1, so their single-stream baselines are simulated once.
 			streams := make([]workload.StreamSpec, k)
 			for j := range streams {
 				streams[j] = workload.StreamSpec{Program: *family, Seed: *seed + uint64(i+j)}
@@ -132,33 +119,37 @@ func mixstudyMain(args []string) {
 			}
 			for _, cfg := range configs {
 				req := harness.Request{Config: cfg, Workload: spec, Insts: *insts, Warmup: *warmup}
-				mixRes, err := cached(req)
-				if err != nil {
-					fail("%v", err)
-				}
-				baseIPC := make([]float64, k)
-				for j, breq := range harness.BaselineRequests(req) {
-					bres, err := cached(breq)
-					if err != nil {
-						fail("%v", err)
-					}
-					baseIPC[j] = bres.Stats.IPC()
-				}
-				m, err := harness.Fairness(mixRes.Stats, baseIPC)
-				if err != nil {
-					fail("%s / %s: %v", cfg.Name, spec.Name(), err)
-				}
-				rep.Rows = append(rep.Rows, mixRow{
-					Streams:  k,
-					Mix:      spec.Name(),
-					Arch:     cfg.Arch.String(),
-					IPC:      mixRes.Stats.IPC(),
-					STP:      m.STP,
-					ANTT:     m.ANTT,
-					Fairness: m.Fairness,
-				})
+				reqs = append(append(reqs, req), harness.BaselineRequests(req)...)
+				rep.Rows = append(rep.Rows, mixRow{Streams: k, Mix: spec.Name(), Arch: cfg.Arch.String()})
 			}
 		}
+	}
+	outs := results.Run(store, reqs, runtime.GOMAXPROCS(0))
+	for _, o := range outs {
+		switch {
+		case o.PutErr != nil:
+			fail("%v", o.PutErr)
+		case o.Failed():
+			fail("%s/%s: %s", o.Config, o.Program, o.Err)
+		case o.Hit:
+			rep.CacheHits++
+		default:
+			rep.Simulated++
+		}
+	}
+	for r := range rep.Rows {
+		row := &rep.Rows[r]
+		mix, base := outs[0], outs[1:1+row.Streams]
+		outs = outs[1+row.Streams:]
+		baseIPC := make([]float64, len(base))
+		for j, b := range base {
+			baseIPC[j] = b.Stats.IPC()
+		}
+		m, err := harness.Fairness(mix.Stats, baseIPC)
+		if err != nil {
+			fail("%s / %s: %v", mix.Config, row.Mix, err)
+		}
+		row.IPC, row.STP, row.ANTT, row.Fairness = mix.Stats.IPC(), m.STP, m.ANTT, m.Fairness
 	}
 
 	if *asJSON {

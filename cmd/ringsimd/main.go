@@ -37,7 +37,7 @@
 // entry is re-simulatable).
 //
 // With -journal-dir the coordinator's control state is crash-safe: every
-// pending-pool mutation (enqueue, lease, complete, poison) is journaled,
+// pending-pool mutation (enqueue, complete, poison) is journaled,
 // and sweep/exploration manifests are persisted under their durable ids.
 // After a crash (kill -9 included) a restart replays the journal, settles
 // jobs whose results already sit in the store, re-queues the rest, and

@@ -16,6 +16,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -49,25 +50,16 @@ func main() {
 		"synth(ws=16M)",
 		"synth(ws=16M,phases=4)", // phased: the working set moves
 	}
-	// Grid keys results by canonical workload name — and canonicalization
-	// can change the spelling (ws=1M is the default, so "synth(ws=1M)"
-	// collapses to "synth").
-	for i, s := range specs {
-		spec, err := workload.ParseSpec(s)
-		if err != nil {
-			log.Fatal(err)
-		}
-		specs[i] = spec.Name()
-	}
 	fmt.Printf("\nworking-set sweep on %s:\n", cfg.Name)
-	res, err := harness.Grid([]core.Config{cfg}, specs, insts, warmup)
+	reqs, err := harness.Expand([]core.Config{cfg}, specs, insts, warmup)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range specs {
-		r := res[harness.Key{Config: cfg.Name, Workload: s}]
+	// Records carry the canonical workload name: ws=1M is the default, so
+	// "synth(ws=1M)" prints as "synth".
+	for _, r := range run(nil, reqs) {
 		fmt.Printf("  %-24s IPC %.3f  comms/inst %.3f\n",
-			s, r.Stats.IPC(), r.Stats.CommsPerInst())
+			r.Program, r.Stats.IPC(), r.Stats.CommsPerInst())
 	}
 
 	// --- 3. The fairness study, twice ------------------------------
@@ -78,24 +70,26 @@ func main() {
 	}
 }
 
-// study runs 2-stream synth-random mixes on ring and conventional
-// machines and prints STP/ANTT/fairness. Returns (simulated, hits).
-func study(store results.Store) (sims, hits int) {
-	run := func(req harness.Request) results.Result {
-		res, hit, err := results.RunCached(store, req)
-		if err != nil {
-			log.Fatal(err)
+// run settles the requests through the store (nil = no caching) and
+// exits on the first failed record.
+func run(store results.Store, reqs []harness.Request) []results.Outcome {
+	outs := results.Run(store, reqs, runtime.GOMAXPROCS(0))
+	for _, o := range outs {
+		if o.PutErr != nil {
+			log.Fatal(o.PutErr)
 		}
-		if res.Failed() {
-			log.Fatalf("%s/%s: %s", req.Config.Name, req.Workload.Name(), res.Err)
+		if o.Failed() {
+			log.Fatalf("%s/%s: %s", o.Config, o.Program, o.Err)
 		}
-		if hit {
-			hits++
-		} else {
-			sims++
-		}
-		return res
 	}
+	return outs
+}
+
+// study runs 2-stream synth-random mixes on ring and conventional
+// machines as one batch — each mix followed by its baselines — and prints
+// STP/ANTT/fairness. Returns (simulated, hits).
+func study(store results.Store) (sims, hits int) {
+	var reqs []harness.Request
 	for _, arch := range []core.ArchKind{core.ArchRing, core.ArchConv} {
 		cfg := core.MustPaperConfig(arch, 8, 2, 1)
 		for i := uint64(1); i <= 2; i++ {
@@ -104,19 +98,25 @@ func study(store results.Store) (sims, hits int) {
 				{Program: "synth-random", Seed: i + 1},
 			}}
 			req := harness.Request{Config: cfg, Workload: spec, Insts: insts, Warmup: warmup}
-			mixRes := run(req)
-			var base []float64
-			for _, breq := range harness.BaselineRequests(req) {
-				bres := run(breq)
-				base = append(base, bres.Stats.IPC())
-			}
-			m, err := harness.Fairness(mixRes.Stats, base)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  %-4s %-44s STP %.3f  ANTT %.3f  fairness %.3f\n",
-				cfg.Arch, spec.Name(), m.STP, m.ANTT, m.Fairness)
+			reqs = append(append(reqs, req), harness.BaselineRequests(req)...)
 		}
+	}
+	outs := run(store, reqs)
+	for _, o := range outs {
+		if o.Hit {
+			hits++
+		} else {
+			sims++
+		}
+	}
+	for k := 0; k < len(outs); k += 3 {
+		mix := outs[k]
+		m, err := harness.Fairness(mix.Stats, []float64{outs[k+1].Stats.IPC(), outs[k+2].Stats.IPC()})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-4s %-44s STP %.3f  ANTT %.3f  fairness %.3f\n",
+			reqs[k].Config.Arch, mix.Program, m.STP, m.ANTT, m.Fairness)
 	}
 	return sims, hits
 }

@@ -108,12 +108,12 @@ func (e *SimEvaluator) Evaluate(cfg core.Config, programs []string) (Objectives,
 }
 
 // EvaluateBatch scores a whole candidate batch at once. The (config,
-// program) grid is flattened into cells, cached cells settle from the
-// store, and the misses execute across harness.GridRunsN's worker pool —
-// candidates sharing a program replay its one materialized trace instead
-// of generating it once per candidate. A candidate whose cells all
-// succeed gets the (mean IPC, area) reduction, and a failing cell records
-// the candidate's first error.
+// program) grid is flattened into one request list and settled through
+// results.Run: cached requests are store hits, and the misses execute
+// across one harness.GridRunsN pool — candidates sharing a program replay
+// its one materialized trace instead of generating it once per candidate.
+// A candidate whose runs all succeed gets the (mean IPC, area) reduction,
+// and a failing run records the candidate's first error.
 func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error) {
 	e.init()
 	n := len(cfgs)
@@ -121,15 +121,8 @@ func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([
 	stats := make([]EvalStats, n)
 	errs := make([]error, n)
 
-	type cell struct {
-		cand int
-		req  harness.Request
-		key  string
-		ipc  float64
-		done bool
-	}
-	var cells []cell
-	counts := make([]int, n)
+	var reqs []harness.Request
+	var cands []int // the candidate each request scores
 	for i, cfg := range cfgs {
 		progs := programs[i]
 		if progs == nil {
@@ -139,80 +132,40 @@ func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([
 			errs[i] = fmt.Errorf("dse: evaluator has no programs")
 			continue
 		}
-		counts[i] = len(progs)
+		start := len(reqs)
 		for _, prog := range progs {
 			spec, err := workload.ParseSpec(prog)
 			if err != nil {
-				errs[i] = err
+				// A candidate that cannot name its whole workload runs nothing.
+				errs[i], reqs, cands = err, reqs[:start], cands[:start]
 				break
 			}
-			req := harness.Request{Config: cfg, Workload: spec, Insts: e.Insts, Warmup: e.Warmup, Sampling: e.Sampling}
-			key, err := results.NewRequest(req).Key()
-			if err != nil {
-				errs[i] = err
-				break
-			}
-			cells = append(cells, cell{cand: i, req: req, key: key})
-		}
-	}
-
-	var miss []int
-	for ci := range cells {
-		c := &cells[ci]
-		if errs[c.cand] != nil {
-			continue
-		}
-		if res, hit, err := e.Store.Get(c.key); err == nil && hit {
-			stats[c.cand].CacheHits++
-			c.ipc = res.Stats.IPC()
-			c.done = true
-			continue
-		}
-		miss = append(miss, ci)
-	}
-	if len(miss) > 0 {
-		reqs := make([]harness.Request, len(miss))
-		for k, ci := range miss {
-			reqs[k] = cells[ci].req
-		}
-		runs := harness.GridRunsN(reqs, runtime.GOMAXPROCS(0))
-		for k, ci := range miss {
-			c := &cells[ci]
-			stats[c.cand].Sims++
-			run := runs[k]
-			if run.Err != nil {
-				if errs[c.cand] == nil {
-					errs[c.cand] = fmt.Errorf("dse: %s/%s: %w", c.req.Config.Name, c.req.Workload.Name(), run.Err)
-				}
-				continue
-			}
-			res, err := results.FromRun(c.req, run)
-			if err != nil {
-				if errs[c.cand] == nil {
-					errs[c.cand] = err
-				}
-				continue
-			}
-			if err := e.Store.Put(c.key, res); err != nil {
-				// The score stands; only the next exploration's cache hit is lost.
-				log.Printf("dse: store put %s: %v", c.key, err)
-			}
-			c.ipc = run.Stats.IPC()
-			c.done = true
+			reqs = append(reqs, harness.Request{Config: cfg, Workload: spec, Insts: e.Insts, Warmup: e.Warmup, Sampling: e.Sampling})
+			cands = append(cands, i)
 		}
 	}
 
 	sums := make([]float64, n)
-	for _, c := range cells {
-		if c.done {
-			sums[c.cand] += c.ipc
+	for k, o := range results.Run(e.Store, reqs, runtime.GOMAXPROCS(0)) {
+		i := cands[k]
+		if o.Hit {
+			stats[i].CacheHits++
+		} else {
+			stats[i].Sims++
 		}
+		if o.PutErr != nil {
+			// The score stands; only the next exploration's cache hit is lost.
+			log.Printf("dse: store put %s: %v", o.Key, o.PutErr)
+		}
+		if o.Failed() && errs[i] == nil {
+			errs[i] = fmt.Errorf("dse: %s/%s: %s", o.Config, o.Program, o.Err)
+		}
+		sums[i] += o.Stats.IPC()
 	}
-	for i := range cfgs {
-		if errs[i] != nil {
-			continue
+	for i, cfg := range cfgs {
+		if errs[i] == nil {
+			objs[i] = Objectives{IPC: sums[i] / float64(stats[i].Sims+stats[i].CacheHits), Area: Area(cfg)}
 		}
-		objs[i] = Objectives{IPC: sums[i] / float64(counts[i]), Area: Area(cfgs[i])}
 	}
 	return objs, stats, errs
 }

@@ -159,7 +159,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.leased.Add(uint64(len(jobs)))
 		batch := w.executeBatch(ctx, jobs)
 		if len(batch) == 0 {
-			continue // canceled mid-batch
+			continue // canceled before the batch ran
 		}
 		if err := w.complete(ctx, batch); err != nil {
 			if ctx.Err() != nil {
@@ -199,69 +199,41 @@ func (w *Worker) workerID() string {
 	return w.id
 }
 
-// executeBatch runs the leased jobs and returns their records in lease
-// order: first a store pass (a leased key already cached completes
-// without simulating), then the rest across harness.GridRunsN's pool,
-// bounded by the worker's capacity. GridRunsN holds every stream the
-// batch names from the start and releases each with the last run naming
-// it, so a trace is generated once per lease however many of its jobs
-// replay it, and nothing stays resident after the batch.
+// executeBatch runs the leased jobs through results.Run over the worker's
+// own store — a leased key already cached completes without simulating —
+// on at most Capacity workers, and returns their records in lease order
+// (none when ctx ends first). results.Run runs the misses as one
+// harness.GridRunsN call, which generates each trace once per lease
+// however many jobs replay it and keeps nothing resident after the batch.
+// A record whose recomputed key does not match its lease (schema drift
+// between coordinator and worker binaries) goes back failed, so the
+// coordinator never caches it under the leased key.
 func (w *Worker) executeBatch(ctx context.Context, jobs []results.Job) []results.Result {
-	out := make([]results.Result, len(jobs))
-	done := make([]bool, len(jobs))
-	var todo []int
+	if ctx.Err() != nil {
+		return nil
+	}
+	reqs := make([]harness.Request, len(jobs))
 	for i, jb := range jobs {
-		if w.opts.Store != nil {
-			if res, hit, err := w.opts.Store.Get(jb.Key); err == nil && hit {
-				w.cacheHits.Add(1)
-				out[i] = res
-				done[i] = true
-				continue
-			}
-		}
-		todo = append(todo, i)
+		reqs[i] = jb.Request.Harness()
 	}
-	if len(todo) > 0 && ctx.Err() == nil {
-		reqs := make([]harness.Request, len(todo))
-		for k, i := range todo {
-			reqs[k] = jobs[i].Request.Harness()
+	batch := make([]results.Result, len(jobs))
+	for i, o := range results.Run(w.opts.Store, reqs, w.opts.Capacity) {
+		if o.Hit {
+			w.cacheHits.Add(1)
+		} else {
+			w.executed.Add(1)
 		}
-		runs := harness.GridRunsN(reqs, w.opts.Capacity)
-		for k, i := range todo {
-			out[i] = w.settleRun(jobs[i], reqs[k], runs[k])
-			done[i] = true
+		if o.PutErr != nil {
+			w.putErrors.Add(1)
+			w.opts.Logf("fleet worker %s: store put %s: %v", w.workerID(), o.Key, o.PutErr)
 		}
-	}
-	batch := make([]results.Result, 0, len(jobs))
-	for i := range out {
-		if done[i] {
-			batch = append(batch, out[i])
+		batch[i] = o.Result
+		if jb := jobs[i]; o.Key != jb.Key {
+			batch[i] = results.Result{Key: jb.Key, Config: jb.Request.Config.Name, Program: jb.Request.WorkloadLabel(),
+				Err: fmt.Sprintf("content key mismatch: leased %s, computed %s (mixed schema versions?)", jb.Key, o.Key)}
 		}
 	}
 	return batch
-}
-
-// settleRun converts one finished simulation into its wire record. The
-// record's recomputed key must match the lease — a mismatch (schema
-// drift between coordinator and worker binaries) is returned as a failed
-// record rather than poisoning a cache.
-func (w *Worker) settleRun(jb results.Job, req harness.Request, run harness.Run) results.Result {
-	res, err := results.FromRun(req, run)
-	if err != nil {
-		return results.Result{Key: jb.Key, Config: req.Config.Name, Program: jb.Request.WorkloadLabel(), Err: err.Error()}
-	}
-	w.executed.Add(1)
-	if res.Key != jb.Key {
-		return results.Result{Key: jb.Key, Config: req.Config.Name, Program: jb.Request.WorkloadLabel(),
-			Err: fmt.Sprintf("content key mismatch: leased %s, computed %s (mixed schema versions?)", jb.Key, res.Key)}
-	}
-	if w.opts.Store != nil && !res.Failed() {
-		if err := w.opts.Store.Put(res.Key, res); err != nil {
-			w.putErrors.Add(1)
-			w.opts.Logf("fleet worker %s: store put %s: %v", w.workerID(), res.Key, err)
-		}
-	}
-	return res
 }
 
 // register obtains (or re-obtains) the worker's identity.

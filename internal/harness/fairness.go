@@ -73,10 +73,10 @@ func Fairness(mix core.Stats, baselineIPC []float64) (MixMetrics, error) {
 
 // BaselineRequests returns the single-stream requests whose IPCs
 // normalize the given multi-programmed request: one per stream, same
-// configuration, same per-stream budget and seed, warmup split the same
-// way Execute splits it across the mix's streams. Feeding them through
-// the content-addressed store makes baselines shared across every mix
-// that contains the stream.
+// configuration, same per-stream budget and seed, and the request's full
+// warm-up (not the share Execute gives each stream of a mix), so through
+// the content-addressed store a stream's baseline is shared by every mix
+// that contains it, whatever the mix's stream count.
 func BaselineRequests(req Request) []Request {
 	n := len(req.Workload.Streams)
 	out := make([]Request, n)

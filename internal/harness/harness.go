@@ -232,14 +232,7 @@ func ExpandSampled(configs []core.Config, workloads []string, insts, warmup uint
 // order of workers is nondeterministic but each simulation is fully
 // deterministic, so the result set is reproducible.
 func Grid(configs []core.Config, workloads []string, insts, warmup uint64) (map[Key]Run, error) {
-	return GridSampledN(configs, workloads, insts, warmup, Sampling{})
-}
-
-// GridSampledN is Grid at a selected execution fidelity: the zero
-// Sampling value runs the grid exact, an enabled one runs every cell
-// with interval sampling (see driveSampled).
-func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint64, sp Sampling) (map[Key]Run, error) {
-	reqs, err := ExpandSampled(configs, workloads, insts, warmup, sp)
+	reqs, err := Expand(configs, workloads, insts, warmup)
 	if err != nil {
 		return nil, err
 	}

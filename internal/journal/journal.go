@@ -3,7 +3,7 @@
 // store:
 //
 //   - an append-only journal (WAL) of pending-pool mutations — enqueue,
-//     lease, complete, poison — with periodic checkpoint + compaction,
+//     complete, poison — with periodic checkpoint + compaction,
 //     so the set of jobs the service owes its clients survives a
 //     `kill -9`;
 //   - durable manifests (see results.Manifest): the canonical member
@@ -54,9 +54,10 @@ const (
 	// OpEnqueue records a job entering the pending pool. The full job
 	// (key + wire request) rides along so replay can re-queue it.
 	OpEnqueue Op = "enqueue"
-	// OpLease records a job going out under a worker lease. Leases are
-	// process-lifetime state — replay treats a leased job as pending —
-	// so the record carries no state, only an audit trail.
+	// OpLease is a lease line older coordinators wrote, one per leased
+	// job. Nothing writes it any more: leases are process-lifetime state
+	// (worker ids change every boot), so replay treats a leased job as
+	// pending. It stays decodable so those journals still replay.
 	OpLease Op = "lease"
 	// OpComplete records a job turning terminal (done or failed).
 	OpComplete Op = "complete"
@@ -77,7 +78,7 @@ type Record struct {
 	Key string `json:"key,omitempty"`
 	// Job is the full enqueue payload.
 	Job *results.Job `json:"job,omitempty"`
-	// Worker labels lease records.
+	// Worker labels the lease records of older journals.
 	Worker string `json:"worker,omitempty"`
 	// Manifest is the manifest id for manifest records.
 	Manifest string `json:"manifest,omitempty"`

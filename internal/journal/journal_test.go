@@ -3,6 +3,8 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,19 +76,31 @@ func enq(key string) Record {
 // TestAppendCrashReplay writes a mixed mutation history, "crashes"
 // (never calls Close), and expects a fresh Open to reconstruct exactly
 // the live jobs and open manifests, in order.
+//
+// The history carries a lease line in the form coordinators used to
+// write (nothing writes one now): it must still decode and replay to the
+// same state as the history without it.
 func TestAppendCrashReplay(t *testing.T) {
 	dir := t.TempDir()
 	c := newFakeClock()
 	j := mustOpen(t, dir, testOptions(c))
-	appendAll(t, j,
+	history := []Record{
 		enq("a"), enq("b"), enq("c"),
-		Record{Op: OpLease, Key: "a", Worker: "worker-0001"},
-		Record{Op: OpComplete, Key: "b"},
-		Record{Op: OpManifestOpen, Manifest: "sweep-1111111111111111"},
-		Record{Op: OpManifestOpen, Manifest: "sweep-2222222222222222"},
-		Record{Op: OpManifestDone, Manifest: "sweep-1111111111111111"},
-		Record{Op: OpPoison, Key: "c"},
-	)
+		{Op: OpLease, Key: "a", Worker: "worker-0001"},
+		{Op: OpComplete, Key: "b"},
+		{Op: OpManifestOpen, Manifest: "sweep-1111111111111111"},
+		{Op: OpManifestOpen, Manifest: "sweep-2222222222222222"},
+		{Op: OpManifestDone, Manifest: "sweep-1111111111111111"},
+		{Op: OpPoison, Key: "c"},
+	}
+	appendAll(t, j, history...)
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), "\n"+`{"op":"lease","key":"a","worker":"worker-0001"}`+"\n") {
+		t.Fatalf("lease line not in its historical wire form:\n%s", raw)
+	}
 
 	j2 := mustOpen(t, dir, testOptions(c))
 	st := j2.ReplayState()
@@ -104,6 +118,13 @@ func TestAppendCrashReplay(t *testing.T) {
 	// The leased job replays with its full request intact.
 	if st.Jobs[0].Request.Program != "a" {
 		t.Errorf("replayed job lost its request: %+v", st.Jobs[0])
+	}
+
+	noLease := t.TempDir()
+	appendAll(t, mustOpen(t, noLease, testOptions(c)), append(history[:3:3], history[4:]...)...)
+	want := mustOpen(t, noLease, testOptions(c)).ReplayState()
+	if !reflect.DeepEqual(st.Jobs, want.Jobs) || !reflect.DeepEqual(st.OpenManifests, want.OpenManifests) {
+		t.Errorf("the lease line changed the replayed state:\n got %+v\nwant %+v", st, want)
 	}
 }
 

@@ -89,17 +89,6 @@ func (s *Server) journalPoison(key string) {
 	_ = s.opts.Journal.Append(journal.Record{Op: journal.OpPoison, Key: key})
 }
 
-// journalLease records jobs going out under a worker lease (audit only;
-// replay re-queues leased jobs).
-func (s *Server) journalLease(worker string, jobs []results.Job) {
-	if !s.journaling() {
-		return
-	}
-	for _, j := range jobs {
-		_ = s.opts.Journal.Append(journal.Record{Op: journal.OpLease, Key: j.Key, Worker: worker})
-	}
-}
-
 // journalManifestOpen persists a manifest and records it live.
 func (s *Server) journalManifestOpen(id string, m results.Manifest) {
 	if !s.journaling() {

@@ -135,7 +135,6 @@ func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 	for _, age := range queueAges {
 		s.histQueueAge.observe(age)
 	}
-	s.journalLease(lr.WorkerID, jobs)
 	writeJSON(w, http.StatusOK, fleet.LeaseResponse{
 		JobBatch:       batch,
 		LeaseTTLMillis: s.fleet.LeaseTTL().Milliseconds(),

@@ -51,6 +51,11 @@ SIM1="${1:-}" HIT1="${2:-}"
 [ -n "$SIM1" ] || { echo "synth-smoke: FAIL: no summary line in pass 1"; cat "$TMP/pass1.log"; exit 1; }
 echo "synth-smoke: pass 1: $SIM1 simulated, $HIT1 store hits"
 [ "$SIM1" -gt 0 ] || { echo "synth-smoke: FAIL: cold pass simulated nothing"; exit 1; }
+# The study names 32 runs over 18 distinct keys, whatever the budgets:
+# 8 mixes and 10 baselines; the other 14 are baselines shared between
+# mixes. A batch that simulated a shared baseline twice would count it.
+[ "$SIM1 $HIT1" = "18 14" ] \
+    || { echo "synth-smoke: FAIL: cold pass: $SIM1 simulated, $HIT1 served (want 18, 14)"; cat "$TMP/pass1.log"; exit 1; }
 
 echo "synth-smoke: mixstudy second pass (warm cache)"
 "$TMP/bin/ringsim" mixstudy -mixes 2 -streams 2,4 -seed 5 \
