@@ -169,8 +169,8 @@ const streamAddrStride = uint64(1) << 44
 type streamFE struct {
 	stream trace.Stream
 	// replay is set when stream is a materialized *trace.Replay; the
-	// front end then reads packed records in place instead of decoding
-	// each into an isa.Inst through the Stream interface.
+	// front end then reads each record through the cursor's NextRec
+	// instead of decoding it into an isa.Inst through the Stream interface.
 	replay *trace.Replay
 	// off is the stream's address-space offset (streamAddrStride × index).
 	off uint64

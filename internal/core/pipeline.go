@@ -881,8 +881,8 @@ func (m *Machine) fetch() {
 }
 
 // next pulls the stream's next instruction as a packed record plus its
-// sequence number: in place from a materialized replay, through a staging
-// record otherwise. A nil record means the stream ended; err is then set
+// sequence number: decoded by a materialized replay's cursor, through a
+// staging record otherwise. A nil record means the stream ended; err is then set
 // unless it ended cleanly.
 func (sfe *streamFE) next() (rec *trace.Rec, seq uint64, err error) {
 	if sfe.replay != nil {

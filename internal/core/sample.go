@@ -8,13 +8,13 @@ import (
 )
 
 // This file is the machine side of sampled simulation (SMARTS-style
-// interval sampling, see harness.ExecuteSampled): short detailed windows
-// measured with the full out-of-order model, separated by functional
-// fast-forward spans that retire instructions at decode speed while
-// keeping the long-lived microarchitectural state — I/D caches, the
-// hybrid branch predictor, and per-stream fetch state — warm, so each
-// window measures steady-state behaviour rather than cold-start
-// transients.
+// interval sampling, driven by harness.Execute for a Request with Sampling
+// set — see harness.driveSampled): short detailed windows measured with the full
+// out-of-order model, separated by functional fast-forward spans that
+// retire instructions at decode speed while keeping the long-lived
+// microarchitectural state — I/D caches, the hybrid branch predictor, and
+// per-stream fetch state — warm, so each window measures steady-state
+// behaviour rather than cold-start transients.
 //
 // The machine alternates between the two modes through two primitives:
 // DrainPipeline empties the in-flight window without fetching more, and

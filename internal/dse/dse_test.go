@@ -1,7 +1,11 @@
 package dse
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -196,6 +200,58 @@ func TestParseAxes(t *testing.T) {
 			t.Errorf("ParseAxes(%q) accepted", bad)
 		}
 	}
+}
+
+// TestParseAxesBounds: an axis may expand to MaxAxisValues values and no
+// more — counted before anything is allocated, across all of the axis's
+// items — and a range that ends at the largest int stops there.
+func TestParseAxesBounds(t *testing.T) {
+	top, err := ParseAxes("iq=9223372036854775806..9223372036854775807")
+	if err != nil || !reflect.DeepEqual(top[0].Values, []int{math.MaxInt - 1, math.MaxInt}) {
+		t.Fatalf("range to MaxInt: %+v, %v", top, err)
+	}
+	if axes, err := ParseAxes(fmt.Sprintf("iq=1..%d", MaxAxisValues)); err != nil || len(axes[0].Values) != MaxAxisValues {
+		t.Fatalf("a range of exactly MaxAxisValues: %v", err)
+	}
+	for _, bad := range []string{
+		"iq=1..2000000000",
+		"iq=-9223372036854775808..9223372036854775807",
+		fmt.Sprintf("iq=1..%d", MaxAxisValues+1),
+		fmt.Sprintf("iq=1..%d,7", MaxAxisValues),
+		fmt.Sprintf("iq=0..%d/2,1..%d/2", 2*MaxAxisValues-2, 2*MaxAxisValues),
+	} {
+		_, err := ParseAxes(bad)
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxAxisValues)) {
+			t.Errorf("ParseAxes(%q): %v, want an error naming the %d-value cap", bad, err, MaxAxisValues)
+		}
+	}
+}
+
+// FuzzParseAxes: ParseAxes never panics and always returns (a range is
+// counted, not walked, before it is expanded), and a spec it accepts has
+// between one and MaxAxisValues values on every axis.
+func FuzzParseAxes(f *testing.F) {
+	for _, seed := range []string{
+		"clusters=4,8;iw=1..2;hop=1..5/2;arch=ring,conv",
+		"iq=1..2000000000",
+		"iq=9223372036854775806..9223372036854775807",
+		"iq=-9223372036854775808..9223372036854775807/3",
+		"iq=1..4096;rob=8..64/8,128",
+		"arch=0,1,ring;;iw= 2 , 4 ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		axes, err := ParseAxes(spec)
+		if err != nil {
+			return
+		}
+		for _, ax := range axes {
+			if n := len(ax.Values); n == 0 || n > MaxAxisValues {
+				t.Fatalf("ParseAxes(%q): axis %q has %d values", spec, ax.Name, n)
+			}
+		}
+	})
 }
 
 // TestExploreGridZeroResim is the acceptance test: an exhaustive

@@ -9,6 +9,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/results"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // funnelInsts and funnelWarmup are the funnel's harness accounting.
@@ -80,7 +81,19 @@ func TestExploreTraceMemoryFollowsWorkers(t *testing.T) {
 		t.Fatalf("the funnel skipped a tier: %+v", rep)
 	}
 	st := harness.DefaultTraceCache.Stats()
-	widest := (funnelInsts + funnelWarmup) * uint64(trace.RecBytes)
+	var widest uint64 // the largest program's trace, as a store holds it
+	for _, prog := range progs {
+		gen, err := workload.NewStream(prog, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p trace.Packed
+		p.Reserve(funnelInsts + funnelWarmup)
+		if err := p.Extend(gen, funnelInsts+funnelWarmup); err != nil {
+			t.Fatal(err)
+		}
+		widest = max(widest, p.Bytes())
+	}
 	if limit := (workers + 1) * widest; st.PeakBytes == 0 || st.PeakBytes > limit {
 		t.Errorf("PeakBytes = %d, want within (workers+1) × widest stream = %d", st.PeakBytes, limit)
 	}

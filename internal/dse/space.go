@@ -256,6 +256,11 @@ func (s *Space) Neighbors(c Candidate) []Candidate {
 	return out
 }
 
+// MaxAxisValues caps how many values one axis of a ParseAxes
+// specification may expand to: an axis is a list of machine parameter
+// settings to sweep, and a range past this is a typo, not a design space.
+const MaxAxisValues = 4096
+
 // ParseAxes parses a CLI axis specification: semicolon-separated
 // `name=values` clauses, where values are a comma list of integers
 // and/or `lo..hi` or `lo..hi/step` ranges. Example:
@@ -263,6 +268,7 @@ func (s *Space) Neighbors(c Candidate) []Candidate {
 //	clusters=4,8;iw=1,2;hop=1..4/1
 //
 // For the arch axis, the symbolic values "ring" and "conv" are accepted.
+// An axis that expands to more than MaxAxisValues values is an error.
 func ParseAxes(spec string) ([]Axis, error) {
 	var axes []Axis
 	for _, clause := range strings.Split(spec, ";") {
@@ -285,19 +291,21 @@ func ParseAxes(spec string) ([]Axis, error) {
 				switch strings.ToLower(item) {
 				case "ring", "0":
 					ax.Values = append(ax.Values, 0)
-					continue
 				case "conv", "1":
 					ax.Values = append(ax.Values, 1)
-					continue
 				default:
 					return nil, fmt.Errorf("dse: arch value %q (want ring or conv)", item)
 				}
+			} else {
+				vs, err := parseRange(item)
+				if err != nil {
+					return nil, fmt.Errorf("dse: axis %q: %w", name, err)
+				}
+				ax.Values = append(ax.Values, vs...)
 			}
-			vs, err := parseRange(item)
-			if err != nil {
-				return nil, fmt.Errorf("dse: axis %q: %w", name, err)
+			if len(ax.Values) > MaxAxisValues {
+				return nil, fmt.Errorf("dse: axis %q has more than %d values", name, MaxAxisValues)
 			}
-			ax.Values = append(ax.Values, vs...)
 		}
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("dse: axis %q has no values", name)
@@ -310,9 +318,10 @@ func ParseAxes(spec string) ([]Axis, error) {
 	return axes, nil
 }
 
-// parseRange parses "n", "lo..hi" or "lo..hi/step" into a value list.
-// strconv.Atoi (not Sscanf) so trailing garbage like "4x8" is an error,
-// not a silently truncated value.
+// parseRange parses "n", "lo..hi" or "lo..hi/step" into a value list of at
+// most MaxAxisValues values (a longer range is refused before anything is
+// allocated). strconv.Atoi (not Sscanf) so trailing garbage like "4x8" is
+// an error, not a silently truncated value.
 func parseRange(item string) ([]int, error) {
 	span, stepStr, hasStep := strings.Cut(item, "/")
 	lo, hi, isRange := strings.Cut(span, "..")
@@ -338,9 +347,16 @@ func parseRange(item string) ([]int, error) {
 	if b < a {
 		return nil, fmt.Errorf("descending range %q", item)
 	}
-	var out []int
-	for v := a; v <= b; v += step {
-		out = append(out, v)
+	// The span b−a fits a uint64 whatever a and b are, and every value
+	// a + i·step lies in [a, b], so neither the count nor the loop can
+	// overflow.
+	steps := (uint64(b) - uint64(a)) / uint64(step)
+	if steps >= MaxAxisValues {
+		return nil, fmt.Errorf("range %q has more than %d values", item, MaxAxisValues)
+	}
+	out := make([]int, steps+1)
+	for i := range out {
+		out[i] = int(uint64(a) + uint64(i)*uint64(step))
 	}
 	return out, nil
 }

@@ -46,9 +46,9 @@ func (s Sampling) Validate() error {
 		return nil
 	case s.Window == 0:
 		return fmt.Errorf("harness: sampling window must be positive")
-	case s.Warm+s.Window >= s.Interval:
-		return fmt.Errorf("harness: sampling interval (%d) must exceed warm+window (%d)",
-			s.Interval, s.Warm+s.Window)
+	case s.Warm >= s.Interval || s.Window >= s.Interval-s.Warm: // Warm+Window could wrap
+		return fmt.Errorf("harness: sampling interval (%d) must exceed warm+window (%d+%d)",
+			s.Interval, s.Warm, s.Window)
 	}
 	return nil
 }

@@ -112,3 +112,29 @@ func TestParseFidelity(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseFidelity: every HTTP submission's fidelity field reaches
+// ParseFidelity. Whatever it accepts spells back to itself —
+// ParseFidelity(s.String()) == s — and is a sampling whose warm-up and
+// window fit inside the interval without wrapping.
+func FuzzParseFidelity(f *testing.F) {
+	for _, seed := range []string{
+		"", "exact", "sampled", " sampled ", "sampled(12000,1000,400)",
+		"sampled(1000,2000,500)", "sampled(1000,0,0)", "sampled(5,2,18446744073709551615)",
+		"sampled(+7,1,1)", "sampled(9,1,1)trailing", "fast",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		s, err := ParseFidelity(v)
+		if err != nil {
+			return
+		}
+		if back, err := ParseFidelity(s.String()); err != nil || back != s {
+			t.Fatalf("ParseFidelity(%q) = %+v spells %q, which parses to %+v, %v", v, s, s.String(), back, err)
+		}
+		if s.Enabled() && (s.Window == 0 || s.Warm >= s.Interval || s.Window >= s.Interval-s.Warm) {
+			t.Fatalf("ParseFidelity(%q) accepted %+v: warm-up and window do not fit the interval", v, s)
+		}
+	})
+}

@@ -8,8 +8,8 @@ import (
 )
 
 // TraceCache materializes each workload stream's deterministic
-// instruction sequence once, in the packed form of trace.Packed, and
-// replays it read-only, so the runs that share a stream generate its trace
+// instruction sequence once, in the encoded form of trace.Packed (about
+// six bytes an instruction), and replays it read-only, so the runs that share a stream generate its trace
 // a single time instead of once each. Entries are keyed per stream —
 // (program, seed) — so two mixes sharing a stream share its trace, and two
 // seeds of one program materialize separately. Program names are canonical
@@ -17,9 +17,9 @@ import (
 // specs), so equivalent spellings of one synth workload share a single
 // entry. Entries extend in place: a request for a longer prefix pulls more
 // instructions from the stream's retained generator into new segments,
-// allocated chunk by chunk as the records arrive and cut to the requested
-// length, and outstanding shorter views stay valid (extension never moves
-// or rewrites a published record).
+// allocated segment by segment as the records arrive and cut to the
+// records at the requested length, and outstanding shorter views stay
+// valid (extension never rewrites a published byte).
 //
 // A trace lives only while unfinished work names it. A consumer Holds the
 // streams of the work it has accepted — a request list, an exploration's
@@ -93,10 +93,11 @@ func NewTraceCache(budget uint64) *TraceCache {
 	}
 }
 
-// DefaultTraceCache backs Execute. Its budget (64M instructions, 1.5 GB at
-// 24 bytes a record) is a safety cap on what can be held at once, not an
-// expected size: the paper grid at 300k+50k instructions names 9.1M
-// (218 MB) in total, and its workers share one workload at a time (two
+// DefaultTraceCache backs Execute. Its budget (64M instructions, about
+// 420 MB at the 6.6 bytes an instruction the largest of the 26 programs
+// measures) is a safety cap on what can be held at once, not an expected
+// size: the paper grid at 300k+50k instructions names 9.1M (56 MB
+// measured) in total, and its workers share one workload at a time (two
 // while they cross from one to the next).
 var DefaultTraceCache = NewTraceCache(64 << 20)
 

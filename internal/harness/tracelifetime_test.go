@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestTraceCacheDropsAtLastRelease(t *testing.T) {
 	}
 
 	tc.Release(spec)
-	if st := tc.Stats(); st.Entries != 1 || st.Held != 2 || st.Dropped != 0 || st.Bytes != 3000*uint64(trace.RecBytes) {
+	if st := tc.Stats(); st.Entries != 1 || st.Held != 2 || st.Dropped != 0 || st.Bytes != packedBytes(t, prog, 4, 3000) {
 		t.Fatalf("after the first release: %+v, want the entry still resident", st)
 	}
 	again, err := tc.Stream(prog, 4, 3000)
@@ -123,7 +124,8 @@ func TestTraceCacheFallbacksAndPeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectStream(t, "fallback stream", s, reference(t, "swim", 0, 2000))
-	if st := tc.Stats(); st.Fallbacks != 1 || st.Entries != 1 || st.Bytes != 4000*24 {
+	gccBytes := packedBytes(t, "gcc", 0, 4000)
+	if st := tc.Stats(); st.Fallbacks != 1 || st.Entries != 1 || st.Bytes != gccBytes {
 		t.Fatalf("over budget: %+v, want one fallback and only gcc resident", st)
 	}
 	tc.Release(gcc)
@@ -135,7 +137,7 @@ func TestTraceCacheFallbacksAndPeak(t *testing.T) {
 		t.Fatalf("budget not returned at release: got a %T, want the shared replay", s)
 	}
 	tc.Release(swim)
-	if st := tc.Stats(); st.Fallbacks != 1 || st.PeakBytes != 4000*24 || st.Bytes != 0 {
+	if st := tc.Stats(); st.Fallbacks != 1 || st.PeakBytes != gccBytes || st.Bytes != 0 {
 		t.Fatalf("after the releases: %+v, want the 4000-record peak remembered", st)
 	}
 }
@@ -212,9 +214,12 @@ func TestPooledMachineDropsItsTrace(t *testing.T) {
 	}
 }
 
-// weakRecords returns a weak pointer to the records of the resident trace
-// of prog: it goes nil once nothing references the trace's store.
-func weakRecords(t *testing.T, prog string, n uint64) weak.Pointer[trace.Rec] {
+// weakRecords returns a weak pointer to the encoded records of the
+// resident trace of prog: it goes nil once nothing references the trace's
+// store. NextRec decodes into the cursor's own record, so the pointer is
+// taken to the first byte of the segment the cursor reads, reached through
+// its unexported field.
+func weakRecords(t *testing.T, prog string, n uint64) weak.Pointer[byte] {
 	t.Helper()
 	s, err := DefaultTraceCache.Stream(prog, 0, n)
 	if err != nil {
@@ -224,8 +229,14 @@ func weakRecords(t *testing.T, prog string, n uint64) weak.Pointer[trace.Rec] {
 	if !ok {
 		t.Fatalf("%s is not resident: got a %T", prog, s)
 	}
-	rec, _ := r.NextRec()
-	return weak.Make(rec)
+	if rec, _ := r.NextRec(); rec == nil {
+		t.Fatalf("%s replays nothing", prog)
+	}
+	cur := reflect.ValueOf(r).Elem().FieldByName("cur")
+	if cur.Kind() != reflect.Slice || cur.Len() == 0 {
+		t.Fatalf("the cursor reads no segment: %v", cur)
+	}
+	return weak.Make((*byte)(cur.UnsafePointer()))
 }
 
 // mixShapeRequests is the benchmark's unique_mixes shape at a test-sized
@@ -277,8 +288,9 @@ func TestGridTraceMemoryFollowsWorkers(t *testing.T) {
 	streams, widest := 0, uint64(0)
 	for _, r := range reqs[:len(reqs)/2] { // one config's worth: each workload once
 		var bytes uint64
-		for _, b := range StreamBudgets(r.Workload, r.Insts, r.Warmup) {
-			bytes += b * uint64(trace.RecBytes)
+		for i, b := range StreamBudgets(r.Workload, r.Insts, r.Warmup) {
+			s := r.Workload.Streams[i]
+			bytes += packedBytes(t, s.Program, s.Seed, int(b))
 		}
 		streams += len(r.Workload.Streams)
 		widest = max(widest, bytes)

@@ -330,7 +330,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}{
 			{"ringsimd_trace_cache_entries", "Materialized workload streams resident in the trace cache.", "gauge", uint64(tc.Entries)},
 			{"ringsimd_trace_cache_held", "Workload streams some queued or running work holds, materialized or not.", "gauge", uint64(tc.Held)},
-			{"ringsimd_trace_cache_bytes", "Memory allocated for materialized traces: the packed stores' segments, 24 bytes a record.", "gauge", tc.Bytes},
+			{"ringsimd_trace_cache_bytes", "Memory allocated for materialized traces: the packed stores' segments of encoded records, about 6 bytes an instruction.", "gauge", tc.Bytes},
 			{"ringsimd_trace_cache_peak_bytes", "High-water mark of ringsimd_trace_cache_bytes since the process started.", "gauge", tc.PeakBytes},
 			{"ringsimd_trace_cache_hits_total", "Stream requests served from an existing trace-cache entry.", "counter", tc.Hits},
 			{"ringsimd_trace_cache_misses_total", "Stream requests that materialized a new entry or fell back to a private generator.", "counter", tc.Misses},

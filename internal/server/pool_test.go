@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/fleet"
 	"repro/internal/harness"
@@ -79,8 +78,21 @@ func TestDaemonTraceMemoryFollowsWorkers(t *testing.T) {
 	if st.Misses != programs {
 		t.Errorf("streams were built %d times, want once per program (%d)", st.Misses, programs)
 	}
-	// Every stream of this grid is one program at the same budget.
-	stream := uint64(testInsts+testWarmup) * uint64(unsafe.Sizeof(trace.Rec{}))
+	// Every stream of this grid is one program at the same budget; the
+	// bound is the largest of them as a store holds it.
+	var stream uint64
+	for _, prog := range workload.Names()[:programs] {
+		gen, err := workload.NewStream(prog, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p trace.Packed
+		p.Reserve(testInsts + testWarmup)
+		if err := p.Extend(gen, testInsts+testWarmup); err != nil {
+			t.Fatal(err)
+		}
+		stream = max(stream, p.Bytes())
+	}
 	if bound := (workers + 1) * stream; st.PeakBytes == 0 || st.PeakBytes > bound {
 		t.Errorf("peak trace bytes %d, want within (workers+1) × one stream = %d (all %d programs resident = %d)",
 			st.PeakBytes, bound, programs, programs*stream)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -19,15 +20,77 @@ func packAll(t testing.TB, insts []isa.Inst) *Packed {
 	return &p
 }
 
+// walkInsts is a stream shaped like a generator's — mostly sequential PCs,
+// taken branches followed to their targets, branch targets and data
+// addresses near the PC and the previous address — with one random
+// instruction (every field far from any prediction) in five, so every
+// path of the store's encoding is taken.
+func walkInsts(seed int64, n int) []isa.Inst {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]isa.Inst, n)
+	pc, addr := uint64(0x4000), uint64(0x10000)
+	for i := range out {
+		in := randInst(r, uint64(i))
+		if r.Intn(5) != 0 {
+			in.PC = pc
+			switch {
+			case in.Class.IsMem():
+				addr += uint64(r.Intn(129)) - 64
+				in.EffAddr = addr
+			case in.Taken:
+				in.Target = pc + uint64(r.Intn(64))*4 - 128
+			}
+		}
+		out[i] = in
+		pc = in.PC + 4
+		if in.Taken {
+			pc = in.Target
+		}
+	}
+	return out
+}
+
+// encodedBytes is what the store's records occupy, without slack.
+func encodedBytes(p *Packed) uint64 {
+	n := uint64(p.used)
+	for _, s := range p.segs {
+		n += uint64(len(s.data))
+	}
+	return n
+}
+
+// cutExactly reports whether a segment's allocation is its records' bytes
+// as the allocator rounds a right-sized allocation, and no more.
+func cutExactly(s segment) bool {
+	return cap(s.data) == cap(append([]byte(nil), s.data...))
+}
+
+// expectReplay drains s and compares it with want.
+func expectReplay(t testing.TB, what string, s Stream, want []isa.Inst) {
+	t.Helper()
+	for i := range want {
+		if got, err := s.Next(); err != nil || got != want[i] {
+			t.Fatalf("%s: record %d: got %+v, %v; want %+v", what, i, got, err, want[i])
+		}
+	}
+	if _, err := s.Next(); !errors.Is(err, ErrEnd) {
+		t.Fatalf("%s: ran on past %d records: %v", what, len(want), err)
+	}
+}
+
 // TestPackedRandomRoundTrip: the codec tests' random instructions survive
 // the packed layout field for field, Seq included, from a non-zero base.
 func TestPackedRandomRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	insts := make([]isa.Inst, 3*chunkRecs/2) // crosses a chunk boundary
+	insts := make([]isa.Inst, 6000)
 	for i := range insts {
 		insts[i] = randInst(r, 1000+uint64(i))
 	}
-	got, err := Collect(packAll(t, insts).View(len(insts)).Replay(), 0)
+	p := packAll(t, insts)
+	if len(p.segs) < 2 {
+		t.Fatalf("%d instructions fill %d segment(s), want them to cross a boundary", len(insts), len(p.segs)+1)
+	}
+	got, err := Collect(p.View(len(insts)).Replay(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,44 +109,47 @@ func TestPackedRandomRoundTrip(t *testing.T) {
 func TestPackedAppendRejects(t *testing.T) {
 	ok := isa.Inst{Seq: 5, Class: isa.Load, HasDest: true, Dest: isa.Reg{Idx: 1}, EffAddr: 64}
 	cases := map[string]func(in *isa.Inst){
-		"gap in seq":           func(in *isa.Inst) { in.Seq = 7 },
-		"repeated seq":         func(in *isa.Inst) { in.Seq = 5 },
-		"load with target":     func(in *isa.Inst) { in.Target = 8 },
-		"alu with effaddr":     func(in *isa.Inst) { in.Class = isa.IntALU },
-		"branch with effaddr":  func(in *isa.Inst) { in.Class, in.HasDest, in.Dest = isa.Branch, false, isa.Reg{} },
-		"three sources":        func(in *isa.Inst) { in.NumSrcs = 4 },
-		"unknown register set": func(in *isa.Inst) { in.Dest.Kind = 2 },
+		"gap in seq":            func(in *isa.Inst) { in.Seq = 7 },
+		"repeated seq":          func(in *isa.Inst) { in.Seq = 5 },
+		"load with target":      func(in *isa.Inst) { in.Target = 8 },
+		"alu with effaddr":      func(in *isa.Inst) { in.Class = isa.IntALU },
+		"branch with effaddr":   func(in *isa.Inst) { in.Class, in.HasDest, in.Dest = isa.Branch, false, isa.Reg{} },
+		"three sources":         func(in *isa.Inst) { in.NumSrcs = 4 },
+		"unknown register set":  func(in *isa.Inst) { in.Dest.Kind = 2 },
+		"class past the header": func(in *isa.Inst) { in.Class, in.EffAddr = classMask+1, 0 },
 	}
 	for name, mutate := range cases {
 		var p Packed
 		if err := p.Append(&ok); err != nil {
 			t.Fatal(err)
 		}
+		before := p.Bytes()
 		in := ok
 		in.Seq = 6
 		mutate(&in)
 		if err := p.Append(&in); err == nil {
 			t.Errorf("%s: accepted %+v", name, in)
 		}
-		if p.Len() != 1 {
-			t.Errorf("%s: refused append changed the store (len %d)", name, p.Len())
+		if p.Len() != 1 || p.Bytes() != before {
+			t.Errorf("%s: refused append changed the store (len %d, %d bytes)", name, p.Len(), p.Bytes())
 		}
 	}
 }
 
 // TestPackedExtension: a view taken before the store grows replays the
-// same records afterwards and still ends where it did — through segments
-// cut to a reserved length and through Append's whole chunks — and the
-// store never holds more than one chunk of slack.
+// same records afterwards and still ends where it did — across segments
+// cut at a reserved length and across the whole segments Append opens —
+// and the store never holds more than one segment of slack.
 func TestPackedExtension(t *testing.T) {
-	insts := mkInsts(4*chunkRecs + 100)
+	insts := walkInsts(2, 20_000)
 	var p Packed
 	p.Reserve(100)
 	if err := p.Extend(NewSlice(insts), 100); err != nil {
 		t.Fatal(err)
 	}
-	if p.Bytes() != 100*uint64(RecBytes) {
-		t.Fatalf("reserved store holds %d bytes, want exactly %d", p.Bytes(), 100*RecBytes)
+	if len(p.segs) != 1 || p.buf != nil || !cutExactly(p.segs[0]) || p.Bytes() != uint64(cap(p.segs[0].data)) {
+		t.Fatalf("reserved store: %d sealed segments, %d bytes for %d encoded, want one segment cut to its records",
+			len(p.segs), p.Bytes(), encodedBytes(&p))
 	}
 	short := p.View(60)
 	half := short.Replay()
@@ -93,18 +159,21 @@ func TestPackedExtension(t *testing.T) {
 		}
 	}
 
-	// Grow three ways: reserve while the first segment is full, append
-	// past all reserved room (chunks), reserve again.
+	// Grow three ways: reserve after the first segment was cut, append
+	// past all reserved room (whole segments), reserve again.
 	rest := NewSlice(insts[100:])
 	p.Reserve(1000)
 	if err := p.Extend(rest, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Extend(rest, 1000+2*chunkRecs+7); err != nil {
+	if err := p.Extend(rest, 12_007); err != nil {
 		t.Fatal(err)
 	}
-	if slack := p.Bytes() - uint64(p.Len()*RecBytes); slack >= chunkRecs*uint64(RecBytes) {
-		t.Fatalf("%d bytes of slack, want under one chunk", slack)
+	if len(p.segs) < 3 {
+		t.Fatalf("12,007 records fill %d sealed segments, want the unreserved part to cross a boundary", len(p.segs))
+	}
+	if slack := p.Bytes() - encodedBytes(&p); slack >= segmentBytes {
+		t.Fatalf("%d bytes of slack, want under one segment", slack)
 	}
 	p.Reserve(len(insts))
 	if err := p.Extend(rest, len(insts)); err != nil {
@@ -122,31 +191,25 @@ func TestPackedExtension(t *testing.T) {
 	if _, err := half.Next(); !errors.Is(err, ErrEnd) {
 		t.Fatalf("outstanding 60-record view ran on after growth: %v", err)
 	}
-	if got, _ := Collect(short.Replay(), 0); len(got) != 60 {
-		t.Fatalf("fresh cursor over the old view yields %d records, want 60", len(got))
-	}
-	got, err := Collect(p.View(len(insts)).Replay(), 0)
-	if err != nil || len(got) != len(insts) {
-		t.Fatalf("full replay: %d records, %v", len(got), err)
-	}
-	for i := range insts {
-		if got[i] != insts[i] {
-			t.Fatalf("record %d after growth: got %+v want %+v", i, got[i], insts[i])
-		}
-	}
+	expectReplay(t, "fresh cursor over the old view", short.Replay(), insts[:60])
+	expectReplay(t, "full replay", p.View(len(insts)).Replay(), insts)
+	expectReplay(t, "a view cut inside a segment", p.View(7777).Replay(), insts[:7777])
 	if p.View(len(insts)+50).Len() != len(insts) {
 		t.Fatal("a view past the end is not cut to the store")
 	}
 }
 
 // TestPackedReserveAllocatesAsItFills is the allocation contract: Reserve
-// allocates nothing, the store never runs more than one chunk ahead of the
-// records written, every segment is at most a chunk and the last is cut to
-// the reserved length, a view taken mid-fill is unchanged by the rest of
-// the fill, and a store nobody reserved grows by whole chunks.
+// allocates nothing, the store never runs more than one segment (plus
+// under one record per sealed segment) ahead of the records written,
+// every segment is at most segmentBytes, a segment
+// sealed because it filled up wastes less than one record and the last is
+// cut to its records at the reserved length, a view taken mid-fill is
+// unchanged by the rest of the fill, and a store nobody reserved grows by
+// whole segments.
 func TestPackedReserveAllocatesAsItFills(t *testing.T) {
-	const n = 2*chunkRecs + 1000
-	insts := mkInsts(n)
+	const n = 15_000
+	insts := walkInsts(3, n)
 	var p Packed
 	if avg := testing.AllocsPerRun(10, func() { p.Reserve(n) }); avg != 0 {
 		t.Fatalf("Reserve made %.1f allocations, want 0", avg)
@@ -159,42 +222,93 @@ func TestPackedReserveAllocatesAsItFills(t *testing.T) {
 		if err := p.Append(&insts[k]); err != nil {
 			t.Fatal(err)
 		}
-		if limit := uint64(RecBytes * min(n, k+1+chunkRecs)); p.Bytes() > limit {
+		if limit := encodedBytes(&p) + segmentBytes + uint64(len(p.segs)*maxEncoded); p.Bytes() > limit {
 			t.Fatalf("after %d of %d records the store holds %d bytes, want <= %d", k+1, n, p.Bytes(), limit)
 		}
-		if k+1 == chunkRecs+17 {
+		if k+1 == 5017 {
 			mid = p.View(k + 1)
 		}
 	}
-	sum := 0
+	if p.buf != nil || len(p.segs) < 3 {
+		t.Fatalf("filled store: open segment %v, %d sealed, want only sealed segments, several", p.buf != nil, len(p.segs))
+	}
+	sum, held := 0, uint64(0)
 	for i, seg := range p.segs {
-		if len(seg) > chunkRecs {
-			t.Errorf("segment %d holds %d records, want <= %d", i, len(seg), chunkRecs)
+		if cap(seg.data) > segmentBytes {
+			t.Errorf("segment %d is %d bytes, want <= %d", i, cap(seg.data), segmentBytes)
 		}
-		sum += len(seg)
-	}
-	if last := p.segs[len(p.segs)-1]; sum != n || len(last) != n%chunkRecs {
-		t.Errorf("segments sum to %d records with the last at %d, want %d and %d", sum, len(last), n, n%chunkRecs)
-	}
-	if p.Bytes() != uint64(n*RecBytes) {
-		t.Errorf("filled store holds %d bytes, want exactly %d", p.Bytes(), n*RecBytes)
-	}
-	got, err := Collect(mid.Replay(), 0)
-	if err != nil || len(got) != chunkRecs+17 {
-		t.Fatalf("mid-fill view: %d records, %v", len(got), err)
-	}
-	for i := range got {
-		if got[i] != insts[i] {
-			t.Fatalf("mid-fill view record %d changed: got %+v want %+v", i, got[i], insts[i])
+		if i < len(p.segs)-1 && cap(seg.data)-len(seg.data) >= maxEncoded {
+			t.Errorf("segment %d was sealed with %d of %d bytes free", i, cap(seg.data)-len(seg.data), cap(seg.data))
 		}
+		sum += seg.n
+		held += uint64(cap(seg.data))
 	}
+	if last := p.segs[len(p.segs)-1]; sum != n || !cutExactly(last) {
+		t.Errorf("segments sum to %d records, the last %d bytes for %d encoded; want %d and cut", sum, cap(last.data), len(last.data), n)
+	}
+	if p.Bytes() != held {
+		t.Errorf("filled store reports %d bytes, its segments hold %d", p.Bytes(), held)
+	}
+	expectReplay(t, "mid-fill view", mid.Replay(), insts[:5017])
 
 	var q Packed
-	if err := q.Extend(NewSlice(insts), chunkRecs+1); err != nil {
+	first := p.segs[0].n
+	if err := q.Extend(NewSlice(insts), first+1); err != nil {
 		t.Fatal(err)
 	}
-	if len(q.segs) != 2 || len(q.segs[1]) != chunkRecs || q.Bytes() != 2*chunkRecs*uint64(RecBytes) {
-		t.Fatalf("unreserved store: %d segments, %d bytes, want 2 whole chunks", len(q.segs), q.Bytes())
+	if len(q.segs) != 1 || q.open != 1 || q.Bytes() != 2*segmentBytes {
+		t.Fatalf("unreserved store: %d sealed segments, %d bytes, want 2 whole segments", len(q.segs), q.Bytes())
+	}
+}
+
+// TestPackedViewsUnderConcurrentExtension: one goroutine extends a store
+// across many segment boundaries — reserved and unreserved, so segments
+// are both sealed full and cut — while readers replay the views it took
+// earlier and compare every record with the reference. A view's bytes are
+// written before it is taken and never again. Run with -race.
+func TestPackedViewsUnderConcurrentExtension(t *testing.T) {
+	const n, readers = 40_000, 4
+	insts := walkInsts(4, n)
+	views := make(chan View)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range views {
+				r := v.Replay()
+				for i := 0; i < v.Len(); i++ {
+					if got, err := r.Next(); err != nil || got != insts[i] {
+						t.Errorf("%d-record view under extension: record %d is %+v, %v; want %+v", v.Len(), i, got, err, insts[i])
+						break
+					}
+				}
+				if _, err := r.Next(); !errors.Is(err, ErrEnd) {
+					t.Errorf("%d-record view under extension ran on: %v", v.Len(), err)
+				}
+			}
+		}()
+	}
+	var p Packed
+	src := NewSlice(insts)
+	r := rand.New(rand.NewSource(4))
+	func() {
+		defer close(views)
+		for p.Len() < n {
+			to := min(n, p.Len()+1+r.Intn(3000))
+			if r.Intn(2) == 0 {
+				p.Reserve(to)
+			}
+			if err := p.Extend(src, to); err != nil {
+				t.Error(err)
+				return
+			}
+			views <- p.View(to)
+		}
+	}()
+	wg.Wait()
+	if len(p.segs) < 10 {
+		t.Fatalf("the store crossed %d segment boundaries, want many", len(p.segs))
 	}
 }
 
