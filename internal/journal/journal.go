@@ -148,6 +148,12 @@ type checkpointFile struct {
 	Manifests []string      `json:"manifests"`
 }
 
+// liveJob is one live job and the index of its enqueue in liveOrder.
+type liveJob struct {
+	job results.Job
+	at  int
+}
+
 // Journal is the durable control-plane log. All methods are safe for
 // concurrent use.
 type Journal struct {
@@ -157,12 +163,15 @@ type Journal struct {
 	mu sync.Mutex
 	f  *os.File
 	// live is the materialized pending pool: every job enqueued and not
-	// yet complete/poisoned. liveOrder preserves enqueue order (it may
-	// hold stale keys; live is the truth).
-	live      map[string]results.Job
+	// yet complete/poisoned, with the index in liveOrder of the enqueue
+	// that made it live. liveOrder is enqueue order; an entry that is not
+	// its key's live index is stale, and every checkpoint drops the stale
+	// entries, so the slice stays within CheckpointEvery of the live set.
+	live      map[string]liveJob
 	liveOrder []string
-	// open tracks manifests between OpManifestOpen and OpManifestDone.
-	open      map[string]bool
+	// open maps each manifest between OpManifestOpen and OpManifestDone
+	// to its index in openOrder, kept like liveOrder.
+	open      map[string]int
 	openOrder []string
 
 	sinceCheckpoint int
@@ -187,8 +196,8 @@ func Open(dir string, opts Options) (*Journal, error) {
 	j := &Journal{
 		dir:  dir,
 		opts: opts.withDefaults(),
-		live: make(map[string]results.Job),
-		open: make(map[string]bool),
+		live: make(map[string]liveJob),
+		open: make(map[string]int),
 	}
 	if err := os.MkdirAll(j.manifestDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", dir, err)
@@ -323,25 +332,30 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// applyLocked folds one record into the materialized state. Idempotent:
-// re-applying history (a crash between checkpoint rename and log
-// truncation) converges to the same state. Callers must hold j.mu.
+// applyLocked folds one record into the materialized state. A key
+// enqueued while live keeps its place; one enqueued again after it
+// completed takes its new place. Idempotent: re-applying history (a crash
+// between checkpoint rename and log truncation) converges to the same
+// state. Callers must hold j.mu.
 func (j *Journal) applyLocked(rec Record) {
 	switch rec.Op {
 	case OpEnqueue:
 		if rec.Job != nil && rec.Job.Key != "" {
-			if _, ok := j.live[rec.Job.Key]; !ok {
+			lj, ok := j.live[rec.Job.Key]
+			if !ok {
+				lj.at = len(j.liveOrder)
 				j.liveOrder = append(j.liveOrder, rec.Job.Key)
 			}
-			j.live[rec.Job.Key] = *rec.Job
+			lj.job = *rec.Job
+			j.live[rec.Job.Key] = lj
 		}
 	case OpLease:
 		// Leases die with the process; replay re-queues the job.
 	case OpComplete, OpPoison:
 		delete(j.live, rec.Key)
 	case OpManifestOpen:
-		if rec.Manifest != "" && !j.open[rec.Manifest] {
-			j.open[rec.Manifest] = true
+		if _, ok := j.open[rec.Manifest]; rec.Manifest != "" && !ok {
+			j.open[rec.Manifest] = len(j.openOrder)
 			j.openOrder = append(j.openOrder, rec.Manifest)
 		}
 	case OpManifestDone:
@@ -353,14 +367,10 @@ func (j *Journal) applyLocked(rec Record) {
 // j.mu.
 func (j *Journal) liveJobsLocked() []results.Job {
 	out := make([]results.Job, 0, len(j.live))
-	seen := make(map[string]bool, len(j.live))
-	for _, key := range j.liveOrder {
-		jb, ok := j.live[key]
-		if !ok || seen[key] {
-			continue
+	for i, key := range j.liveOrder {
+		if lj, ok := j.live[key]; ok && lj.at == i {
+			out = append(out, lj.job)
 		}
-		seen[key] = true
-		out = append(out, jb)
 	}
 	return out
 }
@@ -369,15 +379,37 @@ func (j *Journal) liveJobsLocked() []results.Job {
 // must hold j.mu.
 func (j *Journal) openManifestsLocked() []string {
 	out := make([]string, 0, len(j.open))
-	seen := make(map[string]bool, len(j.open))
-	for _, id := range j.openOrder {
-		if !j.open[id] || seen[id] {
-			continue
+	for i, id := range j.openOrder {
+		if at, ok := j.open[id]; ok && at == i {
+			out = append(out, id)
 		}
-		seen[id] = true
-		out = append(out, id)
 	}
 	return out
+}
+
+// compactOrderLocked drops the stale entries of liveOrder and openOrder,
+// leaving exactly the live set and the open set in order. Callers must
+// hold j.mu.
+func (j *Journal) compactOrderLocked() {
+	order := j.liveOrder[:0]
+	for i, key := range j.liveOrder {
+		if lj, ok := j.live[key]; ok && lj.at == i {
+			lj.at = len(order)
+			j.live[key] = lj
+			order = append(order, key)
+		}
+	}
+	clear(j.liveOrder[len(order):])
+	j.liveOrder = order
+	ids := j.openOrder[:0]
+	for i, id := range j.openOrder {
+		if at, ok := j.open[id]; ok && at == i {
+			j.open[id] = len(ids)
+			ids = append(ids, id)
+		}
+	}
+	clear(j.openOrder[len(ids):])
+	j.openOrder = ids
 }
 
 // checkpointLocked writes the live state to checkpoint.json (temp file
@@ -385,6 +417,7 @@ func (j *Journal) openManifestsLocked() []string {
 // the log. Order matters: the new checkpoint must be durable before the
 // history it absorbs is dropped. Callers must hold j.mu.
 func (j *Journal) checkpointLocked() error {
+	j.compactOrderLocked()
 	cp := checkpointFile{
 		Jobs:      j.liveJobsLocked(),
 		Manifests: j.openManifestsLocked(),

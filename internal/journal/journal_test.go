@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -225,6 +226,55 @@ func TestReplayIdempotent(t *testing.T) {
 	)
 	j2 := mustOpen(t, dir, testOptions(c))
 	wantStrings(t, "replayed jobs", jobKeys(j2.ReplayState().Jobs), []string{"a", "b"})
+}
+
+// TestReenqueueTakesItsNewPlace: a key that completes and is enqueued
+// again replays where the second enqueue put it, and so does a manifest
+// reopened after it was done — in the log, and in the checkpoint a
+// reopen compacts it into.
+func TestReenqueueTakesItsNewPlace(t *testing.T) {
+	dir := t.TempDir()
+	c := newFakeClock()
+	j := mustOpen(t, dir, testOptions(c))
+	appendAll(t, j,
+		enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"}, enq("a"),
+		Record{Op: OpManifestOpen, Manifest: "m1"}, Record{Op: OpManifestOpen, Manifest: "m2"},
+		Record{Op: OpManifestDone, Manifest: "m1"}, Record{Op: OpManifestOpen, Manifest: "m1"},
+	)
+	for _, pass := range []string{"log", "checkpoint"} {
+		j = mustOpen(t, dir, testOptions(c))
+		wantStrings(t, pass+": replayed jobs", jobKeys(j.ReplayState().Jobs), []string{"b", "a"})
+		wantStrings(t, pass+": open manifests", j.ReplayState().OpenManifests, []string{"m2", "m1"})
+	}
+}
+
+// TestOrderStaysBoundedByLiveSet: a long-lived journal whose jobs come
+// and go keeps its order slices within one checkpoint's worth of appends
+// of the live set, and exactly the live set after a checkpoint.
+func TestOrderStaysBoundedByLiveSet(t *testing.T) {
+	c := newFakeClock()
+	opts := testOptions(c)
+	opts.CheckpointEvery = 512
+	j := mustOpen(t, t.TempDir(), opts)
+	appendAll(t, j, enq("resident"), Record{Op: OpManifestOpen, Manifest: "m-resident"})
+	for i := 0; i < 10_000; i++ {
+		key, id := fmt.Sprintf("k%d", i%7), fmt.Sprintf("m%d", i%5)
+		appendAll(t, j,
+			enq(key), Record{Op: OpComplete, Key: key},
+			Record{Op: OpManifestOpen, Manifest: id}, Record{Op: OpManifestDone, Manifest: id},
+		)
+		j.mu.Lock()
+		lo, oo, live, open := len(j.liveOrder), len(j.openOrder), len(j.live), len(j.open)
+		j.mu.Unlock()
+		if lo > live+opts.CheckpointEvery || oo > open+opts.CheckpointEvery {
+			t.Fatalf("cycle %d: liveOrder %d for %d live jobs, openOrder %d for %d open manifests", i, lo, live, oo, open)
+		}
+	}
+	if err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	wantStrings(t, "liveOrder after a checkpoint", j.liveOrder, []string{"resident"})
+	wantStrings(t, "openOrder after a checkpoint", j.openOrder, []string{"m-resident"})
 }
 
 // TestManifestRoundTrip covers manifest persistence: put/get, missing

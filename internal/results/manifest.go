@@ -2,7 +2,6 @@ package results
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -92,15 +91,10 @@ func NewExploreManifest(request json.RawMessage) (Manifest, error) {
 // excluded, so the id never changes as the submission progresses.
 func (m Manifest) ID() (string, error) {
 	ident := Manifest{Schema: m.Schema, Kind: m.Kind, Nonce: m.Nonce, Jobs: m.Jobs, Explore: m.Explore}
-	raw, err := json.Marshal(ident)
+	sum, err := canonicalHash(ident)
 	if err != nil {
-		return "", fmt.Errorf("results: encode manifest: %w", err)
+		return "", fmt.Errorf("results: manifest id: %w", err)
 	}
-	canon, err := canonicalize(raw)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(canon)
 	return m.Kind + "-" + hex.EncodeToString(sum[:])[:manifestIDHexLen], nil
 }
 

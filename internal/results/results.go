@@ -15,12 +15,9 @@
 package results
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -140,75 +137,11 @@ func (r Request) Canonical() ([]byte, error) {
 // encoding. It is the run's identity everywhere: cache filename, HTTP run
 // id, and dedup key.
 func (r Request) Key() (string, error) {
-	b, err := r.Canonical()
+	sum, err := canonicalHash(r)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// canonicalize re-emits JSON with object keys sorted at every level.
-// json.Number preserves integers above 2^53 exactly.
-func canonicalize(raw []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("results: canonicalize: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := writeCanonical(&buf, v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func writeCanonical(buf *bytes.Buffer, v any) error {
-	switch t := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			kb, err := json.Marshal(k)
-			if err != nil {
-				return err
-			}
-			buf.Write(kb)
-			buf.WriteByte(':')
-			if err := writeCanonical(buf, t[k]); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte('}')
-	case []any:
-		buf.WriteByte('[')
-		for i, e := range t {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if err := writeCanonical(buf, e); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte(']')
-	case json.Number:
-		buf.WriteString(t.String())
-	default:
-		b, err := json.Marshal(t)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-	}
-	return nil
 }
 
 // Result is the serializable outcome of one run, self-describing enough

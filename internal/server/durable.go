@@ -100,16 +100,13 @@ func (s *Server) journalManifestOpen(id string, m results.Manifest) {
 	_ = s.opts.Journal.Append(journal.Record{Op: journal.OpManifestOpen, Manifest: id})
 }
 
-// journalSweepDone records a sweep's terminal view on its manifest.
-func (s *Server) journalSweepDone(v sweepView) {
+// journalSweepDone records a sweep's rendered terminal view on its
+// manifest.
+func (s *Server) journalSweepDone(id string, final []byte) {
 	if !s.journaling() {
 		return
 	}
-	final, err := json.Marshal(v)
-	if err != nil {
-		final = nil
-	}
-	_ = s.opts.Journal.MarkManifestDone(v.ID, final)
+	_ = s.opts.Journal.MarkManifestDone(id, final)
 }
 
 // journalExploreDone records an exploration's terminal view on its
@@ -246,16 +243,22 @@ func (s *Server) runFallback(w http.ResponseWriter, id string) bool {
 	if !isRunKey(id) {
 		return false
 	}
-	if res, hit, err := s.opts.Store.Get(id); err == nil && hit {
-		v := runView{ID: id, Status: statusDone, Cached: true, Result: &res}
-		if res.Failed() {
-			v.Status = statusFailed
-		}
-		writeJSON(w, http.StatusOK, v)
-		return true
-	}
-	writeJSON(w, http.StatusOK, runView{ID: id, Status: statusLost, Error: lostRunError})
+	writeBody(w, http.StatusOK, appendRunView(nil, s.storedRunView(id)))
 	return true
+}
+
+// storedRunView is the view of a run the registry does not hold: served
+// from the store (done or failed, cached), or else lost.
+func (s *Server) storedRunView(id string) runView {
+	res, hit, err := s.opts.Store.Get(id)
+	if err != nil || !hit {
+		return runView{ID: id, Status: statusLost, Error: lostRunError}
+	}
+	v := runView{ID: id, Status: statusDone, Cached: true, record: encodeRecord(res)}
+	if res.Failed() {
+		v.Status = statusFailed
+	}
+	return v
 }
 
 // sweepFallback answers a GET for a sweep id the registry does not hold
@@ -270,13 +273,16 @@ func (s *Server) sweepFallback(w http.ResponseWriter, id string) bool {
 		return false
 	}
 	if m.Done && len(m.Final) > 0 {
-		var v sweepView
+		// The final view is served as it was rendered and stored.
+		var v struct {
+			ID string `json:"id"`
+		}
 		if json.Unmarshal(m.Final, &v) == nil && v.ID == id {
-			writeJSON(w, http.StatusOK, v)
+			writeBody(w, http.StatusOK, m.Final)
 			return true
 		}
 	}
-	writeJSON(w, http.StatusOK, s.reconstructSweepView(id, m))
+	writeBody(w, http.StatusOK, appendSweepView(nil, s.reconstructSweepView(id, m)))
 	return true
 }
 
@@ -295,14 +301,7 @@ func (s *Server) reconstructSweepView(id string, m results.Manifest) sweepView {
 		}
 		s.mu.Unlock()
 		if !ok {
-			if res, hit, err := s.opts.Store.Get(jb.Key); err == nil && hit {
-				rv = runView{ID: jb.Key, Status: statusDone, Cached: true, Result: &res}
-				if res.Failed() {
-					rv.Status = statusFailed
-				}
-			} else {
-				rv = runView{ID: jb.Key, Status: statusLost, Error: lostRunError}
-			}
+			rv = s.storedRunView(jb.Key)
 		}
 		v.Runs = append(v.Runs, rv)
 		switch rv.Status {
@@ -328,12 +327,7 @@ func (s *Server) reconstructSweepView(id string, m results.Manifest) sweepView {
 	default:
 		v.Status = statusDone
 	}
-	if v.Failed == 0 && v.Lost == 0 {
-		v.Results = make([]results.Result, 0, len(v.Runs))
-		for _, rv := range v.Runs {
-			v.Results = append(v.Results, *rv.Result)
-		}
-	}
+	v.listResults = v.Failed == 0 && v.Lost == 0
 	return v
 }
 

@@ -137,6 +137,9 @@ type runState struct {
 	// this server instance.
 	cached bool
 	result results.Result
+	// record is result encoded once, at finishLocked; every view of the
+	// run splices these bytes.
+	record []byte
 	// held marks a run that holds its traces in the trace cache: set when
 	// the run is queued (newRunLocked), cleared by whichever comes first of
 	// finishLocked and abandonRuns.
@@ -163,9 +166,9 @@ type sweepState struct {
 	// was submitted — cache hits from this sweep's point of view, without
 	// mutating the shared run state.
 	preCached map[string]bool
-	// done marks a materialized sweep; view is then the immutable answer.
-	done bool
-	view sweepView
+	// final is the rendered terminal view, set once every member is
+	// terminal: every later GET and the manifest's Final are these bytes.
+	final []byte
 }
 
 // Server is the simulation service. Create with New, serve via Handler,
@@ -458,6 +461,7 @@ func (s *Server) finishLocked(st *runState, res results.Result, fromCache bool) 
 	}
 	st.cached = fromCache
 	st.result = res
+	st.record = encodeRecord(res)
 	for _, ch := range st.waiters {
 		close(ch)
 	}
@@ -494,7 +498,7 @@ func (s *Server) evictSweepsLocked() {
 	for len(s.sweepOrder) > s.opts.MaxSweeps {
 		id := s.sweepOrder[0]
 		s.sweepOrder = s.sweepOrder[1:]
-		if sw, ok := s.sweeps[id]; ok && !sw.done {
+		if sw, ok := s.sweeps[id]; ok && sw.final == nil {
 			for _, k := range sw.keys {
 				s.runs[k].refs--
 			}
@@ -656,7 +660,8 @@ func validate(req harness.Request) error {
 
 // --- HTTP wire types ---
 
-// runView is the GET /v1/runs/{id} response body.
+// runView is the GET /v1/runs/{id} response body. The daemon fills
+// record rather than Result and renders it with appendRunView.
 type runView struct {
 	ID     string          `json:"id"`
 	Status runStatus       `json:"status"`
@@ -665,16 +670,15 @@ type runView struct {
 	// Error explains terminal non-success states the Result cannot
 	// (today: lost runs, which have no result at all).
 	Error string `json:"error,omitempty"`
+
+	// record is the encoded Result, spliced where Result goes.
+	record []byte
 }
 
-// viewRun renders a run state. Callers must hold s.mu.
+// viewRun copies out a run state for rendering; only a terminal run has
+// a record. Callers must hold s.mu.
 func viewRun(st *runState) runView {
-	v := runView{ID: st.key, Status: st.status, Cached: st.cached}
-	if st.status.terminal() {
-		res := st.result
-		v.Result = &res
-	}
-	return v
+	return runView{ID: st.key, Status: st.status, Cached: st.cached, record: st.record}
 }
 
 // sweepRequest is the POST /v1/sweeps body: the same grid parameters
@@ -691,7 +695,9 @@ type sweepRequest struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// sweepView is the GET /v1/sweeps/{id} response body.
+// sweepView is the GET /v1/sweeps/{id} response body. The daemon fills
+// Runs with records and sets listResults rather than filling Results, and
+// renders it with appendSweepView.
 type sweepView struct {
 	ID     string    `json:"id"`
 	Status runStatus `json:"status"`
@@ -704,6 +710,10 @@ type sweepView struct {
 	CacheHits int              `json:"cache_hits"`
 	Runs      []runView        `json:"runs"`
 	Results   []results.Result `json:"results,omitempty"`
+
+	// listResults lists every member's record under "results", in grid
+	// order.
+	listResults bool
 }
 
 // runSubmission is the POST /v1/runs body: one configuration (full or
@@ -776,7 +786,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	// The response describes this submission: answered-without-simulating
 	// counts as cached even if the original run was simulated here.
 	v.Cached = v.Cached || hit
-	writeJSON(w, http.StatusAccepted, v)
+	writeBody(w, http.StatusAccepted, appendRunView(nil, v))
 }
 
 // handleGetRun reports one run's status and, when finished, its result.
@@ -799,7 +809,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errors.New("unknown run id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeBody(w, http.StatusOK, appendRunView(nil, v))
 }
 
 // handleSubmitSweep expands a grid and enqueues every member run. All
@@ -874,17 +884,18 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweeps[sw.id] = sw
 	s.sweepOrder = append(s.sweepOrder, sw.id)
 	s.evictSweepsLocked()
-	v := s.viewSweepLocked(sw)
-	materialized := sw.done
+	v, body := s.viewSweepLocked(sw)
 	s.mu.Unlock()
 	s.metrics.SweepsSubmitted.Add(1)
 	s.journalManifestOpen(id, manifest)
-	if materialized {
+	if body != nil {
 		// Every member was already terminal (all cache hits): the sweep
 		// finished at submission.
-		s.journalSweepDone(v)
+		s.journalSweepDone(id, body)
+	} else {
+		body = appendSweepView(nil, v)
 	}
-	writeJSON(w, http.StatusAccepted, v)
+	writeBody(w, http.StatusAccepted, body)
 }
 
 // handleGetSweep reports sweep progress and, when every member is
@@ -895,11 +906,12 @@ func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	sw, ok := s.sweeps[id]
 	var v sweepView
+	var body []byte
 	var materialized bool
 	if ok {
-		wasDone := sw.done
-		v = s.viewSweepLocked(sw)
-		materialized = sw.done && !wasDone
+		wasDone := sw.final != nil
+		v, body = s.viewSweepLocked(sw)
+		materialized = body != nil && !wasDone
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -910,19 +922,24 @@ func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if materialized {
-		s.journalSweepDone(v)
+		s.journalSweepDone(id, body)
 	}
-	writeJSON(w, http.StatusOK, v)
+	if body == nil {
+		body = appendSweepView(nil, v)
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
-// viewSweepLocked renders sweep progress. The first render after every
-// member turns terminal materializes the final view and releases the
-// member references, making the runs evictable. Callers must hold s.mu.
-func (s *Server) viewSweepLocked(sw *sweepState) sweepView {
-	if sw.done {
-		return sw.view
+// viewSweepLocked copies out sweep progress for rendering after the lock
+// is released. The first view after every member turns terminal instead
+// renders the final view, once, keeps it as the sweep's only answer and
+// releases the member references, making the runs evictable; final is
+// non-nil from then on. Callers must hold s.mu.
+func (s *Server) viewSweepLocked(sw *sweepState) (v sweepView, final []byte) {
+	if sw.final != nil {
+		return sweepView{}, sw.final
 	}
-	v := sweepView{ID: sw.id, Total: len(sw.keys), Runs: make([]runView, 0, len(sw.keys))}
+	v = sweepView{ID: sw.id, Total: len(sw.keys), Runs: make([]runView, 0, len(sw.keys))}
 	for _, key := range sw.keys {
 		st := s.runs[key] // refs pin every member while the sweep is live
 		rv := viewRun(st)
@@ -941,22 +958,20 @@ func (s *Server) viewSweepLocked(sw *sweepState) sweepView {
 	switch {
 	case v.Done+v.Failed < v.Total:
 		v.Status = statusRunning
-		return v
+		return v, nil
 	case v.Failed > 0:
 		v.Status = statusFailed
 	default:
 		v.Status = statusDone
 	}
-	v.Results = make([]results.Result, 0, len(sw.keys))
+	v.listResults = true
 	for _, key := range sw.keys {
-		v.Results = append(v.Results, s.runs[key].result)
 		s.runs[key].refs--
 	}
-	sw.done = true
-	sw.view = v
+	sw.final = appendSweepView(nil, v)
 	sw.preCached = nil
 	s.evictRunsLocked()
-	return v
+	return v, sw.final
 }
 
 // handleHealthz reports liveness, queue depth, and the build revision.
@@ -1002,13 +1017,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// writeJSON renders v as the response body.
+// writeJSON renders v as the response body: compact JSON, one line.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	b, _ := json.Marshal(v) // nil when refused: the status goes alone
+	writeBody(w, status, b)
 }
 
 // httpError renders an error body.

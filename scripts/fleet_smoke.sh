@@ -64,12 +64,17 @@ start_worker() {
     WORKER_PID=$!
     PIDS="$PIDS $WORKER_PID"
 }
+# json_int NAME prints the first integer field NAME of the JSON on stdin,
+# whatever its whitespace: the daemon's replies are compact, one line.
+json_int() {
+    tr -d ' \t\r\n' | grep -o "\"$1\":[0-9][0-9]*" | head -1 | cut -d: -f2
+}
 start_worker 1
 WORKER1_PID=$WORKER_PID
 start_worker 2
 workers=0
 for _ in $(seq 1 50); do
-    workers="$(curl -sf "$BASE/v1/fleet" | sed -n 's/.*"workers": \([0-9][0-9]*\).*/\1/p' | head -1)"
+    workers="$(curl -sf "$BASE/v1/fleet" | json_int workers)"
     [ "${workers:-0}" -ge 2 ] && break
     sleep 0.2
 done
@@ -157,9 +162,8 @@ CLIENTK_PID=$!
 
 # leases_of NAME prints the leases the named worker holds right now.
 leases_of() {
-    curl -sf "$BASE/v1/fleet" | awk -v want="\"$1\"," '
-        $1 == "\"name\":" { name = $2 }
-        $1 == "\"leases\":" && name == want { sub(/,/, "", $2); print $2 }'
+    curl -sf "$BASE/v1/fleet" | tr -d ' \t\r\n' | tr '{}' '\n\n' | awk -v want="\"name\":\"$1\"" '
+        index($0, want) && match($0, /"leases":[0-9]+/) { print substr($0, RSTART + 9, RLENGTH - 9) }'
 }
 # Wait until the fleet has done part of the sweep and worker 1 holds
 # leases, so its death strands work that must be requeued.
@@ -177,8 +181,8 @@ wait "$CLIENTK_PID" \
     || { echo "fleet-smoke: FAIL: worker-kill pass did not finish"; cat "$TMP/passk.log"; exit 1; }
 SWEEPK_ID="$(sed -n 's/^submitted \(sweep-[0-9a-f]*\).*/\1/p' "$TMP/passk.log" | head -1)"
 view="$(curl -sf "$BASE/v1/sweeps/$SWEEPK_ID")"
-donek="$(printf '%s\n' "$view" | sed -n 's/^  "done": \([0-9][0-9]*\),*$/\1/p')"
-failedk="$(printf '%s\n' "$view" | sed -n 's/^  "failed": \([0-9][0-9]*\),*$/\1/p')"
+donek="$(printf '%s\n' "$view" | json_int done)"
+failedk="$(printf '%s\n' "$view" | json_int failed)"
 metrics="$(curl -sf "$BASE/metrics")"
 requeues=$(($(metric ringsimd_fleet_requeues_total) - requeues_before))
 echo "fleet-smoke: worker-kill sweep $SWEEPK_ID: $donek/260 done, $failedk failed, $requeues leases requeued"
@@ -229,7 +233,7 @@ done
 # The workers notice the lost registration and transparently re-attach.
 workers=0
 for _ in $(seq 1 100); do
-    workers="$(curl -sf "$BASE/v1/fleet" | sed -n 's/.*"workers": \([0-9][0-9]*\).*/\1/p' | head -1)"
+    workers="$(curl -sf "$BASE/v1/fleet" | json_int workers)"
     [ "${workers:-0}" -ge 2 ] && break
     sleep 0.2
 done
