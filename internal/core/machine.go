@@ -23,60 +23,93 @@ const (
 	robDone                    // completed, awaiting commit
 )
 
-// robEntry is one in-flight instruction. Kept lean: fields the back end
-// never reads (PC, branch direction/target — resolved at fetch in this
-// trace-driven model) stay in the fetch queue and are not carried along.
+// robSlot is a ROB buffer position. Calendars, ready sets and waiter
+// lists refer to in-flight instructions by slot: an entry's slot is stable
+// from dispatch to commit, and every reference to it is resolved before it
+// commits (completion events fire before commit, readiness wakeups before
+// issue), so no reference outlives its instruction.
+type robSlot = int32
+
+// noSlot terminates a calendar list.
+const noSlot robSlot = -1
+
+// noWaiter terminates a waiter list. A waiter link names a ROB slot and
+// the source operand that waits: slot<<1 | operand.
+const noWaiter int32 = -1
+
+// robEntry is one in-flight instruction, in one 64-byte line. Kept lean:
+// fields the back end never reads (PC, branch direction/target — resolved
+// at fetch in this trace-driven model) stay in the fetch queue, and a
+// memory operation's address lives in its LSQ entry.
 type robEntry struct {
-	seq     uint64
-	class   isa.Class
-	cluster int8
-	state   robState
-	stream  uint8
-
-	numSrcs  int8
-	srcVals  [2]valueID
-	destVal  valueID
-	prevVal  valueID
-	destKind isa.RegFileKind
-
 	// wakeup bookkeeping: waitSrcs counts sources whose availability
 	// cycle in this entry's cluster is still unknown; readyAt is the
 	// latest known availability cycle over the resolved sources. When
 	// waitSrcs reaches zero the entry is scheduled into the issue
 	// calendar at readyAt and never re-examined before then.
-	waitSrcs int8
-	readyAt  uint64
+	readyAt uint64
 
-	// memory
-	effAddr uint64
-	hasLSQ  bool
-	lsqIdx  uint64
-	// hasDep marks a load whose nearest older same-address store was
-	// identified at dispatch (depLSQ); issue then checks that single
-	// entry instead of rescanning the LSQ every attempt.
-	hasDep bool
+	// depLSQ is, for a load, 1 + the LSQ index of the nearest older
+	// same-address store identified at dispatch (0 when there is none);
+	// issue then checks that single entry instead of rescanning the LSQ
+	// every attempt.
 	depLSQ uint64
 
+	seq uint64
+	// lsqSlot is a memory operation's LSQ buffer position (its entry is
+	// live as long as the instruction is).
+	lsqSlot int32
+
+	srcVals [2]valueID
+	destVal valueID
+	prevVal valueID
+	// next links the entry into one calendar list: the issue-readiness
+	// calendar while it waits for its ready cycle, the completion
+	// calendar once it has issued (never both at once).
+	next robSlot
+	// waitNext[i] links the entry into the waiter list of source i's
+	// value while that value's availability in the entry's cluster is
+	// unknown.
+	waitNext [2]int32
+
+	class    isa.Class
+	cluster  int8
+	state    robState
+	stream   uint8
+	numSrcs  int8
+	waitSrcs int8
 	// branch
 	mispredict bool
 }
 
+// noReg marks an absent register in a fetch entry.
+const noReg = 0xff
+
 // fetchEntry is one decoded instruction in the fetch/decode queue: just
 // the fields the back end consumes, not the full trace record (branch
 // direction and target are resolved at fetch in this trace-driven model,
-// and the PC only feeds the predictor and I-cache there).
+// and the PC only feeds the predictor and I-cache there). Registers are
+// flat rename-map indices (kind·NumArchRegs + index); reads of the
+// hardwired zero register are dropped at fetch, so src holds exactly
+// numSrcs real sources in operand order.
 type fetchEntry struct {
-	seq        uint64
-	effAddr    uint64
-	readyAt    uint64 // earliest dispatch cycle (decode + steer latency)
-	src        [2]isa.Reg
-	dest       isa.Reg
-	class      isa.Class
-	numSrcs    uint8
-	writesReg  bool
+	seq     uint64
+	effAddr uint64
+	readyAt uint64 // earliest dispatch cycle (decode + steer latency)
+	src     [2]uint8
+	dest    uint8 // noReg when the instruction writes no register
+	class   isa.Class
+	numSrcs uint8
+	stream  uint8
+	// mispredict marks a branch the predictor got wrong.
 	mispredict bool
-	stream     uint8
 }
+
+// flatReg maps an architectural register to its rename-map index.
+func flatReg(r isa.Reg) uint8 { return uint8(r.Kind)*isa.NumArchRegs + r.Idx }
+
+// regKind is the namespace of a flat register index.
+func regKind(flat uint8) isa.RegFileKind { return isa.RegFileKind(flat / isa.NumArchRegs) }
 
 // lsqEntry is one memory operation in the load/store queue.
 type lsqEntry struct {
@@ -84,6 +117,81 @@ type lsqEntry struct {
 	addr    uint64
 	isStore bool
 	issued  bool
+}
+
+// storeTable maps data addresses to LSQ indices: open addressing with
+// linear probing over at least four slots per LSQ entry. It holds one
+// entry per address with an in-flight store (the store's commit deletes
+// the entry unless a younger store to the address replaced it), so it
+// never holds more entries than the LSQ has, and probes stay short.
+// Deletion shifts the rest of the probe run back instead of leaving
+// tombstones.
+type storeTable struct {
+	addr []uint64
+	idx  []uint64 // LSQ index + 1; 0 marks an empty slot
+	// shift maps a hash to a slot: 64 - log2(len(addr)).
+	shift uint
+}
+
+// reset empties the table and sizes it for an LSQ of lsqSize entries.
+func (t *storeTable) reset(lsqSize int) {
+	n := 16
+	for n < 4*lsqSize {
+		n <<= 1
+	}
+	if len(t.addr) != n {
+		t.addr, t.idx = make([]uint64, n), make([]uint64, n)
+	} else {
+		clear(t.idx)
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// home is addr's first probe slot (Fibonacci hashing).
+func (t *storeTable) home(addr uint64) int {
+	return int(addr * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// find returns addr's slot, or -1.
+func (t *storeTable) find(addr uint64) int {
+	mask := len(t.addr) - 1
+	for i := t.home(addr); t.idx[i] != 0; i = (i + 1) & mask {
+		if t.addr[i] == addr {
+			return i
+		}
+	}
+	return -1
+}
+
+// get returns the LSQ index stored for addr.
+func (t *storeTable) get(addr uint64) (uint64, bool) {
+	if i := t.find(addr); i >= 0 {
+		return t.idx[i] - 1, true
+	}
+	return 0, false
+}
+
+// put stores idx for addr, replacing any index stored before.
+func (t *storeTable) put(addr, idx uint64) {
+	mask := len(t.addr) - 1
+	i := t.home(addr)
+	for t.idx[i] != 0 && t.addr[i] != addr {
+		i = (i + 1) & mask
+	}
+	t.addr[i], t.idx[i] = addr, idx+1
+}
+
+// remove deletes the entry at slot i, moving back each later entry of
+// the probe run whose home slot does not lie cyclically in (i, j].
+func (t *storeTable) remove(i int) {
+	mask := len(t.addr) - 1
+	for j := (i + 1) & mask; t.idx[j] != 0; j = (j + 1) & mask {
+		if h := t.home(t.addr[j]); (j-h)&mask >= (j-i)&mask {
+			t.addr[i], t.idx[i] = t.addr[j], t.idx[j]
+			i = j
+		}
+	}
+	t.idx[i] = 0
 }
 
 // commEntry is one dynamically generated communication instruction,
@@ -100,46 +208,36 @@ type commEntry struct {
 	eligibleAt uint64
 }
 
-// execEvent is a scheduled completion.
-type execEvent struct {
-	robIdx uint64
-	cycle  uint64
+// Datapath sides: every issue structure exists once per cluster for each.
+const (
+	sideInt = 0
+	sideFP  = 1
+)
+
+// clMask reduces a cluster number to the range of the per-cluster arrays
+// (sized regfile.MaxClusters, a power of two). Cluster numbers are always
+// in range; the mask lets the compiler drop the bounds check on the hot
+// paths.
+const clMask = regfile.MaxClusters - 1
+
+// sideOf returns the issue side of an instruction class (FP loads and
+// stores use the integer side: only FP arithmetic issues on the FP side).
+func sideOf(c isa.Class) int {
+	if c.IsFP() {
+		return sideFP
+	}
+	return sideInt
 }
 
 // iqSide is one cluster's issue buffer for one datapath side. Occupancy
 // (count) covers both the entries still waiting for operands — tracked
 // through value wakeup lists and the issue calendar, never scanned — and
-// the operand-ready entries in the ready list, kept sorted oldest-first.
+// the operand-ready entries, which are bits in the machine's ready sets.
 type iqSide struct {
 	cap   int
 	count int
-	ready []uint64 // ROB indices, ascending (program order)
-}
-
-// insertReady adds a ROB index to the ready list, keeping it sorted. A
-// woken entry may be older than entries already ready, so this is a
-// sorted insert, not an append; the list is small (bounded by cap).
-func (q *iqSide) insertReady(idx uint64) {
-	r := q.ready
-	lo, hi := 0, len(r)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r[mid] < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	r = append(r, 0)
-	copy(r[lo+1:], r[lo:])
-	r[lo] = idx
-	q.ready = r
-}
-
-// removeReady deletes the i-th ready entry, preserving order.
-func (q *iqSide) removeReady(i int) {
-	copy(q.ready[i:], q.ready[i+1:])
-	q.ready = q.ready[:len(q.ready)-1]
+	// ready counts the set bits of this side's ready set.
+	ready int
 }
 
 // eventHorizon is the completion calendar depth; it must exceed the
@@ -195,21 +293,25 @@ type streamFE struct {
 // which reuses every internal allocation it can. Not safe for concurrent
 // use; run one Machine per goroutine.
 type Machine struct {
-	cfg             Config
-	statelessChoose bool
+	cfg Config
 	// fes holds one front end per workload stream; single-program runs
 	// have exactly one. oneStream backs the single-stream Reset path so
 	// recycling a pooled machine stays allocation-free.
 	fes       []streamFE
 	oneStream [1]trace.Stream
-	alg       steering.Algorithm
-	files     *regfile.Files
-	fabric    *interconnect.Fabric
-	pred      *bpred.Predictor
-	mem       *cache.Hierarchy
+	// steer names the configured policy; exactly one of ring, conv and
+	// ssa is set, and the core calls it directly.
+	steer  steerKind
+	ring   *steering.Ring
+	conv   *steering.Conv
+	ssa    *steering.SSA
+	files  regfile.Files
+	fabric *interconnect.Fabric
+	pred   *bpred.Predictor
+	mem    *cache.Hierarchy
 
 	vals      valueTable
-	renameMap [2][isa.NumArchRegs]valueID
+	renameMap [2 * isa.NumArchRegs]valueID
 
 	// minDist caches fabric.MinDistances() (n×n, row-major by source);
 	// visTable[c] caches visibleCluster(c). Both are per-operand lookups
@@ -217,38 +319,58 @@ type Machine struct {
 	minDist  []int8
 	visTable [regfile.MaxClusters]int8
 
-	rob    *queue.Ring[robEntry]
-	fetchQ *queue.Ring[fetchEntry]
-	lsq    *queue.Ring[lsqEntry]
+	rob queue.Ring[robEntry]
+	// robWords is the word length of one ready set: a bitset over ROB
+	// slots (see readyBits).
+	robWords int
+	fetchQ   queue.Ring[fetchEntry]
+	lsq      queue.Ring[lsqEntry]
 	// lastStore maps a data address to the LSQ index of the youngest
 	// store to it, so load dispatch finds its forwarding dependency in
 	// one lookup (entries go stale when the store commits; liveness is
 	// re-checked against lsq.Head()).
-	lastStore map[uint64]uint64
-	iqInt     []iqSide // per cluster
-	iqFP      []iqSide
-	// readyCount is the total entries across all ready lists; a cycle
+	lastStore storeTable
+	iq        [2][regfile.MaxClusters]iqSide
+	// readyBits[side] holds one ready set per cluster, robWords words
+	// each: bit s is set when the instruction in ROB slot s has every
+	// operand readable and waits for an issue slot. Issue scans a set from
+	// the ROB head's slot, which visits the instructions oldest-first.
+	readyBits [2][]uint64
+	// readyCount is the total entries across all ready sets; a cycle
 	// with nothing ready (and no wakeups due) skips the issue pass.
-	// readyMaskInt/FP track which clusters have a non-empty ready list,
+	// readyMask[side] tracks which clusters have a non-empty ready set,
 	// so the pass visits only those.
-	readyCount   int
-	readyMaskInt uint32
-	readyMaskFP  uint32
-	commQ        []*queue.Bounded[commEntry]
+	readyCount int
+	readyMask  [2]uint32
+	commQ      [regfile.MaxClusters]queue.Bounded[commEntry]
 	// commNextEligible[c] is a lower bound on the earliest eligibility
 	// cycle of any entry in commQ[c] (neverAvail when empty); bus
 	// arbitration skips the cluster's scan entirely while it lies in the
 	// future. Pushes and wakeup stamps lower it; a completed scan
-	// tightens it. commGlobalEligible is the minimum over clusters, so a
-	// cycle with no eligible communication anywhere skips the whole
-	// arbitration pass.
-	commNextEligible   []uint64
+	// tightens it. commGlobalEligible is a lower bound on the minimum
+	// over clusters, so a cycle with no eligible communication anywhere
+	// skips the whole arbitration pass.
+	commNextEligible   [regfile.MaxClusters]uint64
 	commGlobalEligible uint64
+	// commBusy has bit c set while commQ[c] is non-empty: arbitration
+	// considers only those clusters.
+	commBusy uint32
+	// commLate collects, during an arbitration pass, the clusters a
+	// wakeup made due in the current cycle.
+	commLate uint32
 
-	events [eventHorizon][]execEvent
-	// iqCal is the issue-readiness calendar: slot c%eventHorizon holds
-	// the ROB indices whose operands all become readable at cycle c.
-	iqCal [eventHorizon][]uint64
+	// evHead is the completion calendar: evHead[c%eventHorizon] heads
+	// the list (linked through robEntry.next) of the ROB entries whose
+	// execution completes at cycle c. wakeHead is the issue-readiness
+	// calendar: the entries whose operands all become readable at cycle
+	// c. Order within a list carries no meaning: completions and wakeups
+	// of one cycle commute.
+	evHead   [eventHorizon]robSlot
+	wakeHead [eventHorizon]robSlot
+	// calBusy has bit c%eventHorizon set while either calendar holds an
+	// entry for cycle c, so the fast-forward finds the next cycle with
+	// scheduled work in a few word scans.
+	calBusy [eventHorizon / 64]uint64
 
 	// multDivBusyUntil[c][side][unit]: the mult/div units (divides are
 	// non-pipelined and occupy their unit to completion).
@@ -257,8 +379,7 @@ type Machine struct {
 	now uint64
 
 	// steerReq is the per-dispatch steering request, kept on the machine
-	// so the interface call does not force a heap allocation per
-	// instruction.
+	// so passing it does not force a heap allocation per instruction.
 	steerReq steering.Request
 
 	// front-end state shared across streams (per-stream state lives in
@@ -284,7 +405,7 @@ type Machine struct {
 	stats Stats
 	// streamStats holds the per-stream counters; Stats() attaches a copy
 	// for multi-stream runs.
-	streamStats []StreamStats
+	streamStats [MaxStreams]StreamStats
 	statsBase   uint64 // cycle at the last ResetStats
 }
 
@@ -348,19 +469,9 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 		*fe = streamFE{stream: streams[i], off: uint64(i) * streamAddrStride}
 		fe.replay, _ = streams[i].(*trace.Replay)
 	}
-	if cap(m.streamStats) < len(streams) {
-		m.streamStats = make([]StreamStats, len(streams))
-	}
-	m.streamStats = m.streamStats[:len(streams)]
-	for i := range m.streamStats {
-		m.streamStats[i] = StreamStats{}
-	}
+	m.streamStats = [MaxStreams]StreamStats{}
 
-	if m.files == nil {
-		m.files = regfile.New(cfg.Clusters, cfg.RegsInt, cfg.RegsFP)
-	} else {
-		m.files.Reset(cfg.Clusters, cfg.RegsInt, cfg.RegsFP)
-	}
+	m.files.Reset(cfg.Clusters, cfg.RegsInt, cfg.RegsFP)
 	if m.pred == nil {
 		m.pred = bpred.New(cfg.Bpred)
 	} else {
@@ -371,14 +482,10 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 	} else {
 		m.mem.Reset(cfg.Mem)
 	}
-	m.rob = queue.ResetRing(m.rob, cfg.ROBSize)
-	m.fetchQ = queue.ResetRing(m.fetchQ, cfg.FetchQSize)
-	m.lsq = queue.ResetRing(m.lsq, cfg.LSQSize)
-	if m.lastStore == nil {
-		m.lastStore = make(map[uint64]uint64, 1024)
-	} else {
-		clear(m.lastStore)
-	}
+	m.rob.Reset(cfg.ROBSize)
+	m.fetchQ.Reset(cfg.FetchQSize)
+	m.lsq.Reset(cfg.LSQSize)
+	m.lastStore.reset(cfg.LSQSize)
 
 	// Ring runs all buses forward; Conv's second bus runs backward
 	// (Section 4.2).
@@ -395,59 +502,45 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 		m.visTable[c] = int8(vc)
 	}
 
+	m.ring, m.conv, m.ssa = nil, nil, nil
 	switch {
 	case cfg.Steer == SteerSimple:
-		m.alg = steering.NewSSA(cfg.Clusters)
+		m.steer = steerSSA
+		m.ssa = steering.NewSSA(cfg.Clusters)
 	case cfg.Arch == ArchRing:
-		m.alg = steering.NewRing()
+		m.steer = steerRing
+		m.ring = steering.NewRing()
+		m.ring.PrimeGeometry(m.minDist, &m.files, m.visTable[:cfg.Clusters])
 	default:
-		m.alg = steering.NewConv(cfg.Clusters, cfg.Conv)
-	}
-	// Ring and Conv choices are pure functions of machine state; SSA
-	// mutates its round-robin counter inside Choose, which constrains the
-	// dispatch stall-check order (see dispatch).
-	m.statelessChoose = cfg.Steer != SteerSimple
-	if p, ok := m.alg.(steering.GeometryPrimer); ok {
-		p.PrimeGeometry(steering.PrimeTables(cfg.Clusters, m.minDist), m.files, m.visTable[:cfg.Clusters])
+		m.steer = steerConv
+		m.conv = steering.NewConv(cfg.Clusters, cfg.Conv)
+		m.conv.PrimeGeometry(cfg.Clusters, m.minDist)
 	}
 
-	m.iqInt = resetSides(m.iqInt, cfg.Clusters, cfg.IQInt)
-	m.iqFP = resetSides(m.iqFP, cfg.Clusters, cfg.IQFP)
-	m.readyCount = 0
-	m.readyMaskInt, m.readyMaskFP = 0, 0
-	m.vals.clusters = cfg.Clusters
-	if cap(m.commQ) < cfg.Clusters {
-		m.commQ = make([]*queue.Bounded[commEntry], cfg.Clusters)
-	}
-	m.commQ = m.commQ[:cfg.Clusters]
 	for c := 0; c < cfg.Clusters; c++ {
-		if m.commQ[c] == nil || m.commQ[c].Cap() != cfg.IQComm {
-			m.commQ[c] = queue.NewBounded[commEntry](cfg.IQComm)
-		} else {
-			m.commQ[c].Clear()
-		}
+		m.iq[sideInt][c] = iqSide{cap: cfg.IQInt}
+		m.iq[sideFP][c] = iqSide{cap: cfg.IQFP}
 	}
-	if cap(m.commNextEligible) < cfg.Clusters {
-		m.commNextEligible = make([]uint64, cfg.Clusters)
+	m.robWords = (cfg.ROBSize + 63) / 64
+	for side := range m.readyBits {
+		m.readyBits[side] = resetWords(m.readyBits[side], cfg.Clusters*m.robWords)
 	}
-	m.commNextEligible = m.commNextEligible[:cfg.Clusters]
+	m.readyCount = 0
+	m.readyMask = [2]uint32{}
+	for c := 0; c < cfg.Clusters; c++ {
+		m.commQ[c].Reset(cfg.IQComm)
+	}
 	for c := range m.commNextEligible {
 		m.commNextEligible[c] = neverAvail
 	}
 	m.commGlobalEligible = neverAvail
+	m.commBusy = 0
 
-	for i := range m.events {
-		if cap(m.events[i]) == 0 {
-			m.events[i] = make([]execEvent, 0, 8)
-		}
-		m.events[i] = m.events[i][:0]
+	for i := range m.evHead {
+		m.evHead[i] = noSlot
+		m.wakeHead[i] = noSlot
 	}
-	for i := range m.iqCal {
-		if cap(m.iqCal[i]) == 0 {
-			m.iqCal[i] = make([]uint64, 0, 8)
-		}
-		m.iqCal[i] = m.iqCal[i][:0]
-	}
+	m.calBusy = [eventHorizon / 64]uint64{}
 	m.multDivBusyUntil = [regfile.MaxClusters][2][4]uint64{}
 	m.now = 0
 	m.steerReq = steering.Request{}
@@ -469,7 +562,7 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 	// Initial values occupy no simulated physical registers (the
 	// architected state is the baseline the files are sized above);
 	// copies made for communications are accounted normally.
-	m.vals.reset()
+	m.vals.reset(cfg.Clusters, cfg.Copies == ReleaseOnRead)
 	for kind := 0; kind < 2; kind++ {
 		for r := 0; r < isa.NumArchRegs; r++ {
 			id := m.vals.alloc(isa.RegFileKind(kind))
@@ -477,28 +570,23 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 			v.produced = true
 			home := r % cfg.Clusters
 			v.copyMask = 1 << uint(home)
-			v.avail[home] = 0
+			*m.vals.availAt(id, home) = 0
 			v.home = int8(home)
-			m.renameMap[kind][r] = id
+			m.renameMap[kind*isa.NumArchRegs+r] = id
 		}
 	}
 	return nil
 }
 
-// resetSides sizes per-cluster issue sides, reusing ready-list slabs.
-func resetSides(sides []iqSide, clusters, capacity int) []iqSide {
-	if cap(sides) < clusters {
-		sides = make([]iqSide, clusters)
+// resetWords returns a zeroed slice of n words, reusing s's array when it
+// is large enough.
+func resetWords(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
 	}
-	sides = sides[:clusters]
-	for c := range sides {
-		ready := sides[c].ready
-		if cap(ready) < capacity {
-			ready = make([]uint64, 0, capacity)
-		}
-		sides[c] = iqSide{cap: capacity, ready: ready[:0]}
-	}
-	return sides
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Config returns the machine configuration.
@@ -510,7 +598,7 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) Stats() Stats {
 	s := m.stats
 	if len(m.fes) > 1 {
-		s.PerStream = append([]StreamStats(nil), m.streamStats...)
+		s.PerStream = append([]StreamStats(nil), m.streamStats[:len(m.fes)]...)
 	}
 	return s
 }
@@ -527,9 +615,7 @@ func (m *Machine) NumStreams() int { return len(m.fes) }
 // from measurement.
 func (m *Machine) ResetStats() {
 	m.stats = Stats{}
-	for i := range m.streamStats {
-		m.streamStats[i] = StreamStats{}
-	}
+	m.streamStats = [MaxStreams]StreamStats{}
 	m.statsBase = m.now
 }
 
@@ -544,6 +630,15 @@ func (m *Machine) Mem() *cache.Hierarchy { return m.mem }
 
 // Predictor exposes the branch predictor (for stats inspection).
 func (m *Machine) Predictor() *bpred.Predictor { return m.pred }
+
+// steerKind names the steering policy a machine runs.
+type steerKind uint8
+
+const (
+	steerRing steerKind = iota // Section 3.1 (Ring, enhanced)
+	steerConv                  // Section 4.1 DCOUNT (Conv, enhanced)
+	steerSSA                   // Section 4.7 simple steering, either architecture
+)
 
 // --- steering.View implementation ---
 
@@ -568,36 +663,86 @@ func (m *Machine) CommDistance(src, dst int) int {
 // result of an instruction executing in cluster c: the next cluster on the
 // ring machine, the same cluster on the conventional one.
 func (m *Machine) visibleCluster(c int) int {
-	return int(m.visTable[c])
+	return int(m.visTable[c&(regfile.MaxClusters-1)])
 }
 
-// schedule registers a completion event for the given ROB entry.
-func (m *Machine) schedule(robIdx, cycle uint64) {
+// schedule registers the completion of ROB entry e (at slot s) at cycle.
+func (m *Machine) schedule(e *robEntry, s robSlot, cycle uint64) {
 	if cycle <= m.now || cycle-m.now >= eventHorizon {
-		panic(fmt.Sprintf("core: event at %d out of horizon (now %d)", cycle, m.now))
+		panic(horizonError{"event", cycle, m.now})
 	}
 	slot := cycle % eventHorizon
-	m.events[slot] = append(m.events[slot], execEvent{robIdx: robIdx, cycle: cycle})
+	e.next = m.evHead[slot]
+	m.evHead[slot] = s
+	m.calBusy[slot/64] |= 1 << (slot % 64)
 }
 
-// scheduleIQ records that ROB entry robIdx has every operand readable in
-// its cluster from the given cycle; issue merges the slot into the ready
-// list when that cycle arrives. cycle == now is legal (wakeups fire in
-// writeback and issueComms, both of which run before issue).
-func (m *Machine) scheduleIQ(robIdx, cycle uint64) {
+// scheduleIQ records that ROB entry e (at slot s) has every operand
+// readable in its cluster from the given cycle; issue merges it into its
+// ready set when that cycle arrives. cycle == now is legal (wakeups fire
+// in writeback and issueComms, both of which run before issue).
+func (m *Machine) scheduleIQ(e *robEntry, s robSlot, cycle uint64) {
 	if cycle < m.now || cycle-m.now >= eventHorizon {
-		panic(fmt.Sprintf("core: IQ wakeup at %d out of horizon (now %d)", cycle, m.now))
+		panic(horizonError{"IQ wakeup", cycle, m.now})
 	}
 	slot := cycle % eventHorizon
-	m.iqCal[slot] = append(m.iqCal[slot], robIdx)
+	e.next = m.wakeHead[slot]
+	m.wakeHead[slot] = s
+	m.calBusy[slot/64] |= 1 << (slot % 64)
+}
+
+// calBusyAt reports whether either calendar holds an entry for cycle t.
+func (m *Machine) calBusyAt(t uint64) bool {
+	slot := t % eventHorizon
+	return m.calBusy[slot/64]&(1<<(slot%64)) != 0
+}
+
+// nextCalBusy returns the first cycle after now (and before
+// now+eventHorizon) with a calendar entry, or neverAvail.
+func (m *Machine) nextCalBusy() uint64 {
+	const words = eventHorizon / 64
+	from := (m.now + 1) % eventHorizon
+	w0 := from / 64
+	// Visit the starting word's slots from `from` up, the other words,
+	// and last the starting word's slots below `from` (the latest cycles
+	// of the horizon).
+	for k := uint64(0); k <= words; k++ {
+		w := (w0 + k) % words
+		word := m.calBusy[w]
+		if k == 0 {
+			word &^= 1<<(from%64) - 1
+		} else if k == words {
+			word &= 1<<(from%64) - 1
+		}
+		if word != 0 {
+			slot := w*64 + uint64(bits.TrailingZeros64(word))
+			return m.now + 1 + (slot+eventHorizon-from)%eventHorizon
+		}
+	}
+	return neverAvail
+}
+
+// horizonError is the panic value of a calendar entry outside the
+// horizon. Formatting happens only if the panic is printed, which keeps
+// schedule and scheduleIQ small enough to inline.
+type horizonError struct {
+	what       string
+	cycle, now uint64
+}
+
+func (e horizonError) Error() string {
+	return fmt.Sprintf("core: %s at %d out of horizon (now %d)", e.what, e.cycle, e.now)
 }
 
 // Done reports whether the machine has drained: every stream exhausted,
 // fetch queue and ROB empty.
 func (m *Machine) Done() bool {
-	if m.fetchQ.Len() != 0 || m.rob.Len() != 0 {
-		return false
-	}
+	return m.fetchQ.Len() == 0 && m.rob.Len() == 0 && m.streamsDone()
+}
+
+// streamsDone reports whether every stream is exhausted with nothing
+// held back.
+func (m *Machine) streamsDone() bool {
 	for i := range m.fes {
 		if !m.fes[i].streamDone || m.fes[i].havePending {
 			return false
@@ -664,15 +809,17 @@ func (m *Machine) RunCommitted(n uint64) error {
 //
 //   - writeback/issue: no completion event or issue-calendar wakeup is
 //     scheduled for it (the calendars hold everything within
-//     eventHorizon, so one ring scan finds the first busy cycle);
+//     eventHorizon, and their occupancy bitmap finds the first busy
+//     cycle);
 //   - commit: the ROB head is not done (its completion event would end
 //     the window first);
-//   - issueComms: no communication is eligible (commGlobalEligible);
-//   - issue: nothing is in any ready list (a ready-but-blocked entry
+//   - issueComms: no communication is eligible (commGlobalEligible, a
+//     lower bound: a low one only ends a window early);
+//   - issue: nothing is in any ready set (a ready-but-blocked entry
 //     re-arbitrates every cycle and accrues NReady/DCacheBusy);
 //   - dispatch: the fetch queue is empty, the head is inside its
 //     decode/steer latency, or a resource stall repeats deterministically
-//     (probed via planDispatch, which is side-effect-free for stateless
+//     (probed via dispatchOne, which is side-effect-free for stateless
 //     steering; SSA machines step stall cycles normally because Choose
 //     advances their round-robin state);
 //   - fetch: the queue is full, or every stream is blocked on a
@@ -686,31 +833,25 @@ func (m *Machine) RunCommitted(n uint64) error {
 // cycle it always did.
 func (m *Machine) fastForward(maxCycles uint64) bool {
 	// Current-cycle activity: any of these makes the cycle non-quiet.
-	if m.readyCount != 0 {
+	// The first two are tested here, where the loops that call this can
+	// inline them, since a busy cycle usually fails one.
+	if m.readyCount != 0 || m.commGlobalEligible <= m.now {
 		return false
 	}
-	if m.commGlobalEligible <= m.now {
-		return false
-	}
+	return m.fastForwardWindow(maxCycles)
+}
+
+// fastForwardWindow is fastForward past its two inlined checks.
+func (m *Machine) fastForwardWindow(maxCycles uint64) bool {
 	if e := m.rob.Peek(); e != nil && e.state == robDone {
 		return false
 	}
-	slot := m.now % eventHorizon
-	if len(m.events[slot]) != 0 || len(m.iqCal[slot]) != 0 {
+	if m.calBusyAt(m.now) {
 		return false
 	}
 
 	// The window's end: the earliest future cycle with scheduled work.
-	target := m.commGlobalEligible
-	for d := uint64(1); d < eventHorizon; d++ {
-		s := (m.now + d) % eventHorizon
-		if len(m.events[s]) != 0 || len(m.iqCal[s]) != 0 {
-			if t := m.now + d; t < target {
-				target = t
-			}
-			break
-		}
-	}
+	target := min(m.commGlobalEligible, m.nextCalBusy())
 
 	// Fetch: quiet while the queue is full (dispatch drains it, and
 	// dispatch is inert below), fetch is suspended for a sampled-mode
@@ -740,23 +881,19 @@ func (m *Machine) fastForward(maxCycles uint64) bool {
 		if fe.readyAt < target {
 			target = fe.readyAt
 		}
-	} else if !m.statelessChoose {
+	} else if m.steer == steerSSA {
 		// SSA advances its round-robin counter inside Choose on every
 		// stall cycle; probing would disturb it. Step normally.
 		return false
 	} else {
-		var p dispatchPlan
-		if m.planDispatch(&p) != dispatchStall {
+		if stall = m.dispatchOne(fe, true); stall == nil {
 			return false // head would dispatch: real work this cycle
 		}
-		stall = p.stall
-		if stall != &m.stats.StallROB && stall != &m.stats.StallLSQ {
+		if stall != &m.stats.StallROB && stall != &m.stats.StallLSQ && m.conv != nil {
 			// Post-steering stalls hold only while Choose is stable;
 			// Conv's DCOUNT decay is the one in-window input change.
-			if dc, ok := m.alg.(interface{ CyclesToDecay() uint64 }); ok {
-				if t := m.now + dc.CyclesToDecay(); t < target {
-					target = t
-				}
+			if t := m.now + m.conv.CyclesToDecay(); t < target {
+				target = t
 			}
 		}
 	}
@@ -783,9 +920,10 @@ func (m *Machine) fastForward(maxCycles uint64) bool {
 	if stall != nil {
 		*stall += k
 	}
-	m.alg.TickN(k)
+	if m.conv != nil {
+		m.conv.TickN(k)
+	}
 	m.now = target
-	m.fabric.Advance(m.now)
 	m.stats.Cycles = m.now - m.statsBase
 	return true
 }
@@ -805,9 +943,10 @@ func (m *Machine) Step() error {
 	if m.err != nil {
 		return m.err
 	}
-	m.alg.Tick()
+	if m.conv != nil {
+		m.conv.Tick()
+	}
 	m.now++
-	m.fabric.Advance(m.now)
 	m.stats.Cycles = m.now - m.statsBase
 	if m.rob.Len() > 0 && m.now-m.lastCommitAt > noProgressLimit {
 		return fmt.Errorf("%w at cycle %d (ROB %d, head seq %d state %d)",

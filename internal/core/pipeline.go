@@ -14,32 +14,31 @@ import (
 // ROB entries turn done, and resolved mispredicted branches unblock fetch.
 func (m *Machine) writeback() {
 	slot := m.now % eventHorizon
-	evs := m.events[slot]
-	if len(evs) == 0 {
+	s := m.evHead[slot]
+	if s == noSlot {
 		return
 	}
-	m.events[slot] = evs[:0]
-	for _, ev := range evs {
-		if ev.cycle != m.now {
-			panic("core: event fired at the wrong cycle")
-		}
-		e := m.rob.AtAbs(ev.robIdx)
+	m.evHead[slot] = noSlot
+	for ; s != noSlot; s = m.rob.AtSlot(int(s)).next {
+		e := m.rob.AtSlot(int(s))
 		e.state = robDone
-		if e.destVal != noValue {
-			v := m.vals.get(e.destVal)
+		if vid := e.destVal; vid != noValue {
+			v := m.vals.get(vid)
 			v.produced = true
 			vc := m.visibleCluster(int(e.cluster))
-			if m.now < v.avail[vc] {
-				v.avail[vc] = m.now
+			if a := m.vals.availAt(vid, vc); m.now < *a {
+				*a = m.now
 			}
-			m.wakeValue(e.destVal, v, vc)
+			if v.waitHead != noWaiter || v.commWaitMask != 0 {
+				m.wakeValue(vid, vc)
+			}
 		}
 		if e.class == isa.Branch {
 			m.stats.Branches++
-			m.streamStats[e.stream].Branches++
+			m.streamStats[e.stream%MaxStreams].Branches++
 			if e.mispredict {
 				m.stats.Mispredicts++
-				m.streamStats[e.stream].Mispredicts++
+				m.streamStats[e.stream%MaxStreams].Mispredicts++
 				fe := &m.fes[e.stream]
 				fe.fetchBlocked = false
 				fe.fetchResumeAt = m.now + 1
@@ -48,47 +47,46 @@ func (m *Machine) writeback() {
 	}
 }
 
-// wakeValue resolves the availability cycle of value vid (= v) in cluster
-// c for everything waiting on it there: issue-queue entries absorb
-// avail[c] into their ready time and are scheduled into the issue
-// calendar when no unknown sources remain, and pending communications
-// sourced in c get their eligibility cycle stamped. Waiters for other
-// clusters stay registered.
-func (m *Machine) wakeValue(vid valueID, v *value, c int) {
-	avail := v.avail[c]
-	if ws := v.waiters; len(ws) > 0 {
-		kept := ws[:0]
-		for _, w := range ws {
-			if int(w.cluster) != c {
-				kept = append(kept, w)
-				continue
-			}
-			e := m.rob.AtAbs(w.robIdx)
-			if avail > e.readyAt {
-				e.readyAt = avail
-			}
-			e.waitSrcs--
-			if e.waitSrcs == 0 {
-				t := e.readyAt
-				if t < m.now {
-					t = m.now
-				}
-				m.scheduleIQ(w.robIdx, t)
-			}
+// wakeValue resolves the availability cycle of value vid in cluster c for
+// everything waiting on it there: issue-queue entries absorb it into their
+// ready time and are scheduled into the issue calendar when no unknown
+// sources remain, and pending communications sourced in c get their
+// eligibility cycle stamped. Waiters for other clusters stay registered.
+func (m *Machine) wakeValue(vid valueID, c int) {
+	v := m.vals.get(vid)
+	avail := *m.vals.availAt(vid, c)
+	// Unlink the waiters in cluster c; link points at the link that
+	// reaches w.
+	link := &v.waitHead
+	for w := *link; w != noWaiter; w = *link {
+		e := m.rob.AtSlot(int(w >> 1))
+		if int(e.cluster) != c {
+			link = &e.waitNext[w&1]
+			continue
 		}
-		v.waiters = kept
+		*link = e.waitNext[w&1]
+		if avail > e.readyAt {
+			e.readyAt = avail
+		}
+		e.waitSrcs--
+		if e.waitSrcs == 0 {
+			m.scheduleIQ(e, w>>1, max(e.readyAt, m.now))
+		}
 	}
-	if v.commWaitMask&(1<<uint(c)) != 0 {
-		v.commWaitMask &^= 1 << uint(c)
-		q := m.commQ[c]
+	if bit := uint32(1) << uint(c); v.commWaitMask&bit != 0 {
+		v.commWaitMask &^= bit
+		q := &m.commQ[c&clMask]
 		for i := 0; i < q.Len(); i++ {
 			ce := q.At(i)
 			if ce.val == vid && ce.eligibleAt == neverAvail {
 				ce.eligibleAt = avail
 			}
 		}
-		if avail < m.commNextEligible[c] {
-			m.commNextEligible[c] = avail
+		if avail < m.commNextEligible[c&clMask] {
+			m.commNextEligible[c&clMask] = avail
+		}
+		if avail <= m.now {
+			m.commLate |= bit
 		}
 		if avail < m.commGlobalEligible {
 			m.commGlobalEligible = avail
@@ -111,7 +109,7 @@ func (m *Machine) commit() {
 			m.files.ReleaseMask(pv.allocMask, pv.kind)
 			m.vals.release(e.prevVal)
 		}
-		if e.hasLSQ {
+		if e.class.IsMem() {
 			le := m.lsq.Peek()
 			if le == nil || le.robIdx != m.rob.Head() {
 				panic("core: LSQ out of sync with ROB")
@@ -121,22 +119,22 @@ func (m *Machine) commit() {
 				// critical path.
 				m.cov.DLat += uint64(m.mem.DataAccess(le.addr, true))
 				m.stats.Stores++
-				m.streamStats[e.stream].Stores++
+				m.streamStats[e.stream%MaxStreams].Stores++
 				// Retire the forwarding-map entry if this store is still
 				// the youngest for its address, bounding the map to
 				// roughly LSQ occupancy (a stale entry would be ignored
 				// anyway: issue checks liveness against lsq.Head()).
-				if idx, ok := m.lastStore[le.addr]; ok && idx == m.lsq.Head() {
-					delete(m.lastStore, le.addr)
+				if i := m.lastStore.find(le.addr); i >= 0 && m.lastStore.idx[i]-1 == m.lsq.Head() {
+					m.lastStore.remove(i)
 				}
 			} else {
 				m.stats.Loads++
-				m.streamStats[e.stream].Loads++
+				m.streamStats[e.stream%MaxStreams].Loads++
 			}
 			m.lsq.Drop()
 		}
 		m.stats.Committed++
-		m.streamStats[e.stream].Committed++
+		m.streamStats[e.stream%MaxStreams].Committed++
 		m.fes[e.stream].inFlight--
 		m.lastCommitAt = m.now
 		m.rob.Drop()
@@ -146,86 +144,122 @@ func (m *Machine) commit() {
 // issueComms lets ready communication instructions compete for bus slots.
 // A communication is ready once its value is readable in its source
 // cluster; contention is the time from ready to injection. Clusters take
-// turns getting first pick so no cluster is structurally favored.
+// turns getting first pick so no cluster is structurally favored; only
+// clusters with a queued communication are visited.
 func (m *Machine) issueComms() {
 	if m.commGlobalEligible > m.now {
 		return
 	}
+	if m.cfg.Comm == CommBuses {
+		m.fabric.Advance(m.now)
+	}
+	// Split the clusters with queued communications into those with an
+	// eligible entry (due) and the rest, whose bounds seed the global
+	// one; no branch depends on the split.
+	var due uint32
+	g := neverAvail
+	for mk := m.commBusy; mk != 0; mk &= mk - 1 {
+		c := bits.TrailingZeros32(mk)
+		next := m.commNextEligible[c&clMask]
+		_, notDue := bits.Sub64(m.now, next, 0) // 1 when next > now
+		due |= uint32(notDue^1) << uint(c)
+		g = min(g, next|(notDue-1)) // a due cluster's bound is rebuilt below
+	}
+	// The pass rebuilds the global bound: each due cluster's new bound
+	// enters it when the pass reaches the cluster, and wakeups during the
+	// pass lower it directly. (A wakeup for a cluster the pass reaches
+	// later may leave it below that cluster's final bound; a low bound
+	// only costs a pass that finds nothing.)
+	m.commGlobalEligible = g
 	n := m.cfg.Clusters
 	start := int(m.now % uint64(n))
-	for k := 0; k < n; k++ {
+	all := uint32(1)<<uint(n) - 1
+	// Rotate the due mask so bit k is cluster (start+k) mod n: visiting
+	// its bits lowest-first is the round-robin order from start.
+	rot := (due>>uint(start) | due<<uint(n-start)) & all
+	m.commLate = 0
+	for rot != 0 {
+		k := bits.TrailingZeros32(rot)
+		rot &= rot - 1
 		c := start + k
 		if c >= n {
 			c -= n
 		}
-		if m.commNextEligible[c] > m.now {
+		m.issueCluster(c)
+		if late := m.commLate; late != 0 {
+			// A value that arrived this cycle (CommInstant) made a
+			// cluster due: it joins the pass unless the pass is past it.
+			m.commLate = 0
+			rot |= (late>>uint(start) | late<<uint(n-start)) & all &^ (2<<uint(k) - 1)
+		}
+	}
+}
+
+// issueCluster lets cluster c's eligible communications compete for bus
+// slots (see issueComms).
+func (m *Machine) issueCluster(c int) {
+	n := m.cfg.Clusters
+	q := &m.commQ[c&clMask]
+	// The register file provisions one extra read port per bus
+	// (Section 3), so at most Buses communications issue per cluster
+	// per cycle.
+	issued := 0
+	nextEligible := neverAvail
+	i := 0
+	for i < q.Len() && issued < m.cfg.Buses {
+		ce := q.At(i)
+		if ce.eligibleAt > m.now {
+			if ce.eligibleAt < nextEligible {
+				nextEligible = ce.eligibleAt
+			}
+			i++
 			continue
 		}
-		q := m.commQ[c]
-		// The register file provisions one extra read port per bus
-		// (Section 3), so at most Buses communications issue per cluster
-		// per cycle.
-		issued := 0
-		nextEligible := neverAvail
-		i := 0
-		for i < q.Len() && issued < m.cfg.Buses {
-			ce := q.At(i)
-			if ce.eligibleAt > m.now {
-				if ce.eligibleAt < nextEligible {
-					nextEligible = ce.eligibleAt
-				}
-				i++
-				continue
-			}
-			v := m.vals.get(ce.val)
-			if !ce.haveReady {
-				ce.haveReady = true
-				ce.readySince = m.now
-			}
-			var arrival uint64
-			var dist int
-			var ok bool
-			switch m.cfg.Comm {
-			case CommInstant:
-				arrival, dist, ok = m.now, m.fabric.MinDistance(c, int(ce.dst)), true
-			case CommNoContention:
-				dist = m.fabric.MinDistance(c, int(ce.dst))
-				arrival, ok = m.now+uint64(dist*m.cfg.HopLatency), true
-			default:
-				arrival, dist, ok = m.fabric.TrySend(m.now, c, int(ce.dst))
-			}
-			if !ok {
-				// Eligible but bus-blocked: retry next cycle.
-				nextEligible = m.now
-				i++
-				continue
-			}
-			if arrival < v.avail[ce.dst] {
-				v.avail[ce.dst] = arrival
-			}
-			m.wakeValue(ce.val, v, int(ce.dst))
-			m.stats.CommHops += uint64(dist)
-			m.stats.CommWait += m.now - ce.readySince
-			if m.cfg.Copies == ReleaseOnRead {
-				m.noteRead(ce.val, c)
-			}
-			q.RemoveAt(i)
-			issued++
+		if !ce.haveReady {
+			ce.haveReady = true
+			ce.readySince = m.now
 		}
-		if i < q.Len() {
-			// Bus quota exhausted with entries unexamined; any of them
-			// may be eligible, so rescan next cycle.
+		dst := int(ce.dst)
+		var arrival uint64
+		var dist int
+		var ok bool
+		switch m.cfg.Comm {
+		case CommInstant:
+			arrival, dist, ok = m.now, int(m.minDist[c*n+dst]), true
+		case CommNoContention:
+			dist = int(m.minDist[c*n+dst])
+			arrival, ok = m.now+uint64(dist*m.cfg.HopLatency), true
+		default:
+			arrival, dist, ok = m.fabric.TrySend(m.now, c, dst)
+		}
+		if !ok {
+			// Eligible but bus-blocked: retry next cycle.
 			nextEligible = m.now
+			i++
+			continue
 		}
-		m.commNextEligible[c] = nextEligible
-	}
-	g := neverAvail
-	for _, t := range m.commNextEligible {
-		if t < g {
-			g = t
+		if a := m.vals.availAt(ce.val, dst); arrival < *a {
+			*a = arrival
 		}
+		m.wakeValue(ce.val, dst)
+		m.stats.CommHops += uint64(dist)
+		m.stats.CommWait += m.now - ce.readySince
+		if m.cfg.Copies == ReleaseOnRead {
+			m.noteRead(ce.val, c)
+		}
+		q.RemoveAt(i)
+		issued++
 	}
-	m.commGlobalEligible = g
+	if i < q.Len() {
+		// Bus quota exhausted with entries unexamined; any of them
+		// may be eligible, so rescan next cycle.
+		nextEligible = m.now
+	}
+	if q.Len() == 0 {
+		m.commBusy &^= 1 << uint(c)
+	}
+	m.commNextEligible[c&clMask] = nextEligible
+	m.commGlobalEligible = min(m.commGlobalEligible, nextEligible)
 }
 
 // noteRead records that one dispatched read of value vid from cluster c
@@ -233,17 +267,18 @@ func (m *Machine) issueComms() {
 // last (ReleaseOnRead policy only). The home copy is never read-released:
 // it carries the architectural state until the register is redefined.
 func (m *Machine) noteRead(vid valueID, c int) {
-	v := m.vals.get(vid)
-	if v.readers[c] == 0 {
+	r := m.vals.readersAt(vid, c)
+	if *r == 0 {
 		panic("core: operand read without a dispatched reader")
 	}
-	v.readers[c]--
+	*r--
+	v := m.vals.get(vid)
 	bit := uint32(1) << uint(c)
-	if v.readers[c] == 0 && int(v.home) != c && v.allocMask&bit != 0 {
+	if *r == 0 && int(v.home) != c && v.allocMask&bit != 0 {
 		m.files.Release(c, v.kind)
 		v.allocMask &^= bit
 		v.copyMask &^= bit
-		v.avail[c] = neverAvail
+		*m.vals.availAt(vid, c) = neverAvail
 	}
 }
 
@@ -254,19 +289,27 @@ func (m *Machine) multDivUnit(c, side, width int) int {
 		width = 4
 	}
 	for u := 0; u < width; u++ {
-		if m.multDivBusyUntil[c][side][u] <= m.now {
+		if m.multDivBusyUntil[c&clMask][side][u] <= m.now {
 			return u
 		}
 	}
 	return -1
 }
 
+// unitFree holds the latency of the classes whose issue needs no
+// structural check — their units are pipelined and always free — and 0
+// for the rest, which go through tryExecute.
+var unitFree = [isa.NumClasses]uint8{
+	isa.IntALU: 1,
+	isa.Branch: 1,
+	isa.FPAdd:  uint8(isa.FPAdd.Latency()),
+}
+
 // tryExecute checks structural resources for e issuing in cluster c and,
 // when they are available, claims them and returns the execution latency.
+// Classes with a unitFree latency never get here.
 func (m *Machine) tryExecute(e *robEntry, c int) (lat int, ok bool) {
 	switch e.class {
-	case isa.IntALU, isa.Branch:
-		return 1, true
 	case isa.IntMult:
 		if m.multDivUnit(c, 0, m.cfg.IssueInt) < 0 {
 			return 0, false
@@ -278,10 +321,8 @@ func (m *Machine) tryExecute(e *robEntry, c int) (lat int, ok bool) {
 			return 0, false
 		}
 		lat = isa.IntDiv.Latency()
-		m.multDivBusyUntil[c][0][u] = m.now + uint64(lat)
+		m.multDivBusyUntil[c&clMask][0][u] = m.now + uint64(lat)
 		return lat, true
-	case isa.FPAdd:
-		return isa.FPAdd.Latency(), true
 	case isa.FPMult:
 		if m.multDivUnit(c, 1, m.cfg.IssueFP) < 0 {
 			return 0, false
@@ -293,12 +334,12 @@ func (m *Machine) tryExecute(e *robEntry, c int) (lat int, ok bool) {
 			return 0, false
 		}
 		lat = isa.FPDiv.Latency()
-		m.multDivBusyUntil[c][1][u] = m.now + uint64(lat)
+		m.multDivBusyUntil[c&clMask][1][u] = m.now + uint64(lat)
 		return lat, true
 	case isa.Store:
 		// Stores issue once address and data operands are ready; the
 		// cache write happens at commit.
-		m.lsq.AtAbs(e.lsqIdx).issued = true
+		m.lsq.AtSlot(int(e.lsqSlot)).issued = true
 		return 1, true
 	case isa.Load:
 		return m.tryExecuteLoad(e, c)
@@ -311,8 +352,8 @@ func (m *Machine) tryExecute(e *robEntry, c int) (lat int, ok bool) {
 // for the nearest older store to the same address — identified once at
 // dispatch — and forwards from it while that store is still in the LSQ.
 func (m *Machine) tryExecuteLoad(e *robEntry, c int) (lat int, ok bool) {
-	if e.hasDep && e.depLSQ >= m.lsq.Head() {
-		if !m.lsq.AtAbs(e.depLSQ).issued {
+	if dep := e.depLSQ; dep != 0 && dep-1 >= m.lsq.Head() {
+		if !m.lsq.AtAbs(dep - 1).issued {
 			return 0, false // store data not ready yet
 		}
 		m.stats.LoadFwds++
@@ -324,264 +365,139 @@ func (m *Machine) tryExecuteLoad(e *robEntry, c int) (lat int, ok bool) {
 	}
 	m.dcachePortsUse++
 	transit := m.cfg.Mem.ClusterTransit
-	dlat := m.mem.DataAccess(e.effAddr, false)
+	dlat := m.mem.DataAccess(m.lsq.AtSlot(int(e.lsqSlot)).addr, false)
 	m.cov.DLat += uint64(dlat)
 	return 1 + 2*transit + dlat, true
 }
 
-// issueSide walks one cluster's ready list (one side), issuing
-// oldest-first up to the width, and returns the NREADY bookkeeping:
-// ready-but-width-blocked entries and the slots actually used. Every
-// entry in the list has its operands readable — waiting instructions
-// never reach it — so the only per-entry work is the structural check.
-func (m *Machine) issueSide(c int, q *iqSide, width int) (surplus, issuedN int) {
-	issued := 0
-	for i := 0; i < len(q.ready); {
-		idx := q.ready[i]
-		e := m.rob.AtAbs(idx)
-		if issued >= width {
-			surplus++
-			i++
-			continue
-		}
-		lat, ok := m.tryExecute(e, c)
-		if !ok {
-			i++
-			continue
-		}
-		e.state = robIssued
-		if m.cfg.Copies == ReleaseOnRead {
-			for s := 0; s < int(e.numSrcs); s++ {
-				if e.srcVals[s] != noValue {
-					m.noteRead(e.srcVals[s], c)
+// issueSide walks one cluster's ready set (one side) oldest-first from
+// the ROB head's slot, issuing up to the width, and returns the NREADY
+// bookkeeping: ready-but-width-blocked entries and the slots actually
+// used. Every entry in the set has its operands readable — waiting
+// instructions never reach it — so the only per-entry work is the
+// structural check.
+func (m *Machine) issueSide(side, c, width int) (surplus, issued int) {
+	q := &m.iq[side][c&clMask]
+	nw := m.robWords
+	words := m.readyBits[side][c*nw : c*nw+nw]
+	hs := m.rob.Slot(m.rob.Head())
+	// left counts the ready entries not yet visited: the scan stops at
+	// the last one instead of walking the set's remaining words.
+	left := q.ready
+	// The head's word is visited twice: first its slots from hs up, and
+	// after the wrap its slots below hs.
+	w := hs >> 6
+	word := words[w] &^ (1<<uint(hs&63) - 1)
+	for k := 0; k <= nw; {
+		for ; word != 0; word &= word - 1 {
+			left--
+			b := bits.TrailingZeros64(word)
+			s := w<<6 | b
+			e := m.rob.AtSlot(s)
+			lat, ok := int(unitFree[e.class%isa.NumClasses]), true
+			if lat == 0 {
+				lat, ok = m.tryExecute(e, c)
+			}
+			if ok {
+				e.state = robIssued
+				if m.cfg.Copies == ReleaseOnRead {
+					for i := 0; i < int(e.numSrcs); i++ {
+						m.noteRead(e.srcVals[i], c)
+					}
+				}
+				m.schedule(e, robSlot(s), m.now+uint64(lat))
+				words[w] &^= 1 << uint(b)
+				if issued++; issued == width {
+					// Every entry not yet visited is ready but
+					// width-blocked.
+					surplus = left
+					left = 0
 				}
 			}
+			if left == 0 {
+				q.ready -= issued
+				q.count -= issued
+				m.readyCount -= issued
+				return surplus, issued
+			}
 		}
-		m.schedule(idx, m.now+uint64(lat))
-		q.removeReady(i)
-		q.count--
-		m.readyCount--
-		issued++
+		if k++; k > nw {
+			break
+		}
+		if w++; w == nw {
+			w = 0
+		}
+		word = words[w]
+		if k == nw {
+			word &= 1<<uint(hs&63) - 1
+		}
 	}
-	return surplus, issued
+	panic("core: ready set count out of sync")
 }
 
 // issue merges the entries whose operands became readable this cycle into
-// their ready lists, then runs the per-cluster select logic and
+// their ready sets, then runs the per-cluster select logic and
 // accumulates the NREADY workload-imbalance figure: ready instructions
 // beyond their cluster's issue width that idle slots elsewhere could have
 // absorbed, computed per side (an integer instruction cannot use an FP
 // slot).
 func (m *Machine) issue() {
 	slot := m.now % eventHorizon
-	if wakes := m.iqCal[slot]; len(wakes) > 0 {
-		m.iqCal[slot] = wakes[:0]
-		for _, idx := range wakes {
-			e := m.rob.AtAbs(idx)
-			if e.class.IsFP() {
-				m.iqFP[e.cluster].insertReady(idx)
-				m.readyMaskFP |= 1 << uint(e.cluster)
-			} else {
-				m.iqInt[e.cluster].insertReady(idx)
-				m.readyMaskInt |= 1 << uint(e.cluster)
-			}
+	if s := m.wakeHead[slot]; s != noSlot {
+		m.wakeHead[slot] = noSlot
+		nw := m.robWords
+		for ; s != noSlot; s = m.rob.AtSlot(int(s)).next {
+			e := m.rob.AtSlot(int(s))
+			side, c := sideOf(e.class), int(e.cluster)
+			m.readyBits[side][c*nw+int(s>>6)] |= 1 << uint(s&63)
+			m.iq[side][c&clMask].ready++
+			m.readyMask[side] |= 1 << uint(c)
+			m.readyCount++
 		}
-		m.readyCount += len(wakes)
 	}
+	// Both calendars' lists for this cycle are drained now (writeback
+	// took the completions), and nothing schedules into them later in
+	// the cycle.
+	m.calBusy[slot/64] &^= 1 << (slot % 64)
 	if m.readyCount == 0 {
 		// Nothing ready anywhere: no issue and no NREADY surplus (idle
 		// slots without surplus contribute nothing to the imbalance).
 		return
 	}
-	// Only clusters with a non-empty ready list are visited; every slot
+	// Only clusters with a non-empty ready set are visited; every slot
 	// of a skipped cluster is idle, so idle = total width - issued.
-	var surInt, issInt, surFP, issFP int
-	for mk := m.readyMaskInt; mk != 0; mk &= mk - 1 {
-		c := bits.TrailingZeros32(mk)
-		s, is := m.issueSide(c, &m.iqInt[c], m.cfg.IssueInt)
-		surInt += s
-		issInt += is
-		if len(m.iqInt[c].ready) == 0 {
-			m.readyMaskInt &^= 1 << uint(c)
-		}
-	}
-	for mk := m.readyMaskFP; mk != 0; mk &= mk - 1 {
-		c := bits.TrailingZeros32(mk)
-		s, is := m.issueSide(c, &m.iqFP[c], m.cfg.IssueFP)
-		surFP += s
-		issFP += is
-		if len(m.iqFP[c].ready) == 0 {
-			m.readyMaskFP &^= 1 << uint(c)
-		}
-	}
-	idleInt := m.cfg.Clusters*m.cfg.IssueInt - issInt
-	idleFP := m.cfg.Clusters*m.cfg.IssueFP - issFP
-	m.stats.NReadyInt += uint64(min(surInt, idleInt))
-	m.stats.NReadyFP += uint64(min(surFP, idleFP))
-	m.stats.NReady += uint64(min(surInt, idleInt) + min(surFP, idleFP))
-}
-
-// regNeed is one physical-register requirement discovered at dispatch.
-type regNeed struct {
-	cluster int
-	kind    isa.RegFileKind
-}
-
-// commNeed is one communication requirement discovered at dispatch: which
-// operand needs to move and the cluster that sources the copy.
-type commNeed struct {
-	op  int
-	src int
-}
-
-// dispatchOutcome is planDispatch's verdict on the fetch-queue head.
-type dispatchOutcome uint8
-
-const (
-	// dispatchOK: every resource is available; applyDispatch may commit
-	// the plan.
-	dispatchOK dispatchOutcome = iota
-	// dispatchEmpty: the fetch queue is empty (StallFetchMt).
-	dispatchEmpty
-	// dispatchNotReady: the head is still in decode/steer latency.
-	dispatchNotReady
-	// dispatchStall: a resource is missing; plan.stall names the counter.
-	dispatchStall
-)
-
-// dispatchPlan is the planning state planDispatch hands to applyDispatch:
-// the renamed sources, the steering decision, and the resource needs the
-// checks validated. The steering request itself lives in m.steerReq.
-type dispatchPlan struct {
-	fe       *fetchEntry
-	srcIDs   [2]valueID
-	srcKinds [2]isa.RegFileKind
-	cl       int
-	side     *iqSide
-	needs    [3]regNeed
-	nNeeds   int
-	comms    [2]commNeed
-	nComms   int
-	stall    *uint64 // set on dispatchStall: the stats counter to bump
-}
-
-// planDispatch decides whether the fetch-queue head can dispatch this
-// cycle, filling p with everything applyDispatch needs. It performs no
-// machine mutation beyond the m.steerReq scratch area — except through
-// alg.Choose, which mutates round-robin state for SSA (the idle-cycle
-// fast-forward therefore only probes stateless-steering machines). The
-// check order is load-bearing: stateless policies test ROB/LSQ before
-// steering (a full-ROB cycle skips renaming entirely), SSA after, so its
-// in-Choose state advances exactly as often as before the refactor.
-func (m *Machine) planDispatch(p *dispatchPlan) dispatchOutcome {
-	fe := m.fetchQ.Peek()
-	if fe == nil {
-		return dispatchEmpty
-	}
-	if fe.readyAt > m.now {
-		return dispatchNotReady
-	}
-	if m.statelessChoose {
-		if m.rob.Full() {
-			p.stall = &m.stats.StallROB
-			return dispatchStall
-		}
-		if fe.class.IsMem() && m.lsq.Full() {
-			p.stall = &m.stats.StallLSQ
-			return dispatchStall
-		}
-	}
-	// Rename sources. The request lives on the machine: passing a
-	// stack-local through the Algorithm interface would heap-allocate
-	// once per steering decision. Resetting the count suffices —
-	// consumers never read Ops beyond NumOps.
-	req := &m.steerReq
-	req.NumOps = 0
-	for i := 0; i < int(fe.numSrcs); i++ {
-		r := fe.src[i]
-		if r.IsZero() {
-			continue
-		}
-		vid := m.renameMap[r.Kind][r.Idx]
-		v := m.vals.get(vid)
-		req.Ops[req.NumOps] = steering.Operand{Mask: v.copyMask, Pending: !v.produced}
-		p.srcIDs[req.NumOps] = vid
-		p.srcKinds[req.NumOps] = r.Kind
-		req.NumOps++
-	}
-	req.Kind = isa.IntReg
-	if fe.writesReg {
-		req.Kind = fe.dest.Kind
-	}
-
-	cl := m.alg.Choose(m, req)
-
-	// Global structures.
-	if m.rob.Full() {
-		p.stall = &m.stats.StallROB
-		return dispatchStall
-	}
-	if fe.class.IsMem() && m.lsq.Full() {
-		p.stall = &m.stats.StallLSQ
-		return dispatchStall
-	}
-	side := &m.iqInt[cl]
-	if fe.class.IsFP() {
-		side = &m.iqFP[cl]
-	}
-	if side.count >= side.cap {
-		p.stall = &m.stats.StallIQ
-		return dispatchStall
-	}
-
-	// Discover register and comm-queue needs (checked before any
-	// allocation so a stall leaks nothing).
-	p.nNeeds = 0
-	if fe.writesReg {
-		p.needs[p.nNeeds] = regNeed{m.visibleCluster(cl), fe.dest.Kind}
-		p.nNeeds++
-	}
-	p.nComms = 0
-	for i := 0; i < req.NumOps; i++ {
-		if i > 0 && p.srcIDs[i] == p.srcIDs[0] {
-			continue // both operands read the same value: one comm suffices
-		}
-		mask := req.Ops[i].Mask
-		if mask == 0 || mask&(1<<uint(cl)) != 0 {
-			continue // readable in cl (or everywhere); no comm
-		}
-		src := m.nearestCopy(mask, cl)
-		p.comms[p.nComms] = commNeed{op: i, src: src}
-		p.nComms++
-		p.needs[p.nNeeds] = regNeed{cl, p.srcKinds[i]}
-		p.nNeeds++
-	}
-	for i := 0; i < p.nNeeds; i++ {
-		needed := 1
-		for j := 0; j < i; j++ {
-			if p.needs[j] == p.needs[i] {
-				needed++
+	var nready uint64
+	for side, width := range [2]int{m.cfg.IssueInt, m.cfg.IssueFP} {
+		var sur, iss int
+		for mk := m.readyMask[side]; mk != 0; mk &= mk - 1 {
+			c := bits.TrailingZeros32(mk)
+			s, is := m.issueSide(side, c, width)
+			sur += s
+			iss += is
+			if m.iq[side][c&clMask].ready == 0 {
+				m.readyMask[side] &^= 1 << uint(c)
 			}
 		}
-		if m.files.Free(p.needs[i].cluster, p.needs[i].kind) < needed {
-			p.stall = &m.stats.StallRegs
-			return dispatchStall
+		r := uint64(min(sur, m.cfg.Clusters*width-iss))
+		if side == sideInt {
+			m.stats.NReadyInt += r
+		} else {
+			m.stats.NReadyFP += r
 		}
+		nready += r
 	}
-	for i := 0; i < p.nComms; i++ {
-		needed := 1
-		for j := 0; j < i; j++ {
-			if p.comms[j].src == p.comms[i].src {
-				needed++
-			}
-		}
-		if m.commQ[p.comms[i].src].Free() < needed {
-			p.stall = &m.stats.StallComm
-			return dispatchStall
-		}
+	m.stats.NReady += nready
+}
+
+// choose asks the machine's steering policy for the request's cluster.
+func (m *Machine) choose(req *steering.Request) int {
+	switch m.steer {
+	case steerRing:
+		return m.ring.Choose(m, req)
+	case steerConv:
+		return m.conv.Choose(m, req)
 	}
-	p.fe, p.cl, p.side = fe, cl, side
-	return dispatchOK
+	return m.ssa.Choose(m, req)
 }
 
 // dispatch renames, steers and inserts instructions into the back end, in
@@ -589,156 +505,244 @@ func (m *Machine) planDispatch(p *dispatchPlan) dispatchOutcome {
 // chosen cluster lacks a resource (paper Section 3.1: "if the chosen
 // cluster is full, then the dispatch stage is stalled").
 func (m *Machine) dispatch() {
-	var p dispatchPlan
 	for n := 0; n < m.cfg.DispatchWidth; n++ {
-		switch m.planDispatch(&p) {
-		case dispatchEmpty:
+		fe := m.fetchQ.Peek()
+		if fe == nil {
 			m.stats.StallFetchMt++
 			return
-		case dispatchNotReady:
-			return
-		case dispatchStall:
-			*p.stall++
+		}
+		if fe.readyAt > m.now {
 			return
 		}
-		m.applyDispatch(&p)
+		if stall := m.dispatchOne(fe, false); stall != nil {
+			*stall++
+			return
+		}
 	}
 }
 
-// applyDispatch performs the dispatch a successful planDispatch validated:
-// claims the ROB slot, allocates registers and communications, links the
-// LSQ and wakeup structures. Resource checks already passed, so every
-// allocation here must succeed.
-func (m *Machine) applyDispatch(p *dispatchPlan) {
-	fe, cl, side := p.fe, p.cl, p.side
+// dispatchOne is the dispatch of fe, the fetch-queue head (which must be
+// past its decode/steer latency), in one pass: it renames each source
+// once, steers, checks every resource the dispatch needs, and then claims
+// them — the ROB slot, registers, communications, the LSQ and the wakeup
+// structures. It returns the stats counter of the stall that blocks the
+// head, or nil once the head has dispatched. With probe set it stops
+// before claiming anything, so it mutates nothing beyond m.steerReq —
+// except through Choose, which advances SSA's round-robin state (the
+// idle-cycle fast-forward therefore only probes Ring and Conv machines).
+// The check order is load-bearing: Ring and Conv test ROB/LSQ before
+// steering (a full-ROB cycle skips renaming entirely), SSA after, so its
+// in-Choose state advances exactly once per stalled cycle.
+func (m *Machine) dispatchOne(fe *fetchEntry, probe bool) *uint64 {
+	ssa := m.steer == steerSSA
+	if !ssa {
+		if m.rob.Full() {
+			return &m.stats.StallROB
+		}
+		if fe.class.IsMem() && m.lsq.Full() {
+			return &m.stats.StallLSQ
+		}
+	}
+	// Rename sources. The request lives on the machine: a stack-local
+	// passed to the View-taking Choose would escape and heap-allocate once
+	// per steering decision. Consumers never read Ops beyond NumOps.
 	req := &m.steerReq
-	srcIDs := &p.srcIDs
-	srcKinds := &p.srcKinds
+	nops := int(fe.numSrcs) & 3
+	var srcIDs [2]valueID
+	for i := 0; i < nops && i < 2; i++ {
+		vid := m.renameMap[fe.src[i]&(2*isa.NumArchRegs-1)]
+		v := m.vals.get(vid)
+		req.Ops[i] = steering.Operand{Mask: v.copyMask, Pending: !v.produced}
+		srcIDs[i] = vid
+	}
+	req.NumOps = nops
+	req.Kind = isa.IntReg
+	if fe.dest != noReg {
+		req.Kind = regKind(fe.dest)
+	}
 
-	// The ROB slot is claimed up front and the entry is built in place.
+	cl := m.choose(req)
+
+	if ssa {
+		if m.rob.Full() {
+			return &m.stats.StallROB
+		}
+		if fe.class.IsMem() && m.lsq.Full() {
+			return &m.stats.StallLSQ
+		}
+	}
+	side := &m.iq[sideOf(fe.class)][cl&clMask]
+	if side.count >= side.cap {
+		return &m.stats.StallIQ
+	}
+
+	// Discover register and comm-queue needs (checked before any
+	// allocation so a stall leaks nothing): the destination's register in
+	// the cluster that receives the result, and one copy register in cl
+	// per operand that must be communicated there, sourced from the
+	// nearest cluster holding a copy.
+	home := m.visibleCluster(cl)
+	var commOp, commSrc [2]int
+	var copies [2]int // copy registers needed in cl, per namespace
+	nComms := 0
+	for i := 0; i < nops && i < 2; i++ {
+		if i > 0 && srcIDs[1] == srcIDs[0] {
+			continue // both operands read the same value: one comm suffices
+		}
+		mask := req.Ops[i].Mask
+		if mask == 0 || mask&(1<<uint(cl)) != 0 {
+			continue // readable in cl (or everywhere); no comm
+		}
+		commOp[nComms], commSrc[nComms] = i, m.nearestCopy(mask, cl)
+		nComms++
+		copies[regKind(fe.src[i])&1]++
+	}
+	if fe.dest != noReg {
+		kind := regKind(fe.dest)
+		need := 1
+		if home == cl {
+			// Conv writes its result into cl's own file, which the
+			// copies of the same namespace also need.
+			need += copies[kind&1]
+			copies[kind&1] = 0
+		}
+		if m.files.Free(home, kind) < need {
+			return &m.stats.StallRegs
+		}
+	}
+	for kind, n := range copies {
+		if n > 0 && m.files.Free(cl, isa.RegFileKind(kind)) < n {
+			return &m.stats.StallRegs
+		}
+	}
+	for i := 0; i < nComms; i++ {
+		needed := 1
+		if i == 1 && commSrc[0] == commSrc[1] {
+			needed = 2
+		}
+		if m.commQ[commSrc[i]&clMask].Free() < needed {
+			return &m.stats.StallComm
+		}
+	}
+	if probe {
+		return nil
+	}
+
+	// Every check passed: claim the resources. The ROB slot is filled
+	// field by field.
+	clBit := uint32(1) << uint(cl)
+	countReads := m.cfg.Copies == ReleaseOnRead
 	robIdx := m.rob.Tail()
-	ep, pushed := m.rob.PushRef()
-	if !pushed {
-		panic("core: ROB slot vanished after check")
-	}
-	*ep = robEntry{
-		seq:        fe.seq,
-		class:      fe.class,
-		cluster:    int8(cl),
-		stream:     fe.stream,
-		state:      robWaiting,
-		destVal:    noValue,
-		prevVal:    noValue,
-		effAddr:    fe.effAddr,
-		mispredict: fe.mispredict,
-	}
-	for i := 0; i < req.NumOps; i++ {
-		ep.srcVals[i] = srcIDs[i]
-	}
-	ep.numSrcs = int8(req.NumOps)
+	slot := robSlot(m.rob.Slot(robIdx))
+	ep, _ := m.rob.PushRef() // never full: checked above
+	ep.seq = fe.seq
+	ep.srcVals = srcIDs
+	ep.destVal = noValue
+	ep.prevVal = noValue
+	ep.depLSQ = 0
+	ep.class = fe.class
+	ep.cluster = int8(cl)
+	ep.state = robWaiting
+	ep.stream = fe.stream
+	ep.numSrcs = int8(nops)
+	ep.mispredict = fe.mispredict
 
-	for i := 0; i < p.nComms; i++ {
-		c := p.comms[i]
-		v := m.vals.get(srcIDs[c.op])
-		if !m.files.Alloc(cl, srcKinds[c.op]) {
+	for i := 0; i < nComms; i++ {
+		src := commSrc[i]
+		vid := srcIDs[commOp[i]&1]
+		v := m.vals.get(vid)
+		if !m.files.Alloc(cl, v.kind) {
 			panic("core: copy register vanished after check")
 		}
-		v.copyMask |= 1 << uint(cl)
-		v.allocMask |= 1 << uint(cl)
-		if m.cfg.Copies == ReleaseOnRead {
-			v.readers[c.src]++ // the communication itself reads at its source
+		v.copyMask |= clBit
+		v.allocMask |= clBit
+		if countReads {
+			*m.vals.readersAt(vid, src)++ // the communication itself reads at its source
 		}
-		ce := commEntry{val: srcIDs[c.op], src: int8(c.src), dst: int8(cl)}
-		if a := v.avail[c.src]; a == neverAvail {
-			ce.eligibleAt = neverAvail
-			v.commWaitMask |= 1 << uint(c.src)
-		} else {
-			ce.eligibleAt = a
+		a := *m.vals.availAt(vid, src)
+		if a == neverAvail {
+			v.commWaitMask |= 1 << uint(src)
 		}
-		if ce.eligibleAt < m.commNextEligible[c.src] {
-			m.commNextEligible[c.src] = ce.eligibleAt
+		if a < m.commNextEligible[src&clMask] {
+			m.commNextEligible[src&clMask] = a
 		}
-		if ce.eligibleAt < m.commGlobalEligible {
-			m.commGlobalEligible = ce.eligibleAt
+		if a < m.commGlobalEligible {
+			m.commGlobalEligible = a
 		}
-		if !m.commQ[c.src].Push(ce) {
+		if !m.commQ[src&clMask].Push(commEntry{val: vid, src: int8(src), dst: int8(cl), eligibleAt: a}) {
 			panic("core: comm queue slot vanished after check")
 		}
+		m.commBusy |= 1 << uint(src)
 		m.stats.Comms++
-		m.streamStats[fe.stream].Comms++
-	}
-	if m.cfg.Copies == ReleaseOnRead {
-		for i := 0; i < req.NumOps; i++ {
-			m.vals.get(srcIDs[i]).readers[cl]++
-		}
-	}
-
-	if fe.writesReg {
-		home := m.visibleCluster(cl)
-		if !m.files.Alloc(home, fe.dest.Kind) {
-			panic("core: destination register vanished after check")
-		}
-		vid := m.vals.alloc(fe.dest.Kind)
-		v := m.vals.get(vid)
-		v.copyMask = 1 << uint(home)
-		v.allocMask = 1 << uint(home)
-		v.home = int8(home)
-		ep.destVal = vid
-		ep.destKind = fe.dest.Kind
-		ep.prevVal = m.renameMap[fe.dest.Kind][fe.dest.Idx]
-		m.renameMap[fe.dest.Kind][fe.dest.Idx] = vid
-	}
-
-	if fe.class.IsMem() {
-		lsqIdx, ok := m.lsq.Push(lsqEntry{robIdx: robIdx, addr: fe.effAddr, isStore: fe.class == isa.Store})
-		if !ok {
-			panic("core: LSQ slot vanished after check")
-		}
-		ep.hasLSQ = true
-		ep.lsqIdx = lsqIdx
-		if fe.class == isa.Store {
-			m.lastStore[fe.effAddr] = lsqIdx
-		} else if dep, found := m.lastStore[fe.effAddr]; found {
-			// The youngest older store to this address; all older
-			// same-address stores commit before it, so if it has left
-			// the LSQ by issue time the load goes to the cache.
-			ep.hasDep, ep.depLSQ = true, dep
-		}
+		m.streamStats[fe.stream%MaxStreams].Comms++
 	}
 
 	// Insert into the issue queue: resolve each source's availability
 	// cycle in cl now, registering a wakeup on values whose cycle is
 	// still unknown. Entries with fully known timing go straight into
 	// the issue calendar and are never rescanned while they wait.
-	re := ep
-	for i := 0; i < int(re.numSrcs); i++ {
-		sv := re.srcVals[i]
-		if sv == noValue {
-			continue
+	var readyAt uint64
+	var waitSrcs int8
+	for i := 0; i < nops && i < 2; i++ {
+		vid := srcIDs[i]
+		if countReads {
+			*m.vals.readersAt(vid, cl)++
 		}
-		v := m.vals.get(sv)
-		if a := v.avail[cl]; a == neverAvail {
-			v.waiters = append(v.waiters, iqWaiter{robIdx: robIdx, cluster: int8(cl)})
-			re.waitSrcs++
-		} else if a > re.readyAt {
-			re.readyAt = a
+		if a := *m.vals.availAt(vid, cl); a == neverAvail {
+			v := m.vals.get(vid)
+			ep.waitNext[i] = v.waitHead
+			v.waitHead = slot<<1 | int32(i)
+			waitSrcs++
+		} else if a > readyAt {
+			readyAt = a
 		}
 	}
-	side.count++
-	if re.waitSrcs == 0 {
-		t := re.readyAt
-		if t <= m.now {
-			// Already readable: eligible from the next cycle (issue
-			// precedes dispatch within a cycle).
-			t = m.now + 1
+	ep.readyAt = readyAt
+	ep.waitSrcs = waitSrcs
+
+	if fe.dest != noReg {
+		kind := regKind(fe.dest)
+		if !m.files.Alloc(home, kind) {
+			panic("core: destination register vanished after check")
 		}
-		m.scheduleIQ(robIdx, t)
+		vid := m.vals.alloc(kind)
+		v := m.vals.get(vid)
+		v.copyMask = 1 << uint(home)
+		v.allocMask = 1 << uint(home)
+		v.home = int8(home)
+		ep.destVal = vid
+		r := fe.dest & (2*isa.NumArchRegs - 1)
+		ep.prevVal = m.renameMap[r]
+		m.renameMap[r] = vid
 	}
 
-	m.alg.OnDispatch(cl)
+	if fe.class.IsMem() {
+		isStore := fe.class == isa.Store
+		lsqIdx, _ := m.lsq.Push(lsqEntry{robIdx: robIdx, addr: fe.effAddr, isStore: isStore}) // never full: checked above
+		ep.lsqSlot = int32(m.lsq.Slot(lsqIdx))
+		if isStore {
+			m.lastStore.put(fe.effAddr, lsqIdx)
+		} else if dep, found := m.lastStore.get(fe.effAddr); found {
+			// The youngest older store to this address; all older
+			// same-address stores commit before it, so if it has left
+			// the LSQ by issue time the load goes to the cache.
+			ep.depLSQ = dep + 1
+		}
+	}
+
+	side.count++
+	if waitSrcs == 0 {
+		// Already readable: eligible from the next cycle at the earliest
+		// (issue precedes dispatch within a cycle).
+		m.scheduleIQ(ep, slot, max(readyAt, m.now+1))
+	}
+
+	if m.conv != nil {
+		m.conv.OnDispatch(cl)
+	}
 	m.stats.Dispatched++
-	m.streamStats[fe.stream].Dispatched++
-	m.stats.PerCluster[cl]++
+	m.streamStats[fe.stream%MaxStreams].Dispatched++
+	m.stats.PerCluster[cl&clMask]++
 	if u := uint64(m.files.TotalUsed(isa.IntReg)); u > m.stats.PeakRegsInt {
 		m.stats.PeakRegsInt = u
 	}
@@ -746,6 +750,7 @@ func (m *Machine) applyDispatch(p *dispatchPlan) {
 		m.stats.PeakRegsFP = u
 	}
 	m.fetchQ.Drop()
+	return nil
 }
 
 // nearestCopy returns the cluster holding a copy of the value (per mask)
@@ -846,17 +851,27 @@ func (m *Machine) fetch() {
 		if in.Class.IsMem() {
 			eff = in.Addr + sfe.off
 		}
-		fe, _ := m.fetchQ.PushRef() // never full: guarded by the loop condition
-		*fe = fetchEntry{
-			seq:       seq,
-			effAddr:   eff,
-			readyAt:   m.now + 1 + uint64(m.cfg.SteerLatency),
-			src:       in.Src(),
-			dest:      in.Dest(),
-			class:     in.Class,
-			numSrcs:   in.NumSrcs(),
-			writesReg: in.WritesReg(),
-			stream:    sidx,
+		// The entry is filled field by field in its queue slot (never
+		// full: guarded by the loop condition).
+		fe, _ := m.fetchQ.PushRef()
+		fe.seq = seq
+		fe.effAddr = eff
+		fe.readyAt = m.now + 1 + uint64(m.cfg.SteerLatency)
+		fe.class = in.Class
+		fe.stream = sidx
+		fe.mispredict = false
+		src := in.Src()
+		n := uint8(0)
+		for i := uint8(0); i < in.NumSrcs() && i < 2; i++ {
+			if !src[i].IsZero() {
+				fe.src[n] = flatReg(src[i])
+				n++
+			}
+		}
+		fe.numSrcs = n
+		fe.dest = noReg
+		if in.WritesReg() {
+			fe.dest = flatReg(in.Dest())
 		}
 		fetched++
 		sfe.inFlight++

@@ -296,3 +296,43 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "simulated-inst/s")
 }
+
+// BenchmarkKernelGrid measures the simulation kernel over a slice of the
+// Figure-6 grid: the ten Table 3 configurations × gcc, mcf, swim and art
+// at 40k measured + 10k warm-up instructions, one request at a time on
+// one goroutine. Both architectures and so both steering policies (Ring's
+// free-register tie-break, Conv's DCOUNT controller) are on the path. The
+// workloads are held for the loop's duration and materialized before the
+// timer starts, so the loop times warm-up and simulation only.
+func BenchmarkKernelGrid(b *testing.B) {
+	var reqs []Request
+	var insts uint64
+	for _, prog := range []string{"gcc", "mcf", "swim", "art"} {
+		w := workload.Single(prog)
+		DefaultTraceCache.Hold(w)
+		defer DefaultTraceCache.Release(w)
+		for _, cfg := range PaperConfigs() {
+			req := Request{Config: cfg, Workload: w, Insts: 40_000, Warmup: 10_000}
+			reqs = append(reqs, req)
+			for _, n := range StreamBudgets(req.Workload, req.Insts, req.Warmup) {
+				insts += n
+			}
+		}
+		// Materialize the workload outside the timer.
+		if run := Execute(reqs[len(reqs)-1]); run.Err != nil {
+			b.Fatal(run.Err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range reqs {
+			if run := Execute(req); run.Err != nil {
+				b.Fatal(run.Err)
+			}
+		}
+	}
+	total := float64(insts) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/inst")
+	b.ReportMetric(total/b.Elapsed().Seconds(), "simulated-inst/s")
+}

@@ -64,7 +64,7 @@ type Bus struct {
 	// construction: every communication asks several times, and the ring
 	// size is not a constant the compiler could divide by cheaply.
 	dist, seg []int8
-	cal       []uint64 // cal[(cycle%window)*n + seg] != 0 => reserved
+	cal       []bool   // cal[(cycle%window)*n + seg] => reserved
 	occRow    []uint16 // reserved slots per calendar row (cycle%window)
 	occupied  int      // reserved slot-cycles still in the calendar
 	stats     Stats
@@ -93,7 +93,7 @@ func NewBus(n, hop int, dir Direction) *Bus {
 		dir:    dir,
 		dist:   make([]int8, n*n),
 		seg:    make([]int8, n*n),
-		cal:    make([]uint64, n*window),
+		cal:    make([]bool, n*window),
 		occRow: make([]uint16, window),
 	}
 	// FitsWindow keeps n under 128, so both tables fit int8.
@@ -142,15 +142,16 @@ func (b *Bus) segment(src, k int) int { return int(b.seg[src*b.n+k]) }
 
 // Advance moves the bus clock to cycle now, releasing slots that belong to
 // expired cycles so the circular calendar can represent the new horizon.
-// It must be called with non-decreasing values, at most +1 per call from
-// the previous cycle (the core ticks every cycle).
+// It must be called with non-decreasing values, and before every
+// CanInject or Inject at a later cycle; a call may jump any number of
+// cycles (the core advances the fabric only when it sends).
 func (b *Bus) Advance(now uint64) {
-	if b.occupied == 0 {
-		// Empty calendar: nothing to release, just move the clock.
-		b.now = now
-		return
-	}
 	for b.now < now {
+		if b.occupied == 0 {
+			// Empty calendar: nothing to release, just move the clock.
+			b.now = now
+			return
+		}
 		r := int(b.now % window)
 		if c := b.occRow[r]; c != 0 {
 			base := r * b.n
@@ -166,7 +167,7 @@ func (b *Bus) Advance(now uint64) {
 // slots beginning at cycle start.
 func (b *Bus) free(seg int, start uint64) bool {
 	for c := uint64(0); c < uint64(b.hop); c++ {
-		if b.cal[int((start+c)%window)*b.n+seg] != 0 {
+		if b.cal[int((start+c)%window)*b.n+seg] {
 			return false
 		}
 	}
@@ -207,10 +208,10 @@ func (b *Bus) Inject(now uint64, src, dst int) (arrival uint64) {
 		for c := uint64(0); c < uint64(b.hop); c++ {
 			r := int((start + c) % window)
 			slot := r*b.n + seg
-			if b.cal[slot] != 0 {
+			if b.cal[slot] {
 				panic("interconnect: Inject without CanInject")
 			}
-			b.cal[slot] = 1
+			b.cal[slot] = true
 			b.occRow[r]++
 			b.occupied++
 		}

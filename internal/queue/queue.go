@@ -28,9 +28,6 @@ func NewBounded[T any](capacity int) *Bounded[T] {
 // Len returns the number of buffered elements.
 func (b *Bounded[T]) Len() int { return len(b.items) }
 
-// Cap returns the capacity.
-func (b *Bounded[T]) Cap() int { return b.cap }
-
 // Free returns the remaining capacity.
 func (b *Bounded[T]) Free() int { return b.cap - len(b.items) }
 
@@ -58,6 +55,19 @@ func (b *Bounded[T]) RemoveAt(i int) {
 
 // Clear empties the buffer.
 func (b *Bounded[T]) Clear() { b.items = b.items[:0] }
+
+// Reset empties the buffer and sets its capacity, reusing the backing
+// array when it is large enough. It makes the zero Bounded usable; it
+// panics if capacity is not positive.
+func (b *Bounded[T]) Reset(capacity int) {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("queue: non-positive capacity %d", capacity))
+	}
+	if cap(b.items) < capacity {
+		b.items = make([]T, 0, capacity)
+	}
+	b.items, b.cap = b.items[:0], capacity
+}
 
 // Ring is a bounded FIFO over a circular slice: the reorder buffer, fetch
 // queue and LSQ. Entries are addressed by stable absolute indices (Head()
@@ -176,30 +186,48 @@ func (r *Ring[T]) Peek() *T {
 // AtAbs returns a pointer to the element at absolute index idx. It panics
 // if idx is outside [Head(), Tail()).
 func (r *Ring[T]) AtAbs(idx uint64) *T {
-	if idx < r.head || idx >= r.head+uint64(r.count) {
-		panic(fmt.Sprintf("queue: absolute index %d outside [%d,%d)", idx, r.head, r.head+uint64(r.count)))
+	if idx-r.head >= uint64(r.count) {
+		panic(rangeError{idx, r.head, r.head + uint64(r.count)})
 	}
 	return &r.buf[r.slot(idx)]
 }
+
+// rangeError is AtAbs's panic value. Formatting happens only if the panic
+// is printed, which keeps AtAbs small enough to inline.
+type rangeError struct{ idx, head, tail uint64 }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("queue: absolute index %d outside [%d,%d)", e.idx, e.head, e.tail)
+}
+
+// Slot returns the buffer position, in [0, Cap()), of absolute index idx.
+// Consecutive indices occupy consecutive positions modulo Cap(), so a
+// scan of positions from Slot(Head()) upward, wrapping at Cap(), visits
+// the elements oldest-first.
+func (r *Ring[T]) Slot(idx uint64) int { return r.slot(idx) }
+
+// AtSlot returns a pointer to the element at buffer position s (see
+// Slot). The caller must know the position holds a live element.
+func (r *Ring[T]) AtSlot(s int) *T { return &r.buf[s] }
 
 // Contains reports whether absolute index idx addresses a live element.
 func (r *Ring[T]) Contains(idx uint64) bool {
 	return idx >= r.head && idx < r.head+uint64(r.count)
 }
 
-// ResetRing returns an empty ring with the given capacity, reusing r's
-// buffer when the capacity matches (absolute indices restart at zero).
-// A nil r allocates a fresh ring.
-func ResetRing[T any](r *Ring[T], capacity int) *Ring[T] {
-	if r == nil || len(r.buf) != capacity {
-		return NewRing[T](capacity)
+// Reset empties the ring and sets its capacity (must be > 0), reusing the
+// buffer when the capacity matches; absolute indices restart at zero. It
+// makes the zero Ring usable, so a ring can be embedded by value.
+func (r *Ring[T]) Reset(capacity int) {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("queue: non-positive capacity %d", capacity))
 	}
-	var zero T
-	for i := range r.buf {
-		r.buf[i] = zero
+	if len(r.buf) != capacity {
+		r.buf = make([]T, capacity)
+	} else {
+		clear(r.buf)
 	}
 	r.mask = pow2Mask(capacity)
 	r.head = 0
 	r.count = 0
-	return r
 }

@@ -113,6 +113,53 @@ func TestRingAbsoluteIndexing(t *testing.T) {
 	if r.Contains(1) || r.Contains(6) {
 		t.Fatal("stale/future index contained")
 	}
+	// Slot positions from Slot(Head()) upward, wrapping at Cap(), visit
+	// the live elements oldest-first, on power-of-two and other
+	// capacities alike.
+	for _, capacity := range []int{4, 5} {
+		r := NewRing[int](capacity)
+		for i := 0; i < 3; i++ {
+			r.Push(i)
+			r.Pop()
+		}
+		for i := 0; i < capacity; i++ {
+			r.Push(10 + i)
+		}
+		hs := r.Slot(r.Head())
+		for k := 0; k < r.Len(); k++ {
+			s := (hs + k) % r.Cap()
+			if s != r.Slot(r.Head()+uint64(k)) || *r.AtSlot(s) != 10+k {
+				t.Fatalf("cap %d: position %d holds %d, want %d", capacity, s, *r.AtSlot(s), 10+k)
+			}
+		}
+	}
+}
+
+func TestRingReset(t *testing.T) {
+	var r Ring[int] // the zero ring is usable after Reset
+	r.Reset(4)
+	r.Push(1)
+	r.Push(2)
+	r.Pop()
+	r.Reset(4)
+	if r.Len() != 0 || r.Head() != 0 || *r.AtSlot(1) != 0 {
+		t.Fatalf("Reset left len %d head %d slot %d", r.Len(), r.Head(), *r.AtSlot(1))
+	}
+	r.Reset(3)
+	if r.Cap() != 3 || r.Free() != 3 {
+		t.Fatalf("Reset(3): cap %d free %d", r.Cap(), r.Free())
+	}
+	var b Bounded[int]
+	b.Reset(2)
+	b.Push(1)
+	b.Push(2)
+	if b.Push(3) || b.Free() != 0 {
+		t.Fatal("Bounded.Reset(2) holds more than 2")
+	}
+	b.Reset(3)
+	if b.Len() != 0 || b.Free() != 3 {
+		t.Fatalf("Bounded.Reset(3): len %d free %d", b.Len(), b.Free())
+	}
 }
 
 func TestRingAtAbsPanicsOutOfRange(t *testing.T) {

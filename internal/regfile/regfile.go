@@ -22,7 +22,7 @@ import (
 const MaxClusters = 16
 
 // Files is the register occupancy state of every cluster. The zero value
-// is unusable; construct with New.
+// is unusable; construct with New, or Reset a zero Files in place.
 type Files struct {
 	n        int
 	capacity [2]int // per kind
@@ -99,11 +99,22 @@ func (f *Files) Alloc(c int, kind isa.RegFileKind) bool {
 // already empty, which indicates double-release — an accounting bug.
 func (f *Files) Release(c int, kind isa.RegFileKind) {
 	if f.used[c][kind] <= 0 {
-		panic(fmt.Sprintf("regfile: release on empty file (cluster %d, %v)", c, kind))
+		panic(emptyRelease{c, kind})
 	}
 	f.used[c][kind]--
 	f.total[kind]--
 	f.ReleaseCount[kind]++
+}
+
+// emptyRelease is Release's panic value. Formatting happens only if the
+// panic is printed, which keeps Release small enough to inline.
+type emptyRelease struct {
+	c    int
+	kind isa.RegFileKind
+}
+
+func (e emptyRelease) Error() string {
+	return fmt.Sprintf("regfile: release on empty file (cluster %d, %v)", e.c, e.kind)
 }
 
 // ReleaseMask returns one register of the namespace in every cluster whose

@@ -13,11 +13,14 @@
 //     operand, lowest cluster index, round-robin for operand-less
 //     instructions — with no balance control at all.
 //
-// Algorithms are pure deciders: they see the machine through the View
-// interface and return a cluster. The core performs resource checks and
+// The policies are pure deciders: each Choose sees the machine through the
+// View interface and returns a cluster, and the core calls the one its
+// configuration names directly. The core performs resource checks and
 // stalls dispatch if the chosen cluster cannot accept the instruction,
 // exactly as the paper specifies ("if the chosen cluster is full, then the
-// dispatch stage is stalled").
+// dispatch stage is stalled"). Machines of up to eight clusters prime Ring
+// and Conv with geometry tables, which answer the same decisions without
+// consulting the View.
 package steering
 
 import (
@@ -65,24 +68,6 @@ type Request struct {
 	Kind isa.RegFileKind
 }
 
-// Algorithm decides the execution cluster for each instruction in
-// dispatch order. Implementations are not safe for concurrent use.
-type Algorithm interface {
-	// Name identifies the algorithm in reports.
-	Name() string
-	// Choose returns the cluster the instruction should dispatch to.
-	Choose(v View, req *Request) int
-	// OnDispatch informs the algorithm that an instruction was actually
-	// dispatched to cluster c (not called when dispatch stalls).
-	OnDispatch(c int)
-	// Tick advances per-cycle state (e.g. DCOUNT decay).
-	Tick()
-	// TickN advances per-cycle state by n cycles at once, bit-identical
-	// to calling Tick n times. The core's idle-cycle fast-forward uses it
-	// to jump over provably inert stall windows.
-	TickN(n uint64)
-}
-
 // allMask returns a mask with bits 0..n-1 set.
 func allMask(n int) uint32 { return uint32(1)<<uint(n) - 1 }
 
@@ -116,39 +101,44 @@ func minDistTo(v View, mask uint32, dst int) int {
 	return best
 }
 
-// Tables holds mask-level geometry lookups for the steering inner loops:
-// the minimum hop count from any cluster in a copy mask to a destination,
-// and the two-operand candidate sets of the Ring and Conv distance rules,
-// which are pure functions of the two (normalized) operand masks. One
-// Tables value serves every machine with the same fabric geometry; they
-// are built once per distinct geometry and cached process-wide.
-type Tables struct {
-	n        int
-	maskDist []int8   // [mask*n + dst]: min hops to bring mask to dst
-	ringPair []uint16 // [m0<<n | m1]: Ring 2-op candidate mask (no common cluster)
-	convPair []uint16 // [m0<<n | m1]: Conv 2-op selected mask (no common cluster)
+// pairRule selects which two-operand rule a pair table tabulates.
+type pairRule uint8
+
+const (
+	ringRule pairRule = iota // Ring: candidates hold one operand; minimize the other's distance
+	convRule                 // Conv: any cluster; minimize the longest distance
+)
+
+// tables holds the two-operand candidate set of one policy's distance
+// rule for one fabric geometry: a pure function of the two (normalized)
+// operand masks, looked up instead of evaluated in the steering inner
+// loop. They are built once per distinct (geometry, rule) and cached
+// process-wide; a policy builds only the table it reads.
+type tables struct {
+	n    int
+	pair []uint16 // [m0<<n | m1]: selected clusters when no cluster holds both operands
 }
 
 // maxTableClusters bounds the cluster count for which mask-indexed tables
-// are built; beyond it the pair tables would be too large and algorithms
-// fall back to the interface-driven paths.
+// are built; beyond it the pair tables would be too large and the policies
+// keep their View-driven paths.
 const maxTableClusters = 8
 
 var (
 	tablesMu    sync.Mutex
-	tablesCache = map[string]*Tables{}
+	tablesCache = map[string]*tables{}
 )
 
-// PrimeTables returns the lookup tables for an n-cluster fabric whose
-// pairwise minimum hop distances are given row-major by source
-// (minDist[src*n+dst]), building and caching them on first use. It
-// returns nil when n exceeds the supported table size.
-func PrimeTables(n int, minDist []int8) *Tables {
+// primeTables returns rule's table for an n-cluster fabric whose pairwise
+// minimum hop distances are given row-major by source (minDist[src*n+dst]),
+// building and caching it on first use. It returns nil when n exceeds the
+// supported table size.
+func primeTables(n int, minDist []int8, rule pairRule) *tables {
 	if n < 1 || n > maxTableClusters || len(minDist) < n*n {
 		return nil
 	}
-	key := make([]byte, 0, n*n+1)
-	key = append(key, byte(n))
+	key := make([]byte, 0, n*n+2)
+	key = append(key, byte(rule), byte(n))
 	for _, d := range minDist[:n*n] {
 		key = append(key, byte(d))
 	}
@@ -157,21 +147,15 @@ func PrimeTables(n int, minDist []int8) *Tables {
 	if t, ok := tablesCache[string(key)]; ok {
 		return t
 	}
-	t := buildTables(n, minDist)
+	t := buildTables(n, minDist, rule)
 	tablesCache[string(key)] = t
 	return t
 }
 
-// buildTables materializes the lookups by evaluating the exact slow-path
-// rules for every mask combination.
-func buildTables(n int, minDist []int8) *Tables {
+// buildTables materializes rule's pair table by evaluating the exact
+// slow-path rule for every mask combination.
+func buildTables(n int, minDist []int8, rule pairRule) *tables {
 	masks := 1 << uint(n)
-	t := &Tables{
-		n:        n,
-		maskDist: make([]int8, masks*n),
-		ringPair: make([]uint16, masks*masks),
-		convPair: make([]uint16, masks*masks),
-	}
 	md := func(mask uint32, dst int) int {
 		if mask&(1<<uint(dst)) != 0 {
 			return 0
@@ -185,68 +169,49 @@ func buildTables(n int, minDist []int8) *Tables {
 		}
 		return best
 	}
+	// maskDist[mask*n+dst]: min hops to bring a value with that copy mask
+	// to dst.
+	maskDist := make([]int8, masks*n)
 	for mask := 1; mask < masks; mask++ {
 		for dst := 0; dst < n; dst++ {
-			t.maskDist[mask*n+dst] = int8(md(uint32(mask), dst))
+			maskDist[mask*n+dst] = int8(md(uint32(mask), dst))
 		}
 	}
+	t := &tables{n: n, pair: make([]uint16, masks*masks)}
 	for m0 := 1; m0 < masks; m0++ {
 		for m1 := 1; m1 < masks; m1++ {
-			idx := m0<<uint(n) | m1
-			// Ring rule: candidates hold one operand; minimize the
-			// communication distance of the other.
-			candidates := uint32(m0 | m1)
-			bestDist := math.MaxInt
-			var bestMask uint32
-			for c := 0; c < n; c++ {
-				if candidates&(1<<uint(c)) == 0 {
-					continue
-				}
-				other := uint32(m0)
-				if uint32(m0)&(1<<uint(c)) != 0 {
-					other = uint32(m1)
-				}
-				d := int(t.maskDist[int(other)*n+c])
-				switch {
-				case d < bestDist:
-					bestDist = d
-					bestMask = 1 << uint(c)
-				case d == bestDist:
-					bestMask |= 1 << uint(c)
-				}
-			}
-			t.ringPair[idx] = uint16(bestMask)
-			// Conv rule: any cluster is a candidate; minimize the longest
-			// communication distance over both operands.
-			bestCost := math.MaxInt
+			best := math.MaxInt
 			var sel uint32
 			for c := 0; c < n; c++ {
-				cost := int(t.maskDist[m0*n+c])
-				if d := int(t.maskDist[m1*n+c]); d > cost {
-					cost = d
+				var cost int
+				if rule == ringRule {
+					// Candidates hold one operand; the cost is the
+					// communication distance of the other.
+					if uint32(m0|m1)&(1<<uint(c)) == 0 {
+						continue
+					}
+					other := m0
+					if m0&(1<<uint(c)) != 0 {
+						other = m1
+					}
+					cost = int(maskDist[other*n+c])
+				} else {
+					// Any cluster; the cost is the longer of both
+					// operands' communication distances.
+					cost = max(int(maskDist[m0*n+c]), int(maskDist[m1*n+c]))
 				}
 				switch {
-				case cost < bestCost:
-					bestCost = cost
+				case cost < best:
+					best = cost
 					sel = 1 << uint(c)
-				case cost == bestCost:
+				case cost == best:
 					sel |= 1 << uint(c)
 				}
 			}
-			t.convPair[idx] = uint16(sel)
+			t.pair[m0<<uint(n)|m1] = uint16(sel)
 		}
 	}
 	return t
-}
-
-// GeometryPrimer is implemented by algorithms whose Choose can be
-// accelerated with precomputed geometry tables and direct register-file
-// access. The core primes each algorithm after building its fabric,
-// passing the cluster-visibility mapping its View.FreeRegs applies (vis[c]
-// is the cluster whose register file an instruction steered to c writes).
-// A nil Tables (unsupported geometry) leaves the slow path in place.
-type GeometryPrimer interface {
-	PrimeGeometry(t *Tables, files *regfile.Files, vis []int8)
 }
 
 // mostFreeFiles is mostFree against a concrete register file: identical
@@ -254,6 +219,9 @@ type GeometryPrimer interface {
 // interface calls. vis maps the steered cluster to the written file,
 // mirroring the View.FreeRegs the slow path consults.
 func mostFreeFiles(f *regfile.Files, vis []int8, mask uint32, kind isa.RegFileKind) int {
+	if mask&(mask-1) == 0 && mask != 0 {
+		return bits.TrailingZeros32(mask) // one candidate
+	}
 	best, bestFree := -1, math.MinInt
 	for m := mask; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros32(m)
@@ -264,9 +232,11 @@ func mostFreeFiles(f *regfile.Files, vis []int8, mask uint32, kind isa.RegFileKi
 	return best
 }
 
-// Ring is the dependence-based policy of Section 3.1.
+// Ring is the dependence-based policy of Section 3.1. It is stateless:
+// every decision is a function of the operand masks and the register
+// files' occupancy.
 type Ring struct {
-	tab   *Tables
+	tab   *tables
 	files *regfile.Files
 	vis   []int8
 }
@@ -274,22 +244,18 @@ type Ring struct {
 // NewRing returns the ring machine's steering policy.
 func NewRing() *Ring { return &Ring{} }
 
-// Name implements Algorithm.
+// Name identifies the policy in reports.
 func (*Ring) Name() string { return "ring-dependence" }
 
-// PrimeGeometry implements GeometryPrimer.
-func (r *Ring) PrimeGeometry(t *Tables, files *regfile.Files, vis []int8) {
-	r.tab, r.files, r.vis = t, files, vis
+// PrimeGeometry gives the policy the machine's fabric geometry (pairwise
+// minimum hop distances, row-major by source), its register files, and the
+// cluster-visibility mapping its View.FreeRegs applies (vis[c] is the
+// cluster whose register file an instruction steered to c writes). On up
+// to eight clusters Choose then decides from a pair table and the files
+// directly, without consulting the View; beyond that the View path stays.
+func (r *Ring) PrimeGeometry(minDist []int8, files *regfile.Files, vis []int8) {
+	r.tab, r.files, r.vis = primeTables(len(vis), minDist, ringRule), files, vis
 }
-
-// OnDispatch implements Algorithm (the ring policy is stateless).
-func (*Ring) OnDispatch(int) {}
-
-// Tick implements Algorithm.
-func (*Ring) Tick() {}
-
-// TickN implements Algorithm (the ring policy keeps no per-cycle state).
-func (*Ring) TickN(uint64) {}
 
 // Choose implements the algorithm exactly as Section 3.1 states it.
 func (r *Ring) Choose(v View, req *Request) int {
@@ -319,7 +285,7 @@ func (r *Ring) Choose(v View, req *Request) int {
 			if both := m0 & m1; both != 0 {
 				return mostFreeFiles(f, vis, both, req.Kind)
 			}
-			return mostFreeFiles(f, vis, uint32(t.ringPair[int(m0)<<uint(t.n)|int(m1)]), req.Kind)
+			return mostFreeFiles(f, vis, uint32(t.pair[int(m0)<<uint(t.n)|int(m1)]), req.Kind)
 		}
 	}
 	n := v.NumClusters()
@@ -401,15 +367,22 @@ func DefaultConvConfig() ConvConfig {
 type Conv struct {
 	cfg    ConvConfig
 	dcount []float64
-	ticks  int
-	mn, mx float64 // cached min/max over dcount
-	minIdx int     // lowest cluster index achieving mn
-	tab    *Tables
+	// untilDecay counts the Ticks left before the next decay (1 to
+	// DecayPeriod).
+	untilDecay int
+	mn, mx     float64 // cached min/max over dcount
+	minIdx     int     // lowest cluster index achieving mn
+	tab        *tables
 }
 
-// PrimeGeometry implements GeometryPrimer (Conv breaks ties on DCOUNT, not
-// free registers, so only the distance tables are consulted).
-func (cv *Conv) PrimeGeometry(t *Tables, _ *regfile.Files, _ []int8) { cv.tab = t }
+// PrimeGeometry gives the policy the machine's fabric geometry (pairwise
+// minimum hop distances over n clusters, row-major by source). On up to
+// eight clusters Choose then decides from a pair table without consulting
+// the View. Conv breaks ties on DCOUNT, not free registers, so it needs no
+// register files.
+func (cv *Conv) PrimeGeometry(n int, minDist []int8) {
+	cv.tab = primeTables(n, minDist, convRule)
+}
 
 // NewConv returns the conventional policy for n clusters.
 func NewConv(n int, cfg ConvConfig) *Conv {
@@ -419,10 +392,10 @@ func NewConv(n int, cfg ConvConfig) *Conv {
 	if cfg.Threshold <= 0 || cfg.DecayPeriod <= 0 || cfg.DecayFactor <= 0 || cfg.DecayFactor >= 1 {
 		panic("steering: bad ConvConfig")
 	}
-	return &Conv{cfg: cfg, dcount: make([]float64, n)}
+	return &Conv{cfg: cfg, dcount: make([]float64, n), untilDecay: cfg.DecayPeriod}
 }
 
-// Name implements Algorithm.
+// Name identifies the policy in reports.
 func (*Conv) Name() string { return "conv-dcount" }
 
 // DCount returns the current DCOUNT value for cluster c (for tests and
@@ -448,9 +421,16 @@ func (cv *Conv) rescan() {
 // leastLoaded returns the cluster with the lowest DCOUNT among mask.
 func (cv *Conv) leastLoaded(mask uint32) int {
 	dc := cv.dcount
+	all := allMask(len(dc))
+	switch mask &= all; {
+	case mask == all:
+		return cv.minIdx // the lowest index holding the minimum
+	case mask&(mask-1) == 0 && mask != 0:
+		return bits.TrailingZeros32(mask) // one candidate
+	}
 	best := -1
 	bestD := math.Inf(1)
-	for m := mask & allMask(len(dc)); m != 0; m &= m - 1 {
+	for m := mask; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros32(m)
 		if dc[c] < bestD {
 			best, bestD = c, dc[c]
@@ -501,7 +481,7 @@ func (cv *Conv) Choose(v View, req *Request) int {
 			if both := m0 & m1; both != 0 {
 				selected = both
 			} else {
-				selected = uint32(t.convPair[int(m0)<<uint(t.n)|int(m1)])
+				selected = uint32(t.pair[int(m0)<<uint(t.n)|int(m1)])
 			}
 		}
 		return cv.leastLoaded(selected)
@@ -551,39 +531,63 @@ func (cv *Conv) Choose(v View, req *Request) int {
 	return cv.leastLoaded(selected)
 }
 
-// OnDispatch updates DCOUNT: the dispatched-to cluster gains relative to
-// every other cluster, keeping the counter sum at zero.
+// OnDispatch updates DCOUNT after an instruction dispatched to cluster c:
+// that cluster gains n-1 and every other cluster loses 1, keeping the
+// counter sum at zero. Each counter sees exactly one float operation, as
+// it always has; only the loop no longer branches per element.
+//
+// The extrema follow without a full rescan unless c held the minimum.
+// Subtracting one rounds monotonically, so the other counters keep their
+// order, except that two of them may round to the same value: the new
+// maximum is the larger of c's counter and the old maximum minus one, and
+// the new minimum is the old minimum minus one, first reached at the old
+// minimum's index or at an earlier one that rounded onto it. Every value
+// involved is computed by the same operation on the same operands as the
+// counter it stands for, so the extrema are bit-identical to a rescan's.
 func (cv *Conv) OnDispatch(c int) {
 	dc := cv.dcount
-	n := float64(len(dc))
-	mn, mx, minIdx := math.Inf(1), math.Inf(-1), 0
+	gained := dc[c] + float64(len(dc)-1)
 	for i := range dc {
-		d := dc[i] - 1
-		if i == c {
-			d = dc[i] + (n - 1)
-		}
-		dc[i] = d
-		if d < mn {
-			mn, minIdx = d, i
-		}
-		if d > mx {
-			mx = d
+		dc[i]--
+	}
+	dc[c] = gained
+	if c == cv.minIdx {
+		cv.rescan()
+		return
+	}
+	mn := cv.mn - 1
+	if gained <= mn {
+		// Only at magnitudes where adding n-1 and subtracting 1 round
+		// alike; a rescan settles the tie.
+		cv.rescan()
+		return
+	}
+	cv.mx = max(gained, cv.mx-1)
+	minIdx := cv.minIdx
+	for i := range dc[:minIdx] {
+		if dc[i] == mn {
+			minIdx = i
+			break
 		}
 	}
-	cv.mn, cv.mx, cv.minIdx = mn, mx, minIdx
+	cv.mn, cv.minIdx = dc[minIdx], minIdx
 }
 
 // Tick decays the counters every DecayPeriod cycles so that ancient
 // history does not dominate the imbalance estimate.
 func (cv *Conv) Tick() {
-	cv.ticks++
-	if cv.ticks >= cv.cfg.DecayPeriod {
-		cv.ticks = 0
-		for i := range cv.dcount {
-			cv.dcount[i] *= cv.cfg.DecayFactor
-		}
-		cv.rescan()
+	if cv.untilDecay--; cv.untilDecay == 0 {
+		cv.decay()
 	}
+}
+
+// decay applies one DecayPeriod boundary.
+func (cv *Conv) decay() {
+	cv.untilDecay = cv.cfg.DecayPeriod
+	for i := range cv.dcount {
+		cv.dcount[i] *= cv.cfg.DecayFactor
+	}
+	cv.rescan()
 }
 
 // TickN advances n cycles at once, bit-identical to n sequential Ticks:
@@ -593,13 +597,13 @@ func (cv *Conv) Tick() {
 func (cv *Conv) TickN(n uint64) {
 	decayed := false
 	for n > 0 {
-		step := uint64(cv.cfg.DecayPeriod - cv.ticks)
+		step := uint64(cv.untilDecay)
 		if step > n {
-			cv.ticks += int(n)
+			cv.untilDecay -= int(n)
 			break
 		}
 		n -= step
-		cv.ticks = 0
+		cv.untilDecay = cv.cfg.DecayPeriod
 		for i := range cv.dcount {
 			cv.dcount[i] *= cv.cfg.DecayFactor
 		}
@@ -614,7 +618,7 @@ func (cv *Conv) TickN(n uint64) {
 // DCOUNT decay fires (always ≥ 1): the Tick that many cycles ahead is the
 // first whose decay changes subsequent Choose decisions. The core's
 // fast-forward uses it to bound skips over Choose-dependent stalls.
-func (cv *Conv) CyclesToDecay() uint64 { return uint64(cv.cfg.DecayPeriod - cv.ticks) }
+func (cv *Conv) CyclesToDecay() uint64 { return uint64(cv.untilDecay) }
 
 // SSA is the simple steering algorithm of Section 4.7: an instruction goes
 // to the lowest-index cluster that stores (or will store) its leftmost
@@ -632,18 +636,8 @@ func NewSSA(n int) *SSA {
 	return &SSA{n: n}
 }
 
-// Name implements Algorithm.
+// Name identifies the policy in reports.
 func (*SSA) Name() string { return "simple" }
-
-// Tick implements Algorithm.
-func (*SSA) Tick() {}
-
-// TickN implements Algorithm (SSA keeps no per-cycle state).
-func (*SSA) TickN(uint64) {}
-
-// OnDispatch implements Algorithm (round-robin state advances in Choose so
-// that stalled re-choices stay stable; see Choose).
-func (*SSA) OnDispatch(int) {}
 
 // Choose implements the Section 4.7 algorithm.
 func (s *SSA) Choose(v View, req *Request) int {

@@ -1,9 +1,12 @@
 package steering
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/regfile"
 )
 
 // mockView is a scripted machine state for steering decisions.
@@ -306,5 +309,105 @@ func TestSSAEmptyMaskFallsBackToAll(t *testing.T) {
 func TestAlgorithmNames(t *testing.T) {
 	if NewRing().Name() == "" || NewSSA(2).Name() == "" || NewConv(2, DefaultConvConfig()).Name() == "" {
 		t.Fatal("algorithm without a name")
+	}
+}
+
+// TestConvExtremaMatchRescan: the extrema OnDispatch maintains without a
+// rescan are bit-identical to rescanning the counters, on random dispatch
+// and decay sequences that include long dispatch-free stretches, where the
+// counters decay towards zero and subtracting one rounds distinct counters
+// onto the same value.
+func TestConvExtremaMatchRescan(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.IntN(15)
+		cv := NewConv(n, ConvConfig{Threshold: 24, DecayPeriod: 1 + r.IntN(64), DecayFactor: []float64{0.5, 0.75, 0.3}[r.IntN(3)]})
+		for step := 0; step < 2000; step++ {
+			switch k := r.IntN(10); {
+			case k < 6:
+				cv.OnDispatch(r.IntN(n))
+			case k < 9:
+				cv.Tick()
+			default:
+				cv.TickN(uint64(r.IntN(4000)))
+			}
+			want := &Conv{dcount: cv.dcount}
+			want.rescan()
+			if math.Float64bits(cv.mn) != math.Float64bits(want.mn) || math.Float64bits(cv.mx) != math.Float64bits(want.mx) || cv.minIdx != want.minIdx {
+				t.Fatalf("trial %d step %d: extrema (%v, %v, %d), rescan (%v, %v, %d) over %v",
+					trial, step, cv.mn, cv.mx, cv.minIdx, want.mn, want.mx, want.minIdx, cv.dcount)
+			}
+		}
+	}
+}
+
+// filesView is a View over a real register file and a fabric distance
+// matrix, the inputs the geometry-primed paths read directly.
+type filesView struct {
+	n       int
+	files   *regfile.Files
+	vis     []int8
+	minDist []int8
+}
+
+func (v *filesView) NumClusters() int { return v.n }
+func (v *filesView) FreeRegs(c int, kind isa.RegFileKind) int {
+	return v.files.Free(int(v.vis[c]), kind)
+}
+func (v *filesView) CommDistance(src, dst int) int { return int(v.minDist[src*v.n+dst]) }
+
+// TestTablePathMatchesViewPath: a Ring or Conv primed with its geometry
+// table decides exactly as the View-driven rules do, for 2-8 clusters on
+// unidirectional and bidirectional rings, over random operand masks,
+// pending flags, register occupancy and DCOUNT histories. Each policy
+// builds only its own pair table.
+func TestTablePathMatchesViewPath(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 5))
+	for n := 2; n <= maxTableClusters; n++ {
+		for _, bidir := range []bool{false, true} {
+			mv := &mockView{n: n, bidir: bidir}
+			minDist := make([]int8, n*n)
+			vis := make([]int8, n)
+			for s := 0; s < n; s++ {
+				vis[s] = int8((s + 1) % n)
+				for d := 0; d < n; d++ {
+					minDist[s*n+d] = int8(mv.CommDistance(s, d))
+				}
+			}
+			files := regfile.New(n, 48, 48)
+			fv := &filesView{n: n, files: files, vis: vis, minDist: minDist}
+			ringT, ringV := NewRing(), NewRing()
+			ringT.PrimeGeometry(minDist, files, vis)
+			convT, convV := NewConv(n, DefaultConvConfig()), NewConv(n, DefaultConvConfig())
+			convT.PrimeGeometry(n, minDist)
+			if ringT.tab == nil || convT.tab == nil || ringT.tab == convT.tab {
+				t.Fatalf("n=%d: tables not primed per policy", n)
+			}
+			for i := 0; i < 3000; i++ {
+				files.Reset(n, 48, 48)
+				for c := 0; c < n; c++ {
+					for k := 0; k < r.IntN(48); k++ {
+						files.Alloc(c, isa.IntReg)
+					}
+				}
+				req := &Request{NumOps: r.IntN(3), Kind: isa.IntReg}
+				for j := 0; j < req.NumOps; j++ {
+					req.Ops[j] = Operand{Mask: r.Uint32() & allMask(n), Pending: r.IntN(3) == 0}
+				}
+				if got, want := ringT.Choose(fv, req), ringV.Choose(fv, req); got != want {
+					t.Fatalf("n=%d bidir=%v %+v: Ring table chose %d, View path %d", n, bidir, *req, got, want)
+				}
+				if got, want := convT.Choose(fv, req), convV.Choose(fv, req); got != want {
+					t.Fatalf("n=%d bidir=%v %+v: Conv table chose %d, View path %d", n, bidir, *req, got, want)
+				}
+				c := r.IntN(n)
+				convT.OnDispatch(c)
+				convV.OnDispatch(c)
+				if r.IntN(4) == 0 {
+					convT.Tick()
+					convV.Tick()
+				}
+			}
+		}
 	}
 }

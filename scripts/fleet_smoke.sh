@@ -166,12 +166,21 @@ leases_of() {
         index($0, want) && match($0, /"leases":[0-9]+/) { print substr($0, RSTART + 9, RLENGTH - 9) }'
 }
 # Wait until the fleet has done part of the sweep and worker 1 holds
-# leases, so its death strands work that must be requeued.
+# leases, so its death strands work that must be requeued. The worker is
+# stopped before its leases are read: a running worker could complete its
+# batch between the read and the kill, leaving nothing to requeue. A
+# stopped one holds what was read (the pause lets a completion already on
+# the wire land first); if it holds nothing, it resumes and the wait goes on.
 donek=0
 for _ in $(seq 1 300); do
     m="$(curl -sf "$BASE/metrics")" || break
     donek="$(printf '%s\n' "$m" | awk -v n=ringsimd_fleet_remote_runs_total '$1 == n {print $2}')"
-    [ "${donek:-0}" -ge "$((remote_before + 20))" ] && [ "$(leases_of smoke-1)" -ge 1 ] 2>/dev/null && break
+    if [ "${donek:-0}" -ge "$((remote_before + 20))" ]; then
+        kill -STOP "$WORKER1_PID"
+        sleep 0.2
+        [ "$(leases_of smoke-1)" -ge 1 ] 2>/dev/null && break
+        kill -CONT "$WORKER1_PID"
+    fi
     sleep 0.1
 done
 echo "fleet-smoke: kill -9 worker smoke-1 (pid $WORKER1_PID) with $((${donek:-0} - remote_before)) of 260 members done"
