@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -445,17 +446,8 @@ func TestEvaluateMatchesEvaluateBatch(t *testing.T) {
 	}
 }
 
-// plainEvaluator hides SimEvaluator's EvaluateBatch, forcing the engine
-// down its concurrent per-candidate path.
-type plainEvaluator struct{ sim *SimEvaluator }
-
-func (p plainEvaluator) Evaluate(cfg core.Config, programs []string) (Objectives, EvalStats, error) {
-	return p.sim.Evaluate(cfg, programs)
-}
-
 // TestExploreIndependentOfConcurrency: the report is a function of the
-// options alone — the same at Concurrency 1 and 4, and the same whether
-// the engine hands the evaluator whole batches or single candidates.
+// options alone — the same at Concurrency 1 and 4.
 func TestExploreIndependentOfConcurrency(t *testing.T) {
 	explore := func(ev Evaluator, workers int) *Report {
 		t.Helper()
@@ -478,7 +470,62 @@ func TestExploreIndependentOfConcurrency(t *testing.T) {
 	if got := explore(testEval(results.NewMemoryLRU(256)), 4); !reflect.DeepEqual(got, want) {
 		t.Errorf("Concurrency 4 report differs from Concurrency 1\n got %+v\nwant %+v", got, want)
 	}
-	if got := explore(plainEvaluator{testEval(results.NewMemoryLRU(256))}, 4); !reflect.DeepEqual(got, want) {
-		t.Errorf("per-candidate report differs from whole-batch\n got %+v\nwant %+v", got, want)
+}
+
+// TestPaperMachineOnFrontier: the paper argues for the ring organization
+// at 8 clusters, 1 bus and 2-wide issue by comparing the Table 3 machines
+// by hand. Handed the whole arch × clusters × buses × issue-width space,
+// the explorer finds that machine on the IPC × area Pareto frontier by
+// search, and a second exploration over the same store simulates nothing.
+func TestPaperMachineOnFrontier(t *testing.T) {
+	space := Space{
+		Base: core.MustPaperConfig(core.ArchRing, 8, 2, 1),
+		Axes: []Axis{
+			{Name: AxisArch, Values: []int{0, 1}},
+			{Name: AxisClusters, Values: []int{4, 8}},
+			{Name: AxisBuses, Values: []int{1, 2}},
+			{Name: AxisIW, Values: []int{1, 2}},
+		},
+	}
+	opts := Options{
+		Space:    space,
+		Strategy: &GridStrategy{},
+		Evaluator: &SimEvaluator{
+			Programs: []string{"gcc", "mcf", "swim", "art"},
+			Insts:    40_000,
+			Warmup:   8_000,
+			Store:    results.NewMemoryLRU(1024),
+		},
+		Seed: 1,
+	}
+	rep, err := Explore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Evaluated != 16 || rep.SimsRun != 16*4 {
+		t.Fatalf("evaluated %d candidates with %d simulations, want 16 and 64", rep.Evaluated, rep.SimsRun)
+	}
+	paper, err := space.Config(Candidate{Params: map[string]int{AxisArch: 0, AxisClusters: 8, AxisBuses: 1, AxisIW: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "dse_Ring_8clus_1bus_2IW_1hop_16iq_48regs"
+	if paper.Name != want {
+		t.Fatalf("the paper machine is named %q, want %q", paper.Name, want)
+	}
+	var names []string
+	for _, p := range rep.Frontier {
+		names = append(names, p.Config)
+	}
+	if !slices.Contains(names, want) {
+		t.Errorf("%s is not on the frontier %v", want, names)
+	}
+
+	warm, err := Explore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.SimsRun != 0 || warm.CacheHits != 16*4 {
+		t.Errorf("second exploration: %d simulations, %d cache hits, want 0 and 64", warm.SimsRun, warm.CacheHits)
 	}
 }

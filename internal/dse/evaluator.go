@@ -22,45 +22,25 @@ type EvalStats struct {
 	CacheHits int
 }
 
-// Evaluator scores one materialized configuration on a workload.
-// programs is the candidate's scenario (spec strings, possibly
-// synthetic); nil means the evaluator's own default suite.
-// Implementations must be safe for concurrent use: the engine evaluates
-// whole batches at once.
+// Evaluator scores a batch of materialized configurations, each on its
+// workload: programs[i] is candidate i's scenario (spec strings, possibly
+// synthetic), and nil means the evaluator's own default suite. All three
+// returned slices are parallel to cfgs. WithSampling derives the variant
+// that runs every program at the given fidelity over the same result
+// store; sampled results key distinctly from exact ones, so an
+// exploration's sampled search tier and exact confirmation tier never
+// contaminate each other's cache.
 type Evaluator interface {
-	Evaluate(cfg core.Config, programs []string) (Objectives, EvalStats, error)
-}
-
-// FidelityEvaluator is an optional extension of Evaluator: an
-// implementation that can derive a variant of itself running at a given
-// sampling fidelity (harness.Request.Sampling). The engine uses it to run
-// an exploration's search tier sampled while keeping the original
-// evaluator for the exact confirmation of the final frontier; the two
-// variants share the result store, and sampled results key distinctly
-// from exact ones, so the tiers never contaminate each other's cache.
-type FidelityEvaluator interface {
-	Evaluator
-	WithSampling(harness.Sampling) Evaluator
-}
-
-// BatchEvaluator is an optional extension of Evaluator: an implementation
-// that can score a whole batch of candidates in one call, scheduling
-// candidates that share a workload next to each other over its one
-// materialized trace (harness.GridRunsN). The engine type-asserts for it
-// and falls back to concurrent per-candidate Evaluate calls when the
-// evaluator does not implement it (e.g. the ringsimd queue-backed
-// evaluator, whose worker pool is the parallelism). All three returned
-// slices are parallel to cfgs.
-type BatchEvaluator interface {
 	EvaluateBatch(cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error)
+	WithSampling(harness.Sampling) Evaluator
 }
 
 // SimEvaluator scores candidates locally: every workload program runs
 // through harness.Execute behind the content-addressed result store, and
 // the area objective comes from the Section 3.2 layout model. It is the
-// evaluator the CLI and examples use; the ringsimd server substitutes its
-// own implementation that routes the same requests through its worker
-// pool.
+// evaluator the CLI uses; the ringsimd server reuses its request
+// flattening and reduction (EvaluateBatchWith) around its own settle step,
+// which routes the same requests through its worker pool.
 type SimEvaluator struct {
 	// Programs is the workload suite every candidate is scored on.
 	Programs []string
@@ -77,8 +57,8 @@ type SimEvaluator struct {
 	once sync.Once
 }
 
-// WithSampling implements FidelityEvaluator: the returned evaluator runs
-// every program at the given fidelity and shares this evaluator's store.
+// WithSampling implements Evaluator: the returned evaluator runs every
+// program at the given fidelity and shares this evaluator's store.
 func (e *SimEvaluator) WithSampling(sp harness.Sampling) Evaluator {
 	e.init()
 	return &SimEvaluator{
@@ -107,15 +87,26 @@ func (e *SimEvaluator) Evaluate(cfg core.Config, programs []string) (Objectives,
 	return objs[0], stats[0], errs[0]
 }
 
-// EvaluateBatch scores a whole candidate batch at once. The (config,
-// program) grid is flattened into one request list and settled through
-// results.Run: cached requests are store hits, and the misses execute
-// across one harness.GridRunsN pool — candidates sharing a program replay
-// its one materialized trace instead of generating it once per candidate.
-// A candidate whose runs all succeed gets the (mean IPC, area) reduction,
-// and a failing run records the candidate's first error.
+// EvaluateBatch scores a whole candidate batch at once, settling its
+// requests through results.Run: cached requests are store hits, and the
+// misses execute across one harness.GridRunsN pool — candidates sharing a
+// program replay its one materialized trace instead of generating it once
+// per candidate.
 func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error) {
 	e.init()
+	return e.EvaluateBatchWith(func(reqs []harness.Request) []results.Outcome {
+		return results.Run(e.Store, reqs, runtime.GOMAXPROCS(0))
+	}, cfgs, programs)
+}
+
+// EvaluateBatchWith is EvaluateBatch with settle in place of the store:
+// the (config, program) grid is flattened into one request list, settle
+// resolves it to one outcome per request, in order, and the outcomes are
+// reduced per candidate. A hit outcome counts as a cache hit and any other
+// as a simulation. A candidate whose runs all succeed gets the (mean IPC,
+// area) reduction, and a failing run records the candidate's first error.
+// Store is not used.
+func (e *SimEvaluator) EvaluateBatchWith(settle func([]harness.Request) []results.Outcome, cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error) {
 	n := len(cfgs)
 	objs := make([]Objectives, n)
 	stats := make([]EvalStats, n)
@@ -146,7 +137,7 @@ func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([
 	}
 
 	sums := make([]float64, n)
-	for k, o := range results.Run(e.Store, reqs, runtime.GOMAXPROCS(0)) {
+	for k, o := range settle(reqs) {
 		i := cands[k]
 		if o.Hit {
 			stats[i].CacheHits++
@@ -194,6 +185,3 @@ func Area(cfg core.Config) float64 {
 	perCluster += (width - 1) * 2 * b.IssueQueue.Area
 	return perCluster * float64(cfg.Clusters)
 }
-
-// Concurrency returns the engine's default evaluation parallelism.
-func Concurrency() int { return runtime.GOMAXPROCS(0) }

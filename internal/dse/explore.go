@@ -3,7 +3,6 @@ package dse
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -21,8 +20,9 @@ type Options struct {
 	// Budget caps the number of candidates evaluated (0 = the grid
 	// size, so exhaustive search always terminates).
 	Budget int
-	// Concurrency is the per-batch evaluation parallelism. Default:
-	// GOMAXPROCS.
+	// Concurrency is the number of workers the twin funnel builds its
+	// workload profiles on. Default: GOMAXPROCS. It does not touch
+	// evaluation, which the Evaluator schedules.
 	Concurrency int
 	// Seed drives the stochastic strategies; the same seed replays the
 	// same exploration.
@@ -36,9 +36,10 @@ type Options struct {
 	// Sampling, when enabled, runs the search tier at sampled fidelity
 	// (harness.Request.Sampling) and re-scores the resulting frontier
 	// exactly, so the reported frontier objectives are always exact
-	// numbers. Requires an Evaluator implementing FidelityEvaluator.
-	// Combined with the twin this yields three cost tiers: closed-form
-	// scoring, sampled verification, exact frontier confirmation.
+	// numbers: the search tier scores through Evaluator.WithSampling, the
+	// confirmation through Evaluator itself. Combined with the twin this
+	// yields three cost tiers: closed-form scoring, sampled verification,
+	// exact frontier confirmation.
 	Sampling harness.Sampling
 }
 
@@ -104,13 +105,14 @@ func (r *Report) CacheHitRate() float64 {
 }
 
 // Explore runs the strategy to completion over the space and returns the
-// Pareto frontier. Candidate evaluations within a batch run concurrently;
-// every one flows through the evaluator's result store, so repeated
-// explorations of overlapping spaces re-simulate nothing. The exploration
-// holds the traces of the programs its rounds and tiers still have work
-// for (see traceHolds), so they share one materialization per stream —
-// except a twin funnel over a batch evaluator, whose resident traces
-// follow its GridRunsN workers. Every trace is let go when Explore returns.
+// Pareto frontier. Each batch of candidates is handed to the evaluator in
+// one EvaluateBatch call; every evaluation flows through the evaluator's
+// result store, so repeated explorations of overlapping spaces re-simulate
+// nothing. The exploration holds the traces of the programs its rounds and
+// tiers still have work for (see traceHolds), so they share one
+// materialization per stream — except the twin funnel, whose resident
+// traces follow its evaluator's runs. Every trace is let go when Explore
+// returns.
 func Explore(opts Options) (*Report, error) {
 	if err := opts.Space.Validate(); err != nil {
 		return nil, err
@@ -125,13 +127,10 @@ func Explore(opts Options) (*Report, error) {
 	if budget <= 0 {
 		budget = opts.Space.Size()
 	}
-	workers := opts.Concurrency
-	if workers <= 0 {
-		workers = Concurrency()
-	}
-	ev, exact, err := fidelityTiers(opts.Evaluator, opts.Sampling)
-	if err != nil {
-		return nil, err
+	ev := opts.Evaluator
+	var exact Evaluator // the confirmation tier's, when the search runs sampled
+	if opts.Sampling.Enabled() {
+		ev, exact = ev.WithSampling(opts.Sampling), ev
 	}
 	twin, err := opts.Twin.Enabled(opts.Strategy, opts.Space.Size())
 	if err != nil {
@@ -140,7 +139,7 @@ func Explore(opts Options) (*Report, error) {
 	holds := newTraceHolds(opts, twin)
 	defer holds.narrow(&opts.Space, nil)
 	if twin {
-		return exploreTwin(opts, ev, exact, budget, workers, holds)
+		return exploreTwin(opts, ev, exact, budget)
 	}
 
 	st := &State{
@@ -179,7 +178,7 @@ func Explore(opts Options) (*Report, error) {
 			continue
 		}
 		holds.cover(&opts.Space, fresh)
-		outs := evaluateBatch(&opts.Space, ev, fresh, workers)
+		outs := evaluateBatch(&opts.Space, ev, fresh)
 		for i, o := range outs {
 			rep.SimsRun += o.stats.Sims
 			rep.CacheHits += o.stats.CacheHits
@@ -211,7 +210,7 @@ func Explore(opts Options) (*Report, error) {
 		return rep, fmt.Errorf("dse: no candidate evaluated (%d invalid, %d failed)", rep.Skipped, rep.Failed)
 	}
 	if exact != nil {
-		confirmFrontierExact(&opts.Space, exact, rep, workers, holds)
+		confirmFrontierExact(&opts.Space, exact, rep, holds)
 		if opts.Observer != nil {
 			opts.Observer(rep)
 		}
@@ -222,13 +221,13 @@ func Explore(opts Options) (*Report, error) {
 // traceHolds is an exploration's hold on the trace cache. A program is
 // held from the first simulated candidate that names it and let go once
 // no later round or tier has a candidate left for it, so a stream is
-// materialized once per exploration instead of once per candidate
-// (ringsimd's queue evaluator) or per round (a climb or random search).
-// The twin funnel over a batch evaluator needs none of this: each of its
-// simulated tiers is one GridRunsN call, which holds every stream for
-// exactly its runs and feeds them program by program, so it has no
-// traceHolds (nil) and its resident traces follow the workers instead of
-// the suite.
+// materialized once per exploration instead of once per round (a climb or
+// random search, whose rounds are separate EvaluateBatch calls). The twin
+// funnel needs none of this: each of its simulated tiers is one
+// EvaluateBatch call, which holds every stream for exactly its runs
+// (harness.GridRunsN in process, the run registry in ringsimd) and feeds
+// them program by program, so it has no traceHolds (nil) and its resident
+// traces follow the workers instead of the suite.
 type traceHolds struct {
 	// suite is what a candidate without workload axes runs: the twin
 	// options' Programs, which name the evaluator's suite. An exploration
@@ -238,11 +237,9 @@ type traceHolds struct {
 	held  map[string]workload.Spec // by program spec string
 }
 
-// newTraceHolds returns the exploration's holds: nil for a twin funnel
-// whose evaluator scores batches (the fidelity variants of an evaluator
-// are the same implementation, so its sampled and exact tiers agree).
+// newTraceHolds returns the exploration's holds: nil for the twin funnel.
 func newTraceHolds(opts Options, twin bool) *traceHolds {
-	if _, ok := opts.Evaluator.(BatchEvaluator); ok && twin {
+	if twin {
 		return nil
 	}
 	h := &traceHolds{held: make(map[string]workload.Spec)}
@@ -314,21 +311,6 @@ func (h *traceHolds) narrow(space *Space, cands []Candidate) {
 	}
 }
 
-// fidelityTiers resolves the evaluators of a possibly-sampled
-// exploration: ev scores the search tier (sampled when sp is enabled),
-// and exact is non-nil exactly when a final exact confirmation tier is
-// required.
-func fidelityTiers(base Evaluator, sp harness.Sampling) (ev, exact Evaluator, err error) {
-	if !sp.Enabled() {
-		return base, nil, nil
-	}
-	fe, ok := base.(FidelityEvaluator)
-	if !ok {
-		return nil, nil, fmt.Errorf("dse: evaluator %T cannot run at sampled fidelity", base)
-	}
-	return fe.WithSampling(sp), base, nil
-}
-
 // confirmFrontierExact re-scores the frontier candidates of a sampled
 // search with the exact evaluator and replaces the frontier with the
 // exact objectives. The sampled tier only decided which candidates are
@@ -337,7 +319,7 @@ func fidelityTiers(base Evaluator, sp harness.Sampling) (ev, exact Evaluator, er
 // count as Failed; if every confirmation fails the sampled frontier is
 // kept rather than reporting an empty one. The frontier is the last work
 // the exploration has, so its programs are all that stays held.
-func confirmFrontierExact(space *Space, exact Evaluator, rep *Report, workers int, holds *traceHolds) {
+func confirmFrontierExact(space *Space, exact Evaluator, rep *Report, holds *traceHolds) {
 	if len(rep.Frontier) == 0 {
 		return
 	}
@@ -346,7 +328,7 @@ func confirmFrontierExact(space *Space, exact Evaluator, rep *Report, workers in
 		cands[i] = p.Candidate
 	}
 	holds.narrow(space, cands)
-	outs := evaluateBatch(space, exact, cands, workers)
+	outs := evaluateBatch(space, exact, cands)
 	frontier := &Frontier{}
 	for i, o := range outs {
 		rep.SimsRun += o.stats.Sims
@@ -375,43 +357,9 @@ type outcome struct {
 	err     error
 }
 
-// evaluateBatch scores a batch, preserving order. A BatchEvaluator gets
-// the whole batch in one call (it schedules the cells itself); anything
-// else is scored concurrently per candidate.
-func evaluateBatch(space *Space, ev Evaluator, batch []Candidate, workers int) []outcome {
-	if be, ok := ev.(BatchEvaluator); ok {
-		return evaluateBatchGrouped(space, be, batch)
-	}
-	outs := make([]outcome, len(batch))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, c := range batch {
-		wg.Add(1)
-		go func(i int, c Candidate) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cfg, err := space.Config(c)
-			if err != nil {
-				outs[i] = outcome{invalid: true}
-				return
-			}
-			progs, err := space.Workloads(c)
-			if err != nil {
-				outs[i] = outcome{invalid: true}
-				return
-			}
-			obj, stats, err := ev.Evaluate(cfg, progs)
-			outs[i] = outcome{config: cfg.Name, obj: obj, stats: stats, err: err}
-		}(i, c)
-	}
-	wg.Wait()
-	return outs
-}
-
-// evaluateBatchGrouped materializes the batch's valid candidates and
-// hands them to the evaluator in one call.
-func evaluateBatchGrouped(space *Space, ev BatchEvaluator, batch []Candidate) []outcome {
+// evaluateBatch materializes the batch's valid candidates and hands them
+// to the evaluator in one call, preserving order.
+func evaluateBatch(space *Space, ev Evaluator, batch []Candidate) []outcome {
 	outs := make([]outcome, len(batch))
 	var cfgs []core.Config
 	var progs [][]string

@@ -3,6 +3,7 @@ package dse
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,9 +61,9 @@ type TwinOptions struct {
 	Epsilon float64
 	// Programs is the default workload suite for candidates without
 	// workload axes; it must match the evaluator's suite or the twin
-	// ranks a different problem than the simulator scores. Whatever the
-	// mode, these are the programs the exploration holds in the trace
-	// cache across its rounds and tiers (see traceHolds).
+	// ranks a different problem than the simulator scores. When the twin
+	// does not gate the exploration, these are the programs it holds in
+	// the trace cache across its rounds and tiers (see traceHolds).
 	Programs []string
 	// Insts and Warmup are the harness accounting the profiles cover;
 	// they must match the evaluator's.
@@ -125,7 +126,7 @@ type twinScore struct {
 // pin. ev is the verification-tier evaluator; with Options.Sampling
 // enabled it runs sampled and exact is non-nil, adding a third tier
 // that re-scores the frontier exactly (closed-form → sampled → exact).
-func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int, holds *traceHolds) (*Report, error) {
+func exploreTwin(opts Options, ev, exact Evaluator, budget int) (*Report, error) {
 	t := opts.Twin
 	profiles := t.Profiles
 	if profiles == nil {
@@ -180,6 +181,10 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int, holds *
 				distinct = append(distinct, prog)
 			}
 		}
+	}
+	workers := opts.Concurrency
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	built := buildProfiles(profiles, distinct, t.Insts, t.Warmup, workers)
 	for i := range scores {
@@ -249,9 +254,8 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int, holds *
 	for i, s := range verify {
 		batch[i] = s.cand
 	}
-	holds.cover(space, batch)
 	frontier := &Frontier{}
-	outs := evaluateBatch(space, ev, batch, workers)
+	outs := evaluateBatch(space, ev, batch)
 	var mapeSum float64
 	var mapeN int
 	for i, o := range outs {
@@ -289,7 +293,7 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget, workers int, holds *
 		return rep, fmt.Errorf("dse: no candidate evaluated (%d invalid, %d failed)", rep.Skipped, rep.Failed)
 	}
 	if exact != nil {
-		confirmFrontierExact(space, exact, rep, workers, holds)
+		confirmFrontierExact(space, exact, rep, nil)
 		if opts.Observer != nil {
 			opts.Observer(rep)
 		}

@@ -168,6 +168,54 @@ func TestCrashRecoveryExplore(t *testing.T) {
 	}
 }
 
+// TestGracefulCloseReplaysExploration: a graceful Close in the middle of
+// an exploration is not its end. The closing process reports it failed and
+// leaves its manifest open, and the next process over the same journal and
+// store re-drives it to the frontier an uninterrupted exploration finds,
+// with every candidate evaluated.
+func TestGracefulCloseReplaysExploration(t *testing.T) {
+	body := exploreBody()
+	body["insts"] = 20_000 // 16 runs on one worker: far from done when the first starts
+
+	_, ref := newTestServer(t, results.NewMemoryLRU(256))
+	var want exploreView
+	postJSON(t, ref.URL+"/v1/explore", body, http.StatusAccepted, &want)
+	if want = pollExplore(t, ref.URL, want.ID); want.Status != statusDone {
+		t.Fatalf("uninterrupted exploration: %+v", want)
+	}
+
+	dir := t.TempDir()
+	srv1, hs1, _ := newDurableServer(t, dir, 1)
+	var ev exploreView
+	postJSON(t, hs1.URL+"/v1/explore", body, http.StatusAccepted, &ev)
+	id := ev.ID
+	deadline := time.Now().Add(2 * time.Minute)
+	for srv1.Metrics().RunsStarted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no run started before deadline")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv1.Close()
+	hs1.Close()
+	srv1.mu.Lock()
+	status, msg := srv1.explores[id].status, srv1.explores[id].view.Error
+	srv1.mu.Unlock()
+	if status != statusFailed || msg != errClosed.Error() {
+		t.Errorf("after Close: status %s, error %q; want failed with %q", status, msg, errClosed)
+	}
+
+	srv2, hs2, _ := newDurableServer(t, dir, 2)
+	t.Cleanup(func() { hs2.Close(); srv2.Close() })
+	got := pollExplore(t, hs2.URL, id)
+	if got.Status != statusDone || got.Evaluated != 8 || got.Failed != 0 {
+		t.Fatalf("replayed exploration: status %s, evaluated %d, failed %d; want done, 8, 0", got.Status, got.Evaluated, got.Failed)
+	}
+	if !reflect.DeepEqual(got.Frontier, want.Frontier) {
+		t.Errorf("replayed frontier %+v, want %+v", got.Frontier, want.Frontier)
+	}
+}
+
 // TestLostRun pins the stuck-queued fix: polling an id the service
 // neither registered nor stored gets a terminal lost state, not a 404
 // loop — while garbage ids stay 404 and store-backed ids are served.

@@ -2,10 +2,14 @@ package server
 
 // Design-space exploration over HTTP: POST /v1/explore starts an async
 // search (internal/dse) whose candidate evaluations flow through the same
-// bounded queue, worker pool, and content-addressed result store as
-// direct runs and sweeps — an exploration re-visiting any dse candidate
-// ever simulated by this service (or found in its disk store) costs zero
-// new simulations, across strategies, explorations, and restarts. (The
+// bounded pending pool, workers and content-addressed result store as
+// direct runs and sweeps. Each batch the engine scores — a round of the
+// strategy, the twin's verification tier, the exact confirmation of a
+// sampled frontier — registers as one unit and is fed to the pool one
+// workload after the other, exactly like a sweep of the same cells (see
+// queueEvaluator). An exploration re-visiting any dse candidate ever
+// simulated by this service (or found in its disk store) costs zero new
+// simulations, across strategies, explorations, and restarts. (The
 // content hash covers the config including its name, and dse names its
 // candidates canonically, so reuse spans everything dse proposes; a
 // paper-named /v1/sweeps grid of the same machines is a distinct key
@@ -29,7 +33,8 @@ import (
 // maxExplorePoints bounds the grid cardinality a single exploration may
 // name. Each point is a full workload-suite evaluation, so even this cap
 // is days of simulation on one machine; anything larger is a malformed
-// request (or a denial of service), not a search.
+// request (or a denial of service), not a search. A tier of a grid this
+// size registers all its cells at once, as a sweep of the same size does.
 const maxExplorePoints = 4096
 
 // exploreRequest is the POST /v1/explore body.
@@ -205,7 +210,7 @@ func (s *Server) resolveExplore(er *exploreRequest) (dse.Space, dse.Strategy, []
 		return fail(err)
 	}
 	// Bound the grid: the exhaustive strategy materializes every point
-	// and the engine spawns a goroutine per batch member, so a huge
+	// and a tier registers every cell of its batch at once, so a huge
 	// requested space must be refused up front, not discovered OOM.
 	// (Space.Size saturates instead of overflowing, so the comparison is
 	// safe for any axis product.)
@@ -260,7 +265,7 @@ func (s *Server) resolveExplore(er *exploreRequest) (dse.Space, dse.Strategy, []
 // driveExplore runs the engine to completion and finalizes the state.
 func (s *Server) driveExplore(st *exploreState, space dse.Space, strat dse.Strategy, programs []string, twin dse.TwinMode, sp harness.Sampling, er exploreRequest) {
 	defer s.exploreWG.Done()
-	ev := &queueEvaluator{s: s, programs: programs, insts: er.Insts, warmup: er.Warmup}
+	ev := &queueEvaluator{s: s, sim: &dse.SimEvaluator{Programs: programs, Insts: er.Insts, Warmup: er.Warmup}}
 	rep, err := dse.Explore(dse.Options{
 		Space:       space,
 		Strategy:    strat,
@@ -288,13 +293,23 @@ func (s *Server) driveExplore(st *exploreState, space dse.Space, strat dse.Strat
 		s.metrics.observeTwinMAPE(rep.TwinMAPE)
 	}
 	s.mu.Lock()
+	// A shutdown fails the runs it cuts short and refuses later batches, so
+	// the candidates they score count as failed and the report is partial,
+	// whatever err says. That is not a terminal outcome: this process
+	// reports the exploration failed, and leaving the manifest open lets the
+	// next one replay it instead of serving the partial frontier forever.
+	aborted := s.closed
 	if rep != nil {
 		snapshotReport(&st.view, rep, true)
 	}
-	if err != nil {
+	switch {
+	case aborted:
+		st.status = statusFailed
+		st.view.Error = errClosed.Error()
+	case err != nil:
 		st.status = statusFailed
 		st.view.Error = err.Error()
-	} else {
+	default:
 		st.status = statusDone
 	}
 	st.view.Status = st.status
@@ -302,10 +317,7 @@ func (s *Server) driveExplore(st *exploreState, space dse.Space, strat dse.Strat
 	s.evictExploresLocked()
 	v := st.view
 	s.mu.Unlock()
-	// A shutdown abort is not a terminal outcome: leaving the manifest
-	// open lets the next process replay the exploration instead of
-	// reporting a phantom failure forever.
-	if !errors.Is(err, errClosed) {
+	if !aborted {
 		s.journalExploreDone(v)
 	}
 }
@@ -350,117 +362,108 @@ func (s *Server) evictExploresLocked() {
 	}
 }
 
-// queueEvaluator scores one candidate by routing its program runs through
-// the server's pending pool and workers, exactly like direct /v1/runs
-// submissions: content-key registration coalesces with any in-flight or
-// finished run, the result store answers warm points without simulating,
-// and the area objective comes from the shared layout model.
+// queueEvaluator scores an exploration's batches through the server's run
+// registry, pending pool and workers, exactly like a sweep of the same
+// cells (see settle). Turning candidates into requests and outcomes into
+// objectives is dse.SimEvaluator's (EvaluateBatchWith); sim carries the
+// exploration's suite, budgets and fidelity, and no store of its own.
 type queueEvaluator struct {
-	s             *Server
-	programs      []string
-	insts, warmup uint64
-	sampling      harness.Sampling
+	s   *Server
+	sim *dse.SimEvaluator
 }
 
-// WithSampling implements dse.FidelityEvaluator: the variant routes the
-// same runs through the same pool and store, but at sampled fidelity —
-// the sampled keys never collide with exact ones, so the search tier and
-// the exact confirmation tier coexist in one registry.
+// WithSampling implements dse.Evaluator: the variant routes the same runs
+// through the same pool and store, but at sampled fidelity — the sampled
+// keys never collide with exact ones, so the search tier and the exact
+// confirmation tier coexist in one registry.
 func (e *queueEvaluator) WithSampling(sp harness.Sampling) dse.Evaluator {
-	v := *e
-	v.sampling = sp
-	return &v
+	sim := &dse.SimEvaluator{Programs: e.sim.Programs, Insts: e.sim.Insts, Warmup: e.sim.Warmup, Sampling: sp}
+	return &queueEvaluator{s: e.s, sim: sim}
 }
 
-// Evaluate implements dse.Evaluator. It blocks until every program run of
-// the candidate is terminal (or the server closes). programs carries a
-// workload-axis candidate's scenario; nil falls back to the
-// exploration's program suite.
-func (e *queueEvaluator) Evaluate(cfg core.Config, programs []string) (dse.Objectives, dse.EvalStats, error) {
-	s := e.s
-	var est dse.EvalStats
-	if programs == nil {
-		programs = e.programs
-	}
-	var sumIPC float64
-	for _, prog := range programs {
-		spec, err := workload.ParseSpec(prog)
-		if err != nil {
-			return dse.Objectives{}, est, err
+// EvaluateBatch implements dse.Evaluator. It blocks until every run of the
+// batch is terminal, or the server shuts down, which fails the runs still
+// outstanding.
+func (e *queueEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([]dse.Objectives, []dse.EvalStats, []error) {
+	objs, stats, errs := e.sim.EvaluateBatchWith(e.settle, cfgs, programs)
+	m := &e.s.metrics
+	for i, st := range stats {
+		m.ExploreSims.Add(uint64(st.Sims))
+		m.ExploreCacheHits.Add(uint64(st.CacheHits))
+		if errs[i] == nil {
+			m.ExplorePoints.Add(1)
 		}
-		req := harness.Request{Config: cfg, Workload: spec, Insts: e.insts, Warmup: e.warmup, Sampling: e.sampling}
+	}
+	return objs, stats, errs
+}
+
+// settle is the daemon's settle step for a flattened batch. Every request
+// registers in one critical section, as a sweep's members do
+// (registerBatchLocked): it coalesces by content key with any in-flight or
+// finished run, the store answers the warm ones without simulating, and
+// the rest are fed to the pool one workload after the other. The
+// unfinished ones are then waited on together. A request that does not
+// validate, and every one still outstanding when the server shuts down,
+// settles as a failed record. A run finished before registration or
+// answered from the store is a hit, as is a key repeated within the batch;
+// the rest were simulated.
+func (e *queueEvaluator) settle(reqs []harness.Request) []results.Outcome {
+	s := e.s
+	out := make([]results.Outcome, len(reqs))
+	fail := func(i int, err error) {
+		out[i].Result = results.Result{Config: reqs[i].Config.Name, Program: reqs[i].Workload.Name(), Err: err.Error()}
+	}
+	var cells []int // the requests that validate, in order
+	var valid []harness.Request
+	var jobs []results.Job
+	for i, req := range reqs {
 		key, err := prepare(req)
 		if err != nil {
-			return dse.Objectives{}, est, err
-		}
-
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return dse.Objectives{}, est, errClosed
-		}
-		st, fresh, hit := s.registerLocked(req, key)
-		if hit {
-			res := st.result
-			s.mu.Unlock()
-			est.CacheHits++
-			s.metrics.ExploreCacheHits.Add(1)
-			if res.Failed() {
-				return dse.Objectives{}, est, fmt.Errorf("%s/%s: %s", cfg.Name, prog, res.Err)
-			}
-			stats := res.Stats
-			sumIPC += stats.IPC()
+			fail(i, err)
 			continue
 		}
-		// Pin the run so registry eviction cannot drop it mid-wait, and
-		// subscribe before releasing the lock so the finish can't be missed.
-		st.refs++
-		done := make(chan struct{})
-		st.waiters = append(st.waiters, done)
-		s.mu.Unlock()
+		cells = append(cells, i)
+		valid = append(valid, req)
+		jobs = append(jobs, results.Job{Key: key, Request: results.NewRequest(req)})
+	}
 
-		if fresh {
-			// Waits for room in the pool; a stopped pool refuses the job and
-			// the wait below ends on quit.
-			j := results.Job{Key: key, Request: results.NewRequest(req)}
-			s.journalEnqueue(key, j.Request)
-			s.enqueue(j)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		for _, i := range cells {
+			fail(i, errClosed)
 		}
+		return out
+	}
+	sts, hits := s.registerBatchLocked(valid, jobs)
+	var waits []chan struct{}
+	for _, st := range sts {
+		// Subscribe before releasing the lock so no finish can be missed.
+		if !st.status.terminal() {
+			done := make(chan struct{})
+			st.waiters = append(st.waiters, done)
+			waits = append(waits, done)
+		}
+	}
+	s.mu.Unlock()
+	for _, done := range waits {
 		select {
 		case <-done:
-		case <-s.quit:
-			e.unpin(st)
-			return dse.Objectives{}, est, errClosed
+		case <-s.quit: // what is unfinished fails below
 		}
-
-		s.mu.Lock()
-		res := st.result
-		simulated := !st.cached
-		st.refs--
-		s.mu.Unlock()
-		if simulated {
-			est.Sims++
-			s.metrics.ExploreSims.Add(1)
-		} else {
-			est.CacheHits++
-			s.metrics.ExploreCacheHits.Add(1)
-		}
-		if res.Failed() {
-			return dse.Objectives{}, est, fmt.Errorf("%s/%s: %s", cfg.Name, prog, res.Err)
-		}
-		stats := res.Stats
-		sumIPC += stats.IPC()
 	}
-	s.metrics.ExplorePoints.Add(1)
-	return dse.Objectives{
-		IPC:  sumIPC / float64(len(programs)),
-		Area: dse.Area(cfg),
-	}, est, nil
-}
 
-// unpin releases a waited-on run reference after an aborted wait.
-func (e *queueEvaluator) unpin(st *runState) {
-	e.s.mu.Lock()
-	st.refs--
-	e.s.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	counted := make(map[*runState]bool, len(sts))
+	for k, st := range sts {
+		st.refs--
+		if !st.status.terminal() {
+			fail(cells[k], errClosed)
+			continue
+		}
+		out[cells[k]] = results.Outcome{Result: st.result, Hit: hits[k] || st.cached || counted[st]}
+		counted[st] = true
+	}
+	return out
 }

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dse"
 	"repro/internal/results"
 )
 
@@ -308,6 +310,87 @@ func TestExploreCloseMidFlight(t *testing.T) {
 	srv.mu.Unlock()
 	if status == statusRunning {
 		t.Errorf("exploration still running after Close")
+	}
+}
+
+// TestDaemonExploreMatchesInProcess: the daemon's exploration, whose
+// batches settle through the run registry and the pending pool, reports
+// exactly what dse.Explore reports over a SimEvaluator on the same space,
+// programs and budgets — the same frontier, the same points in the same
+// order, the same counts — for a sampled grid (search tier, then exact
+// confirmation of its frontier) and for a random search over several
+// rounds whose suite names one program twice.
+func TestDaemonExploreMatchesInProcess(t *testing.T) {
+	sampled := exploreBody()
+	sampled["insts"], sampled["warmup"] = 12_000, 2_000 // room for the sampled windows
+	sampled["fidelity"] = "sampled(3000,500,200)"
+	random := exploreBody()
+	random["axes"] = []map[string]any{ // 32 points: three rounds of 8, 8 and 4
+		{"name": "arch", "values": []int{0, 1}},
+		{"name": "clusters", "values": []int{2, 4}},
+		{"name": "iw", "values": []int{1, 2}},
+		{"name": "buses", "values": []int{1, 2}},
+		{"name": "hop", "values": []int{1, 2}},
+	}
+	random["strategy"], random["samples"], random["seed"] = "random", 20, 42
+	random["programs"] = []string{"gcc", "swim", "gcc"} // a key repeated within each batch
+
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+	}{{"sampled grid", sampled}, {"random", random}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, hs := newTestServer(t, results.NewMemoryLRU(256))
+			var got exploreView
+			postJSON(t, hs.URL+"/v1/explore", tc.body, http.StatusAccepted, &got)
+			if got = pollExplore(t, hs.URL, got.ID); got.Status != statusDone {
+				t.Fatalf("daemon exploration: %+v", got)
+			}
+
+			raw, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er exploreRequest
+			if err := json.Unmarshal(raw, &er); err != nil {
+				t.Fatal(err)
+			}
+			space, strat, programs, twin, sp, err := srv.resolveExplore(&er)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := dse.Explore(dse.Options{
+				Space:     space,
+				Strategy:  strat,
+				Evaluator: &dse.SimEvaluator{Programs: programs, Insts: er.Insts, Warmup: er.Warmup, Store: results.NewMemoryLRU(256)},
+				Budget:    er.Budget,
+				Seed:      er.Seed,
+				Sampling:  sp,
+				Twin:      &dse.TwinOptions{Mode: twin, Programs: programs, Insts: er.Insts, Warmup: er.Warmup},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "random" && rep.Rounds < 3 {
+				t.Fatalf("the random search ran %d round(s), want 3", rep.Rounds)
+			}
+			if sp.Enabled() && (rep.SampledSims == 0 || rep.ExactConfirms == 0) {
+				t.Fatalf("a tier did not run: %+v", rep)
+			}
+			want := exploreView{ID: got.ID, Status: statusDone}
+			snapshotReport(&want, rep, true)
+			a, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("daemon and in-process explorations differ:\ndaemon     %s\nin-process %s", a, b)
+			}
+		})
 	}
 }
 

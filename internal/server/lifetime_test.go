@@ -148,11 +148,11 @@ func TestTerminateAndReplayStrandNoHolds(t *testing.T) {
 }
 
 // TestQueueExplorationMaterializesOncePerTier: a queue-backed exploration
-// hands the pool one candidate per worker at a time, so it keeps its own
-// holds on its programs (dse's traceHolds). Over the eight candidates of
-// the sampled search tier and the exact confirmation of its frontier,
-// each program is then materialized at most once per tier, not once per
-// round of candidates, and nothing is resident or held once the
+// registers each tier as one batch, fed to the pool one workload after the
+// other, and every queued run holds its traces until it settles. Over the
+// eight candidates of the sampled search tier and the exact confirmation
+// of its frontier, each program is then materialized at most once per
+// tier, not once per candidate, and nothing is resident or held once the
 // exploration is done.
 func TestQueueExplorationMaterializesOncePerTier(t *testing.T) {
 	useFreshTraceCache(t)

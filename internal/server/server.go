@@ -532,6 +532,29 @@ func (s *Server) registerLocked(req harness.Request, key string) (st *runState, 
 	return s.newRunLocked(key, req), true, false
 }
 
+// registerBatchLocked registers a batch of prepared requests — a sweep's
+// members or an exploration tier's cells — pins every member's run (refs)
+// so registry eviction cannot drop it while the batch is live, and hands
+// the fresh ones to a feeder, which journals them and fills the pool one
+// workload after the other. hits marks the members that were already
+// finished when registered. jobs carries each request's key and wire form.
+// Callers must hold s.mu and have checked s.closed.
+func (s *Server) registerBatchLocked(reqs []harness.Request, jobs []results.Job) (sts []*runState, hits []bool) {
+	sts = make([]*runState, len(reqs))
+	hits = make([]bool, len(reqs))
+	var pending []results.Job // fresh members, for the feeder
+	for i, req := range reqs {
+		st, fresh, hit := s.registerLocked(req, jobs[i].Key)
+		st.refs++
+		if fresh {
+			pending = append(pending, jobs[i])
+		}
+		sts[i], hits[i] = st, hit
+	}
+	s.feedLocked(pending, false)
+	return sts, hits
+}
+
 // prepare validates a request and computes its content key (both outside
 // any lock — hashing is pure CPU).
 func prepare(req harness.Request) (string, error) {
@@ -869,18 +892,12 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw := &sweepState{id: id, keys: keys, preCached: make(map[string]bool)}
-	var pending []results.Job // fresh members, for the feeder
-	for i, req := range reqs {
-		st, fresh, hit := s.registerLocked(req, keys[i])
-		st.refs++
-		if fresh {
-			pending = append(pending, jobs[i])
-		}
+	_, hits := s.registerBatchLocked(reqs, jobs)
+	for i, hit := range hits {
 		if hit {
 			sw.preCached[keys[i]] = true
 		}
 	}
-	s.feedLocked(pending, false)
 	s.sweeps[sw.id] = sw
 	s.sweepOrder = append(s.sweepOrder, sw.id)
 	s.evictSweepsLocked()
