@@ -186,24 +186,17 @@ func writeAtomic(path string, p *predict.Profile) error {
 
 // ProfileSpec returns the workload-level profile for a (possibly
 // multi-stream) spec at the harness's instruction accounting: each stream
-// is profiled over its warm-up share plus measured budget — the same
-// window Execute simulates — and multi-stream mixes merge per-stream
-// profiles.
+// is profiled over StreamBudgets' prefix — its warm-up share plus measured
+// budget, the same window Execute simulates — and multi-stream mixes merge
+// per-stream profiles.
 func (pc *ProfileCache) ProfileSpec(spec workload.Spec, insts, warmup uint64) (*predict.Profile, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	n := uint64(len(spec.Streams))
 	parts := make([]*predict.Profile, 0, len(spec.Streams))
-	for i, s := range spec.Streams {
-		warm := warmup
-		if n > 1 {
-			warm = warmup / n
-			if uint64(i) < warmup%n {
-				warm++
-			}
-		}
-		p, err := pc.Profile(s.Program, s.Seed, warm+streamBudget(s, insts))
+	for i, n := range StreamBudgets(spec, insts, warmup) {
+		s := spec.Streams[i]
+		p, err := pc.Profile(s.Program, s.Seed, n)
 		if err != nil {
 			return nil, err
 		}

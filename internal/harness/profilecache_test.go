@@ -3,11 +3,13 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/predict"
 	"repro/internal/workload"
 )
 
@@ -208,5 +210,38 @@ func TestProfileSpecMatchesHarnessAccounting(t *testing.T) {
 	// (2 × 10_000 + 2_000), exactly Execute's multi-stream accounting.
 	if m.Insts != 22_000 {
 		t.Errorf("two-stream profile covers %d insts, want 22000", m.Insts)
+	}
+}
+
+// TestProfileSpecRequestsStreamBudgets: a 1-, 2-, 3- or 4-stream spec
+// profiles each stream over exactly the prefix StreamBudgets names — the
+// trace length the simulations read, warm-up remainders included — under
+// that length's predict.Key, so profiles cached on disk stay valid.
+func TestProfileSpecRequestsStreamBudgets(t *testing.T) {
+	const insts, warmup = 3_000, 1_001
+	for _, w := range []string{"gcc", "gcc+swim@3", "mcf+art+gcc", "swim+gcc@2+art+mcf"} {
+		spec, err := workload.ParseSpec(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := NewProfileCache("")
+		p, err := pc.ProfileSpec(spec, insts, warmup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]bool)
+		var total uint64
+		for i, n := range StreamBudgets(spec, insts, warmup) {
+			s := spec.Streams[i]
+			want[predict.Key(s.Program, s.Seed, n)] = true
+			total += n
+		}
+		got := make(map[string]bool)
+		for key := range pc.entries {
+			got[key] = true
+		}
+		if !reflect.DeepEqual(got, want) || p.Insts != total {
+			t.Errorf("%s: profiled keys %v over %d instructions, want %v over %d", w, got, p.Insts, want, total)
+		}
 	}
 }

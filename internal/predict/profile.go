@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/isa"
@@ -218,14 +219,22 @@ func (p *Profile) MispredictRate() float64 {
 // assignments off overloaded clusters, which is where the conventional
 // machine pays communications the ring machine's rotating result homes
 // avoid.
+//
+// minLoad and minIdx are the smallest load counter and the first cluster
+// holding it, kept up to date instead of scanned for on every instruction.
+// Charging any other cluster cannot move the first minimum; charging
+// minIdx moves it forward (bumpMin), and only the window's halving, which
+// can tie clusters ahead of minIdx, rescans all counters.
 type steerState struct {
 	clusters int
-	ring     bool // ring: results land in the next cluster's register file
-	home     [2][isa.NumArchRegs]uint8
+	ring     bool                       // ring: results land in the next cluster's register file
+	home     [2 * isa.NumArchRegs]uint8 // by namespace*32 + index
 	load     [16]uint32
-	tick     uint32
-	comms    uint64
-	hops     []uint64
+	minLoad  uint32
+	minIdx   int
+	// hops[d] counts operands consumed at forward distance d; hops[0]
+	// counts those that needed no communication.
+	hops [16]uint64
 }
 
 // steerWindow is the balance decay period: every steerWindow
@@ -253,16 +262,29 @@ type Summarizer struct {
 
 	refIdx   uint64            // memory reference index
 	lastRef  map[uint64]uint64 // 32B line -> last reference index (1-based)
-	fenwick  []uint64          // marks at last-access indices, for stack distances
+	fenwick  [][]uint64        // marks at last-access indices, for stack distances, fenwickChunk nodes a chunk
+	nodes    uint64            // Fenwick nodes held, slot 0 unused
 	haveAddr bool
 
 	steer []steerState
 }
 
+// fenwickChunk is how many Fenwick nodes one allocation holds: 32 KiB,
+// Go's largest small size class. The tree grows a chunk at a time and is
+// never copied. Grown as one slice, its reallocations came to four times
+// its final size, half of what building a profile allocated, and
+// explore_funnel reaches its peak RSS while its profiles build.
+const fenwickChunk = 1 << 12
+
+// node returns Fenwick node i.
+func (s *Summarizer) node(i uint64) *uint64 {
+	return &s.fenwick[i/fenwickChunk][i%fenwickChunk]
+}
+
 // fenwickAdd adds delta at 1-based index i.
 func (s *Summarizer) fenwickAdd(i uint64, delta uint64) {
-	for ; i < uint64(len(s.fenwick)); i += i & (^i + 1) {
-		s.fenwick[i] += delta
+	for ; i < s.nodes; i += i & (^i + 1) {
+		*s.node(i) += delta
 	}
 }
 
@@ -270,7 +292,7 @@ func (s *Summarizer) fenwickAdd(i uint64, delta uint64) {
 func (s *Summarizer) fenwickSum(i uint64) uint64 {
 	var t uint64
 	for ; i > 0; i -= i & (^i + 1) {
-		t += s.fenwick[i]
+		t += *s.node(i)
 	}
 	return t
 }
@@ -278,15 +300,20 @@ func (s *Summarizer) fenwickSum(i uint64) uint64 {
 // growFenwick extends the tree through index n. A new node covers
 // (k-lowbit(k), k], so it is seeded with the marks already in that range
 // (marks move backwards when lines are re-referenced, so the range can be
-// non-empty even for a fresh index).
+// non-empty even for a fresh index): the sum of the nodes that tile
+// (k-lowbit(k), k-1], which are k-1, k-1-lowbit(k-1) and so on — on
+// average one node, where two prefix sums walk the tree's height.
 func (s *Summarizer) growFenwick(n uint64) {
-	if len(s.fenwick) == 0 {
-		s.fenwick = append(s.fenwick, 0) // slot 0 unused
-	}
-	for uint64(len(s.fenwick)) <= n {
-		k := uint64(len(s.fenwick))
-		v := s.fenwickSum(k-1) - s.fenwickSum(k-(k&(^k+1)))
-		s.fenwick = append(s.fenwick, v)
+	for ; s.nodes <= n; s.nodes++ {
+		k := s.nodes
+		if k%fenwickChunk == 0 {
+			s.fenwick = append(s.fenwick, make([]uint64, fenwickChunk))
+		}
+		var v uint64
+		for j := k - 1; j > k-(k&(^k+1)); j -= j & (^j + 1) {
+			v += *s.node(j)
+		}
+		*s.node(k) = v
 	}
 }
 
@@ -300,15 +327,17 @@ func NewSummarizer(program string, seed uint64) *Summarizer {
 	s := &Summarizer{
 		pred:    bpred.New(bpred.DefaultConfig()),
 		lastRef: make(map[uint64]uint64),
+		fenwick: [][]uint64{make([]uint64, fenwickChunk)},
+		nodes:   1, // slot 0 unused
 	}
 	s.p.Schema = SchemaV1
 	s.p.Program = program
 	s.p.Seed = seed
 	for _, c := range ClusterCounts {
-		s.steer = append(s.steer, steerState{clusters: c, ring: true, hops: make([]uint64, c-1)})
+		s.steer = append(s.steer, steerState{clusters: c, ring: true})
 	}
 	for _, c := range ClusterCounts {
-		s.steer = append(s.steer, steerState{clusters: c, ring: false, hops: make([]uint64, c-1)})
+		s.steer = append(s.steer, steerState{clusters: c, ring: false})
 	}
 	return s
 }
@@ -401,79 +430,117 @@ func (s *Summarizer) Observe(in *isa.Inst) {
 	// Steering twins: mimic dependence-based cluster assignment for each
 	// (architecture, cluster count) pair and record every inter-cluster
 	// value movement with its forward ring distance.
+	var reg, live [2]int
+	for i, r := range srcs {
+		reg[i], live[i] = int(r.Kind)*isa.NumArchRegs+int(r.Idx), -1
+	}
+	dest, writes := int(in.Dest.Kind)*isa.NumArchRegs+int(in.Dest.Idx), in.WritesReg()
+	if s.idx%steerWindow == 0 {
+		for i := range s.steer {
+			s.steer[i].halve()
+		}
+	}
 	for i := range s.steer {
-		s.steer[i].observe(in, srcs)
+		s.steer[i].observe(reg[0], reg[1], live[0], live[1], dest, writes)
 	}
 }
 
 // observe advances one steering twin by one instruction: choose the
 // cluster minimizing communication hops weighted against recent load
 // imbalance, charge a communication for every operand living elsewhere,
-// and place the result (ring: next cluster's register file).
-func (st *steerState) observe(in *isa.Inst, srcs []isa.Reg) {
+// and place the result (ring: next cluster's register file). The operands
+// arrive as flat register indices (namespace*32 + index) with live masks,
+// all ones for an operand present and zero for a missing one; the result
+// register is dest when writes is set.
+func (st *steerState) observe(r0, r1, live0, live1, dest int, writes bool) {
 	c := st.clusters
-	st.tick++
-	if st.tick >= steerWindow {
-		st.tick = 0
-		for i := 0; i < c; i++ {
-			st.load[i] >>= 1
-		}
+	// Candidates, in order: the operands' home clusters, then the idlest
+	// cluster. Cost is forward comm distance (in hop-equivalents) plus
+	// balance pressure; the first candidate at the lowest cost wins, so
+	// the choice is deterministic. A missing operand's home reads as the
+	// idlest cluster and its distances as zero, so it never wins ahead of
+	// a real candidate. A candidate's own operand costs nothing (fwd(h, h)
+	// is 0), and the idlest cluster carries no balance term.
+	// Indices are masked to their arrays' sizes, which they never reach,
+	// so the compiler drops the bounds checks.
+	m := st.minIdx
+	h0 := int(st.home[r0&63])&live0 | m&^live0
+	h1 := int(st.home[r1&63])&live1 | m&^live1
+	cost0 := uint32(fwd(h1, h0, c)&live1)*steerBalance + st.load[h0&15] - st.minLoad
+	cost1 := uint32(fwd(h0, h1, c)&live0)*steerBalance + st.load[h1&15] - st.minLoad
+	cost2 := uint32(fwd(h0, m, c)&live0+fwd(h1, m, c)&live1) * steerBalance
+	// The choice is made with masks: costs are data, and a branch on them
+	// mispredicts.
+	lt := less(cost1, cost0)
+	chosen, best := h0&^lt|h1&lt, cost0&^uint32(lt)|cost1&uint32(lt)
+	lt = less(cost2, best)
+	chosen = chosen&^lt | m&lt
+	// hops[0] takes the operands that needed no communication.
+	st.hops[fwd(h0, chosen, c)&live0&15]++
+	st.hops[fwd(h1, chosen, c)&live1&15]++
+	if chosen == m {
+		st.bumpMin()
+	} else {
+		st.load[chosen&15]++
 	}
-	minLoad := st.load[0]
-	for i := 1; i < c; i++ {
-		if st.load[i] < minLoad {
-			minLoad = st.load[i]
-		}
-	}
-	// Candidates: the operands' home clusters plus the idlest cluster.
-	// Cost is forward comm distance (in hop-equivalents) plus balance
-	// pressure; first-considered wins ties, so the choice is
-	// deterministic.
-	cost := func(cl int) uint32 {
-		var comm uint32
-		for _, r := range srcs {
-			if h := int(st.home[r.Kind][r.Idx]); h != cl {
-				comm += uint32(fwd(h, cl, c))
+	if writes {
+		if st.ring {
+			if chosen++; chosen == c {
+				chosen = 0
 			}
 		}
-		return comm*steerBalance + st.load[cl] - minLoad
-	}
-	chosen, bestCost := -1, uint32(0)
-	consider := func(cl int) {
-		if cl == chosen {
-			return
-		}
-		if co := cost(cl); chosen < 0 || co < bestCost {
-			chosen, bestCost = cl, co
-		}
-	}
-	for _, r := range srcs {
-		consider(int(st.home[r.Kind][r.Idx]))
-	}
-	for i := 0; i < c; i++ {
-		if st.load[i] == minLoad {
-			consider(i)
-			break
-		}
-	}
-	for _, r := range srcs {
-		if h := int(st.home[r.Kind][r.Idx]); h != chosen {
-			st.comms++
-			st.hops[fwd(h, chosen, c)-1]++
-		}
-	}
-	st.load[chosen]++
-	if in.WritesReg() {
-		res := chosen
-		if st.ring {
-			res = (chosen + 1) % c
-		}
-		st.home[in.Dest.Kind][in.Dest.Idx] = uint8(res)
+		st.home[dest&63] = uint8(chosen)
 	}
 }
 
-// fwd is the forward ring distance from cluster a to cluster b.
-func fwd(a, b, n int) int { return ((b-a)%n + n) % n }
+// halve decays the load counters at the end of a balance window and
+// rescans them for minLoad and minIdx.
+func (st *steerState) halve() {
+	load := st.load[:st.clusters]
+	for i := range load {
+		load[i] >>= 1
+	}
+	m := load[0]
+	for _, v := range load[1:] {
+		m = min(m, v)
+	}
+	i := 0
+	for load[i] != m {
+		i++
+	}
+	st.minLoad, st.minIdx = m, i
+}
+
+// bumpMin charges one assignment to minIdx. The first minimum moves to
+// the next cluster still at minLoad (every cluster before minIdx is above
+// it), or, when none is left, to the first cluster at minLoad+1.
+func (st *steerState) bumpMin() {
+	load := st.load[:st.clusters]
+	i := st.minIdx
+	load[i]++
+	for j := i + 1; j < len(load); j++ {
+		if load[j] == st.minLoad {
+			st.minIdx = j
+			return
+		}
+	}
+	st.minLoad++
+	j := 0
+	for load[j] != st.minLoad {
+		j++
+	}
+	st.minIdx = j
+}
+
+// less is all ones when a < b and zero otherwise, for a and b below 2^31.
+func less(a, b uint32) int { return int(int32(a-b) >> 31) }
+
+// fwd is the forward ring distance from cluster a to cluster b, both in
+// [0, n): b−a, wrapped once when negative.
+func fwd(a, b, n int) int {
+	d := b - a
+	return d + n&(d>>63)
+}
 
 // Finish seals the summary and returns the profile. The profile does not
 // reference the Summarizer, so keeping it does not keep the summarizer's
@@ -483,8 +550,12 @@ func (s *Summarizer) Finish() *Profile {
 	p := s.p
 	p.CritPath = max(s.critPath, 1)
 	p.Lines64 = lines64(s.lastRef)
-	for _, st := range s.steer {
-		sp := SteerProfile{Clusters: st.clusters, Comms: st.comms, Hops: st.hops}
+	for i := range s.steer {
+		st := &s.steer[i]
+		sp := SteerProfile{Clusters: st.clusters, Hops: slices.Clone(st.hops[1:st.clusters])}
+		for _, n := range sp.Hops {
+			sp.Comms += n
+		}
 		if st.ring {
 			p.Ring = append(p.Ring, sp)
 		} else {

@@ -581,7 +581,11 @@ func (cv *Conv) Tick() {
 	}
 }
 
-// decay applies one DecayPeriod boundary.
+// decay applies one DecayPeriod boundary. It stays out of line: inlined,
+// it pushed Tick, which runs every simulated cycle, past the inlining
+// budget, and the boundary it handles comes once per DecayPeriod cycles.
+//
+//go:noinline
 func (cv *Conv) decay() {
 	cv.untilDecay = cv.cfg.DecayPeriod
 	for i := range cv.dcount {

@@ -32,21 +32,26 @@ type Rec struct {
 // for an arbitrary instruction it keeps what the timing model reads — the
 // address word of the instruction's own class — and drops the rest.
 func MakeRec(in *isa.Inst) Rec {
-	r := Rec{
-		PC:    in.PC,
-		Class: in.Class,
-		flags: operandFlags(in),
-		src0:  in.Src[0].Idx,
-		src1:  in.Src[1].Idx,
-		dest:  in.Dest.Idx,
-	}
+	var r Rec
+	r.set(in)
+	return r
+}
+
+// set is MakeRec into r. Append fills its record in place: the compiler
+// copies a returned Rec through a temporary with 16-byte loads spanning
+// the one-byte stores just made, which the CPU cannot forward, so each
+// copy stalls.
+func (r *Rec) set(in *isa.Inst) {
+	r.PC, r.Class, r.flags = in.PC, in.Class, operandFlags(in)
+	r.src0, r.src1, r.dest = in.Src[0].Idx, in.Src[1].Idx, in.Dest.Idx
 	switch {
 	case in.Class.IsMem():
 		r.Addr = in.EffAddr
 	case in.Class.IsBranch():
 		r.Addr = in.Target
+	default:
+		r.Addr = 0
 	}
-	return r
 }
 
 // Inst decodes the record into a full instruction with the given sequence
@@ -69,6 +74,27 @@ func (r *Rec) Inst(seq uint64) isa.Inst {
 		in.Target = r.Addr
 	}
 	return in
+}
+
+// holds reports whether r reproduces in at sequence number seq — whether
+// r.Inst(seq) == *in — comparing field by field what that comparison
+// compares, without building the instruction: the register namespaces
+// come back from one flag bit each, and the address word the class does
+// not use comes back zero.
+func (r *Rec) holds(in *isa.Inst, seq uint64) bool {
+	var eff, target uint64
+	switch {
+	case r.Class.IsMem():
+		eff = r.Addr
+	case r.Class.IsBranch():
+		target = r.Addr
+	}
+	return in.Seq == seq && in.PC == r.PC && in.Class == r.Class &&
+		in.NumSrcs == r.NumSrcs() &&
+		in.Src[0] == isa.Reg{Kind: kind(r.flags&flagSrc0FP != 0), Idx: r.src0} &&
+		in.Src[1] == isa.Reg{Kind: kind(r.flags&flagSrc1FP != 0), Idx: r.src1} &&
+		in.HasDest == (r.flags&flagHasDest != 0) && in.Dest == r.Dest() &&
+		in.Taken == r.Taken() && in.EffAddr == eff && in.Target == target
 }
 
 // NumSrcs is how many of Src are meaningful.
@@ -201,9 +227,9 @@ type Packed struct {
 	used  int       // bytes of buf written
 	open  int       // records in buf
 	enc   coder     // prediction state after the open segment's last record
-	check struct {  // where Append encodes a record and replays it before committing it
+	check struct {  // where Append replays a record before committing it
 		Replay
-		scratch [maxEncoded]byte
+		scratch [maxEncoded]byte // a record that opens a fresh segment is encoded here
 	}
 }
 
@@ -227,8 +253,9 @@ func (p *Packed) Append(in *isa.Inst) error {
 		p.base = in.Seq
 	}
 	seq := p.base + uint64(p.n)
-	rec := MakeRec(in)
-	if rec.Inst(seq) != *in {
+	var rec Rec
+	rec.set(in)
+	if !rec.holds(in, seq) {
 		if in.Seq != seq {
 			return fmt.Errorf("trace: packed store at seq %d cannot take seq %d", seq, in.Seq)
 		}
@@ -236,24 +263,31 @@ func (p *Packed) Append(in *isa.Inst) error {
 		// caller's instruction to the heap.
 		return fmt.Errorf("trace: packed layout cannot hold instruction %s", in.String())
 	}
-	// Encode against the state of the segment the record lands in and
-	// replay it before anything is committed.
+	// Encode against the state of the segment the record lands in — in
+	// place past the open segment's written bytes, or into the scratch
+	// buffer when the record opens a fresh segment — and replay it before
+	// anything is committed. Views read only below used, so the bytes
+	// written past it are invisible until the record is accepted.
 	fresh := len(p.buf)-p.used < maxEncoded
-	enc := p.enc
+	enc, dst := p.enc, p.buf[p.used:]
 	if fresh {
-		enc = coder{}
+		enc, dst = coder{}, p.check.scratch[:]
 	}
 	check := &p.check
 	check.dec, check.off, check.more = enc, 0, 1
-	k := enc.encode(check.scratch[:], &rec)
-	check.cur = check.scratch[:k]
-	if back, _ := check.NextRec(); check.off != k || *back != rec {
+	k := enc.encode(dst, &rec)
+	check.cur = dst[:k]
+	back, _ := check.NextRec()
+	check.cur = nil // a segment cut at Reserve's length must not stay reachable from here
+	if check.off != k || *back != rec {
+		clear(dst[:k]) // the open segment's unwritten bytes stay zero
 		return fmt.Errorf("trace: packed encoding cannot hold instruction %s", in.String())
 	}
 	if fresh {
 		p.openSegment()
+		copy(p.buf, dst[:k])
 	}
-	p.used += copy(p.buf[p.used:], check.cur)
+	p.used += k
 	p.open++
 	p.n++
 	p.enc = enc

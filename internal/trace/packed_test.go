@@ -3,9 +3,14 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/isa"
 )
@@ -104,33 +109,47 @@ func TestPackedRandomRoundTrip(t *testing.T) {
 	}
 }
 
+// rejectLead is the record a store holds before each rejectCases
+// instruction is offered to it.
+var rejectLead = isa.Inst{Seq: 5, Class: isa.Load, HasDest: true, Dest: isa.Reg{Idx: 1}, EffAddr: 64}
+
+// rejectCases are instructions the layout cannot hold, each rejectLead's
+// successor with one field broken.
+var rejectCases = map[string]func(in *isa.Inst){
+	"gap in seq":            func(in *isa.Inst) { in.Seq = 7 },
+	"repeated seq":          func(in *isa.Inst) { in.Seq = 5 },
+	"load with target":      func(in *isa.Inst) { in.Target = 8 },
+	"alu with effaddr":      func(in *isa.Inst) { in.Class = isa.IntALU },
+	"branch with effaddr":   func(in *isa.Inst) { in.Class, in.HasDest, in.Dest = isa.Branch, false, isa.Reg{} },
+	"three sources":         func(in *isa.Inst) { in.NumSrcs = 4 },
+	"unknown register set":  func(in *isa.Inst) { in.Dest.Kind = 2 },
+	"class past the header": func(in *isa.Inst) { in.Class, in.EffAddr = classMask+1, 0 },
+}
+
+// rejected returns rejectLead's successor broken by mutate.
+func rejected(mutate func(in *isa.Inst)) isa.Inst {
+	in := rejectLead
+	in.Seq = 6
+	mutate(&in)
+	return in
+}
+
 // TestPackedAppendRejects: what the layout cannot hold is refused, not
-// silently dropped, and a refusal leaves the store as it was.
+// silently dropped, and a refusal leaves the store as it was, its bytes
+// included.
 func TestPackedAppendRejects(t *testing.T) {
-	ok := isa.Inst{Seq: 5, Class: isa.Load, HasDest: true, Dest: isa.Reg{Idx: 1}, EffAddr: 64}
-	cases := map[string]func(in *isa.Inst){
-		"gap in seq":            func(in *isa.Inst) { in.Seq = 7 },
-		"repeated seq":          func(in *isa.Inst) { in.Seq = 5 },
-		"load with target":      func(in *isa.Inst) { in.Target = 8 },
-		"alu with effaddr":      func(in *isa.Inst) { in.Class = isa.IntALU },
-		"branch with effaddr":   func(in *isa.Inst) { in.Class, in.HasDest, in.Dest = isa.Branch, false, isa.Reg{} },
-		"three sources":         func(in *isa.Inst) { in.NumSrcs = 4 },
-		"unknown register set":  func(in *isa.Inst) { in.Dest.Kind = 2 },
-		"class past the header": func(in *isa.Inst) { in.Class, in.EffAddr = classMask+1, 0 },
-	}
-	for name, mutate := range cases {
+	for name, mutate := range rejectCases {
 		var p Packed
-		if err := p.Append(&ok); err != nil {
+		if err := p.Append(&rejectLead); err != nil {
 			t.Fatal(err)
 		}
 		before := p.Bytes()
-		in := ok
-		in.Seq = 6
-		mutate(&in)
+		buf := slices.Clone(p.buf)
+		in := rejected(mutate)
 		if err := p.Append(&in); err == nil {
 			t.Errorf("%s: accepted %+v", name, in)
 		}
-		if p.Len() != 1 || p.Bytes() != before {
+		if p.Len() != 1 || p.Bytes() != before || !bytes.Equal(p.buf, buf) {
 			t.Errorf("%s: refused append changed the store (len %d, %d bytes)", name, p.Len(), p.Bytes())
 		}
 	}
@@ -261,6 +280,29 @@ func TestPackedReserveAllocatesAsItFills(t *testing.T) {
 	}
 }
 
+// TestPackedCutSegmentIsReleased: once Reserve's length is reached and
+// the last segment is cut to its records, the whole segment it was cut
+// from is garbage — nothing in the store, the cursor Append replays
+// records through included, still reaches it.
+func TestPackedCutSegmentIsReleased(t *testing.T) {
+	const n = 500
+	insts := walkInsts(7, n)
+	var p Packed
+	p.Reserve(n)
+	if err := p.Extend(NewSlice(insts), n-1); err != nil {
+		t.Fatal(err)
+	}
+	whole := weak.Make(&p.buf[0])
+	if err := p.Append(&insts[n-1]); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if whole.Value() != nil {
+		t.Error("the segment the store's records were cut from is still reachable")
+	}
+	expectReplay(t, "cut store", p.View(n).Replay(), insts)
+}
+
 // TestPackedViewsUnderConcurrentExtension: one goroutine extends a store
 // across many segment boundaries — reserved and unreserved, so segments
 // are both sealed full and cut — while readers replay the views it took
@@ -328,6 +370,116 @@ func TestMakeRecKeepsWhatTheModelReads(t *testing.T) {
 	}
 }
 
+// oracleAppend is Append as it was before it encoded in place: it tests
+// losslessness by building the decoded instruction and comparing it with
+// in, and encodes every record into a scratch buffer, replays it from
+// there and copies it into the store. It is the oracle the in-place
+// Append must match in what it accepts and in every byte it stores.
+func oracleAppend(p *Packed, in *isa.Inst) error {
+	if p.n == 0 {
+		p.base = in.Seq
+	}
+	seq := p.base + uint64(p.n)
+	rec := MakeRec(in)
+	if rec.Inst(seq) != *in {
+		if in.Seq != seq {
+			return fmt.Errorf("trace: packed store at seq %d cannot take seq %d", seq, in.Seq)
+		}
+		return fmt.Errorf("trace: packed layout cannot hold instruction %s", in.String())
+	}
+	fresh := len(p.buf)-p.used < maxEncoded
+	enc := p.enc
+	if fresh {
+		enc = coder{}
+	}
+	var check Replay
+	var scratch [maxEncoded]byte
+	check.dec, check.off, check.more = enc, 0, 1
+	k := enc.encode(scratch[:], &rec)
+	check.cur = scratch[:k]
+	if back, _ := check.NextRec(); check.off != k || *back != rec {
+		return fmt.Errorf("trace: packed encoding cannot hold instruction %s", in.String())
+	}
+	if fresh {
+		p.openSegment()
+	}
+	p.used += copy(p.buf[p.used:], check.cur)
+	p.open++
+	p.n++
+	p.enc = enc
+	if p.n == p.want {
+		p.seal(true)
+	}
+	return nil
+}
+
+// samePacked reports how two stores differ, or "" when they hold the same
+// records in the same bytes — the open segment's unwritten bytes included
+// — with the same bookkeeping.
+func samePacked(a, b *Packed) string {
+	switch {
+	case a.n != b.n || a.base != b.base || a.want != b.want:
+		return fmt.Sprintf("records %d/%d, base %d/%d, reserved %d/%d", a.n, b.n, a.base, b.base, a.want, b.want)
+	case a.bytes != b.bytes || a.used != b.used || a.open != b.open || a.enc != b.enc:
+		return fmt.Sprintf("bytes %d/%d, open segment %d/%d bytes, %d/%d records, coder %+v/%+v",
+			a.bytes, b.bytes, a.used, b.used, a.open, b.open, a.enc, b.enc)
+	case len(a.segs) != len(b.segs):
+		return fmt.Sprintf("%d/%d sealed segments", len(a.segs), len(b.segs))
+	case !bytes.Equal(a.buf, b.buf) || (a.buf == nil) != (b.buf == nil):
+		return "open segments differ"
+	}
+	for i := range a.segs {
+		if a.segs[i].n != b.segs[i].n || !bytes.Equal(a.segs[i].data, b.segs[i].data) || cap(a.segs[i].data) != cap(b.segs[i].data) {
+			return fmt.Sprintf("sealed segment %d differs", i)
+		}
+	}
+	return ""
+}
+
+// TestPackedAppendMatchesOracle: over long streams that cross segment
+// boundaries, reserved and unreserved, with refused instructions offered
+// between accepted ones, Append accepts and refuses exactly what the
+// oracle does and leaves the store in the same state, byte for byte.
+func TestPackedAppendMatchesOracle(t *testing.T) {
+	breakers := []func(in *isa.Inst){
+		func(in *isa.Inst) { in.Seq++ },
+		func(in *isa.Inst) { in.NumSrcs = 4 },
+		func(in *isa.Inst) { in.Src[1].Kind = 3 },
+		func(in *isa.Inst) { in.Class, in.EffAddr, in.Target = isa.IntALU, 1, 0 },
+		func(in *isa.Inst) { in.Class, in.EffAddr, in.Target = classMask+1, 0, 0 },
+	}
+	r := rand.New(rand.NewSource(6))
+	random := make([]isa.Inst, 8000)
+	for i := range random {
+		random[i] = randInst(r, 40+uint64(i))
+	}
+	for name, insts := range map[string][]isa.Inst{"walk": walkInsts(6, 20_000), "random": random} {
+		var p, q Packed
+		for k := range insts {
+			if k%3000 == 0 {
+				to := k + r.Intn(4000)
+				p.Reserve(to)
+				q.Reserve(to)
+			}
+			if k%97 == 1 {
+				bad := insts[k]
+				breakers[k/97%len(breakers)](&bad)
+				perr, qerr := p.Append(&bad), oracleAppend(&q, &bad)
+				if perr == nil || qerr == nil {
+					t.Fatalf("%s: offered %+v at %d: Append says %v, the oracle %v", name, bad, k, perr, qerr)
+				}
+			}
+			perr, qerr := p.Append(&insts[k]), oracleAppend(&q, &insts[k])
+			if perr != nil || qerr != nil {
+				t.Fatalf("%s: record %d: Append says %v, the oracle %v", name, k, perr, qerr)
+			}
+			if diff := samePacked(&p, &q); diff != "" {
+				t.Fatalf("%s: after record %d: %s", name, k, diff)
+			}
+		}
+	}
+}
+
 // fuzzInst builds an instruction from raw fuzz arguments.
 func fuzzInst(seq, pc, eff, target uint64, class, nsrc, s0k, s0i, s1k, s1i, dk, di uint8, hasDest, taken bool) isa.Inst {
 	return isa.Inst{
@@ -338,9 +490,11 @@ func fuzzInst(seq, pc, eff, target uint64, class, nsrc, s0k, s0i, s1k, s1i, dk, 
 	}
 }
 
-// FuzzPackedRoundTrip: whatever Append accepts comes back identical, and
+// FuzzPackedRoundTrip: Append accepts exactly what oracleAppend accepts
+// and stores the same bytes; whatever it accepts comes back identical, and
 // whatever it refuses leaves the store untouched; MakeRec alone never
-// loses a field the front end reads.
+// loses a field the front end reads. Seeded with random instructions and
+// with TestPackedAppendRejects' cases.
 func FuzzPackedRoundTrip(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
@@ -350,8 +504,33 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			uint8(in.Dest.Kind), in.Dest.Idx, in.HasDest, in.Taken)
 	}
 	f.Add(uint64(0), uint64(0), uint64(1), uint64(1), uint8(isa.Load), uint8(3), uint8(2), uint8(255), uint8(0), uint8(0), uint8(1), uint8(31), true, true)
+	names := slices.Sorted(maps.Keys(rejectCases))
+	for _, name := range names {
+		in := rejected(rejectCases[name])
+		f.Add(in.Seq, in.PC, in.EffAddr, in.Target, uint8(in.Class), in.NumSrcs,
+			uint8(in.Src[0].Kind), in.Src[0].Idx, uint8(in.Src[1].Kind), in.Src[1].Idx,
+			uint8(in.Dest.Kind), in.Dest.Idx, in.HasDest, in.Taken)
+	}
 	f.Fuzz(func(t *testing.T, seq, pc, eff, target uint64, class, nsrc, s0k, s0i, s1k, s1i, dk, di uint8, hasDest, taken bool) {
 		in := fuzzInst(seq, pc, eff, target, class, nsrc, s0k, s0i, s1k, s1i, dk, di, hasDest, taken)
+
+		// Append and the oracle agree on a fresh store (the record opens
+		// a segment) and after rejectLead (it is encoded in place).
+		for _, lead := range [][]isa.Inst{nil, {rejectLead}} {
+			var p, q Packed
+			for i := range lead {
+				if p.Append(&lead[i]) != nil || oracleAppend(&q, &lead[i]) != nil {
+					t.Fatal("lead record refused")
+				}
+			}
+			perr, qerr := p.Append(&in), oracleAppend(&q, &in)
+			if (perr == nil) != (qerr == nil) {
+				t.Fatalf("after %d lead records, %+v: Append says %v, the oracle %v", len(lead), in, perr, qerr)
+			}
+			if diff := samePacked(&p, &q); diff != "" {
+				t.Fatalf("after %d lead records, %+v: %s", len(lead), in, diff)
+			}
+		}
 
 		rec := MakeRec(&in)
 		back := rec.Inst(in.Seq)
