@@ -22,7 +22,8 @@
 //
 // The worker runs until SIGINT/SIGTERM, finishing and returning its
 // in-flight batch before exiting; anything it holds beyond that is
-// recovered by the coordinator's lease timeout.
+// recovered by the coordinator's lease timeout. It also exits when the
+// coordinator answers that it has stopped for good (410 Gone).
 package main
 
 import (

@@ -178,26 +178,12 @@ func Explore(opts Options) (*Report, error) {
 			continue
 		}
 		holds.cover(&opts.Space, fresh)
-		outs := evaluateBatch(&opts.Space, ev, fresh)
-		for i, o := range outs {
-			rep.SimsRun += o.stats.Sims
-			rep.CacheHits += o.stats.CacheHits
-			if exact != nil {
-				rep.SampledSims += o.stats.Sims
-			}
-			switch {
-			case o.invalid:
-				rep.Skipped++
-			case o.err != nil:
-				rep.Failed++
-			default:
-				p := Point{Candidate: fresh[i], Config: o.config, Objectives: o.obj}
-				st.Evaluated[fresh[i].Key()] = p
-				st.Frontier.Add(p)
-				rep.Evaluated++
-				rep.Points = append(rep.Points, p)
-			}
-		}
+		rep.tally(fresh, evaluateBatch(&opts.Space, ev, fresh), exact != nil, func(_ int, p Point) {
+			st.Evaluated[p.Candidate.Key()] = p
+			st.Frontier.Add(p)
+			rep.Evaluated++
+			rep.Points = append(rep.Points, p)
+		})
 		st.Round++
 		rep.Rounds = st.Round
 		if opts.Observer != nil {
@@ -328,23 +314,35 @@ func confirmFrontierExact(space *Space, exact Evaluator, rep *Report, holds *tra
 		cands[i] = p.Candidate
 	}
 	holds.narrow(space, cands)
-	outs := evaluateBatch(space, exact, cands)
 	frontier := &Frontier{}
+	rep.tally(cands, evaluateBatch(space, exact, cands), false, func(_ int, p Point) {
+		rep.ExactConfirms++
+		frontier.Add(p)
+	})
+	if rep.ExactConfirms > 0 {
+		rep.Frontier = frontier.Points()
+	}
+}
+
+// tally adds one evaluated tier to the report: every candidate's program
+// runs (sampled marks a tier run at sampled fidelity), the invalid ones
+// as Skipped, the failed ones as Failed, and each scored one, in order,
+// handed to scored with its index in cands.
+func (rep *Report) tally(cands []Candidate, outs []outcome, sampled bool, scored func(i int, p Point)) {
 	for i, o := range outs {
 		rep.SimsRun += o.stats.Sims
 		rep.CacheHits += o.stats.CacheHits
+		if sampled {
+			rep.SampledSims += o.stats.Sims
+		}
 		switch {
 		case o.invalid:
-			// Cannot happen for an already-evaluated candidate; skip.
+			rep.Skipped++
 		case o.err != nil:
 			rep.Failed++
 		default:
-			rep.ExactConfirms++
-			frontier.Add(Point{Candidate: cands[i], Config: o.config, Objectives: o.obj})
+			scored(i, Point{Candidate: cands[i], Config: o.config, Objectives: o.obj})
 		}
-	}
-	if rep.ExactConfirms > 0 {
-		rep.Frontier = frontier.Points()
 	}
 }
 

@@ -255,31 +255,17 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget int) (*Report, error)
 		batch[i] = s.cand
 	}
 	frontier := &Frontier{}
-	outs := evaluateBatch(space, ev, batch)
 	var mapeSum float64
 	var mapeN int
-	for i, o := range outs {
-		rep.SimsRun += o.stats.Sims
-		rep.CacheHits += o.stats.CacheHits
-		if exact != nil {
-			rep.SampledSims += o.stats.Sims
+	rep.tally(batch, evaluateBatch(space, ev, batch), exact != nil, func(i int, p Point) {
+		frontier.Add(p)
+		rep.Evaluated++
+		rep.Points = append(rep.Points, p)
+		if ipc := p.Objectives.IPC; ipc > 0 {
+			mapeSum += math.Abs(verify[i].predIPC-ipc) / ipc
+			mapeN++
 		}
-		switch {
-		case o.invalid:
-			rep.Skipped++
-		case o.err != nil:
-			rep.Failed++
-		default:
-			p := Point{Candidate: batch[i], Config: o.config, Objectives: o.obj}
-			frontier.Add(p)
-			rep.Evaluated++
-			rep.Points = append(rep.Points, p)
-			if o.obj.IPC > 0 {
-				mapeSum += math.Abs(verify[i].predIPC-o.obj.IPC) / o.obj.IPC
-				mapeN++
-			}
-		}
-	}
+	})
 	rep.TwinVerified = rep.Evaluated
 	if mapeN > 0 {
 		rep.TwinMAPE = mapeSum / float64(mapeN) * 100

@@ -87,12 +87,12 @@ var ErrUnknownWorker = errors.New("fleet: unknown worker")
 // ErrPoolFull refuses a job the pending pool has no room for.
 var ErrPoolFull = errors.New("fleet: pending pool full")
 
-// errClosed refuses work after Stop; errOwned refuses a key the pool
-// already holds, pending or leased.
-var (
-	errClosed = errors.New("fleet: coordinator stopped")
-	errOwned  = errors.New("fleet: job already pending or leased")
-)
+// ErrStopped refuses work after Stop: a worker told so has nothing left to
+// lease from this coordinator.
+var ErrStopped = errors.New("fleet: coordinator stopped")
+
+// errOwned refuses a key the pool already holds, pending or leased.
+var errOwned = errors.New("fleet: job already pending or leased")
 
 // job is one distributable run while the coordinator owns it.
 type job struct {
@@ -119,13 +119,17 @@ type workerState struct {
 	lastSeen time.Time
 	// leased holds the keys this worker currently leases.
 	leased map[string]bool
+	// local marks one of the daemon's own workers: it cannot be lost
+	// without the pool dying with it, so it and its leases never expire.
+	local bool
 }
 
 // Coordinator owns the distributable-work pool: pending jobs, outstanding
 // leases, and the worker registry. It is the daemon's only run queue,
-// with or without a fleet: local workers block on Next (the oldest job)
-// while remote workers pull batches via Lease (whole workload groups), so
-// whoever is free first wins the next job.
+// with or without a fleet, and Lease is its only way out: the daemon's
+// local workers lease one job at a time (the oldest) and wait in Lease
+// while nothing is pending, remote workers lease batches (whole workload
+// groups), so whoever is free first wins the next job.
 type Coordinator struct {
 	opts CoordinatorOptions
 	// bound caps what Enqueue and TryEnqueue let wait in pending; 0 or
@@ -133,7 +137,7 @@ type Coordinator struct {
 	bound int
 
 	mu   sync.Mutex
-	cond *sync.Cond // signaled when pending grows or the pool closes
+	cond *sync.Cond // signaled when pending grows or the pool closes; local leases wait on it
 	room *sync.Cond // signaled when pending shrinks or the pool closes
 	// pending is the pool in arrival order, requeued jobs at the back;
 	// groups indexes the same jobs by workload, each group in arrival
@@ -218,13 +222,16 @@ func (c *Coordinator) sweep() {
 func (c *Coordinator) expireLocked() {
 	now := c.opts.now()
 	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.opts.WorkerExpiry {
+		if !w.local && now.Sub(w.lastSeen) > c.opts.WorkerExpiry {
 			c.dropWorkerLocked(id)
 		}
 	}
 	// Every lease is in its worker's set (a dropped worker's were requeued
 	// above), so expiry costs what is leased, not what is pending.
 	for _, w := range c.workers {
+		if w.local {
+			continue
+		}
 		for key := range w.leased {
 			if jb, ok := c.byKey[key]; ok && jb.worker == w.id && now.After(jb.expires) {
 				c.requeueLocked(jb)
@@ -329,7 +336,7 @@ func (c *Coordinator) enqueue(j results.Job, wait bool) error {
 	defer c.mu.Unlock()
 	for {
 		if c.closed {
-			return errClosed
+			return ErrStopped
 		}
 		if _, ok := c.byKey[j.Key]; ok {
 			return errOwned
@@ -351,25 +358,6 @@ func (c *Coordinator) enqueue(j results.Job, wait bool) error {
 	return nil
 }
 
-// Next blocks until a pending job is available and claims the oldest one
-// for local execution (no lease: an in-process worker cannot be lost
-// without the whole pool dying with it). It returns ok=false once the
-// coordinator is stopped and the pending pool is drained.
-func (c *Coordinator) Next() (results.Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.pending.Len() == 0 {
-		if c.closed {
-			return results.Job{}, false
-		}
-		c.cond.Wait()
-	}
-	jb := c.pending.Front().Value.(*job)
-	c.takeLocked(jb)
-	delete(c.byKey, jb.j.Key)
-	return jb.j, true
-}
-
 // workloadKey identifies jobs that replay the same materialized traces:
 // same canonical workload spec (which encodes per-stream budgets and
 // seeds) and same request-level budgets. The pool indexes pending jobs by
@@ -381,7 +369,7 @@ func workloadKey(j results.Job) string {
 // WorkloadMajor reorders jobs so that those sharing a workload are
 // adjacent: workloads in order of first appearance, each one's jobs in
 // their given order. Feeders enqueue in this order, so the local workers,
-// which take the oldest job, run one workload's jobs back to back, and a
+// which lease the oldest job, run one workload's jobs back to back, and a
 // list longer than the pool still reaches it one workload at a time.
 func WorkloadMajor(jobs []results.Job) []results.Job {
 	index := make(map[string]int)
@@ -404,14 +392,17 @@ func WorkloadMajor(jobs []results.Job) []results.Job {
 }
 
 // Register adds a worker and assigns its id. Capacity below 1 is clamped.
-func (c *Coordinator) Register(name string, capacity int) (RegisterResponse, error) {
+// local registers one of the daemon's own in-process workers: see Lease,
+// and Stats and Workers, which describe the remote fleet only. Only a
+// local worker may register after Stop, to drain what is pending.
+func (c *Coordinator) Register(name string, capacity int, local bool) (RegisterResponse, error) {
 	if capacity < 1 {
 		capacity = 1
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return RegisterResponse{}, errClosed
+	if c.closed && !local {
+		return RegisterResponse{}, ErrStopped
 	}
 	c.nextID++
 	id := fmt.Sprintf("worker-%s-%04d", c.epoch, c.nextID)
@@ -419,6 +410,7 @@ func (c *Coordinator) Register(name string, capacity int) (RegisterResponse, err
 		id: id, name: name, capacity: capacity,
 		lastSeen: c.opts.now(),
 		leased:   make(map[string]bool),
+		local:    local,
 	}
 	return RegisterResponse{
 		WorkerID:        id,
@@ -445,40 +437,53 @@ func (c *Coordinator) Heartbeat(workerID string) error {
 	return nil
 }
 
-// Lease grants up to max pending jobs to the worker under the TTL. The
-// grant is additionally capped so a worker never holds more than twice
-// its capacity — one batch executing, one batch queued behind it.
+// Lease grants up to max pending jobs to the worker under the TTL. A
+// remote worker runs a lease as one batch and may hold twice its
+// capacity: a batch can replay one generated trace for more runs than the
+// worker runs at once, while one worker cannot keep more from the others.
+// A local worker holds its capacity; on an empty pool its Lease waits for
+// a job or Stop, and after Stop it drains what is pending before
+// ErrStopped.
 func (c *Coordinator) Lease(workerID string, max int) ([]results.Job, error) {
-	jobs, err := c.leaseAndSweep(workerID, max)
-	// The expiry sweep inside may have parked jobs; their callbacks must
-	// fire outside the lock.
-	c.firePoisonCallbacks()
-	return jobs, err
-}
-
-// leaseAndSweep takes c.mu itself (unlike the *Locked helpers): it runs
-// the expiry sweep and the grant in one critical section.
-func (c *Coordinator) leaseAndSweep(workerID string, max int) ([]results.Job, error) {
+	// The expiry sweep may park jobs; their callbacks fire after the
+	// deferred unlock, outside the lock.
+	defer c.firePoisonCallbacks()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errClosed
+	for {
+		// Sweep before resolving the caller: a worker silent past its
+		// expiry must be dropped here and told to re-register, never handed
+		// leases under an id the registry no longer holds. A stopped pool
+		// sweeps nothing.
+		if !c.closed {
+			c.expireLocked()
+		}
+		w, ok := c.workers[workerID]
+		switch {
+		case c.closed && (!ok || !w.local || c.pending.Len() == 0):
+			return nil, ErrStopped
+		case !ok:
+			return nil, ErrUnknownWorker
+		case w.local && c.pending.Len() == 0:
+			c.cond.Wait()
+		default:
+			return c.leaseLocked(w, max), nil
+		}
 	}
-	// Sweep before resolving the caller: a worker silent past its expiry
-	// must be dropped here and told to re-register, never handed leases
-	// under an id the registry no longer holds. Poison callbacks fire on
-	// the sweeper's next tick (firePoisonCallbacks must run unlocked).
-	c.expireLocked()
-	w, ok := c.workers[workerID]
-	if !ok {
-		return nil, ErrUnknownWorker
-	}
+}
+
+// leaseLocked grants w up to max pending jobs. Callers must hold c.mu.
+func (c *Coordinator) leaseLocked(w *workerState, max int) []results.Job {
 	now := c.opts.now()
 	w.lastSeen = now
 	if max <= 0 || max > c.opts.MaxLeaseBatch {
 		max = c.opts.MaxLeaseBatch
 	}
-	if room := 2*w.capacity - len(w.leased); max > room {
+	room := 2 * w.capacity
+	if w.local {
+		room = w.capacity
+	}
+	if room -= len(w.leased); max > room {
 		max = room
 	}
 	// Grants are grouped by workload: the oldest pending job and its whole
@@ -497,7 +502,7 @@ func (c *Coordinator) leaseAndSweep(workerID string, max int) ([]results.Job, er
 			out = append(out, jb.j)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // grantLocked marks one job leased by w. Callers must hold c.mu.
@@ -516,9 +521,11 @@ func (c *Coordinator) grantLocked(jb *job, w *workerState, now time.Time) {
 func (c *Coordinator) Complete(workerID, key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	remote := true
 	if w, ok := c.workers[workerID]; ok {
 		w.lastSeen = c.opts.now()
 		delete(w.leased, key)
+		remote = !w.local
 	}
 	jb, ok := c.byKey[key]
 	if !ok {
@@ -531,14 +538,17 @@ func (c *Coordinator) Complete(workerID, key string) bool {
 		c.takeLocked(jb)
 	}
 	delete(c.byKey, key)
-	c.remoteCompleted.Add(1)
+	if remote {
+		c.remoteCompleted.Add(1)
+	}
 	return true
 }
 
-// Stop refuses new work — a blocked Enqueue included — and wakes local
-// poppers, which drain the pending pool and then exit. Outstanding remote
-// leases are abandoned — the daemon is shutting down, and the runs they
-// name die with its registry.
+// Stop refuses new work — a blocked Enqueue included — and wakes the
+// local workers' waiting leases: they drain the pending pool, then get
+// ErrStopped like everyone else. Outstanding remote leases are abandoned
+// — the daemon is shutting down, and the runs they name die with its
+// registry.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	if c.closed {
@@ -554,14 +564,16 @@ func (c *Coordinator) Stop() {
 }
 
 // Stats is a point-in-time view of the pool, surfaced as /metrics gauges.
+// Apart from Pending, which every worker draws from, it describes the
+// remote fleet: the daemon's local workers are not counted.
 type Stats struct {
-	// Workers is the number of registered (live) workers.
+	// Workers is the number of registered (live) remote workers.
 	Workers int `json:"workers"`
-	// Capacity is the fleet's summed concurrent-simulation capacity.
+	// Capacity is the remote workers' summed concurrent-simulation capacity.
 	Capacity int `json:"capacity"`
 	// Pending counts jobs waiting for any worker.
 	Pending int `json:"pending"`
-	// Leased counts jobs currently out under lease.
+	// Leased counts jobs currently out under a remote lease.
 	Leased int `json:"leased"`
 	// Requeues counts leases that expired (or died with their worker) and
 	// went back to pending.
@@ -579,7 +591,6 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Workers:         len(c.workers),
 		Pending:         c.pending.Len(),
 		Leased:          len(c.byKey) - c.pending.Len(),
 		Requeues:        c.requeues.Load(),
@@ -588,7 +599,12 @@ func (c *Coordinator) Stats() Stats {
 		PoisonedParked:  len(c.poisoned),
 	}
 	for _, w := range c.workers {
-		st.Capacity += w.capacity
+		if w.local {
+			st.Leased -= len(w.leased)
+		} else {
+			st.Workers++
+			st.Capacity += w.capacity
+		}
 	}
 	return st
 }
@@ -621,13 +637,16 @@ type WorkerInfo struct {
 	LastSeenMsAgo int64  `json:"last_seen_ms_ago"`
 }
 
-// Workers lists registered workers in registration order.
+// Workers lists registered remote workers in registration order.
 func (c *Coordinator) Workers() []WorkerInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.now()
 	out := make([]WorkerInfo, 0, len(c.workers))
 	for _, w := range c.workers {
+		if w.local {
+			continue
+		}
 		out = append(out, WorkerInfo{
 			ID: w.id, Name: w.name, Capacity: w.capacity,
 			Leases:        len(w.leased),

@@ -75,7 +75,7 @@ func testJob(t *testing.T, i int) results.Job {
 
 func TestLeaseCompleteLifecycle(t *testing.T) {
 	c, _ := newTestCoordinator(t, time.Minute)
-	reg, err := c.Register("w1", 2)
+	reg, err := c.Register("w1", 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 
 func TestExpiredLeaseRequeues(t *testing.T) {
 	c, clk := newTestCoordinator(t, time.Minute)
-	reg, _ := c.Register("dying", 4)
+	reg, _ := c.Register("dying", 4, false)
 	j := testJob(t, 0)
 	enqueue(c, j)
 	got, err := c.Lease(reg.WorkerID, 1)
@@ -134,7 +134,7 @@ func TestExpiredLeaseRequeues(t *testing.T) {
 	}
 
 	// Within the TTL nothing moves: a second worker sees no work.
-	reg2, _ := c.Register("healthy", 4)
+	reg2, _ := c.Register("healthy", 4, false)
 	if got2, _ := c.Lease(reg2.WorkerID, 1); len(got2) != 0 {
 		t.Fatal("job double-leased before expiry")
 	}
@@ -171,7 +171,7 @@ func TestExpiredLeaseRequeues(t *testing.T) {
 
 func TestDeadWorkerIsPrunedAndDrained(t *testing.T) {
 	c, clk := newTestCoordinator(t, time.Minute) // worker expiry 2×TTL
-	reg, _ := c.Register("ghost", 2)
+	reg, _ := c.Register("ghost", 2, false)
 	j := testJob(t, 0)
 	enqueue(c, j)
 	if got, _ := c.Lease(reg.WorkerID, 1); len(got) != 1 {
@@ -179,7 +179,7 @@ func TestDeadWorkerIsPrunedAndDrained(t *testing.T) {
 	}
 	clk.advance(3 * time.Minute)
 	// Any lease call sweeps: the ghost is dropped, its lease requeued.
-	reg2, _ := c.Register("live", 2)
+	reg2, _ := c.Register("live", 2, false)
 	got, err := c.Lease(reg2.WorkerID, 1)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("requeued job not leasable: %v, %d", err, len(got))
@@ -192,46 +192,82 @@ func TestDeadWorkerIsPrunedAndDrained(t *testing.T) {
 	}
 }
 
-func TestNextDrainsThenStops(t *testing.T) {
+// TestLeaseDrainsThenStops: a local worker's lease waits on an empty pool
+// until a job arrives, takes one job at a time, and after Stop drains
+// what is pending before it is told the coordinator stopped; a remote
+// worker is told at once. Local workers stay out of Stats and Workers.
+func TestLeaseDrainsThenStops(t *testing.T) {
 	c, _ := newTestCoordinator(t, time.Minute)
+	local, err := c.Register("local-1", 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := c.Register("remote", 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ws := c.Stats(), c.Workers(); st.Workers != 1 || st.Capacity != 2 || len(ws) != 1 || ws[0].ID != remote.WorkerID {
+		t.Errorf("the local worker is counted: %+v, %+v", st, ws)
+	}
+
+	waited := make(chan []results.Job)
+	go func() {
+		got, _ := c.Lease(local.WorkerID, 4)
+		waited <- got
+	}()
+	select {
+	case got := <-waited:
+		t.Fatalf("a local lease on an empty pool returned %d jobs without waiting", len(got))
+	case <-time.After(20 * time.Millisecond):
+	}
+	first := testJob(t, 0)
+	enqueue(c, first)
+	if got := <-waited; len(got) != 1 || got[0].Key != first.Key {
+		t.Fatalf("the waiting lease got %d jobs, want the one enqueued", len(got))
+	}
+	if !c.Complete(local.WorkerID, first.Key) {
+		t.Fatal("local completion refused")
+	}
+	if st := c.Stats(); st.RemoteCompleted != 0 || st.Leased != 0 {
+		t.Errorf("a local completion counted as remote: %+v", st)
+	}
+
 	keys := make(map[string]bool)
-	for i := 0; i < 3; i++ {
+	for i := 1; i <= 3; i++ {
 		j := testJob(t, i)
 		keys[j.Key] = true
 		enqueue(c, j)
 	}
-	done := make(chan []string)
-	go func() {
-		var got []string
-		for {
-			j, ok := c.Next()
-			if !ok {
-				done <- got
-				return
-			}
-			got = append(got, j.Key)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
 	c.Stop()
-	select {
-	case got := <-done:
-		if len(got) != 3 {
-			t.Fatalf("local pop drained %d jobs, want 3", len(got))
+	if _, err := c.Lease(remote.WorkerID, 4); !errors.Is(err, ErrStopped) {
+		t.Errorf("remote lease after Stop: %v, want ErrStopped", err)
+	}
+	for len(keys) > 0 {
+		got, err := c.Lease(local.WorkerID, 4)
+		if err != nil || len(got) != 1 {
+			t.Fatalf("draining lease: %d jobs, %v; want one job", len(got), err)
 		}
-		for _, k := range got {
-			if !keys[k] {
-				t.Errorf("popped unknown key %s", k)
-			}
+		if !keys[got[0].Key] {
+			t.Errorf("leased unknown key %s", got[0].Key)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next did not return after Stop")
+		delete(keys, got[0].Key)
+		c.Complete(local.WorkerID, got[0].Key)
+	}
+	if _, err := c.Lease(local.WorkerID, 4); !errors.Is(err, ErrStopped) {
+		t.Errorf("lease on the drained pool: %v, want ErrStopped", err)
 	}
 	if enqueue(c, testJob(t, 9)) {
 		t.Error("Enqueue accepted after Stop")
 	}
-	if _, err := c.Register("late", 1); err == nil {
-		t.Error("Register accepted after Stop")
+	if _, err := c.Register("late", 1, false); !errors.Is(err, ErrStopped) {
+		t.Errorf("Register after Stop: %v, want ErrStopped", err)
+	}
+	late, err := c.Register("local-2", 1, true)
+	if err != nil {
+		t.Fatalf("a local worker registering after Stop: %v", err)
+	}
+	if _, err := c.Lease(late.WorkerID, 1); !errors.Is(err, ErrStopped) {
+		t.Errorf("late local lease on the drained pool: %v, want ErrStopped", err)
 	}
 }
 
@@ -239,7 +275,7 @@ func TestWorkersStatusView(t *testing.T) {
 	c, clk := newTestCoordinator(t, time.Minute)
 	var ids [3]string
 	for i := range ids {
-		reg, err := c.Register(fmt.Sprintf("w%d", i), i+1)
+		reg, err := c.Register(fmt.Sprintf("w%d", i), i+1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +325,7 @@ func TestPoisonedJobParksAfterAttemptCap(t *testing.T) {
 	if !enqueue(c, jb) {
 		t.Fatal("enqueue refused")
 	}
-	reg, err := c.Register("crashy", 1)
+	reg, err := c.Register("crashy", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +406,7 @@ func testJobFor(t *testing.T, program string, clusters, iw int) results.Job {
 // trace, fetched once.
 func TestLeaseGroupsByWorkload(t *testing.T) {
 	c, _ := newTestCoordinator(t, time.Minute)
-	reg, err := c.Register("w1", 4)
+	reg, err := c.Register("w1", 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,14 +458,14 @@ func TestLeaseGroupsByWorkload(t *testing.T) {
 // whoever registered first after the restart.
 func TestWorkerIDsUniqueAcrossCoordinators(t *testing.T) {
 	old, _ := newTestCoordinator(t, time.Minute)
-	stale, err := old.Register("survivor", 1)
+	stale, err := old.Register("survivor", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	old.Stop()
 
 	restarted, _ := newTestCoordinator(t, time.Minute)
-	fresh, err := restarted.Register("newcomer", 1)
+	fresh, err := restarted.Register("newcomer", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +483,7 @@ func TestWorkerIDsUniqueAcrossCoordinators(t *testing.T) {
 		t.Errorf("registry after stale calls: %+v, want only %s", ws, fresh.WorkerID)
 	}
 	// The survivor's recovery: re-register, get an id of its own.
-	again, err := restarted.Register("survivor", 1)
+	again, err := restarted.Register("survivor", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,10 +513,10 @@ func poolJob(t testing.TB, program string, insts uint64, n int) results.Job {
 
 // TestStarvationBound: a single run enqueued behind a large group of
 // another workload, which keeps arriving after it, starts before every
-// later arrival on a local worker (Next takes the oldest job) and is
-// overtaken by fewer than one lease's worth of them on a remote one (a
-// lease fills up with the oldest job's group, but always starts from the
-// oldest job).
+// later arrival on a local worker (its lease of one takes the oldest job)
+// and is overtaken by fewer than one lease's worth of them on a remote
+// one (a lease fills up with the oldest job's group, but always starts
+// from the oldest job).
 func TestStarvationBound(t *testing.T) {
 	const before, after, batch = 10, 100, 8
 	fill := func(c *Coordinator) (lone results.Job, later map[string]bool) {
@@ -502,23 +538,28 @@ func TestStarvationBound(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		c, _ := newTestCoordinator(t, time.Minute)
 		lone, later := fill(c)
+		reg, err := c.Register("local-1", 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for {
-			j, ok := c.Next()
-			if !ok {
-				t.Fatal("the lone run never started")
+			got, err := c.Lease(reg.WorkerID, 1)
+			if err != nil || len(got) != 1 {
+				t.Fatalf("local lease: %d jobs, %v", len(got), err)
 			}
-			if j.Key == lone.Key {
+			if got[0].Key == lone.Key {
 				return
 			}
-			if later[j.Key] {
+			if later[got[0].Key] {
 				t.Fatal("a later arrival started before the lone run")
 			}
+			c.Complete(reg.WorkerID, got[0].Key)
 		}
 	})
 	t.Run("lease", func(t *testing.T) {
 		c, _ := newTestCoordinator(t, time.Minute)
 		lone, later := fill(c)
-		reg, err := c.Register("w", batch)
+		reg, err := c.Register("w", batch, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,7 +591,7 @@ func TestStarvationBound(t *testing.T) {
 func TestLeaseCostIndependentOfPoolSize(t *testing.T) {
 	perLease := func(pending int) float64 {
 		c, _ := newTestCoordinator(t, time.Minute)
-		reg, err := c.Register("w", 4)
+		reg, err := c.Register("w", 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,8 +638,12 @@ func TestEnqueueIsBounded(t *testing.T) {
 		t.Fatalf("a waiting enqueue returned on a full pool: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, ok := c.Next(); !ok {
-		t.Fatal("pool ran dry")
+	reg, err := c.Register("w", 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Lease(reg.WorkerID, 1); err != nil || len(got) != 1 {
+		t.Fatalf("lease: %d jobs, %v", len(got), err)
 	}
 	if err := <-waited; err != nil {
 		t.Fatalf("enqueue after room was made: %v", err)
@@ -612,12 +657,13 @@ func TestEnqueueIsBounded(t *testing.T) {
 }
 
 // TestPoolUnderContention drives the bounded pool from every side at once
-// — waiting feeders, local workers, a leasing remote worker — and requires
-// every job to come out exactly once (run it with -race).
+// — waiting feeders, local workers waiting in their leases, a leasing
+// remote worker — and requires every job to come out exactly once (run it
+// with -race).
 func TestPoolUnderContention(t *testing.T) {
 	const feeders, perFeeder, bound = 4, 60, 8
 	c, _ := newBoundedCoordinator(t, time.Minute, bound)
-	reg, err := c.Register("remote", 2)
+	reg, err := c.Register("remote", 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,15 +694,23 @@ func TestPoolUnderContention(t *testing.T) {
 		}()
 	}
 	for w := 0; w < 3; w++ {
+		local, err := c.Register(fmt.Sprintf("local-%d", w), 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		consumers.Add(1)
 		go func() {
 			defer consumers.Done()
 			for {
-				j, ok := c.Next()
-				if !ok {
-					return
+				got, err := c.Lease(local.WorkerID, 1)
+				if err != nil {
+					return // stopped and drained
 				}
-				took(j.Key)
+				for _, j := range got {
+					if c.Complete(local.WorkerID, j.Key) {
+						took(j.Key)
+					}
+				}
 			}
 		}()
 	}

@@ -16,7 +16,7 @@
 //
 // Leases are the failure-recovery mechanism: a worker that stops
 // heartbeating lets its leases expire, and the coordinator requeues them
-// for any other worker (or the daemon's own local pool). Every payload is
+// for any other worker (the daemon's own local workers included). Every payload is
 // content-addressed — a job carries its key and a completion is matched
 // to its lease by key — so retries, duplicate completions, and re-runs
 // after requeue are all idempotent: the same key always denotes the same

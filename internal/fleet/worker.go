@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -35,7 +36,9 @@ type WorkerOptions struct {
 	Store results.Store
 	// PollInterval is the idle wait after an empty lease. Default: 500ms.
 	PollInterval time.Duration
-	// Client overrides the HTTP client (tests shrink its timeout).
+	// Client overrides the HTTP client: tests shrink its timeout, and the
+	// daemon's local workers reach their coordinator through a transport
+	// that serves each call in process.
 	Client *http.Client
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, v ...any)
@@ -59,19 +62,18 @@ type WorkerStats struct {
 }
 
 // Worker pulls leased jobs from a coordinator, executes them through
-// harness.Execute (sharing the process-wide trace cache and machine
-// pool), and returns the results. Run drives the loop until its context
-// is canceled; a worker that loses its registration (coordinator
-// restart) transparently re-registers.
+// results.Run (sharing the process-wide trace cache and machine pool),
+// and returns the results. Run drives the loop until its context is
+// canceled or the coordinator stops; a worker that loses its registration
+// (coordinator restart) transparently re-registers.
 type Worker struct {
 	opts WorkerOptions
 
 	// mu guards the registration fields, which the lease loop rewrites on
 	// re-registration while the heartbeat goroutine reads them.
-	mu  sync.Mutex
-	id  string
-	ttl time.Duration
-	hb  time.Duration
+	mu sync.Mutex
+	id string
+	hb time.Duration
 
 	leased    atomic.Uint64
 	executed  atomic.Uint64
@@ -110,23 +112,25 @@ func (w *Worker) Stats() WorkerStats {
 	}
 }
 
-// Run registers and serves until ctx is canceled. Transient coordinator
-// errors (connection refused while the coordinator is still starting or
-// mid-restart, 5xx) back off and retry; only ctx cancellation ends the
-// loop.
+// Run registers and serves until ctx is canceled or the coordinator
+// answers that it has stopped (ErrStopped: 410 over HTTP). Transient
+// coordinator errors (connection refused while the coordinator is still
+// starting or mid-restart, 5xx) back off and retry.
 func (w *Worker) Run(ctx context.Context) error {
 	if !w.registerWithRetry(ctx) {
 		return nil
 	}
 	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
 		w.heartbeatLoop(hbCtx)
 	}()
-	defer hbWG.Wait()
+	defer func() {
+		stopHB()
+		hbWG.Wait()
+	}()
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -134,6 +138,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		jobs, err := w.lease(ctx)
 		switch {
+		case err == ErrStopped:
+			return nil
 		case err == ErrUnknownWorker:
 			w.opts.Logf("fleet worker %s: registration lost, re-registering", w.workerID())
 			if !w.registerWithRetry(ctx) {
@@ -172,17 +178,17 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// registerWithRetry registers until it succeeds or ctx ends, reporting
-// false on cancellation. Any error — connection refused while the
-// coordinator is still starting, 5xx mid-restart — is retried: a worker
-// only ever exits on ctx cancellation.
+// registerWithRetry registers until it succeeds, ctx ends or the
+// coordinator stops, reporting false on the latter two. Any other error —
+// connection refused while the coordinator is still starting, 5xx
+// mid-restart — is retried.
 func (w *Worker) registerWithRetry(ctx context.Context) bool {
 	for {
 		err := w.register(ctx)
 		if err == nil {
 			return true
 		}
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || errors.Is(err, ErrStopped) {
 			return false
 		}
 		w.opts.Logf("fleet worker: %v (retrying)", err)
@@ -250,7 +256,6 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 	w.mu.Lock()
 	w.id = resp.WorkerID
-	w.ttl = time.Duration(resp.LeaseTTLMillis) * time.Millisecond
 	w.hb = hb
 	w.mu.Unlock()
 	w.opts.Logf("fleet worker %s: registered at %s (capacity %d, lease TTL %s, heartbeat %s)",
@@ -283,21 +288,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // lease pulls the next batch. The JobBatch is verified after decode: any
 // job whose key does not hash from its request is rejected.
 func (w *Worker) lease(ctx context.Context) ([]results.Job, error) {
-	body, err := json.Marshal(LeaseRequest{WorkerID: w.workerID(), Max: 2 * w.opts.Capacity})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.do(ctx, "/v1/fleet/lease", body)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
 	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		return nil, fmt.Errorf("fleet: decode lease: %w", err)
+	if err := w.post(ctx, "/v1/fleet/lease", LeaseRequest{WorkerID: w.workerID(), Max: 2 * w.opts.Capacity}, &lr); err != nil {
+		return nil, err
 	}
 	if err := lr.JobBatch.Verify(); err != nil {
 		return nil, err
@@ -307,23 +300,9 @@ func (w *Worker) lease(ctx context.Context) ([]results.Job, error) {
 
 // complete returns a batch of records.
 func (w *Worker) complete(ctx context.Context, batch []results.Result) error {
-	body, err := json.Marshal(CompleteRequest{
-		WorkerID:    w.workerID(),
-		ResultBatch: results.ResultBatch{Results: batch},
-	})
-	if err != nil {
-		return err
-	}
-	resp, err := w.do(ctx, "/v1/fleet/complete", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
 	var cr CompleteResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+	req := CompleteRequest{WorkerID: w.workerID(), ResultBatch: results.ResultBatch{Results: batch}}
+	if err := w.post(ctx, "/v1/fleet/complete", req, &cr); err != nil {
 		return err
 	}
 	w.completed.Add(uint64(cr.Accepted))
@@ -331,13 +310,22 @@ func (w *Worker) complete(ctx context.Context, batch []results.Result) error {
 	return nil
 }
 
-// post sends one JSON request and decodes the response into out.
+// post sends one JSON request to the coordinator and decodes the response
+// into out.
 func (w *Worker) post(ctx context.Context, path string, v, out any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	resp, err := w.do(ctx, path, body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coordinator+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if w.opts.Secret != "" {
+		req.Header.Set(SecretHeader, w.opts.Secret)
+	}
+	resp, err := w.opts.Client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -348,20 +336,10 @@ func (w *Worker) post(ctx context.Context, path string, v, out any) error {
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// do issues one POST against the coordinator.
-func (w *Worker) do(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("fleet: decode %s: %w", path, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if w.opts.Secret != "" {
-		req.Header.Set(SecretHeader, w.opts.Secret)
-	}
-	return w.opts.Client.Do(req)
+	return nil
 }
 
 // sleepCtx waits for d or the context, reporting false on cancellation.
@@ -377,13 +355,15 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // checkStatus maps an HTTP error response to a Go error; 404 means the
-// coordinator does not know this worker id.
+// coordinator does not know this worker id, 410 that it has stopped.
 func checkStatus(resp *http.Response) error {
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
+	switch resp.StatusCode {
+	case http.StatusOK, http.StatusAccepted:
 		return nil
-	}
-	if resp.StatusCode == http.StatusNotFound {
+	case http.StatusNotFound:
 		return ErrUnknownWorker
+	case http.StatusGone:
+		return ErrStopped
 	}
 	var e struct {
 		Error string `json:"error"`

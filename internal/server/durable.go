@@ -31,10 +31,6 @@ import (
 	"repro/internal/results"
 )
 
-// localWorkerLabel labels local-pool completions in the per-worker
-// latency histogram.
-const localWorkerLabel = "local"
-
 // isRunKey reports whether id is shaped like a run content key (64
 // lowercase hex digits). Garbage ids stay 404; only plausible keys get
 // store fallbacks and the lost state.
@@ -367,10 +363,12 @@ func (s *Server) Terminate() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// killed makes workers drain the pool without executing and mutes
-	// every journal hook, so the on-disk state freezes as of this
-	// instant — exactly what a real crash leaves behind.
+	// killed mutes every journal hook, so the on-disk state freezes as of
+	// this instant — exactly what a real crash leaves behind. The local
+	// workers stop with it: one mid-run finishes its simulation, but its
+	// completion never lands, and nothing pending is leased again.
 	s.killed.Store(true)
+	s.stopWorkers()
 	s.shutdown()
 }
 

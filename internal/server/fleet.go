@@ -1,24 +1,49 @@
 package server
 
-// Fleet coordinator mode: with Options.Fleet set, the pending pool the
-// local workers pop from is also served to registered remote workers (TTL
-// leases over POST /v1/fleet/lease), and the two compete for work —
-// whoever is free first wins the next job. Remote records return through
-// POST /v1/fleet/complete and land in the same content-addressed store and
-// run registry as local simulations, so sweeps, explorations, and dedup
-// are executor-blind: a fleet-backed daemon answers byte-identically to a
-// single-process one.
+// The worker protocol's coordinator side. The daemon's local workers are
+// fleet workers whose calls reach these handlers in process (see
+// localTransport); with Options.Fleet set the same handlers serve remote
+// workers too, and the two compete for work — whoever is free first wins
+// the next job. Every record returns through POST /v1/fleet/complete into
+// the one content-addressed store and run registry, so sweeps,
+// explorations, and dedup are executor-blind: a fleet-backed daemon
+// answers byte-identically to a single-process one.
 
 import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/results"
 )
+
+// mountFleet serves the worker protocol on mux, to the daemon's local
+// workers (local) or to remote ones.
+func (s *Server) mountFleet(mux *http.ServeMux, local bool) {
+	auth := s.fleetAuth
+	mux.HandleFunc("POST /v1/fleet/workers", auth(s.handleFleetRegister(local)))
+	mux.HandleFunc("POST /v1/fleet/lease", auth(s.handleFleetLease(local)))
+	mux.HandleFunc("POST /v1/fleet/complete", auth(s.handleFleetComplete))
+	mux.HandleFunc("POST /v1/fleet/heartbeat", auth(s.handleFleetHeartbeat))
+	mux.HandleFunc("GET /v1/fleet", auth(s.handleFleetStatus))
+}
+
+// localTransport carries a local worker's fleet calls: the handlers on
+// its mux serve each request in process, with no socket in between.
+type localTransport struct{ h http.Handler }
+
+func (t localTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if err := r.Context().Err(); err != nil {
+		return nil, err // a stopped worker's call never lands
+	}
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r.WithContext(r.Context())) // a copy: the mux records its match in it
+	return rec.Result(), nil
+}
 
 // fleetAuth guards one fleet handler with the shared-secret check: with
 // Options.FleetSecret set, a request whose fleet.SecretHeader does not
@@ -52,20 +77,16 @@ func (s *Server) poisonRun(j results.Job, attempts int) {
 		Err:     fmt.Sprintf("poisoned: %d lease attempts expired without a completion", attempts),
 	}
 	s.mu.Lock()
-	st, ok := s.runs[j.Key]
-	if ok && !st.status.terminal() {
+	if st, ok := s.runs[j.Key]; ok && !st.status.terminal() {
 		s.finishLocked(st, res, false)
-		s.mu.Unlock()
 		s.metrics.RunsFailed.Add(1)
-		s.journalPoison(j.Key)
-		return
 	}
 	s.mu.Unlock()
 	s.journalPoison(j.Key)
 }
 
-// completeRemote lands one remotely-executed record, like a local one
-// (settleExecuted). worker labels the completion-latency observation.
+// completeRemote lands one record a worker, local or remote, executed.
+// worker labels the completion-latency observation.
 func (s *Server) completeRemote(worker string, res results.Result) {
 	s.mu.Lock()
 	st, ok := s.runs[res.Key]
@@ -77,68 +98,76 @@ func (s *Server) completeRemote(worker string, res results.Result) {
 	s.mu.Unlock()
 	if !startedAt.IsZero() {
 		// Lease grant to completion, as the coordinator saw it: includes
-		// the wire round trips, which is the number an operator watching
-		// a fleet needs.
+		// the round trips, which is the number an operator watching a
+		// fleet needs.
 		s.workerLatency.observe(worker, time.Since(startedAt).Seconds())
 	}
 	s.settleExecuted(res)
 }
 
 // handleFleetRegister admits one worker into the fleet.
-func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
-	var rr fleet.RegisterRequest
-	if !decodeBody(w, r, &rr) {
-		return
+func (s *Server) handleFleetRegister(local bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var rr fleet.RegisterRequest
+		if !decodeBody(w, r, &rr) {
+			return
+		}
+		resp, err := s.fleet.Register(rr.Name, rr.Capacity, local)
+		if err != nil {
+			httpError(w, fleetStatus(err), err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp, err := s.fleet.Register(rr.Name, rr.Capacity)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleFleetLease grants a worker its next batch under the lease TTL.
-func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
-	var lr fleet.LeaseRequest
-	if !decodeBody(w, r, &lr) {
-		return
-	}
-	jobs, err := s.fleet.Lease(lr.WorkerID, lr.Max)
-	if err != nil {
-		httpError(w, fleetStatus(err), err)
-		return
-	}
-	// Verify the batch before it ships — the coordinator's half of the
-	// wire-integrity contract (the worker re-verifies on decode). A
-	// mismatch here is a server bug; the refused jobs requeue via lease
-	// expiry.
-	batch := results.JobBatch{Jobs: jobs}
-	if err := batch.Verify(); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	// Leased runs are in flight from the service's point of view.
-	now := time.Now()
-	var queueAges []float64
-	s.mu.Lock()
-	for _, j := range jobs {
-		if st, ok := s.runs[j.Key]; ok && !st.status.terminal() {
-			if st.status == statusQueued && !st.queuedAt.IsZero() {
-				queueAges = append(queueAges, now.Sub(st.queuedAt).Seconds())
-			}
-			st.status = statusRunning
-			st.startedAt = now
+func (s *Server) handleFleetLease(local bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var lr fleet.LeaseRequest
+		if !decodeBody(w, r, &lr) {
+			return
 		}
+		jobs, err := s.fleet.Lease(lr.WorkerID, lr.Max)
+		if err != nil {
+			httpError(w, fleetStatus(err), err)
+			return
+		}
+		// Verify the batch before it ships — the coordinator's half of the
+		// wire-integrity contract (the worker re-verifies on decode). A
+		// mismatch here is a server bug; the refused jobs requeue via lease
+		// expiry.
+		batch := results.JobBatch{Jobs: jobs}
+		if err := batch.Verify(); err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		// Leased runs are in flight from the service's point of view; the
+		// ones a local worker leased are the simulations the daemon starts.
+		if local {
+			s.metrics.RunsStarted.Add(uint64(len(jobs)))
+		}
+		now := time.Now()
+		var queueAges []float64
+		s.mu.Lock()
+		for _, j := range jobs {
+			if st, ok := s.runs[j.Key]; ok && !st.status.terminal() {
+				if st.status == statusQueued && !st.queuedAt.IsZero() {
+					queueAges = append(queueAges, now.Sub(st.queuedAt).Seconds())
+				}
+				st.status = statusRunning
+				st.startedAt = now
+			}
+		}
+		s.mu.Unlock()
+		for _, age := range queueAges {
+			s.histQueueAge.observe(age)
+		}
+		writeJSON(w, http.StatusOK, fleet.LeaseResponse{
+			JobBatch:       batch,
+			LeaseTTLMillis: s.fleet.LeaseTTL().Milliseconds(),
+		})
 	}
-	s.mu.Unlock()
-	for _, age := range queueAges {
-		s.histQueueAge.observe(age)
-	}
-	writeJSON(w, http.StatusOK, fleet.LeaseResponse{
-		JobBatch:       batch,
-		LeaseTTLMillis: s.fleet.LeaseTTL().Milliseconds(),
-	})
 }
 
 // handleFleetComplete accepts a batch of finished records. Each is
@@ -198,10 +227,13 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, _ *http.Request) {
 
 // fleetStatus maps coordinator errors onto HTTP statuses: an unknown
 // worker is 404 (the client's cue to re-register), a stopped coordinator
-// 503.
+// 410 (the worker's cue to return).
 func fleetStatus(err error) int {
-	if errors.Is(err, fleet.ErrUnknownWorker) {
+	switch {
+	case errors.Is(err, fleet.ErrUnknownWorker):
 		return http.StatusNotFound
+	case errors.Is(err, fleet.ErrStopped):
+		return http.StatusGone
 	}
 	return http.StatusServiceUnavailable
 }

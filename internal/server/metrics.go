@@ -21,8 +21,8 @@ type Metrics struct {
 	// RunsSubmitted counts run submissions accepted (direct or as sweep
 	// members), including ones deduplicated against in-flight work.
 	RunsSubmitted atomic.Uint64
-	// RunsStarted counts simulations actually begun by a worker (cache
-	// misses).
+	// RunsStarted counts simulations the daemon's own workers leased
+	// (cache misses); remote ones are Fleet.RemoteCompleted.
 	RunsStarted atomic.Uint64
 	// RunsCompleted counts simulations that finished successfully.
 	RunsCompleted atomic.Uint64
@@ -264,17 +264,20 @@ func (l *labeledHistograms) snapshot() ([]string, map[string]*histogram) {
 	return labels, out
 }
 
+// metricRow is one counter or gauge of the exposition.
+type metricRow struct {
+	name, help, kind string
+	val              uint64
+}
+
 // handleMetrics renders the counters in Prometheus text exposition
 // format.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.Metrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rows := []struct {
-		name, help, kind string
-		val              uint64
-	}{
+	rows := []metricRow{
 		{"ringsimd_runs_submitted_total", "Run submissions accepted.", "counter", snap.RunsSubmitted},
-		{"ringsimd_runs_started_total", "Simulations started (cache misses).", "counter", snap.RunsStarted},
+		{"ringsimd_runs_started_total", "Simulations the daemon's own workers started (cache misses).", "counter", snap.RunsStarted},
 		{"ringsimd_runs_completed_total", "Simulations finished successfully.", "counter", snap.RunsCompleted},
 		{"ringsimd_runs_failed_total", "Simulations that ended in error.", "counter", snap.RunsFailed},
 		{"ringsimd_cache_hits_total", "Submissions served from the result store.", "counter", snap.CacheHits},
@@ -308,10 +311,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// profiling pass too.
 	pc := harness.DefaultProfileCache.Stats()
 	rows = append(rows,
-		[]struct {
-			name, help, kind string
-			val              uint64
-		}{
+		[]metricRow{
 			{"ringsimd_profile_cache_entries", "Trace summary profiles resident in memory.", "gauge", uint64(pc.Entries)},
 			{"ringsimd_profile_cache_hits_total", "Profile requests served from memory.", "counter", pc.Hits},
 			{"ringsimd_profile_cache_disk_hits_total", "Profile requests served from the disk layer.", "counter", pc.DiskHits},
@@ -324,10 +324,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// first-class cost worth watching.
 	tc := harness.DefaultTraceCache.Stats()
 	rows = append(rows,
-		[]struct {
-			name, help, kind string
-			val              uint64
-		}{
+		[]metricRow{
 			{"ringsimd_trace_cache_entries", "Materialized workload streams resident in the trace cache.", "gauge", uint64(tc.Entries)},
 			{"ringsimd_trace_cache_held", "Workload streams some queued or running work holds, materialized or not.", "gauge", uint64(tc.Held)},
 			{"ringsimd_trace_cache_bytes", "Memory allocated for materialized traces: the packed stores' segments of encoded records, about 6 bytes an instruction.", "gauge", tc.Bytes},
@@ -338,15 +335,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"ringsimd_trace_cache_dropped_total", "Trace-cache entries freed when their last holder released them.", "counter", tc.Dropped},
 		}...)
 	// Shared workloads: how many runs of a grid call were fed to the
-	// workers next to another run replaying the same trace (fleet workers
-	// and the CLI grid; the daemon's own workers settle queued keys one by
-	// one).
+	// workers next to another run replaying the same trace (remote fleet
+	// workers and the CLI grid; the daemon's own workers lease one run at
+	// a time, which groups nothing).
 	bs := harness.BatchStatsSnapshot()
 	rows = append(rows,
-		[]struct {
-			name, help, kind string
-			val              uint64
-		}{
+		[]metricRow{
 			{"ringsimd_batch_groups_total", "Workloads named by 2+ runs of one grid call, fed to its workers back to back.", "counter", bs.Groups},
 			{"ringsimd_batch_runs_total", "Runs of such shared workloads.", "counter", bs.GroupedRuns},
 			{"ringsimd_batch_amortized_decodes_total", "Stream reads a shared workload's materialization can serve to its other runs.", "counter", bs.AmortizedDecodes},
@@ -355,10 +349,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// functional fast-forward instead of detailed timing.
 	ss := harness.SampledStatsSnapshot()
 	rows = append(rows,
-		[]struct {
-			name, help, kind string
-			val              uint64
-		}{
+		[]metricRow{
 			{"ringsimd_sampled_runs_total", "Simulations executed at sampled fidelity.", "counter", ss.Runs},
 			{"ringsimd_sampled_ff_insts_total", "Instructions retired by functional fast-forward in sampled runs.", "counter", ss.FFInsts},
 			{"ringsimd_sampled_detailed_insts_total", "Instructions retired by detailed windows in sampled runs.", "counter", ss.DetailedInsts},
@@ -384,7 +375,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	labels, hists := s.workerLatency.snapshot()
 	if len(labels) > 0 {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n",
-			"ringsimd_worker_complete_seconds", "Per-worker simulation completion latency (start or lease grant to completion).", "ringsimd_worker_complete_seconds")
+			"ringsimd_worker_complete_seconds", "Per-worker simulation completion latency (lease grant to completion).", "ringsimd_worker_complete_seconds")
 		for _, label := range labels {
 			hists[label].write(w, "ringsimd_worker_complete_seconds", fmt.Sprintf("worker=%q", label))
 		}

@@ -1,8 +1,9 @@
 // Package server turns the in-process simulation harness into a
 // simulation-as-a-service: a bounded pending pool (a fleet.Coordinator,
-// fleet or no fleet), filled one workload after the other, feeding a
-// worker pool of harness.Execute calls, fronted by a content-addressed
-// result store and a small HTTP API.
+// fleet or no fleet), filled one workload after the other, drained by
+// fleet workers — the daemon's own, in process, and remote ones when
+// asked for — fronted by a content-addressed result store and a small
+// HTTP API.
 //
 //	POST /v1/runs     submit one simulation        -> {id}
 //	GET  /v1/runs/{id}                             -> status + result
@@ -13,11 +14,12 @@
 //	GET  /healthz     liveness + queue depth
 //	GET  /metrics     Prometheus counters
 //
-// With Options.Fleet set the daemon additionally serves the pool to a
-// fleet of remote workers (POST /v1/fleet/workers|lease|complete|heartbeat,
-// GET /v1/fleet — see internal/fleet and fleet.go): every queued run, sweep
-// member, and exploration evaluation is then offered to local and remote
-// workers alike, whoever is free first.
+// The daemon's own workers speak the fleet protocol (POST
+// /v1/fleet/workers|lease|complete|heartbeat — see internal/fleet and
+// fleet.go) to handlers reached in process. With Options.Fleet set the
+// same handlers, plus GET /v1/fleet, serve remote workers too: every
+// queued run, sweep member, and exploration evaluation is then offered to
+// local and remote workers alike, whoever is free first.
 //
 // A run's id is the SHA-256 content hash of its canonical request
 // encoding (see internal/results), so identical submissions coalesce: an
@@ -36,6 +38,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,19 +60,21 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the local simulation worker-pool size. Default:
-	// GOMAXPROCS. With Fleet set, -1 runs no local workers at all — a
-	// dispatch-only coordinator whose simulations all happen remotely.
+	// Workers is how many local workers, in-process fleet workers of
+	// capacity 1, the daemon runs. Default: GOMAXPROCS. With Fleet set, -1
+	// runs no local workers at all — a dispatch-only coordinator whose
+	// simulations all happen remotely.
 	Workers int
 	// Fleet, when non-nil, enables coordinator mode: the daemon exposes
 	// the /v1/fleet worker protocol and shards all queued work across
-	// registered remote workers, with the local pool as fallback. A fleet
-	// with zero registered workers is a non-fleet server: the same pool,
-	// the same local workers, only the routes differ.
+	// registered remote workers and its local ones. A fleet with zero
+	// registered workers is a non-fleet server: the same pool, the same
+	// local workers, only the routes differ.
 	Fleet *fleet.CoordinatorOptions
 	// FleetSecret, when non-empty, requires every /v1/fleet/* call to
 	// carry the matching fleet.SecretHeader value; calls without it get
-	// 401. The worker protocol otherwise trusts the network.
+	// 401. The local workers carry it too. The worker protocol otherwise
+	// trusts the network.
 	FleetSecret string
 	// QueueDepth bounds the pending pool; direct run submissions beyond
 	// it are refused with 503 (sweep members block-feed instead).
@@ -187,16 +192,17 @@ type Server struct {
 	sweepOrder   []string // eviction order for sweeps
 	exploreOrder []string // eviction order for explorations
 
-	// killed marks a Terminate in progress: workers drain without
-	// executing and journal hooks go quiet, like a real crash.
+	// killed marks a Terminate in progress: journal hooks go quiet, like
+	// a real crash.
 	killed atomic.Bool
 
 	metrics       Metrics
 	histQueueAge  *histogram
 	workerLatency *labeledHistograms
-	wg            sync.WaitGroup // workers
-	feederWG      sync.WaitGroup // sweep and recovery feeders
-	exploreWG     sync.WaitGroup // exploration drivers
+	stopWorkers   context.CancelFunc // ends the local workers
+	wg            sync.WaitGroup     // local workers, and their simulations in flight
+	feederWG      sync.WaitGroup     // sweep and recovery feeders
+	exploreWG     sync.WaitGroup     // exploration drivers
 
 	// fleet owns the pending pool every run waits in, and the remote-worker
 	// registry when Options.Fleet asks for one.
@@ -255,20 +261,25 @@ func New(opts Options) (*Server, error) {
 	var fo fleet.CoordinatorOptions
 	if opts.Fleet != nil {
 		fo = *opts.Fleet
-		auth := s.fleetAuth
-		s.mux.HandleFunc("POST /v1/fleet/workers", auth(s.handleFleetRegister))
-		s.mux.HandleFunc("POST /v1/fleet/lease", auth(s.handleFleetLease))
-		s.mux.HandleFunc("POST /v1/fleet/complete", auth(s.handleFleetComplete))
-		s.mux.HandleFunc("POST /v1/fleet/heartbeat", auth(s.handleFleetHeartbeat))
-		s.mux.HandleFunc("GET /v1/fleet", auth(s.handleFleetStatus))
+		s.mountFleet(s.mux, false)
 	}
 	// Poisoned jobs must fail their registered runs, or the submitting
 	// clients would poll a parked key forever.
 	fo.OnPoison = s.poisonRun
 	s.fleet = fleet.NewCoordinator(fo, opts.QueueDepth)
-	for i := 0; i < opts.Workers; i++ {
+	local := http.NewServeMux()
+	s.mountFleet(local, true)
+	ctx, stop := context.WithCancel(context.Background())
+	s.stopWorkers = stop
+	for i := range opts.Workers {
+		// No client timeout: an idle worker's lease waits for work.
+		w := fleet.NewWorker(fleet.WorkerOptions{Coordinator: "http://ringsimd", Secret: opts.FleetSecret,
+			Name: fmt.Sprintf("local-%d", i+1), Capacity: 1, Client: &http.Client{Transport: localTransport{local}}})
 		s.wg.Add(1)
-		go s.localWorker()
+		go func() {
+			defer s.wg.Done()
+			_ = w.Run(ctx) // returns once ctx ends or the drained pool has stopped
+		}()
 	}
 	if opts.Journal != nil {
 		s.recoverFromJournal()
@@ -288,8 +299,8 @@ func (s *Server) Metrics() Snapshot {
 	return s.metrics.snapshot(s.opts.Workers, s.fleet.Stats(), js)
 }
 
-// Close stops accepting submissions, stops sweep feeders, drains the
-// pool, and waits for in-flight simulations to finish.
+// Close stops accepting submissions, stops sweep feeders, lets the local
+// workers drain the pool, and waits for in-flight simulations to finish.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -304,15 +315,17 @@ func (s *Server) Close() {
 // shutdown ends a server whose closed flag is up: closed gates new
 // submissions, sweeps and exploration registrations (all check it under
 // s.mu), the stopped pool refuses what feeders and exploration drivers
-// still offer and lets the local workers drain what it holds. Jobs out
-// under a remote lease are abandoned — the registry they would complete
-// into is dying with the process.
+// still offer and lets the local workers drain what it holds, after which
+// it tells them it has stopped and they return. Jobs out under a remote
+// lease are abandoned — the registry they would complete into is dying
+// with the process.
 func (s *Server) shutdown() {
 	close(s.quit)
 	s.fleet.Stop()
 	s.exploreWG.Wait()
 	s.feederWG.Wait()
 	s.wg.Wait()
+	s.stopWorkers()
 	s.abandonRuns()
 }
 
@@ -348,54 +361,7 @@ func (s *Server) releaseLocked(st *runState) {
 	}
 }
 
-// localWorker simulates what it takes from the pool, the same pool remote
-// leases draw from. After Terminate it keeps draining so the shutdown can
-// proceed, but executes nothing — the abandoned keys are the crash's
-// debris, which journal replay re-queues in the next process.
-func (s *Server) localWorker() {
-	defer s.wg.Done()
-	for {
-		job, ok := s.fleet.Next()
-		if !ok {
-			return
-		}
-		if !s.killed.Load() {
-			s.runOne(job.Key)
-		}
-	}
-}
-
-// runOne simulates one run taken from the pool and settles it. The store
-// was asked on the way in (see enqueue and submit), and only one job per key
-// generation is ever in flight, so nobody else produces this result
-// meanwhile.
-func (s *Server) runOne(key string) {
-	s.mu.Lock()
-	st, ok := s.runs[key]
-	if !ok || st.status.terminal() {
-		s.mu.Unlock()
-		return
-	}
-	req := st.req
-	st.status = statusRunning
-	st.startedAt = time.Now()
-	queuedAt := st.queuedAt
-	s.mu.Unlock()
-	if !queuedAt.IsZero() {
-		s.histQueueAge.observe(time.Since(queuedAt).Seconds())
-	}
-	s.metrics.RunsStarted.Add(1)
-	began := time.Now()
-	run := harness.Execute(req)
-	s.workerLatency.observe(localWorkerLabel, time.Since(began).Seconds())
-	res, convErr := results.FromRun(req, run)
-	if convErr != nil {
-		res = results.Result{Key: key, Config: req.Config.Name, Program: req.Workload.Name(), Err: convErr.Error()}
-	}
-	s.settleExecuted(res)
-}
-
-// settleExecuted lands one executed record, local or remote. Only
+// settleExecuted lands one executed record. Only
 // successful runs are cached; failures are deterministic too, but keeping
 // them out of the store means a fixed simulator never has to invalidate
 // poisoned entries. Losing the write only costs a future re-simulation:
@@ -426,7 +392,7 @@ func (s *Server) settle(key string, res results.Result, fromCache bool) {
 // for room in it, unless the store already answers the run: one cached by
 // a previous process (disk store) or a prior generation of its key is
 // settled here, before the work is offered to anyone, so it never ships to
-// a remote worker.
+// a worker.
 func (s *Server) enqueue(j results.Job) {
 	if res, hit, err := s.opts.Store.Get(j.Key); err == nil && hit {
 		s.metrics.CacheHits.Add(1)
