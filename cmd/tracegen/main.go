@@ -1,20 +1,26 @@
-// Command tracegen generates synthetic SPEC2000-like traces, writes them in
-// the binary trace format, and inspects existing trace files.
+// Command tracegen generates a synthetic SPEC2000-like instruction stream
+// from any workload spec and prints its measured profile and a SHA-256
+// digest of the instructions it generated.
 //
 // -prog takes a full workload spec string: a profile name ("swim"), a
 // seeded stream ("gcc@7"), or a synthetic spec ("synth(ilp=8,ws=4M)",
 // "synth-random@3" — see docs/workloads.md for the grammar). An explicit
 // ":insts" budget in the spec overrides -n.
 //
+// The digest covers every field of every instruction, in a fixed
+// little-endian layout, so two spellings of one workload generate the same
+// stream exactly when they print the same digest.
+//
 // Usage:
 //
-//	tracegen -prog swim -n 100000 -o swim.trc     # generate and save
-//	tracegen -prog 'synth(ilp=8,ws=4M)@2' -n 50000 -o ilp8.trc
-//	tracegen -inspect swim.trc                    # validate and summarize
+//	tracegen -prog swim -n 100000                 # profile and digest
+//	tracegen -prog 'synth(ilp=8,ws=4M)@2' -n 50000
 //	tracegen -prog swim -n 20 -dump               # print instructions
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,9 +38,7 @@ import (
 func main() {
 	prog := flag.String("prog", "", "workload spec: profile name, prog[:insts][@seed], or a synth spec (see -list)")
 	n := flag.Uint64("n", 100_000, "number of instructions (overridden by an explicit :insts in -prog)")
-	out := flag.String("o", "", "output trace file")
 	dump := flag.Bool("dump", false, "print instructions to stdout")
-	inspect := flag.String("inspect", "", "validate and summarize a trace file (measured mix, branch and working-set stats)")
 	list := flag.Bool("list", false, "list workload profiles")
 	flag.Parse()
 
@@ -43,13 +47,8 @@ func main() {
 		fmt.Println("INT:", workload.SuiteNames(workload.ClassInt))
 		fmt.Println("FP: ", workload.SuiteNames(workload.ClassFP))
 		fmt.Println("synthetic: synth(k=v,...) parameterized specs and distribution families (see docs/workloads.md)")
-	case *inspect != "":
-		if err := inspectTrace(*inspect); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
 	case *prog != "":
-		if err := generate(*prog, *n, *out, *dump); err != nil {
+		if err := generate(*prog, *n, *dump); err != nil {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
@@ -59,7 +58,7 @@ func main() {
 	}
 }
 
-func generate(prog string, n uint64, out string, dump bool) error {
+func generate(prog string, n uint64, dump bool) error {
 	spec, err := workload.ParseSpec(prog)
 	if err != nil {
 		return err
@@ -80,21 +79,12 @@ func generate(prog string, n uint64, out string, dump bool) error {
 	}
 	stream := trace.NewLimit(gen, n)
 
-	var w *trace.Writer
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if w, err = trace.NewWriter(f); err != nil {
-			return err
-		}
-	}
 	// The analytical twin's summarizer is the single measurement pass:
-	// generation and -inspect print the same profile-derived stats the
-	// predictor scores from.
+	// tracegen prints the same profile-derived stats the predictor scores
+	// from.
 	sum := predict.NewSummarizer(st.Program, st.Seed)
+	digest := sha256.New()
+	var buf []byte
 	for {
 		in, err := stream.Next()
 		if errors.Is(err, trace.ErrEnd) {
@@ -104,24 +94,35 @@ func generate(prog string, n uint64, out string, dump bool) error {
 			return err
 		}
 		sum.Observe(&in)
+		buf = appendInst(buf[:0], &in)
+		digest.Write(buf)
 		if dump {
 			fmt.Println(in.String())
 		}
-		if w != nil {
-			if err := w.Write(&in); err != nil {
-				return err
-			}
-		}
 	}
-	p := sum.Finish()
-	if w != nil {
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d instructions to %s\n", p.Insts, out)
-	}
-	printProfile(os.Stderr, spec.Name(), p)
+	printProfile(os.Stderr, spec.Name(), sum.Finish())
+	fmt.Fprintf(os.Stderr, "sha256: %x\n", digest.Sum(nil))
 	return nil
+}
+
+// appendInst appends every field of in to b in declaration order: the
+// 64-bit words little-endian, the rest one byte each.
+func appendInst(b []byte, in *isa.Inst) []byte {
+	b = binary.LittleEndian.AppendUint64(b, in.Seq)
+	b = binary.LittleEndian.AppendUint64(b, in.PC)
+	b = append(b, byte(in.Class), in.NumSrcs,
+		byte(in.Src[0].Kind), in.Src[0].Idx, byte(in.Src[1].Kind), in.Src[1].Idx,
+		boolByte(in.HasDest), byte(in.Dest.Kind), in.Dest.Idx)
+	b = binary.LittleEndian.AppendUint64(b, in.EffAddr)
+	b = append(b, boolByte(in.Taken))
+	return binary.LittleEndian.AppendUint64(b, in.Target)
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // printProfile renders the measured character of a stream from its twin
@@ -165,41 +166,4 @@ func fmtBytes(n uint64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// teeStream forwards a stream while feeding each instruction to the
-// summarizer.
-type teeStream struct {
-	s   trace.Stream
-	sum *predict.Summarizer
-}
-
-func (t teeStream) Next() (isa.Inst, error) {
-	in, err := t.s.Next()
-	if err == nil {
-		t.sum.Observe(&in)
-	}
-	return in, err
-}
-
-func inspectTrace(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	// Validate structure and measure character in one pass: the tee
-	// observes each instruction as Validate streams it.
-	sum := predict.NewSummarizer(path, 0)
-	n, err := trace.Validate(teeStream{s: r, sum: sum})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d valid instructions\n", path, n)
-	printProfile(os.Stdout, path, sum.Finish())
-	return nil
 }

@@ -69,9 +69,12 @@ type Cache struct {
 	lineShift uint
 	tags      []uint64 // tag+1; 0 = invalid
 	dirty     []bool
-	lru       []uint32
-	lruClock  uint32
-	stats     Stats
+	// lru holds each line's last-touch stamp from lruClock, which counts
+	// accesses: 64 bits never wrap within a run, so the smallest stamp in
+	// a set is always its least recently used line.
+	lru      []uint64
+	lruClock uint64
+	stats    Stats
 }
 
 // New builds a cache; it panics on an invalid configuration (configurations
@@ -87,7 +90,7 @@ func New(cfg Config) *Cache {
 		assoc: cfg.Assoc,
 		tags:  make([]uint64, lines),
 		dirty: make([]bool, lines),
-		lru:   make([]uint32, lines),
+		lru:   make([]uint64, lines),
 	}
 	c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 	return c
@@ -104,7 +107,7 @@ func (c *Cache) Reset(cfg Config) {
 	if cap(c.tags) < lines {
 		c.tags = make([]uint64, lines)
 		c.dirty = make([]bool, lines)
-		c.lru = make([]uint32, lines)
+		c.lru = make([]uint64, lines)
 	} else {
 		c.tags = c.tags[:lines]
 		c.dirty = c.dirty[:lines]

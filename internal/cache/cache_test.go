@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -61,6 +62,25 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if !c.Contains(d) {
 		t.Fatal("new line not resident")
+	}
+}
+
+// TestLRUAcrossStampWrap: the victim is the true least recently used
+// line even when the access clock crosses 2^32, which one level of a run
+// of about 10^10 instructions reaches.
+func TestLRUAcrossStampWrap(t *testing.T) {
+	c := smallCache() // 16 sets, 2 ways, 32B lines
+	c.lruClock = math.MaxUint32 - 1
+	setStride := uint64(16 * 32)
+	a, b, d := uint64(0), setStride, 2*setStride // same set
+	c.Access(a, false)                           // stamped just below the wrap
+	c.Access(b, false)                           // stamped just past it
+	c.Access(d, false)                           // evicts a, the LRU line
+	if c.Contains(a) {
+		t.Fatal("the least recently used line survived the wrap")
+	}
+	if !c.Contains(b) || !c.Contains(d) {
+		t.Fatal("a more recently used line was evicted across the wrap")
 	}
 }
 

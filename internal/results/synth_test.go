@@ -1,6 +1,7 @@
 package results
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -69,5 +70,77 @@ func TestGoldenSynthStats(t *testing.T) {
 		t.Errorf("golden synth run drifted: cycles=%d committed=%d, want cycles=%d committed=%d\n"+
 			"(a deliberate generator change must bump results.SchemaVersion so stale cached synth results are not served)",
 			run.Stats.Cycles, run.Stats.Committed, goldenCycles, goldenCommitted)
+	}
+}
+
+// TestWorkingSetSweepFromSpecs: a scenario axis is swept from spec
+// strings alone, with no code per scenario. Every point runs, records
+// carry the canonical workload name (ws=1M is the default, so
+// "synth(ws=1M)" is "synth"), and each point is a different machine load.
+func TestWorkingSetSweepFromSpecs(t *testing.T) {
+	specs := []string{"synth(ws=64K)", "synth(ws=1M)", "synth(ws=16M)", "synth(ws=16M,phases=4)"}
+	want := []string{"synth(ws=64K)", "synth", "synth(ws=16M)", "synth(ws=16M,phases=4)"}
+	reqs, err := harness.Expand([]core.Config{core.MustPaperConfig(core.ArchRing, 8, 2, 1)}, specs, 10_000, 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ipcs := map[float64]string{}
+	for i, o := range Run(nil, reqs, 2) {
+		if o.Failed() || o.Hit {
+			t.Fatalf("%s: failed %q, hit %v", specs[i], o.Err, o.Hit)
+		}
+		if o.Program != want[i] {
+			t.Errorf("%s: record names %q, want %q", specs[i], o.Program, want[i])
+		}
+		if prev, dup := ipcs[o.Stats.IPC()]; dup {
+			t.Errorf("%s and %s ran at the same IPC %.4f", prev, specs[i], o.Stats.IPC())
+		}
+		ipcs[o.Stats.IPC()] = specs[i]
+	}
+}
+
+// TestFairnessStudySecondPassSimulatesNothing: a multi-programmed
+// fairness study (synth-random mixes, each followed by its single-stream
+// baselines, on ring and conventional machines) run twice over one store
+// simulates each distinct key once on the first pass and nothing on the
+// second, which serves the same records.
+func TestFairnessStudySecondPassSimulatesNothing(t *testing.T) {
+	var reqs []harness.Request
+	for _, arch := range []core.ArchKind{core.ArchRing, core.ArchConv} {
+		cfg := core.MustPaperConfig(arch, 8, 2, 1)
+		for i := uint64(1); i <= 2; i++ {
+			spec := workload.Spec{Streams: []workload.StreamSpec{
+				{Program: "synth-random", Seed: i},
+				{Program: "synth-random", Seed: i + 1},
+			}}
+			req := harness.Request{Config: cfg, Workload: spec, Insts: 6_000, Warmup: 1_000}
+			reqs = append(append(reqs, req), harness.BaselineRequests(req)...)
+		}
+	}
+	store := NewMemoryLRU(64)
+	var first []Outcome
+	for pass, wantSims := range []int{10, 0} { // 12 requests, 10 distinct keys
+		outs := Run(store, reqs, 2)
+		sims := 0
+		for i, o := range outs {
+			if o.Failed() || o.PutErr != nil {
+				t.Fatalf("pass %d, %s: %q, put %v", pass+1, o.Program, o.Err, o.PutErr)
+			}
+			if !o.Hit {
+				sims++
+			}
+			if first != nil && !reflect.DeepEqual(o.Result, first[i].Result) {
+				t.Errorf("pass 2 served a different record for %s on %s", o.Program, o.Config)
+			}
+		}
+		if sims != wantSims {
+			t.Errorf("pass %d simulated %d of %d runs, want %d", pass+1, sims, len(outs), wantSims)
+		}
+		for k := 0; k < len(outs); k += 3 {
+			if _, err := harness.Fairness(outs[k].Stats, []float64{outs[k+1].Stats.IPC(), outs[k+2].Stats.IPC()}); err != nil {
+				t.Fatalf("pass %d, %s: %v", pass+1, outs[k].Program, err)
+			}
+		}
+		first = outs
 	}
 }

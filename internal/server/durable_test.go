@@ -216,6 +216,39 @@ func TestGracefulCloseReplaysExploration(t *testing.T) {
 	}
 }
 
+// TestRestartSweepJournalsOnlyItsManifest: a daemon restarted on a warm
+// store answers a resubmitted sweep from the store. No run starts, and
+// the journal grows by the sweep manifest's open and done records only:
+// a member the store answers is never journaled as enqueued, so it needs
+// no complete record either.
+func TestRestartSweepJournalsOnlyItsManifest(t *testing.T) {
+	dir := t.TempDir()
+	srv1, hs1, _ := newDurableServer(t, dir, 1)
+	var sv sweepView
+	postJSON(t, hs1.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
+	if final := pollSweep(t, hs1.URL, sv.ID); final.Status != statusDone || final.Done != 4 {
+		t.Fatalf("cold sweep: %+v", final)
+	}
+	hs1.Close()
+	srv1.Close()
+
+	srv2, hs2, _ := newDurableServer(t, dir, 1)
+	t.Cleanup(func() { hs2.Close(); srv2.Close() })
+	before := srv2.Metrics().Journal.Entries
+	postJSON(t, hs2.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
+	final := pollSweep(t, hs2.URL, sv.ID)
+	if final.Status != statusDone || final.Done != 4 || final.CacheHits != 4 {
+		t.Fatalf("warm resubmission: %+v", final)
+	}
+	m := srv2.Metrics()
+	if m.RunsStarted != 0 {
+		t.Errorf("RunsStarted = %d, want 0: every member is in the store", m.RunsStarted)
+	}
+	if got := m.Journal.Entries - before; got != 2 {
+		t.Errorf("the resubmission appended %d journal records, want 2 (manifest open and done)", got)
+	}
+}
+
 // TestLostRun pins the stuck-queued fix: polling an id the service
 // neither registered nor stored gets a terminal lost state, not a 404
 // loop — while garbage ids stay 404 and store-backed ids are served.

@@ -559,7 +559,7 @@ func BenchmarkSweepView(b *testing.B) {
 	}
 	settle := func(runs []runView) {
 		for i, rv := range runs {
-			srv.settle(rv.ID, benchRecord(rv.ID, i), false)
+			srv.finish(rv.ID, benchRecord(rv.ID, i), false)
 		}
 	}
 	settle(sv.Runs[:130])
@@ -591,7 +591,7 @@ func BenchmarkHotSubmit(b *testing.B) {
 		return rv
 	}
 	rv := submit()
-	srv.settle(rv.ID, benchRecord(rv.ID, 0), false)
+	srv.finish(rv.ID, benchRecord(rv.ID, 0), false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -361,11 +361,11 @@ func (s *Server) releaseLocked(st *runState) {
 	}
 }
 
-// settleExecuted lands one executed record. Only
-// successful runs are cached; failures are deterministic too, but keeping
-// them out of the store means a fixed simulator never has to invalidate
-// poisoned entries. Losing the write only costs a future re-simulation:
-// the result is still served from the registry.
+// settleExecuted lands one executed record and journals its completion.
+// Only successful runs are cached; failures are deterministic too, but
+// keeping them out of the store means a fixed simulator never has to
+// invalidate poisoned entries. Losing the write only costs a future
+// re-simulation: the result is still served from the registry.
 func (s *Server) settleExecuted(res results.Result) {
 	if res.Failed() {
 		s.metrics.RunsFailed.Add(1)
@@ -373,35 +373,19 @@ func (s *Server) settleExecuted(res results.Result) {
 		s.metrics.RunsCompleted.Add(1)
 		s.storePut(res.Key, res)
 	}
-	s.settle(res.Key, res, false)
+	s.finish(res.Key, res, false)
+	s.journalComplete(res.Key)
 }
 
-// settle finishes the registered run of this key with its result —
-// fromCache tells a store answer from an execution — and journals it. A
-// run already terminal, or gone from the registry, is left as it is.
-func (s *Server) settle(key string, res results.Result, fromCache bool) {
+// finish settles the registered run of this key with its result —
+// fromCache tells a store answer from an execution. A run already
+// terminal, or gone from the registry, is left as it is.
+func (s *Server) finish(key string, res results.Result, fromCache bool) {
 	s.mu.Lock()
 	if st, ok := s.runs[key]; ok && !st.status.terminal() {
 		s.finishLocked(st, res, fromCache)
 	}
 	s.mu.Unlock()
-	s.journalComplete(key)
-}
-
-// enqueue hands one registered (and journaled) run to the pool, waiting
-// for room in it, unless the store already answers the run: one cached by
-// a previous process (disk store) or a prior generation of its key is
-// settled here, before the work is offered to anyone, so it never ships to
-// a worker.
-func (s *Server) enqueue(j results.Job) {
-	if res, hit, err := s.opts.Store.Get(j.Key); err == nil && hit {
-		s.metrics.CacheHits.Add(1)
-		s.settle(j.Key, res, true)
-		return
-	}
-	// A refusal means the pool has stopped, or still owns the key from an
-	// earlier generation, whose completion settles this run too.
-	_ = s.fleet.Enqueue(j)
 }
 
 // storePut writes one finished record through to the store. A failure is
@@ -534,7 +518,7 @@ func prepare(req harness.Request) (string, error) {
 // direct-run path, where a full pool is a fast 503. Registration and
 // enqueue share one critical section, so a refused submission leaves no
 // trace. A result only the store remembers is looked up first, outside
-// the lock, and settles the run as it registers (see enqueue).
+// the lock, and settles the run as it registers (see feed).
 func (s *Server) submit(req harness.Request) (*runState, bool, error) {
 	key, err := prepare(req)
 	if err != nil {
@@ -593,8 +577,12 @@ func (s *Server) feedLocked(jobs []results.Job, replayed bool) {
 
 // feed journals and enqueues registered runs one workload after the
 // other, waiting on a full pool, so arbitrarily large grids flow through
-// the bounded buffer with the runs of one trace adjacent. Runs on its own
-// goroutine per sweep; stops when the server closes.
+// the bounded buffer with the runs of one trace adjacent. A run the store
+// already answers (cached by a previous process, or by a prior generation
+// of its key) settles here before it is journaled or offered to anyone,
+// like a hit in submit: it leaves no record, unless it was replayed, when
+// its complete retires the live enqueue. Runs on its own goroutine per
+// sweep; stops when the server closes.
 func (s *Server) feed(jobs []results.Job, replayed bool) {
 	defer s.feederWG.Done()
 	for _, j := range fleet.WorkloadMajor(jobs) {
@@ -603,10 +591,20 @@ func (s *Server) feed(jobs []results.Job, replayed bool) {
 			return
 		default:
 		}
+		if res, hit, err := s.opts.Store.Get(j.Key); err == nil && hit {
+			s.metrics.CacheHits.Add(1)
+			s.finish(j.Key, res, true)
+			if replayed {
+				s.journalComplete(j.Key)
+			}
+			continue
+		}
 		if !replayed {
 			s.journalEnqueue(j.Key, j.Request)
 		}
-		s.enqueue(j)
+		// A refusal means the pool has stopped, or still owns the key from
+		// an earlier generation, whose completion settles this run too.
+		_ = s.fleet.Enqueue(j)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // Rec is one instruction in the decoded form the simulator's front end
-// reads: the wire codec's register bytes and flag bits (see codec.go) next
-// to the PC and a single address word. Seq is not held — it is the owning
-// store's base plus the record's position — and EffAddr and Target share
-// Addr, because no instruction class uses both. A Packed store keeps its
+// reads: the register bytes and operand flag bits next to the PC and a
+// single address word. Seq is not held — it is the owning store's base
+// plus the record's position — and EffAddr and Target share Addr,
+// because no instruction class uses both. A Packed store keeps its
 // records encoded (see coder); Replay decodes them into a Rec one at a
 // time.
 type Rec struct {
@@ -21,10 +21,50 @@ type Rec struct {
 	// otherwise.
 	Addr  uint64
 	Class isa.Class
-	// flags uses the codec's bit layout minus flagPayload (Class says
-	// whether Addr is meaningful).
+	// flags holds the operand flags (see operandFlags); Class says
+	// whether Addr is meaningful.
 	flags            uint8
 	src0, src1, dest uint8
+}
+
+// Operand flag bits: bits 0-1 hold NumSrcs, the rest one fact each. An
+// encoded record carries this byte as is (see coder).
+const (
+	flagHasDest = 1 << 2
+	flagTaken   = 1 << 3
+	flagSrc0FP  = 1 << 4
+	flagSrc1FP  = 1 << 5
+	flagDestFP  = 1 << 6
+)
+
+// operandFlags packs in's source count, destination and branch outcome
+// and the register namespace of each operand slot.
+func operandFlags(in *isa.Inst) uint8 {
+	flags := in.NumSrcs & 3
+	if in.HasDest {
+		flags |= flagHasDest
+	}
+	if in.Taken {
+		flags |= flagTaken
+	}
+	if in.Src[0].Kind == isa.FPReg {
+		flags |= flagSrc0FP
+	}
+	if in.Src[1].Kind == isa.FPReg {
+		flags |= flagSrc1FP
+	}
+	if in.Dest.Kind == isa.FPReg {
+		flags |= flagDestFP
+	}
+	return flags
+}
+
+// kind is the register namespace one FP flag bit names.
+func kind(fp bool) isa.RegFileKind {
+	if fp {
+		return isa.FPReg
+	}
+	return isa.IntReg
 }
 
 // MakeRec packs the fields of in that the layout holds. It is lossless for

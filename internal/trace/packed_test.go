@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -23,6 +24,49 @@ func packAll(t testing.TB, insts []isa.Inst) *Packed {
 		t.Fatal(err)
 	}
 	return &p
+}
+
+// randInst produces a structurally valid random instruction.
+func randInst(r *rand.Rand, seq uint64) isa.Inst {
+	classes := []isa.Class{
+		isa.IntALU, isa.IntMult, isa.IntDiv, isa.FPAdd, isa.FPMult,
+		isa.FPDiv, isa.Load, isa.Store, isa.Branch,
+	}
+	in := isa.Inst{
+		Seq:   seq,
+		PC:    r.Uint64() &^ 3,
+		Class: classes[r.Intn(len(classes))],
+	}
+	kind := func() isa.RegFileKind {
+		if r.Intn(2) == 0 {
+			return isa.IntReg
+		}
+		return isa.FPReg
+	}
+	in.NumSrcs = uint8(r.Intn(3))
+	for i := uint8(0); i < in.NumSrcs; i++ {
+		in.Src[i] = isa.Reg{Kind: kind(), Idx: uint8(r.Intn(isa.NumArchRegs))}
+	}
+	switch in.Class {
+	case isa.Store:
+		in.NumSrcs = 2
+		in.Src[0] = isa.Reg{Kind: isa.IntReg, Idx: uint8(r.Intn(31))}
+		in.Src[1] = isa.Reg{Kind: kind(), Idx: uint8(r.Intn(31))}
+		in.EffAddr = r.Uint64()
+	case isa.Load:
+		in.EffAddr = r.Uint64()
+		in.HasDest = true
+		in.Dest = isa.Reg{Kind: kind(), Idx: uint8(r.Intn(31))}
+	case isa.Branch:
+		in.Taken = r.Intn(2) == 0
+		if in.Taken {
+			in.Target = r.Uint64() &^ 3
+		}
+	default:
+		in.HasDest = true
+		in.Dest = isa.Reg{Kind: kind(), Idx: uint8(r.Intn(31))}
+	}
+	return in
 }
 
 // walkInsts is a stream shaped like a generator's — mostly sequential PCs,
@@ -83,8 +127,8 @@ func expectReplay(t testing.TB, what string, s Stream, want []isa.Inst) {
 	}
 }
 
-// TestPackedRandomRoundTrip: the codec tests' random instructions survive
-// the packed layout field for field, Seq included, from a non-zero base.
+// TestPackedRandomRoundTrip: random instructions survive the packed
+// layout field for field, Seq included, from a non-zero base.
 func TestPackedRandomRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	insts := make([]isa.Inst, 6000)
@@ -490,29 +534,111 @@ func fuzzInst(seq, pc, eff, target uint64, class, nsrc, s0k, s0i, s1k, s1i, dk, 
 	}
 }
 
+// tailRec is the size of one instruction in a fuzz tail: class, operand
+// flags, the three register bytes, the PC's distance past the previous
+// record's PC + 4, and the address word (EffAddr for memory classes,
+// Target for the rest), both little-endian.
+const tailRec = 21
+
+// fuzzTail spells insts as a fuzz tail (see fuzzSequence).
+func fuzzTail(insts []isa.Inst) []byte {
+	var b []byte
+	next := uint64(0)
+	for i := range insts {
+		in := &insts[i]
+		word := in.Target
+		if in.Class.IsMem() {
+			word = in.EffAddr
+		}
+		b = append(b, byte(in.Class), operandFlags(in), in.Src[0].Idx, in.Src[1].Idx, in.Dest.Idx)
+		b = binary.LittleEndian.AppendUint64(b, in.PC-next)
+		b = binary.LittleEndian.AppendUint64(b, word)
+		next = in.PC + 4
+	}
+	return b
+}
+
+// fuzzSequence decodes the instructions tail spells and keeps the valid
+// ones, numbered from seq; a partial record at the end is ignored.
+func fuzzSequence(seq uint64, tail []byte) []isa.Inst {
+	var out []isa.Inst
+	next := uint64(0)
+	for ; len(tail) >= tailRec; tail = tail[tailRec:] {
+		flags := tail[1]
+		in := isa.Inst{
+			Seq:     seq + uint64(len(out)),
+			PC:      next + binary.LittleEndian.Uint64(tail[5:13]),
+			Class:   isa.Class(tail[0]),
+			NumSrcs: flags & 3,
+			Src:     [2]isa.Reg{{Kind: kind(flags&flagSrc0FP != 0), Idx: tail[2]}, {Kind: kind(flags&flagSrc1FP != 0), Idx: tail[3]}},
+			HasDest: flags&flagHasDest != 0,
+			Dest:    isa.Reg{Kind: kind(flags&flagDestFP != 0), Idx: tail[4]},
+			Taken:   flags&flagTaken != 0,
+		}
+		if word := binary.LittleEndian.Uint64(tail[13:21]); in.Class.IsMem() {
+			in.EffAddr = word
+		} else {
+			in.Target = word
+		}
+		next = in.PC + 4
+		if in.Validate() == nil {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// checkPackedSequence: a sequence of valid instructions packs losslessly
+// through Extend, or is refused at the first record the oracle refuses,
+// with the records before it kept byte for byte as the oracle keeps them.
+func checkPackedSequence(t *testing.T, insts []isa.Inst) {
+	t.Helper()
+	var p, q Packed
+	err := p.Extend(NewSlice(insts), len(insts))
+	k := 0
+	for k < len(insts) && oracleAppend(&q, &insts[k]) == nil {
+		k++
+	}
+	if (err == nil) != (k == len(insts)) || p.Len() != k {
+		t.Fatalf("sequence of %d: Extend kept %d records and says %v; the oracle refuses record %d", len(insts), p.Len(), err, k)
+	}
+	if diff := samePacked(&p, &q); diff != "" {
+		t.Fatalf("sequence of %d, %d kept: %s", len(insts), k, diff)
+	}
+	expectReplay(t, "sequence", p.View(k).Replay(), insts[:k])
+}
+
 // FuzzPackedRoundTrip: Append accepts exactly what oracleAppend accepts
 // and stores the same bytes; whatever it accepts comes back identical, and
 // whatever it refuses leaves the store untouched; MakeRec alone never
-// loses a field the front end reads. Seeded with random instructions and
-// with TestPackedAppendRejects' cases.
+// loses a field the front end reads; and the sequence tail spells passes
+// checkPackedSequence. Seeded with random instructions, with
+// TestPackedAppendRejects' cases, and with tails of walked and random
+// instructions.
 func FuzzPackedRoundTrip(f *testing.F) {
+	add := func(in isa.Inst, tail []byte) {
+		f.Add(in.Seq, in.PC, in.EffAddr, in.Target, uint8(in.Class), in.NumSrcs,
+			uint8(in.Src[0].Kind), in.Src[0].Idx, uint8(in.Src[1].Kind), in.Src[1].Idx,
+			uint8(in.Dest.Kind), in.Dest.Idx, in.HasDest, in.Taken, tail)
+	}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
-		in := randInst(r, uint64(i))
-		f.Add(in.Seq, in.PC, in.EffAddr, in.Target, uint8(in.Class), in.NumSrcs,
-			uint8(in.Src[0].Kind), in.Src[0].Idx, uint8(in.Src[1].Kind), in.Src[1].Idx,
-			uint8(in.Dest.Kind), in.Dest.Idx, in.HasDest, in.Taken)
+		add(randInst(r, uint64(i)), nil)
 	}
-	f.Add(uint64(0), uint64(0), uint64(1), uint64(1), uint8(isa.Load), uint8(3), uint8(2), uint8(255), uint8(0), uint8(0), uint8(1), uint8(31), true, true)
+	add(fuzzInst(0, 0, 1, 1, uint8(isa.Load), 3, 2, 255, 0, 0, 1, 31, true, true), nil)
 	names := slices.Sorted(maps.Keys(rejectCases))
 	for _, name := range names {
-		in := rejected(rejectCases[name])
-		f.Add(in.Seq, in.PC, in.EffAddr, in.Target, uint8(in.Class), in.NumSrcs,
-			uint8(in.Src[0].Kind), in.Src[0].Idx, uint8(in.Src[1].Kind), in.Src[1].Idx,
-			uint8(in.Dest.Kind), in.Dest.Idx, in.HasDest, in.Taken)
+		add(rejected(rejectCases[name]), nil)
 	}
-	f.Fuzz(func(t *testing.T, seq, pc, eff, target uint64, class, nsrc, s0k, s0i, s1k, s1i, dk, di uint8, hasDest, taken bool) {
+	random := make([]isa.Inst, 64)
+	for i := range random {
+		random[i] = randInst(r, uint64(i))
+	}
+	add(random[0], fuzzTail(walkInsts(2, 300)))
+	add(random[0], fuzzTail(random))
+	f.Fuzz(func(t *testing.T, seq, pc, eff, target uint64, class, nsrc, s0k, s0i, s1k, s1i, dk, di uint8, hasDest, taken bool, tail []byte) {
 		in := fuzzInst(seq, pc, eff, target, class, nsrc, s0k, s0i, s1k, s1i, dk, di, hasDest, taken)
+		checkPackedSequence(t, fuzzSequence(seq, tail))
 
 		// Append and the oracle agree on a fresh store (the record opens
 		// a segment) and after rejectLead (it is encoded in place).
@@ -565,84 +691,6 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		}
 		if _, err := replay.Next(); !errors.Is(err, ErrEnd) {
 			t.Fatalf("replay past the view: %v", err)
-		}
-	})
-}
-
-// FuzzTraceReader: the binary decoder — fed by trace files — never
-// panics, yields only valid instructions, fails for good once it has
-// failed, and whatever it decodes re-encodes to a stream that decodes
-// identically and packs or is refused cleanly.
-func FuzzTraceReader(f *testing.F) {
-	r := rand.New(rand.NewSource(1))
-	var valid bytes.Buffer
-	w, _ := NewWriter(&valid)
-	for i := 0; i < 40; i++ {
-		in := randInst(r, uint64(i))
-		if err := w.Write(&in); err != nil {
-			f.Fatal(err)
-		}
-	}
-	w.Flush()
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:valid.Len()-3])                                            // truncated record
-	f.Add(valid.Bytes()[:16])                                                       // header only
-	f.Add([]byte("XXXX0123456789ab"))                                               // bad magic
-	f.Add(append([]byte(magic), 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))          // bad version
-	f.Add(append(append([]byte(nil), valid.Bytes()[:16]...), byte(isa.NumClasses))) // short + bad class
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var insts []isa.Inst
-		var last error
-		for {
-			in, err := rd.Next()
-			if err != nil {
-				last = err
-				break
-			}
-			if verr := in.Validate(); verr != nil {
-				t.Fatalf("reader yielded an invalid instruction: %v", verr)
-			}
-			insts = append(insts, in)
-		}
-		if _, err := rd.Next(); err == nil || err.Error() != last.Error() {
-			t.Fatalf("reader recovered after %v: %v", last, err)
-		}
-
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		for i := range insts {
-			if err := w.Write(&insts[i]); err != nil {
-				t.Fatalf("decoded instruction does not re-encode: %v", err)
-			}
-		}
-		w.Flush()
-		rd2, err := NewReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := Collect(rd2, 0)
-		if err != nil || len(again) != len(insts) {
-			t.Fatalf("re-decode: %d of %d instructions, %v", len(again), len(insts), err)
-		}
-		for i := range insts {
-			if again[i] != insts[i] {
-				t.Fatalf("instruction %d changed across encode/decode: %+v -> %+v", i, insts[i], again[i])
-			}
-		}
-
-		var p Packed
-		if err := p.Extend(NewSlice(insts), len(insts)); err != nil {
-			return // a hostile trace may carry what the layout refuses
-		}
-		packed, _ := Collect(p.View(p.Len()).Replay(), 0)
-		for i := range insts {
-			if packed[i] != insts[i] {
-				t.Fatalf("instruction %d changed in the packed store: %+v -> %+v", i, insts[i], packed[i])
-			}
 		}
 	})
 }

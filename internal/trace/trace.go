@@ -1,8 +1,7 @@
 // Package trace defines how dynamic instruction streams reach the
 // simulator: a pull-based Stream interface, an in-memory implementation,
-// the packed store materialized traces live in (Packed, read through View
-// and Replay), and a compact binary encoding for storing traces on disk
-// (used by cmd/tracegen).
+// and the packed store materialized traces live in (Packed, read through
+// View and Replay).
 package trace
 
 import (
