@@ -378,10 +378,6 @@ type Machine struct {
 
 	now uint64
 
-	// steerReq is the per-dispatch steering request, kept on the machine
-	// so passing it does not force a heap allocation per instruction.
-	steerReq steering.Request
-
 	// front-end state shared across streams (per-stream state lives in
 	// fes).
 	lineShift      uint // log2(L1I line size), fixed at construction
@@ -509,12 +505,10 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 		m.ssa = steering.NewSSA(cfg.Clusters)
 	case cfg.Arch == ArchRing:
 		m.steer = steerRing
-		m.ring = steering.NewRing()
-		m.ring.PrimeGeometry(m.minDist, &m.files, m.visTable[:cfg.Clusters])
+		m.ring = steering.NewRing(m.minDist, &m.files, m.visTable[:cfg.Clusters])
 	default:
 		m.steer = steerConv
-		m.conv = steering.NewConv(cfg.Clusters, cfg.Conv)
-		m.conv.PrimeGeometry(cfg.Clusters, m.minDist)
+		m.conv = steering.NewConv(cfg.Clusters, cfg.Conv, m.minDist)
 	}
 
 	for c := 0; c < cfg.Clusters; c++ {
@@ -543,7 +537,6 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 	m.calBusy = [eventHorizon / 64]uint64{}
 	m.multDivBusyUntil = [regfile.MaxClusters][2][4]uint64{}
 	m.now = 0
-	m.steerReq = steering.Request{}
 	m.lineShift = uint(bits.TrailingZeros64(uint64(cfg.Mem.L1I.LineBytes)))
 	m.lastCommitAt = 0
 	m.dcachePortsUse = 0
@@ -639,25 +632,6 @@ const (
 	steerConv                  // Section 4.1 DCOUNT (Conv, enhanced)
 	steerSSA                   // Section 4.7 simple steering, either architecture
 )
-
-// --- steering.View implementation ---
-
-// NumClusters implements steering.View.
-func (m *Machine) NumClusters() int { return m.cfg.Clusters }
-
-// FreeRegs implements steering.View: the free destination registers
-// available to an instruction steered to cluster c. On the ring machine an
-// instruction steered to c writes the register file of cluster c+1
-// ("written from the previous cluster in the ring", Section 3), so that is
-// the file whose pressure the steering tie-break must consult.
-func (m *Machine) FreeRegs(c int, kind isa.RegFileKind) int {
-	return m.files.Free(int(m.visTable[c]), kind)
-}
-
-// CommDistance implements steering.View.
-func (m *Machine) CommDistance(src, dst int) int {
-	return int(m.minDist[src*m.cfg.Clusters+dst])
-}
 
 // visibleCluster returns the cluster whose register file receives the
 // result of an instruction executing in cluster c: the next cluster on the

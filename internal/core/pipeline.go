@@ -493,11 +493,11 @@ func (m *Machine) issue() {
 func (m *Machine) choose(req *steering.Request) int {
 	switch m.steer {
 	case steerRing:
-		return m.ring.Choose(m, req)
+		return m.ring.Choose(req)
 	case steerConv:
-		return m.conv.Choose(m, req)
+		return m.conv.Choose(req)
 	}
-	return m.ssa.Choose(m, req)
+	return m.ssa.Choose(req)
 }
 
 // dispatch renames, steers and inserts instructions into the back end, in
@@ -527,9 +527,9 @@ func (m *Machine) dispatch() {
 // them — the ROB slot, registers, communications, the LSQ and the wakeup
 // structures. It returns the stats counter of the stall that blocks the
 // head, or nil once the head has dispatched. With probe set it stops
-// before claiming anything, so it mutates nothing beyond m.steerReq —
-// except through Choose, which advances SSA's round-robin state (the
-// idle-cycle fast-forward therefore only probes Ring and Conv machines).
+// before claiming anything, so it mutates nothing — except through Choose,
+// which advances SSA's round-robin state (the idle-cycle fast-forward
+// therefore only probes Ring and Conv machines).
 // The check order is load-bearing: Ring and Conv test ROB/LSQ before
 // steering (a full-ROB cycle skips renaming entirely), SSA after, so its
 // in-Choose state advances exactly once per stalled cycle.
@@ -543,10 +543,10 @@ func (m *Machine) dispatchOne(fe *fetchEntry, probe bool) *uint64 {
 			return &m.stats.StallLSQ
 		}
 	}
-	// Rename sources. The request lives on the machine: a stack-local
-	// passed to the View-taking Choose would escape and heap-allocate once
-	// per steering decision. Consumers never read Ops beyond NumOps.
-	req := &m.steerReq
+	// Rename sources into a stack-local request (Choose reads it and keeps
+	// nothing, so it does not escape). Consumers never read Ops beyond
+	// NumOps.
+	var req steering.Request
 	nops := int(fe.numSrcs) & 3
 	var srcIDs [2]valueID
 	for i := 0; i < nops && i < 2; i++ {
@@ -561,7 +561,7 @@ func (m *Machine) dispatchOne(fe *fetchEntry, probe bool) *uint64 {
 		req.Kind = regKind(fe.dest)
 	}
 
-	cl := m.choose(req)
+	cl := m.choose(&req)
 
 	if ssa {
 		if m.rob.Full() {

@@ -229,8 +229,8 @@ type Fabric struct {
 	buses []*Bus
 	n     int
 	// minDist[src*n+dst] is the smallest hop count over any bus,
-	// precomputed at construction: steering and dispatch consult it per
-	// operand, making it one of the hottest lookups in the simulator.
+	// precomputed at construction: steering builds its reach masks from
+	// it, and dispatch consults it per communicated operand.
 	minDist []int8
 	opposed bool
 	hop     int
@@ -296,14 +296,9 @@ func (f *Fabric) Advance(now uint64) {
 	}
 }
 
-// MinDistance returns the smallest hop count from src to dst over any bus.
-func (f *Fabric) MinDistance(src, dst int) int {
-	return int(f.minDist[src*f.n+dst])
-}
-
 // MinDistances exposes the precomputed n×n distance matrix (row-major by
-// source). The core caches it to answer per-operand steering queries
-// without an extra indirection; callers must not modify it.
+// source). The core caches it for dispatch and hands it to the steering
+// policies; callers must not modify it.
 func (f *Fabric) MinDistances() []int8 { return f.minDist }
 
 // TrySend attempts to inject a message from src to dst at cycle now on the

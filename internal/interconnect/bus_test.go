@@ -144,15 +144,15 @@ func TestHopLatencyOccupancy(t *testing.T) {
 }
 
 func TestFabricMinDistance(t *testing.T) {
-	ring := NewFabric(8, 2, 1, false) // both forward
-	if d := ring.MinDistance(0, 7); d != 7 {
+	ring := NewFabric(8, 2, 1, false).MinDistances() // both forward
+	if d := ring[0*8+7]; d != 7 {
 		t.Fatalf("ring min distance 0->7 = %d, want 7", d)
 	}
-	conv := NewFabric(8, 2, 1, true) // one per direction
-	if d := conv.MinDistance(0, 7); d != 1 {
+	conv := NewFabric(8, 2, 1, true).MinDistances() // one per direction
+	if d := conv[0*8+7]; d != 1 {
 		t.Fatalf("opposed min distance 0->7 = %d, want 1", d)
 	}
-	if d := conv.MinDistance(0, 4); d != 4 {
+	if d := conv[0*8+4]; d != 4 {
 		t.Fatalf("opposed min distance 0->4 = %d, want 4", d)
 	}
 }

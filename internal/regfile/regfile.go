@@ -132,19 +132,3 @@ func (f *Files) ReleaseMask(mask uint32, kind isa.RegFileKind) {
 func (f *Files) TotalUsed(kind isa.RegFileKind) int {
 	return f.total[kind]
 }
-
-// MostFree returns the cluster among those whose bit is set in mask with
-// the most free registers of the namespace; ties break toward the lower
-// cluster index (deterministic). It returns -1 if mask selects no cluster.
-func (f *Files) MostFree(mask uint32, kind isa.RegFileKind) int {
-	best, bestFree := -1, -1
-	for c := 0; c < f.n; c++ {
-		if mask&(1<<uint(c)) == 0 {
-			continue
-		}
-		if free := f.Free(c, kind); free > bestFree {
-			best, bestFree = c, free
-		}
-	}
-	return best
-}

@@ -68,24 +68,6 @@ func TestReleaseMask(t *testing.T) {
 	}
 }
 
-func TestMostFree(t *testing.T) {
-	f := New(4, 8, 8)
-	f.Alloc(0, isa.IntReg)
-	f.Alloc(0, isa.IntReg)
-	f.Alloc(1, isa.IntReg)
-	// cluster 2 and 3 tie at 8 free; lower index wins.
-	if got := f.MostFree(0b1111, isa.IntReg); got != 2 {
-		t.Fatalf("MostFree = %d, want 2", got)
-	}
-	// restricted mask
-	if got := f.MostFree(0b0011, isa.IntReg); got != 1 {
-		t.Fatalf("MostFree(mask 0b0011) = %d, want 1", got)
-	}
-	if got := f.MostFree(0, isa.IntReg); got != -1 {
-		t.Fatalf("MostFree(empty mask) = %d, want -1", got)
-	}
-}
-
 func TestTotalUsed(t *testing.T) {
 	f := New(3, 4, 4)
 	f.Alloc(0, isa.FPReg)
