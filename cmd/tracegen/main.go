@@ -30,9 +30,6 @@ import (
 	"repro/internal/predict"
 	"repro/internal/trace"
 	"repro/internal/workload"
-
-	// Resolve synthetic workload specs in -prog.
-	_ "repro/internal/synth"
 )
 
 func main() {

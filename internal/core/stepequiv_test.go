@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	_ "repro/internal/synth" // registers the synth-random provider
 	"repro/internal/trace"
 	"repro/internal/workload"
 )

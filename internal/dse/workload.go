@@ -3,13 +3,14 @@ package dse
 import (
 	"fmt"
 
-	"repro/internal/synth"
+	"repro/internal/workload"
 )
 
 // Workload axes extend exploration beyond hardware: with synthetic
-// workload specs (internal/synth) the scenario itself is parametric, so
-// a space can sweep program character — ILP, working set, branch
-// behaviour, phase structure — alongside (or instead of) machine knobs.
+// workload specs (workload.SynthParams) the scenario itself is
+// parametric, so a space can sweep program character — ILP, working
+// set, branch behaviour, phase structure — alongside (or instead of)
+// machine knobs.
 // Each workload axis maps an integer axis value onto one synth
 // parameter; a candidate with any workload axis is scored on the single
 // synthetic workload those values canonicalize to instead of the
@@ -49,7 +50,7 @@ func isWorkloadAxis(name string) bool {
 // synth spec the axis values denote. Out-of-range values are errors the
 // engine counts as invalid candidates, symmetric with config validation.
 func (s *Space) Workloads(c Candidate) ([]string, error) {
-	p := synth.Defaults()
+	p := workload.SynthDefaults()
 	any := false
 	for name, v := range c.Params {
 		switch name {
@@ -69,8 +70,8 @@ func (s *Space) Workloads(c Candidate) ([]string, error) {
 			}
 			p.Br = float64(v) / 100
 		case AxisWPhases:
-			if v < 1 || v > synth.MaxPhases {
-				return nil, fmt.Errorf("dse: wphases=%d out of range [1, %d]", v, synth.MaxPhases)
+			if v < 1 || v > workload.MaxSynthPhases {
+				return nil, fmt.Errorf("dse: wphases=%d out of range [1, %d]", v, workload.MaxSynthPhases)
 			}
 			p.Phases = v
 		default:

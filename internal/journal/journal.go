@@ -3,7 +3,7 @@
 // store:
 //
 //   - an append-only journal (WAL) of pending-pool mutations — enqueue,
-//     complete, poison — with periodic checkpoint + compaction,
+//     complete, poison — compacted into a checkpoint every 512 entries,
 //     so the set of jobs the service owes its clients survives a
 //     `kill -9`;
 //   - durable manifests (see results.Manifest): the canonical member
@@ -42,7 +42,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/results"
 )
@@ -54,11 +53,6 @@ const (
 	// OpEnqueue records a job entering the pending pool. The full job
 	// (key + wire request) rides along so replay can re-queue it.
 	OpEnqueue Op = "enqueue"
-	// OpLease is a lease line older coordinators wrote, one per leased
-	// job. Nothing writes it any more: leases are process-lifetime state
-	// (worker ids change every boot), so replay treats a leased job as
-	// pending. It stays decodable so those journals still replay.
-	OpLease Op = "lease"
 	// OpComplete records a job turning terminal (done or failed).
 	OpComplete Op = "complete"
 	// OpPoison records a job parked in the poisoned lot; terminal like
@@ -74,43 +68,24 @@ const (
 // Record is one journal line.
 type Record struct {
 	Op Op `json:"op"`
-	// Key names the job for lease/complete/poison records.
+	// Key names the job for complete/poison records.
 	Key string `json:"key,omitempty"`
 	// Job is the full enqueue payload.
 	Job *results.Job `json:"job,omitempty"`
-	// Worker labels the lease records of older journals.
-	Worker string `json:"worker,omitempty"`
 	// Manifest is the manifest id for manifest records.
 	Manifest string `json:"manifest,omitempty"`
 }
 
-// Options tunes the journal. The zero value gets production defaults;
-// tests shrink the cadences and inject a fake clock.
+// checkpointEvery is the number of appends between automatic
+// compactions.
+const checkpointEvery = 512
+
+// Options tunes the journal. The zero value is the production setting.
 type Options struct {
-	// CheckpointEvery compacts after this many appends. Default: 512.
-	CheckpointEvery int
-	// CheckpointInterval compacts when an append lands this long after
-	// the previous checkpoint. Default: 30s.
-	CheckpointInterval time.Duration
 	// NoSync skips the fsync after each append. Replay stays correct —
 	// recovery is conservative — but a power loss may forget the last
 	// few records and re-simulate them. Off by default.
 	NoSync bool
-	// Now overrides the clock in tests.
-	Now func() time.Time
-}
-
-func (o Options) withDefaults() Options {
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 512
-	}
-	if o.CheckpointInterval <= 0 {
-		o.CheckpointInterval = 30 * time.Second
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	return o
 }
 
 // Stats counts journal activity; the daemon exposes them as
@@ -166,7 +141,7 @@ type Journal struct {
 	// yet complete/poisoned, with the index in liveOrder of the enqueue
 	// that made it live. liveOrder is enqueue order; an entry that is not
 	// its key's live index is stale, and every checkpoint drops the stale
-	// entries, so the slice stays within CheckpointEvery of the live set.
+	// entries, so the slice stays within checkpointEvery of the live set.
 	live      map[string]liveJob
 	liveOrder []string
 	// open maps each manifest between OpManifestOpen and OpManifestDone
@@ -175,7 +150,6 @@ type Journal struct {
 	openOrder []string
 
 	sinceCheckpoint int
-	lastCheckpoint  time.Time
 	replay          State
 
 	entries     atomic.Uint64
@@ -195,7 +169,7 @@ func (j *Journal) manifestDir() string    { return filepath.Join(j.dir, "manifes
 func Open(dir string, opts Options) (*Journal, error) {
 	j := &Journal{
 		dir:  dir,
-		opts: opts.withDefaults(),
+		opts: opts,
 		live: make(map[string]liveJob),
 		open: make(map[string]int),
 	}
@@ -266,9 +240,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 // ReplayState returns the state recovered at Open.
 func (j *Journal) ReplayState() State { return j.replay }
 
-// Dir returns the journal's root directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Stats snapshots the activity counters.
 func (j *Journal) Stats() Stats {
 	return Stats{
@@ -280,8 +251,8 @@ func (j *Journal) Stats() Stats {
 }
 
 // Append records one mutation: it is applied to the materialized state,
-// written to the log, synced (unless NoSync), and may trigger an
-// automatic checkpoint by count or by clock.
+// written to the log, synced (unless NoSync), and every checkpointEvery
+// appends triggers an automatic checkpoint.
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -303,19 +274,10 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.entries.Add(1)
 	j.sinceCheckpoint++
-	if j.sinceCheckpoint >= j.opts.CheckpointEvery ||
-		j.opts.Now().Sub(j.lastCheckpoint) >= j.opts.CheckpointInterval {
+	if j.sinceCheckpoint >= checkpointEvery {
 		return j.checkpointLocked()
 	}
 	return nil
-}
-
-// Checkpoint forces a compaction: live state to checkpoint.json, log
-// truncated.
-func (j *Journal) Checkpoint() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.checkpointLocked()
 }
 
 // Close checkpoints one last time and releases the log file.
@@ -349,8 +311,6 @@ func (j *Journal) applyLocked(rec Record) {
 			lj.job = *rec.Job
 			j.live[rec.Job.Key] = lj
 		}
-	case OpLease:
-		// Leases die with the process; replay re-queues the job.
 	case OpComplete, OpPoison:
 		delete(j.live, rec.Key)
 	case OpManifestOpen:
@@ -460,7 +420,6 @@ func (j *Journal) checkpointLocked() error {
 	}
 	j.f = f
 	j.sinceCheckpoint = 0
-	j.lastCheckpoint = j.opts.Now()
 	j.checkpoints.Add(1)
 	return nil
 }
@@ -474,9 +433,10 @@ func (j *Journal) manifestPath(id string) (string, error) {
 	return filepath.Join(j.manifestDir(), id+".json"), nil
 }
 
-// PutManifest durably stores a manifest under its id (temp file +
+// PutManifest durably stores a manifest under its id (temp file, fsync,
 // rename). The caller separately journals OpManifestOpen so replay
-// knows the manifest is live.
+// knows the manifest is live; the fsync keeps a host crash from leaving
+// that record naming a manifest whose body was lost.
 func (j *Journal) PutManifest(id string, m results.Manifest) error {
 	p, err := j.manifestPath(id)
 	if err != nil {
@@ -493,6 +453,11 @@ func (j *Journal) PutManifest(id string, m results.Manifest) error {
 		return fmt.Errorf("journal: put manifest %s: %w", id, err)
 	}
 	if _, err := tmp.Write(append(b, '\n')); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("journal: put manifest %s: %w", id, err)
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("journal: put manifest %s: %w", id, err)

@@ -5,27 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/results"
 )
 
-// fakeClock drives the checkpoint-interval logic without sleeping.
-type fakeClock struct{ t time.Time }
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC)}
-}
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-// testOptions keeps automatic checkpoints out of the way unless a test
-// asks for them, and pins the clock.
-func testOptions(c *fakeClock) Options {
-	return Options{CheckpointEvery: 1 << 20, CheckpointInterval: 365 * 24 * time.Hour, NoSync: true, Now: c.now}
-}
+// testOptions skips the fsyncs; no test here simulates a power loss.
+var testOptions = Options{NoSync: true}
 
 func job(key string) results.Job {
 	return results.Job{Key: key, Request: results.Request{Schema: results.SchemaVersion, Program: key, Insts: 1000}}
@@ -78,32 +64,30 @@ func enq(key string) Record {
 // (never calls Close), and expects a fresh Open to reconstruct exactly
 // the live jobs and open manifests, in order.
 //
-// The history carries a lease line in the form coordinators used to
+// The log also carries a lease line in the form coordinators used to
 // write (nothing writes one now): it must still decode and replay to the
 // same state as the history without it.
 func TestAppendCrashReplay(t *testing.T) {
 	dir := t.TempDir()
-	c := newFakeClock()
-	j := mustOpen(t, dir, testOptions(c))
+	j := mustOpen(t, dir, testOptions)
 	history := []Record{
 		enq("a"), enq("b"), enq("c"),
-		{Op: OpLease, Key: "a", Worker: "worker-0001"},
 		{Op: OpComplete, Key: "b"},
 		{Op: OpManifestOpen, Manifest: "sweep-1111111111111111"},
 		{Op: OpManifestOpen, Manifest: "sweep-2222222222222222"},
 		{Op: OpManifestDone, Manifest: "sweep-1111111111111111"},
 		{Op: OpPoison, Key: "c"},
 	}
-	appendAll(t, j, history...)
-	raw, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	appendAll(t, j, history[:3]...)
+	j.mu.Lock()
+	_, err := j.f.WriteString(`{"op":"lease","key":"a","worker":"worker-0001"}` + "\n")
+	j.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), "\n"+`{"op":"lease","key":"a","worker":"worker-0001"}`+"\n") {
-		t.Fatalf("lease line not in its historical wire form:\n%s", raw)
-	}
+	appendAll(t, j, history[3:]...)
 
-	j2 := mustOpen(t, dir, testOptions(c))
+	j2 := mustOpen(t, dir, testOptions)
 	st := j2.ReplayState()
 	wantStrings(t, "replayed jobs", jobKeys(st.Jobs), []string{"a"})
 	wantStrings(t, "open manifests", st.OpenManifests, []string{"sweep-2222222222222222"})
@@ -122,23 +106,23 @@ func TestAppendCrashReplay(t *testing.T) {
 	}
 
 	noLease := t.TempDir()
-	appendAll(t, mustOpen(t, noLease, testOptions(c)), append(history[:3:3], history[4:]...)...)
-	want := mustOpen(t, noLease, testOptions(c)).ReplayState()
+	appendAll(t, mustOpen(t, noLease, testOptions), history...)
+	want := mustOpen(t, noLease, testOptions).ReplayState()
 	if !reflect.DeepEqual(st.Jobs, want.Jobs) || !reflect.DeepEqual(st.OpenManifests, want.OpenManifests) {
 		t.Errorf("the lease line changed the replayed state:\n got %+v\nwant %+v", st, want)
 	}
 }
 
 // TestCheckpointByCount expects an automatic compaction after
-// CheckpointEvery appends: the log truncates and a crash replays from
+// checkpointEvery appends: the log truncates and a crash replays from
 // the checkpoint, not the records.
 func TestCheckpointByCount(t *testing.T) {
 	dir := t.TempDir()
-	c := newFakeClock()
-	opts := testOptions(c)
-	opts.CheckpointEvery = 4
-	j := mustOpen(t, dir, opts)
-	appendAll(t, j, enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"}, enq("d"))
+	j := mustOpen(t, dir, testOptions)
+	appendAll(t, j, enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"})
+	for i := 3; i < checkpointEvery; i++ {
+		appendAll(t, j, enq("d")) // re-enqueues of a live key keep its place
+	}
 	if got := j.Stats().Checkpoints; got != 2 { // one at Open, one automatic
 		t.Fatalf("Checkpoints = %d, want 2", got)
 	}
@@ -148,7 +132,7 @@ func TestCheckpointByCount(t *testing.T) {
 	// Records after the checkpoint land in the fresh log.
 	appendAll(t, j, enq("e"))
 
-	j2 := mustOpen(t, dir, testOptions(c))
+	j2 := mustOpen(t, dir, testOptions)
 	st := j2.ReplayState()
 	wantStrings(t, "replayed jobs", jobKeys(st.Jobs), []string{"b", "d", "e"})
 	if st.Entries != 1 {
@@ -156,34 +140,12 @@ func TestCheckpointByCount(t *testing.T) {
 	}
 }
 
-// TestCheckpointByClock expects an append landing past the interval to
-// trigger a compaction on the fake clock.
-func TestCheckpointByClock(t *testing.T) {
-	dir := t.TempDir()
-	c := newFakeClock()
-	opts := testOptions(c)
-	opts.CheckpointInterval = time.Minute
-	j := mustOpen(t, dir, opts)
-	appendAll(t, j, enq("a"))
-	if got := j.Stats().Checkpoints; got != 1 {
-		t.Fatalf("early checkpoint: Checkpoints = %d, want 1", got)
-	}
-	c.advance(61 * time.Second)
-	appendAll(t, j, enq("b"))
-	if got := j.Stats().Checkpoints; got != 2 {
-		t.Fatalf("Checkpoints = %d, want 2 after interval elapsed", got)
-	}
-	j2 := mustOpen(t, dir, testOptions(c))
-	wantStrings(t, "replayed jobs", jobKeys(j2.ReplayState().Jobs), []string{"a", "b"})
-}
-
 // TestTornFinalRecord simulates a crash mid-append: the log ends in a
 // truncated record, which replay must discard — losing only that one
 // mutation — and report.
 func TestTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
-	c := newFakeClock()
-	j := mustOpen(t, dir, testOptions(c))
+	j := mustOpen(t, dir, testOptions)
 	appendAll(t, j, enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"})
 	f, err := os.OpenFile(filepath.Join(dir, "journal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -194,7 +156,7 @@ func TestTornFinalRecord(t *testing.T) {
 	}
 	f.Close()
 
-	j2 := mustOpen(t, dir, testOptions(c))
+	j2 := mustOpen(t, dir, testOptions)
 	st := j2.ReplayState()
 	if !st.Torn {
 		t.Error("Torn = false, want true")
@@ -204,7 +166,7 @@ func TestTornFinalRecord(t *testing.T) {
 	}
 	wantStrings(t, "replayed jobs", jobKeys(st.Jobs), []string{"b"})
 	// The compaction at Open cleared the torn tail: a third open is clean.
-	j3 := mustOpen(t, dir, testOptions(c))
+	j3 := mustOpen(t, dir, testOptions)
 	if st := j3.ReplayState(); st.Torn {
 		t.Error("torn tail survived the recovery compaction")
 	}
@@ -216,15 +178,14 @@ func TestTornFinalRecord(t *testing.T) {
 // error or duplicate.
 func TestReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	c := newFakeClock()
-	j := mustOpen(t, dir, testOptions(c))
+	j := mustOpen(t, dir, testOptions)
 	appendAll(t, j,
 		enq("a"), enq("a"), // duplicate enqueue
 		Record{Op: OpComplete, Key: "zzz"},                             // complete for an unknown key
 		Record{Op: OpManifestDone, Manifest: "sweep-0000000000000000"}, // done without open
 		enq("b"), Record{Op: OpComplete, Key: "b"}, enq("b"), // re-enqueue after completion
 	)
-	j2 := mustOpen(t, dir, testOptions(c))
+	j2 := mustOpen(t, dir, testOptions)
 	wantStrings(t, "replayed jobs", jobKeys(j2.ReplayState().Jobs), []string{"a", "b"})
 }
 
@@ -234,15 +195,14 @@ func TestReplayIdempotent(t *testing.T) {
 // reopen compacts it into.
 func TestReenqueueTakesItsNewPlace(t *testing.T) {
 	dir := t.TempDir()
-	c := newFakeClock()
-	j := mustOpen(t, dir, testOptions(c))
+	j := mustOpen(t, dir, testOptions)
 	appendAll(t, j,
 		enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"}, enq("a"),
 		Record{Op: OpManifestOpen, Manifest: "m1"}, Record{Op: OpManifestOpen, Manifest: "m2"},
 		Record{Op: OpManifestDone, Manifest: "m1"}, Record{Op: OpManifestOpen, Manifest: "m1"},
 	)
 	for _, pass := range []string{"log", "checkpoint"} {
-		j = mustOpen(t, dir, testOptions(c))
+		j = mustOpen(t, dir, testOptions)
 		wantStrings(t, pass+": replayed jobs", jobKeys(j.ReplayState().Jobs), []string{"b", "a"})
 		wantStrings(t, pass+": open manifests", j.ReplayState().OpenManifests, []string{"m2", "m1"})
 	}
@@ -252,10 +212,7 @@ func TestReenqueueTakesItsNewPlace(t *testing.T) {
 // and go keeps its order slices within one checkpoint's worth of appends
 // of the live set, and exactly the live set after a checkpoint.
 func TestOrderStaysBoundedByLiveSet(t *testing.T) {
-	c := newFakeClock()
-	opts := testOptions(c)
-	opts.CheckpointEvery = 512
-	j := mustOpen(t, t.TempDir(), opts)
+	j := mustOpen(t, t.TempDir(), testOptions)
 	appendAll(t, j, enq("resident"), Record{Op: OpManifestOpen, Manifest: "m-resident"})
 	for i := 0; i < 10_000; i++ {
 		key, id := fmt.Sprintf("k%d", i%7), fmt.Sprintf("m%d", i%5)
@@ -266,11 +223,14 @@ func TestOrderStaysBoundedByLiveSet(t *testing.T) {
 		j.mu.Lock()
 		lo, oo, live, open := len(j.liveOrder), len(j.openOrder), len(j.live), len(j.open)
 		j.mu.Unlock()
-		if lo > live+opts.CheckpointEvery || oo > open+opts.CheckpointEvery {
+		if lo > live+checkpointEvery || oo > open+checkpointEvery {
 			t.Fatalf("cycle %d: liveOrder %d for %d live jobs, openOrder %d for %d open manifests", i, lo, live, oo, open)
 		}
 	}
-	if err := j.Checkpoint(); err != nil {
+	j.mu.Lock()
+	err := j.checkpointLocked()
+	j.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	wantStrings(t, "liveOrder after a checkpoint", j.liveOrder, []string{"resident"})
@@ -282,8 +242,7 @@ func TestOrderStaysBoundedByLiveSet(t *testing.T) {
 // on disk, removed from the open set on replay).
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c := newFakeClock()
-	j := mustOpen(t, dir, testOptions(c))
+	j := mustOpen(t, dir, testOptions)
 
 	if _, ok, err := j.GetManifest("sweep-aaaaaaaaaaaaaaaa"); err != nil || ok {
 		t.Fatalf("missing manifest: ok=%v err=%v, want absent", ok, err)
@@ -314,7 +273,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil || !ok || !got.Done || string(got.Final) != `{"status":"done"}` {
 		t.Fatalf("manifest after done: %+v ok=%v err=%v", got, ok, err)
 	}
-	j2 := mustOpen(t, dir, testOptions(c))
+	j2 := mustOpen(t, dir, testOptions)
 	if open := j2.ReplayState().OpenManifests; len(open) != 0 {
 		t.Errorf("done manifest still open after replay: %v", open)
 	}

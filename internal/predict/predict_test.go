@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
-	_ "repro/internal/synth" // register synthetic specs with workload
 	"repro/internal/workload"
 )
 

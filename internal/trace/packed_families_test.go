@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-
-	_ "repro/internal/synth" // registers the synth(...) and synth-random providers
 	"repro/internal/trace"
 	"repro/internal/workload"
 )

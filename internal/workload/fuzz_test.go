@@ -1,11 +1,8 @@
-package workload_test
+package workload
 
 import (
 	"reflect"
 	"testing"
-
-	_ "repro/internal/synth" // registers the synthetic-spec grammar ParseSpec canonicalizes through
-	"repro/internal/workload"
 )
 
 // FuzzParseSpec: whatever ParseSpec accepts, its canonical name parses
@@ -28,12 +25,12 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		spec, err := workload.ParseSpec(in)
+		spec, err := ParseSpec(in)
 		if err != nil {
 			return
 		}
 		name := spec.Name()
-		again, err := workload.ParseSpec(name)
+		again, err := ParseSpec(name)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q) accepted, but its name %q does not parse: %v", in, name, err)
 		}

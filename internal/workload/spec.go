@@ -141,7 +141,7 @@ func (s Spec) Class() (ProgramClass, error) {
 // "+", each label program[:insts][@seed]. "gcc" is the classic single
 // run; "gcc+swim" a two-stream mix; "gcc@7+gcc@8" two diverging copies
 // of one program; "gcc:50000" a stream with an explicit budget. A
-// program starting with "synth" is a synthetic spec (see internal/synth)
+// program starting with "synth" is a synthetic spec (see synth.go)
 // and is validated and canonicalized here — parameter order and number
 // formatting are normalized so equal workloads have equal Name() bytes
 // and therefore equal content keys. Fixed-profile existence is not

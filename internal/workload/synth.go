@@ -1,15 +1,13 @@
-// Package synth generates parameterized synthetic workloads: it turns
-// workload.Profile from a closed set of 26 SPEC2000-alike profiles into
-// an unbounded, content-addressed scenario space.
-//
-// A spec string names a workload by its parameters:
+package workload
+
+// Synthetic specs: a spec string names a workload by its parameters,
 //
 //	synth(ilp=8,br=0.12,ws=4M,ld=0.28,st=0.12,stride=0.6,phases=3)
 //
 // Every knob is optional and defaults to a neutral integer-code-like
-// value. ParseParams/Params.Canonical round-trip the grammar with
-// parameter order and number formatting normalized, so equal workloads
-// have equal canonical bytes — which is what makes the specs
+// value. ParseSynthParams/SynthParams.Canonical round-trip the grammar
+// with parameter order and number formatting normalized, so equal
+// workloads have equal canonical bytes — which is what makes the specs
 // content-addressable: equal bytes ⇒ equal trace-cache keys and equal
 // result-store keys, fleet-wide.
 //
@@ -25,12 +23,6 @@
 // ILP, stride and branch behaviour all shift, and each phase lives in
 // its own address region), switching every plen instructions — program
 // behaviour the 26 static profiles cannot express.
-//
-// The package registers itself with internal/workload at init, so any
-// binary that imports it (internal/harness does, transitively covering
-// every execution path) accepts synth specs wherever a program name is
-// taken.
-package synth
 
 import (
 	"fmt"
@@ -38,21 +30,19 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/workload"
 )
 
-// MaxPhases bounds the piecewise structure of one spec. It equals
-// workload.MaxStreams: past that point phase churn, not phase identity,
+// MaxSynthPhases bounds the piecewise structure of one spec. It equals
+// MaxStreams: past that point phase churn, not phase identity,
 // dominates, and the cap keeps phased address-space offsets well inside
 // one stream's 2^44-byte slot.
-const MaxPhases = workload.MaxStreams
+const MaxSynthPhases = MaxStreams
 
-// Params is one synthetic workload's parameter set. The zero value is
-// not meaningful; start from Defaults().
-type Params struct {
+// SynthParams is one synthetic workload's parameter set. The zero value
+// is not meaningful; start from SynthDefaults().
+type SynthParams struct {
 	// ILP is the mean register dependence-chain distance in instructions
-	// (workload.Profile.ChainDistMean). Higher = more instruction-level
+	// (Profile.ChainDistMean). Higher = more instruction-level
 	// parallelism.
 	ILP float64
 	// Br is the fraction of conditional branches whose outcome is close
@@ -78,10 +68,10 @@ type Params struct {
 	PLen uint64
 }
 
-// Defaults returns the neutral parameter set every omitted knob falls
+// SynthDefaults returns the neutral parameter set every omitted knob falls
 // back to: a moderately branchy, moderately strided integer code.
-func Defaults() Params {
-	return Params{
+func SynthDefaults() SynthParams {
+	return SynthParams{
 		ILP:    2.5,
 		Br:     0.2,
 		Bf:     0.12,
@@ -99,17 +89,17 @@ func Defaults() Params {
 // index in knobs (the order the canonical form renders them in).
 type knob struct {
 	name string
-	set  func(*Params, string) error
+	set  func(*SynthParams, string) error
 	// render returns the canonical value string and whether the value
 	// differs from the default (only differing knobs are rendered).
-	render func(*Params, *Params) (string, bool)
+	render func(*SynthParams, *SynthParams) (string, bool)
 }
 
 // fractionKnob builds a knob for a [0,1]-ranged float field.
-func fractionKnob(name string, f func(*Params) *float64, lo, hi float64) knob {
+func fractionKnob(name string, f func(*SynthParams) *float64, lo, hi float64) knob {
 	return knob{
 		name: name,
-		set: func(p *Params, v string) error {
+		set: func(p *SynthParams, v string) error {
 			x, err := parseFloat(name, v)
 			if err != nil {
 				return err
@@ -120,7 +110,7 @@ func fractionKnob(name string, f func(*Params) *float64, lo, hi float64) knob {
 			*f(p) = x
 			return nil
 		},
-		render: func(p, d *Params) (string, bool) {
+		render: func(p, d *SynthParams) (string, bool) {
 			return formatFloat(*f(p)), *f(p) != *f(d)
 		},
 	}
@@ -132,7 +122,7 @@ func fractionKnob(name string, f func(*Params) *float64, lo, hi float64) knob {
 var knobs = []knob{
 	{
 		name: "ilp",
-		set: func(p *Params, v string) error {
+		set: func(p *SynthParams, v string) error {
 			x, err := parseFloat("ilp", v)
 			if err != nil {
 				return err
@@ -143,12 +133,12 @@ var knobs = []knob{
 			p.ILP = x
 			return nil
 		},
-		render: func(p, d *Params) (string, bool) { return formatFloat(p.ILP), p.ILP != d.ILP },
+		render: func(p, d *SynthParams) (string, bool) { return formatFloat(p.ILP), p.ILP != d.ILP },
 	},
-	fractionKnob("br", func(p *Params) *float64 { return &p.Br }, 0, 1),
+	fractionKnob("br", func(p *SynthParams) *float64 { return &p.Br }, 0, 1),
 	{
 		name: "ws",
-		set: func(p *Params, v string) error {
+		set: func(p *SynthParams, v string) error {
 			x, err := parseBytes(v)
 			if err != nil {
 				return fmt.Errorf("synth: ws=%s: %w", v, err)
@@ -159,33 +149,33 @@ var knobs = []knob{
 			p.WS = x
 			return nil
 		},
-		render: func(p, d *Params) (string, bool) { return formatBytes(p.WS), p.WS != d.WS },
+		render: func(p, d *SynthParams) (string, bool) { return formatBytes(p.WS), p.WS != d.WS },
 	},
-	fractionKnob("ld", func(p *Params) *float64 { return &p.Ld }, 0, 0.6),
-	fractionKnob("st", func(p *Params) *float64 { return &p.St }, 0, 0.4),
-	fractionKnob("stride", func(p *Params) *float64 { return &p.Stride }, 0, 1),
+	fractionKnob("ld", func(p *SynthParams) *float64 { return &p.Ld }, 0, 0.6),
+	fractionKnob("st", func(p *SynthParams) *float64 { return &p.St }, 0, 0.4),
+	fractionKnob("stride", func(p *SynthParams) *float64 { return &p.Stride }, 0, 1),
 	{
 		name: "phases",
-		set: func(p *Params, v string) error {
+		set: func(p *SynthParams, v string) error {
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				return fmt.Errorf("synth: phases=%s is not an integer", v)
 			}
-			if n < 1 || n > MaxPhases {
-				return fmt.Errorf("synth: phases=%d out of range [1, %d]", n, MaxPhases)
+			if n < 1 || n > MaxSynthPhases {
+				return fmt.Errorf("synth: phases=%d out of range [1, %d]", n, MaxSynthPhases)
 			}
 			p.Phases = n
 			return nil
 		},
-		render: func(p, d *Params) (string, bool) {
+		render: func(p, d *SynthParams) (string, bool) {
 			return strconv.Itoa(p.Phases), p.Phases != d.Phases
 		},
 	},
-	fractionKnob("bf", func(p *Params) *float64 { return &p.Bf }, 0, 0.4),
-	fractionKnob("fp", func(p *Params) *float64 { return &p.FP }, 0, 1),
+	fractionKnob("bf", func(p *SynthParams) *float64 { return &p.Bf }, 0, 0.4),
+	fractionKnob("fp", func(p *SynthParams) *float64 { return &p.FP }, 0, 1),
 	{
 		name: "plen",
-		set: func(p *Params, v string) error {
+		set: func(p *SynthParams, v string) error {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				return fmt.Errorf("synth: plen=%s is not a positive integer", v)
@@ -196,7 +186,7 @@ var knobs = []knob{
 			p.PLen = n
 			return nil
 		},
-		render: func(p, d *Params) (string, bool) {
+		render: func(p, d *SynthParams) (string, bool) {
 			return strconv.FormatUint(p.PLen, 10), p.PLen != d.PLen
 		},
 	},
@@ -270,13 +260,13 @@ func formatBytes(n uint64) string {
 	}
 }
 
-// ParseParams parses the parenthesized parameter list of a
+// ParseSynthParams parses the parenthesized parameter list of a
 // "synth(...)" spec (the full name, including the "synth(" prefix and
 // ")" suffix; bare "synth" is the all-defaults spec). Errors are
 // actionable: they name the offending knob, its value, and the accepted
 // range.
-func ParseParams(name string) (Params, error) {
-	p := Defaults()
+func ParseSynthParams(name string) (SynthParams, error) {
+	p := SynthDefaults()
 	if name == "synth" {
 		return p, nil
 	}
@@ -326,7 +316,7 @@ func ParseParams(name string) (Params, error) {
 // Validate reports the first cross-parameter problem. Per-knob range
 // checks happen at parse time; this catches combinations each knob
 // cannot see alone.
-func (p Params) Validate() error {
+func (p SynthParams) Validate() error {
 	if p.Ld+p.St+p.Bf > 0.9 {
 		return fmt.Errorf("synth: ld+st+bf = %s leaves under 10%% of the mix for computation (max 0.9)",
 			formatFloat(p.Ld+p.St+p.Bf))
@@ -337,10 +327,10 @@ func (p Params) Validate() error {
 // Canonical renders the parameter set in the one canonical spelling:
 // "synth(...)" with only the non-default knobs, in canonical knob
 // order, in canonical number formats; the all-defaults set is bare
-// "synth". Canonical is a fixed point of ParseParams: parsing its
+// "synth". Canonical is a fixed point of ParseSynthParams: parsing its
 // output reproduces p exactly.
-func (p Params) Canonical() string {
-	d := Defaults()
+func (p SynthParams) Canonical() string {
+	d := SynthDefaults()
 	var b strings.Builder
 	b.WriteString("synth(")
 	first := true
@@ -364,10 +354,10 @@ func (p Params) Canonical() string {
 	return b.String()
 }
 
-// Families lists the named distribution families, sorted. Each family
+// SynthFamilies lists the named distribution families, sorted. Each family
 // name is itself a canonical spec; the stream seed selects the member
 // of the population.
-func Families() []string {
+func SynthFamilies() []string {
 	out := make([]string, 0, len(families))
 	for name := range families {
 		out = append(out, name)
@@ -376,8 +366,8 @@ func Families() []string {
 	return out
 }
 
-// IsFamily reports whether the name is a registered distribution family.
-func IsFamily(name string) bool {
+// IsSynthFamily reports whether the name is a registered distribution family.
+func IsSynthFamily(name string) bool {
 	_, ok := families[name]
 	return ok
 }

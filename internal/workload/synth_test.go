@@ -1,4 +1,4 @@
-package synth
+package workload
 
 import (
 	"strings"
@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // TestCanonicalFixedPoint: parsing a canonical spec and re-canonicalizing
@@ -26,14 +25,14 @@ func TestCanonicalFixedPoint(t *testing.T) {
 		"synth( ilp = 4 , br = 0.3 )", // whitespace
 	}
 	for _, spec := range specs {
-		p, err := ParseParams(spec)
+		p, err := ParseSynthParams(spec)
 		if err != nil {
-			t.Fatalf("ParseParams(%q): %v", spec, err)
+			t.Fatalf("ParseSynthParams(%q): %v", spec, err)
 		}
 		canon := p.Canonical()
-		p2, err := ParseParams(canon)
+		p2, err := ParseSynthParams(canon)
 		if err != nil {
-			t.Fatalf("ParseParams(canonical %q): %v", canon, err)
+			t.Fatalf("ParseSynthParams(canonical %q): %v", canon, err)
 		}
 		if p != p2 {
 			t.Fatalf("%q: canonical %q reparses to different params:\n%+v\n%+v", spec, canon, p, p2)
@@ -53,13 +52,13 @@ func TestCanonicalNormalizes(t *testing.T) {
 		{"synth(br=0.2)", "synth"},
 	}
 	for _, c := range cases {
-		a, err := ParseParams(c[0])
+		a, err := ParseSynthParams(c[0])
 		if err != nil {
-			t.Fatalf("ParseParams(%q): %v", c[0], err)
+			t.Fatalf("ParseSynthParams(%q): %v", c[0], err)
 		}
-		b, err := ParseParams(c[1])
+		b, err := ParseSynthParams(c[1])
 		if err != nil {
-			t.Fatalf("ParseParams(%q): %v", c[1], err)
+			t.Fatalf("ParseSynthParams(%q): %v", c[1], err)
 		}
 		if a.Canonical() != b.Canonical() {
 			t.Errorf("%q and %q canonicalize differently: %q vs %q",
@@ -92,19 +91,19 @@ func TestParseErrors(t *testing.T) {
 		{"synth(ws=2G)", "out of range"},
 		{"synth(ws=4X)", "not a byte count"},
 		{"synth(phases=0)", "out of range"},
-		{"synth(phases=9)", "out of range"}, // > MaxPhases = MaxStreams
+		{"synth(phases=9)", "out of range"}, // > MaxSynthPhases = MaxStreams
 		{"synth(phases=2.5)", "not an integer"},
 		{"synth(plen=10)", "out of range"},
 		{"synth(ld=0.6,st=0.3,bf=0.2)", "computation"},
 	}
 	for _, c := range cases {
-		_, err := ParseParams(c.spec)
+		_, err := ParseSynthParams(c.spec)
 		if err == nil {
-			t.Errorf("ParseParams(%q): expected error, got none", c.spec)
+			t.Errorf("ParseSynthParams(%q): expected error, got none", c.spec)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("ParseParams(%q): error %q does not mention %q", c.spec, err, c.want)
+			t.Errorf("ParseSynthParams(%q): error %q does not mention %q", c.spec, err, c.want)
 		}
 	}
 }
@@ -119,11 +118,11 @@ func TestStreamDeterminism(t *testing.T) {
 		"synth-fp",
 	} {
 		for _, seed := range []uint64{0, 7} {
-			a, err := provider{}.NewStream(spec, seed)
+			a, err := NewStream(spec, seed)
 			if err != nil {
 				t.Fatalf("NewStream(%q, %d): %v", spec, seed, err)
 			}
-			b, err := provider{}.NewStream(spec, seed)
+			b, err := NewStream(spec, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,11 +141,11 @@ func TestStreamDeterminism(t *testing.T) {
 // workloads, and different seeds of the same parameterized spec are
 // different replays of the same skeleton.
 func TestSeedsDiverge(t *testing.T) {
-	a, err := provider{}.NewStream("synth-random", 1)
+	a, err := NewStream("synth-random", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := provider{}.NewStream("synth-random", 2)
+	b, err := NewStream("synth-random", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestSeedsDiverge(t *testing.T) {
 // TestPhasedStreamValid: phased streams satisfy trace.Validate (strictly
 // increasing Seq, well-formed instructions) and actually change phase.
 func TestPhasedStreamValid(t *testing.T) {
-	s, err := provider{}.NewStream("synth(phases=4,plen=1000,ws=64K)", 3)
+	s, err := NewStream("synth(phases=4,plen=1000,ws=64K)", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestPhasedStreamValid(t *testing.T) {
 // package entry points — spec parsing canonicalizes, Validate accepts,
 // NewStream streams, Class reports.
 func TestWorkloadIntegration(t *testing.T) {
-	spec, err := workload.ParseSpec("synth(ws=4194304,ilp=8.0)+synth-random:5000@9")
+	spec, err := ParseSpec("synth(ws=4194304,ilp=8.0)+synth-random:5000@9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,28 +208,28 @@ func TestWorkloadIntegration(t *testing.T) {
 		t.Fatalf("Name() = %q, want %q", got, want)
 	}
 	// Round trip: parse the canonical name again.
-	spec2, err := workload.ParseSpec(spec.Name())
+	spec2, err := ParseSpec(spec.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec2.Name() != want {
 		t.Fatalf("round trip: %q -> %q", want, spec2.Name())
 	}
-	if _, err := workload.NewStream("synth(ilp=8,ws=4M)", 0); err != nil {
+	if _, err := NewStream("synth(ilp=8,ws=4M)", 0); err != nil {
 		t.Fatal(err)
 	}
 	cls, err := spec.Class()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cls != workload.ClassMixed {
+	if cls != ClassMixed {
 		t.Fatalf("Class() = %v, want MIX", cls)
 	}
-	if cls, _ := workload.ClassOf("synth(fp=0.8)"); cls != workload.ClassFP {
+	if cls, _ := ClassOf("synth(fp=0.8)"); cls != ClassFP {
 		t.Fatalf("ClassOf(fp=0.8) = %v, want FP", cls)
 	}
 	// Malformed specs are rejected at parse time with the synth error.
-	if _, err := workload.ParseSpec("gcc+synth(ilp=0)"); err == nil ||
+	if _, err := ParseSpec("gcc+synth(ilp=0)"); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("ParseSpec(bad synth) error = %v", err)
 	}
@@ -238,7 +237,7 @@ func TestWorkloadIntegration(t *testing.T) {
 
 // TestSplitList: commas inside synth parameter lists do not split.
 func TestSplitList(t *testing.T) {
-	got := workload.SplitList("gcc, synth(ilp=8,ws=4M), swim+synth-random@2,")
+	got := SplitList("gcc, synth(ilp=8,ws=4M), swim+synth-random@2,")
 	want := []string{"gcc", "synth(ilp=8,ws=4M)", "swim+synth-random@2"}
 	if len(got) != len(want) {
 		t.Fatalf("SplitList = %q, want %q", got, want)
@@ -252,11 +251,11 @@ func TestSplitList(t *testing.T) {
 
 // TestFamilies: every registered family resolves under several seeds.
 func TestFamilies(t *testing.T) {
-	for _, name := range Families() {
+	for _, name := range SynthFamilies() {
 		for seed := uint64(0); seed < 4; seed++ {
-			p, canon, err := Resolve(name, seed)
+			p, canon, err := resolveSynth(name, seed)
 			if err != nil {
-				t.Fatalf("Resolve(%q, %d): %v", name, seed, err)
+				t.Fatalf("resolveSynth(%q, %d): %v", name, seed, err)
 			}
 			if canon != name {
 				t.Fatalf("family canonical = %q, want %q", canon, name)

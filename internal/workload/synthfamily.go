@@ -1,10 +1,9 @@
-package synth
+package workload
 
 import (
 	"fmt"
 
 	"repro/internal/rng"
-	"repro/internal/workload"
 )
 
 // A family denotes a population of workloads rather than one point: the
@@ -14,16 +13,16 @@ import (
 // reproducible two-stream mix drawn from the population — the sampling
 // unit of the multi-programmed fairness study.
 type family struct {
-	class  workload.ProgramClass
-	sample func(r *rng.Source) Params
+	class  ProgramClass
+	sample func(r *rng.Source) SynthParams
 }
 
 var families = map[string]family{
 	// synth-random spans the whole parameter space, integer and FP codes
 	// alike; the suite class of a given member depends on the draw.
 	"synth-random": {
-		class: workload.ClassMixed,
-		sample: func(r *rng.Source) Params {
+		class: ClassMixed,
+		sample: func(r *rng.Source) SynthParams {
 			p := sampleShared(r)
 			p.FP = r.Float64()
 			if p.FP >= 0.5 {
@@ -39,8 +38,8 @@ var families = map[string]family{
 	},
 	// synth-int samples integer codes: short chains, branchy, irregular.
 	"synth-int": {
-		class: workload.ClassInt,
-		sample: func(r *rng.Source) Params {
+		class: ClassInt,
+		sample: func(r *rng.Source) SynthParams {
 			p := sampleShared(r)
 			p.FP = 0
 			return p
@@ -49,8 +48,8 @@ var families = map[string]family{
 	// synth-fp samples FP kernels: long chains, predictable control,
 	// strided working sets.
 	"synth-fp": {
-		class: workload.ClassFP,
-		sample: func(r *rng.Source) Params {
+		class: ClassFP,
+		sample: func(r *rng.Source) SynthParams {
 			p := sampleShared(r)
 			p.FP = 0.5 + 0.4*r.Float64()
 			p.ILP = 3 + 9*r.Float64()
@@ -65,8 +64,8 @@ var families = map[string]family{
 // sampleShared draws the integer-code-flavoured baseline every family
 // refines: moderate ILP, branchy control, working sets log-uniform over
 // 16K..64M, and up to 4 program phases.
-func sampleShared(r *rng.Source) Params {
-	p := Defaults()
+func sampleShared(r *rng.Source) SynthParams {
+	p := SynthDefaults()
 	p.ILP = 1.5 + 5*r.Float64()
 	p.Br = 0.1 + 0.3*r.Float64()
 	p.Bf = 0.08 + 0.1*r.Float64()
@@ -83,17 +82,17 @@ func sampleShared(r *rng.Source) Params {
 // denotes under the given stream seed. The sampling PRNG is seeded from
 // (family name, seed) exactly like a parameterized spec's generators,
 // so members are stable across processes and machines.
-func sampleFamily(name string, seed uint64) (Params, error) {
+func sampleFamily(name string, seed uint64) (SynthParams, error) {
 	f, ok := families[name]
 	if !ok {
-		return Params{}, fmt.Errorf("synth: unknown family %q (have %v)", name, Families())
+		return SynthParams{}, fmt.Errorf("synth: unknown family %q (have %v)", name, SynthFamilies())
 	}
 	r := rng.New(specSeed(name, seed) ^ 0xfa311e5)
 	p := f.sample(r)
 	if err := p.Validate(); err != nil {
 		// Meta-distribution ranges are chosen so this cannot trip; guard
 		// anyway so a future range edit fails loudly.
-		return Params{}, fmt.Errorf("synth: family %s sampled invalid params: %w", name, err)
+		return SynthParams{}, fmt.Errorf("synth: family %s sampled invalid params: %w", name, err)
 	}
 	return p, nil
 }

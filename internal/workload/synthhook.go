@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/trace"
@@ -10,75 +9,68 @@ import (
 // Synthetic workloads extend the 26 fixed profiles into an unbounded,
 // content-addressed space: any program name starting with "synth" is a
 // parameterized spec ("synth(ilp=8,ws=4M)") or a named distribution
-// family ("synth-random"). The grammar itself lives in internal/synth;
-// that package registers a SynthProvider here at init time, which keeps
-// this package free of a dependency cycle (synth produces
-// workload.Profile values). Every binary that executes workloads reaches
-// synthetic specs through internal/harness, which imports internal/synth
-// for exactly this registration.
-
-// SynthProvider resolves synthetic workload names. Implementations must
-// be safe for concurrent use and fully deterministic: the canonical name
-// plus the stream seed must pin the instruction stream bit-for-bit across
-// processes and machines, because both the trace cache and the
-// content-addressed result store key off them.
-type SynthProvider interface {
-	// Canonical validates the name and returns its canonical spelling
-	// (parameters in canonical order and formatting), so that equal
-	// workloads have equal bytes — and therefore equal content keys —
-	// regardless of how the spec was written.
-	Canonical(name string) (string, error)
-	// Class reports the suite class the spec belongs to (ClassMixed when
-	// it cannot be determined from the name alone, e.g. sampled
-	// families).
-	Class(name string) (ProgramClass, error)
-	// NewStream returns the infinite instruction stream the spec denotes
-	// under the given stream seed (0 = the spec's default seed).
-	NewStream(name string, seed uint64) (trace.Stream, error)
-}
-
-// synthProvider is the registered provider, nil until internal/synth's
-// init runs. Registration happens during package initialization, before
-// any goroutines run, so no lock is needed.
-var synthProvider SynthProvider
-
-// RegisterSynthProvider installs the synthetic-workload resolver. It is
-// called once, from internal/synth's init.
-func RegisterSynthProvider(p SynthProvider) { synthProvider = p }
+// family ("synth-random"). The grammar lives in synth.go, the families
+// in synthfamily.go and the phased stream in synthstream.go; the entry
+// points below resolve fixed and synthetic names alike, so every binary
+// that takes a program name accepts synth specs.
+//
+// Synth resolution is fully deterministic: the canonical name plus the
+// stream seed pin the instruction stream bit-for-bit across processes
+// and machines, because both the trace cache and the content-addressed
+// result store key off them.
 
 // IsSynthName reports whether a program name denotes a synthetic
 // workload rather than one of the fixed profiles. No fixed profile name
 // starts with "synth", so the prefix is unambiguous.
 func IsSynthName(name string) bool { return strings.HasPrefix(name, "synth") }
 
-// errNoSynth explains a synth name reaching a binary that never linked
-// the generator.
-func errNoSynth() error {
-	return fmt.Errorf("workload: synthetic specs unavailable (import repro/internal/synth)")
+// resolveSynth parses a synth name — parameterized spec or family —
+// into the parameter set it denotes under the given stream seed, plus
+// its canonical spelling. Family members sample their parameters from
+// the seed; parameterized specs ignore it here (the seed still separates
+// their generator streams).
+func resolveSynth(name string, seed uint64) (SynthParams, string, error) {
+	if IsSynthFamily(name) {
+		p, err := sampleFamily(name, seed)
+		return p, name, err
+	}
+	p, err := ParseSynthParams(name)
+	if err != nil {
+		return SynthParams{}, "", err
+	}
+	return p, p.Canonical(), nil
 }
 
 // CanonicalName returns the canonical spelling of a program name: fixed
 // profile names are already canonical (existence is checked by Validate,
-// not here), synthetic names are validated and normalized by the
-// provider.
+// not here), synthetic names are validated and rendered with parameters
+// in canonical order and formatting, so that equal workloads have equal
+// bytes — and therefore equal content keys — however the spec was
+// written.
 func CanonicalName(name string) (string, error) {
-	if !IsSynthName(name) {
+	if !IsSynthName(name) || IsSynthFamily(name) {
 		return name, nil
 	}
-	if synthProvider == nil {
-		return "", errNoSynth()
+	p, err := ParseSynthParams(name)
+	if err != nil {
+		return "", err
 	}
-	return synthProvider.Canonical(name)
+	return p.Canonical(), nil
 }
 
 // ClassOf returns the suite class of a program name, resolving both
-// fixed profiles and synthetic specs.
+// fixed profiles and synthetic specs. A family whose members span both
+// suites (synth-random) is ClassMixed.
 func ClassOf(name string) (ProgramClass, error) {
 	if IsSynthName(name) {
-		if synthProvider == nil {
-			return ClassMixed, errNoSynth()
+		if f, ok := families[name]; ok {
+			return f.class, nil
 		}
-		return synthProvider.Class(name)
+		p, err := ParseSynthParams(name)
+		if err != nil {
+			return ClassMixed, err
+		}
+		return synthClass(p), nil
 	}
 	p, err := ByName(name)
 	if err != nil {
@@ -94,10 +86,11 @@ func ClassOf(name string) (ProgramClass, error) {
 // so both produce bit-identical sequences.
 func NewStream(program string, seed uint64) (trace.Stream, error) {
 	if IsSynthName(program) {
-		if synthProvider == nil {
-			return nil, errNoSynth()
+		p, canon, err := resolveSynth(program, seed)
+		if err != nil {
+			return nil, err
 		}
-		return synthProvider.NewStream(program, seed)
+		return newSynthStream(p, canon, seed)
 	}
 	prof, err := ByName(program)
 	if err != nil {

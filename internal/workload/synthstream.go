@@ -1,4 +1,4 @@
-package synth
+package workload
 
 import (
 	"fmt"
@@ -7,12 +7,11 @@ import (
 	"repro/internal/isa"
 	"repro/internal/rng"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // phaseAddrStride separates the address regions of a spec's phases:
 // phase k's PCs, branch targets and effective addresses are offset by
-// k·2^38. With at most MaxPhases = 8 phases the offsets stay below
+// k·2^38. With at most MaxSynthPhases = 8 phases the offsets stay below
 // 2^41, well inside the 2^44-byte slot core.Machine gives each stream,
 // and far above the extent any single generator's address space can
 // reach (working sets cap at 1G, so per-phase extents stay under 2^37).
@@ -39,20 +38,20 @@ func specSeed(canon string, seed uint64) uint64 {
 	return s
 }
 
-// classOf maps the FP share to the suite class the generator shapes
+// synthClass maps the FP share to the suite class the generator shapes
 // details around (FP register pressure on loads, store data namespace).
-func classOf(p Params) workload.ProgramClass {
+func synthClass(p SynthParams) ProgramClass {
 	if p.FP >= 0.5 {
-		return workload.ClassFP
+		return ClassFP
 	}
-	return workload.ClassInt
+	return ClassInt
 }
 
-// profileFor maps one phase's parameter set onto a workload.Profile.
+// profileFor maps one phase's parameter set onto a Profile.
 // Every derived field is a pure function of the parameters, so equal
 // canonical specs produce equal profiles.
-func profileFor(p Params, name string, seed uint64) workload.Profile {
-	comp := 1 - p.Ld - p.St - p.Bf // ≥ 0.1 by Params.Validate
+func profileFor(p SynthParams, name string, seed uint64) Profile {
+	comp := 1 - p.Ld - p.St - p.Bf // ≥ 0.1 by SynthParams.Validate
 	intW := comp * (1 - p.FP)
 	fpW := comp * p.FP
 	mix := map[isa.Class]float64{
@@ -72,9 +71,9 @@ func profileFor(p Params, name string, seed uint64) workload.Profile {
 	add(isa.FPMult, fpW*0.40)
 	add(isa.FPDiv, fpW*0.10)
 
-	return workload.Profile{
+	return Profile{
 		Name:  name,
-		Class: classOf(p),
+		Class: synthClass(p),
 		Mix:   mix,
 		// FP codes join recent values more (reduction trees); the join
 		// distance scales with the chain distance so raising ilp widens
@@ -102,7 +101,7 @@ func profileFor(p Params, name string, seed uint64) workload.Profile {
 // behaviour and stride deterministically (seeded by the spec, not by
 // wall-clock anything), modelling the program moving between loops with
 // different character.
-func phaseParams(base Params, k int, baseSeed uint64) Params {
+func phaseParams(base SynthParams, k int, baseSeed uint64) SynthParams {
 	if k == 0 {
 		return base
 	}
@@ -161,21 +160,21 @@ func (s *phasedStream) Next() (isa.Inst, error) {
 	return in, nil
 }
 
-// NewStream builds the infinite instruction stream a parameter set
+// newSynthStream builds the infinite instruction stream a parameter set
 // denotes, under the canonical spec name and stream seed that key it.
-func NewStream(p Params, canon string, seed uint64) (trace.Stream, error) {
+func newSynthStream(p SynthParams, canon string, seed uint64) (trace.Stream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	baseSeed := specSeed(canon, seed)
 	if p.Phases == 1 {
-		return workload.NewGenerator(profileFor(p, canon, baseSeed))
+		return NewGenerator(profileFor(p, canon, baseSeed))
 	}
 	gens := make([]trace.Stream, p.Phases)
 	for k := 0; k < p.Phases; k++ {
 		pp := phaseParams(p, k, baseSeed)
 		name := fmt.Sprintf("%s#phase%d", canon, k)
-		g, err := workload.NewGenerator(profileFor(pp, name, baseSeed+uint64(k)))
+		g, err := NewGenerator(profileFor(pp, name, baseSeed+uint64(k)))
 		if err != nil {
 			return nil, err
 		}
