@@ -3,8 +3,8 @@ package main
 // The attach subcommand: re-attach to work submitted to a ringsimd —
 // including work submitted to a previous process generation that has
 // since crashed and restarted. Every durable id the service hands out
-// resolves here: sweep-… and explore-… ids reconstruct from the
-// coordinator's journal manifests + content-addressed store, and a bare
+// resolves here: sweep-… and explore-… ids are re-registered from the
+// coordinator's journal manifests or answered from a done one, and a bare
 // 64-hex content key polls a single run. Attach never resubmits
 // anything; it only observes.
 
@@ -30,7 +30,6 @@ type attachView struct {
 	Total     int              `json:"total"`
 	Done      int              `json:"done"`
 	Failed    int              `json:"failed"`
-	Lost      int              `json:"lost"`
 	CacheHits int              `json:"cache_hits"`
 	Results   []results.Result `json:"results"`
 	Cached    bool             `json:"cached"`
@@ -101,7 +100,7 @@ func attachMain(args []string) {
 // attachProgress renders the in-flight counter suffix for the id kind.
 func attachProgress(v attachView) string {
 	if v.Total > 0 {
-		return fmt.Sprintf(" %d/%d done, %d cached", v.Done+v.Failed+v.Lost, v.Total, v.CacheHits)
+		return fmt.Sprintf(" %d/%d done, %d cached", v.Done+v.Failed, v.Total, v.CacheHits)
 	}
 	if v.SpaceSize > 0 {
 		return fmt.Sprintf(" %d/%d evaluated", v.Evaluated, v.SpaceSize)
@@ -113,8 +112,8 @@ func attachProgress(v attachView) string {
 func printAttached(id string, v attachView) {
 	if v.Status != "done" {
 		fmt.Fprintf(os.Stderr, "ringsim: %s ended %s", id, v.Status)
-		if v.Failed > 0 || v.Lost > 0 {
-			fmt.Fprintf(os.Stderr, " (%d failed, %d lost)", v.Failed, v.Lost)
+		if v.Failed > 0 {
+			fmt.Fprintf(os.Stderr, " (%d failed)", v.Failed)
 		}
 		if v.Error != "" {
 			fmt.Fprintf(os.Stderr, ": %s", v.Error)
@@ -142,7 +141,7 @@ func printAttached(id string, v attachView) {
 }
 
 // fetchView GETs and decodes one status view; a 404 is reported as-is
-// (the service neither knows the id nor can reconstruct it).
+// (the service neither knows the id nor holds a done manifest for it).
 func fetchView(url string) (attachView, error) {
 	resp, err := http.Get(url)
 	if err != nil {

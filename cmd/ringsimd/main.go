@@ -36,9 +36,10 @@
 // past the bound, least-recently-used entries are pruned (safe — every
 // entry is re-simulatable).
 //
-// With -journal-dir the coordinator's control state is crash-safe: every
-// pending-pool mutation (enqueue, complete, poison) is journaled,
-// and sweep/exploration manifests are persisted under their durable ids.
+// With -journal-dir the coordinator's control state is crash-safe: the
+// pool mutations of direct runs (enqueue, complete, poison) are
+// journaled, and sweep/exploration manifests are persisted under their
+// durable ids; a manifest lists its members, so they are not journaled.
 // After a crash (kill -9 included) a restart replays the journal, settles
 // jobs whose results already sit in the store, re-queues the rest, and
 // serves `GET /v1/sweeps/{id}` / `GET /v1/explore/{id}` for ids handed

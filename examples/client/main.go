@@ -40,7 +40,6 @@ type sweepStatus struct {
 	Total     int              `json:"total"`
 	Done      int              `json:"done"`
 	Failed    int              `json:"failed"`
-	Lost      int              `json:"lost"`
 	CacheHits int              `json:"cache_hits"`
 	Results   []results.Result `json:"results"`
 	Error     string           `json:"error"`
@@ -74,16 +73,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "client:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("  %s: %d/%d done, %d cached\r", sw.ID, sw.Done+sw.Failed+sw.Lost, sw.Total, sw.CacheHits)
+		fmt.Printf("  %s: %d/%d done, %d cached\r", sw.ID, sw.Done+sw.Failed, sw.Total, sw.CacheHits)
 	}
 	fmt.Println()
 	if sw.Status != "done" {
-		// "lost" members are runs the service can no longer account for
-		// (vanished from both registry and store — e.g. a journal-less
-		// coordinator restarted mid-sweep); they are terminal, so report
-		// and stop rather than polling forever.
-		fmt.Fprintf(os.Stderr, "client: sweep %s ended %s (%d failed, %d lost)\n",
-			sw.ID, sw.Status, sw.Failed, sw.Lost)
+		fmt.Fprintf(os.Stderr, "client: sweep %s ended %s (%d failed)\n", sw.ID, sw.Status, sw.Failed)
 		if sw.Error != "" {
 			fmt.Fprintln(os.Stderr, "client:", sw.Error)
 		}

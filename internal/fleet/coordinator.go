@@ -31,9 +31,6 @@ type CoordinatorOptions struct {
 	// SweepEvery is the requeue sweeper's tick. Default: LeaseTTL / 4,
 	// clamped to [10ms, 1s].
 	SweepEvery time.Duration
-	// MaxLeaseBatch caps jobs granted in one lease call regardless of the
-	// worker's ask. Default: 64.
-	MaxLeaseBatch int
 	// MaxJobAttempts caps how many leases one job may burn before it is
 	// parked in the poisoned-job lot instead of requeued — one
 	// crash-inducing request must not ping-pong across the fleet
@@ -47,6 +44,10 @@ type CoordinatorOptions struct {
 	// now overrides the clock in tests.
 	now func() time.Time
 }
+
+// maxLeaseBatch caps the jobs granted in one lease call regardless of
+// the worker's ask.
+const maxLeaseBatch = 64
 
 // withDefaults fills unset options.
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
@@ -67,9 +68,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 		if o.SweepEvery > time.Second {
 			o.SweepEvery = time.Second
 		}
-	}
-	if o.MaxLeaseBatch <= 0 {
-		o.MaxLeaseBatch = 64
 	}
 	if o.MaxJobAttempts <= 0 {
 		o.MaxJobAttempts = 5
@@ -476,8 +474,8 @@ func (c *Coordinator) Lease(workerID string, max int) ([]results.Job, error) {
 func (c *Coordinator) leaseLocked(w *workerState, max int) []results.Job {
 	now := c.opts.now()
 	w.lastSeen = now
-	if max <= 0 || max > c.opts.MaxLeaseBatch {
-		max = c.opts.MaxLeaseBatch
+	if max <= 0 || max > maxLeaseBatch {
+		max = maxLeaseBatch
 	}
 	room := 2 * w.capacity
 	if w.local {

@@ -2,14 +2,15 @@
 // persists two kinds of state next to the content-addressed result
 // store:
 //
-//   - an append-only journal (WAL) of pending-pool mutations — enqueue,
-//     complete, poison — compacted into a checkpoint every 512 entries,
-//     so the set of jobs the service owes its clients survives a
-//     `kill -9`;
+//   - an append-only journal (WAL) of the runs submitted one by one —
+//     enqueue, complete, poison — plus the open and done marks of
+//     manifests, compacted into a checkpoint every 512 entries, so the
+//     set of jobs the service owes its clients survives a `kill -9`;
 //   - durable manifests (see results.Manifest): the canonical member
 //     list of every sweep and exploration, stored under its stable,
-//     client-visible id, so composite submissions can be re-attached to
-//     by id after either end of the connection dies.
+//     client-visible id. A composite submission's members are never
+//     journaled: what it still owes is its open manifest's members that
+//     the store lacks.
 //
 // On startup the daemon replays checkpoint + journal: jobs whose
 // results already exist in the store are settled without simulating,
@@ -25,8 +26,8 @@
 //	checkpoint.json   full live state as of the last compaction
 //	manifests/<id>.json
 //
-// A checkpoint writes the live state via temp-file + rename and then
-// truncates the log, so a crash at any instant leaves either the old
+// A checkpoint writes the live state via fsynced temp-file + rename and
+// then truncates the log, so a crash at any instant leaves either the old
 // (checkpoint, log) pair or the new one; replaying the old log over the
 // new checkpoint is idempotent because the log is exactly the history
 // the checkpoint absorbed. A torn final record — the crash landed
@@ -252,12 +253,18 @@ func (j *Journal) Stats() Stats {
 
 // Append records one mutation: it is applied to the materialized state,
 // written to the log, synced (unless NoSync), and every checkpointEvery
-// appends triggers an automatic checkpoint.
+// appends triggers an automatic checkpoint. A complete or poison for a
+// key that is not live changes no state, so it writes nothing.
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("journal: closed")
+	}
+	if rec.Op == OpComplete || rec.Op == OpPoison {
+		if _, ok := j.live[rec.Key]; !ok {
+			return nil
+		}
 	}
 	j.applyLocked(rec)
 	b, err := json.Marshal(rec)
@@ -372,10 +379,10 @@ func (j *Journal) compactOrderLocked() {
 	j.openOrder = ids
 }
 
-// checkpointLocked writes the live state to checkpoint.json (temp file
-// + rename, so readers never see a torn checkpoint) and then truncates
-// the log. Order matters: the new checkpoint must be durable before the
-// history it absorbs is dropped. Callers must hold j.mu.
+// checkpointLocked writes the live state to checkpoint.json (through
+// results.WriteFileSync, so readers never see a torn checkpoint) and then
+// truncates the log. Order matters: the new checkpoint must be durable
+// before the history it absorbs is dropped. Callers must hold j.mu.
 func (j *Journal) checkpointLocked() error {
 	j.compactOrderLocked()
 	cp := checkpointFile{
@@ -386,26 +393,7 @@ func (j *Journal) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("journal: encode checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(j.dir, ".checkpoint.tmp*")
-	if err != nil {
-		return fmt.Errorf("journal: checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.checkpointPath()); err != nil {
-		os.Remove(tmp.Name())
+	if err := results.WriteFileSync(j.checkpointPath(), append(b, '\n')); err != nil {
 		return fmt.Errorf("journal: checkpoint: %w", err)
 	}
 	// The checkpoint is durable; the absorbed history can go. Reopening
@@ -433,10 +421,10 @@ func (j *Journal) manifestPath(id string) (string, error) {
 	return filepath.Join(j.manifestDir(), id+".json"), nil
 }
 
-// PutManifest durably stores a manifest under its id (temp file, fsync,
-// rename). The caller separately journals OpManifestOpen so replay
-// knows the manifest is live; the fsync keeps a host crash from leaving
-// that record naming a manifest whose body was lost.
+// PutManifest durably stores a manifest under its id (through
+// results.WriteFileSync). The caller separately journals OpManifestOpen
+// so replay knows the manifest is live; the fsyncs keep a host crash from
+// leaving that record naming a manifest whose body or name was lost.
 func (j *Journal) PutManifest(id string, m results.Manifest) error {
 	p, err := j.manifestPath(id)
 	if err != nil {
@@ -448,26 +436,7 @@ func (j *Journal) PutManifest(id string, m results.Manifest) error {
 	if err != nil {
 		return fmt.Errorf("journal: encode manifest %s: %w", id, err)
 	}
-	tmp, err := os.CreateTemp(j.manifestDir(), "."+id+".tmp*")
-	if err != nil {
-		return fmt.Errorf("journal: put manifest %s: %w", id, err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: put manifest %s: %w", id, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: put manifest %s: %w", id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: put manifest %s: %w", id, err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
+	if err := results.WriteFileSync(p, append(b, '\n')); err != nil {
 		return fmt.Errorf("journal: put manifest %s: %w", id, err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,6 +112,34 @@ func TestAppendCrashReplay(t *testing.T) {
 	if !reflect.DeepEqual(st.Jobs, want.Jobs) || !reflect.DeepEqual(st.OpenManifests, want.OpenManifests) {
 		t.Errorf("the lease line changed the replayed state:\n got %+v\nwant %+v", st, want)
 	}
+}
+
+// TestSettleOfKeyNotLiveWritesNothing: a complete or poison for a key no
+// enqueue made live changes no state, so it appends nothing — neither an
+// entry nor a byte of journal.log — and replay sees the same jobs.
+func TestSettleOfKeyNotLiveWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, testOptions)
+	appendAll(t, j, enq("a"), enq("b"), Record{Op: OpComplete, Key: "b"})
+	logPath := filepath.Join(dir, "journal.log")
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := j.Stats().Entries
+	appendAll(t, j, Record{Op: OpComplete, Key: "b"}, Record{Op: OpPoison, Key: "b"},
+		Record{Op: OpComplete, Key: "never"}, Record{Op: OpPoison, Key: "never"})
+	if got := j.Stats().Entries; got != entries {
+		t.Errorf("Entries = %d after settling keys that are not live, want %d", got, entries)
+	}
+	after, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("journal.log changed:\nbefore %s\nafter  %s", before, after)
+	}
+	wantStrings(t, "replayed jobs", jobKeys(mustOpen(t, dir, testOptions).ReplayState().Jobs), []string{"a"})
 }
 
 // TestCheckpointByCount expects an automatic compaction after

@@ -12,9 +12,9 @@ import (
 // service owes the client (content-keyed jobs for a sweep, the
 // normalized request for an exploration) plus a terminal-status
 // summary, and it is what makes composite submissions re-attachable: a
-// coordinator that was killed, or a client that died mid-poll, can
-// reconstruct progress and results purely from the manifest plus the
-// content-addressed store.
+// coordinator that was killed re-registers an open manifest and owes its
+// members the content-addressed store lacks, and a done manifest answers
+// a client that polls after the coordinator forgot the submission.
 //
 // A manifest's id is content-derived like a run key, but over the
 // identity fields *including a per-submission nonce*: two identical
@@ -39,9 +39,8 @@ type Manifest struct {
 	Explore json.RawMessage `json:"explore,omitempty"`
 
 	// Done and Final are status, not identity: they do not affect ID().
-	// Done marks the submission terminal; Final optionally snapshots
-	// the terminal view (an exploration's frontier) so re-attaching
-	// after the registry forgot it needs no recomputation.
+	// Done marks the submission terminal; Final is its terminal reply,
+	// served as is to a client re-attaching after the registry forgot it.
 	Done  bool            `json:"done,omitempty"`
 	Final json.RawMessage `json:"final,omitempty"`
 }

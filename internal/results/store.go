@@ -92,8 +92,9 @@ func (s *MemoryLRU) Len() int {
 
 // Disk is an on-disk content-addressed Store. Entry layout is
 // <dir>/<key[:2]>/<key>.json — the two-hex-digit fan-out keeps directory
-// sizes flat at millions of entries. Writes go through a temp file and
-// rename, so readers never observe a torn entry.
+// sizes flat at millions of entries. Writes go through WriteFileSync, so
+// readers never observe a torn entry and a stored entry survives a host
+// crash.
 //
 // With a size bound (NewDiskLimit) the store garbage-collects itself:
 // when the summed entry size passes the bound, the least-recently-used
@@ -197,21 +198,7 @@ func (s *Disk) Put(key string, r Result) error {
 	if err != nil {
 		return fmt.Errorf("results: encode %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), "."+key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("results: put %s: %w", key, err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("results: put %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("results: put %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileSync(p, append(b, '\n')); err != nil {
 		return fmt.Errorf("results: put %s: %w", key, err)
 	}
 	if s.maxBytes > 0 {
@@ -220,6 +207,42 @@ func (s *Disk) Put(key string, r Result) error {
 		}
 	}
 	return nil
+}
+
+// WriteFileSync replaces path with data durably: the bytes go to a temp
+// file in path's directory, which is fsynced and closed, then renamed over
+// path, and the directory is fsynced last, because a rename survives a
+// host crash only once its directory does. Readers see the old file or
+// the new one, never a torn one; a failure leaves no temp file behind.
+func WriteFileSync(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // diskEntry is one entry file surveyed for GC.

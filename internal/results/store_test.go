@@ -112,6 +112,44 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileSync: the file's content is replaced, and neither a
+// success nor a failed write leaves a temp file in the directory.
+func TestWriteFileSync(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "f.json")
+	for _, data := range []string{"first\n", "second, longer\n"} {
+		if err := WriteFileSync(p, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(p); err != nil || string(got) != data {
+			t.Fatalf("content = %q, %v; want %q", got, err, data)
+		}
+	}
+	// A rename onto a non-empty directory fails after the temp file was
+	// written.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileSync(blocked, []byte("lost\n")); err == nil {
+		t.Fatal("a write over a directory succeeded")
+	}
+	if err := WriteFileSync(filepath.Join(dir, "missing", "f.json"), []byte("lost\n")); err == nil {
+		t.Fatal("a write into a missing directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "blocked f.json" {
+		t.Errorf("directory holds %v, want [blocked f.json]", names)
+	}
+}
+
 func TestDiskRejectsMalformedKey(t *testing.T) {
 	s, err := NewDisk(t.TempDir())
 	if err != nil {

@@ -1,17 +1,20 @@
 package server
 
-// Durable control plane: with Options.Journal set, every pending-pool
-// mutation and every composite submission (sweep, exploration) is
-// persisted through internal/journal next to the content-addressed
-// store. This file holds the three pieces that make the service
-// crash-safe:
+// Durable control plane: with Options.Journal set, the pending-pool
+// mutations of direct runs and the manifest of every composite
+// submission (sweep, exploration) are persisted through internal/journal
+// next to the content-addressed store. A submission's members are never
+// journaled: its manifest lists them, and the store says which are done.
+// This file holds the three pieces that make the service crash-safe:
 //
 //   - startup replay (recoverFromJournal): live jobs are fed again — the
 //     ones whose results are already in the store settle as cache hits,
 //     the rest re-queue — and open manifests re-register their
-//     sweeps/explorations under the original client-visible ids;
+//     sweeps/explorations under the original client-visible ids, owing
+//     the members the store lacks;
 //   - re-attach fallbacks: GETs for ids the in-memory registries forgot
-//     are answered from manifest + store instead of 404;
+//     are answered from the store (runs) or a done manifest (sweeps,
+//     explorations) instead of 404;
 //   - the terminal "lost" state: a run id that is neither registered
 //     nor in the store is reported lost — a clear, terminal error —
 //     instead of leaving the client polling a phantom forever.
@@ -24,6 +27,7 @@ package server
 
 import (
 	"encoding/json"
+	"log"
 	"net/http"
 	"strings"
 
@@ -35,16 +39,7 @@ import (
 // lowercase hex digits). Garbage ids stay 404; only plausible keys get
 // store fallbacks and the lost state.
 func isRunKey(id string) bool {
-	if len(id) != 64 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return len(id) == 64 && strings.Trim(id, "0123456789abcdef") == ""
 }
 
 // --- journal hooks ---
@@ -60,29 +55,13 @@ func (s *Server) journaling() bool {
 	return s.opts.Journal != nil && !s.killed.Load()
 }
 
-// journalEnqueue records a fresh registration entering the pending pool.
-func (s *Server) journalEnqueue(key string, wire results.Request) {
-	if !s.journaling() {
-		return
+// journalRun records a direct run entering the pending pool (enqueue)
+// or turning terminal (complete, poison); the journal writes nothing for
+// a settled key that is not a live direct run.
+func (s *Server) journalRun(rec journal.Record) {
+	if s.journaling() {
+		_ = s.opts.Journal.Append(rec)
 	}
-	jb := results.Job{Key: key, Request: wire}
-	_ = s.opts.Journal.Append(journal.Record{Op: journal.OpEnqueue, Job: &jb})
-}
-
-// journalComplete records a run turning terminal (done or failed).
-func (s *Server) journalComplete(key string) {
-	if !s.journaling() {
-		return
-	}
-	_ = s.opts.Journal.Append(journal.Record{Op: journal.OpComplete, Key: key})
-}
-
-// journalPoison records a job parked in the poisoned lot.
-func (s *Server) journalPoison(key string) {
-	if !s.journaling() {
-		return
-	}
-	_ = s.opts.Journal.Append(journal.Record{Op: journal.OpPoison, Key: key})
 }
 
 // journalManifestOpen persists a manifest and records it live.
@@ -96,37 +75,35 @@ func (s *Server) journalManifestOpen(id string, m results.Manifest) {
 	_ = s.opts.Journal.Append(journal.Record{Op: journal.OpManifestOpen, Manifest: id})
 }
 
-// journalSweepDone records a sweep's rendered terminal view on its
-// manifest.
-func (s *Server) journalSweepDone(id string, final []byte) {
+// journalDone records a submission's terminal reply on its manifest and
+// reports whether the registry may now forget the submission: at once
+// without a journal, where nothing answers an evicted id, and with one
+// only once the done manifest that answers it is written. A submission
+// whose write failed stays registered, and its manifest open for the next
+// process to recover.
+func (s *Server) journalDone(id string, final []byte) bool {
+	if s.opts.Journal == nil {
+		return true
+	}
 	if !s.journaling() {
-		return
+		return false
 	}
-	_ = s.opts.Journal.MarkManifestDone(id, final)
-}
-
-// journalExploreDone records an exploration's terminal view on its
-// manifest.
-func (s *Server) journalExploreDone(v exploreView) {
-	if !s.journaling() {
-		return
+	if err := s.opts.Journal.MarkManifestDone(id, final); err != nil {
+		log.Printf("ringsimd: mark manifest %s done: %v", id, err)
+		return false
 	}
-	final, err := json.Marshal(v)
-	if err != nil {
-		final = nil
-	}
-	_ = s.opts.Journal.MarkManifestDone(v.ID, final)
+	return true
 }
 
 // --- startup replay ---
 
 // recoverFromJournal rebuilds coordinator state from the journal's
-// recovered State: live jobs re-register and go back through feed — which
-// settles the ones whose results are in the store and re-queues the rest —
-// open sweep manifests re-register under their original ids, open
-// exploration manifests re-drive their searches (every already-evaluated
-// point comes back as a cache hit). Runs during New, before the server
-// accepts traffic.
+// recovered State: live jobs (direct runs) re-register and go back
+// through feed — which settles the ones whose results are in the store
+// and re-queues the rest — open sweep manifests re-register under their
+// original ids, open exploration manifests re-drive their searches (every
+// already-evaluated point comes back as a cache hit). Runs during New,
+// before the server accepts traffic.
 func (s *Server) recoverFromJournal() {
 	j := s.opts.Journal
 	state := j.ReplayState()
@@ -146,7 +123,7 @@ func (s *Server) recoverFromJournal() {
 	for _, jb := range pending {
 		s.newRunLocked(jb.Key, jb.Request.Harness())
 	}
-	s.feedLocked(pending, true)
+	s.feedLocked(pending)
 	s.mu.Unlock()
 
 	for _, id := range state.OpenManifests {
@@ -167,16 +144,15 @@ func (s *Server) recoverFromJournal() {
 }
 
 // recoverSweep re-registers an unfinished sweep under its original id.
-// Members missing from the registry (they completed before the crash, so
-// replay no longer lists them) go back through feed: settled from the
-// store, or re-queued if the result has since fallen out of it. preCached
-// stays nil: nothing was finished before this process started, and a
-// member the recovery feeder has already settled from the store carries
-// the cached mark on its own run state.
+// Its members not already registered (as replayed direct runs) go back
+// through feed: settled from the store, the rest re-queued — the work the
+// sweep still owes. preCached stays nil: nothing was finished before this
+// process started, and a member the recovery feeder settles from the
+// store carries the cached mark on its own run state.
 func (s *Server) recoverSweep(id string, m results.Manifest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.sweeps[id]; ok {
+	if _, ok := s.subs[id]; ok {
 		return
 	}
 	var pending []results.Job
@@ -188,10 +164,10 @@ func (s *Server) recoverSweep(id string, m results.Manifest) {
 		}
 		st.refs++
 	}
-	s.sweeps[id] = &sweepState{id: id, keys: m.Keys()}
-	s.sweepOrder = append(s.sweepOrder, id)
-	s.evictSweepsLocked()
-	s.feedLocked(pending, false)
+	sw := &submission{id: id, keys: m.Keys()}
+	s.addSubmissionLocked(sw)
+	s.watchSweepLocked(sw)
+	s.feedLocked(pending)
 }
 
 // recoverExplore re-drives an unfinished exploration under its original
@@ -212,18 +188,15 @@ func (s *Server) recoverExplore(id string, m results.Manifest) {
 		return
 	}
 	s.mu.Lock()
-	if _, ok := s.explores[id]; ok {
+	if _, ok := s.subs[id]; ok {
 		s.mu.Unlock()
 		return
 	}
-	st := &exploreState{id: id, status: statusRunning}
-	st.view = exploreView{ID: id, Status: statusRunning, Strategy: strat.Name(), SpaceSize: space.Size()}
-	s.explores[id] = st
-	s.exploreOrder = append(s.exploreOrder, id)
-	s.evictExploresLocked()
+	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: strat.Name(), SpaceSize: space.Size()}}
+	s.addSubmissionLocked(sub)
 	s.exploreWG.Add(1)
 	s.mu.Unlock()
-	go s.driveExplore(st, space, strat, programs, twin, sp, er)
+	go s.driveExplore(sub, space, strat, programs, twin, sp, er)
 }
 
 // --- re-attach fallbacks ---
@@ -233,118 +206,44 @@ const lostRunError = "run is not registered on this coordinator and its result i
 	"the job was lost (pre-journal restart or registry eviction) — resubmit it"
 
 // runFallback answers a GET for a run id the registry does not hold.
-// Plausible content keys are answered from the store (done, cached) or
-// reported terminally lost; anything else stays a 404.
+// Plausible content keys are answered from the store (done or failed,
+// cached) or reported terminally lost; anything else stays a 404.
 func (s *Server) runFallback(w http.ResponseWriter, id string) bool {
 	if !isRunKey(id) {
 		return false
 	}
-	writeBody(w, http.StatusOK, appendRunView(nil, s.storedRunView(id)))
+	v := runView{ID: id, Status: statusLost, Error: lostRunError}
+	if res, hit, err := s.opts.Store.Get(id); err == nil && hit {
+		v = runView{ID: id, Status: statusDone, Cached: true, record: encodeRecord(res)}
+		if res.Failed() {
+			v.Status = statusFailed
+		}
+	}
+	writeBody(w, http.StatusOK, appendRunView(nil, v))
 	return true
 }
 
-// storedRunView is the view of a run the registry does not hold: served
-// from the store (done or failed, cached), or else lost.
-func (s *Server) storedRunView(id string) runView {
-	res, hit, err := s.opts.Store.Get(id)
-	if err != nil || !hit {
-		return runView{ID: id, Status: statusLost, Error: lostRunError}
-	}
-	v := runView{ID: id, Status: statusDone, Cached: true, record: encodeRecord(res)}
-	if res.Failed() {
-		v.Status = statusFailed
-	}
-	return v
-}
-
-// sweepFallback answers a GET for a sweep id the registry does not hold
-// by reconstructing the view purely from its durable manifest plus the
-// content-addressed store — the re-attach path.
-func (s *Server) sweepFallback(w http.ResponseWriter, id string) bool {
-	if s.opts.Journal == nil || !strings.HasPrefix(id, results.ManifestKindSweep+"-") {
+// serveManifestFinal answers a GET for a sweep or exploration id the
+// registry does not hold with the terminal reply its done manifest
+// stored, and reports whether it did. An unfinished submission is always
+// registered — recovery re-registers every open manifest, and eviction
+// spares what is unfinished — so an open manifest nobody registered
+// (its open record's append was lost) is not served.
+func (s *Server) serveManifestFinal(w http.ResponseWriter, kind, id string) bool {
+	if s.opts.Journal == nil || !strings.HasPrefix(id, kind+"-") {
 		return false
 	}
 	m, ok, err := s.opts.Journal.GetManifest(id)
-	if err != nil || !ok || m.Kind != results.ManifestKindSweep {
+	if err != nil || !ok || !m.Done || len(m.Final) == 0 {
 		return false
 	}
-	if m.Done && len(m.Final) > 0 {
-		// The final view is served as it was rendered and stored.
-		var v struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(m.Final, &v) == nil && v.ID == id {
-			writeBody(w, http.StatusOK, m.Final)
-			return true
-		}
+	var v struct {
+		ID string `json:"id"`
 	}
-	writeBody(w, http.StatusOK, appendSweepView(nil, s.reconstructSweepView(id, m)))
-	return true
-}
-
-// reconstructSweepView assembles sweep progress from manifest + store.
-// Members neither registered nor stored are reported lost: with the
-// sweep itself out of the registry nothing will ever run them, and the
-// client must see a terminal state, not an eternal "running".
-func (s *Server) reconstructSweepView(id string, m results.Manifest) sweepView {
-	v := sweepView{ID: id, Total: len(m.Jobs), Runs: make([]runView, 0, len(m.Jobs))}
-	for _, jb := range m.Jobs {
-		var rv runView
-		s.mu.Lock()
-		st, ok := s.runs[jb.Key]
-		if ok {
-			rv = viewRun(st)
-		}
-		s.mu.Unlock()
-		if !ok {
-			rv = s.storedRunView(jb.Key)
-		}
-		v.Runs = append(v.Runs, rv)
-		switch rv.Status {
-		case statusDone:
-			v.Done++
-		case statusFailed:
-			v.Failed++
-		case statusLost:
-			v.Lost++
-		}
-		if rv.Cached {
-			v.CacheHits++
-		}
-	}
-	switch {
-	case v.Done+v.Failed+v.Lost < v.Total:
-		v.Status = statusRunning
-		return v
-	case v.Lost == v.Total:
-		v.Status = statusLost
-	case v.Failed > 0 || v.Lost > 0:
-		v.Status = statusFailed
-	default:
-		v.Status = statusDone
-	}
-	v.listResults = v.Failed == 0 && v.Lost == 0
-	return v
-}
-
-// exploreFallback answers a GET for an exploration id the registry does
-// not hold from its manifest's terminal snapshot. Unfinished
-// explorations are not served this way — recovery re-drives them into
-// the registry, so a missing registry entry with an unfinished manifest
-// means the id belongs to no recoverable work.
-func (s *Server) exploreFallback(w http.ResponseWriter, id string) bool {
-	if s.opts.Journal == nil || !strings.HasPrefix(id, results.ManifestKindExplore+"-") {
+	if json.Unmarshal(m.Final, &v) != nil || v.ID != id {
 		return false
 	}
-	m, ok, err := s.opts.Journal.GetManifest(id)
-	if err != nil || !ok || m.Kind != results.ManifestKindExplore || !m.Done || len(m.Final) == 0 {
-		return false
-	}
-	var v exploreView
-	if err := json.Unmarshal(m.Final, &v); err != nil || v.ID != id {
-		return false
-	}
-	writeJSON(w, http.StatusOK, v)
+	writeBody(w, http.StatusOK, m.Final)
 	return true
 }
 

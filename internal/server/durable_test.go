@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/results"
@@ -74,7 +78,7 @@ func TestCrashRecoverySweepE2E(t *testing.T) {
 	srv1.mu.Lock()
 	completedBefore := 0
 	var memberReqs []harness.Request
-	for _, key := range srv1.sweeps[id].keys {
+	for _, key := range srv1.subs[id].keys {
 		st := srv1.runs[key]
 		memberReqs = append(memberReqs, st.req)
 		if st.status == statusDone {
@@ -98,7 +102,7 @@ func TestCrashRecoverySweepE2E(t *testing.T) {
 	}
 
 	final := pollSweep(t, hs2.URL, id)
-	if final.Status != statusDone || final.Done != 4 || final.Lost != 0 || len(final.Results) != 4 {
+	if final.Status != statusDone || final.Done != 4 || len(final.Results) != 4 {
 		t.Fatalf("re-attached sweep: %+v", final)
 	}
 
@@ -199,7 +203,7 @@ func TestGracefulCloseReplaysExploration(t *testing.T) {
 	srv1.Close()
 	hs1.Close()
 	srv1.mu.Lock()
-	status, msg := srv1.explores[id].status, srv1.explores[id].view.Error
+	status, msg := srv1.subs[id].view.Status, srv1.subs[id].view.Error
 	srv1.mu.Unlock()
 	if status != statusFailed || msg != errClosed.Error() {
 		t.Errorf("after Close: status %s, error %q; want failed with %q", status, msg, errClosed)
@@ -246,6 +250,167 @@ func TestRestartSweepJournalsOnlyItsManifest(t *testing.T) {
 	}
 	if got := m.Journal.Entries - before; got != 2 {
 		t.Errorf("the resubmission appended %d journal records, want 2 (manifest open and done)", got)
+	}
+}
+
+// TestColdSweepJournalsOnlyItsManifest: a sweep's members are owed
+// through its manifest, not the journal. A cold 2×2 sweep simulates all
+// four members and appends two records, its manifest's open and done.
+func TestColdSweepJournalsOnlyItsManifest(t *testing.T) {
+	srv, hs, _ := newDurableServer(t, t.TempDir(), 1)
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	before := srv.Metrics().Journal.Entries
+	var sv sweepView
+	postJSON(t, hs.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
+	if final := pollSweep(t, hs.URL, sv.ID); final.Status != statusDone || final.Done != 4 || final.CacheHits != 0 {
+		t.Fatalf("cold sweep: %+v", final)
+	}
+	m := srv.Metrics()
+	if m.RunsStarted != 4 {
+		t.Errorf("RunsStarted = %d, want 4: the sweep is cold", m.RunsStarted)
+	}
+	if got := m.Journal.Entries - before; got != 2 {
+		t.Errorf("the cold sweep appended %d journal records, want 2 (manifest open and done)", got)
+	}
+}
+
+// TestExploreReplyFromManifestIsTheSame: a finished exploration answers
+// with the same bytes from the registry and, once a later submission has
+// evicted it, from its done manifest.
+func TestExploreReplyFromManifestIsTheSame(t *testing.T) {
+	j, err := journal.Open(t.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	srv, err := New(Options{Workers: 2, QueueDepth: 64, Store: results.NewMemoryLRU(64), Journal: j, maxSubmissions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(t, srv)
+	get := func(id string) []byte {
+		resp, err := http.Get(hs + "/v1/explore/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET exploration = %d %v: %s", resp.StatusCode, err, b)
+		}
+		return b
+	}
+	var e1, e2 exploreView
+	postJSON(t, hs+"/v1/explore", exploreBody(), http.StatusAccepted, &e1)
+	if ev := pollExplore(t, hs, e1.ID); ev.Status != statusDone {
+		t.Fatalf("exploration: %+v", ev)
+	}
+	fromRegistry := get(e1.ID)
+	postJSON(t, hs+"/v1/explore", exploreBody(), http.StatusAccepted, &e2)
+	srv.mu.Lock()
+	_, registered := srv.subs[e1.ID]
+	srv.mu.Unlock()
+	if registered {
+		t.Fatal("the finished exploration was not evicted")
+	}
+	if fromManifest := get(e1.ID); !bytes.Equal(fromManifest, fromRegistry) {
+		t.Errorf("the manifest answers differently from the registry:\n%s\n%s", fromRegistry, fromManifest)
+	}
+	pollExplore(t, hs, e2.ID)
+}
+
+// TestUnpolledSweepsRetire: a sweep turns terminal when its last member
+// settles, whether or not anyone polls it. Four cold sweeps that nobody
+// polls each mark their manifest done and release their runs, so with a
+// bound of one the registry keeps only the last, and the evicted ones are
+// answered from their manifests.
+func TestUnpolledSweepsRetire(t *testing.T) {
+	j, err := journal.Open(t.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	srv, err := New(Options{Workers: 2, QueueDepth: 64, Store: results.NewMemoryLRU(64), Journal: j, maxSubmissions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(t, srv)
+	var ids []string
+	for i := range 4 {
+		body := sweepBody()
+		body["insts"] = testInsts + i // a cold grid each time
+		var sv sweepView
+		postJSON(t, hs+"/v1/sweeps", body, http.StatusAccepted, &sv)
+		ids = append(ids, sv.ID)
+		waitFor(t, "an unpolled sweep to retire", func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			sub := srv.subs[sv.ID]
+			return sub != nil && sub.evictable
+		})
+	}
+	srv.mu.Lock()
+	registered, pinned := len(srv.subs), 0
+	for _, st := range srv.runs {
+		pinned += st.refs
+	}
+	srv.mu.Unlock()
+	if registered != 1 || pinned != 0 {
+		t.Errorf("%d submissions registered and %d run references held, want 1 and 0", registered, pinned)
+	}
+	for _, id := range ids {
+		if m, ok, err := j.GetManifest(id); err != nil || !ok || !m.Done {
+			t.Errorf("manifest %s: done %v, found %v, err %v; want done", id, m.Done, ok, err)
+		}
+		var got sweepView
+		getJSON(t, hs+"/v1/sweeps/"+id, &got)
+		if got.Status != statusDone || got.Done != 4 {
+			t.Errorf("sweep %s: %+v", id, got)
+		}
+	}
+}
+
+// TestSweepStaysRegisteredUntilItsManifestIsDone: a finished sweep may be
+// evicted only once its done manifest can answer for it. When that write
+// fails, the sweep stays registered past the bound and is still served.
+func TestSweepStaysRegisteredUntilItsManifestIsDone(t *testing.T) {
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	srv, err := New(Options{Workers: -1, Fleet: &fleet.CoordinatorOptions{}, QueueDepth: 64,
+		Store: results.NewMemoryLRU(64), Journal: j, maxSubmissions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(t, srv)
+	var s1, s2 sweepView
+	postJSON(t, hs+"/v1/sweeps", sweepBody(), http.StatusAccepted, &s1)
+	// A directory where the manifest was makes marking it done fail.
+	p := filepath.Join(dir, "manifests", s1.ID+".json")
+	if err := os.Remove(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(p, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, hs, "w", nil)
+	srv.mu.Lock()
+	sub := srv.subs[s1.ID]
+	srv.mu.Unlock()
+	waitFor(t, "the sweep to finish", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return sub.retired != nil
+	})
+	<-sub.retired
+	postJSON(t, hs+"/v1/sweeps", sweepBody(), http.StatusAccepted, &s2)
+	var got sweepView
+	getJSON(t, hs+"/v1/sweeps/"+s1.ID, &got)
+	if got.ID != s1.ID || got.Status != statusDone || got.Done != 4 {
+		t.Errorf("sweep whose done manifest failed: %+v", got)
 	}
 }
 

@@ -71,15 +71,6 @@ type exploreRequest struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// exploreState tracks one exploration through its registry.
-type exploreState struct {
-	id     string
-	status runStatus
-	// view is the latest progress snapshot, refreshed after every batch
-	// and finalized when the driver finishes. Guarded by Server.mu.
-	view exploreView
-}
-
 // exploreView is the GET /v1/explore/{id} response body.
 type exploreView struct {
 	ID           string      `json:"id"`
@@ -177,18 +168,15 @@ func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, submitStatus(errClosed), errClosed)
 		return
 	}
-	st := &exploreState{id: id, status: statusRunning}
-	st.view = exploreView{ID: st.id, Status: statusRunning, Strategy: strat.Name(), SpaceSize: space.Size()}
-	s.explores[st.id] = st
-	s.exploreOrder = append(s.exploreOrder, st.id)
-	s.evictExploresLocked()
-	v := st.view
+	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: strat.Name(), SpaceSize: space.Size()}}
+	s.addSubmissionLocked(sub)
+	v := sub.view
 	s.exploreWG.Add(1)
 	s.mu.Unlock()
 	s.metrics.ExploresSubmitted.Add(1)
 	s.journalManifestOpen(id, manifest)
 
-	go s.driveExplore(st, space, strat, programs, twin, sp, er)
+	go s.driveExplore(sub, space, strat, programs, twin, sp, er)
 	writeJSON(w, http.StatusAccepted, v)
 }
 
@@ -262,8 +250,9 @@ func (s *Server) resolveExplore(er *exploreRequest) (dse.Space, dse.Strategy, []
 	return space, strat, programs, twin, sp, nil
 }
 
-// driveExplore runs the engine to completion and finalizes the state.
-func (s *Server) driveExplore(st *exploreState, space dse.Space, strat dse.Strategy, programs []string, twin dse.TwinMode, sp harness.Sampling, er exploreRequest) {
+// driveExplore runs the engine to completion and renders the
+// exploration's final reply.
+func (s *Server) driveExplore(sub *submission, space dse.Space, strat dse.Strategy, programs []string, twin dse.TwinMode, sp harness.Sampling, er exploreRequest) {
 	defer s.exploreWG.Done()
 	ev := &queueEvaluator{s: s, sim: &dse.SimEvaluator{Programs: programs, Insts: er.Insts, Warmup: er.Warmup}}
 	rep, err := dse.Explore(dse.Options{
@@ -283,7 +272,7 @@ func (s *Server) driveExplore(st *exploreState, space dse.Space, strat dse.Strat
 		},
 		Observer: func(rep *dse.Report) {
 			s.mu.Lock()
-			snapshotReport(&st.view, rep, false)
+			snapshotReport(&sub.view, rep, false)
 			s.mu.Unlock()
 		},
 	})
@@ -300,65 +289,55 @@ func (s *Server) driveExplore(st *exploreState, space dse.Space, strat dse.Strat
 	// next one replay it instead of serving the partial frontier forever.
 	aborted := s.closed
 	if rep != nil {
-		snapshotReport(&st.view, rep, true)
+		snapshotReport(&sub.view, rep, true)
 	}
 	switch {
 	case aborted:
-		st.status = statusFailed
-		st.view.Error = errClosed.Error()
+		sub.view.Status = statusFailed
+		sub.view.Error = errClosed.Error()
 	case err != nil:
-		st.status = statusFailed
-		st.view.Error = err.Error()
+		sub.view.Status = statusFailed
+		sub.view.Error = err.Error()
 	default:
-		st.status = statusDone
+		sub.view.Status = statusDone
 	}
-	st.view.Status = st.status
-	// Now terminal: settle any eviction debt deferred while running.
-	s.evictExploresLocked()
-	v := st.view
+	sub.final, _ = json.Marshal(sub.view) // nil when refused: the status goes alone
+	sub.retired = make(chan struct{})
+	// GETs serve final from now on; the outcome is all a reader of the
+	// view still needs.
+	sub.view = exploreView{Status: sub.view.Status, Error: sub.view.Error}
 	s.mu.Unlock()
-	if !aborted {
-		s.journalExploreDone(v)
+	if aborted {
+		close(sub.retired)
+	} else {
+		s.retire(sub)
 	}
 }
 
 // handleGetExplore reports exploration progress and the running
-// frontier. Ids the registry forgot re-attach from the manifest's
-// terminal snapshot (see exploreFallback).
+// frontier, and the final reply once the exploration is over. Ids the
+// registry forgot are answered from their done manifest (see
+// serveManifestFinal).
 func (s *Server) handleGetExplore(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	st, ok := s.explores[id]
+	sub := s.submissionLocked(results.ManifestKindExplore, id)
 	var v exploreView
-	if ok {
-		v = st.view
+	var final []byte
+	if sub != nil {
+		v, final = sub.view, sub.final
 	}
 	s.mu.Unlock()
-	if !ok {
-		if s.exploreFallback(w, id) {
-			return
+	switch {
+	case sub == nil:
+		if !s.serveManifestFinal(w, results.ManifestKindExplore, id) {
+			httpError(w, http.StatusNotFound, errors.New("unknown exploration id"))
 		}
-		httpError(w, http.StatusNotFound, errors.New("unknown exploration id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// evictExploresLocked drops oldest terminal explorations beyond
-// MaxExplores. Running explorations are skipped (their drivers still
-// hold workers; dropping the state would orphan the result), so the
-// registry may transiently exceed the cap while everything is live.
-// Callers must hold s.mu.
-func (s *Server) evictExploresLocked() {
-	scans := len(s.exploreOrder)
-	for i := 0; i < scans && len(s.exploreOrder) > s.opts.MaxExplores; i++ {
-		id := s.exploreOrder[0]
-		s.exploreOrder = s.exploreOrder[1:]
-		if st, ok := s.explores[id]; ok && st.status == statusRunning {
-			s.exploreOrder = append(s.exploreOrder, id)
-			continue
-		}
-		delete(s.explores, id)
+	case final != nil:
+		<-sub.retired
+		writeBody(w, http.StatusOK, final)
+	default:
+		writeJSON(w, http.StatusOK, v)
 	}
 }
 
@@ -436,22 +415,9 @@ func (e *queueEvaluator) settle(reqs []harness.Request) []results.Outcome {
 		return out
 	}
 	sts, hits := s.registerBatchLocked(valid, jobs)
-	var waits []chan struct{}
-	for _, st := range sts {
-		// Subscribe before releasing the lock so no finish can be missed.
-		if !st.status.terminal() {
-			done := make(chan struct{})
-			st.waiters = append(st.waiters, done)
-			waits = append(waits, done)
-		}
-	}
+	waits := subscribeLocked(sts)
 	s.mu.Unlock()
-	for _, done := range waits {
-		select {
-		case <-done:
-		case <-s.quit: // what is unfinished fails below
-		}
-	}
+	s.await(waits) // after a quit, what is unfinished fails below
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -253,8 +253,8 @@ func TestExploreMetricsExposition(t *testing.T) {
 func TestExploreRegistryEviction(t *testing.T) {
 	srv, err := New(Options{
 		Workers: 2, QueueDepth: 64,
-		Store:       results.NewMemoryLRU(64),
-		MaxExplores: 1,
+		Store:          results.NewMemoryLRU(64),
+		maxSubmissions: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +305,8 @@ func TestExploreCloseMidFlight(t *testing.T) {
 		t.Fatal("Close hung with an exploration in flight")
 	}
 	srv.mu.Lock()
-	st := srv.explores[ev.ID]
-	status := st.status
+	st := srv.subs[ev.ID]
+	status := st.view.Status
 	srv.mu.Unlock()
 	if status == statusRunning {
 		t.Errorf("exploration still running after Close")

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/journal"
 	"repro/internal/results"
 )
 
@@ -82,7 +83,7 @@ func (s *Server) poisonRun(j results.Job, attempts int) {
 		s.metrics.RunsFailed.Add(1)
 	}
 	s.mu.Unlock()
-	s.journalPoison(j.Key)
+	s.journalRun(journal.Record{Op: journal.OpPoison, Key: j.Key})
 }
 
 // completeRemote lands one record a worker, local or remote, executed.

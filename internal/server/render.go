@@ -63,9 +63,6 @@ func appendSweepView(dst []byte, v sweepView) []byte {
 	dst = appendField(dst, `,"total":`, v.Total)
 	dst = appendField(dst, `,"done":`, v.Done)
 	dst = appendField(dst, `,"failed":`, v.Failed)
-	if v.Lost != 0 {
-		dst = appendField(dst, `,"lost":`, v.Lost)
-	}
 	dst = appendField(dst, `,"cache_hits":`, v.CacheHits)
 	dst = append(dst, `,"runs":[`...)
 	for i, rv := range v.Runs {

@@ -34,7 +34,7 @@ type wireServer struct {
 	records map[string]results.Result
 }
 
-func newWireServer(t *testing.T, maxSweeps int) *wireServer {
+func newWireServer(t *testing.T, maxSubmissions int) *wireServer {
 	t.Helper()
 	j, err := journal.Open(filepath.Join(t.TempDir(), "journal"), journal.Options{NoSync: true})
 	if err != nil {
@@ -43,7 +43,7 @@ func newWireServer(t *testing.T, maxSweeps int) *wireServer {
 	store := results.NewMemoryLRU(256)
 	srv, err := New(Options{
 		Workers: -1, Fleet: &fleet.CoordinatorOptions{}, QueueDepth: 256,
-		Store: store, Journal: j, MaxSweeps: maxSweeps,
+		Store: store, Journal: j, maxSubmissions: maxSubmissions,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +98,11 @@ func (ws *wireServer) waitPending(n int) {
 	}
 }
 
-// registered reports whether the sweep registry holds id.
+// registered reports whether the submission registry holds id.
 func (ws *wireServer) registered(id string) bool {
 	ws.srv.mu.Lock()
 	defer ws.srv.mu.Unlock()
-	_, ok := ws.srv.sweeps[id]
+	_, ok := ws.srv.subs[id]
 	return ok
 }
 
@@ -141,8 +141,8 @@ func sameAs[T any](t *testing.T, body []byte) T {
 
 // TestRepliesMatchTheirStructs walks one coordinator through every reply
 // shape the API has — runs queued, done, cached, failed, from the store
-// and lost; sweeps queued, running, done, failed and re-attached both
-// from their final view and reconstructed; the fleet protocol; an
+// and lost; sweeps queued, running, done, failed, re-attached from their
+// final view, and unfinished past the bound; the fleet protocol; an
 // exploration; healthz; error bodies — and requires each reply to be the
 // bytes json.Marshal writes for its struct. Records are checked against
 // the ones the test completed, so a spliced record is the record.
@@ -290,7 +290,7 @@ func TestRepliesMatchTheirStructs(t *testing.T) {
 			t.Fatalf("submit = %d %+v", code, sv)
 		}
 		sweep2 = sv.ID
-		// MaxSweeps 1: the registry forgot sweep1, its manifest answers.
+		// MaxSubmissions 1: the registry forgot sweep1, its manifest answers.
 		if ws.registered(sweep1) {
 			t.Fatal("sweep1 still registered")
 		}
@@ -316,8 +316,8 @@ func TestRepliesMatchTheirStructs(t *testing.T) {
 		_, body = ws.do("POST", "/v1/sweeps", sweep("vpr"))
 		sameAs[sweepView](t, body)
 		ws.waitPending(2)
-		if ws.registered(sweep3) {
-			t.Fatal("sweep3 still registered")
+		if !ws.registered(sweep3) {
+			t.Fatal("unfinished sweep3 was evicted")
 		}
 		if sv, _ := getSweep(t, sweep3); sv.Status != statusRunning || sv.Done != 1 || sv.Results != nil {
 			t.Fatalf("reconstructed sweep %+v", sv)

@@ -31,10 +31,14 @@
 // arbitrarily larger than the queue depth; single-run submissions against
 // a full pool fail fast with 503.
 //
-// Memory is bounded: the run and sweep registries evict oldest-terminal
-// entries beyond MaxRuns/MaxSweeps (the content-addressed store still
-// answers evicted requests, so eviction only costs a registry miss, never
-// a re-simulation while the store holds the result).
+// Memory is bounded: the run registry evicts oldest-terminal runs beyond
+// MaxRuns, and the submission registry (sweeps and explorations) the
+// oldest terminal submissions beyond 1024 (the content-addressed store
+// still answers evicted runs, and a journal's done manifests evicted
+// submissions, so eviction only costs a registry miss, never a
+// re-simulation while the store holds the result). An unfinished
+// submission is kept until it finishes, which it does whether or not
+// anyone polls it.
 package server
 
 import (
@@ -45,6 +49,8 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,12 +93,6 @@ type Options struct {
 	// runs not referenced by an unfinished sweep are evicted (their
 	// results remain in the Store). Default: 8192.
 	MaxRuns int
-	// MaxSweeps bounds the sweep registry, evicting oldest first.
-	// Default: 1024.
-	MaxSweeps int
-	// MaxExplores bounds the exploration registry, evicting oldest
-	// first. Default: 256.
-	MaxExplores int
 	// Twin is the default analytical-twin mode ("on", "off", or "auto")
 	// for explorations whose request omits the twin field. Empty means
 	// off. Requests may override per-exploration.
@@ -103,15 +103,24 @@ type Options struct {
 	// may override per-submission; both the default and overrides are
 	// validated at submit time, like Twin.
 	Fidelity string
-	// Journal, when non-nil, makes the control plane crash-safe: every
-	// pending-pool mutation is journaled, sweeps and explorations
-	// persist durable manifests under their client-visible ids, and New
-	// replays the journal — settling jobs whose results are in the
-	// Store, re-queueing the rest, and re-registering open submissions
-	// under their original ids (see durable.go). The Server does not
-	// close the journal; its owner does, after Close.
+	// Journal, when non-nil, makes the control plane crash-safe: the
+	// pending-pool mutations of direct runs are journaled, sweeps and
+	// explorations persist durable manifests under their client-visible
+	// ids, and New replays the journal — settling jobs whose results are
+	// in the Store, re-queueing the rest, and re-registering open
+	// submissions under their original ids (see durable.go). The Server
+	// does not close the journal; its owner does, after Close.
 	Journal *journal.Journal
+
+	// maxSubmissions overrides the submission registry's bound
+	// (maxSubmissions) in tests.
+	maxSubmissions int
 }
+
+// maxSubmissions bounds the registry of sweeps and explorations: beyond
+// it, the oldest evictable ones are dropped. An unfinished one never is,
+// so the registry may exceed the bound while everything in it is live.
+const maxSubmissions = 1024
 
 // runStatus is the lifecycle of one submitted run.
 type runStatus string
@@ -161,19 +170,32 @@ type runState struct {
 	startedAt time.Time
 }
 
-// sweepState tracks one sweep submission. Until every member is
-// terminal it references live runStates; then it materializes its final
-// view and drops the references.
-type sweepState struct {
-	id   string
+// submission is one sweep or exploration, registered under its manifest
+// id, whose "<kind>-" prefix tells the two apart. A sweep references its
+// member runs until every one is terminal; an exploration keeps the view
+// its driver refreshes.
+type submission struct {
+	id string
+	// keys are a sweep's members, in grid order.
 	keys []string
 	// preCached marks members that were already finished when this sweep
 	// was submitted — cache hits from this sweep's point of view, without
 	// mutating the shared run state.
 	preCached map[string]bool
-	// final is the rendered terminal view, set once every member is
-	// terminal: every later GET and the manifest's Final are these bytes.
+	// view is an exploration's latest progress snapshot, refreshed after
+	// every batch and finalized when the driver finishes.
+	view exploreView
+	// final is the rendered terminal reply, set once: every later GET and
+	// the manifest's Final are these bytes.
 	final []byte
+	// retired is made with final and closed once retire has written final
+	// to the manifest; a GET serves final only then, so a terminal reply
+	// it answered outlives a crash.
+	retired chan struct{}
+	// evictable is set by retire when the manifest holds final (always,
+	// without a journal): only then may the registry drop the submission,
+	// because the done manifest answers its id from then on.
+	evictable bool
 }
 
 // Server is the simulation service. Create with New, serve via Handler,
@@ -186,11 +208,9 @@ type Server struct {
 	mu           sync.Mutex
 	closed       bool
 	runs         map[string]*runState
-	sweeps       map[string]*sweepState
-	explores     map[string]*exploreState
-	terminalKeys []string // eviction order for terminal runs
-	sweepOrder   []string // eviction order for sweeps
-	exploreOrder []string // eviction order for explorations
+	subs         map[string]*submission // sweeps and explorations, by id
+	terminalKeys []string               // eviction order for terminal runs
+	subOrder     []string               // registration order of subs
 
 	// killed marks a Terminate in progress: journal hooks go quiet, like
 	// a real crash.
@@ -226,11 +246,8 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 8192
 	}
-	if opts.MaxSweeps <= 0 {
-		opts.MaxSweeps = 1024
-	}
-	if opts.MaxExplores <= 0 {
-		opts.MaxExplores = 256
+	if opts.maxSubmissions <= 0 {
+		opts.maxSubmissions = maxSubmissions
 	}
 	// Fail a misspelled default twin mode or fidelity at startup, not on
 	// the first submission that tries to inherit it.
@@ -244,8 +261,7 @@ func New(opts Options) (*Server, error) {
 		opts:          opts,
 		quit:          make(chan struct{}),
 		runs:          make(map[string]*runState),
-		sweeps:        make(map[string]*sweepState),
-		explores:      make(map[string]*exploreState),
+		subs:          make(map[string]*submission),
 		histQueueAge:  newHistogram(latencyBuckets),
 		workerLatency: newLabeledHistograms(latencyBuckets),
 	}
@@ -374,7 +390,7 @@ func (s *Server) settleExecuted(res results.Result) {
 		s.storePut(res.Key, res)
 	}
 	s.finish(res.Key, res, false)
-	s.journalComplete(res.Key)
+	s.journalRun(journal.Record{Op: journal.OpComplete, Key: res.Key})
 }
 
 // finish settles the registered run of this key with its result —
@@ -442,19 +458,66 @@ func (s *Server) evictRunsLocked() {
 	}
 }
 
-// evictSweepsLocked drops oldest sweeps beyond MaxSweeps. Callers must
-// hold s.mu.
-func (s *Server) evictSweepsLocked() {
-	for len(s.sweepOrder) > s.opts.MaxSweeps {
-		id := s.sweepOrder[0]
-		s.sweepOrder = s.sweepOrder[1:]
-		if sw, ok := s.sweeps[id]; ok && sw.final == nil {
-			for _, k := range sw.keys {
-				s.runs[k].refs--
-			}
+// addSubmissionLocked registers a new sweep or exploration and drops the
+// oldest evictable ones beyond the bound. Callers must hold s.mu.
+func (s *Server) addSubmissionLocked(sub *submission) {
+	s.subs[sub.id] = sub
+	s.subOrder = append(s.subOrder, sub.id)
+	for i := 0; len(s.subOrder) > s.opts.maxSubmissions && i < len(s.subOrder); {
+		if id := s.subOrder[i]; !s.subs[id].evictable {
+			i++
+		} else {
+			delete(s.subs, id)
+			s.subOrder = slices.Delete(s.subOrder, i, i+1)
 		}
-		delete(s.sweeps, id)
 	}
+}
+
+// retire writes a submission's final reply to its manifest and then
+// releases the GETs waiting on it. Exactly one caller retires each
+// submission: whoever rendered its final reply, after releasing s.mu.
+func (s *Server) retire(sub *submission) {
+	ok := s.journalDone(sub.id, sub.final)
+	s.mu.Lock()
+	sub.evictable = ok
+	s.mu.Unlock()
+	close(sub.retired)
+}
+
+// subscribeLocked returns one channel per unfinished run, closed when the
+// run turns terminal. Callers must hold s.mu, so no finish can be missed.
+func subscribeLocked(sts []*runState) []chan struct{} {
+	var waits []chan struct{}
+	for _, st := range sts {
+		if !st.status.terminal() {
+			done := make(chan struct{})
+			st.waiters = append(st.waiters, done)
+			waits = append(waits, done)
+		}
+	}
+	return waits
+}
+
+// await blocks until every channel is closed or the server quits, and
+// reports whether every one closed.
+func (s *Server) await(waits []chan struct{}) bool {
+	for _, done := range waits {
+		select {
+		case <-done:
+		case <-s.quit:
+			return false
+		}
+	}
+	return true
+}
+
+// submissionLocked returns the registered submission of this kind and id,
+// or nil. Callers must hold s.mu.
+func (s *Server) submissionLocked(kind, id string) *submission {
+	if !strings.HasPrefix(id, kind+"-") {
+		return nil
+	}
+	return s.subs[id]
 }
 
 // errQueueFull is returned when the bounded queue cannot take a new job.
@@ -485,9 +548,9 @@ func (s *Server) registerLocked(req harness.Request, key string) (st *runState, 
 // registerBatchLocked registers a batch of prepared requests — a sweep's
 // members or an exploration tier's cells — pins every member's run (refs)
 // so registry eviction cannot drop it while the batch is live, and hands
-// the fresh ones to a feeder, which journals them and fills the pool one
-// workload after the other. hits marks the members that were already
-// finished when registered. jobs carries each request's key and wire form.
+// the fresh ones to a feeder, which fills the pool one workload after the
+// other. hits marks the members that were already finished when
+// registered. jobs carries each request's key and wire form.
 // Callers must hold s.mu and have checked s.closed.
 func (s *Server) registerBatchLocked(reqs []harness.Request, jobs []results.Job) (sts []*runState, hits []bool) {
 	sts = make([]*runState, len(reqs))
@@ -501,7 +564,7 @@ func (s *Server) registerBatchLocked(reqs []harness.Request, jobs []results.Job)
 		}
 		sts[i], hits[i] = st, hit
 	}
-	s.feedLocked(pending, false)
+	s.feedLocked(pending)
 	return sts, hits
 }
 
@@ -559,31 +622,32 @@ func (s *Server) submit(req harness.Request) (*runState, bool, error) {
 	}
 	s.mu.Unlock()
 	if fresh {
-		s.journalEnqueue(key, wire)
+		s.journalRun(journal.Record{Op: journal.OpEnqueue, Job: &results.Job{Key: key, Request: wire}})
 	}
 	return st, hit, nil
 }
 
-// feedLocked starts a feeder for freshly registered runs; replayed marks
-// runs the journal already lists as enqueued. Callers hold s.mu, so Close
-// (which flips closed under the same lock before waiting on feeders)
-// cannot miss it.
-func (s *Server) feedLocked(jobs []results.Job, replayed bool) {
+// feedLocked starts a feeder for freshly registered runs. Callers hold
+// s.mu, so Close (which flips closed under the same lock before waiting on
+// feeders) cannot miss it.
+func (s *Server) feedLocked(jobs []results.Job) {
 	if len(jobs) > 0 {
 		s.feederWG.Add(1)
-		go s.feed(jobs, replayed)
+		go s.feed(jobs)
 	}
 }
 
-// feed journals and enqueues registered runs one workload after the
-// other, waiting on a full pool, so arbitrarily large grids flow through
-// the bounded buffer with the runs of one trace adjacent. A run the store
+// feed enqueues registered runs one workload after the other, waiting on
+// a full pool, so arbitrarily large grids flow through the bounded buffer
+// with the runs of one trace adjacent. It journals no enqueue: a direct
+// run's was written at submit, and a sweep's or an exploration's members
+// are owed through its manifest. A run the store
 // already answers (cached by a previous process, or by a prior generation
-// of its key) settles here before it is journaled or offered to anyone,
-// like a hit in submit: it leaves no record, unless it was replayed, when
-// its complete retires the live enqueue. Runs on its own goroutine per
-// sweep; stops when the server closes.
-func (s *Server) feed(jobs []results.Job, replayed bool) {
+// of its key) settles here before it is offered to anyone, like a hit in
+// submit; its complete retires the enqueue of a replayed direct run and
+// writes nothing for any other. Runs on its own goroutine per batch;
+// stops when the server closes.
+func (s *Server) feed(jobs []results.Job) {
 	defer s.feederWG.Done()
 	for _, j := range fleet.WorkloadMajor(jobs) {
 		select {
@@ -594,13 +658,8 @@ func (s *Server) feed(jobs []results.Job, replayed bool) {
 		if res, hit, err := s.opts.Store.Get(j.Key); err == nil && hit {
 			s.metrics.CacheHits.Add(1)
 			s.finish(j.Key, res, true)
-			if replayed {
-				s.journalComplete(j.Key)
-			}
+			s.journalRun(journal.Record{Op: journal.OpComplete, Key: j.Key})
 			continue
-		}
-		if !replayed {
-			s.journalEnqueue(j.Key, j.Request)
 		}
 		// A refusal means the pool has stopped, or still owns the key from
 		// an earlier generation, whose completion settles this run too.
@@ -686,14 +745,11 @@ type sweepRequest struct {
 // Runs with records and sets listResults rather than filling Results, and
 // renders it with appendSweepView.
 type sweepView struct {
-	ID     string    `json:"id"`
-	Status runStatus `json:"status"`
-	Total  int       `json:"total"`
-	Done   int       `json:"done"`
-	Failed int       `json:"failed"`
-	// Lost counts members this coordinator can neither finish nor
-	// answer (see statusLost); only re-attached views can have them.
-	Lost      int              `json:"lost,omitempty"`
+	ID        string           `json:"id"`
+	Status    runStatus        `json:"status"`
+	Total     int              `json:"total"`
+	Done      int              `json:"done"`
+	Failed    int              `json:"failed"`
 	CacheHits int              `json:"cache_hits"`
 	Runs      []runView        `json:"runs"`
 	Results   []results.Result `json:"results,omitempty"`
@@ -855,16 +911,14 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, submitStatus(errClosed), errClosed)
 		return
 	}
-	sw := &sweepState{id: id, keys: keys, preCached: make(map[string]bool)}
+	sw := &submission{id: id, keys: keys, preCached: make(map[string]bool)}
 	_, hits := s.registerBatchLocked(reqs, jobs)
 	for i, hit := range hits {
 		if hit {
 			sw.preCached[keys[i]] = true
 		}
 	}
-	s.sweeps[sw.id] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.id)
-	s.evictSweepsLocked()
+	s.addSubmissionLocked(sw)
 	v, body := s.viewSweepLocked(sw)
 	s.mu.Unlock()
 	s.metrics.SweepsSubmitted.Add(1)
@@ -872,8 +926,14 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	if body != nil {
 		// Every member was already terminal (all cache hits): the sweep
 		// finished at submission.
-		s.journalSweepDone(id, body)
+		s.retire(sw)
 	} else {
+		// Watched only now, so its done mark cannot precede its manifest.
+		s.mu.Lock()
+		if !s.closed {
+			s.watchSweepLocked(sw)
+		}
+		s.mu.Unlock()
 		body = appendSweepView(nil, v)
 	}
 	writeBody(w, http.StatusAccepted, body)
@@ -881,42 +941,70 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleGetSweep reports sweep progress and, when every member is
 // terminal, the full result set in grid order. Ids the registry forgot
-// re-attach from their durable manifest (see sweepFallback).
+// are answered from their done manifest (see manifestFinal).
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	sw, ok := s.sweeps[id]
+	sw := s.submissionLocked(results.ManifestKindSweep, id)
 	var v sweepView
 	var body []byte
 	var materialized bool
-	if ok {
+	if sw != nil {
 		wasDone := sw.final != nil
 		v, body = s.viewSweepLocked(sw)
 		materialized = body != nil && !wasDone
 	}
 	s.mu.Unlock()
-	if !ok {
-		if s.sweepFallback(w, id) {
-			return
+	switch {
+	case sw == nil:
+		if !s.serveManifestFinal(w, results.ManifestKindSweep, id) {
+			httpError(w, http.StatusNotFound, errors.New("unknown sweep id"))
 		}
-		httpError(w, http.StatusNotFound, errors.New("unknown sweep id"))
 		return
-	}
-	if materialized {
-		s.journalSweepDone(id, body)
-	}
-	if body == nil {
+	case materialized:
+		s.retire(sw)
+	case body != nil:
+		<-sw.retired
+	default:
 		body = appendSweepView(nil, v)
 	}
 	writeBody(w, http.StatusOK, body)
+}
+
+// watchSweepLocked starts the goroutine that renders a sweep's final
+// reply when its last member settles, so a sweep nobody polls still turns
+// terminal, releases its runs and marks its manifest done. A GET that
+// renders it first leaves the watcher nothing to do. Callers must hold
+// s.mu and have checked s.closed.
+func (s *Server) watchSweepLocked(sw *submission) {
+	sts := make([]*runState, len(sw.keys))
+	for i, key := range sw.keys {
+		sts[i] = s.runs[key]
+	}
+	waits := subscribeLocked(sts)
+	s.feederWG.Add(1)
+	go func() {
+		defer s.feederWG.Done()
+		if !s.await(waits) {
+			return // the next process recovers the open manifest
+		}
+		s.mu.Lock()
+		wasDone := sw.final != nil
+		s.viewSweepLocked(sw)
+		s.mu.Unlock()
+		if !wasDone {
+			s.retire(sw)
+		}
+	}()
 }
 
 // viewSweepLocked copies out sweep progress for rendering after the lock
 // is released. The first view after every member turns terminal instead
 // renders the final view, once, keeps it as the sweep's only answer and
 // releases the member references, making the runs evictable; final is
-// non-nil from then on. Callers must hold s.mu.
-func (s *Server) viewSweepLocked(sw *sweepState) (v sweepView, final []byte) {
+// non-nil from then on, and its renderer must retire the sweep. Callers
+// must hold s.mu.
+func (s *Server) viewSweepLocked(sw *submission) (v sweepView, final []byte) {
 	if sw.final != nil {
 		return sweepView{}, sw.final
 	}
@@ -950,6 +1038,7 @@ func (s *Server) viewSweepLocked(sw *sweepState) (v sweepView, final []byte) {
 		s.runs[key].refs--
 	}
 	sw.final = appendSweepView(nil, v)
+	sw.retired = make(chan struct{})
 	sw.preCached = nil
 	s.evictRunsLocked()
 	return v, sw.final

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/results"
 	"repro/internal/workload"
@@ -440,12 +441,12 @@ func TestSweepValidationIsAtomic(t *testing.T) {
 // TestRegistryEviction bounds the run and sweep registries: evicted run
 // ids are answered straight from the content-addressed store (done,
 // cached) and their resubmission is a pure store hit, while the oldest
-// sweep is dropped beyond MaxSweeps.
+// terminal sweep is dropped beyond MaxSubmissions.
 func TestRegistryEviction(t *testing.T) {
 	srv, err := New(Options{
 		Workers: 2, QueueDepth: 64,
 		Store:   results.NewMemoryLRU(64),
-		MaxRuns: 2, MaxSweeps: 1,
+		MaxRuns: 2, maxSubmissions: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +510,7 @@ func TestRegistryEviction(t *testing.T) {
 		t.Errorf("resubmission of an evicted run simulated again (%d -> %d)", started, got)
 	}
 
-	// Two sweeps against MaxSweeps=1: the first is evicted.
+	// Two sweeps against MaxSubmissions=1: the first, finished, is evicted.
 	var s1, s2 sweepView
 	postJSON(t, hs.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &s1)
 	pollSweep(t, hs.URL, s1.ID)
@@ -524,6 +525,25 @@ func TestRegistryEviction(t *testing.T) {
 	}
 	if sv := pollSweep(t, hs.URL, s2.ID); sv.Status != statusDone {
 		t.Errorf("surviving sweep: %+v", sv)
+	}
+}
+
+// TestUnfinishedSweepOutlivesTheBound: eviction spares unfinished
+// submissions. On a daemon without a journal, where an evicted sweep could
+// only answer 404, a sweep whose members are still queued is still served
+// after a second sweep passes MaxSubmissions.
+func TestUnfinishedSweepOutlivesTheBound(t *testing.T) {
+	srv, err := New(Options{Workers: -1, Fleet: &fleet.CoordinatorOptions{}, QueueDepth: 64, maxSubmissions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(t, srv)
+	var s1, s2, got sweepView
+	postJSON(t, hs+"/v1/sweeps", sweepBody(), http.StatusAccepted, &s1)
+	postJSON(t, hs+"/v1/sweeps", sweepBody(), http.StatusAccepted, &s2)
+	getJSON(t, hs+"/v1/sweeps/"+s1.ID, &got)
+	if got.ID != s1.ID || got.Status != statusRunning || got.Total != 4 {
+		t.Errorf("unfinished sweep after a second submission: %+v", got)
 	}
 }
 
