@@ -39,7 +39,6 @@ func exploreMain(args []string) {
 	warmup := fs.Uint64("warmup", 50_000, "warm-up instructions (not measured)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory (shareable with ringsimd)")
 	twin := fs.String("twin", "off", "analytical-twin gate: on, off, or auto (on scores the space closed-form and simulates only the predicted frontier + ε-neighborhood)")
-	twinEps := fs.Float64("twin-eps", 0, "twin verification neighborhood (relative IPC slack; 0 = default, negative = exactly the predicted frontier)")
 	fidelity := fs.String("fidelity", "exact", "search-tier fidelity: exact, sampled, or sampled(interval,window,warm); the final frontier is always re-scored exactly")
 	asJSON := fs.Bool("json", false, "emit the full exploration report as JSON")
 	fs.Parse(args)
@@ -121,7 +120,6 @@ func exploreMain(args []string) {
 		Sampling:  sampling,
 		Twin: &dse.TwinOptions{
 			Mode:     twinMode,
-			Epsilon:  *twinEps,
 			Programs: names,
 			Insts:    *insts,
 			Warmup:   *warmup,

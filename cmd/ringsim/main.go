@@ -2,14 +2,13 @@
 // workloads and prints the per-workload statistics. A workload is a
 // spec string (program[:insts][@seed], streams joined with +): a bare
 // program name is the classic single run, "gcc+swim" a multi-programmed
-// 2-stream mix with per-stream IPC reported. -programs a,b runs ONE
-// mix of the named programs (shorthand for -progs a+b).
+// 2-stream mix with per-stream IPC reported.
 //
 // Usage:
 //
 //	ringsim [-arch ring|conv] [-clusters 4|8] [-iw 1|2] [-buses 1|2]
 //	        [-hop N] [-steer enhanced|ssa] [-insts N] [-warmup N]
-//	        [-progs spec,spec,...|all|int|fp] [-programs a,b,...]
+//	        [-progs spec,spec,...|all|int|fp]
 //	        [-fidelity exact|sampled|sampled(i,w,warm)] [-v] [-json]
 //
 //	ringsim explore [-axes SPEC] [-strategy grid|random|climb]
@@ -85,7 +84,6 @@ func main() {
 	insts := flag.Uint64("insts", 300_000, "measured instructions per stream")
 	warmup := flag.Uint64("warmup", 50_000, "warm-up instructions (not measured)")
 	progs := flag.String("progs", "all", "workloads run separately: comma list of spec strings (program[:insts][@seed], streams joined with +), or all/int/fp")
-	programs := flag.String("programs", "", "run ONE multi-programmed workload mixing these programs (comma list; overrides -progs)")
 	verbose := flag.Bool("v", false, "print extra statistics")
 	asJSON := flag.Bool("json", false, "emit results as JSON (internal/results encoding)")
 	fidelity := flag.String("fidelity", "exact", "execution fidelity: exact, sampled, or sampled(interval,window,warm)")
@@ -125,23 +123,15 @@ func main() {
 	}
 
 	var names []string
-	if *programs != "" {
-		// One multi-programmed workload: the named programs as concurrent
-		// streams on a single machine. SplitList keeps commas inside synth
-		// parameter lists intact.
-		mix := workload.Mix(workload.SplitList(*programs)...)
-		names = []string{mix.Name()}
-	} else {
-		switch strings.ToLower(*progs) {
-		case "all":
-			names = workload.Names()
-		case "int":
-			names = workload.SuiteNames(workload.ClassInt)
-		case "fp":
-			names = workload.SuiteNames(workload.ClassFP)
-		default:
-			names = workload.SplitList(*progs)
-		}
+	switch strings.ToLower(*progs) {
+	case "all":
+		names = workload.Names()
+	case "int":
+		names = workload.SuiteNames(workload.ClassInt)
+	case "fp":
+		names = workload.SuiteNames(workload.ClassFP)
+	default:
+		names = workload.SplitList(*progs)
 	}
 
 	reqs, err := harness.ExpandSampled([]core.Config{cfg}, names, *insts, *warmup, sampling)

@@ -13,7 +13,7 @@
 //	         [-journal-dir DIR] [-twin on|off|auto]
 //	         [-fidelity exact|sampled|sampled(i,w,warm)]
 //	         [-pprof-addr HOST:PORT] [-fleet] [-fleet-secret S]
-//	         [-lease-ttl 30s] [-heartbeat 10s]
+//	         [-lease-ttl 30s]
 //
 // With -fidelity sampled, runs default to interval sampling: short
 // detailed windows alternate with functional fast-forward and results
@@ -51,7 +51,8 @@
 // With -fleet the daemon coordinates remote ringsim-worker processes
 // (see cmd/ringsim-worker): all queued work is sharded across registered
 // workers under -lease-ttl leases, with the local -workers pool as
-// fallback. -workers -1 makes it a dispatch-only coordinator that never
+// fallback. Workers heartbeat every third of the TTL, and one silent
+// for two TTLs is dropped and its leases requeued. -workers -1 makes it a dispatch-only coordinator that never
 // simulates locally. A fleet with zero registered workers behaves
 // exactly like a plain daemon. With -fleet-secret every /v1/fleet call
 // must carry the matching X-Fleet-Secret header (worker flag of the
@@ -99,8 +100,7 @@ func main() {
 	twin := flag.String("twin", "off", "default analytical-twin gate for explorations: on, off, or auto (requests may override per-exploration)")
 	fleetMode := flag.Bool("fleet", false, "coordinate remote ringsim-worker processes via /v1/fleet")
 	fleetSecret := flag.String("fleet-secret", "", "shared secret required on every /v1/fleet call (empty = unauthenticated)")
-	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "fleet: how long a worker holds a leased job without heartbeating before it is requeued")
-	heartbeat := flag.Duration("heartbeat", 0, "fleet: heartbeat cadence assigned to workers (0 = lease-ttl/3)")
+	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "fleet: how long a worker holds a leased job without heartbeating before it is requeued (workers heartbeat every lease-ttl/3)")
 	fidelity := flag.String("fidelity", "exact", "default execution fidelity for runs, sweeps, and explorations: exact, sampled, or sampled(interval,window,warm); requests may override per-submission")
 	showVersion := flag.Bool("version", false, "print the build revision and exit")
 	flag.Parse()
@@ -132,7 +132,7 @@ func main() {
 	}
 	opts := server.Options{Workers: *workers, QueueDepth: *queue, Store: store, FleetSecret: *fleetSecret, Twin: *twin, Fidelity: *fidelity}
 	if *fleetMode {
-		opts.Fleet = &fleet.CoordinatorOptions{LeaseTTL: *leaseTTL, HeartbeatEvery: *heartbeat}
+		opts.Fleet = &fleet.CoordinatorOptions{LeaseTTL: *leaseTTL}
 	} else if *workers < 0 {
 		fmt.Fprintln(os.Stderr, "ringsimd: -workers -1 (dispatch-only) requires -fleet")
 		os.Exit(2)

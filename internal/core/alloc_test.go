@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -53,5 +54,52 @@ func TestSteadyStateAllocations(t *testing.T) {
 	// commit ~7000 instructions here.
 	if avg > 16 {
 		t.Fatalf("steady-state cycle loop allocates: %.1f allocs per %d cycles (want <= 16)", avg, stepsPerRun)
+	}
+}
+
+// TestResetIsAllocationFree: a machine recycled across Ring and Conv
+// runs re-initialises its steering policy in place, so once it has held
+// both a reset allocates nothing, and every run on the recycled machine
+// reports the Stats of a freshly built one bit for bit.
+func TestResetIsAllocationFree(t *testing.T) {
+	ring, conv := MustPaperConfig(ArchRing, 8, 2, 1), MustPaperConfig(ArchConv, 8, 2, 1)
+	seq := []Config{ring, conv, ring}
+	tr := genSlice(t, "gcc", 0, 20_000)
+	m, err := New(conv, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range seq {
+		tr.Reset()
+		fresh, err := New(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Reset()
+		if err := m.Reset(cfg, tr); err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d (%s) on the recycled machine:\n got %+v\nwant %+v", i, cfg.Name, got, want)
+		}
+	}
+	empty := trace.NewSlice(nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, cfg := range seq {
+			if err := m.Reset(cfg, empty); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a Ring→Conv→Ring reset sequence allocates %.1f times, want 0", allocs)
 	}
 }

@@ -299,12 +299,13 @@ type Machine struct {
 	// recycling a pooled machine stays allocation-free.
 	fes       []streamFE
 	oneStream [1]trace.Stream
-	// steer names the configured policy; exactly one of ring, conv and
-	// ssa is set, and the core calls it directly.
+	// steer names the configured policy; only that one of ring, conv and
+	// ssa is set up for the run, and the core calls it directly. Reset
+	// re-initialises it in place, reusing its storage.
 	steer  steerKind
-	ring   *steering.Ring
-	conv   *steering.Conv
-	ssa    *steering.SSA
+	ring   steering.Ring
+	conv   steering.Conv
+	ssa    steering.SSA
 	files  regfile.Files
 	fabric *interconnect.Fabric
 	pred   *bpred.Predictor
@@ -498,17 +499,16 @@ func (m *Machine) ResetMulti(cfg Config, streams []trace.Stream) error {
 		m.visTable[c] = int8(vc)
 	}
 
-	m.ring, m.conv, m.ssa = nil, nil, nil
 	switch {
 	case cfg.Steer == SteerSimple:
 		m.steer = steerSSA
-		m.ssa = steering.NewSSA(cfg.Clusters)
+		m.ssa.Reset(cfg.Clusters)
 	case cfg.Arch == ArchRing:
 		m.steer = steerRing
-		m.ring = steering.NewRing(m.minDist, &m.files, m.visTable[:cfg.Clusters])
+		m.ring.Reset(m.minDist, &m.files, m.visTable[:cfg.Clusters])
 	default:
 		m.steer = steerConv
-		m.conv = steering.NewConv(cfg.Clusters, cfg.Conv, m.minDist)
+		m.conv.Reset(cfg.Clusters, cfg.Conv, m.minDist)
 	}
 
 	for c := 0; c < cfg.Clusters; c++ {
@@ -863,7 +863,7 @@ func (m *Machine) fastForwardWindow(maxCycles uint64) bool {
 		if stall = m.dispatchOne(fe, true); stall == nil {
 			return false // head would dispatch: real work this cycle
 		}
-		if stall != &m.stats.StallROB && stall != &m.stats.StallLSQ && m.conv != nil {
+		if stall != &m.stats.StallROB && stall != &m.stats.StallLSQ && m.steer == steerConv {
 			// Post-steering stalls hold only while Choose is stable;
 			// Conv's DCOUNT decay is the one in-window input change.
 			if t := m.now + m.conv.CyclesToDecay(); t < target {
@@ -894,7 +894,7 @@ func (m *Machine) fastForwardWindow(maxCycles uint64) bool {
 	if stall != nil {
 		*stall += k
 	}
-	if m.conv != nil {
+	if m.steer == steerConv {
 		m.conv.TickN(k)
 	}
 	m.now = target
@@ -917,7 +917,7 @@ func (m *Machine) Step() error {
 	if m.err != nil {
 		return m.err
 	}
-	if m.conv != nil {
+	if m.steer == steerConv {
 		m.conv.Tick()
 	}
 	m.now++

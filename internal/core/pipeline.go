@@ -737,7 +737,7 @@ func (m *Machine) dispatchOne(fe *fetchEntry, probe bool) *uint64 {
 		m.scheduleIQ(ep, slot, max(readyAt, m.now+1))
 	}
 
-	if m.conv != nil {
+	if m.steer == steerConv {
 		m.conv.OnDispatch(cl)
 	}
 	m.stats.Dispatched++

@@ -44,21 +44,18 @@ func ParseTwinMode(s string) (TwinMode, error) {
 	return "", fmt.Errorf("dse: invalid -twin value %q (legal values: on, off, auto)", s)
 }
 
-// DefaultTwinEpsilon is the relative slack of the verification
+// twinEpsilon is the relative slack of the verification
 // neighborhood: a candidate simulates when its predicted IPC is within
-// ε of the best prediction at its area or below. The default treats
-// sub-0.2% predicted gaps as ties (both sides simulate); the calibrated
-// model separates distinguishable candidates by more than that.
-const DefaultTwinEpsilon = 0.002
+// ε of the best prediction at its area or below. It treats sub-0.2%
+// predicted gaps as ties (both sides simulate); the calibrated model
+// separates distinguishable candidates by more than that.
+const twinEpsilon = 0.002
 
 // TwinOptions configures the analytical-twin gate of an exploration.
 type TwinOptions struct {
 	// Mode gates the twin; TwinOff (or a nil TwinOptions) is the exact
 	// exhaustive path.
 	Mode TwinMode
-	// Epsilon widens the verification neighborhood (0 = DefaultTwinEpsilon;
-	// negative = exactly the predicted frontier).
-	Epsilon float64
 	// Programs is the default workload suite for candidates without
 	// workload axes; it must match the evaluator's suite or the twin
 	// ranks a different problem than the simulator scores. When the twin
@@ -70,8 +67,6 @@ type TwinOptions struct {
 	Insts, Warmup uint64
 	// Profiles is the profile cache (nil = harness.DefaultProfileCache).
 	Profiles *harness.ProfileCache
-	// Model overrides the calibrated constants (nil = DefaultModel).
-	Model *predict.Model
 }
 
 // Enabled resolves the mode against the chosen strategy and space size.
@@ -94,17 +89,6 @@ func (t *TwinOptions) Enabled(strategy Strategy, spaceSize int) (bool, error) {
 		return grid && spaceSize >= TwinAutoMinSpace, nil
 	}
 	return false, fmt.Errorf("dse: invalid -twin value %q (legal values: on, off, auto)", string(t.Mode))
-}
-
-// epsilon returns the effective neighborhood slack.
-func (t *TwinOptions) epsilon() float64 {
-	switch {
-	case t.Epsilon < 0:
-		return 0
-	case t.Epsilon == 0:
-		return DefaultTwinEpsilon
-	}
-	return t.Epsilon
 }
 
 // twinScore is one candidate's closed-form evaluation.
@@ -133,9 +117,6 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget int) (*Report, error)
 		profiles = harness.DefaultProfileCache
 	}
 	model := predict.DefaultModel()
-	if t.Model != nil {
-		model = *t.Model
-	}
 	space := &opts.Space
 	rep := &Report{
 		Strategy:  opts.Strategy.Name(),
@@ -214,8 +195,7 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget int) (*Report, error)
 	// Tier 2 selection: area is closed-form (exact), so a candidate can
 	// only be Pareto-optimal if no cheaper-or-equal candidate beats its
 	// IPC — sort by area and verify everything predicted within ε of the
-	// running best. ε=0 degenerates to exactly the predicted frontier.
-	eps := t.epsilon()
+	// running best.
 	order := make([]*twinScore, 0, len(scores))
 	for i := range scores {
 		if !scores[i].invalid {
@@ -231,7 +211,7 @@ func exploreTwin(opts Options, ev, exact Evaluator, budget int) (*Report, error)
 	var verify []*twinScore
 	best := math.Inf(-1)
 	for _, s := range order {
-		if s.predIPC*(1+eps) >= best {
+		if s.predIPC*(1+twinEpsilon) >= best {
 			verify = append(verify, s)
 		} else {
 			rep.SimsAvoided += s.programs

@@ -16,26 +16,15 @@ import (
 )
 
 // CoordinatorOptions tunes lease and liveness behavior. The zero value
-// gets production defaults; tests shrink the durations to milliseconds.
+// gets production defaults; tests shrink the lease TTL to milliseconds.
 type CoordinatorOptions struct {
 	// LeaseTTL is how long a leased job survives without a heartbeat
-	// before it is requeued. Default: 30s.
+	// before it is requeued. Every other timing follows from it: workers
+	// are told to heartbeat every LeaseTTL/3, a worker silent for
+	// 2×LeaseTTL is dropped and its leases requeued at once, and the
+	// requeue sweeper ticks every LeaseTTL/4, clamped to [10ms, 1s].
+	// Default: 30s.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the cadence workers are told to heartbeat at.
-	// Default: LeaseTTL / 3.
-	HeartbeatEvery time.Duration
-	// WorkerExpiry is how long a silent worker stays registered; an
-	// expired worker is dropped and its leases requeued immediately.
-	// Default: 2 × LeaseTTL.
-	WorkerExpiry time.Duration
-	// SweepEvery is the requeue sweeper's tick. Default: LeaseTTL / 4,
-	// clamped to [10ms, 1s].
-	SweepEvery time.Duration
-	// MaxJobAttempts caps how many leases one job may burn before it is
-	// parked in the poisoned-job lot instead of requeued — one
-	// crash-inducing request must not ping-pong across the fleet
-	// forever. Default: 5.
-	MaxJobAttempts int
 	// OnPoison, when set, is called (outside the coordinator lock) for
 	// every job moved to the poisoned lot, with the job and the attempts
 	// it consumed. The server uses it to fail the registered run.
@@ -49,33 +38,31 @@ type CoordinatorOptions struct {
 // the worker's ask.
 const maxLeaseBatch = 64
 
+// maxJobAttempts caps how many leases one job may burn before it is
+// parked in the poisoned-job lot instead of requeued: one crash-inducing
+// request must not ping-pong across the fleet forever.
+const maxJobAttempts = 5
+
 // withDefaults fills unset options.
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
 	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = o.LeaseTTL / 3
-	}
-	if o.WorkerExpiry <= 0 {
-		o.WorkerExpiry = 2 * o.LeaseTTL
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = o.LeaseTTL / 4
-		if o.SweepEvery < 10*time.Millisecond {
-			o.SweepEvery = 10 * time.Millisecond
-		}
-		if o.SweepEvery > time.Second {
-			o.SweepEvery = time.Second
-		}
-	}
-	if o.MaxJobAttempts <= 0 {
-		o.MaxJobAttempts = 5
-	}
 	if o.now == nil {
 		o.now = time.Now
 	}
 	return o
+}
+
+// heartbeatEvery is the cadence workers are told to heartbeat at: three
+// chances to renew a lease before it expires.
+func (o CoordinatorOptions) heartbeatEvery() time.Duration { return o.LeaseTTL / 3 }
+
+// sweepEvery is the requeue sweeper's tick: an expired lease waits at most
+// a quarter TTL, and never more than a second, for its requeue, while a
+// millisecond test TTL does not spin the sweeper.
+func (o CoordinatorOptions) sweepEvery() time.Duration {
+	return min(max(o.LeaseTTL/4, 10*time.Millisecond), time.Second)
 }
 
 // ErrUnknownWorker is returned for calls naming an unregistered (or
@@ -103,7 +90,7 @@ type job struct {
 	// pending with both cleared.
 	worker  string
 	expires time.Time
-	// attempts counts leases granted for this job; at MaxJobAttempts an
+	// attempts counts leases granted for this job; at maxJobAttempts an
 	// expiring lease parks the job in the poisoned lot instead of
 	// requeuing it.
 	attempts int
@@ -195,12 +182,12 @@ func NewCoordinator(opts CoordinatorOptions, bound int) *Coordinator {
 func (c *Coordinator) LeaseTTL() time.Duration { return c.opts.LeaseTTL }
 
 // HeartbeatEvery reports the heartbeat cadence workers are assigned.
-func (c *Coordinator) HeartbeatEvery() time.Duration { return c.opts.HeartbeatEvery }
+func (c *Coordinator) HeartbeatEvery() time.Duration { return c.opts.heartbeatEvery() }
 
 // sweep periodically requeues expired leases and drops expired workers.
 func (c *Coordinator) sweep() {
 	defer c.sweepers.Done()
-	t := time.NewTicker(c.opts.SweepEvery)
+	t := time.NewTicker(c.opts.sweepEvery())
 	defer t.Stop()
 	for {
 		select {
@@ -220,7 +207,7 @@ func (c *Coordinator) sweep() {
 func (c *Coordinator) expireLocked() {
 	now := c.opts.now()
 	for id, w := range c.workers {
-		if !w.local && now.Sub(w.lastSeen) > c.opts.WorkerExpiry {
+		if !w.local && now.Sub(w.lastSeen) > 2*c.opts.LeaseTTL {
 			c.dropWorkerLocked(id)
 		}
 	}
@@ -262,7 +249,7 @@ func (c *Coordinator) requeueLocked(jb *job) {
 	}
 	jb.worker = ""
 	jb.expires = time.Time{}
-	if jb.attempts >= c.opts.MaxJobAttempts {
+	if jb.attempts >= maxJobAttempts {
 		delete(c.byKey, jb.j.Key)
 		c.poisoned[jb.j.Key] = jb
 		c.poisonNotify = append(c.poisonNotify, jb)
@@ -413,7 +400,7 @@ func (c *Coordinator) Register(name string, capacity int, local bool) (RegisterR
 	return RegisterResponse{
 		WorkerID:        id,
 		LeaseTTLMillis:  c.opts.LeaseTTL.Milliseconds(),
-		HeartbeatMillis: c.opts.HeartbeatEvery.Milliseconds(),
+		HeartbeatMillis: c.opts.heartbeatEvery().Milliseconds(),
 	}, nil
 }
 

@@ -31,9 +31,10 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// newTestCoordinator wires an unbounded coordinator onto a fake clock with
-// a slow real-time sweeper, so tests drive expiry deterministically
-// through Lease calls (which sweep inline).
+// newTestCoordinator wires an unbounded coordinator onto a fake clock, so
+// tests drive expiry deterministically through Lease calls (which sweep
+// inline). The sweeper still ticks in real time, but it reads the same
+// fake clock: it only does early what the next Lease would do.
 func newTestCoordinator(t *testing.T, ttl time.Duration) (*Coordinator, *fakeClock) {
 	t.Helper()
 	return newBoundedCoordinator(t, ttl, 0)
@@ -43,11 +44,7 @@ func newTestCoordinator(t *testing.T, ttl time.Duration) (*Coordinator, *fakeClo
 func newBoundedCoordinator(t *testing.T, ttl time.Duration, bound int) (*Coordinator, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	c := NewCoordinator(CoordinatorOptions{
-		LeaseTTL:   ttl,
-		SweepEvery: time.Hour, // expiry driven via Lease, not wall time
-		now:        clk.now,
-	}, bound)
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: ttl, now: clk.now}, bound)
 	t.Cleanup(c.Stop)
 	return c, clk
 }
@@ -296,10 +293,45 @@ func TestWorkersStatusView(t *testing.T) {
 	}
 }
 
+// TestTimingsFollowLeaseTTL: the heartbeat cadence, the worker expiry
+// and the sweeper tick are all derived from the lease TTL, the tick
+// clamped to [10ms, 1s].
+func TestTimingsFollowLeaseTTL(t *testing.T) {
+	for _, tc := range []struct {
+		ttl, heartbeat, expiry, sweep time.Duration
+	}{
+		{0, 10 * time.Second, time.Minute, time.Second}, // the 30s default, clamped from above
+		{4 * time.Second, 4 * time.Second / 3, 8 * time.Second, time.Second},
+		{time.Second, time.Second / 3, 2 * time.Second, 250 * time.Millisecond},
+		{40 * time.Millisecond, 40 * time.Millisecond / 3, 80 * time.Millisecond, 10 * time.Millisecond},
+		{20 * time.Millisecond, 20 * time.Millisecond / 3, 40 * time.Millisecond, 10 * time.Millisecond}, // clamped from below
+	} {
+		c, clk := newTestCoordinator(t, tc.ttl)
+		if got := c.opts.sweepEvery(); got != tc.sweep {
+			t.Errorf("ttl %v: sweep tick %v, want %v", tc.ttl, got, tc.sweep)
+		}
+		quiet, _ := c.Register("quiet", 1, false)
+		busy, _ := c.Register("busy", 1, false)
+		if c.HeartbeatEvery() != tc.heartbeat || quiet.HeartbeatMillis != tc.heartbeat.Milliseconds() {
+			t.Errorf("ttl %v: heartbeat %v (%d ms registered), want %v", tc.ttl, c.HeartbeatEvery(), quiet.HeartbeatMillis, tc.heartbeat)
+		}
+		// The quiet worker survives exactly the expiry and is dropped the
+		// moment it is exceeded; the busy one's leases keep it alive.
+		clk.advance(tc.expiry)
+		if _, err := c.Lease(busy.WorkerID, 1); err != nil || c.Stats().Workers != 2 {
+			t.Errorf("ttl %v: a worker silent for %v was dropped: %v", tc.ttl, tc.expiry, err)
+		}
+		clk.advance(time.Nanosecond)
+		if _, err := c.Lease(busy.WorkerID, 1); err != nil || c.Stats().Workers != 1 {
+			t.Errorf("ttl %v: a worker silent past %v stayed registered: %v", tc.ttl, tc.expiry, err)
+		}
+	}
+}
+
 // TestPoisonedJobParksAfterAttemptCap: a job whose leases keep expiring
-// must stop ping-ponging at MaxJobAttempts, land in the poisoned lot,
-// fire OnPoison exactly once, and stay out of circulation until a fresh
-// Enqueue gives its key a clean slate.
+// must stop ping-ponging at its maxJobAttempts-th lease, land in the
+// poisoned lot, fire OnPoison exactly once, and stay out of circulation
+// until a fresh Enqueue gives its key a clean slate.
 func TestPoisonedJobParksAfterAttemptCap(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	type poison struct {
@@ -309,9 +341,7 @@ func TestPoisonedJobParksAfterAttemptCap(t *testing.T) {
 	var mu sync.Mutex
 	var poisons []poison
 	c := NewCoordinator(CoordinatorOptions{
-		LeaseTTL:       time.Minute,
-		SweepEvery:     time.Hour, // expiry driven via Lease, not wall time
-		MaxJobAttempts: 2,
+		LeaseTTL: time.Minute,
 		OnPoison: func(j results.Job, attempts int) {
 			mu.Lock()
 			poisons = append(poisons, poison{key: j.Key, attempts: attempts})
@@ -329,38 +359,35 @@ func TestPoisonedJobParksAfterAttemptCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Attempt 1: lease, let it expire.
+	// Attempts 1..5: lease, let the lease expire; each expired lease but
+	// the last requeues the job, and the next Lease grants it again.
+	for attempt := 1; attempt <= maxJobAttempts; attempt++ {
+		jobs, err := c.Lease(reg.WorkerID, 10)
+		if err != nil || len(jobs) != 1 {
+			t.Fatalf("lease %d: %v, %d jobs", attempt, err, len(jobs))
+		}
+		if got := c.Stats().Requeues; got != uint64(attempt-1) {
+			t.Fatalf("requeues after lease %d = %d, want %d", attempt, got, attempt-1)
+		}
+		clk.advance(90 * time.Second)
+	}
+	// The fifth expiry hits the cap: parked, not requeued.
 	jobs, err := c.Lease(reg.WorkerID, 10)
-	if err != nil || len(jobs) != 1 {
-		t.Fatalf("lease 1: %v, %d jobs", err, len(jobs))
-	}
-	clk.advance(90 * time.Second)
-	// Attempt 2: the expired job requeues and immediately re-leases.
-	jobs, err = c.Lease(reg.WorkerID, 10)
-	if err != nil || len(jobs) != 1 {
-		t.Fatalf("lease 2: %v, %d jobs", err, len(jobs))
-	}
-	if got := c.Stats().Requeues; got != 1 {
-		t.Fatalf("requeues = %d, want 1", got)
-	}
-	clk.advance(90 * time.Second)
-	// Third expiry hits the cap: parked, not requeued.
-	jobs, err = c.Lease(reg.WorkerID, 10)
 	if err != nil || len(jobs) != 0 {
-		t.Fatalf("lease 3 handed out a poisoned job: %v, %d jobs", err, len(jobs))
+		t.Fatalf("lease %d handed out a poisoned job: %v, %d jobs", maxJobAttempts+1, err, len(jobs))
 	}
 	st := c.Stats()
-	if st.PoisonedTotal != 1 || st.PoisonedParked != 1 || st.Pending != 0 {
+	if st.PoisonedTotal != 1 || st.PoisonedParked != 1 || st.Pending != 0 || st.Requeues != maxJobAttempts-1 {
 		t.Fatalf("poison not recorded: %+v", st)
 	}
 	mu.Lock()
 	got := append([]poison(nil), poisons...)
 	mu.Unlock()
-	if len(got) != 1 || got[0].key != jb.Key || got[0].attempts != 2 {
+	if len(got) != 1 || got[0].key != jb.Key || got[0].attempts != maxJobAttempts {
 		t.Fatalf("OnPoison fired wrong: %+v", got)
 	}
 	lot := c.Poisoned()
-	if len(lot) != 1 || lot[0].Key != jb.Key || lot[0].Attempts != 2 {
+	if len(lot) != 1 || lot[0].Key != jb.Key || lot[0].Attempts != maxJobAttempts {
 		t.Fatalf("Poisoned() = %+v", lot)
 	}
 	// A completion for a parked key is stale: rejected.

@@ -271,7 +271,8 @@ func NewFabric(n, numBuses, hop int, opposed bool) *Fabric {
 // matches the requested one, reporting whether it did; a false return
 // means the caller must build a fresh fabric with NewFabric.
 func (f *Fabric) Reset(n, numBuses, hop int, opposed bool) bool {
-	if f.n != n || len(f.buses) != numBuses || f.hop != hop || f.opposed != opposed {
+	// One bus runs forward whatever opposed says.
+	if f.n != n || len(f.buses) != numBuses || f.hop != hop || numBuses == 2 && f.opposed != opposed {
 		return false
 	}
 	for _, b := range f.buses {

@@ -61,10 +61,6 @@ type exploreRequest struct {
 	// Twin gates the exploration with the analytical predictor: "on",
 	// "off", or "auto". Empty falls back to the server's -twin default.
 	Twin string `json:"twin,omitempty"`
-	// TwinEpsilon widens the twin's verification neighborhood
-	// (0 = dse.DefaultTwinEpsilon; negative = exactly the predicted
-	// frontier).
-	TwinEpsilon float64 `json:"twin_epsilon,omitempty"`
 	// Fidelity selects the search tier's execution fidelity ("exact" or
 	// "sampled(interval,window,warm)"); the final frontier is always
 	// re-scored exactly. Empty inherits the server's -fidelity default.
@@ -265,7 +261,6 @@ func (s *Server) driveExplore(sub *submission, space dse.Space, strat dse.Strate
 		Concurrency: s.opts.Workers,
 		Twin: &dse.TwinOptions{
 			Mode:     twin,
-			Epsilon:  er.TwinEpsilon,
 			Programs: programs,
 			Insts:    er.Insts,
 			Warmup:   er.Warmup,

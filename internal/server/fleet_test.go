@@ -136,10 +136,7 @@ func TestFleetSweepBitIdentical(t *testing.T) {
 // TestFleetWorkerLossRequeues kills a worker mid-sweep: its expired
 // leases must requeue and the surviving worker must finish the sweep.
 func TestFleetWorkerLossRequeues(t *testing.T) {
-	srv, hs := newFleetServer(t, results.NewMemoryLRU(64), fleet.CoordinatorOptions{
-		LeaseTTL:   200 * time.Millisecond,
-		SweepEvery: 20 * time.Millisecond,
-	})
+	srv, hs := newFleetServer(t, results.NewMemoryLRU(64), fleet.CoordinatorOptions{LeaseTTL: 200 * time.Millisecond})
 
 	// The doomed worker speaks the protocol by hand: it registers,
 	// leases a batch, and vanishes without completing or heartbeating.

@@ -251,25 +251,11 @@ func TestFleetAuth(t *testing.T) {
 	}
 }
 
-// TestFleetPoisonedRunFails: a job whose worker leases it and never
-// completes must, after the attempt cap, turn its run terminal-failed and
+// TestFleetPoisonedRunFails: a job whose workers lease it and never
+// complete must, after the attempt cap, turn its run terminal-failed and
 // surface in GET /v1/fleet and /metrics.
 func TestFleetPoisonedRunFails(t *testing.T) {
-	srv, hs := newFleetServer(t, results.NewMemoryLRU(16), fleet.CoordinatorOptions{
-		LeaseTTL:       30 * time.Millisecond,
-		WorkerExpiry:   time.Hour, // the worker stays registered; only leases expire
-		SweepEvery:     10 * time.Millisecond,
-		MaxJobAttempts: 2,
-	})
-
-	// A fake worker that leases everything and never completes. It
-	// heartbeats its liveness but NOT often enough to renew leases? No —
-	// heartbeats renew leases, so it must stay silent after leasing.
-	reg := fleetPost(t, hs.URL, "/v1/fleet/workers", `{"name":"blackhole","capacity":4}`)
-	var rr fleet.RegisterResponse
-	if err := json.Unmarshal(reg, &rr); err != nil {
-		t.Fatal(err)
-	}
+	srv, hs := newFleetServer(t, results.NewMemoryLRU(16), fleet.CoordinatorOptions{LeaseTTL: 30 * time.Millisecond})
 
 	var rv runView
 	postJSON(t, hs.URL+"/v1/runs", map[string]any{
@@ -279,10 +265,17 @@ func TestFleetPoisonedRunFails(t *testing.T) {
 	}, http.StatusAccepted, &rv)
 
 	// Lease-and-drop until the job poisons: each lease burns an attempt.
+	// Every lease comes from a freshly registered fake worker that never
+	// heartbeats nor completes, so the job's lease (or the worker, after
+	// twice the TTL) expires whatever the scheduling delays between calls.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("job never poisoned")
+		}
+		var rr fleet.RegisterResponse
+		if err := json.Unmarshal(fleetPost(t, hs.URL, "/v1/fleet/workers", `{"name":"blackhole","capacity":4}`), &rr); err != nil {
+			t.Fatal(err)
 		}
 		fleetPost(t, hs.URL, "/v1/fleet/lease", fmt.Sprintf(`{"worker_id":%q,"max":4}`, rr.WorkerID))
 		if srv.fleet.Stats().PoisonedTotal > 0 {

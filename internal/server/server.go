@@ -32,7 +32,7 @@
 // a full pool fail fast with 503.
 //
 // Memory is bounded: the run registry evicts oldest-terminal runs beyond
-// MaxRuns, and the submission registry (sweeps and explorations) the
+// 8192, and the submission registry (sweeps and explorations) the
 // oldest terminal submissions beyond 1024 (the content-addressed store
 // still answers evicted runs, and a journal's done manifests evicted
 // submissions, so eviction only costs a registry miss, never a
@@ -89,10 +89,6 @@ type Options struct {
 	// Store caches results by content hash. Default: a 4096-entry
 	// in-memory LRU.
 	Store results.Store
-	// MaxRuns bounds the run registry: beyond it, the oldest terminal
-	// runs not referenced by an unfinished sweep are evicted (their
-	// results remain in the Store). Default: 8192.
-	MaxRuns int
 	// Twin is the default analytical-twin mode ("on", "off", or "auto")
 	// for explorations whose request omits the twin field. Empty means
 	// off. Requests may override per-exploration.
@@ -112,10 +108,15 @@ type Options struct {
 	// does not close the journal; its owner does, after Close.
 	Journal *journal.Journal
 
-	// maxSubmissions overrides the submission registry's bound
-	// (maxSubmissions) in tests.
-	maxSubmissions int
+	// maxRuns and maxSubmissions override the registries' bounds (the
+	// constants of the same names) in tests.
+	maxRuns, maxSubmissions int
 }
+
+// maxRuns bounds the run registry: beyond it, the oldest terminal runs
+// not referenced by an unfinished sweep are evicted (their results
+// remain in the Store).
+const maxRuns = 8192
 
 // maxSubmissions bounds the registry of sweeps and explorations: beyond
 // it, the oldest evictable ones are dropped. An unfinished one never is,
@@ -243,8 +244,8 @@ func New(opts Options) (*Server, error) {
 	if opts.Store == nil {
 		opts.Store = results.NewMemoryLRU(4096)
 	}
-	if opts.MaxRuns <= 0 {
-		opts.MaxRuns = 8192
+	if opts.maxRuns <= 0 {
+		opts.maxRuns = maxRuns
 	}
 	if opts.maxSubmissions <= 0 {
 		opts.maxSubmissions = maxSubmissions
@@ -436,11 +437,11 @@ func (s *Server) finishLocked(st *runState, res results.Result, fromCache bool) 
 	s.evictRunsLocked()
 }
 
-// evictRunsLocked drops oldest terminal runs beyond MaxRuns, skipping
+// evictRunsLocked drops oldest terminal runs beyond maxRuns, skipping
 // any referenced by an unfinished sweep. Callers must hold s.mu.
 func (s *Server) evictRunsLocked() {
 	scans := len(s.terminalKeys)
-	for i := 0; i < scans && len(s.runs) > s.opts.MaxRuns && len(s.terminalKeys) > 0; i++ {
+	for i := 0; i < scans && len(s.runs) > s.opts.maxRuns && len(s.terminalKeys) > 0; i++ {
 		key := s.terminalKeys[0]
 		s.terminalKeys = s.terminalKeys[1:]
 		st, ok := s.runs[key]

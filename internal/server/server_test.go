@@ -446,7 +446,7 @@ func TestRegistryEviction(t *testing.T) {
 	srv, err := New(Options{
 		Workers: 2, QueueDepth: 64,
 		Store:   results.NewMemoryLRU(64),
-		MaxRuns: 2, maxSubmissions: 1,
+		maxRuns: 2, maxSubmissions: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -478,7 +478,7 @@ func TestRegistryEviction(t *testing.T) {
 	live := len(srv.runs)
 	srv.mu.Unlock()
 	if live > 2 {
-		t.Errorf("run registry holds %d entries, want ≤ MaxRuns=2", live)
+		t.Errorf("run registry holds %d entries, want ≤ maxRuns=2", live)
 	}
 	// The first run was evicted from the registry, but its GET falls
 	// back to the store: done, cached, result intact.

@@ -15,7 +15,7 @@
 //
 // The policies are pure deciders: each Choose maps a request to a cluster,
 // and the core calls the one its configuration names directly. Ring and
-// Conv are built with the machine's fabric geometry, which they keep as
+// Conv are set up with the machine's fabric geometry, which they keep as
 // reach masks, so one decision path serves every cluster count; Ring also
 // reads the register files' free counts. The core performs resource checks
 // and stalls dispatch if the chosen cluster cannot accept the instruction,
@@ -67,15 +67,15 @@ type reach struct {
 	ball []uint32
 }
 
-// newReach builds the reach masks of an n-cluster fabric whose pairwise
-// minimum hop distances are given row-major by source
-// (minDist[src*n+dst]). On a ring every distance is below n, so every
-// cluster reaches every other within n-1 hops.
-func newReach(n int, minDist []int8) reach {
+// reset rebuilds g as the reach masks of an n-cluster fabric whose
+// pairwise minimum hop distances are given row-major by source
+// (minDist[src*n+dst]), reusing g's storage. On a ring every distance is
+// below n, so every cluster reaches every other within n-1 hops.
+func (g *reach) reset(n int, minDist []int8) {
 	if n < 1 || n > 32 {
 		panic(fmt.Sprintf("steering: %d clusters", n))
 	}
-	g := reach{n: n, ball: make([]uint32, n*n)}
+	g.n, g.ball = n, zeroed(g.ball, n*n)
 	for s := 0; s < n; s++ {
 		for c := 0; c < n; c++ {
 			for d := int(minDist[s*n+c]); d < n; d++ {
@@ -83,7 +83,17 @@ func newReach(n int, minDist []int8) reach {
 			}
 		}
 	}
-	return g
+}
+
+// zeroed returns a zeroed slice of n elements, reusing s's array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // within returns the clusters a value with the given copy mask reaches in
@@ -107,20 +117,22 @@ func (g *reach) norm(mask uint32) uint32 {
 
 // Ring is the dependence-based policy of Section 3.1. It is stateless:
 // every decision is a function of the operand masks and the register
-// files' occupancy.
+// files' occupancy. Reset sets it up; the zero value is not ready.
 type Ring struct {
 	reach
 	files *regfile.Files
 	vis   []int8
 }
 
-// NewRing returns the ring machine's steering policy for the fabric
+// Reset makes r the ring machine's steering policy for the fabric
 // geometry minDist (pairwise minimum hop distances, row-major by source),
 // deciding against the register files files. vis[c] is the cluster whose
 // register file an instruction steered to c writes, so the free-register
-// tie-break reads that file; len(vis) is the cluster count.
-func NewRing(minDist []int8, files *regfile.Files, vis []int8) *Ring {
-	return &Ring{reach: newReach(len(vis), minDist), files: files, vis: vis}
+// tie-break reads that file; len(vis) is the cluster count. A machine
+// recycled for a new run resets its policy in place, without allocating.
+func (r *Ring) Reset(minDist []int8, files *regfile.Files, vis []int8) {
+	r.reach.reset(len(vis), minDist)
+	r.files, r.vis = files, vis
 }
 
 // Name identifies the policy in reports.
@@ -194,7 +206,8 @@ func DefaultConvConfig() ConvConfig {
 // with DCOUNT workload-imbalance control. The DCOUNT extrema (and the
 // least-loaded cluster) are maintained incrementally by OnDispatch and
 // Tick — the only mutators — so the per-Choose imbalance test is O(1)
-// instead of a counter scan.
+// instead of a counter scan. Reset sets it up; the zero value is not
+// ready.
 type Conv struct {
 	reach
 	cfg    ConvConfig
@@ -206,15 +219,17 @@ type Conv struct {
 	minIdx     int     // lowest cluster index achieving mn
 }
 
-// NewConv returns the conventional policy for n clusters over the fabric
-// geometry minDist (pairwise minimum hop distances, row-major by source).
-// Conv breaks ties on DCOUNT, not free registers, so it needs no register
-// files.
-func NewConv(n int, cfg ConvConfig, minDist []int8) *Conv {
+// Reset makes cv the conventional policy for n clusters over the fabric
+// geometry minDist (pairwise minimum hop distances, row-major by source),
+// every DCOUNT at zero, reusing cv's storage. Conv breaks ties on DCOUNT,
+// not free registers, so it needs no register files.
+func (cv *Conv) Reset(n int, cfg ConvConfig, minDist []int8) {
 	if cfg.Threshold <= 0 || cfg.DecayPeriod <= 0 || cfg.DecayFactor <= 0 || cfg.DecayFactor >= 1 {
 		panic("steering: bad ConvConfig")
 	}
-	return &Conv{reach: newReach(n, minDist), cfg: cfg, dcount: make([]float64, n), untilDecay: cfg.DecayPeriod}
+	cv.reach.reset(n, minDist)
+	cv.cfg, cv.dcount, cv.untilDecay = cfg, zeroed(cv.dcount, n), cfg.DecayPeriod
+	cv.mn, cv.mx, cv.minIdx = 0, 0, 0
 }
 
 // Name identifies the policy in reports.
@@ -395,18 +410,20 @@ func (cv *Conv) CyclesToDecay() uint64 { return uint64(cv.untilDecay) }
 
 // SSA is the simple steering algorithm of Section 4.7: an instruction goes
 // to the lowest-index cluster that stores (or will store) its leftmost
-// operand; instructions without register operands round-robin.
+// operand; instructions without register operands round-robin. Reset
+// sets it up; the zero value is not ready.
 type SSA struct {
 	n    int
 	next int
 }
 
-// NewSSA returns the simple policy for n clusters.
-func NewSSA(n int) *SSA {
+// Reset makes s the simple policy for n clusters, its round-robin at
+// cluster 0.
+func (s *SSA) Reset(n int) {
 	if n < 1 {
 		panic(fmt.Sprintf("steering: %d clusters", n))
 	}
-	return &SSA{n: n}
+	*s = SSA{n: n}
 }
 
 // Name identifies the policy in reports.

@@ -57,9 +57,23 @@ func (m *machine) setFree(c int, kind isa.RegFileKind, f int) {
 	}
 }
 
-func (m *machine) ring() *Ring { return NewRing(m.minDist, m.files, m.vis) }
+func (m *machine) ring() *Ring {
+	r := new(Ring)
+	r.Reset(m.minDist, m.files, m.vis)
+	return r
+}
 
-func (m *machine) conv(cfg ConvConfig) *Conv { return NewConv(m.n, cfg, m.minDist) }
+func (m *machine) conv(cfg ConvConfig) *Conv {
+	cv := new(Conv)
+	cv.Reset(m.n, cfg, m.minDist)
+	return cv
+}
+
+func newSSA(n int) *SSA {
+	s := new(SSA)
+	s.Reset(n)
+	return s
+}
 
 // The literal rules: the paper's steering rules stated as per-cluster
 // scans of free registers, hop distances and DCOUNT, the oracle the
@@ -415,7 +429,7 @@ func TestConvBadConfigPanics(t *testing.T) {
 }
 
 func TestSSALeftmostLowestIndex(t *testing.T) {
-	s := NewSSA(8)
+	s := newSSA(8)
 	req := &Request{NumOps: 2, Kind: isa.IntReg}
 	req.Ops[0] = op(1<<5 | 1<<2)
 	req.Ops[1] = op(1 << 0) // ignored: only the leftmost counts
@@ -425,7 +439,7 @@ func TestSSALeftmostLowestIndex(t *testing.T) {
 }
 
 func TestSSARoundRobinWithoutOperands(t *testing.T) {
-	s := NewSSA(4)
+	s := newSSA(4)
 	req := &Request{Kind: isa.IntReg}
 	seen := make([]int, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -440,7 +454,7 @@ func TestSSARoundRobinWithoutOperands(t *testing.T) {
 }
 
 func TestSSAEmptyMaskFallsBackToAll(t *testing.T) {
-	s := NewSSA(4)
+	s := newSSA(4)
 	req := &Request{NumOps: 1, Kind: isa.IntReg}
 	req.Ops[0] = op(0)
 	if got := s.Choose(req); got != 0 {
@@ -450,7 +464,7 @@ func TestSSAEmptyMaskFallsBackToAll(t *testing.T) {
 
 func TestAlgorithmNames(t *testing.T) {
 	m := newMachine(2, false)
-	if m.ring().Name() == "" || NewSSA(2).Name() == "" || m.conv(DefaultConvConfig()).Name() == "" {
+	if m.ring().Name() == "" || newSSA(2).Name() == "" || m.conv(DefaultConvConfig()).Name() == "" {
 		t.Fatal("algorithm without a name")
 	}
 }
