@@ -141,7 +141,7 @@ func printAttached(id string, v attachView) {
 }
 
 // fetchView GETs and decodes one status view; a 404 is reported as-is
-// (the service neither knows the id nor holds a done manifest for it).
+// (the service neither knows the id nor holds a final reply for it).
 func fetchView(url string) (attachView, error) {
 	resp, err := http.Get(url)
 	if err != nil {

@@ -58,48 +58,51 @@ func TestSteadyStateAllocations(t *testing.T) {
 }
 
 // TestResetIsAllocationFree: a machine recycled across Ring and Conv
-// runs re-initialises its steering policy in place, so once it has held
-// both a reset allocates nothing, and every run on the recycled machine
-// reports the Stats of a freshly built one bit for bit.
+// runs re-initialises its steering policy in place, and with two buses
+// turns its second bus around in place too, so once it has held both a
+// reset allocates nothing, and every run on the recycled machine reports
+// the Stats of a freshly built one bit for bit.
 func TestResetIsAllocationFree(t *testing.T) {
-	ring, conv := MustPaperConfig(ArchRing, 8, 2, 1), MustPaperConfig(ArchConv, 8, 2, 1)
-	seq := []Config{ring, conv, ring}
 	tr := genSlice(t, "gcc", 0, 20_000)
-	m, err := New(conv, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range seq {
-		tr.Reset()
-		fresh, err := New(cfg, tr)
+	for _, buses := range []int{1, 2} {
+		ring, conv := MustPaperConfig(ArchRing, 8, 2, buses), MustPaperConfig(ArchConv, 8, 2, buses)
+		seq := []Config{ring, conv, ring}
+		m, err := New(conv, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.Reset()
-		if err := m.Reset(cfg, tr); err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("run %d (%s) on the recycled machine:\n got %+v\nwant %+v", i, cfg.Name, got, want)
-		}
-	}
-	empty := trace.NewSlice(nil)
-	allocs := testing.AllocsPerRun(10, func() {
-		for _, cfg := range seq {
-			if err := m.Reset(cfg, empty); err != nil {
+		for i, cfg := range seq {
+			tr.Reset()
+			fresh, err := New(cfg, tr)
+			if err != nil {
 				t.Fatal(err)
 			}
+			want, err := fresh.Run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Reset()
+			if err := m.Reset(cfg, tr); err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d buses, run %d (%s) on the recycled machine:\n got %+v\nwant %+v", buses, i, cfg.Name, got, want)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("a Ring→Conv→Ring reset sequence allocates %.1f times, want 0", allocs)
+		empty := trace.NewSlice(nil)
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, cfg := range seq {
+				if err := m.Reset(cfg, empty); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d buses: a Ring→Conv→Ring reset sequence allocates %.1f times, want 0", buses, allocs)
+		}
 	}
 }

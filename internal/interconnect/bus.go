@@ -90,12 +90,20 @@ func NewBus(n, hop int, dir Direction) *Bus {
 	b := &Bus{
 		n:      n,
 		hop:    hop,
-		dir:    dir,
 		dist:   make([]int8, n*n),
 		seg:    make([]int8, n*n),
 		cal:    make([]bool, n*window),
 		occRow: make([]uint16, window),
 	}
+	b.setDir(dir)
+	return b
+}
+
+// setDir points the bus in direction dir and tabulates dist and seg for
+// it, in place.
+func (b *Bus) setDir(dir Direction) {
+	b.dir = dir
+	n := b.n
 	// FitsWindow keeps n under 128, so both tables fit int8.
 	for src := 0; src < n; src++ {
 		for k := 0; k < n; k++ {
@@ -106,7 +114,6 @@ func NewBus(n, hop int, dir Direction) *Bus {
 			b.seg[src*n+k] = int8(at)
 		}
 	}
-	return b
 }
 
 // Reset clears the slot calendar, clock and statistics, returning the bus
@@ -243,16 +250,26 @@ func NewFabric(n, numBuses, hop int, opposed bool) *Fabric {
 	if numBuses < 1 || numBuses > 2 {
 		panic(fmt.Sprintf("interconnect: %d buses unsupported", numBuses))
 	}
-	f := &Fabric{n: n, opposed: opposed, hop: hop}
+	f := &Fabric{n: n, opposed: opposed, hop: hop, minDist: make([]int8, n*n)}
 	f.buses = append(f.buses, NewBus(n, hop, Forward))
 	if numBuses == 2 {
-		dir := Forward
-		if opposed {
-			dir = Backward
-		}
-		f.buses = append(f.buses, NewBus(n, hop, dir))
+		f.buses = append(f.buses, NewBus(n, hop, secondDir(opposed)))
 	}
-	f.minDist = make([]int8, n*n)
+	f.tabulate()
+	return f
+}
+
+// secondDir is the direction of a two-bus fabric's second bus.
+func secondDir(opposed bool) Direction {
+	if opposed {
+		return Backward
+	}
+	return Forward
+}
+
+// tabulate fills minDist from the buses' distance tables.
+func (f *Fabric) tabulate() {
+	n := f.n
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			best := f.buses[0].Distance(src, dst)
@@ -264,19 +281,25 @@ func NewFabric(n, numBuses, hop int, opposed bool) *Fabric {
 			f.minDist[src*n+dst] = int8(best)
 		}
 	}
-	return f
 }
 
 // Reset returns the fabric to its just-constructed state when its shape
 // matches the requested one, reporting whether it did; a false return
-// means the caller must build a fresh fabric with NewFabric.
+// means the caller must build a fresh fabric with NewFabric. Only the
+// direction of a second bus may differ: its tables and minDist are then
+// re-derived in place.
 func (f *Fabric) Reset(n, numBuses, hop int, opposed bool) bool {
-	// One bus runs forward whatever opposed says.
-	if f.n != n || len(f.buses) != numBuses || f.hop != hop || numBuses == 2 && f.opposed != opposed {
+	if f.n != n || len(f.buses) != numBuses || f.hop != hop {
 		return false
 	}
 	for _, b := range f.buses {
 		b.Reset()
+	}
+	// One bus runs forward whatever opposed says.
+	if numBuses == 2 && f.opposed != opposed {
+		f.opposed = opposed
+		f.buses[1].setDir(secondDir(opposed))
+		f.tabulate()
 	}
 	return true
 }

@@ -1,36 +1,31 @@
 // Package journal makes the coordinator's control plane crash-safe. It
-// persists two kinds of state next to the content-addressed result
-// store:
+// keeps the state the service owes its clients next to the
+// content-addressed result store, and the directory a file sits in says
+// what state it records:
 //
-//   - an append-only journal (WAL) of the runs submitted one by one —
-//     enqueue, complete, poison — plus the open and done marks of
-//     manifests, compacted into a checkpoint every 512 entries, so the
-//     set of jobs the service owes its clients survives a `kill -9`;
-//   - durable manifests (see results.Manifest): the canonical member
-//     list of every sweep and exploration, stored under its stable,
-//     client-visible id. A composite submission's members are never
-//     journaled: what it still owes is its open manifest's members that
-//     the store lacks.
+//	journal.log          the runs submitted one by one: an enqueue,
+//	                     complete or poison record a line
+//	manifests/<id>.json  an open sweep or exploration (results.Manifest)
+//	done/<id>.json       a finished sweep's or exploration's final reply
 //
-// On startup the daemon replays checkpoint + journal: jobs whose
-// results already exist in the store are settled without simulating,
-// the rest re-queue, and open manifests re-register under their
-// original ids. Recovery is deliberately conservative — a crash between
-// a state change and its journal append can only re-queue work that
-// already finished, and the content-addressed store turns that replay
-// into a cache hit, never a wrong answer.
+// A sweep's or exploration's members are never journaled: what it still
+// owes is its open manifest's members that the store lacks. Retiring it
+// writes its reply to done/ and then removes its manifest; a crash
+// between the two leaves both, and Open removes the manifest, since the
+// client may have seen the reply.
 //
-// On-disk layout under the journal directory:
+// On startup the daemon replays the log and lists manifests/: jobs whose
+// results already exist in the store are settled without simulating, the
+// rest re-queue, and open manifests re-register under their original ids.
+// Recovery is deliberately conservative — a crash between a state change
+// and its journal append can only re-queue work that already finished,
+// and the content-addressed store turns that replay into a cache hit,
+// never a wrong answer.
 //
-//	journal.log       active segment, one JSON record per line
-//	checkpoint.json   full live state as of the last compaction
-//	manifests/<id>.json
-//
-// A checkpoint writes the live state via fsynced temp-file + rename and
-// then truncates the log, so a crash at any instant leaves either the old
-// (checkpoint, log) pair or the new one; replaying the old log over the
-// new checkpoint is idempotent because the log is exactly the history
-// the checkpoint absorbed. A torn final record — the crash landed
+// Every 512 appends, and at Open and Close, the log is compacted: it is
+// rewritten in place, through results.WriteFileSync, to one enqueue per
+// live job, so a crash leaves either the old log or the new one, and both
+// replay to the same jobs. A torn final record — the crash landed
 // mid-append — is detected and discarded, costing at most that one
 // mutation.
 package journal
@@ -41,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -59,27 +55,28 @@ const (
 	// OpPoison records a job parked in the poisoned lot; terminal like
 	// OpComplete.
 	OpPoison Op = "poison"
-	// OpManifestOpen records a sweep/explore manifest going live; the
-	// manifest body is in manifests/<id>.json.
-	OpManifestOpen Op = "manifest"
-	// OpManifestDone records a manifest reaching its terminal state.
-	OpManifestDone Op = "manifest_done"
 )
 
-// Record is one journal line.
+// Record is one journal line. Replay ignores a line whose op it does not
+// know, such as the lease and manifest lines older coordinators wrote.
 type Record struct {
 	Op Op `json:"op"`
 	// Key names the job for complete/poison records.
 	Key string `json:"key,omitempty"`
 	// Job is the full enqueue payload.
 	Job *results.Job `json:"job,omitempty"`
-	// Manifest is the manifest id for manifest records.
-	Manifest string `json:"manifest,omitempty"`
 }
 
-// checkpointEvery is the number of appends between automatic
-// compactions.
-const checkpointEvery = 512
+// compactEvery is the number of appends between automatic compactions.
+const compactEvery = 512
+
+// The journal directory's entries.
+const (
+	logFile        = "journal.log"
+	manifestDir    = "manifests"
+	doneDir        = "done"
+	checkpointFile = "checkpoint.json" // written by older coordinators only
+)
 
 // Options tunes the journal. The zero value is the production setting.
 type Options struct {
@@ -94,10 +91,11 @@ type Options struct {
 type Stats struct {
 	// Entries counts records appended by this process.
 	Entries uint64 `json:"entries"`
-	// Checkpoints counts compactions (including the one at Open).
+	// Checkpoints counts compactions of the log (including the one at
+	// Open).
 	Checkpoints uint64 `json:"checkpoints"`
-	// Replayed counts records recovered at Open: checkpointed jobs and
-	// manifests plus log records applied over them.
+	// Replayed counts what Open recovered: the log records applied plus
+	// the open manifests listed.
 	Replayed uint64 `json:"replayed"`
 	// Torn counts truncated trailing records discarded at Open (0 or 1
 	// per recovery).
@@ -109,19 +107,12 @@ type Stats struct {
 type State struct {
 	// Jobs are the live (pending or leased) jobs, in enqueue order.
 	Jobs []results.Job
-	// OpenManifests are ids of manifests without a terminal record, in
-	// open order.
+	// OpenManifests are the ids in manifests/, in name order.
 	OpenManifests []string
-	// Entries is the number of log records applied over the checkpoint.
+	// Entries is the number of log records replayed.
 	Entries int
 	// Torn reports that the log ended in a truncated record (discarded).
 	Torn bool
-}
-
-// checkpointFile is the on-disk checkpoint encoding.
-type checkpointFile struct {
-	Jobs      []results.Job `json:"jobs"`
-	Manifests []string      `json:"manifests"`
 }
 
 // liveJob is one live job and the index of its enqueue in liveOrder.
@@ -141,101 +132,126 @@ type Journal struct {
 	// live is the materialized pending pool: every job enqueued and not
 	// yet complete/poisoned, with the index in liveOrder of the enqueue
 	// that made it live. liveOrder is enqueue order; an entry that is not
-	// its key's live index is stale, and every checkpoint drops the stale
-	// entries, so the slice stays within checkpointEvery of the live set.
+	// its key's live index is stale, and every compaction drops the stale
+	// entries, so the slice stays within compactEvery of the live set.
 	live      map[string]liveJob
 	liveOrder []string
-	// open maps each manifest between OpManifestOpen and OpManifestDone
-	// to its index in openOrder, kept like liveOrder.
-	open      map[string]int
-	openOrder []string
 
-	sinceCheckpoint int
-	replay          State
+	sinceCompact int
+	replay       State
 
 	entries     atomic.Uint64
 	checkpoints atomic.Uint64
-	replayed    atomic.Uint64
-	torn        atomic.Uint64
 }
 
-func (j *Journal) logPath() string        { return filepath.Join(j.dir, "journal.log") }
-func (j *Journal) checkpointPath() string { return filepath.Join(j.dir, "checkpoint.json") }
-func (j *Journal) manifestDir() string    { return filepath.Join(j.dir, "manifests") }
-
-// Open loads (creating if needed) the journal at dir, replays
-// checkpoint + log into the recovered State, and compacts so the new
-// process starts from a fresh checkpoint and an empty log. The caller
-// reads the recovered state via ReplayState.
+// Open loads (creating if needed) the journal at dir: it replays the log,
+// lists the open manifests, and compacts, so the new process starts from
+// a log of live jobs only. The caller reads the recovered state via
+// ReplayState.
+//
+// A directory that holds checkpoint.json was written by an older
+// coordinator, which kept the compacted jobs there and marked a finished
+// manifest done in place. Open upgrades it in an order a crash can
+// interrupt at any point: the checkpoint's jobs are applied under the
+// log, every done manifest's reply moves to done/, and the checkpoint is
+// removed once the compacted log is durable.
 func Open(dir string, opts Options) (*Journal, error) {
-	j := &Journal{
-		dir:  dir,
-		opts: opts,
-		live: make(map[string]liveJob),
-		open: make(map[string]int),
+	j := &Journal{dir: dir, opts: opts, live: make(map[string]liveJob)}
+	for _, sub := range []string{manifestDir, doneDir} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("journal: open %s: %w", dir, err)
+		}
 	}
-	if err := os.MkdirAll(j.manifestDir(), 0o755); err != nil {
+	b, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	legacy := err == nil
+	var cp struct {
+		Jobs []results.Job `json:"jobs"`
+	}
+	// An unreadable checkpoint is skipped, not fatal: the log may still
+	// recover part of the state, and everything else re-simulates.
+	if legacy && json.Unmarshal(b, &cp) == nil {
+		for i := range cp.Jobs {
+			j.applyLocked(Record{Op: OpEnqueue, Job: &cp.Jobs[i]})
+		}
+	}
+	j.replayLog()
+	j.replay.Jobs = j.liveJobsLocked()
+
+	entries, err := os.ReadDir(filepath.Join(dir, manifestDir))
+	if err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", dir, err)
 	}
-
-	// 1. Checkpoint: the compacted prefix of history.
-	recovered := 0
-	if b, err := os.ReadFile(j.checkpointPath()); err == nil {
-		var cp checkpointFile
-		// An unreadable checkpoint (torn write before the rename
-		// discipline existed, disk trouble) is skipped, not fatal: the
-		// log may still recover part of the state, and everything else
-		// re-simulates.
-		if json.Unmarshal(b, &cp) == nil {
-			for _, jb := range cp.Jobs {
-				jb := jb
-				j.applyLocked(Record{Op: OpEnqueue, Job: &jb})
-				recovered++
-			}
-			for _, id := range cp.Manifests {
-				j.applyLocked(Record{Op: OpManifestOpen, Manifest: id})
-				recovered++
-			}
+	for _, e := range entries {
+		id, ok := strings.CutSuffix(e.Name(), ".json")
+		if !ok || e.IsDir() {
+			continue // a temp file a crash left behind
+		}
+		if final, done := j.retired(id, legacy); !done {
+			j.replay.OpenManifests = append(j.replay.OpenManifests, id)
+		} else if err := j.RetireManifest(id, final); err != nil {
+			return nil, err
 		}
 	}
 
-	// 2. Log: every mutation since that checkpoint, tolerating a torn
-	// final record.
-	if f, err := os.Open(j.logPath()); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				// A crash mid-append leaves exactly one undecodable
-				// trailing line; whatever follows it (there should be
-				// nothing) is unrecoverable too.
-				j.replay.Torn = true
-				j.torn.Add(1)
-				break
-			}
-			j.applyLocked(rec)
-			j.replay.Entries++
-			recovered++
-		}
-		f.Close()
-	}
-
-	j.replay.Jobs = j.liveJobsLocked()
-	j.replay.OpenManifests = j.openManifestsLocked()
-	j.replayed.Store(uint64(recovered))
-
-	// 3. Compact immediately: the recovered state becomes the new
-	// checkpoint and the log restarts empty (also clearing any torn
-	// tail).
-	if err := j.checkpointLocked(); err != nil {
+	if err := j.compactLocked(); err != nil {
 		return nil, err
 	}
+	if legacy {
+		if err := os.Remove(filepath.Join(dir, checkpointFile)); err != nil {
+			return nil, fmt.Errorf("journal: remove checkpoint: %w", err)
+		}
+	}
 	return j, nil
+}
+
+// replayLog applies every record of the log, tolerating a torn final
+// record. Called by Open only.
+func (j *Journal) replayLog() {
+	f, err := os.Open(filepath.Join(j.dir, logFile))
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			// A crash mid-append leaves exactly one undecodable trailing
+			// line; whatever follows it (there should be nothing) is
+			// unrecoverable too.
+			j.replay.Torn = true
+			return
+		}
+		j.applyLocked(rec)
+		j.replay.Entries++
+	}
+}
+
+// retired reports whether the submission of manifest id has finished,
+// and the reply RetireManifest has yet to store for it. Its reply in done/
+// means the crash came after storing it and before removing the
+// manifest; with legacy set, a manifest an older coordinator marked done
+// in place ("done": true) carries its reply in "final". Called by Open
+// only.
+func (j *Journal) retired(id string, legacy bool) (final []byte, done bool) {
+	if _, err := os.Stat(filepath.Join(j.dir, doneDir, id+".json")); err == nil {
+		return nil, true
+	}
+	if !legacy {
+		return nil, false
+	}
+	var old struct {
+		Done  bool            `json:"done"`
+		Final json.RawMessage `json:"final"`
+	}
+	b, err := os.ReadFile(filepath.Join(j.dir, manifestDir, id+".json"))
+	done = err == nil && json.Unmarshal(b, &old) == nil && old.Done
+	return old.Final, done
 }
 
 // ReplayState returns the state recovered at Open.
@@ -243,17 +259,20 @@ func (j *Journal) ReplayState() State { return j.replay }
 
 // Stats snapshots the activity counters.
 func (j *Journal) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Entries:     j.entries.Load(),
 		Checkpoints: j.checkpoints.Load(),
-		Replayed:    j.replayed.Load(),
-		Torn:        j.torn.Load(),
+		Replayed:    uint64(j.replay.Entries + len(j.replay.OpenManifests)),
 	}
+	if j.replay.Torn {
+		st.Torn = 1
+	}
+	return st
 }
 
 // Append records one mutation: it is applied to the materialized state,
-// written to the log, synced (unless NoSync), and every checkpointEvery
-// appends triggers an automatic checkpoint. A complete or poison for a
+// written to the log, synced (unless NoSync), and every compactEvery
+// appends triggers an automatic compaction. A complete or poison for a
 // key that is not live changes no state, so it writes nothing.
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
@@ -280,18 +299,18 @@ func (j *Journal) Append(rec Record) error {
 		}
 	}
 	j.entries.Add(1)
-	j.sinceCheckpoint++
-	if j.sinceCheckpoint >= checkpointEvery {
-		return j.checkpointLocked()
+	j.sinceCompact++
+	if j.sinceCompact >= compactEvery {
+		return j.compactLocked()
 	}
 	return nil
 }
 
-// Close checkpoints one last time and releases the log file.
+// Close compacts one last time and releases the log file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	err := j.checkpointLocked()
+	err := j.compactLocked()
 	if j.f != nil {
 		if cerr := j.f.Close(); err == nil {
 			err = cerr
@@ -303,9 +322,7 @@ func (j *Journal) Close() error {
 
 // applyLocked folds one record into the materialized state. A key
 // enqueued while live keeps its place; one enqueued again after it
-// completed takes its new place. Idempotent: re-applying history (a crash
-// between checkpoint rename and log truncation) converges to the same
-// state. Callers must hold j.mu.
+// completed takes its new place. Callers must hold j.mu.
 func (j *Journal) applyLocked(rec Record) {
 	switch rec.Op {
 	case OpEnqueue:
@@ -320,13 +337,6 @@ func (j *Journal) applyLocked(rec Record) {
 		}
 	case OpComplete, OpPoison:
 		delete(j.live, rec.Key)
-	case OpManifestOpen:
-		if _, ok := j.open[rec.Manifest]; rec.Manifest != "" && !ok {
-			j.open[rec.Manifest] = len(j.openOrder)
-			j.openOrder = append(j.openOrder, rec.Manifest)
-		}
-	case OpManifestDone:
-		delete(j.open, rec.Manifest)
 	}
 }
 
@@ -342,96 +352,66 @@ func (j *Journal) liveJobsLocked() []results.Job {
 	return out
 }
 
-// openManifestsLocked lists open manifest ids in open order. Callers
-// must hold j.mu.
-func (j *Journal) openManifestsLocked() []string {
-	out := make([]string, 0, len(j.open))
-	for i, id := range j.openOrder {
-		if at, ok := j.open[id]; ok && at == i {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// compactOrderLocked drops the stale entries of liveOrder and openOrder,
-// leaving exactly the live set and the open set in order. Callers must
-// hold j.mu.
-func (j *Journal) compactOrderLocked() {
+// compactLocked drops the stale entries of liveOrder and rewrites the log
+// as one enqueue per live job, in order, through results.WriteFileSync:
+// the rename makes the compacted log replace the old one whole. Appends
+// then go to the new file. Callers must hold j.mu.
+func (j *Journal) compactLocked() error {
+	var b []byte
 	order := j.liveOrder[:0]
 	for i, key := range j.liveOrder {
-		if lj, ok := j.live[key]; ok && lj.at == i {
-			lj.at = len(order)
-			j.live[key] = lj
-			order = append(order, key)
+		lj, ok := j.live[key]
+		if !ok || lj.at != i {
+			continue
 		}
+		line, err := json.Marshal(Record{Op: OpEnqueue, Job: &lj.job})
+		if err != nil {
+			return fmt.Errorf("journal: encode record: %w", err)
+		}
+		b = append(append(b, line...), '\n')
+		lj.at = len(order)
+		j.live[key] = lj
+		order = append(order, key)
 	}
 	clear(j.liveOrder[len(order):])
 	j.liveOrder = order
-	ids := j.openOrder[:0]
-	for i, id := range j.openOrder {
-		if at, ok := j.open[id]; ok && at == i {
-			j.open[id] = len(ids)
-			ids = append(ids, id)
-		}
+	p := filepath.Join(j.dir, logFile)
+	if err := results.WriteFileSync(p, b); err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
 	}
-	clear(j.openOrder[len(ids):])
-	j.openOrder = ids
-}
-
-// checkpointLocked writes the live state to checkpoint.json (through
-// results.WriteFileSync, so readers never see a torn checkpoint) and then
-// truncates the log. Order matters: the new checkpoint must be durable
-// before the history it absorbs is dropped. Callers must hold j.mu.
-func (j *Journal) checkpointLocked() error {
-	j.compactOrderLocked()
-	cp := checkpointFile{
-		Jobs:      j.liveJobsLocked(),
-		Manifests: j.openManifestsLocked(),
-	}
-	b, err := json.MarshalIndent(cp, "", "  ")
-	if err != nil {
-		return fmt.Errorf("journal: encode checkpoint: %w", err)
-	}
-	if err := results.WriteFileSync(j.checkpointPath(), append(b, '\n')); err != nil {
-		return fmt.Errorf("journal: checkpoint: %w", err)
-	}
-	// The checkpoint is durable; the absorbed history can go. Reopening
-	// with O_TRUNC also rotates a file handle lost to a previous error.
 	if j.f != nil {
 		j.f.Close()
 	}
-	f, err := os.OpenFile(j.logPath(), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		j.f = nil
-		return fmt.Errorf("journal: rotate log: %w", err)
+	var err error
+	if j.f, err = os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0); err != nil {
+		return fmt.Errorf("journal: reopen log: %w", err)
 	}
-	j.f = f
-	j.sinceCheckpoint = 0
+	j.sinceCompact = 0
 	j.checkpoints.Add(1)
 	return nil
 }
 
 // --- manifests ---
 
-func (j *Journal) manifestPath(id string) (string, error) {
+// path names id's file under sub (manifests/ or done/), refusing an id
+// that is not a plain file name.
+func (j *Journal) path(sub, id string) (string, error) {
 	if id == "" || filepath.Base(id) != id {
 		return "", fmt.Errorf("journal: malformed manifest id %q", id)
 	}
-	return filepath.Join(j.manifestDir(), id+".json"), nil
+	return filepath.Join(j.dir, sub, id+".json"), nil
 }
 
-// PutManifest durably stores a manifest under its id (through
-// results.WriteFileSync). The caller separately journals OpManifestOpen
-// so replay knows the manifest is live; the fsyncs keep a host crash from
-// leaving that record naming a manifest whose body or name was lost.
+// PutManifest durably stores an open manifest under its id (through
+// results.WriteFileSync), so a host crash cannot lose a manifest whose
+// id the client was given.
 func (j *Journal) PutManifest(id string, m results.Manifest) error {
-	p, err := j.manifestPath(id)
+	p, err := j.path(manifestDir, id)
 	if err != nil {
 		return err
 	}
 	// Compact on purpose: MarshalIndent would re-indent the RawMessage
-	// payloads (Explore, Final), breaking byte-exact round trips.
+	// payload (Explore), breaking byte-exact round trips.
 	b, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("journal: encode manifest %s: %w", id, err)
@@ -442,45 +422,51 @@ func (j *Journal) PutManifest(id string, m results.Manifest) error {
 	return nil
 }
 
-// GetManifest loads a manifest by id; ok=false when it does not exist.
-// A corrupt manifest reads as absent (the submission it described can
-// always be resubmitted; its runs are content-addressed either way).
-func (j *Journal) GetManifest(id string) (results.Manifest, bool, error) {
-	p, err := j.manifestPath(id)
+// GetManifest loads an open manifest by id; ok=false when it does not
+// exist. An unreadable or corrupt manifest reads as absent (the
+// submission it described can always be resubmitted; its runs are
+// content-addressed either way).
+func (j *Journal) GetManifest(id string) (m results.Manifest, ok bool) {
+	p, err := j.path(manifestDir, id)
 	if err != nil {
-		return results.Manifest{}, false, err
+		return m, false
 	}
 	b, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return results.Manifest{}, false, nil
+	if err != nil || json.Unmarshal(b, &m) != nil {
+		return results.Manifest{}, false
 	}
-	if err != nil {
-		return results.Manifest{}, false, fmt.Errorf("journal: read manifest %s: %w", id, err)
-	}
-	var m results.Manifest
-	if json.Unmarshal(b, &m) != nil {
-		return results.Manifest{}, false, nil
-	}
-	return m, true, nil
+	return m, true
 }
 
-// MarkManifestDone records a manifest's terminal state: the stored file
-// gains Done (plus an optional Final snapshot, e.g. an exploration's
-// last view) and an OpManifestDone journal record stops replay from
-// reopening it.
-func (j *Journal) MarkManifestDone(id string, final json.RawMessage) error {
-	m, ok, err := j.GetManifest(id)
+// RetireManifest ends a submission: its final reply, when it has one, is
+// written to done/<id>.json through results.WriteFileSync, and then its
+// open manifest is removed, so the next Open no longer lists it.
+func (j *Journal) RetireManifest(id string, final []byte) error {
+	p, err := j.path(manifestDir, id)
 	if err != nil {
 		return err
 	}
-	if ok {
-		m.Done = true
-		if final != nil {
-			m.Final = final
-		}
-		if err := j.PutManifest(id, m); err != nil {
-			return err
+	if len(final) > 0 {
+		if err := results.WriteFileSync(filepath.Join(j.dir, doneDir, id+".json"), final); err != nil {
+			return fmt.Errorf("journal: retire manifest %s: %w", id, err)
 		}
 	}
-	return j.Append(Record{Op: OpManifestDone, Manifest: id})
+	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("journal: retire manifest %s: %w", id, err)
+	}
+	return nil
+}
+
+// Final returns the reply a retired submission stored, or nil when id has
+// none or it cannot be read.
+func (j *Journal) Final(id string) []byte {
+	p, err := j.path(doneDir, id)
+	if err != nil {
+		return nil
+	}
+	b, err := os.ReadFile(p)
+	if err != nil {
+		return nil
+	}
+	return b
 }

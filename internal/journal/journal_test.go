@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,42 +64,52 @@ func enq(key string) Record {
 
 // TestAppendCrashReplay writes a mixed mutation history, "crashes"
 // (never calls Close), and expects a fresh Open to reconstruct exactly
-// the live jobs and open manifests, in order.
+// the live jobs, in order, and to list the manifests still open.
 //
-// The log also carries a lease line in the form coordinators used to
-// write (nothing writes one now): it must still decode and replay to the
-// same state as the history without it.
+// The log also carries a lease line and manifest open and done lines in
+// the forms older coordinators wrote (nothing writes them now): they must
+// still decode and replay to the same state as the history without them.
 func TestAppendCrashReplay(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, testOptions)
 	history := []Record{
 		enq("a"), enq("b"), enq("c"),
 		{Op: OpComplete, Key: "b"},
-		{Op: OpManifestOpen, Manifest: "sweep-1111111111111111"},
-		{Op: OpManifestOpen, Manifest: "sweep-2222222222222222"},
-		{Op: OpManifestDone, Manifest: "sweep-1111111111111111"},
 		{Op: OpPoison, Key: "c"},
 	}
 	appendAll(t, j, history[:3]...)
 	j.mu.Lock()
-	_, err := j.f.WriteString(`{"op":"lease","key":"a","worker":"worker-0001"}` + "\n")
+	_, err := j.f.WriteString(`{"op":"lease","key":"a","worker":"worker-0001"}` + "\n" +
+		`{"op":"manifest","manifest":"sweep-1111111111111111"}` + "\n" +
+		`{"op":"manifest_done","manifest":"sweep-2222222222222222"}` + "\n")
 	j.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, history[3:]...)
+	putManifests := func(j *Journal) {
+		for _, id := range []string{"sweep-1111111111111111", "sweep-2222222222222222"} {
+			if err := j.PutManifest(id, results.Manifest{Kind: results.ManifestKindSweep}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.RetireManifest("sweep-1111111111111111", []byte(`{"id":"sweep-1111111111111111"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putManifests(j)
 
 	j2 := mustOpen(t, dir, testOptions)
 	st := j2.ReplayState()
 	wantStrings(t, "replayed jobs", jobKeys(st.Jobs), []string{"a"})
 	wantStrings(t, "open manifests", st.OpenManifests, []string{"sweep-2222222222222222"})
-	if st.Entries != 9 {
-		t.Errorf("Entries = %d, want 9", st.Entries)
+	if st.Entries != 8 {
+		t.Errorf("Entries = %d, want 8", st.Entries)
 	}
 	if st.Torn {
 		t.Error("Torn = true on a clean log")
 	}
-	if got := j2.Stats().Replayed; got != 9 {
+	if got := j2.Stats().Replayed; got != 9 { // 8 records and 1 open manifest
 		t.Errorf("Stats().Replayed = %d, want 9", got)
 	}
 	// The leased job replays with its full request intact.
@@ -106,11 +117,13 @@ func TestAppendCrashReplay(t *testing.T) {
 		t.Errorf("replayed job lost its request: %+v", st.Jobs[0])
 	}
 
-	noLease := t.TempDir()
-	appendAll(t, mustOpen(t, noLease, testOptions), history...)
-	want := mustOpen(t, noLease, testOptions).ReplayState()
+	plain := t.TempDir()
+	jp := mustOpen(t, plain, testOptions)
+	appendAll(t, jp, history...)
+	putManifests(jp)
+	want := mustOpen(t, plain, testOptions).ReplayState()
 	if !reflect.DeepEqual(st.Jobs, want.Jobs) || !reflect.DeepEqual(st.OpenManifests, want.OpenManifests) {
-		t.Errorf("the lease line changed the replayed state:\n got %+v\nwant %+v", st, want)
+		t.Errorf("the old lines changed the replayed state:\n got %+v\nwant %+v", st, want)
 	}
 }
 
@@ -143,29 +156,51 @@ func TestSettleOfKeyNotLiveWritesNothing(t *testing.T) {
 }
 
 // TestCheckpointByCount expects an automatic compaction after
-// checkpointEvery appends: the log truncates and a crash replays from
-// the checkpoint, not the records.
+// compactEvery appends: the log is rewritten to one enqueue per live job,
+// in order, and a crash replays those and the records appended since.
 func TestCheckpointByCount(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, testOptions)
 	appendAll(t, j, enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"})
-	for i := 3; i < checkpointEvery; i++ {
+	for i := 3; i < compactEvery; i++ {
 		appendAll(t, j, enq("d")) // re-enqueues of a live key keep its place
 	}
 	if got := j.Stats().Checkpoints; got != 2 { // one at Open, one automatic
 		t.Fatalf("Checkpoints = %d, want 2", got)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, "journal.log")); err != nil || fi.Size() != 0 {
-		t.Fatalf("log not truncated after checkpoint: %v %d", err, fi.Size())
-	}
-	// Records after the checkpoint land in the fresh log.
+	wantLog(t, dir, enq("b"), enq("d"))
+	// Records after the compaction land in the compacted log.
 	appendAll(t, j, enq("e"))
+	wantLog(t, dir, enq("b"), enq("d"), enq("e"))
 
 	j2 := mustOpen(t, dir, testOptions)
 	st := j2.ReplayState()
 	wantStrings(t, "replayed jobs", jobKeys(st.Jobs), []string{"b", "d", "e"})
-	if st.Entries != 1 {
-		t.Errorf("Entries = %d, want 1 (only the post-checkpoint record)", st.Entries)
+	if st.Entries != 3 {
+		t.Errorf("Entries = %d, want 3 (two compacted enqueues and one appended)", st.Entries)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json")); !os.IsNotExist(err) {
+		t.Errorf("checkpoint.json written: %v", err)
+	}
+}
+
+// wantLog asserts that journal.log holds exactly recs, one JSON line each.
+func wantLog(t *testing.T, dir string, recs ...Record) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, r := range recs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, b...), '\n')
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("journal.log =\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -201,113 +236,246 @@ func TestTornFinalRecord(t *testing.T) {
 	}
 }
 
-// TestReplayIdempotent re-applies history over a state that already
-// absorbed it (the crash-between-checkpoint-and-truncate window):
-// duplicate enqueues and completes for missing keys must converge, not
-// error or duplicate.
+// TestReplayIdempotent: duplicate enqueues and completes for unknown
+// keys converge, not error or duplicate, and a log replayed and compacted
+// replays to the same jobs again.
 func TestReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, testOptions)
 	appendAll(t, j,
 		enq("a"), enq("a"), // duplicate enqueue
-		Record{Op: OpComplete, Key: "zzz"},                             // complete for an unknown key
-		Record{Op: OpManifestDone, Manifest: "sweep-0000000000000000"}, // done without open
+		Record{Op: OpComplete, Key: "zzz"},                   // complete for an unknown key
 		enq("b"), Record{Op: OpComplete, Key: "b"}, enq("b"), // re-enqueue after completion
 	)
-	j2 := mustOpen(t, dir, testOptions)
-	wantStrings(t, "replayed jobs", jobKeys(j2.ReplayState().Jobs), []string{"a", "b"})
+	for _, pass := range []string{"log", "compacted log"} {
+		wantStrings(t, pass+": replayed jobs", jobKeys(mustOpen(t, dir, testOptions).ReplayState().Jobs), []string{"a", "b"})
+	}
 }
 
 // TestReenqueueTakesItsNewPlace: a key that completes and is enqueued
-// again replays where the second enqueue put it, and so does a manifest
-// reopened after it was done — in the log, and in the checkpoint a
-// reopen compacts it into.
+// again replays where the second enqueue put it — in the log, and in the
+// compacted log a reopen rewrites it to.
 func TestReenqueueTakesItsNewPlace(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, testOptions)
-	appendAll(t, j,
-		enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"}, enq("a"),
-		Record{Op: OpManifestOpen, Manifest: "m1"}, Record{Op: OpManifestOpen, Manifest: "m2"},
-		Record{Op: OpManifestDone, Manifest: "m1"}, Record{Op: OpManifestOpen, Manifest: "m1"},
-	)
-	for _, pass := range []string{"log", "checkpoint"} {
+	appendAll(t, j, enq("a"), enq("b"), Record{Op: OpComplete, Key: "a"}, enq("a"))
+	for _, pass := range []string{"log", "compacted log"} {
 		j = mustOpen(t, dir, testOptions)
 		wantStrings(t, pass+": replayed jobs", jobKeys(j.ReplayState().Jobs), []string{"b", "a"})
-		wantStrings(t, pass+": open manifests", j.ReplayState().OpenManifests, []string{"m2", "m1"})
 	}
 }
 
 // TestOrderStaysBoundedByLiveSet: a long-lived journal whose jobs come
-// and go keeps its order slices within one checkpoint's worth of appends
-// of the live set, and exactly the live set after a checkpoint.
+// and go keeps its order slice within one compaction's worth of appends
+// of the live set, and exactly the live set after a compaction.
 func TestOrderStaysBoundedByLiveSet(t *testing.T) {
 	j := mustOpen(t, t.TempDir(), testOptions)
-	appendAll(t, j, enq("resident"), Record{Op: OpManifestOpen, Manifest: "m-resident"})
+	appendAll(t, j, enq("resident"))
 	for i := 0; i < 10_000; i++ {
-		key, id := fmt.Sprintf("k%d", i%7), fmt.Sprintf("m%d", i%5)
-		appendAll(t, j,
-			enq(key), Record{Op: OpComplete, Key: key},
-			Record{Op: OpManifestOpen, Manifest: id}, Record{Op: OpManifestDone, Manifest: id},
-		)
+		key := fmt.Sprintf("k%d", i%7)
+		appendAll(t, j, enq(key), Record{Op: OpComplete, Key: key})
 		j.mu.Lock()
-		lo, oo, live, open := len(j.liveOrder), len(j.openOrder), len(j.live), len(j.open)
+		lo, live := len(j.liveOrder), len(j.live)
 		j.mu.Unlock()
-		if lo > live+checkpointEvery || oo > open+checkpointEvery {
-			t.Fatalf("cycle %d: liveOrder %d for %d live jobs, openOrder %d for %d open manifests", i, lo, live, oo, open)
+		if lo > live+compactEvery {
+			t.Fatalf("cycle %d: liveOrder %d for %d live jobs", i, lo, live)
 		}
 	}
 	j.mu.Lock()
-	err := j.checkpointLocked()
+	err := j.compactLocked()
 	j.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStrings(t, "liveOrder after a checkpoint", j.liveOrder, []string{"resident"})
-	wantStrings(t, "openOrder after a checkpoint", j.openOrder, []string{"m-resident"})
+	wantStrings(t, "liveOrder after a compaction", j.liveOrder, []string{"resident"})
 }
 
 // TestManifestRoundTrip covers manifest persistence: put/get, missing
-// ids, and MarkManifestDone closing the manifest durably (Done + Final
-// on disk, removed from the open set on replay).
+// ids, and RetireManifest storing the final reply byte-exact in done/ and
+// removing the open manifest, so replay no longer lists it; a retire
+// without a reply only removes it.
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, testOptions)
 
-	if _, ok, err := j.GetManifest("sweep-aaaaaaaaaaaaaaaa"); err != nil || ok {
-		t.Fatalf("missing manifest: ok=%v err=%v, want absent", ok, err)
+	if _, ok := j.GetManifest("sweep-aaaaaaaaaaaaaaaa"); ok {
+		t.Fatal("missing manifest read as present")
+	}
+	if j.Final("sweep-aaaaaaaaaaaaaaaa") != nil {
+		t.Fatal("a reply for a submission never retired")
 	}
 	m, err := results.NewSweepManifest([]results.Job{job("k1"), job("k2")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := "sweep-feedfeedfeedfeed"
-	if err := j.PutManifest(id, m); err != nil {
+	id, gone := "sweep-feedfeedfeedfeed", "sweep-0000000000000000"
+	for _, id := range []string{id, gone} {
+		if err := j.PutManifest(id, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := j.GetManifest(id); !ok || !reflect.DeepEqual(got, m) {
+		t.Fatalf("GetManifest: %+v ok=%v, want %+v", got, ok, m)
+	}
+	wantStrings(t, "open manifests", mustOpen(t, dir, testOptions).ReplayState().OpenManifests, []string{gone, id})
+
+	final := []byte(`{"id":"sweep-feedfeedfeedfeed","status":"done"}`)
+	if err := j.RetireManifest(id, final); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, j, Record{Op: OpManifestOpen, Manifest: id})
-
-	got, ok, err := j.GetManifest(id)
-	if err != nil || !ok {
-		t.Fatalf("GetManifest: ok=%v err=%v", ok, err)
-	}
-	wantStrings(t, "manifest keys", got.Keys(), []string{"k1", "k2"})
-	if got.Done {
-		t.Error("fresh manifest already done")
-	}
-
-	if err := j.MarkManifestDone(id, []byte(`{"status":"done"}`)); err != nil {
+	if err := j.RetireManifest(gone, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err = j.GetManifest(id)
-	if err != nil || !ok || !got.Done || string(got.Final) != `{"status":"done"}` {
-		t.Fatalf("manifest after done: %+v ok=%v err=%v", got, ok, err)
+	if got := j.Final(id); !bytes.Equal(got, final) {
+		t.Errorf("stored reply %s, want %s", got, final)
 	}
-	j2 := mustOpen(t, dir, testOptions)
-	if open := j2.ReplayState().OpenManifests; len(open) != 0 {
-		t.Errorf("done manifest still open after replay: %v", open)
+	if j.Final(gone) != nil {
+		t.Error("a retire without a reply stored one")
+	}
+	if _, ok := j.GetManifest(id); ok {
+		t.Error("retired manifest still open")
+	}
+	if open := mustOpen(t, dir, testOptions).ReplayState().OpenManifests; len(open) != 0 {
+		t.Errorf("retired manifests still open after replay: %v", open)
 	}
 	// Path traversal in ids is refused.
 	if err := j.PutManifest("../escape", m); err == nil {
 		t.Error("PutManifest accepted a traversal id")
+	}
+	if j.Final("../escape") != nil {
+		t.Error("Final read outside done/")
+	}
+}
+
+// TestTornAtEveryByte tears journal.log at every byte of its final
+// record, for each kind of record: every reopen recovers the jobs from
+// before that record or from after it, and nothing else.
+func TestTornAtEveryByte(t *testing.T) {
+	for _, last := range []Record{enq("c"), {Op: OpComplete, Key: "a"}, {Op: OpPoison, Key: "b"}} {
+		src := t.TempDir()
+		j := mustOpen(t, src, testOptions)
+		appendAll(t, j, enq("a"), enq("b"))
+		before := jobKeys(mustOpen(t, src, testOptions).ReplayState().Jobs)
+		prefix, err := os.ReadFile(filepath.Join(src, "journal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j = mustOpen(t, src, testOptions)
+		appendAll(t, j, last)
+		full, err := os.ReadFile(filepath.Join(src, "journal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := jobKeys(mustOpen(t, src, testOptions).ReplayState().Jobs)
+		if !bytes.HasPrefix(full, prefix) || reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: setup broken: the record must change the jobs and extend the log", last.Op)
+		}
+		dir := t.TempDir()
+		for k := 0; k <= len(full)-len(prefix); k++ {
+			if err := os.WriteFile(filepath.Join(dir, "journal.log"), full[:len(prefix)+k], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got := jobKeys(mustOpen(t, dir, testOptions).ReplayState().Jobs)
+			switch {
+			case k == 0 && !reflect.DeepEqual(got, before), k == len(full)-len(prefix) && !reflect.DeepEqual(got, after):
+				t.Fatalf("%s torn after %d bytes: jobs %v", last.Op, k, got)
+			case !reflect.DeepEqual(got, before) && !reflect.DeepEqual(got, after):
+				t.Fatalf("%s torn after %d bytes: jobs %v, want %v or %v", last.Op, k, got, before, after)
+			}
+		}
+	}
+}
+
+// TestRetiredManifestLeftOpen: a crash between storing a submission's
+// reply and removing its manifest leaves both files. The reply may have
+// reached the client, so Open removes the manifest instead of listing it,
+// and the stored reply stays.
+func TestRetiredManifestLeftOpen(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, testOptions)
+	id, final := "sweep-1111111111111111", []byte(`{"id":"sweep-1111111111111111","status":"done"}`)
+	m := results.Manifest{Kind: results.ManifestKindSweep, Jobs: []results.Job{job("k")}}
+	if err := j.PutManifest(id, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "done", id+".json"), final, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2 := mustOpen(t, dir, testOptions)
+	if open := j2.ReplayState().OpenManifests; len(open) != 0 {
+		t.Errorf("open manifests %v, want none", open)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifests", id+".json")); !os.IsNotExist(err) {
+		t.Errorf("the retired manifest was not removed: %v", err)
+	}
+	if got := j2.Final(id); !bytes.Equal(got, final) {
+		t.Errorf("stored reply %s, want %s", got, final)
+	}
+}
+
+// TestUpgradeFromCheckpoint opens a directory in the format of the
+// coordinators that kept checkpoint.json and marked finished manifests
+// done in place: the same live jobs and open manifest recover, the done
+// manifest's reply answers from done/, and checkpoint.json is gone. A
+// crash part-way through the upgrade — the reply moved, the manifest and
+// the checkpoint still there — upgrades to the same directory.
+func TestUpgradeFromCheckpoint(t *testing.T) {
+	open, done := "sweep-0000000000000001", "sweep-0000000000000002"
+	final := `{"id":"sweep-0000000000000002","status":"done","total":1}`
+	m := results.Manifest{Schema: results.SchemaVersion, Kind: results.ManifestKindSweep, Nonce: "01", Jobs: []results.Job{job("k")}}
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneBody := append(body[:len(body)-1:len(body)-1], `,"done":true,"final":`+final+`}`...)
+	jobLine := func(key string) string {
+		b, err := json.Marshal(enq(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	cp, err := json.Marshal(map[string]any{"jobs": []results.Job{job("a"), job("b")}, "manifests": []string{open, done}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, crashed := range []bool{false, true} {
+		dir := t.TempDir()
+		files := map[string]string{
+			"checkpoint.json": string(cp),
+			"journal.log": jobLine("c") + "\n" + `{"op":"complete","key":"a"}` + "\n" +
+				`{"op":"manifest","manifest":"` + open + `"}` + "\n" + `{"op":"manifest_done","manifest":"` + done + `"}` + "\n",
+			"manifests/" + open + ".json": string(body) + "\n",
+			"manifests/" + done + ".json": string(doneBody) + "\n",
+		}
+		if crashed {
+			files["done/"+done+".json"] = final
+		}
+		for name, content := range files {
+			p := filepath.Join(dir, name)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, pass := range []string{"upgrade", "reopen"} {
+			j := mustOpen(t, dir, testOptions)
+			st := j.ReplayState()
+			wantStrings(t, pass+": replayed jobs", jobKeys(st.Jobs), []string{"b", "c"})
+			wantStrings(t, pass+": open manifests", st.OpenManifests, []string{open})
+			if got, ok := j.GetManifest(open); !ok || !reflect.DeepEqual(got, m) {
+				t.Errorf("%s: open manifest %+v ok=%v", pass, got, ok)
+			}
+			if got := j.Final(done); string(got) != final {
+				t.Errorf("%s: done reply %s, want %s", pass, got, final)
+			}
+			for _, gone := range []string{"checkpoint.json", "manifests/" + done + ".json"} {
+				if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
+					t.Errorf("%s (crashed %v): %s still there: %v", pass, crashed, gone, err)
+				}
+			}
+		}
 	}
 }

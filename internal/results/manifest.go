@@ -10,11 +10,11 @@ import (
 // Manifest is the durable record of one composite submission — a sweep
 // or a design-space exploration. It is the canonical list of work the
 // service owes the client (content-keyed jobs for a sweep, the
-// normalized request for an exploration) plus a terminal-status
-// summary, and it is what makes composite submissions re-attachable: a
-// coordinator that was killed re-registers an open manifest and owes its
-// members the content-addressed store lacks, and a done manifest answers
-// a client that polls after the coordinator forgot the submission.
+// normalized request for an exploration), and it is what makes composite
+// submissions re-attachable: a coordinator that was killed re-registers
+// an open manifest and owes its members the content-addressed store
+// lacks. A finished submission's manifest is removed; its final reply
+// answers a client that polls after the coordinator forgot it.
 //
 // A manifest's id is content-derived like a run key, but over the
 // identity fields *including a per-submission nonce*: two identical
@@ -37,12 +37,6 @@ type Manifest struct {
 	// request is the member list: replay re-drives it and every
 	// already-evaluated point comes back as a cache hit.
 	Explore json.RawMessage `json:"explore,omitempty"`
-
-	// Done and Final are status, not identity: they do not affect ID().
-	// Done marks the submission terminal; Final is its terminal reply,
-	// served as is to a client re-attaching after the registry forgot it.
-	Done  bool            `json:"done,omitempty"`
-	Final json.RawMessage `json:"final,omitempty"`
 }
 
 // ManifestKindSweep and ManifestKindExplore are the two manifest kinds.
@@ -85,12 +79,9 @@ func NewExploreManifest(request json.RawMessage) (Manifest, error) {
 }
 
 // ID derives the stable, client-visible id: "<kind>-" plus the first 16
-// hex digits of the SHA-256 of the canonical encoding of the identity
-// fields (schema, kind, nonce, jobs, explore). Status fields are
-// excluded, so the id never changes as the submission progresses.
+// hex digits of the SHA-256 of the canonical encoding of the manifest.
 func (m Manifest) ID() (string, error) {
-	ident := Manifest{Schema: m.Schema, Kind: m.Kind, Nonce: m.Nonce, Jobs: m.Jobs, Explore: m.Explore}
-	sum, err := canonicalHash(ident)
+	sum, err := canonicalHash(m)
 	if err != nil {
 		return "", fmt.Errorf("results: manifest id: %w", err)
 	}

@@ -23,8 +23,9 @@ func manifestJob(t *testing.T, program string) Job {
 	return j
 }
 
-// TestManifestID pins the id contract: kind-prefixed, stable across
-// status changes, distinct across submissions of the identical grid.
+// TestManifestID pins the id contract: kind-prefixed, byte-identical to
+// the ids earlier coordinators handed out, distinct across submissions
+// of the identical grid.
 func TestManifestID(t *testing.T) {
 	jobs := []Job{manifestJob(t, "gcc"), manifestJob(t, "swim")}
 	m, err := NewSweepManifest(jobs)
@@ -39,12 +40,15 @@ func TestManifestID(t *testing.T) {
 		t.Fatalf("id = %q, want sweep-<%d hex>", id, manifestIDHexLen)
 	}
 
-	// Status mutations never move the id.
-	done := m
-	done.Done = true
-	done.Final = []byte(`{"status":"done"}`)
-	if id2, _ := done.ID(); id2 != id {
-		t.Errorf("status change moved the id: %s -> %s", id, id2)
+	// A fixed nonce pins the bytes: an id a client holds keeps naming
+	// the same submission across versions.
+	for want, g := range map[string]Manifest{
+		"sweep-decbdc01bf8a65d8":   {Schema: SchemaVersion, Kind: ManifestKindSweep, Nonce: "0123456789abcdef", Jobs: jobs},
+		"explore-1d0ae6cc9bcd68ba": {Schema: SchemaVersion, Kind: ManifestKindExplore, Nonce: "0123456789abcdef", Explore: []byte(`{"insts":1000}`)},
+	} {
+		if got, err := g.ID(); err != nil || got != want {
+			t.Errorf("golden id = %s (%v), want %s", got, err, want)
+		}
 	}
 
 	// Same grid, new submission (new nonce) → new id: resubmissions are

@@ -1,11 +1,12 @@
 package server
 
 // Durable control plane: with Options.Journal set, the pending-pool
-// mutations of direct runs and the manifest of every composite
-// submission (sweep, exploration) are persisted through internal/journal
-// next to the content-addressed store. A submission's members are never
-// journaled: its manifest lists them, and the store says which are done.
-// This file holds the three pieces that make the service crash-safe:
+// mutations of direct runs are journaled, and every composite submission
+// (sweep, exploration) is a file in the journal directory: an open
+// manifest from submit until it retires, then its final reply under
+// done/. A submission's members are never journaled: its manifest lists
+// them, and the store says which are done. This file holds the three
+// pieces that make the service crash-safe:
 //
 //   - startup replay (recoverFromJournal): live jobs are fed again — the
 //     ones whose results are already in the store settle as cache hits,
@@ -13,7 +14,7 @@ package server
 //     sweeps/explorations under the original client-visible ids, owing
 //     the members the store lacks;
 //   - re-attach fallbacks: GETs for ids the in-memory registries forgot
-//     are answered from the store (runs) or a done manifest (sweeps,
+//     are answered from the store (runs) or a stored final reply (sweeps,
 //     explorations) instead of 404;
 //   - the terminal "lost" state: a run id that is neither registered
 //     nor in the store is reported lost — a clear, terminal error —
@@ -64,23 +65,19 @@ func (s *Server) journalRun(rec journal.Record) {
 	}
 }
 
-// journalManifestOpen persists a manifest and records it live.
-func (s *Server) journalManifestOpen(id string, m results.Manifest) {
-	if !s.journaling() {
-		return
+// journalManifest persists an open submission's manifest.
+func (s *Server) journalManifest(id string, m results.Manifest) {
+	if s.journaling() {
+		_ = s.opts.Journal.PutManifest(id, m)
 	}
-	if err := s.opts.Journal.PutManifest(id, m); err != nil {
-		return
-	}
-	_ = s.opts.Journal.Append(journal.Record{Op: journal.OpManifestOpen, Manifest: id})
 }
 
-// journalDone records a submission's terminal reply on its manifest and
-// reports whether the registry may now forget the submission: at once
-// without a journal, where nothing answers an evicted id, and with one
-// only once the done manifest that answers it is written. A submission
-// whose write failed stays registered, and its manifest open for the next
-// process to recover.
+// journalDone stores a submission's final reply and retires its manifest,
+// and reports whether the registry may now forget the submission: at
+// once without a journal, where nothing answers an evicted id, and with
+// one only once the stored reply that answers it is written. A
+// submission whose write failed stays registered, and its manifest open
+// for the next process to recover.
 func (s *Server) journalDone(id string, final []byte) bool {
 	if s.opts.Journal == nil {
 		return true
@@ -88,8 +85,8 @@ func (s *Server) journalDone(id string, final []byte) bool {
 	if !s.journaling() {
 		return false
 	}
-	if err := s.opts.Journal.MarkManifestDone(id, final); err != nil {
-		log.Printf("ringsimd: mark manifest %s done: %v", id, err)
+	if err := s.opts.Journal.RetireManifest(id, final); err != nil {
+		log.Printf("ringsimd: retire manifest %s: %v", id, err)
 		return false
 	}
 	return true
@@ -127,11 +124,11 @@ func (s *Server) recoverFromJournal() {
 	s.mu.Unlock()
 
 	for _, id := range state.OpenManifests {
-		m, ok, err := j.GetManifest(id)
-		if err != nil || !ok || m.Verify() != nil {
+		m, ok := j.GetManifest(id)
+		if !ok || m.Verify() != nil {
 			// No readable manifest body: nothing to rebuild, stop
 			// replaying it. (Member runs, if any, recovered above.)
-			_ = j.Append(journal.Record{Op: journal.OpManifestDone, Manifest: id})
+			_ = j.RetireManifest(id, nil)
 			continue
 		}
 		switch m.Kind {
@@ -176,7 +173,7 @@ func (s *Server) recoverSweep(id string, m results.Manifest) {
 func (s *Server) recoverExplore(id string, m results.Manifest) {
 	var er exploreRequest
 	if err := json.Unmarshal(m.Explore, &er); err != nil {
-		_ = s.opts.Journal.Append(journal.Record{Op: journal.OpManifestDone, Manifest: id})
+		_ = s.opts.Journal.RetireManifest(id, nil)
 		return
 	}
 	space, strat, programs, twin, sp, err := s.resolveExplore(&er)
@@ -184,7 +181,7 @@ func (s *Server) recoverExplore(id string, m results.Manifest) {
 		// The request no longer resolves (e.g. a renamed config profile
 		// across versions): it can never finish, so retire the manifest
 		// rather than replay-crash forever.
-		_ = s.opts.Journal.Append(journal.Record{Op: journal.OpManifestDone, Manifest: id})
+		_ = s.opts.Journal.RetireManifest(id, nil)
 		return
 	}
 	s.mu.Lock()
@@ -224,26 +221,22 @@ func (s *Server) runFallback(w http.ResponseWriter, id string) bool {
 }
 
 // serveManifestFinal answers a GET for a sweep or exploration id the
-// registry does not hold with the terminal reply its done manifest
-// stored, and reports whether it did. An unfinished submission is always
+// registry does not hold with the final reply it stored when it retired,
+// and reports whether it did. An unfinished submission is always
 // registered — recovery re-registers every open manifest, and eviction
-// spares what is unfinished — so an open manifest nobody registered
-// (its open record's append was lost) is not served.
+// spares what is unfinished — so only a retired one needs this.
 func (s *Server) serveManifestFinal(w http.ResponseWriter, kind, id string) bool {
 	if s.opts.Journal == nil || !strings.HasPrefix(id, kind+"-") {
 		return false
 	}
-	m, ok, err := s.opts.Journal.GetManifest(id)
-	if err != nil || !ok || !m.Done || len(m.Final) == 0 {
-		return false
-	}
+	final := s.opts.Journal.Final(id)
 	var v struct {
 		ID string `json:"id"`
 	}
-	if json.Unmarshal(m.Final, &v) != nil || v.ID != id {
+	if json.Unmarshal(final, &v) != nil || v.ID != id {
 		return false
 	}
-	writeBody(w, http.StatusOK, m.Final)
+	writeBody(w, http.StatusOK, final)
 	return true
 }
 

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -222,8 +224,8 @@ func TestGracefulCloseReplaysExploration(t *testing.T) {
 
 // TestRestartSweepJournalsOnlyItsManifest: a daemon restarted on a warm
 // store answers a resubmitted sweep from the store. No run starts, and
-// the journal grows by the sweep manifest's open and done records only:
-// a member the store answers is never journaled as enqueued, so it needs
+// the journal log does not grow: the sweep is its manifest's file, and a
+// member the store answers is never journaled as enqueued, so it needs
 // no complete record either.
 func TestRestartSweepJournalsOnlyItsManifest(t *testing.T) {
 	dir := t.TempDir()
@@ -248,16 +250,19 @@ func TestRestartSweepJournalsOnlyItsManifest(t *testing.T) {
 	if m.RunsStarted != 0 {
 		t.Errorf("RunsStarted = %d, want 0: every member is in the store", m.RunsStarted)
 	}
-	if got := m.Journal.Entries - before; got != 2 {
-		t.Errorf("the resubmission appended %d journal records, want 2 (manifest open and done)", got)
+	if got := m.Journal.Entries - before; got != 0 {
+		t.Errorf("the resubmission appended %d journal records, want 0", got)
 	}
 }
 
 // TestColdSweepJournalsOnlyItsManifest: a sweep's members are owed
 // through its manifest, not the journal. A cold 2×2 sweep simulates all
-// four members and appends two records, its manifest's open and done.
+// four members and appends no record: its manifest is written at submit
+// and retired to done/ when it finishes, leaving the journal directory
+// with the log, an empty manifests/ and the sweep's reply in done/.
 func TestColdSweepJournalsOnlyItsManifest(t *testing.T) {
-	srv, hs, _ := newDurableServer(t, t.TempDir(), 1)
+	dir := t.TempDir()
+	srv, hs, _ := newDurableServer(t, dir, 1)
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 	before := srv.Metrics().Journal.Entries
 	var sv sweepView
@@ -269,8 +274,17 @@ func TestColdSweepJournalsOnlyItsManifest(t *testing.T) {
 	if m.RunsStarted != 4 {
 		t.Errorf("RunsStarted = %d, want 4: the sweep is cold", m.RunsStarted)
 	}
-	if got := m.Journal.Entries - before; got != 2 {
-		t.Errorf("the cold sweep appended %d journal records, want 2 (manifest open and done)", got)
+	if got := m.Journal.Entries - before; got != 0 {
+		t.Errorf("the cold sweep appended %d journal records, want 0", got)
+	}
+	var files []string
+	err := filepath.WalkDir(filepath.Join(dir, "journal"), func(p string, d fs.DirEntry, err error) error {
+		rel, _ := filepath.Rel(filepath.Join(dir, "journal"), p)
+		files = append(files, rel)
+		return err
+	})
+	if want := []string{".", "done", filepath.Join("done", sv.ID+".json"), "journal.log", "manifests"}; err != nil || !slices.Equal(files, want) {
+		t.Errorf("journal directory holds %v (%v), want %v", files, err, want)
 	}
 }
 
@@ -321,9 +335,9 @@ func TestExploreReplyFromManifestIsTheSame(t *testing.T) {
 
 // TestUnpolledSweepsRetire: a sweep turns terminal when its last member
 // settles, whether or not anyone polls it. Four cold sweeps that nobody
-// polls each mark their manifest done and release their runs, so with a
+// polls each store their final reply and release their runs, so with a
 // bound of one the registry keeps only the last, and the evicted ones are
-// answered from their manifests.
+// answered from their stored replies.
 func TestUnpolledSweepsRetire(t *testing.T) {
 	j, err := journal.Open(t.TempDir(), journal.Options{NoSync: true})
 	if err != nil {
@@ -359,8 +373,11 @@ func TestUnpolledSweepsRetire(t *testing.T) {
 		t.Errorf("%d submissions registered and %d run references held, want 1 and 0", registered, pinned)
 	}
 	for _, id := range ids {
-		if m, ok, err := j.GetManifest(id); err != nil || !ok || !m.Done {
-			t.Errorf("manifest %s: done %v, found %v, err %v; want done", id, m.Done, ok, err)
+		if j.Final(id) == nil {
+			t.Errorf("sweep %s stored no final reply", id)
+		}
+		if _, open := j.GetManifest(id); open {
+			t.Errorf("manifest %s still open; want retired", id)
 		}
 		var got sweepView
 		getJSON(t, hs+"/v1/sweeps/"+id, &got)
@@ -371,8 +388,9 @@ func TestUnpolledSweepsRetire(t *testing.T) {
 }
 
 // TestSweepStaysRegisteredUntilItsManifestIsDone: a finished sweep may be
-// evicted only once its done manifest can answer for it. When that write
-// fails, the sweep stays registered past the bound and is still served.
+// evicted only once its stored final reply can answer for it. When that
+// write fails, the sweep stays registered past the bound and is still
+// served.
 func TestSweepStaysRegisteredUntilItsManifestIsDone(t *testing.T) {
 	dir := t.TempDir()
 	j, err := journal.Open(dir, journal.Options{NoSync: true})
@@ -388,12 +406,8 @@ func TestSweepStaysRegisteredUntilItsManifestIsDone(t *testing.T) {
 	hs := newHTTPServer(t, srv)
 	var s1, s2 sweepView
 	postJSON(t, hs+"/v1/sweeps", sweepBody(), http.StatusAccepted, &s1)
-	// A directory where the manifest was makes marking it done fail.
-	p := filepath.Join(dir, "manifests", s1.ID+".json")
-	if err := os.Remove(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(p, 0o755); err != nil {
+	// A directory where the final reply goes makes retiring it fail.
+	if err := os.Mkdir(filepath.Join(dir, "done", s1.ID+".json"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	startWorker(t, hs, "w", nil)
@@ -412,6 +426,82 @@ func TestSweepStaysRegisteredUntilItsManifestIsDone(t *testing.T) {
 	if got.ID != s1.ID || got.Status != statusDone || got.Done != 4 {
 		t.Errorf("sweep whose done manifest failed: %+v", got)
 	}
+}
+
+// TestRetiredSweepLeftOpenAnswersItsReply: a crash between storing a
+// finished sweep's reply in done/ and removing its manifest leaves both
+// files. The next process does not register the sweep again, starts no
+// run, and answers its id with the stored reply byte for byte.
+func TestRetiredSweepLeftOpenAnswersItsReply(t *testing.T) {
+	dir := t.TempDir()
+	store, err := results.NewDisk(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dispatch-only, so the sweep stays open until a worker joins.
+	srv1, err := New(Options{Workers: -1, Fleet: &fleet.CoordinatorOptions{}, QueueDepth: 64, Store: store, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs1 := httptest.NewServer(srv1.Handler())
+	var sv sweepView
+	postJSON(t, hs1.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
+	manifest := filepath.Join(dir, "journal", "manifests", sv.ID+".json")
+	open, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stop := startWorker(t, hs1.URL, "w", nil)
+	if final := pollSweep(t, hs1.URL, sv.ID); final.Status != statusDone {
+		t.Fatalf("sweep: %+v", final)
+	}
+	stop()
+	want := getBody(t, hs1.URL+"/v1/sweeps/"+sv.ID)
+	hs1.Close()
+	srv1.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, open, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, hs2, _ := newDurableServer(t, dir, 1)
+	t.Cleanup(func() { hs2.Close(); srv2.Close() })
+	srv2.mu.Lock()
+	_, registered := srv2.subs[sv.ID]
+	srv2.mu.Unlock()
+	if registered || srv2.Recovery().Manifests != 0 {
+		t.Errorf("the retired sweep was registered again (recovered %d manifests)", srv2.Recovery().Manifests)
+	}
+	if got := getBody(t, hs2.URL+"/v1/sweeps/"+sv.ID); !bytes.Equal(got, want) {
+		t.Errorf("stored reply differs:\n got %s\nwant %s", got, want)
+	}
+	if n := srv2.Metrics().RunsStarted; n != 0 {
+		t.Errorf("RunsStarted = %d, want 0", n)
+	}
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Errorf("the retired sweep's manifest was not removed: %v", err)
+	}
+}
+
+// getBody GETs url and returns the body, requiring 200.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d %v: %s", url, resp.StatusCode, err, b)
+	}
+	return b
 }
 
 // TestLostRun pins the stuck-queued fix: polling an id the service

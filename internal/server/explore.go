@@ -170,7 +170,7 @@ func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 	s.exploreWG.Add(1)
 	s.mu.Unlock()
 	s.metrics.ExploresSubmitted.Add(1)
-	s.journalManifestOpen(id, manifest)
+	s.journalManifest(id, manifest)
 
 	go s.driveExplore(sub, space, strat, programs, twin, sp, er)
 	writeJSON(w, http.StatusAccepted, v)
@@ -311,7 +311,7 @@ func (s *Server) driveExplore(sub *submission, space dse.Space, strat dse.Strate
 
 // handleGetExplore reports exploration progress and the running
 // frontier, and the final reply once the exploration is over. Ids the
-// registry forgot are answered from their done manifest (see
+// registry forgot are answered from their stored final reply (see
 // serveManifestFinal).
 func (s *Server) handleGetExplore(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

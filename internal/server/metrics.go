@@ -302,8 +302,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ringsimd_fleet_poisoned_total", "Jobs parked in the poisoned lot after burning their attempt cap.", "counter", snap.Fleet.PoisonedTotal},
 		{"ringsimd_fleet_poisoned_parked", "Jobs currently parked in the poisoned lot.", "gauge", uint64(snap.Fleet.PoisonedParked)},
 		{"ringsimd_journal_entries_total", "Control-plane journal records appended.", "counter", snap.Journal.Entries},
-		{"ringsimd_journal_checkpoints_total", "Journal checkpoint compactions written.", "counter", snap.Journal.Checkpoints},
-		{"ringsimd_journal_replayed_total", "Journal records replayed during startup recovery.", "counter", snap.Journal.Replayed},
+		{"ringsimd_journal_checkpoints_total", "Journal log compactions written.", "counter", snap.Journal.Checkpoints},
+		{"ringsimd_journal_replayed_total", "Journal records and open manifests recovered at startup.", "counter", snap.Journal.Replayed},
 		{"ringsimd_journal_torn_total", "Truncated trailing journal records discarded at recovery.", "counter", snap.Journal.Torn},
 	}
 	// Twin profile cache: the analytical gate's trace summaries, cached

@@ -34,8 +34,8 @@
 // Memory is bounded: the run registry evicts oldest-terminal runs beyond
 // 8192, and the submission registry (sweeps and explorations) the
 // oldest terminal submissions beyond 1024 (the content-addressed store
-// still answers evicted runs, and a journal's done manifests evicted
-// submissions, so eviction only costs a registry miss, never a
+// still answers evicted runs, and a journal's stored final replies
+// evicted submissions, so eviction only costs a registry miss, never a
 // re-simulation while the store holds the result). An unfinished
 // submission is kept until it finishes, which it does whether or not
 // anyone polls it.
@@ -187,15 +187,15 @@ type submission struct {
 	// every batch and finalized when the driver finishes.
 	view exploreView
 	// final is the rendered terminal reply, set once: every later GET and
-	// the manifest's Final are these bytes.
+	// the journal's done/<id>.json are these bytes.
 	final []byte
-	// retired is made with final and closed once retire has written final
-	// to the manifest; a GET serves final only then, so a terminal reply
+	// retired is made with final and closed once retire has stored final
+	// in the journal; a GET serves final only then, so a terminal reply
 	// it answered outlives a crash.
 	retired chan struct{}
-	// evictable is set by retire when the manifest holds final (always,
+	// evictable is set by retire when the journal holds final (always,
 	// without a journal): only then may the registry drop the submission,
-	// because the done manifest answers its id from then on.
+	// because the stored reply answers its id from then on.
 	evictable bool
 }
 
@@ -474,8 +474,8 @@ func (s *Server) addSubmissionLocked(sub *submission) {
 	}
 }
 
-// retire writes a submission's final reply to its manifest and then
-// releases the GETs waiting on it. Exactly one caller retires each
+// retire stores a submission's final reply and retires its manifest, and
+// then releases the GETs waiting on it. Exactly one caller retires each
 // submission: whoever rendered its final reply, after releasing s.mu.
 func (s *Server) retire(sub *submission) {
 	ok := s.journalDone(sub.id, sub.final)
@@ -923,13 +923,13 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	v, body := s.viewSweepLocked(sw)
 	s.mu.Unlock()
 	s.metrics.SweepsSubmitted.Add(1)
-	s.journalManifestOpen(id, manifest)
+	s.journalManifest(id, manifest)
 	if body != nil {
 		// Every member was already terminal (all cache hits): the sweep
 		// finished at submission.
 		s.retire(sw)
 	} else {
-		// Watched only now, so its done mark cannot precede its manifest.
+		// Watched only now, so it cannot retire before its manifest exists.
 		s.mu.Lock()
 		if !s.closed {
 			s.watchSweepLocked(sw)
@@ -942,7 +942,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleGetSweep reports sweep progress and, when every member is
 // terminal, the full result set in grid order. Ids the registry forgot
-// are answered from their done manifest (see manifestFinal).
+// are answered from their stored final reply (see serveManifestFinal).
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -974,7 +974,7 @@ func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 
 // watchSweepLocked starts the goroutine that renders a sweep's final
 // reply when its last member settles, so a sweep nobody polls still turns
-// terminal, releases its runs and marks its manifest done. A GET that
+// terminal, releases its runs and retires its manifest. A GET that
 // renders it first leaves the watcher nothing to do. Callers must hold
 // s.mu and have checked s.closed.
 func (s *Server) watchSweepLocked(sw *submission) {
