@@ -10,25 +10,21 @@
 //
 //	ringsimd [-addr :8080] [-workers N] [-queue N]
 //	         [-cache-dir DIR] [-cache-max-bytes N] [-mem-entries N]
-//	         [-journal-dir DIR] [-twin on|off|auto]
-//	         [-fidelity exact|sampled|sampled(i,w,warm)]
-//	         [-pprof-addr HOST:PORT] [-fleet] [-fleet-secret S]
-//	         [-lease-ttl 30s]
+//	         [-journal-dir DIR] [-pprof-addr HOST:PORT]
+//	         [-fleet] [-fleet-secret S] [-lease-ttl 30s]
 //
-// With -fidelity sampled, runs default to interval sampling: short
+// Fidelity and the analytical twin are chosen per request. A run, sweep
+// or exploration with "fidelity": "sampled" runs interval sampling: short
 // detailed windows alternate with functional fast-forward and results
-// carry confidence intervals (docs/performance.md). Requests override
-// per-submission with their "fidelity" field; explorations run their
-// search tier at the sampled fidelity and re-score the final frontier
-// exactly. Sampled results key distinctly in the cache, so the two
-// fidelities never contaminate each other.
-//
-// With -twin the analytical twin (internal/predict) gates explorations
-// by default: the closed-form model scores the whole space and only the
-// predicted Pareto frontier plus its ε-neighborhood is simulated, with
-// predicted-vs-simulated MAPE reported in the exploration JSON and the
-// ringsimd_twin_* /metrics family. Requests override per-exploration
-// with their "twin" field.
+// carry confidence intervals (docs/performance.md); explorations run
+// their search tier sampled and re-score the final frontier exactly.
+// Sampled results key distinctly in the cache, so the two fidelities
+// never contaminate each other. An exploration with "twin": "on" (or
+// "auto") is gated by the closed-form model of internal/predict: it
+// scores the whole space and only the predicted Pareto frontier plus its
+// ε-neighborhood is simulated, with predicted-vs-simulated MAPE reported
+// in the exploration JSON and the ringsimd_twin_* /metrics family. A
+// request that names neither runs exact and ungated.
 //
 // With -cache-dir the cache is tiered: an in-memory LRU in front of an
 // on-disk content-addressed store that survives restarts. Without it,
@@ -79,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dse"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/journal"
@@ -97,11 +92,9 @@ func main() {
 	memEntries := flag.Int("mem-entries", 4096, "in-memory LRU cache capacity (entries)")
 	journalDir := flag.String("journal-dir", "", "coordinator journal directory for crash-safe sweeps/explorations (default <cache-dir>/journal when -cache-dir is set; \"none\" disables)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	twin := flag.String("twin", "off", "default analytical-twin gate for explorations: on, off, or auto (requests may override per-exploration)")
 	fleetMode := flag.Bool("fleet", false, "coordinate remote ringsim-worker processes via /v1/fleet")
 	fleetSecret := flag.String("fleet-secret", "", "shared secret required on every /v1/fleet call (empty = unauthenticated)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "fleet: how long a worker holds a leased job without heartbeating before it is requeued (workers heartbeat every lease-ttl/3)")
-	fidelity := flag.String("fidelity", "exact", "default execution fidelity for runs, sweeps, and explorations: exact, sampled, or sampled(interval,window,warm); requests may override per-submission")
 	showVersion := flag.Bool("version", false, "print the build revision and exit")
 	flag.Parse()
 
@@ -118,10 +111,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ringsimd:", err)
 		os.Exit(2)
 	}
-	if _, err := dse.ParseTwinMode(*twin); err != nil {
-		fmt.Fprintln(os.Stderr, "ringsimd:", err)
-		os.Exit(2)
-	}
 	if *cacheDir != "" {
 		// Twin profiles persist alongside the result store so warm
 		// twin-gated explorations skip the profiling pass across restarts.
@@ -130,7 +119,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	opts := server.Options{Workers: *workers, QueueDepth: *queue, Store: store, FleetSecret: *fleetSecret, Twin: *twin, Fidelity: *fidelity}
+	opts := server.Options{Workers: *workers, QueueDepth: *queue, Store: store, FleetSecret: *fleetSecret}
 	if *fleetMode {
 		opts.Fleet = &fleet.CoordinatorOptions{LeaseTTL: *leaseTTL}
 	} else if *workers < 0 {
@@ -156,9 +145,9 @@ func main() {
 		os.Exit(2)
 	}
 	if jnl != nil {
-		rec := srv.Recovery()
+		rec := jnl.ReplayState()
 		msg := fmt.Sprintf("ringsimd: journal %s replayed %d entries: %d jobs re-queued/settled, %d sweeps/explorations re-attached",
-			jdir, rec.Entries, rec.Jobs, rec.Manifests)
+			jdir, rec.Entries, len(rec.Jobs), len(rec.OpenManifests))
 		if rec.Torn {
 			msg += " (discarded a torn final record)"
 		}

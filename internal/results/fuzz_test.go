@@ -94,7 +94,7 @@ func canonSeeds(tb testing.TB) [][]byte {
 		goldenRequest(),
 		sampled,
 		{Config: core.MustPaperConfig(core.ArchConv, 4, 2, 1), Workload: mix, Insts: 2000, Warmup: 400},
-		{Config: core.MustPaperConfig(core.ArchRing, 8, 2, 1), Workload: workload.Mix("gcc", "swim", "mcf", "art"), Insts: 1 << 62},
+		{Config: core.MustPaperConfig(core.ArchRing, 8, 2, 1), Workload: workload.Spec{Streams: []workload.StreamSpec{{Program: "gcc"}, {Program: "swim"}, {Program: "mcf"}, {Program: "art"}}}, Insts: 1 << 62},
 	}
 	if spec, err := workload.ParseSpec(goldenSynthSpec); err == nil {
 		reqs = append(reqs, harness.Request{Config: core.MustPaperConfig(core.ArchRing, 8, 2, 1), Workload: spec, Insts: 10_000, Warmup: 2_000})

@@ -108,10 +108,10 @@ func TestKeySeparatesRequests(t *testing.T) {
 	m.Workload = workload.Spec{Streams: []workload.StreamSpec{{Program: "gcc", Seed: 7}}}
 	mutations["stream seed"] = m
 	m = base
-	m.Workload = workload.Mix("gcc", "swim")
+	m.Workload = workload.Spec{Streams: []workload.StreamSpec{{Program: "gcc"}, {Program: "swim"}}}
 	mutations["mix"] = m
 	m = base
-	m.Workload = workload.Mix("swim", "gcc")
+	m.Workload = workload.Spec{Streams: []workload.StreamSpec{{Program: "swim"}, {Program: "gcc"}}}
 	mutations["mix order"] = m
 	m = base
 	m.Insts++

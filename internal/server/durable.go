@@ -176,7 +176,7 @@ func (s *Server) recoverExplore(id string, m results.Manifest) {
 		_ = s.opts.Journal.RetireManifest(id, nil)
 		return
 	}
-	space, strat, programs, twin, sp, err := s.resolveExplore(&er)
+	space, strat, programs, twin, sp, err := resolveExplore(&er)
 	if err != nil {
 		// The request no longer resolves (e.g. a renamed config profile
 		// across versions): it can never finish, so retire the manifest
@@ -262,27 +262,4 @@ func (s *Server) Terminate() {
 	s.killed.Store(true)
 	s.stopWorkers()
 	s.shutdown()
-}
-
-// RecoveryInfo summarizes what startup replay reconstructed, for the
-// daemon's boot log.
-type RecoveryInfo struct {
-	Entries   int  `json:"entries"`
-	Jobs      int  `json:"jobs"`
-	Manifests int  `json:"manifests"`
-	Torn      bool `json:"torn"`
-}
-
-// Recovery reports the journal replay summary (zero without a journal).
-func (s *Server) Recovery() RecoveryInfo {
-	if s.opts.Journal == nil {
-		return RecoveryInfo{}
-	}
-	st := s.opts.Journal.ReplayState()
-	return RecoveryInfo{
-		Entries:   st.Entries,
-		Jobs:      len(st.Jobs),
-		Manifests: len(st.OpenManifests),
-		Torn:      st.Torn,
-	}
 }

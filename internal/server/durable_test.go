@@ -99,7 +99,7 @@ func TestCrashRecoverySweepE2E(t *testing.T) {
 	if j2.Stats().Replayed == 0 {
 		t.Error("second process replayed nothing")
 	}
-	if rec := srv2.Recovery(); rec.Jobs == 0 && rec.Manifests == 0 {
+	if rec := j2.ReplayState(); len(rec.Jobs) == 0 && len(rec.OpenManifests) == 0 {
 		t.Errorf("recovery reconstructed nothing: %+v", rec)
 	}
 
@@ -126,15 +126,14 @@ func TestCrashRecoverySweepE2E(t *testing.T) {
 	// Zero re-simulation of completed jobs: the new process simulated
 	// only what the crash left unfinished and settled the rest from the
 	// store.
-	m := srv2.Metrics()
-	if want := uint64(4 - completedBefore); m.RunsStarted != want {
-		t.Errorf("RunsStarted = %d, want %d (completed-before-crash must not re-simulate)", m.RunsStarted, want)
+	if n, want := srv2.metrics.RunsStarted.Load(), uint64(4-completedBefore); n != want {
+		t.Errorf("RunsStarted = %d, want %d (completed-before-crash must not re-simulate)", n, want)
 	}
-	if m.CacheHits < uint64(completedBefore) {
-		t.Errorf("CacheHits = %d, want >= %d", m.CacheHits, completedBefore)
+	if n := srv2.metrics.CacheHits.Load(); n < uint64(completedBefore) {
+		t.Errorf("CacheHits = %d, want >= %d", n, completedBefore)
 	}
-	if m.Journal.Replayed == 0 {
-		t.Error("journal replay counter not surfaced in metrics")
+	if got := scrape(t, hs2.URL)["ringsimd_journal_replayed_total"]; got == "0" || got == "" {
+		t.Errorf("journal replay counter not surfaced in metrics: %q", got)
 	}
 }
 
@@ -196,7 +195,7 @@ func TestGracefulCloseReplaysExploration(t *testing.T) {
 	postJSON(t, hs1.URL+"/v1/explore", body, http.StatusAccepted, &ev)
 	id := ev.ID
 	deadline := time.Now().Add(2 * time.Minute)
-	for srv1.Metrics().RunsStarted == 0 {
+	for srv1.metrics.RunsStarted.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no run started before deadline")
 		}
@@ -238,19 +237,18 @@ func TestRestartSweepJournalsOnlyItsManifest(t *testing.T) {
 	hs1.Close()
 	srv1.Close()
 
-	srv2, hs2, _ := newDurableServer(t, dir, 1)
+	srv2, hs2, j2 := newDurableServer(t, dir, 1)
 	t.Cleanup(func() { hs2.Close(); srv2.Close() })
-	before := srv2.Metrics().Journal.Entries
+	before := j2.Stats().Entries
 	postJSON(t, hs2.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
 	final := pollSweep(t, hs2.URL, sv.ID)
 	if final.Status != statusDone || final.Done != 4 || final.CacheHits != 4 {
 		t.Fatalf("warm resubmission: %+v", final)
 	}
-	m := srv2.Metrics()
-	if m.RunsStarted != 0 {
-		t.Errorf("RunsStarted = %d, want 0: every member is in the store", m.RunsStarted)
+	if n := srv2.metrics.RunsStarted.Load(); n != 0 {
+		t.Errorf("RunsStarted = %d, want 0: every member is in the store", n)
 	}
-	if got := m.Journal.Entries - before; got != 0 {
+	if got := j2.Stats().Entries - before; got != 0 {
 		t.Errorf("the resubmission appended %d journal records, want 0", got)
 	}
 }
@@ -262,19 +260,18 @@ func TestRestartSweepJournalsOnlyItsManifest(t *testing.T) {
 // with the log, an empty manifests/ and the sweep's reply in done/.
 func TestColdSweepJournalsOnlyItsManifest(t *testing.T) {
 	dir := t.TempDir()
-	srv, hs, _ := newDurableServer(t, dir, 1)
+	srv, hs, j := newDurableServer(t, dir, 1)
 	t.Cleanup(func() { hs.Close(); srv.Close() })
-	before := srv.Metrics().Journal.Entries
+	before := j.Stats().Entries
 	var sv sweepView
 	postJSON(t, hs.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
 	if final := pollSweep(t, hs.URL, sv.ID); final.Status != statusDone || final.Done != 4 || final.CacheHits != 0 {
 		t.Fatalf("cold sweep: %+v", final)
 	}
-	m := srv.Metrics()
-	if m.RunsStarted != 4 {
-		t.Errorf("RunsStarted = %d, want 4: the sweep is cold", m.RunsStarted)
+	if n := srv.metrics.RunsStarted.Load(); n != 4 {
+		t.Errorf("RunsStarted = %d, want 4: the sweep is cold", n)
 	}
-	if got := m.Journal.Entries - before; got != 0 {
+	if got := j.Stats().Entries - before; got != 0 {
 		t.Errorf("the cold sweep appended %d journal records, want 0", got)
 	}
 	var files []string
@@ -470,18 +467,18 @@ func TestRetiredSweepLeftOpenAnswersItsReply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, hs2, _ := newDurableServer(t, dir, 1)
+	srv2, hs2, j2 := newDurableServer(t, dir, 1)
 	t.Cleanup(func() { hs2.Close(); srv2.Close() })
 	srv2.mu.Lock()
 	_, registered := srv2.subs[sv.ID]
 	srv2.mu.Unlock()
-	if registered || srv2.Recovery().Manifests != 0 {
-		t.Errorf("the retired sweep was registered again (recovered %d manifests)", srv2.Recovery().Manifests)
+	if n := len(j2.ReplayState().OpenManifests); registered || n != 0 {
+		t.Errorf("the retired sweep was registered again (recovered %d manifests)", n)
 	}
 	if got := getBody(t, hs2.URL+"/v1/sweeps/"+sv.ID); !bytes.Equal(got, want) {
 		t.Errorf("stored reply differs:\n got %s\nwant %s", got, want)
 	}
-	if n := srv2.Metrics().RunsStarted; n != 0 {
+	if n := srv2.metrics.RunsStarted.Load(); n != 0 {
 		t.Errorf("RunsStarted = %d, want 0", n)
 	}
 	if _, err := os.Stat(manifest); !os.IsNotExist(err) {

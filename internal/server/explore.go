@@ -59,11 +59,11 @@ type exploreRequest struct {
 	Insts  uint64 `json:"insts"`
 	Warmup uint64 `json:"warmup"`
 	// Twin gates the exploration with the analytical predictor: "on",
-	// "off", or "auto". Empty falls back to the server's -twin default.
+	// "off", or "auto". Empty means off.
 	Twin string `json:"twin,omitempty"`
 	// Fidelity selects the search tier's execution fidelity ("exact" or
 	// "sampled(interval,window,warm)"); the final frontier is always
-	// re-scored exactly. Empty inherits the server's -fidelity default.
+	// re-scored exactly. Empty means exact.
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
@@ -134,7 +134,7 @@ func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &er) {
 		return
 	}
-	space, strat, programs, twin, sp, err := s.resolveExplore(&er)
+	space, strat, programs, twin, sp, err := resolveExplore(&er)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -178,7 +178,7 @@ func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 
 // resolveExplore turns the wire request into a validated space, strategy,
 // program list, twin mode, and search-tier sampling fidelity.
-func (s *Server) resolveExplore(er *exploreRequest) (dse.Space, dse.Strategy, []string, dse.TwinMode, harness.Sampling, error) {
+func resolveExplore(er *exploreRequest) (dse.Space, dse.Strategy, []string, dse.TwinMode, harness.Sampling, error) {
 	fail := func(err error) (dse.Space, dse.Strategy, []string, dse.TwinMode, harness.Sampling, error) {
 		return dse.Space{}, nil, nil, "", harness.Sampling{}, err
 	}
@@ -205,23 +205,18 @@ func (s *Server) resolveExplore(er *exploreRequest) (dse.Space, dse.Strategy, []
 	if err != nil {
 		return fail(err)
 	}
-	// The request's twin field wins; empty inherits the server's -twin
-	// default. An impossible combination (twin=on with a non-grid
-	// strategy) is refused here, synchronously, not mid-exploration.
-	twinSpec := er.Twin
-	if twinSpec == "" {
-		twinSpec = s.opts.Twin
-	}
-	twin, err := dse.ParseTwinMode(twinSpec)
+	// An impossible combination (twin=on with a non-grid strategy) is
+	// refused here, synchronously, not mid-exploration.
+	twin, err := dse.ParseTwinMode(er.Twin)
 	if err != nil {
 		return fail(err)
 	}
 	if _, err := (&dse.TwinOptions{Mode: twin}).Enabled(strat, space.Size()); err != nil {
 		return fail(err)
 	}
-	// Like -twin, fidelity is validated at submit time so a typo is a 400,
+	// Like twin, fidelity is validated at submit time so a typo is a 400,
 	// not an asynchronous exploration failure.
-	sp, err := s.resolveFidelity(er.Fidelity)
+	sp, err := harness.ParseFidelity(er.Fidelity)
 	if err != nil {
 		return fail(err)
 	}

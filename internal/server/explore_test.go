@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -81,10 +80,13 @@ func TestExploreE2E(t *testing.T) {
 	if len(ev.Points) != 8 {
 		t.Fatalf("final view carries %d points, want 8", len(ev.Points))
 	}
-	m1 := srv.Metrics()
-	if m1.RunsStarted != 16 || m1.ExplorePoints != 8 || m1.ExploreSims != 16 {
-		t.Fatalf("first exploration metrics: %+v", m1)
-	}
+	wantSeries(t, hs.URL, map[string]string{
+		"ringsimd_explores_submitted_total": "1",
+		"ringsimd_runs_started_total":       "16",
+		"ringsimd_explore_points_total":     "8",
+		"ringsimd_explore_sims_total":       "16",
+		"ringsimd_explore_cache_hits_total": "0",
+	})
 
 	// Identical resubmission: the content-addressed registry/store answers
 	// every point; nothing new simulates.
@@ -97,19 +99,15 @@ func TestExploreE2E(t *testing.T) {
 	if ev2.Status != statusDone {
 		t.Fatalf("re-exploration failed: %+v", ev2)
 	}
-	m2 := srv.Metrics()
-	if m2.RunsStarted != m1.RunsStarted {
-		t.Errorf("re-exploration simulated %d new runs, want 0", m2.RunsStarted-m1.RunsStarted)
-	}
 	if ev2.SimsRun != 0 || ev2.CacheHits != 16 {
 		t.Errorf("re-exploration sims=%d cache_hits=%d, want 0/16", ev2.SimsRun, ev2.CacheHits)
 	}
-	if got := m2.ExploreCacheHits - m1.ExploreCacheHits; got != 16 {
-		t.Errorf("explore cache-hit counter rose by %d, want 16", got)
-	}
-	if m2.ExploreCacheHitRatio() != 0.5 { // 16 sims + 16 hits lifetime
-		t.Errorf("explore cache-hit ratio = %v, want 0.5", m2.ExploreCacheHitRatio())
-	}
+	wantSeries(t, hs.URL, map[string]string{
+		"ringsimd_explores_submitted_total": "2",
+		"ringsimd_runs_started_total":       "16",
+		"ringsimd_explore_cache_hits_total": "16",
+		"ringsimd_explore_cache_hit_ratio":  "0.5", // 16 sims + 16 hits lifetime
+	})
 	if len(ev2.Frontier) != len(ev.Frontier) {
 		t.Errorf("cached exploration found %d frontier points, want %d", len(ev2.Frontier), len(ev.Frontier))
 	}
@@ -128,9 +126,10 @@ func TestExploreE2E(t *testing.T) {
 	if ev3.Status != statusDone {
 		t.Fatalf("climb over warm cache: %+v", ev3)
 	}
-	if srv.Metrics().RunsStarted != m2.RunsStarted {
-		t.Error("climb strategy re-simulated points the grid pass already covered")
+	if n := srv.metrics.RunsStarted.Load(); n != 16 {
+		t.Errorf("climb strategy re-simulated points the grid pass already covered: %d runs started, want 16", n)
 	}
+	wantSeries(t, hs.URL, map[string]string{"ringsimd_explores_submitted_total": "3"})
 	if ev3.SimsRun != 0 {
 		t.Errorf("climb over warm cache ran %d sims, want 0", ev3.SimsRun)
 	}
@@ -207,45 +206,29 @@ func TestExploreValidation(t *testing.T) {
 // over answered submissions (hits + finished simulations), so rejected
 // or in-flight submissions cannot depress it.
 func TestCacheHitRatioDenominator(t *testing.T) {
-	var s Snapshot
-	if s.CacheHitRatio() != 0 {
-		t.Error("empty snapshot ratio not 0")
+	var row series
+	for _, r := range seriesTable {
+		if r.name == "ringsimd_cache_hit_ratio" {
+			row = r
+		}
 	}
-	s = Snapshot{RunsSubmitted: 200, QueueRejected: 100, CacheHits: 100, RunsCompleted: 0}
-	if got := s.CacheHitRatio(); got != 1.0 {
+	hitRatio := func(submitted, rejected, hits, completed, failed uint64) float64 {
+		var m Metrics
+		m.RunsSubmitted.Store(submitted)
+		m.QueueRejected.Store(rejected)
+		m.CacheHits.Store(hits)
+		m.RunsCompleted.Store(completed)
+		m.RunsFailed.Store(failed)
+		return row.value(&scrapeState{m: &m})
+	}
+	if got := hitRatio(0, 0, 0, 0, 0); got != 0 {
+		t.Errorf("ratio before anything was answered = %v, want 0", got)
+	}
+	if got := hitRatio(200, 100, 100, 0, 0); got != 1.0 {
 		t.Errorf("all answered-from-cache ratio = %v, want 1.0 (rejections must not dilute)", got)
 	}
-	s = Snapshot{RunsSubmitted: 4, CacheHits: 1, RunsCompleted: 2, RunsFailed: 1}
-	if got := s.CacheHitRatio(); got != 0.25 {
+	if got := hitRatio(4, 0, 1, 2, 1); got != 0.25 {
 		t.Errorf("ratio = %v, want 0.25", got)
-	}
-}
-
-// TestExploreMetricsExposition checks the new Prometheus rows, including
-// the cache-hit-ratio gauges.
-func TestExploreMetricsExposition(t *testing.T) {
-	_, hs := newTestServer(t, results.NewMemoryLRU(8))
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, metric := range []string{
-		"ringsimd_explores_submitted_total",
-		"ringsimd_explore_points_total",
-		"ringsimd_explore_sims_total",
-		"ringsimd_explore_cache_hits_total",
-		"ringsimd_cache_hit_ratio 0",
-		"ringsimd_explore_cache_hit_ratio 0",
-	} {
-		if !strings.Contains(text, metric) {
-			t.Errorf("metrics output missing %s", metric)
-		}
 	}
 }
 
@@ -340,7 +323,7 @@ func TestDaemonExploreMatchesInProcess(t *testing.T) {
 		body map[string]any
 	}{{"sampled grid", sampled}, {"random", random}} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, hs := newTestServer(t, results.NewMemoryLRU(256))
+			_, hs := newTestServer(t, results.NewMemoryLRU(256))
 			var got exploreView
 			postJSON(t, hs.URL+"/v1/explore", tc.body, http.StatusAccepted, &got)
 			if got = pollExplore(t, hs.URL, got.ID); got.Status != statusDone {
@@ -355,7 +338,7 @@ func TestDaemonExploreMatchesInProcess(t *testing.T) {
 			if err := json.Unmarshal(raw, &er); err != nil {
 				t.Fatal(err)
 			}
-			space, strat, programs, twin, sp, err := srv.resolveExplore(&er)
+			space, strat, programs, twin, sp, err := resolveExplore(&er)
 			if err != nil {
 				t.Fatal(err)
 			}

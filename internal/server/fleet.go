@@ -87,8 +87,7 @@ func (s *Server) poisonRun(j results.Job, attempts int) {
 }
 
 // completeRemote lands one record a worker, local or remote, executed.
-// worker labels the completion-latency observation.
-func (s *Server) completeRemote(worker string, res results.Result) {
+func (s *Server) completeRemote(res results.Result) {
 	s.mu.Lock()
 	st, ok := s.runs[res.Key]
 	if !ok || st.status.terminal() {
@@ -101,7 +100,7 @@ func (s *Server) completeRemote(worker string, res results.Result) {
 		// Lease grant to completion, as the coordinator saw it: includes
 		// the round trips, which is the number an operator watching a
 		// fleet needs.
-		s.workerLatency.observe(worker, time.Since(startedAt).Seconds())
+		s.metrics.workerComplete.observe(time.Since(startedAt).Seconds())
 	}
 	s.settleExecuted(res)
 }
@@ -162,7 +161,7 @@ func (s *Server) handleFleetLease(local bool) http.HandlerFunc {
 		}
 		s.mu.Unlock()
 		for _, age := range queueAges {
-			s.histQueueAge.observe(age)
+			s.metrics.queueAge.observe(age)
 		}
 		writeJSON(w, http.StatusOK, fleet.LeaseResponse{
 			JobBatch:       batch,
@@ -187,7 +186,7 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 			continue
 		}
-		s.completeRemote(cr.WorkerID, res)
+		s.completeRemote(res)
 		resp.Accepted++
 	}
 	writeJSON(w, http.StatusOK, resp)

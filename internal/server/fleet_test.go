@@ -102,11 +102,10 @@ func TestFleetSweepBitIdentical(t *testing.T) {
 
 	// All simulations really happened remotely (no local pool exists),
 	// split across both workers.
-	m := srv.Metrics()
-	if m.RunsStarted != 0 {
-		t.Errorf("dispatch-only coordinator simulated %d runs locally", m.RunsStarted)
+	if n := srv.metrics.RunsStarted.Load(); n != 0 {
+		t.Errorf("dispatch-only coordinator simulated %d runs locally", n)
 	}
-	if got := m.Fleet.RemoteCompleted; got != uint64(total) {
+	if got := srv.fleet.Stats().RemoteCompleted; got != uint64(total) {
 		t.Errorf("remote completions = %d, want %d", got, total)
 	}
 	sa, sb := wA.Stats(), wB.Stats()
@@ -125,7 +124,7 @@ func TestFleetSweepBitIdentical(t *testing.T) {
 	if sv2.Status != statusDone || sv2.CacheHits != total {
 		t.Fatalf("resubmitted fleet sweep: status=%s cache_hits=%d, want done/%d", sv2.Status, sv2.CacheHits, total)
 	}
-	if got := srv.Metrics().Fleet.RemoteCompleted; got != uint64(total) {
+	if got := srv.fleet.Stats().RemoteCompleted; got != uint64(total) {
 		t.Errorf("resubmission leaked %d runs to the fleet", got-uint64(total))
 	}
 	if !reflect.DeepEqual(sv2.Results, sv.Results) {
@@ -164,12 +163,12 @@ func TestFleetWorkerLossRequeues(t *testing.T) {
 	if sv.Status != statusDone || sv.Done != 4 {
 		t.Fatalf("sweep did not survive worker loss: %+v", sv)
 	}
-	m := srv.Metrics()
-	if m.Fleet.Requeues == 0 {
+	fs := srv.fleet.Stats()
+	if fs.Requeues == 0 {
 		t.Error("no leases were requeued after worker loss")
 	}
-	if m.Fleet.RemoteCompleted != 4 {
-		t.Errorf("remote completions = %d, want 4", m.Fleet.RemoteCompleted)
+	if fs.RemoteCompleted != 4 {
+		t.Errorf("remote completions = %d, want 4", fs.RemoteCompleted)
 	}
 
 	// The doomed worker's ghost completion arrives after the requeue has
@@ -243,9 +242,8 @@ func TestFleetOfZeroFallsBackLocally(t *testing.T) {
 	if sv.Status != statusDone || sv.Done != 4 {
 		t.Fatalf("fleet-of-zero sweep: %+v", sv)
 	}
-	m := srv.Metrics()
-	if m.RunsStarted != 4 || m.Fleet.RemoteCompleted != 0 || m.Fleet.Workers != 0 {
-		t.Errorf("fleet-of-zero metrics: %+v", m)
+	if n, fs := srv.metrics.RunsStarted.Load(), srv.fleet.Stats(); n != 4 || fs.RemoteCompleted != 0 || fs.Workers != 0 {
+		t.Errorf("fleet-of-zero: %d runs started, fleet %+v", n, fs)
 	}
 
 	// The status endpoint reports an empty fleet rather than erroring.
@@ -258,7 +256,7 @@ func TestFleetOfZeroFallsBackLocally(t *testing.T) {
 
 // TestFleetSweepOfSharedWorkload: a sweep whose members all share one
 // workload is executed in full by the remote worker of a dispatch-only
-// coordinator, and the batch metrics rows are exposed on /metrics.
+// coordinator.
 func TestFleetSweepOfSharedWorkload(t *testing.T) {
 	_, hs := newFleetServer(t, results.NewMemoryLRU(256), fleet.CoordinatorOptions{})
 	w, _ := startWorker(t, hs.URL, "remote", nil)
@@ -282,25 +280,6 @@ func TestFleetSweepOfSharedWorkload(t *testing.T) {
 
 	if st := w.Stats(); st.Executed != uint64(len(configs)) {
 		t.Errorf("remote worker executed %d runs, want all %d", st.Executed, len(configs))
-	}
-	// The batch amortization counters are exposed for operators.
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	metrics, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		"ringsimd_batch_groups_total",
-		"ringsimd_batch_runs_total",
-		"ringsimd_batch_amortized_decodes_total",
-	} {
-		if !strings.Contains(string(metrics), name) {
-			t.Errorf("/metrics missing %s", name)
-		}
 	}
 }
 
@@ -332,7 +311,7 @@ func TestStorePutFailureIsCountedNotFatal(t *testing.T) {
 		if sv.Status != statusDone || sv.Done != 4 || sv.Failed != 0 {
 			t.Fatalf("%s: sweep over a failing store: %+v", name, sv)
 		}
-		if got := srv.Metrics().StorePutErrors; got != 4 {
+		if got := srv.metrics.StorePutErrors.Load(); got != 4 {
 			t.Errorf("%s: StorePutErrors = %d, want 4", name, got)
 		}
 		resp, err := http.Get(hs.URL + "/metrics")

@@ -51,11 +51,11 @@ func TestIdleDaemonStartsRunAtOnce(t *testing.T) {
 		if _, _, err := srv.submit(localRun(testInsts, i)); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "the run to start", func() bool { return srv.Metrics().RunsStarted > uint64(i) })
+		waitFor(t, "the run to start", func() bool { return srv.metrics.RunsStarted.Load() > uint64(i) })
 		if d := time.Since(began); d > 100*time.Millisecond {
 			t.Errorf("submission %d started after %v on an idle daemon, want well under the 500 ms poll", i, d)
 		}
-		waitFor(t, "the run to finish", func() bool { return srv.Metrics().RunsCompleted > uint64(i) })
+		waitFor(t, "the run to finish", func() bool { return srv.metrics.RunsCompleted.Load() > uint64(i) })
 	}
 }
 
@@ -72,7 +72,7 @@ func TestTerminateMidRunLeavesKeyToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := st.key
-	waitFor(t, "the run to start", func() bool { return srv1.Metrics().RunsStarted == 1 })
+	waitFor(t, "the run to start", func() bool { return srv1.metrics.RunsStarted.Load() == 1 })
 	srv1.Terminate()
 	srv1.mu.Lock()
 	status := srv1.runs[key].status
@@ -84,16 +84,16 @@ func TestTerminateMidRunLeavesKeyToReplay(t *testing.T) {
 		t.Fatal("the terminated worker's record reached the store")
 	}
 
-	srv2, hs2, _ := newDurableServer(t, dir, 1)
+	srv2, hs2, j2 := newDurableServer(t, dir, 1)
 	t.Cleanup(func() { hs2.Close(); srv2.Close() })
-	if rec := srv2.Recovery(); rec.Jobs != 1 {
-		t.Errorf("journal replay re-queued %d jobs, want the terminated run", rec.Jobs)
+	if n := len(j2.ReplayState().Jobs); n != 1 {
+		t.Errorf("journal replay re-queued %d jobs, want the terminated run", n)
 	}
 	if rv := pollRun(t, hs2.URL, key); rv.Status != statusDone {
 		t.Fatalf("replayed run: %+v", rv)
 	}
-	if m := srv2.Metrics(); m.RunsStarted != 1 || m.CacheHits != 0 {
-		t.Errorf("replay: %d runs started, %d cache hits; want the key simulated once", m.RunsStarted, m.CacheHits)
+	if started, hits := srv2.metrics.RunsStarted.Load(), srv2.metrics.CacheHits.Load(); started != 1 || hits != 0 {
+		t.Errorf("replay: %d runs started, %d cache hits; want the key simulated once", started, hits)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestFleetSecretDaemonRunsLocally(t *testing.T) {
 		if rv = pollRun(t, hs.URL, rv.ID); rv.Status != statusDone {
 			t.Errorf("fleet %v: run under a fleet secret: %+v", fo != nil, rv)
 		}
-		if m := srv.Metrics(); m.RunsStarted != 1 || m.Fleet.RemoteCompleted != 0 {
-			t.Errorf("fleet %v: %d runs started, %d remote; want one local run", fo != nil, m.RunsStarted, m.Fleet.RemoteCompleted)
+		if started, remote := srv.metrics.RunsStarted.Load(), srv.fleet.Stats().RemoteCompleted; started != 1 || remote != 0 {
+			t.Errorf("fleet %v: %d runs started, %d remote; want one local run", fo != nil, started, remote)
 		}
 		hs.Close()
 		srv.Close()

@@ -99,7 +99,7 @@ func TestMultiProgramRunE2E(t *testing.T) {
 	// Both must match direct in-process execution bit for bit.
 	req := harness.Request{
 		Config:   core.MustPaperConfig(core.ArchRing, 8, 2, 1),
-		Workload: workload.Mix("gcc", "swim"),
+		Workload: workload.Spec{Streams: []workload.StreamSpec{{Program: "gcc"}, {Program: "swim"}}},
 		Insts:    testInsts,
 		Warmup:   testWarmup,
 	}
@@ -175,8 +175,8 @@ func TestMultiProgramFleetE2E(t *testing.T) {
 		}
 	}
 	// Everything really ran remotely.
-	if m := srv.Metrics(); m.Fleet.RemoteCompleted == 0 || m.RunsStarted != 0 {
-		t.Fatalf("work did not flow through the fleet: %+v", m)
+	if remote, started := srv.fleet.Stats().RemoteCompleted, srv.metrics.RunsStarted.Load(); remote == 0 || started != 0 {
+		t.Fatalf("work did not flow through the fleet: %d remote completions, %d local starts", remote, started)
 	}
 }
 
@@ -305,19 +305,11 @@ func TestFleetPoisonedRunFails(t *testing.T) {
 	if len(fsv.Poisoned) != 1 || fsv.Poisoned[0].Key != rv.ID {
 		t.Fatalf("poisoned lot not visible: %+v", fsv.Poisoned)
 	}
-	// …and the counter in /metrics.
-	mresp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	mb, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(mb), "ringsimd_fleet_poisoned_total 1") {
-		t.Fatal("ringsimd_fleet_poisoned_total not exported")
-	}
+	// …and the counters in /metrics: one job parked, one run failed.
+	wantSeries(t, hs.URL, map[string]string{
+		"ringsimd_fleet_poisoned_total": "1",
+		"ringsimd_runs_failed_total":    "1",
+	})
 }
 
 // fleetPost posts a raw JSON body to a fleet endpoint and returns the

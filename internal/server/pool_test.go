@@ -37,6 +37,17 @@ func scrape(t *testing.T, base string) map[string]string {
 	return out
 }
 
+// wantSeries checks the values of the named series on /metrics.
+func wantSeries(t *testing.T, base string, want map[string]string) {
+	t.Helper()
+	got := scrape(t, base)
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %q, want %s", name, got[name], v)
+		}
+	}
+}
+
 // gridBody names a config-major grid — harness.Expand's order, every
 // program once per configuration — of the first nConfigs paper
 // configurations over the first nPrograms programs.
@@ -198,9 +209,9 @@ func TestFleetQueueFullDuringSweep(t *testing.T) {
 	var sv sweepView
 	postJSON(t, hs.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv) // 4 runs into a pool of 2
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().QueueLen < 2 {
+	for srv.fleet.Stats().Pending < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("the feeder never filled the pool: queue_len = %d", srv.Metrics().QueueLen)
+			t.Fatalf("the feeder never filled the pool: queue_len = %d", srv.fleet.Stats().Pending)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -209,7 +220,7 @@ func TestFleetQueueFullDuringSweep(t *testing.T) {
 		"program": "mcf", "insts": testInsts, "warmup": testWarmup,
 	}
 	postJSON(t, hs.URL+"/v1/runs", direct, http.StatusServiceUnavailable, nil)
-	if got := srv.Metrics().QueueRejected; got != 1 {
+	if got := srv.metrics.QueueRejected.Load(); got != 1 {
 		t.Errorf("queue_rejected = %d, want 1", got)
 	}
 

@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dse"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/journal"
@@ -89,16 +88,6 @@ type Options struct {
 	// Store caches results by content hash. Default: a 4096-entry
 	// in-memory LRU.
 	Store results.Store
-	// Twin is the default analytical-twin mode ("on", "off", or "auto")
-	// for explorations whose request omits the twin field. Empty means
-	// off. Requests may override per-exploration.
-	Twin string
-	// Fidelity is the default execution fidelity ("exact", "sampled", or
-	// "sampled(interval,window,warm)") for runs, sweeps, and explorations
-	// whose request omits the fidelity field. Empty means exact. Requests
-	// may override per-submission; both the default and overrides are
-	// validated at submit time, like Twin.
-	Fidelity string
 	// Journal, when non-nil, makes the control plane crash-safe: the
 	// pending-pool mutations of direct runs are journaled, sweeps and
 	// explorations persist durable manifests under their client-visible
@@ -217,13 +206,11 @@ type Server struct {
 	// a real crash.
 	killed atomic.Bool
 
-	metrics       Metrics
-	histQueueAge  *histogram
-	workerLatency *labeledHistograms
-	stopWorkers   context.CancelFunc // ends the local workers
-	wg            sync.WaitGroup     // local workers, and their simulations in flight
-	feederWG      sync.WaitGroup     // sweep and recovery feeders
-	exploreWG     sync.WaitGroup     // exploration drivers
+	metrics     Metrics
+	stopWorkers context.CancelFunc // ends the local workers
+	wg          sync.WaitGroup     // local workers, and their simulations in flight
+	feederWG    sync.WaitGroup     // sweep and recovery feeders
+	exploreWG   sync.WaitGroup     // exploration drivers
 
 	// fleet owns the pending pool every run waits in, and the remote-worker
 	// registry when Options.Fleet asks for one.
@@ -250,21 +237,11 @@ func New(opts Options) (*Server, error) {
 	if opts.maxSubmissions <= 0 {
 		opts.maxSubmissions = maxSubmissions
 	}
-	// Fail a misspelled default twin mode or fidelity at startup, not on
-	// the first submission that tries to inherit it.
-	if _, err := dse.ParseTwinMode(opts.Twin); err != nil {
-		return nil, err
-	}
-	if _, err := harness.ParseFidelity(opts.Fidelity); err != nil {
-		return nil, err
-	}
 	s := &Server{
-		opts:          opts,
-		quit:          make(chan struct{}),
-		runs:          make(map[string]*runState),
-		subs:          make(map[string]*submission),
-		histQueueAge:  newHistogram(latencyBuckets),
-		workerLatency: newLabeledHistograms(latencyBuckets),
+		opts: opts,
+		quit: make(chan struct{}),
+		runs: make(map[string]*runState),
+		subs: make(map[string]*submission),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
@@ -306,15 +283,6 @@ func New(opts Options) (*Server, error) {
 
 // Handler returns the HTTP handler for the API.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics returns a snapshot of the service counters.
-func (s *Server) Metrics() Snapshot {
-	var js journal.Stats
-	if s.opts.Journal != nil {
-		js = s.opts.Journal.Stats()
-	}
-	return s.metrics.snapshot(s.opts.Workers, s.fleet.Stats(), js)
-}
 
 // Close stops accepting submissions, stops sweep feeders, lets the local
 // workers drain the pool, and waits for in-flight simulations to finish.
@@ -668,17 +636,6 @@ func (s *Server) feed(jobs []results.Job) {
 	}
 }
 
-// resolveFidelity resolves a submission's fidelity field against the
-// server default: the request's value wins, empty inherits
-// Options.Fidelity, and either is validated here — at submit time — so
-// a malformed fidelity is a synchronous 400, never an async run failure.
-func (s *Server) resolveFidelity(v string) (harness.Sampling, error) {
-	if v == "" {
-		v = s.opts.Fidelity
-	}
-	return harness.ParseFidelity(v)
-}
-
 // validate rejects malformed requests before they consume queue space.
 func validate(req harness.Request) error {
 	if err := req.Config.Validate(); err != nil {
@@ -738,7 +695,7 @@ type sweepRequest struct {
 	Insts    uint64       `json:"insts"`
 	Warmup   uint64       `json:"warmup"`
 	// Fidelity applies one execution fidelity to every member (see
-	// runSubmission.Fidelity); empty inherits the server default.
+	// runSubmission.Fidelity); empty means exact.
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
@@ -772,8 +729,8 @@ type runSubmission struct {
 	Insts   uint64           `json:"insts"`
 	Warmup  uint64           `json:"warmup"`
 	// Fidelity selects the execution mode: "exact", "sampled", or
-	// "sampled(interval,window,warm)". Empty inherits the server's
-	// default (Options.Fidelity). Sampled results carry extrapolated
+	// "sampled(interval,window,warm)"; empty means exact, and a malformed
+	// value is a 400 at submit time. Sampled results carry extrapolated
 	// statistics plus standard errors and key distinctly from exact runs
 	// of the same grid cell.
 	Fidelity string `json:"fidelity,omitempty"`
@@ -813,7 +770,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sp, err := s.resolveFidelity(sub.Fidelity)
+	sp, err := harness.ParseFidelity(sub.Fidelity)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -873,7 +830,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sp, err := s.resolveFidelity(sr.Fidelity)
+	sp, err := harness.ParseFidelity(sr.Fidelity)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -111,7 +110,7 @@ func pollSweep(t *testing.T, base, id string) sweepView {
 // results identical to direct harness.Execute calls, and an identical
 // resubmission is served entirely from cache.
 func TestSweepE2E(t *testing.T) {
-	srv, hs := newTestServer(t, results.NewMemoryLRU(64))
+	_, hs := newTestServer(t, results.NewMemoryLRU(64))
 
 	var sv sweepView
 	postJSON(t, hs.URL+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
@@ -154,10 +153,13 @@ func TestSweepE2E(t *testing.T) {
 		}
 	}
 
-	before := srv.Metrics()
-	if before.RunsStarted != 4 || before.RunsCompleted != 4 {
-		t.Fatalf("first sweep metrics: %+v", before)
-	}
+	wantSeries(t, hs.URL, map[string]string{
+		"ringsimd_sweeps_submitted_total": "1",
+		"ringsimd_runs_submitted_total":   "4",
+		"ringsimd_runs_started_total":     "4",
+		"ringsimd_runs_completed_total":   "4",
+		"ringsimd_cache_hits_total":       "0",
+	})
 
 	// Resubmit the identical sweep: all four runs must be cache hits and
 	// nothing new may be simulated.
@@ -173,13 +175,14 @@ func TestSweepE2E(t *testing.T) {
 	if sv2.CacheHits != 4 {
 		t.Errorf("resubmitted sweep cache_hits = %d, want 4", sv2.CacheHits)
 	}
-	after := srv.Metrics()
-	if after.RunsStarted != before.RunsStarted {
-		t.Errorf("resubmission simulated %d new runs", after.RunsStarted-before.RunsStarted)
-	}
-	if got := after.CacheHits - before.CacheHits; got != 4 {
-		t.Errorf("cache-hit counter rose by %d, want 4", got)
-	}
+	// Every member is counted again as submitted and answered from the
+	// cache; nothing new simulates.
+	wantSeries(t, hs.URL, map[string]string{
+		"ringsimd_sweeps_submitted_total": "2",
+		"ringsimd_runs_submitted_total":   "8",
+		"ringsimd_runs_started_total":     "4",
+		"ringsimd_cache_hits_total":       "4",
+	})
 	if !reflect.DeepEqual(sv2.Results, sv.Results) {
 		t.Error("cached sweep results differ from the original")
 	}
@@ -239,7 +242,7 @@ func TestRunEndpointAndDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, hs2 := newTestServer(t, disk2)
+	_, hs2 := newTestServer(t, disk2)
 	var rv2 runView
 	postJSON(t, hs2.URL+"/v1/runs", body, http.StatusAccepted, &rv2)
 	for rv2.Status != statusDone && rv2.Status != statusFailed {
@@ -252,10 +255,11 @@ func TestRunEndpointAndDiskCache(t *testing.T) {
 	if !rv2.Cached {
 		t.Error("disk-cached run not marked cached")
 	}
-	m := srv2.Metrics()
-	if m.RunsStarted != 0 || m.CacheHits != 1 {
-		t.Errorf("fresh server metrics after warm-disk run: %+v", m)
-	}
+	wantSeries(t, hs2.URL, map[string]string{
+		"ringsimd_runs_submitted_total": "1",
+		"ringsimd_runs_started_total":   "0",
+		"ringsimd_cache_hits_total":     "1",
+	})
 	if !reflect.DeepEqual(rv2.Result, rv.Result) {
 		t.Error("disk-cached result differs from original")
 	}
@@ -321,25 +325,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if hz["status"] != "ok" {
 		t.Errorf("healthz: %+v", hz)
 	}
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	if hz["workers"] != 2.0 {
+		t.Errorf("healthz workers = %v, want 2", hz["workers"])
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, metric := range []string{
-		"ringsimd_runs_started_total", "ringsimd_runs_completed_total",
-		"ringsimd_cache_hits_total", "ringsimd_runs_failed_total",
-		"ringsimd_queue_len", "ringsimd_workers 2",
-	} {
-		if !strings.Contains(text, metric) {
-			t.Errorf("metrics output missing %s:\n%s", metric, text)
-		}
-	}
+	wantSeries(t, hs.URL, map[string]string{"ringsimd_workers": "2"})
 }
 
 // TestQueueFull floods the bounded queue with distinct runs and expects
@@ -376,8 +365,8 @@ func TestQueueFull(t *testing.T) {
 	if refused == 0 {
 		t.Error("bounded queue never refused a submission")
 	}
-	if srv.Metrics().QueueRejected != uint64(refused) {
-		t.Errorf("queue_rejected = %d, want %d", srv.Metrics().QueueRejected, refused)
+	if got := srv.metrics.QueueRejected.Load(); got != uint64(refused) {
+		t.Errorf("queue_rejected = %d, want %d", got, refused)
 	}
 	// The HTTP layer maps a full queue to 503 Service Unavailable.
 	if got := submitStatus(errQueueFull); got != http.StatusServiceUnavailable {
@@ -488,7 +477,7 @@ func TestRegistryEviction(t *testing.T) {
 		t.Errorf("evicted run GET = %+v, want done+cached with result", ev)
 	}
 	// Resubmitting it is likewise answered without simulating.
-	started := srv.Metrics().RunsStarted
+	started := srv.metrics.RunsStarted.Load()
 	body := map[string]any{
 		"paper":   map[string]any{"arch": "ring", "clusters": 4, "iw": 2, "buses": 1},
 		"program": "gcc", "insts": testInsts, "warmup": testWarmup,
@@ -506,7 +495,7 @@ func TestRegistryEviction(t *testing.T) {
 	if !rv.Cached {
 		t.Error("evicted-then-resubmitted run not served from store")
 	}
-	if got := srv.Metrics().RunsStarted; got != started {
+	if got := srv.metrics.RunsStarted.Load(); got != started {
 		t.Errorf("resubmission of an evicted run simulated again (%d -> %d)", started, got)
 	}
 
@@ -571,11 +560,10 @@ func TestDedupInFlight(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		getJSON(t, hs.URL+"/v1/runs/"+b.ID, &b)
 	}
-	m := srv.Metrics()
-	if m.RunsStarted != 1 {
-		t.Errorf("in-flight duplicate caused %d simulations, want 1", m.RunsStarted)
+	if n := srv.metrics.RunsStarted.Load(); n != 1 {
+		t.Errorf("in-flight duplicate caused %d simulations, want 1", n)
 	}
-	if m.Deduped+m.CacheHits == 0 {
+	if srv.metrics.Deduped.Load()+srv.metrics.CacheHits.Load() == 0 {
 		t.Error("duplicate submission neither deduped nor cache-hit")
 	}
 }

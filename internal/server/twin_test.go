@@ -1,8 +1,8 @@
 package server
 
 import (
-	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -43,9 +43,8 @@ func TestExploreTwinE2E(t *testing.T) {
 	if exact.Status != statusDone || exact.TwinMode != "" {
 		t.Fatalf("exhaustive pass: %+v", exact)
 	}
-	m0 := srv.Metrics()
-	if m0.TwinPredictions != 0 || m0.TwinSimsAvoided != 0 {
-		t.Fatalf("twin counters moved on a twin=off exploration: %+v", m0)
+	if p, a := srv.metrics.TwinPredictions.Load(), srv.metrics.TwinSimsAvoided.Load(); p != 0 || a != 0 {
+		t.Fatalf("twin counters moved on a twin=off exploration: %d predictions, %d sims avoided", p, a)
 	}
 
 	var tv exploreView
@@ -81,36 +80,17 @@ func TestExploreTwinE2E(t *testing.T) {
 	if tv.SimsRun != 0 {
 		t.Errorf("twin verification ran %d fresh sims over a warm store, want 0", tv.SimsRun)
 	}
-	m1 := srv.Metrics()
-	if m1.TwinPredictions == 0 || m1.TwinSimsAvoided == 0 || m1.TwinExplores != 1 {
-		t.Fatalf("twin metrics after gated run: %+v", m1)
+	m := scrape(t, hs.URL)
+	if want := strconv.Itoa(tv.TwinPredictions); m["ringsimd_twin_predictions_total"] != want {
+		t.Errorf("ringsimd_twin_predictions_total = %s, want the exploration's %s", m["ringsimd_twin_predictions_total"], want)
+	}
+	if want := strconv.Itoa(tv.SimsAvoided); m["ringsimd_twin_sims_avoided_total"] != want {
+		t.Errorf("ringsimd_twin_sims_avoided_total = %s, want the exploration's %s", m["ringsimd_twin_sims_avoided_total"], want)
 	}
 	// The metrics accumulator keeps milli-percent resolution.
-	if diff := m1.TwinMAPE - tv.TwinMAPE; diff > 0.001 || diff < -0.001 {
-		t.Errorf("metrics mean MAPE %v, exploration MAPE %v", m1.TwinMAPE, tv.TwinMAPE)
-	}
-
-	// Exposition rows for the scrape path.
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	for _, series := range []string{
-		"ringsimd_twin_predictions_total",
-		"ringsimd_twin_sims_avoided_total",
-		"ringsimd_twin_mape",
-		"ringsimd_profile_cache_hits_total",
-		"ringsimd_profile_cache_misses_total",
-	} {
-		if !strings.Contains(text, series) {
-			t.Errorf("/metrics missing %s", series)
-		}
+	mape, err := strconv.ParseFloat(m["ringsimd_twin_mape"], 64)
+	if diff := mape - tv.TwinMAPE; err != nil || diff > 0.001 || diff < -0.001 {
+		t.Errorf("metrics mean MAPE %q, exploration MAPE %v", m["ringsimd_twin_mape"], tv.TwinMAPE)
 	}
 }
 
@@ -138,35 +118,5 @@ func TestExploreTwinValidation(t *testing.T) {
 		if !strings.Contains(er.Error, frag) {
 			t.Errorf("twin/strategy clash error %q does not name %q", er.Error, frag)
 		}
-	}
-}
-
-// TestServerTwinDefault: the daemon-level -twin default applies when the
-// request omits the field, and requests still override it.
-func TestServerTwinDefault(t *testing.T) {
-	srv, err := New(Options{Workers: 2, QueueDepth: 16, Store: results.NewMemoryLRU(64), Twin: "on"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := newHTTPServer(t, srv)
-
-	body := twinExploreBody("")
-	delete(body, "twin")
-	var ev exploreView
-	postJSON(t, base+"/v1/explore", body, http.StatusAccepted, &ev)
-	ev = pollExplore(t, base, ev.ID)
-	if ev.Status != statusDone || ev.TwinMode != "on" {
-		t.Fatalf("server default twin=on did not gate: %+v", ev)
-	}
-
-	var off exploreView
-	postJSON(t, base+"/v1/explore", twinExploreBody("off"), http.StatusAccepted, &off)
-	off = pollExplore(t, base, off.ID)
-	if off.Status != statusDone || off.TwinMode != "" {
-		t.Fatalf("request twin=off did not override the server default: %+v", off)
-	}
-
-	if _, err := New(Options{Workers: 1, Store: results.NewMemoryLRU(8), Twin: "sometimes"}); err == nil {
-		t.Fatal("New accepted a bogus default twin mode")
 	}
 }

@@ -60,16 +60,6 @@ func Single(program string) Spec {
 	return Spec{Streams: []StreamSpec{{Program: program}}}
 }
 
-// Mix is the workload of the given programs as concurrent streams, each
-// with default budget and seed.
-func Mix(programs ...string) Spec {
-	streams := make([]StreamSpec, len(programs))
-	for i, p := range programs {
-		streams[i] = StreamSpec{Program: p}
-	}
-	return Spec{Streams: streams}
-}
-
 // SingleProgram reports whether the spec is the plain single-program
 // shorthand — exactly one stream with default budget and seed — and if
 // so, which program. Wire encodings use it to keep such specs

@@ -11,7 +11,7 @@ func TestSpecParseRoundTrip(t *testing.T) {
 		want Spec
 	}{
 		{"gcc", Single("gcc")},
-		{"gcc+swim", Mix("gcc", "swim")},
+		{"gcc+swim", Spec{Streams: []StreamSpec{{Program: "gcc"}, {Program: "swim"}}}},
 		{"gcc@7", Spec{Streams: []StreamSpec{{Program: "gcc", Seed: 7}}}},
 		{"gcc:50000", Spec{Streams: []StreamSpec{{Program: "gcc", Insts: 50000}}}},
 		{"gcc:50000@7+swim", Spec{Streams: []StreamSpec{
@@ -31,6 +31,16 @@ func TestSpecParseRoundTrip(t *testing.T) {
 	}
 }
 
+// mustParse parses a spec string the test knows to be well formed.
+func mustParse(t *testing.T, in string) Spec {
+	t.Helper()
+	s, err := ParseSpec(in)
+	if err != nil {
+		t.Fatalf("ParseSpec(%q): %v", in, err)
+	}
+	return s
+}
+
 func TestSpecParseErrors(t *testing.T) {
 	for _, in := range []string{"", "gcc@", "gcc@x", "gcc:", "gcc:x", "+gcc", "gcc+", "@3"} {
 		if _, err := ParseSpec(in); err == nil {
@@ -44,7 +54,7 @@ func TestSpecSingleProgram(t *testing.T) {
 		t.Errorf("Single(gcc).SingleProgram() = %q, %v", name, ok)
 	}
 	for _, s := range []Spec{
-		Mix("gcc", "swim"),
+		mustParse(t, "gcc+swim"),
 		{Streams: []StreamSpec{{Program: "gcc", Seed: 1}}},
 		{Streams: []StreamSpec{{Program: "gcc", Insts: 10}}},
 	} {
@@ -55,14 +65,14 @@ func TestSpecSingleProgram(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	if err := Mix("gcc", "swim").Validate(); err != nil {
+	if err := mustParse(t, "gcc+swim").Validate(); err != nil {
 		t.Errorf("valid mix rejected: %v", err)
 	}
 	bad := []Spec{
 		{},
-		Mix("gcc", "nosuch"),
+		mustParse(t, "gcc+nosuch"),
 		{Streams: []StreamSpec{{Program: ""}}},
-		Mix("gcc", "gcc", "gcc", "gcc", "gcc", "gcc", "gcc", "gcc", "gcc"), // 9 > MaxStreams
+		mustParse(t, "gcc+gcc+gcc+gcc+gcc+gcc+gcc+gcc+gcc"), // 9 > MaxStreams
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -78,9 +88,9 @@ func TestSpecClass(t *testing.T) {
 	}{
 		{Single("gcc"), ClassInt},
 		{Single("swim"), ClassFP},
-		{Mix("gcc", "crafty"), ClassInt},
-		{Mix("swim", "applu"), ClassFP},
-		{Mix("gcc", "swim"), ClassMixed},
+		{mustParse(t, "gcc+crafty"), ClassInt},
+		{mustParse(t, "swim+applu"), ClassFP},
+		{mustParse(t, "gcc+swim"), ClassMixed},
 	}
 	for _, c := range cases {
 		got, err := c.spec.Class()
