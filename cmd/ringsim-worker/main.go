@@ -11,14 +11,14 @@
 //	ringsim-worker -coordinator http://host:8080
 //	               [-fleet-secret S] [-name NODE] [-capacity N]
 //	               [-poll 500ms] [-cache-dir DIR] [-cache-max-bytes N]
-//	               [-mem-entries N]
 //
 // With -cache-dir the worker fronts its own content-addressed disk
-// cache: a leased key already present locally is completed without
-// simulating, so restarted workers and workers sharing a cache volume
-// never redo work. The coordinator additionally never leases out keys
-// its own store already holds, so the worker cache only pays off for
-// results the coordinator has lost (fresh coordinator, old workers).
+// cache, opened as ringsimd opens its own (results.OpenDir): a leased
+// key already present locally is completed without simulating, so
+// restarted workers and workers sharing a cache volume never redo work.
+// The coordinator additionally never leases out keys its own store
+// already holds, so the worker cache only pays off for results the
+// coordinator has lost (fresh coordinator, old workers).
 //
 // The worker runs until SIGINT/SIGTERM, finishing and returning its
 // in-flight batch before exiting; anything it holds beyond that is
@@ -50,7 +50,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "worker-local on-disk result cache directory (empty = no local cache)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound for -cache-dir; least-recently-used entries are pruned past it (0 = unbounded)")
 	fleetSecret := flag.String("fleet-secret", "", "shared secret matching the coordinator's -fleet-secret")
-	memEntries := flag.Int("mem-entries", 1024, "in-memory LRU in front of -cache-dir (entries)")
 	showVersion := flag.Bool("version", false, "print the build revision and exit")
 	flag.Parse()
 
@@ -59,15 +58,13 @@ func main() {
 		return
 	}
 
-	var store results.Store
-	if *cacheDir != "" {
-		disk, err := results.NewDiskLimit(*cacheDir, *cacheMaxBytes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ringsim-worker:", err)
-			os.Exit(2)
-		}
-		store = results.NewTiered(results.NewMemoryLRU(*memEntries), disk)
-		log.Printf("ringsim-worker: local cache at %s", disk.Dir())
+	store, err := results.OpenDir(*cacheDir, *cacheMaxBytes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ringsim-worker:", err)
+		os.Exit(2)
+	}
+	if store != nil {
+		log.Printf("ringsim-worker: local cache at %s", *cacheDir)
 	}
 
 	w := fleet.NewWorker(fleet.WorkerOptions{

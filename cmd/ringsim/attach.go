@@ -84,11 +84,7 @@ func attachMain(args []string) {
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			fatalf("%v", err)
-		}
+		printJSON(v)
 	} else {
 		printAttached(id, v)
 	}

@@ -1,22 +1,18 @@
 package main
 
 // The explore subcommand: design-space exploration from the command
-// line. It shares internal/dse with the ringsimd /v1/explore endpoint,
-// so a CLI exploration and a service exploration of the same space name
-// exactly the same candidate simulations (and share a disk cache when
-// -cache-dir points at a ringsimd store).
+// line. Its flags fill the same dse.Request the ringsimd /v1/explore
+// endpoint decodes, resolved by the same Request.Options, so a CLI
+// exploration and a service exploration of the same space name exactly
+// the same candidate simulations (scripts/explore_smoke.sh compares
+// their frontiers) and share a disk cache when -cache-dir points at a
+// ringsimd store.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dse"
-	"repro/internal/harness"
 	"repro/internal/results"
 	"repro/internal/workload"
 )
@@ -43,97 +39,42 @@ func exploreMain(args []string) {
 	asJSON := fs.Bool("json", false, "emit the full exploration report as JSON")
 	fs.Parse(args)
 
-	twinMode, err := dse.ParseTwinMode(*twin)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sampling, err := harness.ParseFidelity(*fidelity)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	archKind := core.ArchRing
-	if strings.EqualFold(*arch, "conv") {
-		archKind = core.ArchConv
-	} else if !strings.EqualFold(*arch, "ring") {
-		fatalf("unknown architecture %q", *arch)
-	}
-	base, err := core.PaperConfig(archKind, *clusters, *iw, *buses)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	axes, err := dse.ParseAxes(*axesSpec)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	strat, err := dse.NewStrategy(*strategy, *samples)
+	names, err := workload.ResolveList(*progs)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var names []string
-	switch strings.ToLower(*progs) {
-	case "all":
-		names = workload.Names()
-	case "int":
-		names = workload.SuiteNames(workload.ClassInt)
-	case "fp":
-		names = workload.SuiteNames(workload.ClassFP)
-	default:
-		// Validate up front: a bad spec should fail before the first
-		// simulation, not midway through a half-evaluated space. Full
-		// ParseSpec validation admits multi-stream and synthetic specs;
-		// SplitList keeps commas inside synth parameter lists intact.
-		for _, n := range workload.SplitList(*progs) {
-			spec, err := workload.ParseSpec(n)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			if err := spec.Validate(); err != nil {
-				fatalf("%v", err)
-			}
-			names = append(names, spec.Name())
-		}
-		if len(names) == 0 {
-			fatalf("no programs named in -progs %q", *progs)
-		}
+	req := dse.Request{
+		Base:     &results.ConfigSpec{Paper: &results.PaperSpec{Arch: *arch, Clusters: *clusters, IW: *iw, Buses: *buses}},
+		Axes:     axes,
+		Strategy: *strategy,
+		Budget:   *budget,
+		Samples:  *samples,
+		Seed:     *seed,
+		Programs: names,
+		Insts:    *insts,
+		Warmup:   *warmup,
+		Twin:     *twin,
+		Fidelity: *fidelity,
 	}
-	var store results.Store
-	if *cacheDir != "" {
-		disk, err := results.NewDisk(*cacheDir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		store = results.NewTiered(results.NewMemoryLRU(4096), disk)
-		// Twin profiles persist next to the simulation results, so warm
-		// explorations skip both the sims and the profiling pass.
-		if err := harness.DefaultProfileCache.SetDir(filepath.Join(*cacheDir, "profiles")); err != nil {
-			fatalf("%v", err)
-		}
+	opts, err := req.Options()
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	rep, err := dse.Explore(dse.Options{
-		Space:     dse.Space{Base: base, Axes: axes},
-		Strategy:  strat,
-		Evaluator: &dse.SimEvaluator{Programs: names, Insts: *insts, Warmup: *warmup, Store: store},
-		Budget:    *budget,
-		Seed:      *seed,
-		Sampling:  sampling,
-		Twin: &dse.TwinOptions{
-			Mode:     twinMode,
-			Programs: names,
-			Insts:    *insts,
-			Warmup:   *warmup,
-		},
-	})
+	store, err := results.OpenDir(*cacheDir, 0)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	opts.Evaluator = &dse.SimEvaluator{Programs: opts.Twin.Programs, Insts: *insts, Warmup: *warmup, Store: store}
+	rep, err := dse.Explore(opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatalf("%v", err)
-		}
+		printJSON(rep)
 		return
 	}
 	printReport(rep)
@@ -158,10 +99,4 @@ func printReport(rep *dse.Report) {
 	for _, p := range rep.Frontier {
 		fmt.Printf("%-46s %8.3f %14.3e\n", p.Config, p.Objectives.IPC, p.Objectives.Area)
 	}
-}
-
-// fatalf prints an error and exits.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ringsim explore: "+format+"\n", args...)
-	os.Exit(2)
 }

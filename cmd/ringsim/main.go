@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -62,17 +61,20 @@ import (
 	"repro/internal/workload"
 )
 
+// subcommands maps each subcommand name to its entry point.
+var subcommands = map[string]func(args []string){
+	"explore":  exploreMain,
+	"attach":   attachMain,
+	"mixstudy": mixstudyMain,
+}
+
+// command names the running (sub)command in error messages.
+var command = "ringsim"
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "explore" {
-		exploreMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "attach" {
-		attachMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "mixstudy" {
-		mixstudyMain(os.Args[2:])
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		command += " " + os.Args[1]
+		subcommands[os.Args[1]](os.Args[2:])
 		return
 	}
 	arch := flag.String("arch", "ring", "architecture: ring or conv")
@@ -96,48 +98,21 @@ func main() {
 	}
 	sampling, err := harness.ParseFidelity(*fidelity)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ringsim:", err)
-		os.Exit(2)
+		fatalf("%v", err)
 	}
 
-	archKind := core.ArchRing
-	if strings.EqualFold(*arch, "conv") {
-		archKind = core.ArchConv
-	} else if !strings.EqualFold(*arch, "ring") {
-		fmt.Fprintf(os.Stderr, "ringsim: unknown architecture %q\n", *arch)
-		os.Exit(2)
-	}
-	cfg, err := core.PaperConfig(archKind, *clusters, *iw, *buses)
+	cfg, err := results.PaperSpec{Arch: *arch, Clusters: *clusters, IW: *iw, Buses: *buses, Hop: *hop, Steer: *steer}.Resolve()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ringsim:", err)
-		os.Exit(2)
+		fatalf("%v", err)
 	}
-	if *hop != 1 {
-		cfg = cfg.WithHopLatency(*hop)
-	}
-	if strings.EqualFold(*steer, "ssa") {
-		cfg = cfg.WithSteer(core.SteerSimple)
-	} else if !strings.EqualFold(*steer, "enhanced") {
-		fmt.Fprintf(os.Stderr, "ringsim: unknown steering %q\n", *steer)
-		os.Exit(2)
-	}
-
-	var names []string
-	switch strings.ToLower(*progs) {
-	case "all":
-		names = workload.Names()
-	case "int":
-		names = workload.SuiteNames(workload.ClassInt)
-	case "fp":
-		names = workload.SuiteNames(workload.ClassFP)
-	default:
-		names = workload.SplitList(*progs)
+	names, err := workload.ResolveList(*progs)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	reqs, err := harness.ExpandSampled([]core.Config{cfg}, names, *insts, *warmup, sampling)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ringsim:", err)
-		os.Exit(2)
+		fatalf("%v", err)
 	}
 	recs := make([]results.Result, len(reqs))
 	for i, o := range results.Run(nil, reqs, runtime.GOMAXPROCS(0)) {
@@ -148,12 +123,7 @@ func main() {
 		recs[i] = o.Result
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(recs); err != nil {
-			fmt.Fprintln(os.Stderr, "ringsim:", err)
-			os.Exit(1)
-		}
+		printJSON(recs)
 		return
 	}
 	fmt.Printf("configuration: %s\n", cfg.Name)
@@ -185,5 +155,20 @@ func main() {
 			}
 			fmt.Println()
 		}
+	}
+}
+
+// fatalf reports an error under the running command's name and exits 2.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, command+": "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// printJSON writes v to stdout as indented JSON.
+func printJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fatalf("%v", err)
 	}
 }

@@ -11,10 +11,8 @@ package main
 // re-running the whole study over a warm -cache-dir simulates nothing.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 
@@ -61,42 +59,34 @@ func mixstudyMain(args []string) {
 	asJSON := fs.Bool("json", false, "emit the study as JSON")
 	fs.Parse(args)
 
-	fail := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "ringsim mixstudy: "+format+"\n", a...)
-		os.Exit(2)
-	}
 	if *mixes < 1 {
-		fail("-mixes must be positive")
+		fatalf("-mixes must be positive")
 	}
 	if _, err := workload.CanonicalName(*family); err != nil {
-		fail("%v", err)
+		fatalf("%v", err)
 	}
 	var streamCounts []int
 	for _, s := range workload.SplitList(*streamsSpec) {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 2 || n > workload.MaxStreams {
-			fail("bad stream count %q (want 2..%d)", s, workload.MaxStreams)
+			fatalf("bad stream count %q (want 2..%d)", s, workload.MaxStreams)
 		}
 		streamCounts = append(streamCounts, n)
 	}
 	if len(streamCounts) == 0 {
-		fail("no stream counts in -streams %q", *streamsSpec)
+		fatalf("no stream counts in -streams %q", *streamsSpec)
 	}
 
-	var store results.Store = results.NewMemoryLRU(65536)
-	if *cacheDir != "" {
-		disk, err := results.NewDisk(*cacheDir)
-		if err != nil {
-			fail("%v", err)
-		}
-		store = results.NewTiered(results.NewMemoryLRU(65536), disk)
+	store, err := results.OpenDir(*cacheDir, 0)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	configs := make([]core.Config, 0, 2)
 	for _, arch := range []core.ArchKind{core.ArchRing, core.ArchConv} {
 		cfg, err := core.PaperConfig(arch, *clusters, *iw, *buses)
 		if err != nil {
-			fail("%v", err)
+			fatalf("%v", err)
 		}
 		configs = append(configs, cfg)
 	}
@@ -115,7 +105,7 @@ func mixstudyMain(args []string) {
 			}
 			spec := workload.Spec{Streams: streams}
 			if err := spec.Validate(); err != nil {
-				fail("%v", err)
+				fatalf("%v", err)
 			}
 			for _, cfg := range configs {
 				req := harness.Request{Config: cfg, Workload: spec, Insts: *insts, Warmup: *warmup}
@@ -128,9 +118,9 @@ func mixstudyMain(args []string) {
 	for _, o := range outs {
 		switch {
 		case o.PutErr != nil:
-			fail("%v", o.PutErr)
+			fatalf("%v", o.PutErr)
 		case o.Failed():
-			fail("%s/%s: %s", o.Config, o.Program, o.Err)
+			fatalf("%s/%s: %s", o.Config, o.Program, o.Err)
 		case o.Hit:
 			rep.CacheHits++
 		default:
@@ -147,17 +137,13 @@ func mixstudyMain(args []string) {
 		}
 		m, err := harness.Fairness(mix.Stats, baseIPC)
 		if err != nil {
-			fail("%s / %s: %v", mix.Config, row.Mix, err)
+			fatalf("%s / %s: %v", mix.Config, row.Mix, err)
 		}
 		row.IPC, row.STP, row.ANTT, row.Fairness = mix.Stats.IPC(), m.STP, m.ANTT, m.Fairness
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fail("%v", err)
-		}
+		printJSON(rep)
 		return
 	}
 	printMixReport(&rep, streamCounts)

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ringsimd [-addr :8080] [-workers N] [-queue N]
-//	         [-cache-dir DIR] [-cache-max-bytes N] [-mem-entries N]
+//	         [-cache-dir DIR] [-cache-max-bytes N]
 //	         [-journal-dir DIR] [-pprof-addr HOST:PORT]
 //	         [-fleet] [-fleet-secret S] [-lease-ttl 30s]
 //
@@ -26,11 +26,12 @@
 // in the exploration JSON and the ringsimd_twin_* /metrics family. A
 // request that names neither runs exact and ungated.
 //
-// With -cache-dir the cache is tiered: an in-memory LRU in front of an
-// on-disk content-addressed store that survives restarts. Without it,
-// results live only in the LRU. -cache-max-bytes bounds the disk store:
-// past the bound, least-recently-used entries are pruned (safe — every
-// entry is re-simulatable).
+// With -cache-dir the cache is tiered: a 4096-entry in-memory LRU in
+// front of an on-disk content-addressed store that survives restarts
+// (results.OpenDir, shared with ringsim-worker and ringsim's -cache-dir).
+// Without it, results live only in a 4096-entry LRU. -cache-max-bytes
+// bounds the disk store: past the bound, least-recently-used entries are
+// pruned (safe — every entry is re-simulatable).
 //
 // With -journal-dir the coordinator's control state is crash-safe: the
 // pool mutations of direct runs (enqueue, complete, poison) are
@@ -76,7 +77,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/results"
 	"repro/internal/server"
@@ -89,7 +89,6 @@ func main() {
 	queue := flag.Int("queue", 256, "job queue depth (single runs beyond it get 503; sweeps of any size trickle through)")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory (empty = memory only)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound for -cache-dir; least-recently-used entries are pruned past it (0 = unbounded)")
-	memEntries := flag.Int("mem-entries", 4096, "in-memory LRU cache capacity (entries)")
 	journalDir := flag.String("journal-dir", "", "coordinator journal directory for crash-safe sweeps/explorations (default <cache-dir>/journal when -cache-dir is set; \"none\" disables)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	fleetMode := flag.Bool("fleet", false, "coordinate remote ringsim-worker processes via /v1/fleet")
@@ -106,18 +105,10 @@ func main() {
 		go servePprof(*pprofAddr)
 	}
 
-	store, desc, err := buildStore(*cacheDir, *memEntries, *cacheMaxBytes)
+	store, err := results.OpenDir(*cacheDir, *cacheMaxBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringsimd:", err)
 		os.Exit(2)
-	}
-	if *cacheDir != "" {
-		// Twin profiles persist alongside the result store so warm
-		// twin-gated explorations skip the profiling pass across restarts.
-		if err := harness.DefaultProfileCache.SetDir(filepath.Join(*cacheDir, "profiles")); err != nil {
-			fmt.Fprintln(os.Stderr, "ringsimd:", err)
-			os.Exit(2)
-		}
 	}
 	opts := server.Options{Workers: *workers, QueueDepth: *queue, Store: store, FleetSecret: *fleetSecret}
 	if *fleetMode {
@@ -164,12 +155,16 @@ func main() {
 	if *fleetMode {
 		mode = fmt.Sprintf("fleet coordinator (lease TTL %s)", *leaseTTL)
 	}
+	cache := "memory only"
+	if *cacheDir != "" {
+		cache = *cacheDir
+	}
 	durability := "journal off"
 	if jnl != nil {
 		durability = "journal " + jdir
 	}
 	log.Printf("ringsimd: listening on %s (%d local workers, queue %d, cache %s, %s, %s)",
-		*addr, *workers, *queue, desc, mode, durability)
+		*addr, srv.Workers(), *queue, cache, mode, durability)
 	select {
 	case <-ctx.Done():
 		// Drain gracefully: stop the listener, then let queued and
@@ -213,21 +208,4 @@ func servePprof(addr string) {
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		log.Printf("ringsimd: pprof listener failed: %v", err)
 	}
-}
-
-// buildStore assembles the result cache from the flags.
-func buildStore(dir string, memEntries int, maxBytes int64) (results.Store, string, error) {
-	mem := results.NewMemoryLRU(memEntries)
-	if dir == "" {
-		return mem, fmt.Sprintf("memory LRU (%d entries)", memEntries), nil
-	}
-	disk, err := results.NewDiskLimit(dir, maxBytes)
-	if err != nil {
-		return nil, "", err
-	}
-	desc := fmt.Sprintf("memory LRU (%d entries) over disk %s", memEntries, disk.Dir())
-	if maxBytes > 0 {
-		desc += fmt.Sprintf(" (GC at %d bytes)", maxBytes)
-	}
-	return results.NewTiered(mem, disk), desc, nil
 }

@@ -26,7 +26,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/results"
 	"repro/internal/workload"
@@ -52,9 +51,13 @@ func main() {
 	flag.Parse()
 
 	configs := harness.PaperConfigs()
+	wire := make([]results.ConfigSpec, len(configs))
+	for i := range configs {
+		wire[i].Config = &configs[i]
+	}
 	programs := workload.Names()
 	body := map[string]any{
-		"configs":  wireConfigs(configs),
+		"configs":  wire,
 		"programs": programs,
 		"insts":    *insts,
 		"warmup":   *warmup,
@@ -84,38 +87,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Rebuild the harness result map and let the harness aggregate it,
-	// exactly as a local Grid run would be reported.
+	// Rebuild the harness result map and let the harness render Figure 6
+	// from it, exactly as a local Grid run would be reported.
 	res := make(map[harness.Key]harness.Run, len(sw.Results))
 	for _, r := range sw.Results {
-		class := workload.ClassInt
-		if r.Class == "FP" {
-			class = workload.ClassFP
-		}
-		res[harness.Key{Config: r.Config, Workload: r.Program}] = harness.Run{
-			Workload: r.Program, Class: class, Stats: r.Stats,
-		}
+		res[harness.Key{Config: r.Config, Workload: r.Program}] = harness.Run{Workload: r.Program, Stats: r.Stats}
 	}
 	fmt.Println()
-	fmt.Println("Figure 6: Speedup of Ring over Conv (enhanced steering)")
-	fmt.Printf("%-28s %9s %9s %9s\n", "configuration", "AVERAGE", "INT", "FP")
-	for _, pair := range harness.ConfigPairs() {
-		fmt.Printf("%-28s", pair[0])
-		for _, s := range []harness.Suite{harness.SuiteAll, harness.SuiteInt, harness.SuiteFP} {
-			fmt.Printf(" %8.1f%%", 100*harness.Speedup(res, pair[0], pair[1], s))
-		}
-		fmt.Println()
-	}
-}
-
-// wireConfigs wraps full configurations in the sweep body's {"config":…}
-// element form.
-func wireConfigs(configs []core.Config) []map[string]core.Config {
-	out := make([]map[string]core.Config, len(configs))
-	for i, c := range configs {
-		out[i] = map[string]core.Config{"config": c}
-	}
-	return out
+	fmt.Print((&harness.Results{Main: res}).Fig6())
 }
 
 // submit POSTs the sweep and decodes the accepted view.
@@ -125,25 +104,23 @@ func submit(addr string, body map[string]any) (sweepStatus, error) {
 		return sweepStatus{}, err
 	}
 	resp, err := http.Post(addr+"/v1/sweeps", "application/json", bytes.NewReader(b))
-	if err != nil {
-		return sweepStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return sweepStatus{}, apiError(resp)
-	}
-	var sw sweepStatus
-	return sw, json.NewDecoder(resp.Body).Decode(&sw)
+	return decodeSweep(resp, err, http.StatusAccepted)
 }
 
 // poll GETs the sweep's current view.
 func poll(addr, id string) (sweepStatus, error) {
 	resp, err := http.Get(addr + "/v1/sweeps/" + id)
+	return decodeSweep(resp, err, http.StatusOK)
+}
+
+// decodeSweep decodes the sweep view of a reply that must carry the
+// wanted status.
+func decodeSweep(resp *http.Response, err error, want int) (sweepStatus, error) {
 	if err != nil {
 		return sweepStatus{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		return sweepStatus{}, apiError(resp)
 	}
 	var sw sweepStatus

@@ -71,9 +71,9 @@ type TwinOptions struct {
 
 // Enabled resolves the mode against the chosen strategy and space size.
 // TwinOn with a non-grid strategy is an error: the gate ranks the whole
-// space, which only the grid strategy enumerates. Exported so servers
-// can refuse an impossible combination at submit time instead of
-// failing the exploration asynchronously.
+// space, which only the grid strategy enumerates. Request.Options calls
+// it too, so an impossible combination is refused before an exploration
+// starts instead of failing it asynchronously.
 func (t *TwinOptions) Enabled(strategy Strategy, spaceSize int) (bool, error) {
 	if t == nil || t.Mode == TwinOff || t.Mode == "" {
 		return false, nil

@@ -17,7 +17,9 @@ package results
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -59,6 +61,75 @@ type Request struct {
 	// historical exact content key is untouched while sampled results
 	// can never collide with exact ones.
 	Sampled *SampledParams `json:"sampled,omitempty"`
+}
+
+// ConfigSpec is the wire form of one machine configuration: either a
+// full core.Config under "config", or the Table 3 shorthand under
+// "paper" (so curl users don't have to spell out every Table 2 field).
+// Exactly one must be set.
+type ConfigSpec struct {
+	Config *core.Config `json:"config,omitempty"`
+	Paper  *PaperSpec   `json:"paper,omitempty"`
+}
+
+// PaperSpec names a paper configuration the way the CLI flags do.
+type PaperSpec struct {
+	// Arch is "ring" or "conv".
+	Arch string `json:"arch"`
+	// Clusters is 4 or 8.
+	Clusters int `json:"clusters"`
+	// IW is the per-side issue width, 1 or 2.
+	IW int `json:"iw"`
+	// Buses is 1 or 2.
+	Buses int `json:"buses"`
+	// Hop is the bus latency per hop; 0 means the default (1 cycle).
+	Hop int `json:"hop,omitempty"`
+	// Steer is "enhanced" (default) or "ssa".
+	Steer string `json:"steer,omitempty"`
+}
+
+// Resolve produces the concrete configuration.
+func (c ConfigSpec) Resolve() (core.Config, error) {
+	switch {
+	case c.Config != nil && c.Paper != nil:
+		return core.Config{}, errors.New(`set "config" or "paper", not both`)
+	case c.Config != nil:
+		return *c.Config, nil
+	case c.Paper != nil:
+		return c.Paper.Resolve()
+	default:
+		return core.Config{}, errors.New(`missing "config" or "paper"`)
+	}
+}
+
+// Resolve builds the named Table 3 configuration.
+func (p PaperSpec) Resolve() (core.Config, error) {
+	var arch core.ArchKind
+	switch strings.ToLower(p.Arch) {
+	case "ring":
+		arch = core.ArchRing
+	case "conv":
+		arch = core.ArchConv
+	default:
+		return core.Config{}, fmt.Errorf("unknown arch %q (want ring or conv)", p.Arch)
+	}
+	cfg, err := core.PaperConfig(arch, p.Clusters, p.IW, p.Buses)
+	if err != nil {
+		return core.Config{}, err
+	}
+	// 0 means unset; any other value (including invalid negatives) is
+	// applied so Config.Validate rejects it.
+	if p.Hop != 0 && p.Hop != 1 {
+		cfg = cfg.WithHopLatency(p.Hop)
+	}
+	switch strings.ToLower(p.Steer) {
+	case "", "enhanced":
+	case "ssa":
+		cfg = cfg.WithSteer(core.SteerSimple)
+	default:
+		return core.Config{}, fmt.Errorf("unknown steer %q (want enhanced or ssa)", p.Steer)
+	}
+	return cfg, nil
 }
 
 // SampledParams is the wire form of harness.Sampling (fidelity folded

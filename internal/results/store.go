@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/harness"
 )
 
 // Store is a content-addressed result cache. Keys are the SHA-256 hex
@@ -133,9 +135,6 @@ func NewDiskLimit(dir string, maxBytes int64) (*Disk, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Disk) Dir() string { return s.dir }
 
 func (s *Disk) path(key string) (string, error) {
 	if len(key) < 3 {
@@ -351,4 +350,23 @@ func (s *Tiered) Put(key string, r Result) error {
 		return err
 	}
 	return s.front.Put(key, r)
+}
+
+// OpenDir opens the cache directory every command that takes -cache-dir
+// shares: a 4096-entry memory LRU in front of a disk store bounded to
+// maxBytes (0 = unbounded), with the twin's workload profiles persisted
+// under dir/profiles, so warm explorations skip both the simulations and
+// the profiling pass. Without a directory it returns a nil Store.
+func OpenDir(dir string, maxBytes int64) (Store, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	disk, err := NewDiskLimit(dir, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	if err := harness.DefaultProfileCache.SetDir(filepath.Join(dir, "profiles")); err != nil {
+		return nil, err
+	}
+	return NewTiered(NewMemoryLRU(4096), disk), nil
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 // fakeResult builds a distinguishable result for store tests. Keys must
@@ -321,5 +323,31 @@ func TestDiskGC(t *testing.T) {
 	}
 	if total > limit {
 		t.Fatalf("store grew to %d bytes past the %d bound", total, limit)
+	}
+}
+
+func TestOpenDir(t *testing.T) {
+	if s, err := OpenDir("", 0); s != nil || err != nil {
+		t.Fatalf("OpenDir without a directory = %v, %v; want nil, nil", s, err)
+	}
+	dir := t.TempDir()
+	s, err := OpenDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer harness.DefaultProfileCache.SetDir("")
+	key := strings.Repeat("ab", 32)
+	if err := s.Put(key, Result{Key: key, Config: "c", Program: "gcc"}); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok, err := disk.Get(key); err != nil || !ok || r.Program != "gcc" {
+		t.Fatalf("the entry did not reach the directory: %+v, %v, %v", r, ok, err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "profiles")); err != nil || !fi.IsDir() {
+		t.Fatalf("no profile directory: %v", err)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/dse"
 	"repro/internal/journal"
 	"repro/internal/results"
 )
@@ -171,16 +172,16 @@ func (s *Server) recoverSweep(id string, m results.Manifest) {
 // id. Explorations are deterministic given their request, so replay is
 // a re-run in which every already-evaluated candidate is a store hit.
 func (s *Server) recoverExplore(id string, m results.Manifest) {
-	var er exploreRequest
-	if err := json.Unmarshal(m.Explore, &er); err != nil {
-		_ = s.opts.Journal.RetireManifest(id, nil)
-		return
+	var er dse.Request
+	var opts dse.Options
+	err := json.Unmarshal(m.Explore, &er)
+	if err == nil {
+		opts, err = exploreOptions(&er)
 	}
-	space, strat, programs, twin, sp, err := resolveExplore(&er)
 	if err != nil {
-		// The request no longer resolves (e.g. a renamed config profile
-		// across versions): it can never finish, so retire the manifest
-		// rather than replay-crash forever.
+		// An unreadable request, or one that no longer resolves (e.g. a
+		// renamed config profile across versions), can never finish:
+		// retire the manifest rather than replay-crash forever.
 		_ = s.opts.Journal.RetireManifest(id, nil)
 		return
 	}
@@ -189,11 +190,11 @@ func (s *Server) recoverExplore(id string, m results.Manifest) {
 		s.mu.Unlock()
 		return
 	}
-	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: strat.Name(), SpaceSize: space.Size()}}
+	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: opts.Strategy.Name(), SpaceSize: opts.Space.Size()}}
 	s.addSubmissionLocked(sub)
 	s.exploreWG.Add(1)
 	s.mu.Unlock()
-	go s.driveExplore(sub, space, strat, programs, twin, sp, er)
+	go s.driveExplore(sub, opts)
 }
 
 // --- re-attach fallbacks ---

@@ -27,7 +27,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/harness"
 	"repro/internal/results"
-	"repro/internal/workload"
 )
 
 // maxExplorePoints bounds the grid cardinality a single exploration may
@@ -36,36 +35,6 @@ import (
 // request (or a denial of service), not a search. A tier of a grid this
 // size registers all its cells at once, as a sweep of the same size does.
 const maxExplorePoints = 4096
-
-// exploreRequest is the POST /v1/explore body.
-type exploreRequest struct {
-	// Base is the configuration the axes vary over; defaults to the
-	// paper's preferred Ring_8clus_1bus_2IW machine.
-	Base *configJSON `json:"base,omitempty"`
-	// Axes are the search dimensions (see internal/dse for knob names).
-	Axes []dse.Axis `json:"axes"`
-	// Strategy is "grid" (default), "random", or "climb".
-	Strategy string `json:"strategy,omitempty"`
-	// Budget caps evaluated candidates (0 = the grid size).
-	Budget int `json:"budget,omitempty"`
-	// Samples sizes the random strategy (0 = 32).
-	Samples int `json:"samples,omitempty"`
-	// Seed drives the stochastic strategies.
-	Seed int64 `json:"seed,omitempty"`
-	// Programs is the workload suite per candidate; empty means the full
-	// suite.
-	Programs []string `json:"programs,omitempty"`
-	// Insts and Warmup are the per-program harness scalars.
-	Insts  uint64 `json:"insts"`
-	Warmup uint64 `json:"warmup"`
-	// Twin gates the exploration with the analytical predictor: "on",
-	// "off", or "auto". Empty means off.
-	Twin string `json:"twin,omitempty"`
-	// Fidelity selects the search tier's execution fidelity ("exact" or
-	// "sampled(interval,window,warm)"); the final frontier is always
-	// re-scored exactly. Empty means exact.
-	Fidelity string `json:"fidelity,omitempty"`
-}
 
 // exploreView is the GET /v1/explore/{id} response body.
 type exploreView struct {
@@ -130,11 +99,11 @@ func snapshotReport(v *exploreView, rep *dse.Report, includePoints bool) {
 
 // handleSubmitExplore validates and launches one exploration.
 func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
-	var er exploreRequest
+	var er dse.Request
 	if !decodeBody(w, r, &er) {
 		return
 	}
-	space, strat, programs, twin, sp, err := resolveExplore(&er)
+	opts, err := exploreOptions(&er)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -164,7 +133,7 @@ func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, submitStatus(errClosed), errClosed)
 		return
 	}
-	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: strat.Name(), SpaceSize: space.Size()}}
+	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: opts.Strategy.Name(), SpaceSize: opts.Space.Size()}}
 	s.addSubmissionLocked(sub)
 	v := sub.view
 	s.exploreWG.Add(1)
@@ -172,100 +141,38 @@ func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ExploresSubmitted.Add(1)
 	s.journalManifest(id, manifest)
 
-	go s.driveExplore(sub, space, strat, programs, twin, sp, er)
+	go s.driveExplore(sub, opts)
 	writeJSON(w, http.StatusAccepted, v)
 }
 
-// resolveExplore turns the wire request into a validated space, strategy,
-// program list, twin mode, and search-tier sampling fidelity.
-func resolveExplore(er *exploreRequest) (dse.Space, dse.Strategy, []string, dse.TwinMode, harness.Sampling, error) {
-	fail := func(err error) (dse.Space, dse.Strategy, []string, dse.TwinMode, harness.Sampling, error) {
-		return dse.Space{}, nil, nil, "", harness.Sampling{}, err
-	}
-	base := core.MustPaperConfig(core.ArchRing, 8, 2, 1)
-	if er.Base != nil {
-		var err error
-		if base, err = er.Base.resolve(); err != nil {
-			return fail(fmt.Errorf("base: %w", err))
-		}
-	}
-	space := dse.Space{Base: base, Axes: er.Axes}
-	if err := space.Validate(); err != nil {
-		return fail(err)
-	}
-	// Bound the grid: the exhaustive strategy materializes every point
-	// and a tier registers every cell of its batch at once, so a huge
-	// requested space must be refused up front, not discovered OOM.
-	// (Space.Size saturates instead of overflowing, so the comparison is
-	// safe for any axis product.)
-	if space.Size() > maxExplorePoints {
-		return fail(fmt.Errorf("space has %d points, limit %d: shrink an axis or use strategy random/climb over a sub-space", space.Size(), maxExplorePoints))
-	}
-	strat, err := dse.NewStrategy(er.Strategy, er.Samples)
+// exploreOptions resolves an exploration request and bounds its grid:
+// the exhaustive strategy materializes every point and a tier registers
+// every cell of its batch at once, so a huge space is refused up front,
+// not discovered OOM. (Space.Size saturates instead of overflowing.)
+func exploreOptions(er *dse.Request) (dse.Options, error) {
+	opts, err := er.Options()
 	if err != nil {
-		return fail(err)
+		return dse.Options{}, err
 	}
-	// An impossible combination (twin=on with a non-grid strategy) is
-	// refused here, synchronously, not mid-exploration.
-	twin, err := dse.ParseTwinMode(er.Twin)
-	if err != nil {
-		return fail(err)
+	if n := opts.Space.Size(); n > maxExplorePoints {
+		return dse.Options{}, fmt.Errorf("space has %d points, limit %d: shrink an axis or use strategy random/climb over a sub-space", n, maxExplorePoints)
 	}
-	if _, err := (&dse.TwinOptions{Mode: twin}).Enabled(strat, space.Size()); err != nil {
-		return fail(err)
-	}
-	// Like twin, fidelity is validated at submit time so a typo is a 400,
-	// not an asynchronous exploration failure.
-	sp, err := harness.ParseFidelity(er.Fidelity)
-	if err != nil {
-		return fail(err)
-	}
-	programs := er.Programs
-	if len(programs) == 0 {
-		programs = workload.Names()
-	}
-	for _, p := range programs {
-		// Full spec validation (not just fixed-profile lookup): programs
-		// may be multi-stream specs or synthetic workloads.
-		spec, err := workload.ParseSpec(p)
-		if err != nil {
-			return fail(err)
-		}
-		if err := spec.Validate(); err != nil {
-			return fail(err)
-		}
-	}
-	if er.Insts == 0 {
-		return fail(errors.New("insts must be positive"))
-	}
-	return space, strat, programs, twin, sp, nil
+	return opts, nil
 }
 
 // driveExplore runs the engine to completion and renders the
 // exploration's final reply.
-func (s *Server) driveExplore(sub *submission, space dse.Space, strat dse.Strategy, programs []string, twin dse.TwinMode, sp harness.Sampling, er exploreRequest) {
+func (s *Server) driveExplore(sub *submission, opts dse.Options) {
 	defer s.exploreWG.Done()
-	ev := &queueEvaluator{s: s, sim: &dse.SimEvaluator{Programs: programs, Insts: er.Insts, Warmup: er.Warmup}}
-	rep, err := dse.Explore(dse.Options{
-		Space:       space,
-		Strategy:    strat,
-		Evaluator:   ev,
-		Budget:      er.Budget,
-		Seed:        er.Seed,
-		Sampling:    sp,
-		Concurrency: s.opts.Workers,
-		Twin: &dse.TwinOptions{
-			Mode:     twin,
-			Programs: programs,
-			Insts:    er.Insts,
-			Warmup:   er.Warmup,
-		},
-		Observer: func(rep *dse.Report) {
-			s.mu.Lock()
-			snapshotReport(&sub.view, rep, false)
-			s.mu.Unlock()
-		},
-	})
+	t := opts.Twin
+	opts.Evaluator = &queueEvaluator{s: s, sim: &dse.SimEvaluator{Programs: t.Programs, Insts: t.Insts, Warmup: t.Warmup}}
+	opts.Concurrency = s.opts.Workers
+	opts.Observer = func(rep *dse.Report) {
+		s.mu.Lock()
+		snapshotReport(&sub.view, rep, false)
+		s.mu.Unlock()
+	}
+	rep, err := dse.Explore(opts)
 	if rep != nil && rep.TwinMode != "" {
 		s.metrics.TwinPredictions.Add(uint64(rep.TwinPredictions))
 		s.metrics.TwinSimsAvoided.Add(uint64(rep.SimsAvoided))

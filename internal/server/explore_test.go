@@ -334,30 +334,23 @@ func TestDaemonExploreMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var er exploreRequest
+			var er dse.Request
 			if err := json.Unmarshal(raw, &er); err != nil {
 				t.Fatal(err)
 			}
-			space, strat, programs, twin, sp, err := resolveExplore(&er)
+			opts, err := er.Options()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := dse.Explore(dse.Options{
-				Space:     space,
-				Strategy:  strat,
-				Evaluator: &dse.SimEvaluator{Programs: programs, Insts: er.Insts, Warmup: er.Warmup, Store: results.NewMemoryLRU(256)},
-				Budget:    er.Budget,
-				Seed:      er.Seed,
-				Sampling:  sp,
-				Twin:      &dse.TwinOptions{Mode: twin, Programs: programs, Insts: er.Insts, Warmup: er.Warmup},
-			})
+			opts.Evaluator = &dse.SimEvaluator{Programs: opts.Twin.Programs, Insts: er.Insts, Warmup: er.Warmup, Store: results.NewMemoryLRU(256)}
+			rep, err := dse.Explore(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.name == "random" && rep.Rounds < 3 {
 				t.Fatalf("the random search ran %d round(s), want 3", rep.Rounds)
 			}
-			if sp.Enabled() && (rep.SampledSims == 0 || rep.ExactConfirms == 0) {
+			if opts.Sampling.Enabled() && (rep.SampledSims == 0 || rep.ExactConfirms == 0) {
 				t.Fatalf("a tier did not run: %+v", rep)
 			}
 			want := exploreView{ID: got.ID, Status: statusDone}

@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/journal"
@@ -280,6 +281,10 @@ func New(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
+
+// Workers returns how many local workers the server runs, as New
+// resolved Options.Workers (0 for a dispatch-only coordinator).
+func (s *Server) Workers() int { return s.opts.Workers }
 
 // Handler returns the HTTP handler for the API.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -690,13 +695,32 @@ func viewRun(st *runState) runView {
 // ("gcc", "gcc+swim", ...), so sweeps mix multi-programmed workloads the
 // same way the CLI does.
 type sweepRequest struct {
-	Configs  []configJSON `json:"configs"`
-	Programs []string     `json:"programs"`
-	Insts    uint64       `json:"insts"`
-	Warmup   uint64       `json:"warmup"`
+	Configs  []results.ConfigSpec `json:"configs"`
+	Programs []string             `json:"programs"`
+	Insts    uint64               `json:"insts"`
+	Warmup   uint64               `json:"warmup"`
 	// Fidelity applies one execution fidelity to every member (see
 	// runSubmission.Fidelity); empty means exact.
 	Fidelity string `json:"fidelity,omitempty"`
+}
+
+// resolveConfigs resolves a sweep's configuration list, rejecting
+// duplicate names (the grid is keyed by configuration name downstream).
+func resolveConfigs(list []results.ConfigSpec) ([]core.Config, error) {
+	out := make([]core.Config, 0, len(list))
+	seen := make(map[string]bool, len(list))
+	for i, cj := range list {
+		cfg, err := cj.Resolve()
+		if err != nil {
+			return nil, fmt.Errorf("configs[%d]: %w", i, err)
+		}
+		if seen[cfg.Name] {
+			return nil, fmt.Errorf("configs[%d]: duplicate configuration %q", i, cfg.Name)
+		}
+		seen[cfg.Name] = true
+		out = append(out, cfg)
+	}
+	return out, nil
 }
 
 // sweepView is the GET /v1/sweeps/{id} response body. The daemon fills
@@ -723,7 +747,7 @@ type sweepView struct {
 // "gcc@7+gcc@8", see workload.ParseSpec) — or the explicit "streams"
 // array; setting both is an error.
 type runSubmission struct {
-	configJSON
+	results.ConfigSpec
 	Program string           `json:"program"`
 	Streams []results.Stream `json:"streams"`
 	Insts   uint64           `json:"insts"`
@@ -742,11 +766,7 @@ func (sub runSubmission) workloadSpec() (workload.Spec, error) {
 	case len(sub.Streams) > 0 && sub.Program != "":
 		return workload.Spec{}, errors.New(`set "program" or "streams", not both`)
 	case len(sub.Streams) > 0:
-		streams := make([]workload.StreamSpec, len(sub.Streams))
-		for i, s := range sub.Streams {
-			streams[i] = workload.StreamSpec{Program: s.Program, Insts: s.Insts, Seed: s.Seed}
-		}
-		return workload.Spec{Streams: streams}, nil
+		return results.Request{Streams: sub.Streams}.Spec(), nil
 	case sub.Program != "":
 		return workload.ParseSpec(sub.Program)
 	default:
@@ -760,7 +780,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &sub) {
 		return
 	}
-	cfg, err := sub.resolve()
+	cfg, err := sub.Resolve()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

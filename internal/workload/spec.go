@@ -184,3 +184,39 @@ func parseStream(s string) (StreamSpec, error) {
 	st.Program = s
 	return st, nil
 }
+
+// ResolveList turns a program-list argument — "all", "int", "fp", or a
+// comma list of spec strings (see SplitList) — into validated canonical
+// workload names, so a bad spec fails before the first simulation.
+func ResolveList(arg string) ([]string, error) {
+	switch strings.ToLower(arg) {
+	case "all":
+		return Names(), nil
+	case "int":
+		return SuiteNames(ClassInt), nil
+	case "fp":
+		return SuiteNames(ClassFP), nil
+	}
+	names, err := CanonicalNames(SplitList(arg))
+	if err == nil && len(names) == 0 {
+		err = fmt.Errorf("workload: no programs named in %q", arg)
+	}
+	return names, err
+}
+
+// CanonicalNames validates a list of spec strings — multi-stream and
+// synthetic specs included — and returns their canonical names.
+func CanonicalNames(specs []string) ([]string, error) {
+	names := make([]string, 0, len(specs))
+	for _, s := range specs {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return nil, err
+		}
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		names = append(names, spec.Name())
+	}
+	return names, nil
+}

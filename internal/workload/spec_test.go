@@ -108,3 +108,30 @@ func TestSpecClass(t *testing.T) {
 		t.Errorf("ClassMixed label %q", ClassMixed.String())
 	}
 }
+
+func TestResolveList(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"all", Names()},
+		{"INT", SuiteNames(ClassInt)},
+		{"fp", SuiteNames(ClassFP)},
+		{"gcc+swim, mcf", []string{"gcc+swim", "mcf"}},
+		{"synth(ws=4M,ilp=8),gcc@7", []string{"synth(ilp=8,ws=4M)", "gcc@7"}},
+	}
+	for _, c := range cases {
+		got, err := ResolveList(c.in)
+		if err != nil {
+			t.Fatalf("ResolveList(%q): %v", c.in, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ResolveList(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+	for _, bad := range []string{"", " , ", "gcc,nosuch", "gcc+", "synth(ilp=0)"} {
+		if got, err := ResolveList(bad); err == nil {
+			t.Errorf("ResolveList(%q) = %q, want an error", bad, got)
+		}
+	}
+}

@@ -5,7 +5,10 @@
 # warm pass must be answered entirely from the result store (plus the
 # persisted profile cache), and the two passes must print byte-identical
 # Pareto frontiers. A third exhaustive pass cross-checks that the twin's
-# frontier is the real one, not just a stable wrong answer.
+# frontier is the real one, not just a stable wrong answer. A ringsimd
+# then runs a sampled run (its /metrics counters must move) and the
+# exhaustive exploration over /v1/explore, whose frontier must equal the
+# CLI's byte for byte.
 #
 #   scripts/explore_smoke.sh [INSTS] [WARMUP]
 #
@@ -135,5 +138,22 @@ done
 SAMPLED_RUNS="$(sed -n 's/^ringsimd_sampled_runs_total \([0-9][0-9]*\)$/\1/p' "$TMP/metrics.txt")"
 [ "${SAMPLED_RUNS:-0}" -ge 1 ] \
     || { echo "explore-smoke: FAIL: ringsimd_sampled_runs_total is ${SAMPLED_RUNS:-0} after a sampled run"; exit 1; }
+
+# CLI ≡ service: the same axes, base, programs and budgets POSTed to
+# /v1/explore name the same candidate simulations as `ringsim explore`
+# (both resolve one dse.Request), so the daemon's frontier must equal the
+# CLI's exhaustive frontier byte for byte in their JSON encodings.
+echo "explore-smoke: /v1/explore frontier equals the CLI's"
+run_explore "$TMP/exact.json" -twin off -json
+EXPLORE_ID="$(curl -sf "$BASE/v1/explore" -d "{\"base\":{\"paper\":{\"arch\":\"ring\",\"clusters\":4,\"iw\":2,\"buses\":1}},\"axes\":[{\"name\":\"arch\",\"values\":[0,1]},{\"name\":\"clusters\",\"values\":[4,8]}],\"programs\":[\"gcc\",\"swim\"],\"insts\":$INSTS,\"warmup\":$WARMUP}" \
+    | sed -n 's/.*"id": *"\(explore-[0-9a-f]*\)".*/\1/p' | head -1)"
+[ -n "$EXPLORE_ID" ] || { echo "explore-smoke: FAIL: /v1/explore submission rejected"; cat "$TMP/ringsimd.log"; exit 1; }
+"$TMP/bin/ringsim" attach -addr "$BASE" -interval 100ms -json "$EXPLORE_ID" >"$TMP/service.json" 2>&1 \
+    || { echo "explore-smoke: FAIL: exploration $EXPLORE_ID did not finish"; cat "$TMP/service.json"; exit 1; }
+sed -n '/^  "frontier": \[$/,/^  \],*$/p' "$TMP/exact.json" >"$TMP/front_cli"
+sed -n '/^  "frontier": \[$/,/^  \],*$/p' "$TMP/service.json" >"$TMP/front_service"
+[ -s "$TMP/front_cli" ] || { echo "explore-smoke: FAIL: no frontier in the CLI's JSON"; cat "$TMP/exact.json"; exit 1; }
+cmp -s "$TMP/front_cli" "$TMP/front_service" \
+    || { echo "explore-smoke: FAIL: the service's frontier differs from the CLI's"; diff "$TMP/front_cli" "$TMP/front_service" || true; exit 1; }
 
 echo "explore-smoke: PASS"

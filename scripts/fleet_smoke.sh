@@ -80,6 +80,9 @@ for _ in $(seq 1 50); do
 done
 echo "fleet-smoke: $workers workers registered"
 [ "${workers:-0}" -ge 2 ] || { echo "fleet-smoke: FAIL: workers never registered"; exit 1; }
+# The boot line reports the local pool the daemon runs, not the flag.
+grep -q '(0 local workers' "$TMP/coordinator.log" \
+    || { echo "fleet-smoke: FAIL: the dispatch-only coordinator's boot line does not say 0 local workers"; cat "$TMP/coordinator.log"; exit 1; }
 
 echo "fleet-smoke: first pass (cold cache)"
 "$TMP/bin/client" -addr "$BASE" -insts "$INSTS" -warmup "$WARMUP" >"$TMP/pass1.log" 2>&1 \
