@@ -1,7 +1,7 @@
 // Command paperfigs regenerates every table and figure of the paper's
 // evaluation section on the simulator. The figures' qualitative
 // orderings are pinned by internal/harness/shapes_test.go; a
-// paper-vs-measured record is ROADMAP item 4(d).
+// paper-vs-measured record is ROADMAP item 5(c).
 //
 // Usage:
 //

@@ -29,13 +29,15 @@ func (c *Counter) Update(taken bool) {
 }
 
 // Config sizes the predictor. All table sizes must be powers of two.
+// Fields are declared in JSON key order, so json.Marshal writes the
+// canonical encoding a content key hashes.
 type Config struct {
-	GshareEntries   int // pattern history table entries for gshare
-	BimodalEntries  int // bimodal table entries
-	SelectorEntries int // chooser table entries
-	HistoryBits     int // global history length for gshare
-	BTBEntries      int // total BTB entries
 	BTBAssoc        int // BTB associativity
+	BTBEntries      int // total BTB entries
+	BimodalEntries  int // bimodal table entries
+	GshareEntries   int // pattern history table entries for gshare
+	HistoryBits     int // global history length for gshare
+	SelectorEntries int // chooser table entries
 }
 
 // DefaultConfig matches the paper's Table 2: hybrid 2K gshare, 2K bimodal,

@@ -13,14 +13,16 @@ import (
 	"math/bits"
 )
 
-// Config describes one cache level.
+// Config describes one cache level. Fields are declared in JSON key
+// order, so json.Marshal writes the canonical encoding a content key
+// hashes.
 type Config struct {
-	Name      string
-	SizeBytes int
-	LineBytes int
-	Assoc     int
+	Assoc int
 	// HitLatency is the access time in cycles on a hit.
 	HitLatency int
+	LineBytes  int
+	Name       string
+	SizeBytes  int
 }
 
 // Validate reports the first configuration error.
@@ -193,22 +195,24 @@ func (c *Cache) Contains(addr uint64) bool {
 	return way >= 0
 }
 
-// HierarchyConfig sizes the full memory system.
+// HierarchyConfig sizes the full memory system. Fields are declared in
+// JSON key order, so json.Marshal writes the canonical encoding a content
+// key hashes.
 type HierarchyConfig struct {
-	L1I Config
-	L1D Config
-	L2  Config
-	// L2MissLatency is the additional latency of a memory access on an
-	// L2 miss (paper: 100 cycles).
-	L2MissLatency int
-	// L2InterchunkLatency models the 2-cycle interchunk transfer of the
-	// paper's L2 (added once per L1 miss that hits in L2).
-	L2InterchunkLatency int
-	// DCachePorts is the number of L1D read/write ports per cycle.
-	DCachePorts int
 	// ClusterTransit is the one-way latency between any cluster and the
 	// centralized cache structures (paper: 1 cycle each way).
 	ClusterTransit int
+	// DCachePorts is the number of L1D read/write ports per cycle.
+	DCachePorts int
+	L1D         Config
+	L1I         Config
+	L2          Config
+	// L2InterchunkLatency models the 2-cycle interchunk transfer of the
+	// paper's L2 (added once per L1 miss that hits in L2).
+	L2InterchunkLatency int
+	// L2MissLatency is the additional latency of a memory access on an
+	// L2 miss (paper: 100 cycles).
+	L2MissLatency int
 }
 
 // Validate reports the first configuration error across the hierarchy.

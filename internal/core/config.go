@@ -120,58 +120,61 @@ func (c CopyRelease) String() string {
 
 // Config fully describes one simulated machine. Use the Paper* helpers for
 // the configurations in Table 3.
+//
+// Fields are declared in JSON key order (byte order of the Go names), so
+// json.Marshal writes the canonical encoding a content key hashes.
 type Config struct {
-	// Name labels the configuration in reports, e.g. "Ring_8clus_1bus_2IW".
-	Name string
 	// Arch selects ring or conventional bypassing.
 	Arch ArchKind
-	// Steer selects the steering policy family.
-	Steer SteerKind
-
-	// Clusters is the number of clusters (2..16).
-	Clusters int
-	// IssueInt and IssueFP are the per-cluster issue widths per side.
-	IssueInt int
-	IssueFP  int
+	// Bpred sizes the branch predictor.
+	Bpred bpred.Config
 	// Buses is the number of inter-cluster buses (1 or 2). With 2 buses,
 	// Ring runs both in the same direction and Conv runs one per
 	// direction, as Section 4.2 specifies.
 	Buses int
-	// HopLatency is the bus latency per hop in cycles (1 in the main
-	// evaluation, 2 in Section 4.6).
-	HopLatency int
+	// Clusters is the number of clusters (2..16).
+	Clusters int
 	// Comm selects the communication timing model (ablation knob;
 	// CommBuses is the paper's machine).
 	Comm CommModel
+	// CommitWidth is the back-end width (Table 2).
+	CommitWidth int
+	// Conv tunes the DCOUNT imbalance controller (ignored by Ring).
+	Conv steering.ConvConfig
 	// Copies selects the copy-release policy (ReleaseOnRedefine is the
 	// paper's analyzed alternative).
 	Copies CopyRelease
-
-	// IQInt, IQFP and IQComm are per-cluster queue capacities.
-	IQInt  int
-	IQFP   int
-	IQComm int
-	// RegsInt and RegsFP are per-cluster physical register counts.
-	RegsInt int
-	RegsFP  int
-
-	// Front/back-end widths and capacities (Table 2).
-	FetchWidth    int
+	// DispatchWidth, FetchQSize and FetchWidth are front-end widths and
+	// capacities (Table 2).
 	DispatchWidth int
-	CommitWidth   int
 	FetchQSize    int
-	ROBSize       int
-	LSQSize       int
+	FetchWidth    int
+	// HopLatency is the bus latency per hop in cycles (1 in the main
+	// evaluation, 2 in Section 4.6).
+	HopLatency int
+	// IQComm, IQFP and IQInt are per-cluster queue capacities.
+	IQComm int
+	IQFP   int
+	IQInt  int
+	// IssueFP and IssueInt are the per-cluster issue widths per side.
+	IssueFP  int
+	IssueInt int
+	// LSQSize is the load/store queue capacity (Table 2).
+	LSQSize int
+	// Mem sizes the memory hierarchy.
+	Mem cache.HierarchyConfig
+	// Name labels the configuration in reports, e.g. "Ring_8clus_1bus_2IW".
+	Name string
+	// ROBSize is the reorder buffer capacity (Table 2).
+	ROBSize int
+	// RegsFP and RegsInt are per-cluster physical register counts.
+	RegsFP  int
+	RegsInt int
+	// Steer selects the steering policy family.
+	Steer SteerKind
 	// SteerLatency is the extra front-end latency of the steering logic
 	// (1 cycle for both machines, Section 4.1).
 	SteerLatency int
-
-	// Conv tunes the DCOUNT imbalance controller (ignored by Ring).
-	Conv steering.ConvConfig
-	// Bpred sizes the branch predictor.
-	Bpred bpred.Config
-	// Mem sizes the memory hierarchy.
-	Mem cache.HierarchyConfig
 }
 
 // Validate reports the first configuration error.

@@ -12,7 +12,8 @@
 // owes is its open manifest's members that the store lacks. Retiring it
 // writes its reply to done/ and then removes its manifest; a crash
 // between the two leaves both, and Open removes the manifest, since the
-// client may have seen the reply.
+// client may have seen the reply. done/ keeps the newest maxDone replies;
+// an older one is pruned, and its id reads like any unknown one.
 //
 // On startup the daemon replays the log and lists manifests/: jobs whose
 // results already exist in the store are settled without simulating, the
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,6 +71,10 @@ type Record struct {
 
 // compactEvery is the number of appends between automatic compactions.
 const compactEvery = 512
+
+// maxDone bounds done/ to the newest stored replies, as many as the
+// server's registry of submissions holds (its maxSubmissions).
+const maxDone = 1024
 
 // The journal directory's entries.
 const (
@@ -140,6 +146,10 @@ type Journal struct {
 	sinceCompact int
 	replay       State
 
+	// done lists the ids of the replies in done/, oldest first; at most
+	// maxDone.
+	done []string
+
 	entries     atomic.Uint64
 	checkpoints atomic.Uint64
 }
@@ -176,6 +186,9 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 	j.replayLog()
 	j.replay.Jobs = j.liveJobsLocked()
+	if err := j.listDone(); err != nil {
+		return nil, err
+	}
 
 	entries, err := os.ReadDir(filepath.Join(dir, manifestDir))
 	if err != nil {
@@ -229,6 +242,36 @@ func (j *Journal) replayLog() {
 		}
 		j.applyLocked(rec)
 		j.replay.Entries++
+	}
+}
+
+// listDone loads the ids in done/, oldest modification first, and prunes
+// all but the newest maxDone. Called by Open only.
+func (j *Journal) listDone() error {
+	entries, err := os.ReadDir(filepath.Join(j.dir, doneDir))
+	if err != nil {
+		return fmt.Errorf("journal: open %s: %w", j.dir, err)
+	}
+	var replies []os.FileInfo
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil && info.Mode().IsRegular() && strings.HasSuffix(e.Name(), ".json") {
+			replies = append(replies, info)
+		}
+	}
+	slices.SortStableFunc(replies, func(a, b os.FileInfo) int { return a.ModTime().Compare(b.ModTime()) })
+	for _, r := range replies {
+		j.done = append(j.done, strings.TrimSuffix(r.Name(), ".json"))
+	}
+	j.pruneDone()
+	return nil
+}
+
+// pruneDone removes the oldest replies past maxDone. One that cannot be
+// removed is left for the next Open to prune. Callers must hold j.mu, or
+// be Open.
+func (j *Journal) pruneDone() {
+	for ; len(j.done) > maxDone; j.done = j.done[1:] {
+		os.Remove(filepath.Join(j.dir, doneDir, j.done[0]+".json"))
 	}
 }
 
@@ -439,8 +482,9 @@ func (j *Journal) GetManifest(id string) (m results.Manifest, ok bool) {
 }
 
 // RetireManifest ends a submission: its final reply, when it has one, is
-// written to done/<id>.json through results.WriteFileSync, and then its
-// open manifest is removed, so the next Open no longer lists it.
+// written to done/<id>.json through results.WriteFileSync, pruning the
+// oldest reply past maxDone, and then its open manifest is removed, so
+// the next Open no longer lists it.
 func (j *Journal) RetireManifest(id string, final []byte) error {
 	p, err := j.path(manifestDir, id)
 	if err != nil {
@@ -450,6 +494,10 @@ func (j *Journal) RetireManifest(id string, final []byte) error {
 		if err := results.WriteFileSync(filepath.Join(j.dir, doneDir, id+".json"), final); err != nil {
 			return fmt.Errorf("journal: retire manifest %s: %w", id, err)
 		}
+		j.mu.Lock()
+		j.done = append(slices.DeleteFunc(j.done, func(d string) bool { return d == id }), id)
+		j.pruneDone()
+		j.mu.Unlock()
 	}
 	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("journal: retire manifest %s: %w", id, err)

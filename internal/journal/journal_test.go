@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/results"
 )
@@ -345,6 +346,60 @@ func TestManifestRoundTrip(t *testing.T) {
 	if j.Final("../escape") != nil {
 		t.Error("Final read outside done/")
 	}
+}
+
+// TestDoneIsBounded: done/ keeps the newest maxDone replies. Retiring
+// maxDone+k of them prunes the k oldest, whose ids then read as unknown,
+// while the rest read back byte-identically; a reopen over a done/ grown
+// past the bound prunes its oldest replies by modification time.
+func TestDoneIsBounded(t *testing.T) {
+	const k = 3
+	dir := t.TempDir()
+	// Names descend as replies get newer: name order is not age order.
+	id := func(i int) string { return fmt.Sprintf("sweep-%016d", maxDone+k-i) }
+	reply := func(i int) []byte { return []byte(fmt.Sprintf(`{"id":%q,"status":"done"}`+"\n", id(i))) }
+	checkDone := func(j *Journal, first int) {
+		t.Helper()
+		for i := range maxDone + k {
+			got := j.Final(id(i))
+			switch {
+			case i < first && got != nil:
+				t.Fatalf("reply %d of %d outlived the bound", i, maxDone+k)
+			case i >= first && !bytes.Equal(got, reply(i)):
+				t.Fatalf("reply %d reads back %q, want %q", i, got, reply(i))
+			}
+		}
+		if entries, err := os.ReadDir(filepath.Join(dir, doneDir)); err != nil || len(entries) != maxDone {
+			t.Fatalf("done/ holds %d entries (%v), want %d", len(entries), err, maxDone)
+		}
+	}
+
+	j := mustOpen(t, dir, testOptions)
+	for i := range maxDone + k {
+		if err := j.RetireManifest(id(i), reply(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkDone(j, k)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// k replies older than every other, as a coordinator that never
+	// pruned would have left them.
+	old := time.Now().Add(-time.Hour)
+	for i := range k {
+		p := filepath.Join(dir, doneDir, id(i)+".json")
+		if err := os.WriteFile(p, reply(i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j = mustOpen(t, dir, testOptions)
+	defer j.Close()
+	checkDone(j, k)
 }
 
 // TestTornAtEveryByte tears journal.log at every byte of its final

@@ -9,8 +9,9 @@ import (
 
 // oracleCanonicalize is the canonical encoder as it was first written: a
 // round trip through map[string]any, re-emitted with sorted keys. It is
-// slow and allocates per key, but it is obviously right, so the one-pass
-// canonicalize is tested against it byte for byte.
+// slow and allocates per key, but it is obviously right, so json.Marshal
+// of the wire structs, which declare their fields in key order, is tested
+// against it byte for byte.
 func oracleCanonicalize(raw []byte) ([]byte, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()

@@ -2,6 +2,7 @@ package results
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -22,21 +23,25 @@ import (
 // (their member runs still deduplicate — member identity stays purely
 // content-addressed), while one submission keeps one stable id across
 // any number of coordinator restarts.
+//
+// Fields are declared in key order, so json.Marshal writes the canonical
+// encoding the id hashes (TestWireFieldsInKeyOrder).
 type Manifest struct {
-	Schema int `json:"schema"`
-	// Kind is "sweep" or "explore"; it doubles as the id prefix.
-	Kind string `json:"kind"`
-	// Nonce uniquifies this submission.
-	Nonce string `json:"nonce"`
+	// Explore is the normalized exploration request. Explorations are
+	// deterministic given the request (strategy seeds included), so the
+	// request is the member list: replay re-drives it and every
+	// already-evaluated point comes back as a cache hit. The id hashes
+	// these bytes as they are, compacted but not re-sorted.
+	Explore json.RawMessage `json:"explore,omitempty"`
 	// Jobs is the full member list of a sweep, in grid order. Each job
 	// carries its wire request, so replay can re-queue members whose
 	// results are not in the store yet.
 	Jobs []Job `json:"jobs,omitempty"`
-	// Explore is the normalized exploration request. Explorations are
-	// deterministic given the request (strategy seeds included), so the
-	// request is the member list: replay re-drives it and every
-	// already-evaluated point comes back as a cache hit.
-	Explore json.RawMessage `json:"explore,omitempty"`
+	// Kind is "sweep" or "explore"; it doubles as the id prefix.
+	Kind string `json:"kind"`
+	// Nonce uniquifies this submission.
+	Nonce  string `json:"nonce"`
+	Schema int    `json:"schema"`
 }
 
 // ManifestKindSweep and ManifestKindExplore are the two manifest kinds.
@@ -79,12 +84,14 @@ func NewExploreManifest(request json.RawMessage) (Manifest, error) {
 }
 
 // ID derives the stable, client-visible id: "<kind>-" plus the first 16
-// hex digits of the SHA-256 of the canonical encoding of the manifest.
+// hex digits of the SHA-256 of the manifest's canonical encoding, which is
+// json.Marshal.
 func (m Manifest) ID() (string, error) {
-	sum, err := canonicalHash(m)
+	b, err := json.Marshal(m)
 	if err != nil {
 		return "", fmt.Errorf("results: manifest id: %w", err)
 	}
+	sum := sha256.Sum256(b)
 	return m.Kind + "-" + hex.EncodeToString(sum[:])[:manifestIDHexLen], nil
 }
 

@@ -1,7 +1,7 @@
 // Package results defines the durable form of a simulation run: a
-// canonical JSON encoding of the request (stable across Go versions and
-// struct-field ordering), a SHA-256 content hash derived from it, and the
-// serializable result record keyed by that hash.
+// canonical JSON encoding of the request (json.Marshal of wire structs
+// whose fields are declared in key order), a SHA-256 content hash derived
+// from it, and the serializable result record keyed by that hash.
 //
 // The content hash is the system's unit of deduplication: any
 // (config, workload, insts, warmup) tuple — the workload spec pins every
@@ -15,6 +15,7 @@
 package results
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -29,15 +30,16 @@ import (
 // SchemaVersion is folded into every content hash. Bump it when the
 // meaning of an existing field changes in a way that invalidates cached
 // results without changing the encoded bytes (e.g. a simulator timing
-// fix). Purely structural changes — adding, renaming, reordering fields —
-// already change the hash on their own.
+// fix). Purely structural changes — adding or renaming fields — already
+// change the hash on their own.
 const SchemaVersion = 1
 
 // Stream is the wire form of one workload stream of a multi-programmed
-// request.
+// request. Fields are declared in key order, so json.Marshal writes the
+// canonical encoding.
 type Stream struct {
-	Program string `json:"program"`
 	Insts   uint64 `json:"insts,omitempty"`
+	Program string `json:"program"`
 	Seed    uint64 `json:"seed,omitempty"`
 }
 
@@ -49,18 +51,22 @@ type Stream struct {
 // field — byte-for-byte the pre-multiprogramming encoding, so every
 // existing content key and cached result stays valid — and anything else
 // rides "streams" with "program" empty.
+//
+// Fields are declared in key order, here and in every struct the request
+// reaches, so json.Marshal writes the canonical encoding
+// (TestWireFieldsInKeyOrder).
 type Request struct {
-	Schema  int         `json:"schema"`
 	Config  core.Config `json:"config"`
-	Program string      `json:"program"`
-	Streams []Stream    `json:"streams,omitempty"`
 	Insts   uint64      `json:"insts"`
-	Warmup  uint64      `json:"warmup"`
+	Program string      `json:"program"`
 	// Sampled carries the interval-sampling parameters of a sampled
 	// request and is omitted entirely for exact requests, so every
 	// historical exact content key is untouched while sampled results
 	// can never collide with exact ones.
 	Sampled *SampledParams `json:"sampled,omitempty"`
+	Schema  int            `json:"schema"`
+	Streams []Stream       `json:"streams,omitempty"`
+	Warmup  uint64         `json:"warmup"`
 }
 
 // ConfigSpec is the wire form of one machine configuration: either a
@@ -133,11 +139,12 @@ func (p PaperSpec) Resolve() (core.Config, error) {
 }
 
 // SampledParams is the wire form of harness.Sampling (fidelity folded
-// into the canonical request bytes).
+// into the canonical request bytes). Fields are declared in key order,
+// so json.Marshal writes the canonical encoding.
 type SampledParams struct {
 	Interval uint64 `json:"interval"`
-	Window   uint64 `json:"window"`
 	Warm     uint64 `json:"warm"`
+	Window   uint64 `json:"window"`
 }
 
 // NewRequest wraps a harness request in its wire form.
@@ -193,25 +200,27 @@ func (r Request) Harness() harness.Request {
 }
 
 // Canonical returns the canonical JSON encoding of the request: object
-// keys sorted lexicographically at every nesting level, no insignificant
-// whitespace, numbers kept verbatim. Two requests have equal canonical
-// bytes iff they describe the same simulation.
+// keys sorted at every nesting level, no insignificant whitespace. The
+// wire structs declare their fields in key order, so this is json.Marshal.
+// Two requests have equal canonical bytes iff they describe the same
+// simulation.
 func (r Request) Canonical() ([]byte, error) {
-	raw, err := json.Marshal(r)
+	b, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("results: encode request: %w", err)
 	}
-	return canonicalize(raw)
+	return b, nil
 }
 
 // Key returns the SHA-256 content hash (lowercase hex) of the canonical
 // encoding. It is the run's identity everywhere: cache filename, HTTP run
 // id, and dedup key.
 func (r Request) Key() (string, error) {
-	sum, err := canonicalHash(r)
+	b, err := r.Canonical()
 	if err != nil {
 		return "", err
 	}
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
 }
 

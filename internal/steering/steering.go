@@ -187,14 +187,16 @@ func (r *Ring) Choose(req *Request) int {
 }
 
 // ConvConfig tunes the conventional policy's imbalance controller.
+// Fields are declared in JSON key order, so json.Marshal writes the
+// canonical encoding a content key hashes.
 type ConvConfig struct {
+	// DecayFactor multiplies the counters each decay (0 < f < 1).
+	DecayFactor float64
+	// DecayPeriod is how often, in cycles, the DCOUNT counters decay.
+	DecayPeriod int
 	// Threshold is the DCOUNT imbalance (max minus min) above which the
 	// policy abandons dependences and picks the least-loaded cluster.
 	Threshold float64
-	// DecayPeriod is how often, in cycles, the DCOUNT counters decay.
-	DecayPeriod int
-	// DecayFactor multiplies the counters each decay (0 < f < 1).
-	DecayFactor float64
 }
 
 // DefaultConvConfig returns the tuning used throughout the evaluation.
