@@ -67,7 +67,7 @@ type Report struct {
 	// Frontier is the final Pareto set, ascending by area.
 	Frontier []Point `json:"frontier"`
 	// Points is every evaluated point, in evaluation order.
-	Points []Point `json:"points"`
+	Points []Point `json:"points,omitempty"`
 
 	// Twin accounting, populated only when the analytical twin gated
 	// this exploration (TwinMode "on").

@@ -11,29 +11,21 @@ import "sync/atomic"
 // and its last run's Release frees it before the pool is far into the
 // next workload.
 
-// BatchStats counts shared-workload activity process-wide (exported by the
-// ringsimd /metrics endpoint).
+// BatchStats counts shared-workload activity process-wide (read by the
+// benchmark program).
 type BatchStats struct {
 	// Groups counts workloads that more than one request of a GridRunsN
 	// call named.
 	Groups uint64
 	// GroupedRuns counts the requests naming such a workload.
 	GroupedRuns uint64
-	// AmortizedDecodes counts the stream reads such requests can serve
-	// from a materialization another run of the same workload made:
-	// (members−1) × streams per workload.
-	AmortizedDecodes uint64
 }
 
-var batchGroups, batchRuns, batchAmortized atomic.Uint64
+var batchGroups, batchRuns atomic.Uint64
 
 // BatchStatsSnapshot returns the process-wide shared-workload counters.
 func BatchStatsSnapshot() BatchStats {
-	return BatchStats{
-		Groups:           batchGroups.Load(),
-		GroupedRuns:      batchRuns.Load(),
-		AmortizedDecodes: batchAmortized.Load(),
-	}
+	return BatchStats{Groups: batchGroups.Load(), GroupedRuns: batchRuns.Load()}
 }
 
 // DefaultBatchSize stays for the benchmark program, which passes it to
@@ -80,7 +72,6 @@ func newGridPool(reqs []Request) *gridPool {
 		if n := uint64(len(members)); n > 1 {
 			p.shared.Groups++
 			p.shared.GroupedRuns += n
-			p.shared.AmortizedDecodes += (n - 1) * uint64(len(reqs[members[0]].Workload.Streams))
 		}
 	}
 	return p
@@ -99,5 +90,4 @@ func (p *gridPool) take() (int, bool) {
 func (p *gridPool) count() {
 	batchGroups.Add(p.shared.Groups)
 	batchRuns.Add(p.shared.GroupedRuns)
-	batchAmortized.Add(p.shared.AmortizedDecodes)
 }

@@ -85,15 +85,15 @@ func TestGridPoolOrder(t *testing.T) {
 		{"empty", nil, []int{}, BatchStats{}},
 		{"all distinct", []Request{exact("gcc"), exact("swim"), exact("mcf")}, []int{0, 1, 2}, BatchStats{}},
 		{"first appearance", []Request{exact("gcc"), exact("swim"), exact("gcc"), exact("mcf"), exact("swim")},
-			[]int{0, 2, 1, 4, 3}, BatchStats{Groups: 2, GroupedRuns: 4, AmortizedDecodes: 2}},
+			[]int{0, 2, 1, 4, 3}, BatchStats{Groups: 2, GroupedRuns: 4}},
 		{"config-major grid", []Request{exact("gcc"), exact("swim+mcf"), exact("art"), exact("gcc"), exact("swim+mcf"), exact("art")},
-			[]int{0, 3, 1, 4, 2, 5}, BatchStats{Groups: 3, GroupedRuns: 6, AmortizedDecodes: 4}},
+			[]int{0, 3, 1, 4, 2, 5}, BatchStats{Groups: 3, GroupedRuns: 6}},
 		{"budgets split keys", []Request{mk("gcc", 100, 10, Sampling{}), mk("gcc", 200, 10, Sampling{}), mk("gcc", 100, 20, Sampling{}), mk("gcc", 100, 10, Sampling{})},
-			[]int{0, 3, 1, 2}, BatchStats{Groups: 1, GroupedRuns: 2, AmortizedDecodes: 1}},
+			[]int{0, 3, 1, 2}, BatchStats{Groups: 1, GroupedRuns: 2}},
 		{"fidelity splits keys", []Request{exact("gcc"), mk("gcc", 100, 10, DefaultSampling), exact("gcc"), mk("gcc", 100, 10, DefaultSampling)},
-			[]int{0, 2, 1, 3}, BatchStats{Groups: 2, GroupedRuns: 4, AmortizedDecodes: 2}},
+			[]int{0, 2, 1, 3}, BatchStats{Groups: 2, GroupedRuns: 4}},
 		{"one spec, two spellings", []Request{exact("synth(ilp=8,ws=64K)"), exact("gcc"), exact("synth(ws=64K,ilp=8)")},
-			[]int{0, 2, 1}, BatchStats{Groups: 1, GroupedRuns: 2, AmortizedDecodes: 1}},
+			[]int{0, 2, 1}, BatchStats{Groups: 1, GroupedRuns: 2}},
 	}
 	for _, c := range cases {
 		p := newGridPool(c.reqs)
@@ -118,9 +118,8 @@ func TestGridPoolOrder(t *testing.T) {
 }
 
 // TestBatchStatsCountSharedWorkloads: a GridRunsN call adds its workloads
-// with more than one request to the process-wide counters — keys, their
-// runs and the stream reads a materialization can serve twice — and a
-// workload named once adds nothing.
+// with more than one request to the process-wide counters — keys and
+// their runs — and a workload named once adds nothing.
 func TestBatchStatsCountSharedWorkloads(t *testing.T) {
 	cfgs := []core.Config{core.MustPaperConfig(core.ArchRing, 4, 2, 1), core.MustPaperConfig(core.ArchConv, 4, 2, 1)}
 	reqs, err := Expand(cfgs, []string{"gcc", "swim+synth-random@3"}, 500, 100)
@@ -135,13 +134,9 @@ func TestBatchStatsCountSharedWorkloads(t *testing.T) {
 		}
 	}
 	after := BatchStatsSnapshot()
-	got := BatchStats{
-		Groups:           after.Groups - before.Groups,
-		GroupedRuns:      after.GroupedRuns - before.GroupedRuns,
-		AmortizedDecodes: after.AmortizedDecodes - before.AmortizedDecodes,
-	}
-	// gcc: 2 runs × 1 stream; the mix: 2 runs × 2 streams; gcc at 600: alone.
-	if want := (BatchStats{Groups: 2, GroupedRuns: 4, AmortizedDecodes: 1 + 2}); got != want {
+	got := BatchStats{Groups: after.Groups - before.Groups, GroupedRuns: after.GroupedRuns - before.GroupedRuns}
+	// gcc: 2 runs; the mix: 2 runs; gcc at 600: alone.
+	if want := (BatchStats{Groups: 2, GroupedRuns: 4}); got != want {
 		t.Fatalf("one grid added %+v to the batch counters, want %+v", got, want)
 	}
 }

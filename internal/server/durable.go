@@ -28,7 +28,6 @@ package server
 
 import (
 	"encoding/json"
-	"log"
 	"net/http"
 	"strings"
 
@@ -66,33 +65,6 @@ func (s *Server) journalRun(rec journal.Record) {
 	}
 }
 
-// journalManifest persists an open submission's manifest.
-func (s *Server) journalManifest(id string, m results.Manifest) {
-	if s.journaling() {
-		_ = s.opts.Journal.PutManifest(id, m)
-	}
-}
-
-// journalDone stores a submission's final reply and retires its manifest,
-// and reports whether the registry may now forget the submission: at
-// once without a journal, where nothing answers an evicted id, and with
-// one only once the stored reply that answers it is written. A
-// submission whose write failed stays registered, and its manifest open
-// for the next process to recover.
-func (s *Server) journalDone(id string, final []byte) bool {
-	if s.opts.Journal == nil {
-		return true
-	}
-	if !s.journaling() {
-		return false
-	}
-	if err := s.opts.Journal.RetireManifest(id, final); err != nil {
-		log.Printf("ringsimd: retire manifest %s: %v", id, err)
-		return false
-	}
-	return true
-}
-
 // --- startup replay ---
 
 // recoverFromJournal rebuilds coordinator state from the journal's
@@ -125,76 +97,50 @@ func (s *Server) recoverFromJournal() {
 	s.mu.Unlock()
 
 	for _, id := range state.OpenManifests {
-		m, ok := j.GetManifest(id)
-		if !ok || m.Verify() != nil {
-			// No readable manifest body: nothing to rebuild, stop
-			// replaying it. (Member runs, if any, recovered above.)
+		if m, ok := j.GetManifest(id); !ok || m.Verify() != nil || !s.recoverSubmission(id, m) {
+			// Nothing to rebuild: stop replaying it. (Member runs, if any,
+			// recovered above.)
 			_ = j.RetireManifest(id, nil)
-			continue
-		}
-		switch m.Kind {
-		case results.ManifestKindSweep:
-			s.recoverSweep(id, m)
-		case results.ManifestKindExplore:
-			s.recoverExplore(id, m)
 		}
 	}
 }
 
-// recoverSweep re-registers an unfinished sweep under its original id.
-// Its members not already registered (as replayed direct runs) go back
-// through feed: settled from the store, the rest re-queued — the work the
-// sweep still owes. preCached stays nil: nothing was finished before this
-// process started, and a member the recovery feeder settles from the
-// store carries the cached mark on its own run state.
-func (s *Server) recoverSweep(id string, m results.Manifest) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.subs[id]; ok {
-		return
+// recoverSubmission re-opens an unfinished sweep or exploration under its
+// original id, and reports whether it could. A sweep's members not already
+// registered (as replayed direct runs) go back through feed: settled from
+// the store, the rest re-queued — the work the sweep still owes. It has no
+// hits: nothing was finished before this process started, and a member
+// the recovery feeder settles from the store carries the cached mark on
+// its own run state. An exploration is deterministic given its request,
+// so replay re-drives it, and every candidate already evaluated is a store
+// hit. One whose request no longer reads or resolves (e.g. a renamed
+// config profile across versions) can never finish.
+func (s *Server) recoverSubmission(id string, m results.Manifest) bool {
+	if m.Kind == results.ManifestKindSweep {
+		_, _ = s.open(nil, id, func(sw *submission) {
+			var pending []results.Job
+			for _, jb := range m.Jobs {
+				st, ok := s.runs[jb.Key]
+				if !ok {
+					st = s.newRunLocked(jb.Key, jb.Request.Harness())
+					pending = append(pending, jb)
+				}
+				st.refs++
+			}
+			sw.keys = m.Keys()
+			s.feedLocked(pending)
+		}, s.viewSweepLocked, s.watchSweep)
+		return true
 	}
-	var pending []results.Job
-	for _, jb := range m.Jobs {
-		st, ok := s.runs[jb.Key]
-		if !ok {
-			st = s.newRunLocked(jb.Key, jb.Request.Harness())
-			pending = append(pending, jb)
-		}
-		st.refs++
-	}
-	sw := &submission{id: id, keys: m.Keys()}
-	s.addSubmissionLocked(sw)
-	s.watchSweepLocked(sw)
-	s.feedLocked(pending)
-}
-
-// recoverExplore re-drives an unfinished exploration under its original
-// id. Explorations are deterministic given their request, so replay is
-// a re-run in which every already-evaluated candidate is a store hit.
-func (s *Server) recoverExplore(id string, m results.Manifest) {
 	var er dse.Request
-	var opts dse.Options
-	err := json.Unmarshal(m.Explore, &er)
+	if json.Unmarshal(m.Explore, &er) != nil {
+		return false
+	}
+	opts, err := exploreOptions(&er)
 	if err == nil {
-		opts, err = exploreOptions(&er)
+		_, _ = s.openExplore(nil, id, opts)
 	}
-	if err != nil {
-		// An unreadable request, or one that no longer resolves (e.g. a
-		// renamed config profile across versions), can never finish:
-		// retire the manifest rather than replay-crash forever.
-		_ = s.opts.Journal.RetireManifest(id, nil)
-		return
-	}
-	s.mu.Lock()
-	if _, ok := s.subs[id]; ok {
-		s.mu.Unlock()
-		return
-	}
-	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: opts.Strategy.Name(), SpaceSize: opts.Space.Size()}}
-	s.addSubmissionLocked(sub)
-	s.exploreWG.Add(1)
-	s.mu.Unlock()
-	go s.driveExplore(sub, opts)
+	return err == nil
 }
 
 // --- re-attach fallbacks ---
@@ -225,9 +171,10 @@ func (s *Server) runFallback(w http.ResponseWriter, id string) bool {
 // registry does not hold with the final reply it stored when it retired,
 // and reports whether it did. An unfinished submission is always
 // registered — recovery re-registers every open manifest, and eviction
-// spares what is unfinished — so only a retired one needs this.
-func (s *Server) serveManifestFinal(w http.ResponseWriter, kind, id string) bool {
-	if s.opts.Journal == nil || !strings.HasPrefix(id, kind+"-") {
+// spares what is unfinished — so only a retired one needs this. The
+// caller has checked that id is of the kind asked for.
+func (s *Server) serveManifestFinal(w http.ResponseWriter, id string) bool {
+	if s.opts.Journal == nil {
 		return false
 	}
 	final := s.opts.Journal.Final(id)

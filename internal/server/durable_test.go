@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"io/fs"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -380,6 +382,110 @@ func TestUnpolledSweepsRetire(t *testing.T) {
 		getJSON(t, hs+"/v1/sweeps/"+id, &got)
 		if got.Status != statusDone || got.Done != 4 {
 			t.Errorf("sweep %s: %+v", id, got)
+		}
+	}
+	t.Run("same bytes from the registry and from done/", func(t *testing.T) {
+		last := ids[len(ids)-1]
+		fromRegistry := getBody(t, hs+"/v1/sweeps/"+last)
+		// The first grid again: every member is finished, so the sweep
+		// settles at its POST and evicts the last one.
+		var sv sweepView
+		postJSON(t, hs+"/v1/sweeps", sweepBody(), http.StatusAccepted, &sv)
+		if sv.Status != statusDone || sv.CacheHits != 4 || len(sv.Results) != 4 {
+			t.Fatalf("all-hit sweep's POST: %+v", sv)
+		}
+		srv.mu.Lock()
+		_, registered := srv.subs[last]
+		srv.mu.Unlock()
+		if registered {
+			t.Fatal("the finished sweep was not evicted")
+		}
+		if fromDone := getBody(t, hs+"/v1/sweeps/"+last); !bytes.Equal(fromDone, fromRegistry) {
+			t.Errorf("done/ answers differently from the registry:\n%s\n%s", fromRegistry, fromDone)
+		}
+	})
+}
+
+// TestFinalRepliesKeepWhatTheStoreDoesNot asks whether a finished
+// submission's reply could be re-rendered from its manifest and the store
+// byte for byte. It could not: the same request submitted cold and then
+// warm, over one store, leaves two replies that differ, beyond their ids,
+// exactly in what the store does not keep. For a sweep that is which
+// members were finished at submit ("cached", "cache_hits"); for an
+// exploration, how many of its runs were simulated ("sims_run",
+// "cache_hits", "cache_hit_rate"). Everything else is equal.
+func TestFinalRepliesKeepWhatTheStoreDoesNot(t *testing.T) {
+	j, err := journal.Open(t.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	srv, err := New(Options{Workers: 2, QueueDepth: 64, Store: results.NewMemoryLRU(256), Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(t, srv)
+	for _, c := range []struct {
+		path   string
+		body   map[string]any
+		differ []string
+	}{
+		{"/v1/sweeps", sweepBody(), []string{".id", ".cache_hits", ".runs[].cached"}},
+		{"/v1/explore", exploreBody(), []string{".id", ".sims_run", ".cache_hits", ".cache_hit_rate"}},
+	} {
+		var replies [2]any // cold, then warm
+		for i := range replies {
+			var v struct {
+				ID string `json:"id"`
+			}
+			postJSON(t, hs+c.path, c.body, http.StatusAccepted, &v)
+			waitFor(t, v.ID+" to retire", func() bool { return j.Final(v.ID) != nil })
+			if err := json.Unmarshal(j.Final(v.ID), &replies[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := map[string]bool{}
+		differingPaths(replies[0], replies[1], "", got)
+		want := map[string]bool{}
+		for _, p := range c.differ {
+			want[p] = true
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: cold and warm replies differ at %v, want %v", c.path, slices.Sorted(maps.Keys(got)), c.differ)
+		}
+	}
+}
+
+// differingPaths adds to out the paths at which two decoded JSON values
+// differ, writing array indices as [].
+func differingPaths(a, b any, path string, out map[string]bool) {
+	switch x := a.(type) {
+	case map[string]any:
+		y, ok := b.(map[string]any)
+		if !ok {
+			out[path] = true
+			return
+		}
+		for k := range x {
+			differingPaths(x[k], y[k], path+"."+k, out)
+		}
+		for k := range y {
+			if _, ok := x[k]; !ok {
+				out[path+"."+k] = true
+			}
+		}
+	case []any:
+		y, ok := b.([]any)
+		if !ok || len(x) != len(y) {
+			out[path] = true
+			return
+		}
+		for i := range x {
+			differingPaths(x[i], y[i], path+"[]", out)
+		}
+	default:
+		if !reflect.DeepEqual(a, b) {
+			out[path] = true
 		}
 	}
 }

@@ -19,7 +19,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -36,62 +35,23 @@ import (
 // size registers all its cells at once, as a sweep of the same size does.
 const maxExplorePoints = 4096
 
-// exploreView is the GET /v1/explore/{id} response body.
+// exploreView is the GET /v1/explore/{id} response body: the engine's
+// report, with its points only in the final reply.
 type exploreView struct {
-	ID           string      `json:"id"`
-	Status       runStatus   `json:"status"`
-	Strategy     string      `json:"strategy"`
-	SpaceSize    int         `json:"space_size"`
-	Proposed     int         `json:"proposed"`
-	Evaluated    int         `json:"evaluated"`
-	Skipped      int         `json:"skipped"`
-	Failed       int         `json:"failed"`
-	SimsRun      int         `json:"sims_run"`
-	CacheHits    int         `json:"cache_hits"`
-	CacheHitRate float64     `json:"cache_hit_rate"`
-	Rounds       int         `json:"rounds"`
-	Frontier     []dse.Point `json:"frontier"`
-	Points       []dse.Point `json:"points,omitempty"`
-	Error        string      `json:"error,omitempty"`
-
-	// Twin accounting, present only when the analytical twin gated this
-	// exploration (see internal/predict).
-	TwinMode        string  `json:"twin,omitempty"`
-	TwinPredictions int     `json:"predictions_total,omitempty"`
-	SimsAvoided     int     `json:"sims_avoided,omitempty"`
-	TwinVerified    int     `json:"twin_verified,omitempty"`
-	TwinMAPE        float64 `json:"twin_mape,omitempty"`
-
-	// Fidelity accounting, present only when the search tier ran sampled
-	// (see dse.Report).
-	Fidelity      string `json:"fidelity,omitempty"`
-	SampledSims   int    `json:"sampled_sims,omitempty"`
-	ExactConfirms int    `json:"exact_confirms,omitempty"`
+	ID     string    `json:"id"`
+	Status runStatus `json:"status"`
+	dse.Report
+	CacheHitRate float64 `json:"cache_hit_rate"`
+	Error        string  `json:"error,omitempty"`
 }
 
 // snapshotReport projects a (running or final) dse report into the wire
 // view. Slices are copied so later engine rounds never mutate a rendered
 // response.
 func snapshotReport(v *exploreView, rep *dse.Report, includePoints bool) {
-	v.Strategy = rep.Strategy
-	v.SpaceSize = rep.SpaceSize
-	v.Proposed = rep.Proposed
-	v.Evaluated = rep.Evaluated
-	v.Skipped = rep.Skipped
-	v.Failed = rep.Failed
-	v.SimsRun = rep.SimsRun
-	v.CacheHits = rep.CacheHits
-	v.CacheHitRate = rep.CacheHitRate()
-	v.Rounds = rep.Rounds
-	v.TwinMode = rep.TwinMode
-	v.TwinPredictions = rep.TwinPredictions
-	v.SimsAvoided = rep.SimsAvoided
-	v.TwinVerified = rep.TwinVerified
-	v.TwinMAPE = rep.TwinMAPE
-	v.Fidelity = rep.Fidelity
-	v.SampledSims = rep.SampledSims
-	v.ExactConfirms = rep.ExactConfirms
+	v.Report, v.CacheHitRate = *rep, rep.CacheHitRate()
 	v.Frontier = append([]dse.Point(nil), rep.Frontier...)
+	v.Points = nil
 	if includePoints {
 		v.Points = append([]dse.Point(nil), rep.Points...)
 	}
@@ -121,28 +81,25 @@ func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	id, err := manifest.ID()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
+	body, err := s.openExplore(&manifest, "", opts)
+	writeOpened(w, body, err, &s.metrics.ExploresSubmitted)
+}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		httpError(w, submitStatus(errClosed), errClosed)
-		return
-	}
-	sub := &submission{id: id, view: exploreView{ID: id, Status: statusRunning, Strategy: opts.Strategy.Name(), SpaceSize: opts.Space.Size()}}
-	s.addSubmissionLocked(sub)
+// openExplore opens an exploration of opts, new or recovered (see open).
+func (s *Server) openExplore(m *results.Manifest, id string, opts dse.Options) ([]byte, error) {
+	return s.open(m, id, func(sub *submission) {
+		sub.view = exploreView{ID: sub.id, Status: statusRunning, Report: dse.Report{Strategy: opts.Strategy.Name(), SpaceSize: opts.Space.Size()}}
+	}, liveExploreLocked, func(sub *submission) { s.driveExplore(sub, opts) })
+}
+
+// liveExploreLocked is an exploration's liveView: its latest snapshot. Only
+// its driver settles it. Callers must hold s.mu.
+func liveExploreLocked(sub *submission) func() []byte {
 	v := sub.view
-	s.exploreWG.Add(1)
-	s.mu.Unlock()
-	s.metrics.ExploresSubmitted.Add(1)
-	s.journalManifest(id, manifest)
-
-	go s.driveExplore(sub, opts)
-	writeJSON(w, http.StatusAccepted, v)
+	return func() []byte {
+		b, _ := json.Marshal(v) // nil when refused: the status goes alone
+		return b
+	}
 }
 
 // exploreOptions resolves an exploration request and bounds its grid:
@@ -160,10 +117,9 @@ func exploreOptions(er *dse.Request) (dse.Options, error) {
 	return opts, nil
 }
 
-// driveExplore runs the engine to completion and renders the
-// exploration's final reply.
+// driveExplore runs the engine to completion and settles the exploration
+// with its final reply.
 func (s *Server) driveExplore(sub *submission, opts dse.Options) {
-	defer s.exploreWG.Done()
 	t := opts.Twin
 	opts.Evaluator = &queueEvaluator{s: s, sim: &dse.SimEvaluator{Programs: t.Programs, Insts: t.Insts, Warmup: t.Warmup}}
 	opts.Concurrency = s.opts.Workers
@@ -185,56 +141,28 @@ func (s *Server) driveExplore(sub *submission, opts dse.Options) {
 	// reports the exploration failed, and leaving the manifest open lets the
 	// next one replay it instead of serving the partial frontier forever.
 	aborted := s.closed
+	v := sub.view
 	if rep != nil {
-		snapshotReport(&sub.view, rep, true)
+		snapshotReport(&v, rep, true)
 	}
 	switch {
 	case aborted:
-		sub.view.Status = statusFailed
-		sub.view.Error = errClosed.Error()
+		v.Status, v.Error = statusFailed, errClosed.Error()
 	case err != nil:
-		sub.view.Status = statusFailed
-		sub.view.Error = err.Error()
+		v.Status, v.Error = statusFailed, err.Error()
 	default:
-		sub.view.Status = statusDone
+		v.Status = statusDone
 	}
-	sub.final, _ = json.Marshal(sub.view) // nil when refused: the status goes alone
-	sub.retired = make(chan struct{})
+	final, _ := json.Marshal(v) // nil when refused: the status goes alone
+	settleLocked(sub, final)
 	// GETs serve final from now on; the outcome is all a reader of the
 	// view still needs.
-	sub.view = exploreView{Status: sub.view.Status, Error: sub.view.Error}
+	sub.view = exploreView{Status: v.Status, Error: v.Error}
 	s.mu.Unlock()
 	if aborted {
 		close(sub.retired)
 	} else {
 		s.retire(sub)
-	}
-}
-
-// handleGetExplore reports exploration progress and the running
-// frontier, and the final reply once the exploration is over. Ids the
-// registry forgot are answered from their stored final reply (see
-// serveManifestFinal).
-func (s *Server) handleGetExplore(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	sub := s.submissionLocked(results.ManifestKindExplore, id)
-	var v exploreView
-	var final []byte
-	if sub != nil {
-		v, final = sub.view, sub.final
-	}
-	s.mu.Unlock()
-	switch {
-	case sub == nil:
-		if !s.serveManifestFinal(w, results.ManifestKindExplore, id) {
-			httpError(w, http.StatusNotFound, errors.New("unknown exploration id"))
-		}
-	case final != nil:
-		<-sub.retired
-		writeBody(w, http.StatusOK, final)
-	default:
-		writeJSON(w, http.StatusOK, v)
 	}
 }
 

@@ -365,6 +365,7 @@ func TestRepliesMatchTheirStructs(t *testing.T) {
 		}{
 			{"GET", "/v1/runs/nope", nil, http.StatusNotFound},
 			{"GET", "/v1/sweeps/nope", nil, http.StatusNotFound},
+			{"GET", "/v1/explore/nope", nil, http.StatusNotFound},
 			{"POST", "/v1/runs", "{torn", http.StatusBadRequest},
 			{"POST", "/v1/sweeps", map[string]any{"programs": []string{"gcc"}}, http.StatusBadRequest},
 			{"POST", "/v1/fleet/lease", fleet.LeaseRequest{WorkerID: "nobody"}, http.StatusNotFound},
@@ -384,6 +385,51 @@ func TestRepliesMatchTheirStructs(t *testing.T) {
 		_, body = ws.do("GET", "/v1/explore/"+ev.ID, nil)
 		sameAs[exploreView](t, body)
 	})
+}
+
+// TestSubmissionKindsDoNotCross: a sweep id is not an exploration's, nor
+// the reverse. Asked of the other kind's GET, each is a 404 with an error
+// body, while the submission is live in the registry and once it has
+// retired to done/ and left the registry; so is an id of neither kind.
+func TestSubmissionKindsDoNotCross(t *testing.T) {
+	ws := newWireServer(t, 1)
+	_, body := ws.do("POST", "/v1/sweeps", sweepBody())
+	sweep := sameAs[sweepView](t, body).ID
+	_, body = ws.do("POST", "/v1/explore", exploreBody())
+	explore := sameAs[exploreView](t, body).ID
+	notFound := func(state string) {
+		t.Helper()
+		for _, path := range []string{"/v1/explore/" + sweep, "/v1/sweeps/" + explore, "/v1/explore/nope", "/v1/sweeps/nope"} {
+			code, body := ws.do("GET", path, nil)
+			var e map[string]string
+			if err := json.Unmarshal(body, &e); err != nil || code != http.StatusNotFound || e["error"] == "" {
+				t.Errorf("%s: GET %s = %d %.80s, want 404 and an error", state, path, code, body)
+			}
+		}
+	}
+	notFound("live")
+
+	startWorker(t, ws.url, "w", nil)
+	for _, id := range []string{sweep, explore} {
+		waitFor(t, id+" to retire", func() bool {
+			ws.srv.mu.Lock()
+			defer ws.srv.mu.Unlock()
+			return ws.srv.subs[id].evictable
+		})
+	}
+	// The bound is one: a third submission evicts both.
+	if code, body := ws.do("POST", "/v1/sweeps", sweepBody()); code != http.StatusAccepted {
+		t.Fatalf("third sweep = %d: %s", code, body)
+	}
+	if ws.registered(sweep) || ws.registered(explore) {
+		t.Fatal("the retired submissions were not evicted")
+	}
+	for _, path := range []string{"/v1/sweeps/" + sweep, "/v1/explore/" + explore} {
+		if code, body := ws.do("GET", path, nil); code != http.StatusOK {
+			t.Fatalf("GET %s from done/ = %d: %s", path, code, body)
+		}
+	}
+	notFound("retired")
 }
 
 // TestAppendStringIsMarshal: the reply writer's string encoder is

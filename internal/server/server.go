@@ -49,8 +49,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,34 +159,6 @@ type runState struct {
 	startedAt time.Time
 }
 
-// submission is one sweep or exploration, registered under its manifest
-// id, whose "<kind>-" prefix tells the two apart. A sweep references its
-// member runs until every one is terminal; an exploration keeps the view
-// its driver refreshes.
-type submission struct {
-	id string
-	// keys are a sweep's members, in grid order.
-	keys []string
-	// preCached marks members that were already finished when this sweep
-	// was submitted — cache hits from this sweep's point of view, without
-	// mutating the shared run state.
-	preCached map[string]bool
-	// view is an exploration's latest progress snapshot, refreshed after
-	// every batch and finalized when the driver finishes.
-	view exploreView
-	// final is the rendered terminal reply, set once: every later GET and
-	// the journal's done/<id>.json are these bytes.
-	final []byte
-	// retired is made with final and closed once retire has stored final
-	// in the journal; a GET serves final only then, so a terminal reply
-	// it answered outlives a crash.
-	retired chan struct{}
-	// evictable is set by retire when the journal holds final (always,
-	// without a journal): only then may the registry drop the submission,
-	// because the stored reply answers its id from then on.
-	evictable bool
-}
-
 // Server is the simulation service. Create with New, serve via Handler,
 // stop with Close.
 type Server struct {
@@ -209,9 +179,10 @@ type Server struct {
 
 	metrics     Metrics
 	stopWorkers context.CancelFunc // ends the local workers
-	wg          sync.WaitGroup     // local workers, and their simulations in flight
-	feederWG    sync.WaitGroup     // sweep and recovery feeders
-	exploreWG   sync.WaitGroup     // exploration drivers
+	// wg counts every goroutine the server starts: local workers, feeders,
+	// sweep watchers and exploration drivers. Each Add happens in New or
+	// under s.mu with closed unset, so none can follow shutdown's Wait.
+	wg sync.WaitGroup
 
 	// fleet owns the pending pool every run waits in, and the remote-worker
 	// registry when Options.Fleet asks for one.
@@ -248,9 +219,9 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleGetRun)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
+	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.getSubmission(results.ManifestKindSweep, "sweep", s.viewSweepLocked))
 	s.mux.HandleFunc("POST /v1/explore", s.handleSubmitExplore)
-	s.mux.HandleFunc("GET /v1/explore/{id}", s.handleGetExplore)
+	s.mux.HandleFunc("GET /v1/explore/{id}", s.getSubmission(results.ManifestKindExplore, "exploration", liveExploreLocked))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	var fo fleet.CoordinatorOptions
@@ -312,8 +283,6 @@ func (s *Server) Close() {
 func (s *Server) shutdown() {
 	close(s.quit)
 	s.fleet.Stop()
-	s.exploreWG.Wait()
-	s.feederWG.Wait()
 	s.wg.Wait()
 	s.stopWorkers()
 	s.abandonRuns()
@@ -432,32 +401,6 @@ func (s *Server) evictRunsLocked() {
 	}
 }
 
-// addSubmissionLocked registers a new sweep or exploration and drops the
-// oldest evictable ones beyond the bound. Callers must hold s.mu.
-func (s *Server) addSubmissionLocked(sub *submission) {
-	s.subs[sub.id] = sub
-	s.subOrder = append(s.subOrder, sub.id)
-	for i := 0; len(s.subOrder) > s.opts.maxSubmissions && i < len(s.subOrder); {
-		if id := s.subOrder[i]; !s.subs[id].evictable {
-			i++
-		} else {
-			delete(s.subs, id)
-			s.subOrder = slices.Delete(s.subOrder, i, i+1)
-		}
-	}
-}
-
-// retire stores a submission's final reply and retires its manifest, and
-// then releases the GETs waiting on it. Exactly one caller retires each
-// submission: whoever rendered its final reply, after releasing s.mu.
-func (s *Server) retire(sub *submission) {
-	ok := s.journalDone(sub.id, sub.final)
-	s.mu.Lock()
-	sub.evictable = ok
-	s.mu.Unlock()
-	close(sub.retired)
-}
-
 // subscribeLocked returns one channel per unfinished run, closed when the
 // run turns terminal. Callers must hold s.mu, so no finish can be missed.
 func subscribeLocked(sts []*runState) []chan struct{} {
@@ -483,15 +426,6 @@ func (s *Server) await(waits []chan struct{}) bool {
 		}
 	}
 	return true
-}
-
-// submissionLocked returns the registered submission of this kind and id,
-// or nil. Callers must hold s.mu.
-func (s *Server) submissionLocked(kind, id string) *submission {
-	if !strings.HasPrefix(id, kind+"-") {
-		return nil
-	}
-	return s.subs[id]
 }
 
 // errQueueFull is returned when the bounded queue cannot take a new job.
@@ -606,7 +540,7 @@ func (s *Server) submit(req harness.Request) (*runState, bool, error) {
 // feeders) cannot miss it.
 func (s *Server) feedLocked(jobs []results.Job) {
 	if len(jobs) > 0 {
-		s.feederWG.Add(1)
+		s.wg.Add(1)
 		go s.feed(jobs)
 	}
 }
@@ -622,7 +556,7 @@ func (s *Server) feedLocked(jobs []results.Job) {
 // writes nothing for any other. Runs on its own goroutine per batch;
 // stops when the server closes.
 func (s *Server) feed(jobs []results.Job) {
-	defer s.feederWG.Done()
+	defer s.wg.Done()
 	for _, j := range fleet.WorkloadMajor(jobs) {
 		select {
 		case <-s.quit:
@@ -877,120 +811,49 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	id, err := manifest.ID()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		httpError(w, submitStatus(errClosed), errClosed)
-		return
-	}
-	sw := &submission{id: id, keys: keys, preCached: make(map[string]bool)}
-	_, hits := s.registerBatchLocked(reqs, jobs)
-	for i, hit := range hits {
-		if hit {
-			sw.preCached[keys[i]] = true
-		}
-	}
-	s.addSubmissionLocked(sw)
-	v, body := s.viewSweepLocked(sw)
-	s.mu.Unlock()
-	s.metrics.SweepsSubmitted.Add(1)
-	s.journalManifest(id, manifest)
-	if body != nil {
-		// Every member was already terminal (all cache hits): the sweep
-		// finished at submission.
-		s.retire(sw)
-	} else {
-		// Watched only now, so it cannot retire before its manifest exists.
-		s.mu.Lock()
-		if !s.closed {
-			s.watchSweepLocked(sw)
-		}
-		s.mu.Unlock()
-		body = appendSweepView(nil, v)
-	}
-	writeBody(w, http.StatusAccepted, body)
+	body, err := s.open(&manifest, "", func(sw *submission) {
+		_, sw.hits = s.registerBatchLocked(reqs, jobs)
+		sw.keys = keys
+	}, s.viewSweepLocked, s.watchSweep)
+	writeOpened(w, body, err, &s.metrics.SweepsSubmitted)
 }
 
-// handleGetSweep reports sweep progress and, when every member is
-// terminal, the full result set in grid order. Ids the registry forgot
-// are answered from their stored final reply (see serveManifestFinal).
-func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// watchSweep settles a sweep when its last member does, so a sweep nobody
+// polls still turns terminal, releases its runs and retires its manifest.
+// A GET that settles it first leaves the watcher nothing to do.
+func (s *Server) watchSweep(sw *submission) {
 	s.mu.Lock()
-	sw := s.submissionLocked(results.ManifestKindSweep, id)
-	var v sweepView
-	var body []byte
-	var materialized bool
-	if sw != nil {
-		wasDone := sw.final != nil
-		v, body = s.viewSweepLocked(sw)
-		materialized = body != nil && !wasDone
-	}
-	s.mu.Unlock()
-	switch {
-	case sw == nil:
-		if !s.serveManifestFinal(w, results.ManifestKindSweep, id) {
-			httpError(w, http.StatusNotFound, errors.New("unknown sweep id"))
+	var sts []*runState
+	if sw.retired == nil {
+		for _, key := range sw.keys {
+			sts = append(sts, s.runs[key])
 		}
-		return
-	case materialized:
-		s.retire(sw)
-	case body != nil:
-		<-sw.retired
-	default:
-		body = appendSweepView(nil, v)
-	}
-	writeBody(w, http.StatusOK, body)
-}
-
-// watchSweepLocked starts the goroutine that renders a sweep's final
-// reply when its last member settles, so a sweep nobody polls still turns
-// terminal, releases its runs and retires its manifest. A GET that
-// renders it first leaves the watcher nothing to do. Callers must hold
-// s.mu and have checked s.closed.
-func (s *Server) watchSweepLocked(sw *submission) {
-	sts := make([]*runState, len(sw.keys))
-	for i, key := range sw.keys {
-		sts[i] = s.runs[key]
 	}
 	waits := subscribeLocked(sts)
-	s.feederWG.Add(1)
-	go func() {
-		defer s.feederWG.Done()
-		if !s.await(waits) {
-			return // the next process recovers the open manifest
-		}
-		s.mu.Lock()
-		wasDone := sw.final != nil
-		s.viewSweepLocked(sw)
-		s.mu.Unlock()
-		if !wasDone {
-			s.retire(sw)
-		}
-	}()
+	s.mu.Unlock()
+	if !s.await(waits) {
+		return // the next process recovers the open manifest
+	}
+	s.mu.Lock()
+	settled := sw.retired == nil && s.viewSweepLocked(sw) == nil
+	s.mu.Unlock()
+	if settled {
+		s.retire(sw)
+	}
 }
 
-// viewSweepLocked copies out sweep progress for rendering after the lock
-// is released. The first view after every member turns terminal instead
-// renders the final view, once, keeps it as the sweep's only answer and
-// releases the member references, making the runs evictable; final is
-// non-nil from then on, and its renderer must retire the sweep. Callers
-// must hold s.mu.
-func (s *Server) viewSweepLocked(sw *submission) (v sweepView, final []byte) {
-	if sw.final != nil {
-		return sweepView{}, sw.final
-	}
-	v = sweepView{ID: sw.id, Total: len(sw.keys), Runs: make([]runView, 0, len(sw.keys))}
-	for _, key := range sw.keys {
+// viewSweepLocked is a sweep's liveView: it copies out the sweep's
+// progress, every member's run view in grid order. The first view after
+// every member turns terminal instead settles the sweep with its final
+// view, which lists every member's record under "results", and releases
+// the member references, making the runs evictable. Callers must hold
+// s.mu.
+func (s *Server) viewSweepLocked(sw *submission) func() []byte {
+	v := sweepView{ID: sw.id, Total: len(sw.keys), Runs: make([]runView, 0, len(sw.keys))}
+	for i, key := range sw.keys {
 		st := s.runs[key] // refs pin every member while the sweep is live
 		rv := viewRun(st)
-		rv.Cached = rv.Cached || sw.preCached[key]
+		rv.Cached = rv.Cached || i < len(sw.hits) && sw.hits[i]
 		v.Runs = append(v.Runs, rv)
 		switch st.status {
 		case statusDone:
@@ -1005,7 +868,7 @@ func (s *Server) viewSweepLocked(sw *submission) (v sweepView, final []byte) {
 	switch {
 	case v.Done+v.Failed < v.Total:
 		v.Status = statusRunning
-		return v, nil
+		return func() []byte { return appendSweepView(nil, v) }
 	case v.Failed > 0:
 		v.Status = statusFailed
 	default:
@@ -1015,11 +878,10 @@ func (s *Server) viewSweepLocked(sw *submission) (v sweepView, final []byte) {
 	for _, key := range sw.keys {
 		s.runs[key].refs--
 	}
-	sw.final = appendSweepView(nil, v)
-	sw.retired = make(chan struct{})
-	sw.preCached = nil
+	sw.hits = nil
+	settleLocked(sw, appendSweepView(nil, v))
 	s.evictRunsLocked()
-	return v, sw.final
+	return nil
 }
 
 // handleHealthz reports liveness, queue depth, and the build revision.
